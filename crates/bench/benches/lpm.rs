@@ -1,11 +1,11 @@
-//! Criterion bench comparing the three BMP plugins (PATRICIA, BSPL,
-//! CPE) on route-table-scale prefix sets — the per-level engine choice
-//! inside the DAG classifier and the routing table.
+//! Criterion bench comparing the two BMP plugins (PATRICIA, BSPL) — the
+//! per-level engine choice inside the DAG classifier — and the compiled
+//! DIR-24-8 FIB the routing table reads, on route-table-scale prefix sets.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rp_lpm::{BsplTable, CpeTable, LpmTable, PatriciaTable, Prefix};
+use rp_lpm::{BsplTable, Dir24Table, LpmTable, PatriciaTable, Prefix};
 
 fn prefixes(n: usize, seed: u64) -> Vec<(Prefix<u32>, u32)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -25,12 +25,13 @@ fn bench_lpm(c: &mut Criterion) {
         let pfx = prefixes(n, n as u64);
         let mut pat = PatriciaTable::new();
         let mut bspl = BsplTable::new();
-        let mut cpe = CpeTable::<u32, u32>::new_v4();
+        let mut dir = Dir24Table::new();
         for (p, v) in &pfx {
             pat.insert(*p, *v);
             bspl.insert(*p, *v);
-            cpe.insert(*p, *v);
+            dir.insert(*p, *v);
         }
+        dir.compile();
         let mut rng = StdRng::seed_from_u64(7);
         let probes: Vec<u32> = (0..1024).map(|_| rng.gen()).collect();
         let mut i = 0usize;
@@ -46,10 +47,10 @@ fn bench_lpm(c: &mut Criterion) {
                 black_box(bspl.lookup(probes[i]))
             })
         });
-        group.bench_with_input(BenchmarkId::new("cpe", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("dir24", n), &n, |b, _| {
             b.iter(|| {
                 i = (i + 1) & 1023;
-                black_box(cpe.lookup(probes[i]))
+                black_box(dir.lookup(probes[i]))
             })
         });
     }

@@ -59,6 +59,11 @@ pub struct Aiu<V: Clone> {
     filter_tables: Vec<DagTable<V>>,
     flow_table: FlowTable<V>,
     cfg: AiuConfig,
+    /// The flow the latest classification recycled. Its bindings travel
+    /// inline (no heap), which makes it several cache lines wide, so it is
+    /// parked here and lent out rather than returned by value through
+    /// every layer of a path that, on a cache hit, has nothing to return.
+    evicted: Option<EvictedFlow<V>>,
 }
 
 /// Outcome of classifying one packet.
@@ -97,6 +102,7 @@ impl<V: Clone> Aiu<V> {
             filter_tables: (0..cfg.gates).map(|_| DagTable::new(cfg.bmp)).collect(),
             flow_table: FlowTable::new(cfg.flow_table),
             cfg,
+            evicted: None,
         }
     }
 
@@ -142,8 +148,13 @@ impl<V: Clone> Aiu<V> {
     /// the filter lookup for **all** gates and creates one flow record
     /// ("the processing of the first packet of a new flow with n gates
     /// involves n filter table lookups to create a single entry"). Any
-    /// recycled flow's bindings are returned for eviction callbacks.
-    pub fn classify(&mut self, tuple: &FlowTuple) -> (ClassifyOutcome, Option<EvictedFlow<V>>) {
+    /// recycled flow's bindings are lent out for eviction callbacks
+    /// ([`crate::flow_table::GateArray::drain`]); what the caller leaves
+    /// in them is dropped by the next classification that recycles.
+    pub fn classify(
+        &mut self,
+        tuple: &FlowTuple,
+    ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
         // One hash per packet: the same value serves the lookup, the
         // insert, and — crucially — the admission-denied flood path,
         // which used to hash twice (lookup miss + denied insert).
@@ -164,7 +175,8 @@ impl<V: Clone> Aiu<V> {
                 rec.gates.set_filter(gate, Some(id));
             }
         }
-        (ClassifyOutcome::CacheMiss(fix), evicted)
+        self.evicted = evicted;
+        (ClassifyOutcome::CacheMiss(fix), self.evicted.as_mut())
     }
 
     /// Classify an mbuf, extracting its tuple and caching the FIX into the
@@ -175,7 +187,7 @@ impl<V: Clone> Aiu<V> {
     pub fn classify_mbuf(
         &mut self,
         mbuf: &mut Mbuf,
-    ) -> Result<(ClassifyOutcome, Option<EvictedFlow<V>>), rp_packet::Error> {
+    ) -> Result<(ClassifyOutcome, Option<&mut EvictedFlow<V>>), rp_packet::Error> {
         let tuple = FlowTuple::from_mbuf(mbuf)?;
         let (outcome, evicted) = self.classify(&tuple);
         mbuf.fix = outcome.fix();

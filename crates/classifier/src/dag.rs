@@ -24,10 +24,9 @@
 //!   function-pointer loads are tallied separately.
 
 use crate::filter::{AddrMatch, FilterId, FilterSpec, PortMatch};
-use rp_lpm::{AccessCounter, BsplTable, LpmTable, PatriciaTable, Prefix};
+use rp_lpm::{AccessCounter, BsplTable, IntMap, LpmTable, PatriciaTable, Prefix};
 use rp_packet::FlowTuple;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::IpAddr;
 
@@ -148,7 +147,7 @@ impl<T: rp_lpm::Bits> AddrMatcher<T> {
 /// store.
 enum ExactEdges {
     Sorted(Vec<(u32, NodeId)>),
-    Hash(HashMap<u32, NodeId>),
+    Hash(IntMap<u32, NodeId>),
 }
 
 /// Distinct-label count at which [`ExactEdges`] abandons the sorted array.
@@ -175,7 +174,7 @@ impl ExactEdges {
                 Ok(i) => v[i].1 = node,
                 Err(i) => {
                     if v.len() >= EXACT_SPILL {
-                        let mut m: HashMap<u32, NodeId> = v.drain(..).collect();
+                        let mut m: IntMap<u32, NodeId> = v.drain(..).collect();
                         m.insert(key, node);
                         *self = ExactEdges::Hash(m);
                     } else {
@@ -278,7 +277,7 @@ pub const LEVELS: usize = 6;
 pub struct DagTable<V> {
     nodes: Vec<Node>,
     root: NodeId,
-    registry: HashMap<FilterId, (FilterSpec, V)>,
+    registry: IntMap<FilterId, (FilterSpec, V)>,
     next_id: u64,
     bmp_kind: BmpKind,
     addr_counter: AccessCounter,
@@ -305,7 +304,7 @@ impl<V> DagTable<V> {
         DagTable {
             nodes: vec![root],
             root: 0,
-            registry: HashMap::new(),
+            registry: IntMap::default(),
             next_id: 0,
             bmp_kind,
             addr_counter: AccessCounter::new(),

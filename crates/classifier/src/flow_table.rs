@@ -191,14 +191,18 @@ impl<V> GateArray<V> {
     }
 
     /// Move every binding out (for eviction callbacks), leaving defaults.
-    fn take_all(&mut self) -> Vec<GateBinding<V>> {
-        (0..self.len())
-            .map(|g| GateBinding {
-                instance: self.instances[g].take(),
-                filter: self.filters[g].take(),
-                soft_state: self.soft[g].take(),
-            })
-            .collect()
+    /// The bindings travel inline, so evicting a flow allocates nothing.
+    fn take_all(&mut self) -> GateArray<V> {
+        std::mem::replace(self, GateArray::new(self.len()))
+    }
+
+    /// Hand out each gate's binding in gate order, leaving defaults.
+    pub fn drain(&mut self) -> impl Iterator<Item = GateBinding<V>> + '_ {
+        (0..self.len()).map(|g| GateBinding {
+            instance: self.instances[g].take(),
+            filter: self.filters[g].take(),
+            soft_state: self.soft[g].take(),
+        })
     }
 
     fn reset(&mut self) {
@@ -849,8 +853,9 @@ impl<V> FlowTable<V> {
 pub struct EvictedFlow<V> {
     /// The evicted flow's key.
     pub key: FlowTuple,
-    /// Its per-gate bindings (instances + soft state).
-    pub gates: Vec<GateBinding<V>>,
+    /// Its per-gate bindings (instances + soft state); consume them with
+    /// [`GateArray::drain`].
+    pub gates: GateArray<V>,
 }
 
 fn dummy_key() -> FlowTuple {

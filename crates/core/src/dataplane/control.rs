@@ -215,6 +215,9 @@ pub trait ControlPlane {
     fn cp_add_route(&mut self, addr: IpAddr, prefix_len: u8, tx_if: IfIndex);
     /// Remove a core route.
     fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool;
+    /// Compile the IPv4 routes into the direct-index FIB (on every shard);
+    /// call after bulk route loading.
+    fn cp_optimize_routes(&mut self);
     /// Enable/disable a gate.
     fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool);
     /// Attach a default egress scheduler to an interface.
@@ -293,6 +296,9 @@ impl ControlPlane for Router {
     }
     fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool {
         self.remove_route(addr, prefix_len)
+    }
+    fn cp_optimize_routes(&mut self) {
+        self.optimize_routes()
     }
     fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
         self.set_gate_enabled(gate, enabled)

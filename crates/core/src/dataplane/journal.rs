@@ -70,6 +70,10 @@ pub enum JournaledCmd {
         /// Prefix length.
         prefix_len: u8,
     },
+    /// FIB compile ([`Router::optimize_routes`]). Journaled so a rebuilt
+    /// shard forwards from the compiled table like its siblings, and in
+    /// sequence so it costs one trie walk, not a repaint per later route.
+    OptimizeRoutes,
     /// Gate enable/disable.
     SetGateEnabled {
         /// The gate.
@@ -160,6 +164,10 @@ impl CommandJournal {
                     router.remove_route(*addr, *prefix_len);
                     false
                 }
+                JournaledCmd::OptimizeRoutes => {
+                    router.optimize_routes();
+                    false
+                }
                 JournaledCmd::SetGateEnabled { gate, enabled } => {
                     router.set_gate_enabled(*gate, *enabled);
                     false
@@ -233,6 +241,26 @@ mod tests {
         let b = rebuilt.send_message("firewall", next).unwrap();
         assert_eq!(a, b);
         assert!(matches!(a, PluginReply::InstanceCreated(_)));
+    }
+
+    #[test]
+    fn replay_compiles_the_fib_where_the_original_did() {
+        let mut j = journal_with_fw_instance();
+        let mut uncompiled = fresh_router();
+        j.replay(&mut uncompiled);
+        assert!(!uncompiled.fib_stats().compiled);
+
+        j.record(JournaledCmd::OptimizeRoutes);
+        j.record(JournaledCmd::AddRoute {
+            addr: IpAddr::V4(Ipv4Addr::new(10, 1, 0, 0)),
+            prefix_len: 16,
+            tx_if: 2,
+        });
+        let mut rebuilt = fresh_router();
+        assert_eq!(j.replay(&mut rebuilt), 0);
+        let s = rebuilt.fib_stats();
+        assert!(s.compiled);
+        assert_eq!((s.next_hops, s.repaints), (2, 1));
     }
 
     #[test]

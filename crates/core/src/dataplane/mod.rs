@@ -501,6 +501,12 @@ impl ParallelRouter {
         for d in metrics.queue_depth.iter_mut() {
             *d = 0;
         }
+        // Likewise its FIB gauges: that table was freed with the worker.
+        metrics.fib_compiled = 0;
+        metrics.fib_tbl8_groups = 0;
+        metrics.fib_next_hops = 0;
+        metrics.fib_mem_bytes = 0;
+        metrics.fib_repaints = 0;
         self.local_metrics.absorb(&metrics);
         let lost = lost_queue + f.stranded;
         self.local_stats.forwarded = self.local_stats.forwarded.saturating_sub(f.stranded);
@@ -1326,6 +1332,10 @@ impl ControlPlane for ParallelRouter {
         self.journal
             .record(JournaledCmd::RemoveRoute { addr, prefix_len });
         removed
+    }
+    fn cp_optimize_routes(&mut self) {
+        self.control_map(|ctx| ctx.router.optimize_routes());
+        self.journal.record(JournaledCmd::OptimizeRoutes);
     }
     fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
         self.control_map(move |ctx| ctx.router.set_gate_enabled(gate, enabled));

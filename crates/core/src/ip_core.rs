@@ -4,7 +4,9 @@
 //! handling, and the routing-table types. The gate traversal that stitches
 //! plugins into this path lives in [`crate::router`].
 
-use rp_lpm::{LpmTable, PatriciaTable, Prefix};
+use rp_lpm::{Dir24Table, LpmTable, PatriciaTable, Prefix};
+
+pub use rp_lpm::FibStats;
 use rp_packet::ipv4::Ipv4Packet;
 use rp_packet::ipv6::Ipv6Packet;
 use rp_packet::mbuf::IfIndex;
@@ -217,7 +219,7 @@ pub fn validate_and_age(
 }
 
 /// A routing-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteEntry {
     /// Egress interface.
     pub tx_if: IfIndex,
@@ -240,11 +242,24 @@ pub struct FibCacheStats {
 /// collide; at ~40 bytes a slot the whole cache is still well under L2.
 pub const FIB_CACHE_SLOTS: usize = 8192;
 
-/// Dual-stack longest-prefix-match routing table (PATRICIA-backed, as in
-/// the BSD kernel the paper modifies), fronted by a small 2-way
-/// set-associative exact-match cache over *addresses* (not prefixes). Internet traffic is
-/// heavy-tailed — a few popular destinations dominate — so a tiny cache
-/// absorbs most lookups without walking the trie.
+/// Dual-stack longest-prefix-match routing table, fronted by a small 2-way
+/// set-associative exact-match cache over *addresses* (not prefixes).
+///
+/// **RIB and FIB.** Both families keep their routes in a PATRICIA trie (as
+/// in the BSD kernel the paper modifies) — the RIB, which `add`/`remove`
+/// edit. For IPv4, [`RoutingTable::optimize`] compiles the RIB into a
+/// DIR-24-8 direct-index FIB ([`rp_lpm::Dir24Table`]): from then on an
+/// uncached lookup is one indexed load (two past /24) instead of one
+/// dependent load per trie level, and every later `add`/`remove` repaints
+/// just the changed prefix's slot range so the FIB stays exact. A table
+/// that is never optimized — a test router with a handful of routes —
+/// walks the trie and never allocates the FIB's 32 MB. IPv6 always walks
+/// its trie.
+///
+/// **FIB cache.** Internet traffic is heavy-tailed — a few popular
+/// destinations dominate — so a tiny cache absorbs most lookups. It stays
+/// in front of the compiled FIB too: a hit is one load from a cache that
+/// fits in L2, where the 32 MB first level mostly misses to DRAM.
 ///
 /// The correctness hazard of FIB caching is the **hidden prefix**: a cached
 /// answer for address `a` embeds the best-matching prefix at fill time, so
@@ -255,7 +270,7 @@ pub const FIB_CACHE_SLOTS: usize = 8192;
 /// invalidation rule from the FIB-caching literature. The scan is skipped
 /// entirely while the cache is empty, so bulk route loading stays linear.
 pub struct RoutingTable {
-    v4: PatriciaTable<u32, RouteEntry>,
+    v4: Dir24Table<RouteEntry>,
     v6: PatriciaTable<u128, RouteEntry>,
     /// Two-way set-associative address cache (consecutive slot pairs form
     /// a set, MRU first); empty vector = caching disabled.
@@ -279,7 +294,7 @@ impl RoutingTable {
 
     /// Empty table with a `slots`-entry FIB cache (rounded up to a power
     /// of two; 0 disables caching — [`RoutingTable::lookup_cached`] then
-    /// degenerates to the plain trie walk).
+    /// degenerates to [`RoutingTable::lookup`]).
     pub fn with_cache(slots: usize) -> Self {
         let slots = if slots == 0 {
             0
@@ -287,7 +302,7 @@ impl RoutingTable {
             slots.next_power_of_two().max(2)
         };
         RoutingTable {
-            v4: PatriciaTable::new(),
+            v4: Dir24Table::new(),
             v6: PatriciaTable::new(),
             cache: vec![None; slots],
             cache_live: 0,
@@ -372,12 +387,12 @@ impl RoutingTable {
         out
     }
 
-    /// Longest-prefix-match lookup against the full trie, bypassing the
+    /// Longest-prefix-match lookup against the full table, bypassing the
     /// cache. The uncached reference path — differential tests compare
     /// [`RoutingTable::lookup_cached`] against this.
     pub fn lookup(&self, addr: IpAddr) -> Option<RouteEntry> {
         match addr {
-            IpAddr::V4(a) => self.v4.lookup(u32::from(a)).map(|(e, _)| *e),
+            IpAddr::V4(a) => self.v4.lookup(u32::from(a)).copied(),
             IpAddr::V6(a) => self.v6.lookup(u128::from(a)).map(|(e, _)| *e),
         }
     }
@@ -435,12 +450,20 @@ impl RoutingTable {
         self.cache_live = 0;
     }
 
-    /// Repack both tries breadth-first for cache-line adjacency (see
+    /// Compile the IPv4 RIB into its direct-index FIB (see
+    /// [`rp_lpm::Dir24Table::compile`]) and repack the IPv6 trie
+    /// breadth-first for cache-line adjacency (see
     /// [`PatriciaTable::repack`]). Call after bulk route loading; lookups
-    /// are unaffected semantically.
+    /// are unaffected semantically, and later route updates keep the FIB
+    /// exact without another call.
     pub fn optimize(&mut self) {
-        self.v4.repack();
+        self.v4.compile();
         self.v6.repack();
+    }
+
+    /// Whether IPv4 lookups are on the compiled FIB, and what it holds.
+    pub fn fib_stats(&self) -> FibStats {
+        self.v4.stats()
     }
 
     /// Number of routes (both families).

@@ -227,9 +227,22 @@ pub struct MetricsRegistry {
     /// Route lookups answered by the hot-prefix FIB cache (gauge sampled
     /// from the routing table at snapshot time).
     pub fib_cache_hit: u64,
-    /// Route lookups that fell through the FIB cache to the full trie
+    /// Route lookups that fell through the FIB cache to the full table
     /// (gauge sampled from the routing table at snapshot time).
     pub fib_cache_miss: u64,
+    /// 1 when IPv4 lookups read the compiled DIR-24-8 FIB, 0 when they
+    /// walk the trie; a merged snapshot counts the compiled shards. This
+    /// and the four `fib_*` gauges below are
+    /// [`crate::ip_core::FibStats`], sampled at snapshot time.
+    pub fib_compiled: u64,
+    /// Second-level FIB groups in use (/24 blocks holding longer prefixes).
+    pub fib_tbl8_groups: u64,
+    /// Distinct route entries interned by the FIB.
+    pub fib_next_hops: u64,
+    /// Heap bytes held by the FIB.
+    pub fib_mem_bytes: u64,
+    /// Route updates repainted into the FIB since its compile.
+    pub fib_repaints: u64,
     /// Dropped packets by [`DropReason`] slot (see [`drop_reason_index`]).
     pub drops: [u64; DROP_KINDS],
     /// Packets received per interface slot.
@@ -329,6 +342,11 @@ impl MetricsRegistry {
         self.flow_resize_steps += other.flow_resize_steps;
         self.fib_cache_hit += other.fib_cache_hit;
         self.fib_cache_miss += other.fib_cache_miss;
+        self.fib_compiled += other.fib_compiled;
+        self.fib_tbl8_groups += other.fib_tbl8_groups;
+        self.fib_next_hops += other.fib_next_hops;
+        self.fib_mem_bytes += other.fib_mem_bytes;
+        self.fib_repaints += other.fib_repaints;
         for i in 0..DROP_KINDS {
             self.drops[i] += other.drops[i];
         }
@@ -410,6 +428,15 @@ impl MetricsRegistry {
             out,
             "fib_cache: hit={} miss={}",
             self.fib_cache_hit, self.fib_cache_miss,
+        );
+        let _ = writeln!(
+            out,
+            "fib: compiled={} tbl8_groups={} next_hops={} mem_bytes={} repaints={}",
+            self.fib_compiled,
+            self.fib_tbl8_groups,
+            self.fib_next_hops,
+            self.fib_mem_bytes,
+            self.fib_repaints,
         );
         if self.sojourn_ns.count > 0 {
             let _ = writeln!(
@@ -494,7 +521,9 @@ impl MetricsRegistry {
             "],\"flows_expired\":{},\"fragment_flows\":{},\
              \"flow_admission_denied\":{},\"flow_inline_expired\":{},\
              \"flow_evicted_lru\":{},\"flow_resize_steps\":{},\
-             \"fib_cache_hit\":{},\"fib_cache_miss\":{},\"pkt_size\":{},\
+             \"fib_cache_hit\":{},\"fib_cache_miss\":{},\
+             \"fib\":{{\"compiled\":{},\"tbl8_groups\":{},\"next_hops\":{},\
+             \"mem_bytes\":{},\"repaints\":{}}},\"pkt_size\":{},\
              \"sojourn_ns\":{{\"p50\":{},\"p99\":{},\"hist\":{}}},\
              \"mbuf_pool\":{{\"acquired\":{},\"recycled\":{},\"fresh\":{}}}}}",
             self.flows_expired,
@@ -505,6 +534,11 @@ impl MetricsRegistry {
             self.flow_resize_steps,
             self.fib_cache_hit,
             self.fib_cache_miss,
+            self.fib_compiled,
+            self.fib_tbl8_groups,
+            self.fib_next_hops,
+            self.fib_mem_bytes,
+            self.fib_repaints,
             hist(&self.pkt_size),
             self.sojourn_ns.quantile(0.50),
             self.sojourn_ns.quantile(0.99),
@@ -893,6 +927,7 @@ mod tests {
         assert!(j.contains("\"flow_resize_steps\":0"));
         assert!(j.contains("\"fib_cache_hit\":0"));
         assert!(j.contains("\"fib_cache_miss\":0"));
+        assert!(j.contains("\"fib\":{\"compiled\":0,\"tbl8_groups\":0,"));
         assert!(j.contains("\"sojourn_ns\":{\"p50\":0,\"p99\":0,"));
         assert!(j.contains("\"mbuf_pool\":{\"acquired\":0,\"recycled\":0,\"fresh\":0}"));
         // Balanced braces/brackets (cheap well-formedness check).

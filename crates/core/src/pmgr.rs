@@ -21,6 +21,7 @@
 //! unbind <gate> <plugin> <fid>       # deregister_instance
 //! msg <plugin> [<iid>] <name> [args...]           # plugin-specific
 //! route <addr>/<len> <ifindex>       # core routing table
+//! route optimize                     # compile the IPv4 routes into the FIB
 //! gate <gate> on|off
 //! attach <ifindex> <plugin> <iid>    # default egress scheduler
 //! info                               # loaded plugins and stats
@@ -184,6 +185,10 @@ pub fn run_command<C: ControlPlane>(router: &mut C, line: &str) -> Result<String
         }
         "route" => {
             let spec = arg(&toks, 1)?;
+            if spec == "optimize" {
+                router.cp_optimize_routes();
+                return Ok("routes compiled".to_string());
+            }
             let (addr, len) = spec
                 .split_once('/')
                 .ok_or_else(|| PmgrError::Syntax("route <addr>/<len> <if>".into()))?;
@@ -629,6 +634,25 @@ bind stats stats 0 <*, *, UDP, *, 53, *>",
         // Single router: no per-shard breakdown.
         assert!(!out.contains("\"shards\""), "{out}");
         assert!(run_command(&mut r, "metrics bogus").is_err());
+    }
+
+    #[test]
+    fn route_optimize_shows_in_metrics() {
+        let mut r = router();
+        run_command(&mut r, "route 10.0.0.0/8 1").unwrap();
+        let out = run_command(&mut r, "metrics").unwrap();
+        assert!(out.contains("fib: compiled=0 "), "{out}");
+        assert_eq!(
+            run_command(&mut r, "route optimize").unwrap(),
+            "routes compiled"
+        );
+        run_command(&mut r, "route 10.1.2.128/25 2").unwrap();
+        let out = run_command(&mut r, "metrics").unwrap();
+        assert!(
+            out.contains("fib: compiled=1 tbl8_groups=1 next_hops=2 "),
+            "{out}"
+        );
+        assert!(out.contains(" repaints=1\n"), "{out}");
     }
 
     #[test]

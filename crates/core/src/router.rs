@@ -255,8 +255,8 @@ impl Router {
                     self.tracer.record(now, TraceCategory::Filter, detail);
                 }
                 self.supervisor.note_binding(&inst, gate, filter, fid);
-                for ev in evicted {
-                    self.run_eviction_callbacks(ev);
+                for mut ev in evicted {
+                    Self::run_eviction_callbacks(&mut ev);
                 }
                 Ok(PluginReply::Registered(fid))
             }
@@ -287,31 +287,29 @@ impl Router {
         }
         self.supervisor.note_unbinding(&inst, gate, fid);
         let _ = supervisor::run_isolated(|| inst.filter_unbound(fid));
-        for ev in evicted {
-            self.run_eviction_callbacks(ev);
+        for mut ev in evicted {
+            Self::run_eviction_callbacks(&mut ev);
         }
         Ok(())
     }
 
-    fn run_eviction_callbacks(&mut self, ev: EvictedFlow<InstanceRef>) {
-        self.run_eviction_callbacks_skipping(ev, None);
+    fn run_eviction_callbacks(ev: &mut EvictedFlow<InstanceRef>) {
+        Self::run_eviction_callbacks_skipping(ev, None);
     }
 
     /// Run per-flow eviction callbacks, isolated from panics. `skip`
     /// suppresses the callback for one instance — used when quarantining
     /// a faulted instance, whose code must not run again.
     fn run_eviction_callbacks_skipping(
-        &mut self,
-        mut ev: EvictedFlow<InstanceRef>,
+        ev: &mut EvictedFlow<InstanceRef>,
         skip: Option<&InstanceRef>,
     ) {
-        for g in ev.gates.iter_mut() {
-            if let Some(inst) = g.instance.take() {
+        for g in ev.gates.drain() {
+            if let Some(inst) = g.instance {
                 if skip.is_some_and(|s| Arc::ptr_eq(s, &inst)) {
                     continue;
                 }
-                let soft = g.soft_state.take();
-                let _ = supervisor::run_isolated(|| inst.flow_unbound(&ev.key, soft));
+                let _ = supervisor::run_isolated(|| inst.flow_unbound(&ev.key, g.soft_state));
             }
         }
     }
@@ -332,11 +330,17 @@ impl Router {
         self.routes.remove(addr, prefix_len).is_some()
     }
 
-    /// Repack the routing tries breadth-first for cache-line adjacency
-    /// (see [`rp_lpm::PatriciaTable::repack`]). Call once after bulk
-    /// route loading; forwarding behaviour is unchanged.
+    /// Compile the IPv4 routes into the direct-index FIB and repack the
+    /// IPv6 trie (see [`crate::ip_core::RoutingTable::optimize`]). Call
+    /// once after bulk route loading; forwarding behaviour is unchanged
+    /// and later route updates keep the FIB exact.
     pub fn optimize_routes(&mut self) {
         self.routes.optimize();
+    }
+
+    /// Whether IPv4 lookups are on the compiled FIB, and what it holds.
+    pub fn fib_stats(&self) -> crate::ip_core::FibStats {
+        self.routes.fib_stats()
     }
 
     /// Hot-prefix FIB cache counters.
@@ -395,13 +399,13 @@ impl Router {
         evicted.clear();
         let n = self.aiu.expire_idle_into(max_idle_ns, &mut evicted);
         self.metrics.flows_expired += n as u64;
-        for ev in evicted.drain(..) {
+        for mut ev in evicted.drain(..) {
             if self.tracer.wants(TraceCategory::Flow) {
                 let now = self.now_ns;
                 let detail = format!("flow expired: {}", ev.key);
                 self.tracer.record(now, TraceCategory::Flow, detail);
             }
-            self.run_eviction_callbacks(ev);
+            Self::run_eviction_callbacks(&mut ev);
         }
         self.evict_scratch = evicted;
         n
@@ -459,7 +463,7 @@ impl Router {
                             let detail = format!("flow recycled at {gate}: {}", ev.key);
                             self.tracer.record(now, TraceCategory::Flow, detail);
                         }
-                        self.run_eviction_callbacks(ev);
+                        Self::run_eviction_callbacks(ev);
                     }
                 }
                 Err(_) => return Err(DropReason::Malformed),
@@ -593,8 +597,8 @@ impl Router {
                 .collect();
             for fid in ids {
                 if let Ok((_spec, _inst, evicted)) = self.aiu.remove_filter(gate.index(), fid) {
-                    for ev in evicted {
-                        self.run_eviction_callbacks_skipping(ev, Some(inst));
+                    for mut ev in evicted {
+                        Self::run_eviction_callbacks_skipping(&mut ev, Some(inst));
                     }
                 }
             }
@@ -608,8 +612,8 @@ impl Router {
                 .iter()
                 .any(|i| i.as_ref().is_some_and(|v| Arc::ptr_eq(v, &dead)))
         });
-        for ev in evicted {
-            self.run_eviction_callbacks_skipping(ev, Some(inst));
+        for mut ev in evicted {
+            Self::run_eviction_callbacks_skipping(&mut ev, Some(inst));
         }
         self.detach_sched_everywhere(inst);
         let _ = self.supervisor.schedule_restart(inst, self.now_ns);
@@ -652,8 +656,8 @@ impl Router {
                             self.aiu
                                 .install_filter(gate.index(), spec.clone(), new_inst.clone())
                         {
-                            for ev in evicted {
-                                self.run_eviction_callbacks(ev);
+                            for mut ev in evicted {
+                                Self::run_eviction_callbacks(&mut ev);
                             }
                             new_bindings.push((*gate, spec.clone(), fid));
                         }
@@ -1076,6 +1080,12 @@ impl Router {
         let c = self.routes.fib_cache_stats();
         m.fib_cache_hit = c.hits;
         m.fib_cache_miss = c.misses;
+        let f = self.routes.fib_stats();
+        m.fib_compiled = u64::from(f.compiled);
+        m.fib_tbl8_groups = f.tbl8_groups as u64;
+        m.fib_next_hops = f.next_hops as u64;
+        m.fib_mem_bytes = f.mem_bytes as u64;
+        m.fib_repaints = f.repaints;
         m
     }
 

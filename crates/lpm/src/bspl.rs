@@ -25,6 +25,7 @@
 
 use crate::access::AccessCounter;
 use crate::bits::Bits;
+use crate::hash::IntMap;
 use crate::patricia::PatriciaTable;
 use crate::table::{LpmTable, Prefix};
 use std::collections::HashMap;
@@ -59,7 +60,7 @@ pub struct BsplTable<A: Bits, V: Clone> {
     /// vector instead of hashing the length through an outer map — one
     /// fewer dependent memory access per probe, and the per-length table
     /// headers sit in adjacent cache lines.
-    tables: Vec<HashMap<A, Entry<V>>>,
+    tables: Vec<IntMap<A, Entry<V>>>,
     /// Sorted list of populated lengths (excluding 0), parallel to
     /// `tables`.
     lengths: Vec<u8>,
@@ -220,7 +221,7 @@ impl<A: Bits, V: Clone> BsplTable<A, V> {
             .collect();
         lengths.sort_unstable();
         self.lengths = lengths;
-        self.tables = (0..self.lengths.len()).map(|_| HashMap::new()).collect();
+        self.tables = (0..self.lengths.len()).map(|_| IntMap::default()).collect();
         for p in prefixes {
             if !p.is_empty() {
                 self.install_paths(p);

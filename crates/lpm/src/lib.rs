@@ -5,13 +5,18 @@
 //! each IP-address level (paper §5.1.1). The paper ships two BMP plugins —
 //! a PATRICIA trie ("slower but freely available") and *binary search on
 //! prefix lengths* (Waldvogel et al., SIGCOMM '97). This crate implements
-//! both, plus controlled prefix expansion (Srinivasan & Varghese,
-//! SIGMETRICS '98), which the paper cites as the state of the art.
+//! both behind the [`LpmTable`] trait, generic over the address width
+//! through the [`Bits`] trait (`u32` for IPv4, `u128` for IPv6), and both
+//! count their **memory accesses** through an [`AccessCounter`], because
+//! the paper's Table 2 is denominated in memory accesses, not nanoseconds.
 //!
-//! All structures are generic over the address width through the [`Bits`]
-//! trait (`u32` for IPv4, `u128` for IPv6) and count their **memory
-//! accesses** through an [`AccessCounter`], because the paper's Table 2 is
-//! denominated in memory accesses, not nanoseconds.
+//! The third structure is what the paper cites as the state of the art,
+//! controlled prefix expansion (Srinivasan & Varghese, SIGMETRICS '98), in
+//! the one shape the router uses it: [`Dir24Table`], the IPv4 routing
+//! table as a PATRICIA RIB compiled into a 24-8, leaf-pushed, two-bytes-a-
+//! slot FIB whose lookup is one indexed load (two past /24) by
+//! construction. It returns values without matched lengths, so it stands
+//! beside the trait rather than behind it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,13 +24,15 @@
 pub mod access;
 pub mod bits;
 pub mod bspl;
-pub mod cpe;
+pub mod dir24;
+pub mod hash;
 pub mod patricia;
 pub mod table;
 
 pub use access::AccessCounter;
 pub use bits::Bits;
 pub use bspl::BsplTable;
-pub use cpe::CpeTable;
+pub use dir24::{Dir24Table, FibStats};
+pub use hash::IntMap;
 pub use patricia::PatriciaTable;
 pub use table::{LpmTable, Prefix};

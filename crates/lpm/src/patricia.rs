@@ -176,44 +176,50 @@ impl<A: Bits, V> PatriciaTable<A, V> {
         best
     }
 
-    /// All stored prefixes covered by `prefix` (i.e. equal or more
-    /// specific), in unspecified order. Control-path helper for the BSPL
-    /// structure's incremental best-match maintenance.
-    pub fn covered_by(&self, prefix: Prefix<A>) -> Vec<Prefix<A>> {
-        // Descend to the node region covered by `prefix`, then collect.
+    /// Visit every stored prefix covered by `prefix` (equal or more
+    /// specific) with its value, in pre-order and ascending address
+    /// order: a prefix is always visited before its more-specifics. The
+    /// whole table is `walk_covered(Prefix::default_route(), ..)`.
+    /// Control-path helper: this is the order in which a leaf-pushed
+    /// table can be painted so that more-specifics overwrite.
+    pub fn walk_covered<'a>(&'a self, prefix: Prefix<A>, mut visit: impl FnMut(Prefix<A>, &'a V)) {
+        // Descend to the node region covered by `prefix`, then walk it.
         let mut cur = 0u32;
-        let mut out = Vec::new();
         loop {
             let node = &self.nodes[cur as usize];
             if prefix.covers(&node.prefix) {
-                // Collect the whole subtree with an explicit stack.
-                let mut stack = vec![cur];
-                while let Some(i) = stack.pop() {
-                    let n = &self.nodes[i as usize];
-                    if n.value.is_some() {
-                        out.push(n.prefix);
-                    }
-                    for &c in &n.children {
-                        if c != NIL {
-                            stack.push(c);
-                        }
-                    }
-                }
-                return out;
+                break;
             }
-            if !node.prefix.covers(&prefix) {
-                return out;
+            if !node.prefix.covers(&prefix) || u32::from(node.prefix.len()) >= A::BITS {
+                return;
             }
-            if u32::from(node.prefix.len()) >= A::BITS {
-                return out;
+            cur = node.children[usize::from(prefix.bits().bit(node.prefix.len()))];
+            if cur == NIL {
+                return;
             }
-            let bit = usize::from(prefix.bits().bit(node.prefix.len()));
-            let c = node.children[bit];
-            if c == NIL {
-                return out;
-            }
-            cur = c;
         }
+        let mut stack = vec![cur];
+        while let Some(i) = stack.pop() {
+            let n = &self.nodes[i as usize];
+            if let Some(v) = &n.value {
+                visit(n.prefix, v);
+            }
+            // The 0-child is popped first: lower addresses first.
+            for &c in n.children.iter().rev() {
+                if c != NIL {
+                    stack.push(c);
+                }
+            }
+        }
+    }
+
+    /// All stored prefixes covered by `prefix` (i.e. equal or more
+    /// specific), in [`PatriciaTable::walk_covered`] order. Control-path
+    /// helper for the BSPL structure's incremental best-match maintenance.
+    pub fn covered_by(&self, prefix: Prefix<A>) -> Vec<Prefix<A>> {
+        let mut out = Vec::new();
+        self.walk_covered(prefix, |p, _| out.push(p));
+        out
     }
 
     /// Splice out the child at `(parent, bit)` when it is a valueless
@@ -374,18 +380,7 @@ impl<A: Bits, V> LpmTable<A, V> for PatriciaTable<A, V> {
 
     fn prefixes(&self) -> Vec<Prefix<A>> {
         let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![0u32];
-        while let Some(i) = stack.pop() {
-            let n = &self.nodes[i as usize];
-            if n.value.is_some() {
-                out.push(n.prefix);
-            }
-            for &c in &n.children {
-                if c != NIL {
-                    stack.push(c);
-                }
-            }
-        }
+        self.walk_covered(Prefix::default_route(), |p, _| out.push(p));
         out
     }
 }
@@ -523,6 +518,38 @@ mod tests {
         assert_eq!(t.covered_by(p(0x0C00_0000, 8)), vec![]);
         // The whole table under the default prefix.
         assert_eq!(t.covered_by(Prefix::default_route()).len(), 4);
+    }
+
+    #[test]
+    fn walk_covered_is_preorder_ascending() {
+        let mut t = PatriciaTable::new();
+        for (bits, len) in [
+            (0x0B00_0000, 8),
+            (0x0A0A_0A00, 24),
+            (0x0A00_0000, 8),
+            (0x0A0A_0000, 16),
+            (0x0A09_0000, 16),
+            (0x0000_0000, 0),
+        ] {
+            t.insert(p(bits, len), len);
+        }
+        let mut seen = Vec::new();
+        t.walk_covered(Prefix::default_route(), |q, v| seen.push((q, *v)));
+        assert_eq!(
+            seen,
+            vec![
+                (p(0, 0), 0),
+                (p(0x0A00_0000, 8), 8),
+                (p(0x0A09_0000, 16), 16),
+                (p(0x0A0A_0000, 16), 16),
+                (p(0x0A0A_0A00, 24), 24),
+                (p(0x0B00_0000, 8), 8),
+            ]
+        );
+        // A prefix that is not stored still roots its more-specifics.
+        let mut under = Vec::new();
+        t.walk_covered(p(0x0A0A_0000, 15), |q, _| under.push(q));
+        assert_eq!(under, vec![p(0x0A0A_0000, 16), p(0x0A0A_0A00, 24)]);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property tests: all three BMP implementations must agree with each
 //! other (and with a naive reference) on longest-prefix-match semantics,
-//! under arbitrary insert/remove interleavings.
+//! under arbitrary insert/remove interleavings. The DIR-24-8 table is
+//! compiled part-way through the interleaving, so it is checked both as
+//! an incrementally maintained FIB and against a recompile from scratch.
 
 use proptest::prelude::*;
-use rp_lpm::{BsplTable, CpeTable, LpmTable, PatriciaTable, Prefix};
+use rp_lpm::{Bits, BsplTable, Dir24Table, LpmTable, PatriciaTable, Prefix};
 
 /// Naive reference: a list scanned for the longest matching prefix.
 struct Reference {
@@ -42,11 +44,16 @@ enum Op {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    // Clustered address space (10.0.0.0/8-ish) so prefixes nest.
+    // Clustered address space (10.0.0.0/8-ish) so prefixes nest; lengths
+    // from the default route to host routes, so both DIR-24-8 levels and
+    // both sides of the /24 boundary are exercised (lengths under 8 are
+    // drawn less often: each paints up to 2²⁴ slots). Few distinct values,
+    // so equal values meet in one /24.
     let addr = (0u32..1 << 20).prop_map(|a| 0x0A00_0000 | a);
+    let len = || prop_oneof![8u8..=32, 8u8..=32, 8u8..=32, 0u8..=32];
     prop_oneof![
-        (addr.clone(), 8u8..=32, any::<u32>()).prop_map(|(a, l, v)| Op::Insert(a, l, v)),
-        (addr, 8u8..=32).prop_map(|(a, l)| Op::Remove(a, l)),
+        (addr.clone(), len(), 0u32..6).prop_map(|(a, l, v)| Op::Insert(a, l, v)),
+        (addr, len()).prop_map(|(a, l)| Op::Remove(a, l)),
     ]
 }
 
@@ -56,41 +63,58 @@ proptest! {
     #[test]
     fn all_implementations_agree(
         ops in prop::collection::vec(arb_op(), 1..120),
+        compile_at in 0usize..120,
         probes in prop::collection::vec(0u32..1 << 20, 1..200),
     ) {
         let mut reference = Reference::new();
         let mut pat = PatriciaTable::new();
         let mut bspl = BsplTable::new();
-        let mut cpe = CpeTable::<u32, u32>::new_v4();
-        for op in ops {
+        let mut dir = Dir24Table::new();
+        for (i, op) in ops.into_iter().enumerate() {
+            if i == compile_at {
+                dir.compile();
+            }
             match op {
                 Op::Insert(a, l, v) => {
                     let p = Prefix::new(a, l);
                     reference.insert(p, v);
                     pat.insert(p, v);
                     bspl.insert(p, v);
-                    cpe.insert(p, v);
+                    dir.insert(p, v);
                 }
                 Op::Remove(a, l) => {
                     let p = Prefix::new(a, l);
                     reference.remove(p);
                     pat.remove(p);
                     bspl.remove(p);
-                    cpe.remove(p);
+                    dir.remove(p);
                 }
             }
         }
-        for probe in probes {
-            let addr = 0x0A00_0000 | probe;
+        let mut recompiled = Dir24Table::new();
+        for (p, v) in &reference.entries {
+            recompiled.insert(*p, *v);
+        }
+        recompiled.compile();
+        // Every stored prefix's first and last address, and the addresses
+        // just outside it, besides the random probes.
+        let edges = reference.entries.iter().flat_map(|(p, _)| {
+            let last = p.bits() | !u32::MAX.mask(p.len());
+            [p.bits(), last, p.bits().wrapping_sub(1), last.wrapping_add(1)]
+        });
+        let probes: Vec<u32> = probes.iter().map(|a| 0x0A00_0000 | a).chain(edges).collect();
+        for addr in probes {
             let want = reference.lookup(addr);
             prop_assert_eq!(pat.lookup(addr).map(|(v, l)| (*v, l)), want, "patricia @ {:08x}", addr);
             prop_assert_eq!(bspl.lookup(addr).map(|(v, l)| (*v, l)), want, "bspl @ {:08x}", addr);
-            prop_assert_eq!(cpe.lookup(addr).map(|(v, l)| (*v, l)), want, "cpe @ {:08x}", addr);
+            let value = want.map(|(v, _)| v);
+            prop_assert_eq!(dir.lookup(addr).copied(), value, "dir24 @ {:08x}", addr);
+            prop_assert_eq!(recompiled.lookup(addr).copied(), value, "dir24 recompiled @ {:08x}", addr);
         }
         // Size bookkeeping agrees too.
         prop_assert_eq!(pat.len(), reference.entries.len());
         prop_assert_eq!(bspl.len(), reference.entries.len());
-        prop_assert_eq!(cpe.len(), reference.entries.len());
+        prop_assert_eq!(dir.len(), reference.entries.len());
     }
 
     #[test]

@@ -485,6 +485,9 @@ impl<P: IoRouter + ControlPlane> ControlPlane for IoPlane<P> {
     fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool {
         self.plane.cp_remove_route(addr, prefix_len)
     }
+    fn cp_optimize_routes(&mut self) {
+        self.plane.cp_optimize_routes()
+    }
     fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
         self.plane.cp_set_gate_enabled(gate, enabled)
     }

@@ -4,8 +4,11 @@
 //! warm, a 10 000-packet steady-state run through the single-threaded
 //! router must allocate no fresh mbuf buffers at all (pool `fresh`
 //! counter), and its total allocator traffic must stay far below one
-//! allocation per packet.
+//! allocation per packet. The last phase holds the *slow* path to the same
+//! ceiling: every fourth packet opens a flow that evicts another.
 
+use router_plugins::classifier::FlowTableConfig;
+use router_plugins::core::ip_core::Disposition;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{Router, RouterConfig};
@@ -13,8 +16,10 @@ use router_plugins::netdev::loopback::LoopbackDev;
 use router_plugins::netdev::{IoPlane, NetDev};
 use router_plugins::netsim::testbench::Testbench;
 use router_plugins::netsim::traffic::{v6_host, Workload};
+use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{Mbuf, MbufPool};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::{IpAddr, Ipv4Addr};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pass-through allocator that counts every allocation (and every
@@ -188,6 +193,98 @@ fn steady_state_fast_path_stays_off_the_allocator() {
     assert!(
         per_packet < 0.01,
         "I/O-plane steady state allocated {allocs} times over {measured} packets \
+         ({per_packet:.4}/packet; ceiling 0.01)"
+    );
+
+    // Phase 3: churn. Every fourth packet is the first of a new flow, the
+    // 8 192-record flow table is full, so each new flow classifies at
+    // three gates, evicts the coldest record (whose bindings go to the
+    // eviction callbacks), misses the FIB cache and reads the compiled
+    // FIB. None of that may reach the allocator once warm.
+    const TRAIN: u32 = 4;
+    const WARM_FLOWS: u32 = 16_384;
+    const CHURN_FLOWS: u32 = 10_000;
+    const NETS: u32 = 4096;
+    let mut r3 = Router::new(RouterConfig {
+        verify_checksums: false,
+        flow_table: FlowTableConfig {
+            buckets: 1024,
+            max_buckets: 1 << 17,
+            initial_records: 4096,
+            max_records: 8192,
+            max_idle_ns: 0,
+            lru_evict: true,
+            ..RouterConfig::default().flow_table
+        },
+        ..RouterConfig::default()
+    });
+    register_builtin_factories(&mut r3.loader);
+    run_script(
+        &mut r3,
+        "load null\n\
+         create null\n\
+         bind fw null 0 <*, *, *, *, *, *>\n\
+         bind ipsec null 0 <*, *, UDP, *, *, *>\n\
+         bind ipsec null 0 <10.0.0.0/8, *, UDP, *, 53, *>\n\
+         bind stats null 0 <*, *, *, *, *, *>\n",
+    )
+    .unwrap();
+    let net = |n: u32| Ipv4Addr::from(0x1400_0000 | n << 8);
+    for n in 0..NETS {
+        r3.add_route(IpAddr::V4(net(n)), 24, n % 4);
+    }
+    r3.optimize_routes();
+    assert!(r3.fib_stats().compiled);
+
+    // One packet image, patched per flow (source address, destination
+    // network): building packets must not be what allocates.
+    let mut image = PacketSpec::udp(
+        IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
+        IpAddr::V4(net(0)),
+        4000,
+        53,
+        18,
+    )
+    .build();
+    let mut done: Vec<Mbuf> = Vec::with_capacity(TRAIN as usize);
+    let mut churn = |r: &mut Router, flows: std::ops::Range<u32>| {
+        for flow in flows {
+            image[12..16].copy_from_slice(&(0x0A00_0000 | flow).to_be_bytes());
+            image[16..20].copy_from_slice(&(u32::from(net(flow % NETS)) | 7).to_be_bytes());
+            for _ in 0..TRAIN {
+                let m = r.mbuf_with(&image, 0);
+                assert_eq!(r.receive(m), Disposition::Forwarded(flow % NETS % 4));
+            }
+            r.take_tx_into(flow % NETS % 4, &mut done);
+            assert_eq!(done.len(), TRAIN as usize);
+            for m in done.drain(..) {
+                r.recycle_mbuf(m);
+            }
+        }
+    };
+    churn(&mut r3, 0..WARM_FLOWS);
+
+    let evicted_before = r3.flow_stats().evicted_lru;
+    let fib_before = r3.fib_cache_stats();
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    churn(&mut r3, WARM_FLOWS..WARM_FLOWS + CHURN_FLOWS);
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+
+    assert_eq!(
+        r3.flow_stats().evicted_lru - evicted_before,
+        u64::from(CHURN_FLOWS),
+        "every new flow must evict one"
+    );
+    let fib = r3.fib_cache_stats();
+    assert!(
+        fib.misses - fib_before.misses >= u64::from(CHURN_FLOWS) / 8,
+        "the compiled FIB was hardly read: {fib_before:?} → {fib:?}"
+    );
+    let measured = u64::from(CHURN_FLOWS * TRAIN);
+    let per_packet = allocs as f64 / measured as f64;
+    assert!(
+        per_packet < 0.01,
+        "churn allocated {allocs} times over {measured} packets \
          ({per_packet:.4}/packet; ceiling 0.01)"
     );
 }

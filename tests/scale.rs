@@ -10,13 +10,15 @@
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 
+use proptest::prelude::*;
 use router_plugins::classifier::flow_table::FlowTableConfig;
-use router_plugins::core::ip_core::Disposition;
+use router_plugins::core::ip_core::{Disposition, FibStats, RouteEntry, RoutingTable};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{
     ControlPlane, DispatchMode, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
+use router_plugins::lpm::Prefix;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{FlowTuple, Mbuf};
 
@@ -358,9 +360,9 @@ fn fib_cache_route_update_interleave() {
         "route updates never invalidated the cache: {end:?}"
     );
 
-    // Byte-identical against an uncached reference: replay the same
-    // interleave on a fresh router after `optimize_routes` (which rebuilds
-    // the arena layout) and compare egress bytes.
+    // Byte-identical against a reference on the compiled FIB: replay the
+    // same interleave on a fresh router that calls `optimize_routes` after
+    // every update (a recompile each time) and compare egress bytes.
     let mut refr = Router::new(RouterConfig {
         verify_checksums: false,
         ..RouterConfig::default()
@@ -393,6 +395,136 @@ fn fib_cache_route_update_interleave() {
         .collect();
     assert_eq!(
         a, b,
-        "cached and repacked reference emitted different bytes"
+        "cached and compiled reference emitted different bytes"
     );
+    assert!(refr.fib_stats().compiled && !r.fib_stats().compiled);
+
+    // The same interleave on the compiled FIB alone: no cache in front to
+    // invalidate, so every answer is the repainted table's own.
+    let mut fib = RoutingTable::with_cache(0);
+    fib.add(
+        IpAddr::V4(Ipv4Addr::new(10, 0, 0, 0)),
+        8,
+        RouteEntry { tx_if: 1 },
+    );
+    fib.optimize();
+    assert_eq!(fib.lookup_cached(dst), Some(RouteEntry { tx_if: 1 }));
+    fib.add(
+        IpAddr::V4(Ipv4Addr::new(10, 1, 0, 0)),
+        16,
+        RouteEntry { tx_if: 2 },
+    );
+    assert_eq!(fib.lookup_cached(dst), Some(RouteEntry { tx_if: 2 }));
+    assert!(fib
+        .remove(IpAddr::V4(Ipv4Addr::new(10, 1, 0, 0)), 16)
+        .is_some());
+    assert_eq!(fib.lookup_cached(dst), Some(RouteEntry { tx_if: 1 }));
+    let s = fib.fib_stats();
+    assert!(s.compiled);
+    assert_eq!(s.repaints, 2);
+    assert_eq!(fib.fib_cache_stats().invalidations, 0);
+}
+
+// ---------------------------------------------------------------------
+// Compiled FIB ≡ trie ≡ FIB cache under arbitrary route updates
+// ---------------------------------------------------------------------
+
+#[test]
+fn compiled_fib_interns_more_than_one_byte_of_next_hops() {
+    let mut rt = RoutingTable::with_cache(0);
+    rt.optimize();
+    for i in 0..600u32 {
+        let net = IpAddr::V4(Ipv4Addr::from(0x0A00_0000 | i << 8));
+        rt.add(net, 24, RouteEntry { tx_if: i });
+    }
+    let s = rt.fib_stats();
+    assert!(s.compiled);
+    assert_eq!((s.next_hops, s.tbl8_groups, s.repaints), (600, 0, 600));
+    for i in 0..600u32 {
+        let host = IpAddr::V4(Ipv4Addr::from(0x0A00_0000 | i << 8 | 9));
+        assert_eq!(rt.lookup(host), Some(RouteEntry { tx_if: i }));
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Add(u32, u8, u32),
+    Remove(u32, u8),
+}
+
+/// Few networks and the lengths around both DIR-24-8 boundaries,
+/// so updates hit stored prefixes: withdrawals of a covering
+/// prefix and re-adds with another entry are the common case.
+/// Lengths under 8 are rare (each repaints up to 2²⁴ slots).
+fn arb_op() -> impl Strategy<Value = Op> {
+    let bits = || {
+        (0u32..4, 0u32..4, 0usize..4)
+            .prop_map(|(a, b, c)| 0x0A00_0000 | a << 16 | b << 8 | [0, 1, 128, 255][c])
+    };
+    let len = || {
+        prop_oneof![
+            Just(8u8),
+            Just(15),
+            Just(16),
+            Just(23),
+            Just(24),
+            Just(25),
+            Just(31),
+            Just(32),
+            0u8..=32
+        ]
+    };
+    prop_oneof![
+        (bits(), len(), 0u32..5).prop_map(|(b, l, t)| Op::Add(b, l, t)),
+        (bits(), len(), 0u32..5).prop_map(|(b, l, t)| Op::Add(b, l, t)),
+        (bits(), len()).prop_map(|(b, l)| Op::Remove(b, l)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After every update on a compiled table, `lookup` (the FIB),
+    /// `lookup_cached` (the cache in front of it) and a table that
+    /// was never compiled (the trie) give one answer — on the
+    /// changed prefix's first and last address, their outside
+    /// neighbours, and random addresses.
+    #[test]
+    fn compiled_lookup_matches_trie_and_cache(
+        ops in prop::collection::vec(arb_op(), 1..60),
+        compile_at in 0usize..30,
+        probes in prop::collection::vec(0u32..1 << 18, 8..9),
+    ) {
+        let mut fib = RoutingTable::with_cache(16);
+        let mut trie = RoutingTable::with_cache(0);
+        for (i, op) in ops.into_iter().enumerate() {
+            if i == compile_at {
+                fib.optimize();
+            }
+            let (bits, len) = match op {
+                Op::Add(bits, len, tx_if) => {
+                    let net = IpAddr::V4(Ipv4Addr::from(bits));
+                    fib.add(net, len, RouteEntry { tx_if });
+                    trie.add(net, len, RouteEntry { tx_if });
+                    (bits, len)
+                }
+                Op::Remove(bits, len) => {
+                    let net = IpAddr::V4(Ipv4Addr::from(bits));
+                    prop_assert_eq!(fib.remove(net, len), trie.remove(net, len));
+                    (bits, len)
+                }
+            };
+            let p = Prefix::new(bits, len);
+            let last = p.bits() | u32::MAX.checked_shr(u32::from(len)).unwrap_or(0);
+            let edges = [p.bits(), last, p.bits().wrapping_sub(1), last.wrapping_add(1)];
+            let random = probes.iter().map(|a| 0x0A00_0000 | a);
+            for addr in edges.into_iter().chain(random) {
+                let a = IpAddr::V4(Ipv4Addr::from(addr));
+                let want = trie.lookup(a);
+                prop_assert_eq!(fib.lookup(a), want, "fib @ {} after op {}", a, i);
+                prop_assert_eq!(fib.lookup_cached(a), want, "cache @ {} after op {}", a, i);
+            }
+        }
+        prop_assert!(trie.fib_stats() == FibStats::default());
+    }
 }

@@ -17,6 +17,7 @@ use router_plugins::core::{ControlPlane, ParallelRouter, ParallelRouterConfig, R
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::Mbuf;
+use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -170,6 +171,79 @@ fn commands_issued_while_a_shard_is_down_reach_it_through_the_journal() {
     // Both shards must now agree on the next id.
     let out = run_command(&mut pr, "create firewall").unwrap();
     assert_eq!(out, "firewall instance 2");
+}
+
+// ---------------------------------------------------------------------
+// The journal carries the FIB compile: a rebuilt shard is not left on
+// the trie while its siblings read the direct-index table
+// ---------------------------------------------------------------------
+
+#[test]
+fn restarted_shard_recompiles_its_fib_from_the_journal() {
+    let mut pr = parallel(2, |_| {});
+    // Routes before and after the compile: replay must compile at the
+    // same point in the sequence and repaint what came later.
+    run_script(
+        &mut pr,
+        "route 10.0.0.0/8 1\nroute 10.1.0.0/16 2\nroute optimize\nroute 10.1.2.128/25 3",
+    )
+    .unwrap();
+    let fib = |pr: &mut ParallelRouter| pr.control_map(|ctx| ctx.router.fib_stats());
+    let before = fib(&mut pr);
+    assert_eq!(before.len(), 2);
+    for s in &before {
+        assert!(s.compiled, "{s:?}");
+        assert_eq!((s.tbl8_groups, s.repaints), (1, 1), "{s:?}");
+    }
+
+    // 64 flows over both shards to destinations on either side of every
+    // installed prefix boundary; what comes out where is the behaviour.
+    let offer = |pr: &mut ParallelRouter| -> Vec<(u32, Vec<u8>)> {
+        for i in 0..64u16 {
+            let dst = [
+                [10, 9, 9, 9],
+                [10, 1, 9, 9],
+                [10, 1, 2, 127],
+                [10, 1, 2, 128],
+            ][i as usize % 4];
+            let spec = PacketSpec::udp(
+                IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1)),
+                IpAddr::V4(Ipv4Addr::from(dst)),
+                4000 + i,
+                80,
+                64,
+            );
+            pr.receive(Mbuf::new(spec.build(), 0));
+        }
+        pr.flush();
+        let mut out: Vec<(u32, Vec<u8>)> = (0..4)
+            .flat_map(|i| {
+                pr.take_tx(i)
+                    .into_iter()
+                    .map(move |m| (i, m.data().to_vec()))
+            })
+            .collect();
+        out.sort();
+        out
+    };
+    let want = offer(&mut pr);
+    assert_eq!(want.len(), 64);
+    for iface in 1..=3 {
+        assert!(
+            want.iter().any(|(i, _)| *i == iface),
+            "nothing left if{iface}"
+        );
+    }
+
+    pr.cp_shard_kill(0).unwrap();
+    wait_for(&mut pr, 0, Duration::from_secs(5), "restarted", |s| {
+        s.health == HealthState::Degraded && s.restarts >= 1
+    });
+
+    assert_eq!(fib(&mut pr), before, "rebuilt shard's FIB differs");
+    let out = run_command(&mut pr, "metrics").unwrap();
+    assert!(out.contains("fib: compiled=2 "), "{out}");
+    assert_eq!(offer(&mut pr), want, "rebuilt shard forwards differently");
 }
 
 // ---------------------------------------------------------------------
