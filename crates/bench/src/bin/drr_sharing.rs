@@ -5,9 +5,12 @@
 //! packet sizes), then with reserved weights 1..4 (shares proportional
 //! to weights).
 //!
+//! Time is simulated, so the shares repeat exactly; a share further than
+//! `SHARE_TOLERANCE_PP` from its weight exits non-zero.
+//!
 //! Run: `cargo run --release -p rp-bench --bin drr_sharing`
 
-use rp_bench::report::Table;
+use rp_bench::report::{assert_share, Table};
 use rp_sched::link::LinkSim;
 use rp_sched::DrrScheduler;
 
@@ -35,12 +38,14 @@ fn main() {
     let total: u64 = (0..8).map(|f| sim.stats(f).bytes).sum();
     for f in 0..8u32 {
         let b = sim.stats(f).bytes;
+        let share = 100.0 * b as f64 / total as f64;
         t.row(&[
             f.to_string(),
             sizes[f as usize].to_string(),
             format!("{:.2}", b as f64 / 1e6),
-            format!("{:.1}", 100.0 * b as f64 / total as f64),
+            format!("{share:.1}"),
         ]);
+        assert_share(&format!("equal weights, flow {f}"), share, 100.0 / 8.0);
     }
     t.print();
     let j = sim.jain_index(&(0..8).collect::<Vec<_>>(), None);
@@ -61,13 +66,15 @@ fn main() {
     let wsum: u32 = weights.iter().sum();
     let mut t = Table::new(&["flow", "weight", "share %", "expected %"]);
     for f in 0..8u32 {
-        let b = sim.stats(f).bytes;
+        let share = 100.0 * sim.stats(f).bytes as f64 / total as f64;
+        let want = 100.0 * weights[f as usize] as f64 / wsum as f64;
         t.row(&[
             f.to_string(),
             weights[f as usize].to_string(),
-            format!("{:.1}", 100.0 * b as f64 / total as f64),
-            format!("{:.1}", 100.0 * weights[f as usize] as f64 / wsum as f64),
+            format!("{share:.1}"),
+            format!("{want:.1}"),
         ]);
+        assert_share(&format!("weighted, flow {f}"), share, want);
     }
     t.print();
     let shares: Vec<f64> = weights.iter().map(|w| *w as f64).collect();

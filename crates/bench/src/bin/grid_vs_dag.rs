@@ -16,6 +16,11 @@
 //! replication on this overlap-heavy workload exhausts memory — which is
 //! itself the §5.1.2 observation being quantified.
 //!
+//! Node counts are deterministic (seeded filter sets) and gated: the DAG
+//! must hold more nodes than the grid at every size, its nodes *per
+//! filter* must keep growing (replication), and the grid's must not
+//! (near-linear). Lookup times are informational.
+//!
 //! Run: `cargo run --release -p rp-bench --bin grid_vs_dag`
 
 use rand::rngs::StdRng;
@@ -69,6 +74,8 @@ fn main() {
         "grid ns/lookup",
     ]);
     let mut rng = StdRng::seed_from_u64(1);
+    // (DAG, grid) nodes per filter at the previous size.
+    let mut prev: Option<(f64, f64)> = None;
     for &n in &[64usize, 256, 512, 1024] {
         let filters = overlapping_filters(n, 42 + n as u64);
         let mut dag: DagTable<u32> = DagTable::new(BmpKind::Bspl);
@@ -77,6 +84,22 @@ fn main() {
         }
         let grid = GridOfTries::from_filters(filters.iter().map(|f| (*f, 0u32)).collect());
         let (dn, sn) = grid.node_counts();
+        let per_filter = (
+            dag.node_count() as f64 / n as f64,
+            (dn + sn) as f64 / n as f64,
+        );
+        assert!(
+            per_filter.0 > per_filter.1,
+            "{n} filters: DAG {per_filter:?} nodes/filter (DAG, grid) — no replication to show"
+        );
+        if let Some(p) = prev {
+            assert!(
+                per_filter.0 > p.0 && per_filter.1 <= p.1,
+                "{n} filters: nodes/filter (DAG, grid) went {p:?} -> {per_filter:?}; \
+                 expected DAG super-linear, grid near-linear"
+            );
+        }
+        prev = Some(per_filter);
 
         let probes: Vec<(u32, u32)> = (0..2048)
             .map(|_| {

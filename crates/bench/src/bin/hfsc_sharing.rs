@@ -10,9 +10,14 @@
 //! lower worst-case delay than with a linear curve of the same long-term
 //! rate — the decoupling of delay and bandwidth allocation.
 //!
+//! Time is simulated, so every number repeats exactly. Exits non-zero if
+//! a leaf's share is further than `SHARE_TOLERANCE_PP` from its curve's,
+//! or if the concave curve misses its own 20 ms knee (or the linear one
+//! of equal rate somehow meets it — then the experiment shows nothing).
+//!
 //! Run: `cargo run --release -p rp-bench --bin hfsc_sharing`
 
-use rp_bench::report::Table;
+use rp_bench::report::{assert_share, Table};
 use rp_sched::link::LinkSim;
 use rp_sched::{HfscScheduler, ServiceCurve};
 
@@ -43,11 +48,13 @@ fn main() {
     let total: f64 = flows.iter().map(|f| sim.stats(*f).bytes as f64).sum();
     let mut t = Table::new(&["leaf", "share %", "expected %"]);
     for (f, want) in flows.iter().zip([35.0, 35.0, 30.0]) {
+        let share = 100.0 * sim.stats(*f).bytes as f64 / total;
         t.row(&[
             format!("flow {f}"),
-            format!("{:.1}", 100.0 * sim.stats(*f).bytes as f64 / total),
+            format!("{share:.1}"),
             format!("{want:.1}"),
         ]);
+        assert_share(&format!("all backlogged, flow {f}"), share, want);
     }
     println!("all leaves backlogged:");
     t.print();
@@ -60,16 +67,11 @@ fn main() {
     println!();
     println!("A2 idle (hierarchical redistribution):");
     let mut t = Table::new(&["leaf", "share %", "expected %"]);
-    t.row(&[
-        "flow 1 (A1)".into(),
-        format!("{:.1}", 100.0 * sim.stats(1).bytes as f64 / total),
-        "70.0".into(),
-    ]);
-    t.row(&[
-        "flow 3 (B)".into(),
-        format!("{:.1}", 100.0 * sim.stats(3).bytes as f64 / total),
-        "30.0".into(),
-    ]);
+    for (f, leaf, want) in [(1, "flow 1 (A1)", 70.0), (3, "flow 3 (B)", 30.0)] {
+        let share = 100.0 * sim.stats(f).bytes as f64 / total;
+        t.row(&[leaf.into(), format!("{share:.1}"), format!("{want:.1}")]);
+        assert_share(&format!("A2 idle, {leaf}"), share, want);
+    }
     t.print();
 
     // Decoupling experiment.
@@ -101,9 +103,10 @@ fn main() {
         (v.max_delay_ns, v.bytes as f64 * 8.0 / 3.0)
     };
     let (d_lin, r_lin) = run(ServiceCurve::linear(80_000));
+    const KNEE_US: u64 = 20_000;
     let (d_con, r_con) = run(ServiceCurve {
         m1_bps: 2 * MBPS,
-        d_us: 20_000,
+        d_us: KNEE_US,
         m2_bps: 80_000,
     });
     let mut t = Table::new(&["voice service curve", "max delay (ms)", "goodput (kb/s)"]);
@@ -121,5 +124,10 @@ fn main() {
     println!(
         "same bandwidth, {}x lower worst-case delay with the concave curve",
         if d_con > 0 { d_lin / d_con.max(1) } else { 0 }
+    );
+    assert!(
+        d_con <= KNEE_US * 1000 && d_lin > KNEE_US * 1000,
+        "decoupling: concave curve's worst delay {d_con} ns must meet its {KNEE_US} µs knee, \
+         linear's {d_lin} ns must not"
     );
 }

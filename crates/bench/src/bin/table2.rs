@@ -23,6 +23,9 @@
 //!    the measured worst case comes in *under* the paper's bound (the
 //!    bound still holds).
 //!
+//! Exits non-zero if a measured count contradicts the paper column, and
+//! rewrites `BENCH_table2.json` (CI diffs it against the committed copy).
+//!
 //! Run: `cargo run --release -p rp-bench --bin table2`
 
 use rand::rngs::StdRng;
@@ -185,53 +188,47 @@ fn realistic(v6: bool) -> (LookupStats, Histogram, usize) {
     (worst, hist, installed.len())
 }
 
-fn print_table(title: &str, w4: LookupStats, n4: usize, w6: LookupStats, n6: usize) {
+/// A Table 2 row: the paper's label, its v4 / v6 count, and where ours
+/// is read from.
+type Component = (&'static str, u64, u64, fn(&LookupStats) -> u64);
+
+const PAPER: [Component; 6] = [
+    ("Access to fn pointer for BMP function", 1, 1, |s| {
+        s.bmp_fn_ptr
+    }),
+    ("Access to fn pointer for index hash", 1, 1, |s| {
+        s.hash_fn_ptr
+    }),
+    ("IP address lookup (2*log2(W))", 10, 14, |s| s.addr_probes),
+    ("Port number lookup", 2, 2, |s| s.port_probes),
+    ("Access to DAG edges", 6, 6, |s| s.dag_edges),
+    ("Total", 20, 24, LookupStats::total),
+];
+
+/// Print one section and gate it against the paper column: every
+/// component equal to the paper's count when `exact` (the accounting
+/// regime the paper assumes), never above it otherwise.
+fn print_table(title: &str, w4: LookupStats, n4: usize, w6: LookupStats, n6: usize, exact: bool) {
     println!();
     println!("{title}");
     println!("({n4} IPv4 / {n6} IPv6 filters installed)");
     let mut t = Table::new(&["Component", "paper v4", "ours v4", "paper v6", "ours v6"]);
-    t.row(&[
-        "Access to fn pointer for BMP function".into(),
-        "1".into(),
-        w4.bmp_fn_ptr.to_string(),
-        "1".into(),
-        w6.bmp_fn_ptr.to_string(),
-    ]);
-    t.row(&[
-        "Access to fn pointer for index hash".into(),
-        "1".into(),
-        w4.hash_fn_ptr.to_string(),
-        "1".into(),
-        w6.hash_fn_ptr.to_string(),
-    ]);
-    t.row(&[
-        "IP address lookup (2*log2(W))".into(),
-        "10".into(),
-        w4.addr_probes.to_string(),
-        "14".into(),
-        w6.addr_probes.to_string(),
-    ]);
-    t.row(&[
-        "Port number lookup".into(),
-        "2".into(),
-        w4.port_probes.to_string(),
-        "2".into(),
-        w6.port_probes.to_string(),
-    ]);
-    t.row(&[
-        "Access to DAG edges".into(),
-        "6".into(),
-        w4.dag_edges.to_string(),
-        "6".into(),
-        w6.dag_edges.to_string(),
-    ]);
-    t.row(&[
-        "Total".into(),
-        "20".into(),
-        w4.total().to_string(),
-        "24".into(),
-        w6.total().to_string(),
-    ]);
+    for (name, p4, p6, ours) in PAPER {
+        let (o4, o6) = (ours(&w4), ours(&w6));
+        t.row(&[
+            name.into(),
+            p4.to_string(),
+            o4.to_string(),
+            p6.to_string(),
+            o6.to_string(),
+        ]);
+        for (family, paper, got) in [("v4", p4, o4), ("v6", p6, o6)] {
+            assert!(
+                if exact { got == paper } else { got <= paper },
+                "{title}: {name} ({family}) is {got}, paper says {paper}"
+            );
+        }
+    }
     t.print();
     println!(
         "worst-case at the paper's 60 ns/access: {:.2} µs v4, {:.2} µs v6 (paper: 1.2 / 1.4 µs)",
@@ -276,6 +273,7 @@ fn main() {
         an4,
         a6,
         an6,
+        true,
     );
 
     eprintln!("[table2] realistic 50k random filters…");
@@ -287,6 +285,7 @@ fn main() {
         rn4,
         r6,
         rn6,
+        false,
     );
     println!();
     println!("Both sections are independent of the number of filters (the paper's");
@@ -303,8 +302,6 @@ fn main() {
         ("filters_requested", Json::from(FILTERS)),
         ("probes", Json::from(PROBES)),
     ];
-    match write_bench_json("table2", rows, extra) {
-        Ok(p) => eprintln!("[table2] wrote {}", p.display()),
-        Err(e) => eprintln!("[table2] could not write JSON: {e}"),
-    }
+    let path = write_bench_json("table2", rows, extra).expect("write BENCH_table2.json");
+    eprintln!("[table2] wrote {}", path.display());
 }

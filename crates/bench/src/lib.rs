@@ -1,8 +1,11 @@
-//! # rp-bench — benchmark harness for the Router Plugins reproduction
+//! # rp-bench — regenerators of the paper's deterministic artifacts
 //!
-//! Criterion benches live in `benches/`; the paper-table regenerators are
-//! binaries under `src/bin/` (one per table/figure, see EXPERIMENTS.md).
-//! This library hosts the shared reporting helpers.
+//! One binary under `src/bin/` per table/figure whose quantity repeats
+//! exactly (memory-access counts, node counts, share ratios in simulated
+//! time; see EXPERIMENTS.md); each exits non-zero when its artifact is
+//! wrong. Everything timed lives in the benchmark of record
+//! (`benchmark/`, `BENCHMARK.json`). This library hosts the shared
+//! reporting helpers.
 
 #![forbid(unsafe_code)]
 

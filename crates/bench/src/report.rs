@@ -1,13 +1,8 @@
-//! Table-formatting helpers shared by the experiment binaries: fixed-width
-//! text tables resembling the paper's layout, written to stdout so runs can
-//! be `tee`d into EXPERIMENTS.md, plus a dependency-free JSON emitter so
-//! every experiment also leaves a machine-readable `BENCH_<name>.json`
-//! behind (consumed by CI artifacts and regression tooling).
-//!
-//! JSON schema (shared by all emitters): the top-level object always has
-//! `"bench"` (the experiment name), `"schema_version"` (integer, bumped on
-//! breaking layout changes), and `"rows"` (array of per-measurement
-//! objects whose keys are experiment-specific but stable per bench).
+//! Helpers shared by the paper-artifact regenerators: fixed-width text
+//! tables resembling the paper's layout, and a dependency-free JSON
+//! emitter for the one committed artifact, `BENCH_table2.json` (CI
+//! regenerates it and diffs). Its top-level object has `"bench"`,
+//! `"schema_version"` and `"rows"`, an array of per-measurement objects.
 
 /// A simple left-aligned text table.
 pub struct Table {
@@ -66,18 +61,23 @@ impl Table {
     }
 }
 
-/// Format a nanosecond quantity with 2 decimals in µs.
-pub fn us(ns: f64) -> String {
-    format!("{:.2}", ns / 1000.0)
+/// How far (percentage points of the link) a delivered byte share may sit
+/// from its configured value: one scheduler quantum over a 2–3 s simulated
+/// run is below 0.2 points, so 0.5 fails on a real mis-share only.
+pub const SHARE_TOLERANCE_PP: f64 = 0.5;
+
+/// Gate a delivered share against the configured one; both in percent.
+/// Panics (non-zero exit) beyond [`SHARE_TOLERANCE_PP`].
+pub fn assert_share(what: &str, got_pct: f64, want_pct: f64) {
+    assert!(
+        (got_pct - want_pct).abs() <= SHARE_TOLERANCE_PP,
+        "{what}: delivered {got_pct:.2} % of the link, configured {want_pct:.2} %"
+    );
 }
 
 /// A JSON value (no external dependencies; just enough for bench output).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
     /// Any number (serialized via `{:?}` on f64; integers stay integral).
     Num(f64),
     /// A string.
@@ -86,17 +86,8 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object with insertion-ordered keys.
     Obj(Vec<(String, Json)>),
-    /// Pre-rendered JSON emitted verbatim (e.g. a metrics snapshot that
-    /// already knows how to serialize itself). The caller must guarantee
-    /// the string is valid JSON.
-    Raw(String),
 }
 
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
-    }
-}
 impl From<f64> for Json {
     fn from(v: f64) -> Self {
         Json::Num(v)
@@ -115,11 +106,6 @@ impl From<usize> for Json {
 impl From<&str> for Json {
     fn from(v: &str) -> Self {
         Json::Str(v.to_string())
-    }
-}
-impl From<String> for Json {
-    fn from(v: String) -> Self {
-        Json::Str(v)
     }
 }
 impl<T: Into<Json>> From<Vec<T>> for Json {
@@ -145,9 +131,6 @@ impl Json {
     fn write(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Raw(s) => out.push_str(s),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
                     out.push_str(&format!("{}", *n as i64));
@@ -212,12 +195,6 @@ impl Json {
     }
 }
 
-/// Embed a metrics snapshot as a JSON value: the registry renders itself
-/// compactly and we splice the result in verbatim.
-pub fn metrics_json(snap: &router_core::MetricsSnapshot) -> Json {
-    Json::Raw(snap.render_json())
-}
-
 /// A log-2 histogram as a JSON object (`count`, `sum`, `mean`, and the
 /// bucket array trimmed of trailing zeros; bucket `b` counts values in
 /// `[2^(b-1), 2^b)`, bucket 0 counts zeros).
@@ -277,27 +254,18 @@ mod tests {
             ("name", Json::from("say \"hi\"\n")),
             ("n", Json::from(42u64)),
             ("pi", Json::from(3.5)),
-            ("ok", Json::from(true)),
-            ("none", Json::Null),
             ("xs", Json::from(vec![1u64, 2, 3])),
         ]);
         let s = j.render();
         assert!(s.contains("\"say \\\"hi\\\"\\n\""), "{s}");
         assert!(s.contains("\"n\": 42"), "{s}");
         assert!(s.contains("\"pi\": 3.5"), "{s}");
-        assert!(s.contains("\"none\": null"), "{s}");
         assert!(s.contains('['), "{s}");
     }
 
     #[test]
     fn json_integers_stay_integral() {
         assert_eq!(Json::from(1_000_000u64).render().trim(), "1000000");
-    }
-
-    #[test]
-    fn raw_spliced_verbatim() {
-        let j = Json::obj(vec![("m", Json::Raw("{\"x\":1}".into()))]);
-        assert!(j.render().contains("\"m\": {\"x\":1}"), "{}", j.render());
     }
 
     #[test]

@@ -896,7 +896,7 @@ impl ParallelRouter {
         // Coarse ingress stamp for end-to-end sojourn accounting (the
         // I/O plane re-stamps per received batch; this covers synthetic
         // injectors that build mbufs directly).
-        m.timestamp_ns = rp_packet::coarse_now_ns();
+        m.stamp_ingress(rp_packet::coarse_now_ns());
         m
     }
 

@@ -806,20 +806,19 @@ impl Router {
 
     /// [`Router::receive`] with end-to-end latency accounting. `wall_now_ns`
     /// is the caller's current [`rp_packet::coarse_now_ns`] reading (read
-    /// once per batch, not per packet); the mbuf's `timestamp_ns` carries
-    /// its coarse ingress stamp from the I/O plane or pool. The sojourn so
-    /// far (ingress → shard dequeue) is recorded in the per-router metrics
-    /// histogram, and — when a `max_sojourn_ns` deadline is configured — a
-    /// packet already older than the deadline is shed as
+    /// once per batch, not per packet); [`Mbuf::ingress_ns`] carries the
+    /// packet's coarse ingress stamp from the I/O plane or pool, and a
+    /// packet without one is simply received. The sojourn so far (ingress
+    /// → shard dequeue) is recorded in the per-router metrics histogram,
+    /// and — when a `max_sojourn_ns` deadline is configured — a packet
+    /// already older than the deadline is shed as
     /// [`DropReason::DeadlineExceeded`] instead of forwarded late: under
     /// overload latency degrades into counted sheds, not collapse.
-    ///
-    /// The stamp is consumed here because [`Router::receive`] overwrites
-    /// `timestamp_ns` with the router's *virtual* clock for plugin use.
     pub fn receive_stamped(&mut self, mbuf: Mbuf, wall_now_ns: u64) -> Disposition {
-        let stamp = mbuf.timestamp_ns;
-        if stamp != 0 && wall_now_ns >= stamp {
-            let sojourn = wall_now_ns - stamp;
+        if let Some(sojourn) = mbuf
+            .ingress_ns()
+            .and_then(|stamp| wall_now_ns.checked_sub(stamp))
+        {
             self.metrics.note_sojourn(sojourn);
             if self.max_sojourn_ns != 0 && sojourn > self.max_sojourn_ns {
                 // Count it received (it did arrive) then shed: the
@@ -997,7 +996,7 @@ impl Router {
         // Coarse ingress stamp for end-to-end sojourn accounting; the
         // I/O plane re-stamps per received batch, this covers callers
         // that inject synthetic traffic directly.
-        m.timestamp_ns = rp_packet::coarse_now_ns();
+        m.stamp_ingress(rp_packet::coarse_now_ns());
         m
     }
 
@@ -1087,13 +1086,6 @@ impl Router {
         m.fib_mem_bytes = f.mem_bytes as u64;
         m.fib_repaints = f.repaints;
         m
-    }
-
-    /// Snapshot and reset the metrics registry (drain between bench runs).
-    pub fn take_metrics(&mut self) -> MetricsSnapshot {
-        let snap = self.metrics_snapshot();
-        self.metrics = MetricsRegistry::default();
-        snap
     }
 
     /// The event tracer (read side: enable state, dumps).

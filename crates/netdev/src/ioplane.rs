@@ -308,7 +308,7 @@ impl<P: IoRouter> IoPlane<P> {
             let rx = &mut bd.rx_scratch;
             let r: RxBatch = bd.dev.rx_batch(budget, &mut |bytes| {
                 let mut m = plane.io_mbuf(bytes, iface);
-                m.timestamp_ns = wall;
+                m.stamp_ingress(wall);
                 rx.push(m);
             });
             polled += r.frames;

@@ -209,7 +209,6 @@ pub struct PcapReplayDev {
     name: String,
     file: PcapFile,
     cursor: usize,
-    looping: bool,
     stats: DeviceStats,
 }
 
@@ -227,15 +226,8 @@ impl PcapReplayDev {
             name: name.to_string(),
             file,
             cursor: 0,
-            looping: false,
             stats: DeviceStats::default(),
         })
-    }
-
-    /// Replay the trace endlessly (benchmark mode): reaching the last
-    /// record rewinds instead of going quiet.
-    pub fn set_looping(&mut self, on: bool) {
-        self.looping = on;
     }
 
     /// Records remaining to replay.
@@ -257,14 +249,7 @@ impl NetDev for PcapReplayDev {
     fn rx_batch(&mut self, max: usize, sink: &mut dyn FnMut(&[u8])) -> RxBatch {
         let mut batch = RxBatch::default();
         let ethernet = self.file.linktype == LINKTYPE_ETHERNET;
-        while (batch.frames as usize) < max {
-            if self.cursor >= self.file.records.len() {
-                if self.looping && !self.file.records.is_empty() {
-                    self.cursor = 0;
-                } else {
-                    break;
-                }
-            }
+        while (batch.frames as usize) < max && self.cursor < self.file.records.len() {
             let rec = &self.file.records[self.cursor];
             self.cursor += 1;
             batch.frames += 1;

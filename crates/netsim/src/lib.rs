@@ -15,6 +15,6 @@ pub mod testbench;
 pub mod topology;
 pub mod traffic;
 
-pub use testbench::{ParallelRunStats, RunStats, Testbench};
+pub use testbench::{RunStats, Testbench};
 pub use topology::{NodeId, Port, Topology};
 pub use traffic::{FlowSpec, Interleave, Workload};

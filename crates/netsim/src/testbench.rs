@@ -29,108 +29,6 @@ pub struct RunStats {
     pub cache_misses: u64,
 }
 
-impl RunStats {
-    /// Mean per-packet cost in nanoseconds.
-    pub fn ns_per_packet(&self) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.packets as f64
-        }
-    }
-
-    /// Throughput in packets per second implied by the mean cost.
-    pub fn packets_per_sec(&self) -> f64 {
-        if self.total_ns == 0 {
-            0.0
-        } else {
-            self.packets as f64 * 1e9 / self.total_ns as f64
-        }
-    }
-
-    /// Cycles per packet at a given clock (the paper reports a 233 MHz
-    /// P6; pass `233_000_000.0` to convert into its units).
-    pub fn cycles_per_packet(&self, clock_hz: f64) -> f64 {
-        self.ns_per_packet() * clock_hz / 1e9
-    }
-}
-
-/// Results of one run through a sharded parallel data plane.
-///
-/// On a one-core-per-shard deployment each shard's `busy_ns` is the CPU
-/// time that core spends, and the shards run concurrently — so the rate
-/// the array sustains is bounded by its *critical path*, the busiest
-/// shard. [`aggregate_pps`](ParallelRunStats::aggregate_pps) reports
-/// exactly that (packets ÷ max shard busy time). Wall-clock time on the
-/// measurement host is also recorded, but on a host with fewer cores
-/// than shards the threads time-slice one CPU and wall time measures the
-/// host, not the architecture.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelRunStats {
-    /// Packets offered.
-    pub packets: u64,
-    /// Packets forwarded/queued (merged across shards).
-    pub forwarded: u64,
-    /// Packets dropped (merged across shards, all reasons).
-    pub dropped: u64,
-    /// Wall-clock time for the whole run on the measurement host (ns).
-    pub wall_ns: u64,
-    /// Busiest shard's packet-processing CPU time (ns) — the critical
-    /// path of a one-core-per-shard array.
-    pub max_shard_busy_ns: u64,
-    /// Sum of all shards' packet-processing CPU time (ns).
-    pub total_busy_ns: u64,
-    /// Packets processed per shard (dispatch balance).
-    pub shard_packets: Vec<u64>,
-    /// Busy time per shard (ns).
-    pub shard_busy_ns: Vec<u64>,
-}
-
-impl ParallelRunStats {
-    /// Aggregate throughput (packets/s) sustained by a one-core-per-shard
-    /// array: total packets divided by the busiest shard's CPU time.
-    pub fn aggregate_pps(&self) -> f64 {
-        if self.max_shard_busy_ns == 0 {
-            0.0
-        } else {
-            self.packets as f64 * 1e9 / self.max_shard_busy_ns as f64
-        }
-    }
-
-    /// Mean per-packet CPU cost across all shards (ns) — comparable to
-    /// [`RunStats::ns_per_packet`] on the single-threaded router.
-    pub fn ns_per_packet(&self) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            self.total_busy_ns as f64 / self.packets as f64
-        }
-    }
-
-    /// Largest shard load divided by the mean shard load (1.0 = perfectly
-    /// even dispatch).
-    pub fn balance_ratio(&self) -> f64 {
-        if self.shard_packets.is_empty() {
-            return 1.0;
-        }
-        let max = self.shard_packets.iter().copied().max().unwrap_or(0) as f64;
-        let mean = self.packets as f64 / self.shard_packets.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-}
-
-/// Take (and reset) a router's observability snapshot after a measured
-/// run, so successive runs on one router report per-run metrics rather
-/// than cumulative ones. Queue-depth gauges are sampled at the drain
-/// point.
-pub fn drain_metrics(router: &mut Router) -> router_core::MetricsSnapshot {
-    router.take_metrics()
-}
-
 /// The testbench: replays workloads and accumulates statistics.
 pub struct Testbench {
     /// Prebuilt packet sequence (built once; cloned per repetition).
@@ -255,76 +153,16 @@ impl Testbench {
         stats
     }
 
-    /// Replay through a sharded parallel data plane `reps` times.
-    ///
-    /// Dispatch is flow-affine (`flow_hash % shards`) inside
-    /// [`ParallelRouter::receive`]; the run is quiesced with a barrier
-    /// [`flush`](ParallelRouter::flush) before counters are read, and tx
-    /// logs are drained after each rep so memory stays bounded.
-    pub fn run_parallel(&self, router: &mut ParallelRouter, reps: usize) -> ParallelRunStats {
-        let before = router.shard_reports();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            for pkt in &self.packets {
-                router.receive(pkt.clone());
-            }
-            router.flush();
-            for i in 0..router.interface_count() {
-                let _ = router.take_tx(i as u32);
-            }
-        }
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let after = router.shard_reports();
-
-        let mut stats = ParallelRunStats {
-            wall_ns,
-            ..ParallelRunStats::default()
-        };
-        for (b, a) in before.iter().zip(&after) {
-            // All diffs saturate: a shard restarted by the supervisor
-            // mid-run comes back with fresh counters, which must read as
-            // "no progress observed", not as an underflow panic.
-            let pkts = a.packets.saturating_sub(b.packets);
-            // Prefer the thread CPU clock (immune to preemption inflation
-            // when shards outnumber host cores); it has ~10 ms
-            // granularity, so short runs that round to zero fall back to
-            // the fine-grained in-path wall measure.
-            let cpu = a.cpu_ns.saturating_sub(b.cpu_ns);
-            let busy = if cpu > 0 {
-                cpu
-            } else {
-                a.busy_ns.saturating_sub(b.busy_ns)
-            };
-            stats.packets += pkts;
-            stats.forwarded += a.data.forwarded.saturating_sub(b.data.forwarded);
-            stats.dropped += a
-                .data
-                .dropped_total()
-                .saturating_sub(b.data.dropped_total());
-            stats.total_busy_ns += busy;
-            stats.max_shard_busy_ns = stats.max_shard_busy_ns.max(busy);
-            stats.shard_packets.push(pkts);
-            stats.shard_busy_ns.push(busy);
-        }
-        stats
-    }
-
-    /// [`run_parallel`](Testbench::run_parallel) on the batched fast
-    /// path: ingress mbufs come from the dispatcher's buffer pool, up to
-    /// `batch` packets are handed to [`ParallelRouter::receive_batch`]
-    /// per call (one channel send per shard touched instead of one per
-    /// packet), and transmitted packets are recycled after each
-    /// repetition. `batch == 1` degenerates to per-packet dispatch
-    /// through the same entry point.
-    pub fn run_parallel_batched(
-        &self,
-        router: &mut ParallelRouter,
-        reps: usize,
-        batch: usize,
-    ) -> ParallelRunStats {
+    /// Replay through a sharded parallel data plane `reps` times on the
+    /// batched fast path: ingress mbufs come from the dispatcher's
+    /// buffer pool, up to `batch` packets are handed to
+    /// [`ParallelRouter::receive_batch`] per call (one channel send per
+    /// shard touched instead of one per packet), the run is quiesced
+    /// with a barrier [`flush`](ParallelRouter::flush), and transmitted
+    /// packets are recycled after each repetition. `batch == 1`
+    /// degenerates to per-packet dispatch through the same entry point.
+    pub fn run_parallel_batched(&self, router: &mut ParallelRouter, reps: usize, batch: usize) {
         let batch = batch.max(1);
-        let before = router.shard_reports();
-        let t0 = Instant::now();
         for _ in 0..reps {
             let mut carrier = router.batch_carrier();
             for pkt in &self.packets {
@@ -342,33 +180,6 @@ impl Testbench {
                 }
             }
         }
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let after = router.shard_reports();
-
-        let mut stats = ParallelRunStats {
-            wall_ns,
-            ..ParallelRunStats::default()
-        };
-        for (b, a) in before.iter().zip(&after) {
-            let pkts = a.packets.saturating_sub(b.packets);
-            let cpu = a.cpu_ns.saturating_sub(b.cpu_ns);
-            let busy = if cpu > 0 {
-                cpu
-            } else {
-                a.busy_ns.saturating_sub(b.busy_ns)
-            };
-            stats.packets += pkts;
-            stats.forwarded += a.data.forwarded.saturating_sub(b.data.forwarded);
-            stats.dropped += a
-                .data
-                .dropped_total()
-                .saturating_sub(b.data.dropped_total());
-            stats.total_busy_ns += busy;
-            stats.max_shard_busy_ns = stats.max_shard_busy_ns.max(busy);
-            stats.shard_packets.push(pkts);
-            stats.shard_busy_ns.push(busy);
-        }
-        stats
     }
 
     /// Replay through the best-effort baseline.
@@ -448,7 +259,6 @@ mod tests {
         assert_eq!(stats.forwarded, 600);
         assert_eq!(stats.dropped, 0);
         assert!(stats.total_ns > 0);
-        assert!(stats.ns_per_packet() > 0.0);
     }
 
     #[test]
@@ -464,39 +274,6 @@ mod tests {
         // 3 flows → 3 misses, 297 hits.
         assert_eq!(stats.cache_misses, 3);
         assert_eq!(stats.cache_hits, 297);
-    }
-
-    #[test]
-    fn parallel_router_forwards_workload() {
-        use router_core::plugins::register_builtin_factories;
-        use router_core::{ControlPlane, ParallelRouter, ParallelRouterConfig};
-
-        let mut template = router_core::loader::PluginLoader::new();
-        register_builtin_factories(&mut template);
-        let mut pr = ParallelRouter::new(
-            ParallelRouterConfig {
-                shards: 4,
-                router: RouterConfig {
-                    verify_checksums: false,
-                    enabled_gates: vec![],
-                    ..RouterConfig::default()
-                },
-                ingress_depth: 256,
-                ..ParallelRouterConfig::default()
-            },
-            &template,
-        );
-        pr.cp_add_route(v6_host(0), 32, 1);
-
-        let tb = Testbench::new(&Workload::paper_table3());
-        let stats = tb.run_parallel(&mut pr, 2);
-        assert_eq!(stats.packets, 600);
-        assert_eq!(stats.forwarded, 600);
-        assert_eq!(stats.dropped, 0);
-        assert_eq!(stats.shard_packets.len(), 4);
-        assert_eq!(stats.shard_packets.iter().sum::<u64>(), 600);
-        assert!(stats.max_shard_busy_ns > 0);
-        assert!(stats.total_busy_ns >= stats.max_shard_busy_ns);
     }
 
     #[test]

@@ -5,20 +5,20 @@
 //! (ingress → egress/drop) and shed packets that have already blown a
 //! latency deadline. The clock is process-global and anchored at the
 //! first call, so values are small, monotonic and comparable across
-//! threads; `0` is reserved to mean "unstamped".
+//! threads. Every value, `0` included, is a valid reading: "unstamped"
+//! is [`crate::Mbuf::ingress_ns`] returning `None`, not a magic time.
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Nanoseconds elapsed since the first call in this process. Always
-/// non-zero (an unstamped mbuf carries `timestamp_ns == 0`), monotonic,
+/// Nanoseconds elapsed since the first call in this process: monotonic,
 /// and cheap enough to read once per received batch.
 #[inline]
 pub fn coarse_now_ns() -> u64 {
     let epoch = *EPOCH.get_or_init(Instant::now);
-    (Instant::now().duration_since(epoch).as_nanos() as u64).max(1)
+    Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
 #[cfg(test)]
@@ -26,10 +26,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nonzero_and_monotonic() {
+    fn monotonic() {
         let a = coarse_now_ns();
         let b = coarse_now_ns();
-        assert!(a >= 1);
         assert!(b >= a);
     }
 }

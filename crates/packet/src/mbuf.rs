@@ -7,6 +7,7 @@
 //! "Associating the packet with a flow index").
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// Index of a row in the AIU's flow table, cached in the packet between
 /// gates. Opaque to everything except the flow table.
@@ -32,9 +33,15 @@ pub struct Mbuf {
     /// gates must not reclassify (the packet runs the default path
     /// uncached end to end).
     pub class_denied: bool,
-    /// Arrival timestamp in simulated nanoseconds (set by the driver;
-    /// mirrors the paper's device-driver cycle-counter timestamping).
+    /// Arrival timestamp on the router's *virtual* clock, in simulated
+    /// nanoseconds (set by `Router::receive`; mirrors the paper's
+    /// device-driver cycle-counter timestamping). Never a wall-clock
+    /// value — that is [`Mbuf::ingress_ns`].
     pub timestamp_ns: u64,
+    /// Wall-clock ingress stamp, stored as reading + 1 so that `None`
+    /// (never stamped) costs no extra word and a reading of 0 — the
+    /// clock's very first — is a stamp like any other.
+    ingress: Option<NonZeroU64>,
     /// Egress interface decided by the routing step.
     pub tx_if: Option<IfIndex>,
 }
@@ -48,8 +55,20 @@ impl Mbuf {
             fix: None,
             class_denied: false,
             timestamp_ns: 0,
+            ingress: None,
             tx_if: None,
         }
+    }
+
+    /// Record `wall_ns` (a [`crate::coarse_now_ns`] reading) as the
+    /// moment this packet entered the router.
+    pub fn stamp_ingress(&mut self, wall_ns: u64) {
+        self.ingress = NonZeroU64::new(wall_ns.saturating_add(1));
+    }
+
+    /// The wall-clock ingress stamp, if the packet was ever given one.
+    pub fn ingress_ns(&self) -> Option<u64> {
+        self.ingress.map(|s| s.get() - 1)
     }
 
     /// Packet bytes.
@@ -106,7 +125,18 @@ mod tests {
         assert_eq!(m.rx_if, 4);
         assert!(m.fix.is_none());
         assert!(m.tx_if.is_none());
+        assert!(m.ingress_ns().is_none());
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn ingress_stamp_has_no_reserved_value() {
+        let mut m = Mbuf::new(vec![0], 0);
+        for t in [0, 1, u64::MAX - 1] {
+            m.stamp_ingress(t);
+            assert_eq!(m.ingress_ns(), Some(t));
+        }
+        assert_eq!(m.timestamp_ns, 0, "stamping leaves the virtual clock alone");
     }
 
     #[test]

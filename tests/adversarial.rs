@@ -7,9 +7,12 @@
 use router_plugins::classifier::FlowTableConfig;
 use router_plugins::core::dataplane::SteerConfig;
 use router_plugins::core::plugins::register_builtin_factories;
-use router_plugins::core::pmgr::run_script;
-use router_plugins::core::{ParallelRouter, ParallelRouterConfig, Router, RouterConfig};
-use router_plugins::netsim::traffic::{v6_host, Workload};
+use router_plugins::core::pmgr::{run_command, run_script};
+use router_plugins::core::supervisor::HealthState;
+use router_plugins::core::{
+    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+};
+use router_plugins::netsim::traffic::{fragment_flood, v6_host, Workload};
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{FlowTuple, Mbuf};
 use std::collections::HashMap;
@@ -60,7 +63,11 @@ fn single_router() -> Router {
     r
 }
 
-fn parallel_router(shards: usize, steer: Option<SteerConfig>) -> ParallelRouter {
+fn parallel_router(
+    shards: usize,
+    steer: Option<SteerConfig>,
+    flow_table: FlowTableConfig,
+) -> ParallelRouter {
     let mut template = router_plugins::core::loader::PluginLoader::new();
     register_builtin_factories(&mut template);
     let mut par = ParallelRouter::new(
@@ -68,6 +75,7 @@ fn parallel_router(shards: usize, steer: Option<SteerConfig>) -> ParallelRouter 
             shards,
             router: RouterConfig {
                 verify_checksums: false,
+                flow_table,
                 ..RouterConfig::default()
             },
             ingress_depth: 4096,
@@ -122,6 +130,7 @@ fn steered_parallel_matches_single_router_on_heavy_tailed_traffic() {
             window: 256,
             ..SteerConfig::default()
         }),
+        FlowTableConfig::default(),
     );
     for (n, pkt) in pkts.iter().enumerate() {
         par.receive(pkt.clone());
@@ -256,22 +265,7 @@ fn syn_flood_degrades_attacker_not_established_flows_single() {
 /// control, merged counters, zero established loss.
 #[test]
 fn syn_flood_degrades_attacker_not_established_flows_parallel() {
-    let mut template = router_plugins::core::loader::PluginLoader::new();
-    register_builtin_factories(&mut template);
-    let mut par = ParallelRouter::new(
-        ParallelRouterConfig {
-            shards: 4,
-            router: RouterConfig {
-                verify_checksums: false,
-                flow_table: defended_flow_table(),
-                ..RouterConfig::default()
-            },
-            ingress_depth: 4096,
-            ..ParallelRouterConfig::default()
-        },
-        &template,
-    );
-    run_script(&mut par, RIG_SCRIPT).unwrap();
+    let mut par = parallel_router(4, None, defended_flow_table());
 
     let established = established_specs();
     let mut sent_established = 0usize;
@@ -367,21 +361,7 @@ fn flow_churn_accounting_is_conserved_on_both_planes() {
     );
 
     // Parallel.
-    let mut template = router_plugins::core::loader::PluginLoader::new();
-    register_builtin_factories(&mut template);
-    let mut par = ParallelRouter::new(
-        ParallelRouterConfig {
-            shards: 4,
-            router: RouterConfig {
-                verify_checksums: false,
-                flow_table: defended_flow_table(),
-                ..RouterConfig::default()
-            },
-            ..ParallelRouterConfig::default()
-        },
-        &template,
-    );
-    run_script(&mut par, RIG_SCRIPT).unwrap();
+    let mut par = parallel_router(4, None, defended_flow_table());
     let mut expired = 0u64;
     let mut now = 0u64;
     for wave in 0..6u16 {
@@ -411,4 +391,101 @@ fn flow_churn_accounting_is_conserved_on_both_planes() {
         f.live as u64 + expired + f.recycled + f.inline_expired,
         "parallel-plane conservation: {f:?} expired={expired}"
     );
+}
+
+/// Chaos soak on the steered plane: heavy-tailed, one-packet-flood and
+/// fragment-flood phases while a chaos plugin panics, drops and stalls,
+/// two shards are killed mid-phase and journal-rebuilt, and the simulated
+/// clock jumps past the idle window between phases. Nothing may vanish,
+/// the defended flow tables may never outgrow their caps, and both kinds
+/// of fault must actually have fired.
+#[test]
+fn chaos_soak_conserves_with_flat_flow_table_occupancy() {
+    const SHARDS: usize = 4;
+    let table = defended_flow_table();
+    let (cap, idle_ns) = (SHARDS * table.max_records, table.max_idle_ns);
+    let mut par = parallel_router(SHARDS, Some(SteerConfig::default()), table);
+    // The chaos instance sits on a narrow filter, so its faults hit the
+    // probe flow below and leave the bulk of each phase to the shards.
+    run_script(
+        &mut par,
+        "route 10.0.0.0/8 1\n\
+         load chaos\n\
+         create chaos mode=none\n\
+         bind fw chaos 0 <*, *, UDP, *, 7777, *>",
+    )
+    .unwrap();
+    let probe = Mbuf::new(
+        PacketSpec::udp(v6_host(50), v6_host(300), 7000, 7777, 64).build(),
+        0,
+    );
+    let restarts = |par: &mut ParallelRouter| {
+        par.cp_shard_status()
+            .iter()
+            .map(|s| s.restarts)
+            .sum::<u32>()
+    };
+
+    let phases = [
+        (
+            "panic-once",
+            Some(0),
+            Workload::heavy_tailed(64, 8, 256, 0x50AC).build(),
+        ),
+        (
+            "drop every=7",
+            None,
+            Workload::one_packet_flood(1500, 64, 0x50AD).build(),
+        ),
+        (
+            "stall cost=20000",
+            Some(2),
+            fragment_flood(150, 3000, 600, 0x50AE),
+        ),
+    ];
+    let (mut offered, mut wire, mut now) = (0u64, 0u64, 0u64);
+    for (mode, victim, pkts) in &phases {
+        run_command(&mut par, &format!("msg chaos 0 set mode={mode}")).unwrap();
+        let restarts_before = restarts(&mut par);
+        for (n, p) in pkts.iter().enumerate() {
+            if let Some(v) = victim.filter(|_| n == pkts.len() / 2) {
+                par.cp_shard_kill(v).unwrap();
+            }
+            par.receive(p.clone());
+            offered += 1;
+            if n % 100 == 99 {
+                par.receive(probe.clone());
+                offered += 1;
+            }
+            if n % 512 == 511 {
+                par.flush();
+            }
+        }
+        if victim.is_some() {
+            let t0 = std::time::Instant::now();
+            while restarts(&mut par) == restarts_before
+                || par
+                    .cp_shard_status()
+                    .iter()
+                    .any(|s| s.health == HealthState::Quarantined)
+            {
+                assert!(t0.elapsed().as_secs() < 10, "shard never restarted");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        }
+        wire += drain_parallel(&mut par).len() as u64;
+        // Occupancy is sampled under attack, before the idle sweep.
+        let live = par.flow_stats().live;
+        assert!(live <= cap, "{mode}: {live} live records, cap {cap}");
+        now += idle_ns + 1;
+        par.set_time_ns(now);
+        par.expire_idle_flows(idle_ns);
+    }
+
+    let s = par.stats();
+    assert_eq!(s.received, offered);
+    assert_eq!(offered, wire + s.dropped_total(), "silent loss: {s:?}");
+    assert!(s.plugin_faults > 0, "chaos plugin never faulted: {s:?}");
+    assert!(par.flow_stats().denied > 0, "admission never engaged");
+    assert!(restarts(&mut par) >= 2, "shard kills never restarted");
 }

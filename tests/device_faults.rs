@@ -128,24 +128,24 @@ fn udp_dead_peer_degrades_then_recovers() {
 /// The deadline shed at the core: a packet older than `max_sojourn_ns`
 /// at dequeue is dropped as a counted `DeadlineExceeded`, the sojourn
 /// histogram sees every stamped packet, and the internal ledger stays
-/// exact.
-#[test]
-fn deadline_shedding_counts_and_conserves() {
+/// exact. Both readings are synthetic — stamp at `t`, present at
+/// `t + 1 ms` — so the outcome cannot depend on how old the process is.
+fn shed_stale_half(t: u64) {
     let mut r = single_router();
     r.set_max_sojourn_ns(1_000);
     let workload = Workload::uniform(2, 8, 128);
     let tb = router_plugins::netsim::testbench::Testbench::new(&workload);
 
-    let wall = coarse_now_ns();
+    let wall = t + 1_000_000;
     let mut fresh = 0u64;
     let mut stale = 0u64;
     for (n, pkt) in tb.packets().iter().enumerate() {
         let mut m = pkt.clone();
         if n % 2 == 0 {
-            m.timestamp_ns = wall; // within deadline (sojourn 0)
+            m.stamp_ingress(wall); // within deadline (sojourn 0)
             fresh += 1;
         } else {
-            m.timestamp_ns = wall.saturating_sub(1_000_000); // 1ms old
+            m.stamp_ingress(t); // 1ms old
             stale += 1;
         }
         r.receive_stamped(m, wall);
@@ -164,6 +164,19 @@ fn deadline_shedding_counts_and_conserves() {
         m.sojourn_ns.quantile(0.99) >= 1_000_000 / 2,
         "stale sojourns recorded"
     );
+}
+
+#[test]
+fn deadline_shedding_counts_and_conserves() {
+    shed_stale_half(coarse_now_ns());
+}
+
+/// Regression: the stamp used to share `timestamp_ns` with "0 =
+/// unstamped", so a packet stamped at the clock's very first reading
+/// was never aged, shed, or recorded.
+#[test]
+fn a_stamp_at_clock_zero_is_still_a_stamp() {
+    shed_stale_half(0);
 }
 
 /// The acceptance soak: both bound devices wrapped in [`FaultyDev`] and

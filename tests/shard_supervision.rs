@@ -141,6 +141,55 @@ fn killed_shard_restarts_and_rejoins_in_lockstep() {
 }
 
 // ---------------------------------------------------------------------
+// Accounting: a shard killed *mid-burst* loses packets in flight, and
+// every one of them is re-accounted under a named drop
+// ---------------------------------------------------------------------
+
+#[test]
+fn shard_killed_mid_burst_loses_nothing_silently() {
+    const OFFERED: usize = 6_000;
+    // Small FIFOs and no overload wait: the dispatcher never blocks, so
+    // the burst keeps arriving while shard 0 dies, sits in quarantine and
+    // is rebuilt.
+    let mut pr = parallel(2, |c| {
+        c.ingress_depth = 16;
+        c.overload_wait = Duration::ZERO;
+    });
+    run_script(
+        &mut pr,
+        "load firewall\ncreate firewall\nroute 2001:db8::/32 1",
+    )
+    .unwrap();
+    let flows: Vec<Mbuf> = (0..64).map(|i| udp(200 + i, 4000 + i, 80)).collect();
+
+    for i in 0..OFFERED {
+        if i == OFFERED / 3 {
+            pr.cp_shard_kill(0).unwrap();
+        }
+        pr.receive(flows[i % flows.len()].clone());
+    }
+    wait_for(&mut pr, 0, Duration::from_secs(5), "restarted", |s| {
+        s.health != HealthState::Quarantined && s.restarts >= 1
+    });
+    pr.flush();
+    let wire: usize = (0..pr.interface_count())
+        .map(|i| pr.take_tx(i as u32).len())
+        .sum();
+
+    let s = pr.stats();
+    assert_eq!(s.received, OFFERED as u64, "sheds still count received");
+    assert_eq!(
+        OFFERED as u64,
+        wire as u64 + s.dropped_shard_overload + s.dropped_shard_down,
+        "offered != wire + named sheds: {s:?}"
+    );
+    assert_eq!(s.forwarded, wire as u64);
+    // Engagement: had the kill landed after the burst drained, nothing
+    // would have been in flight or shed at a dead shard.
+    assert!(s.dropped_shard_down > 0, "kill missed the burst: {s:?}");
+}
+
+// ---------------------------------------------------------------------
 // The journal converges a shard that missed commands while it was down
 // ---------------------------------------------------------------------
 
