@@ -21,9 +21,11 @@ use rp_packet::{FlowTuple, Mbuf};
 /// `router-core`; the AIU just numbers them).
 pub type GateId = usize;
 
-/// A flow record's gate binding, fetched in one slab access: the filter
-/// the binding was derived from plus the per-flow soft-state slot.
-pub type BindingMut<'a> = (
+/// A flow record's gate binding, fetched in one slab access: the bound
+/// instance, the filter the binding was derived from and the per-flow
+/// soft-state slot.
+pub type BindingMut<'a, V> = (
+    &'a V,
     Option<FilterId>,
     &'a mut Option<Box<dyn std::any::Any + Send>>,
 );
@@ -54,7 +56,7 @@ impl Default for AiuConfig {
 }
 
 /// The AIU. `V` is the plugin-instance handle type (must be cheap to
-/// clone: `router-core` uses an `Arc`).
+/// clone: `router-core` uses a `Copy` slot handle).
 pub struct Aiu<V: Clone> {
     filter_tables: Vec<DagTable<V>>,
     flow_table: FlowTable<V>,
@@ -210,10 +212,11 @@ impl<V: Clone> Aiu<V> {
         self.flow_table.record(fix)?.gates.filter(gate)
     }
 
-    /// Single-access fetch of a gate binding's filter id and soft-state
-    /// slot (the data path calls this once per gate; splitting it into
-    /// two record lookups would double the fast-path slab accesses).
-    pub fn binding_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<BindingMut<'_>> {
+    /// Single-access fetch of a gate binding: instance, filter id and
+    /// soft-state slot (the data path calls this once per gate; splitting
+    /// it into two record lookups would double the fast-path slab
+    /// accesses). `None` when the record is gone or nothing is bound.
+    pub fn binding_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<BindingMut<'_, V>> {
         self.flow_table.record_mut(fix)?.gates.binding_mut(gate)
     }
 
@@ -365,6 +368,20 @@ mod tests {
         let (o2, _) = aiu.classify(&t);
         assert!(matches!(o2, ClassifyOutcome::CacheMiss(_)));
         assert_eq!(aiu.instance(o2.fix().unwrap(), 1), None);
+    }
+
+    #[test]
+    fn binding_is_one_fetch_and_absent_when_unbound() {
+        let mut aiu = aiu3();
+        let (fid, _) = aiu.install_filter(0, FilterSpec::any(), "p").unwrap();
+        let (o, _) = aiu.classify(&tuple(9));
+        let fix = o.fix().unwrap();
+        let (inst, filter, soft) = aiu.binding_mut(fix, 0).unwrap();
+        assert_eq!((*inst, filter), ("p", Some(fid)));
+        *soft = Some(Box::new(7u8));
+        assert!(aiu.binding_mut(fix, 0).unwrap().2.is_some());
+        assert!(aiu.binding_mut(fix, 1).is_none(), "nothing bound at gate 1");
+        assert!(aiu.binding_mut(fix, 3).is_none(), "no such gate");
     }
 
     #[test]

@@ -179,11 +179,13 @@ impl<V> GateArray<V> {
         Some(&mut self.soft[g])
     }
 
-    /// One-access fetch of a gate's filter id plus its soft-state slot
-    /// (the data path's per-gate plugin call).
-    pub fn binding_mut(&mut self, gate: usize) -> Option<crate::aiu::BindingMut<'_>> {
+    /// One-access fetch of everything a gate's plugin call needs: the
+    /// bound instance, the filter the binding derives from and the
+    /// soft-state slot. `None` when nothing is bound at `gate`.
+    pub fn binding_mut(&mut self, gate: usize) -> Option<crate::aiu::BindingMut<'_, V>> {
         let g = self.check(gate)?;
-        Some((self.filters[g], &mut self.soft[g]))
+        let instance = self.instances[g].as_ref()?;
+        Some((instance, self.filters[g], &mut self.soft[g]))
     }
 
     fn check(&self, gate: usize) -> Option<usize> {

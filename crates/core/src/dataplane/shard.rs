@@ -303,6 +303,27 @@ pub(crate) struct ShardFinal {
     pub(crate) panic: Option<String>,
 }
 
+/// The fault the watchdog below exists to catch, on demand: `chaos
+/// mode=wedge` parks its thread inside `handle_packet` until this epoch
+/// moves. It is the one piece of plugin-visible state another thread must
+/// reach — a wedged shard answers no control message — so it lives here
+/// with the rest of the cross-thread shard state, not in the instance.
+pub(crate) mod wedge {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    static EPOCH: AtomicU64 = AtomicU64::new(0);
+
+    /// A wedged call captures this at entry and sleeps until it changes.
+    pub(crate) fn epoch() -> u64 {
+        EPOCH.load(Ordering::SeqCst)
+    }
+
+    /// Release every thread wedged so far.
+    pub(crate) fn release() {
+        EPOCH.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 /// State shared between a shard thread and the dispatcher's watchdog:
 /// a heartbeat (busy flag + timestamp), a processed-packet counter, and
 /// the abandonment flag that tells a stalled thread it has been replaced.

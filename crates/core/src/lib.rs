@@ -23,9 +23,11 @@
 //!   H-FSC, FIFO, RED, BMP classifiers, statistics, firewall.
 //! * [`monolithic`] — the Table 3 baselines: an unmodified best-effort
 //!   fast path and an ALTQ-style hardwired DRR kernel.
-//! * [`supervisor`] — plugin fault isolation: panic containment, health
-//!   tracking (Healthy → Degraded → Quarantined), and restart with
-//!   capped exponential backoff in simulated time.
+//! * [`supervisor`] — the router's instance table and plugin fault
+//!   isolation: every instance in one slot, named by a `Copy` handle;
+//!   panic containment, health tracking (Healthy → Degraded →
+//!   Quarantined), and restart with capped exponential backoff in
+//!   simulated time.
 //! * [`dataplane`] — the sharded parallel data plane: N flow-affine
 //!   worker shards (each a complete single-threaded router) behind the
 //!   single control plane.

@@ -109,15 +109,13 @@ impl PluginLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plugin::{
-        InstanceRef, PacketCtx, PluginAction, PluginCode, PluginInstance, PluginType,
-    };
+    use crate::plugin::{PacketCtx, PluginAction, PluginCode, PluginInstance, PluginType};
+    use crate::supervisor::{FaultPolicy, Supervisor};
     use rp_packet::Mbuf;
-    use std::sync::Arc;
 
     struct Null;
     impl PluginInstance for Null {
-        fn handle_packet(&self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
+        fn handle_packet(&mut self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
             PluginAction::Continue
         }
     }
@@ -129,8 +127,8 @@ mod tests {
         fn code(&self) -> PluginCode {
             PluginCode::new(PluginType::STATS, 0)
         }
-        fn create_instance(&mut self, _c: &str) -> Result<InstanceRef, PluginError> {
-            Ok(Arc::new(Null))
+        fn create_instance(&mut self, _c: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+            Ok(Box::new(Null))
         }
     }
 
@@ -162,12 +160,13 @@ mod tests {
             .add_factory("stats", || Box::new(P("stats")))
             .unwrap();
         loader.load("stats", &mut pcu).unwrap();
-        let (id, _) = pcu.create_instance("stats", "").unwrap();
+        let mut table = Supervisor::new(FaultPolicy::default());
+        let (id, _) = pcu.create_instance("stats", "", &mut table).unwrap();
         assert!(matches!(
             loader.unload("stats", &mut pcu),
             Err(PluginError::Busy(_))
         ));
-        pcu.free_instance("stats", id).unwrap();
+        pcu.free_instance("stats", id, &mut table).unwrap();
         loader.unload("stats", &mut pcu).unwrap();
     }
 

@@ -11,7 +11,7 @@ use rp_packet::mbuf::FlowIndex;
 use rp_packet::{FlowTuple, Mbuf};
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::num::NonZeroU32;
 
 use crate::gate::Gate;
 
@@ -130,26 +130,34 @@ pub struct PacketCtx<'a> {
 }
 
 /// A plugin *instance*: the run-time object bound to flows and called at
-/// gates. Shared (`Arc`) between the PCU's instance table and every flow
-/// record bound to it, so stateful instances use interior mutability.
-pub trait PluginInstance: Send + Sync {
+/// gates. Owned by the router that runs it (one slot of its instance
+/// table, see [`crate::supervisor::Supervisor`]) and called through
+/// `&mut self`, so instance state is plain fields: no lock, no atomic. A
+/// parallel data plane gives every shard its own instances, which is why
+/// the bound is `Send` and not `Sync`.
+pub trait PluginInstance: Any + Send {
     /// Process one packet. The main packet-processing function called at
     /// the gate (paper §4, `create_instance`).
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction;
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction;
 
     /// Called by the AIU when a flow bound to this instance is removed
     /// from the flow table (entry eviction callback, §4). Receives the
     /// flow key and the instance's soft state for that flow.
-    fn flow_unbound(&self, _key: &FlowTuple, _soft_state: Option<Box<dyn Any + Send>>) {}
+    fn flow_unbound(&mut self, _key: &FlowTuple, _soft_state: Option<Box<dyn Any + Send>>) {}
 
     /// Called when a filter bound to this instance is removed from a
     /// filter table.
-    fn filter_unbound(&self, _filter: rp_classifier::FilterId) {}
+    fn filter_unbound(&mut self, _filter: rp_classifier::FilterId) {}
 
     /// Scheduler instances additionally expose a dequeue side; the
     /// interface driver uses this to drain the egress queue.
-    fn as_scheduler(&self) -> Option<&dyn SchedulerInstance> {
+    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
         None
+    }
+
+    /// Packets the instance holds queued (schedulers; 0 otherwise).
+    fn backlog(&self) -> usize {
+        0
     }
 
     /// Human-readable instance status (for `pmgr info`).
@@ -158,19 +166,32 @@ pub trait PluginInstance: Send + Sync {
     }
 }
 
+impl dyn PluginInstance {
+    /// The concrete instance behind the trait object — how a plugin
+    /// reaches its own state when a control message names an instance.
+    pub fn downcast_mut<T: PluginInstance>(&mut self) -> Option<&mut T> {
+        (self as &mut dyn Any).downcast_mut()
+    }
+}
+
 /// Extension trait for packet-scheduling instances: the gate enqueues via
 /// [`PluginInstance::handle_packet`] (returning
 /// [`PluginAction::Consumed`]); the interface drains via this trait.
-pub trait SchedulerInstance: Send + Sync {
+pub trait SchedulerInstance {
     /// Next packet to transmit on the interface, if any.
-    fn dequeue(&self, now_ns: u64) -> Option<Mbuf>;
-
-    /// Queued packet count.
-    fn backlog(&self) -> usize;
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf>;
 }
 
-/// Shared handle to an instance — the value type bound into the AIU.
-pub type InstanceRef = Arc<dyn PluginInstance>;
+/// Handle to a slot of the router's instance table — the value bound into
+/// the AIU, the paper's "pointer to the instance" in the flow record. A
+/// slot's generation changes whenever its occupant does (free, restart),
+/// so a handle that outlived its instance resolves to nothing and the
+/// packet takes the gate's default path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct InstanceHandle {
+    pub(crate) slot: u32,
+    pub(crate) generation: NonZeroU32,
+}
 
 /// Errors surfaced by plugin and PCU operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,16 +237,16 @@ pub trait Plugin: Send {
 
     /// `create_instance`: allocate a configured instance. The config
     /// string is plugin-specific (e.g. `"iface=1 quantum=1500"` for DRR).
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError>;
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError>;
 
-    /// `free_instance` notification; the PCU removes its own references.
-    fn free_instance(&mut self, _instance: &InstanceRef) {}
+    /// `free_instance` notification, just before the instance is dropped.
+    fn free_instance(&mut self, _instance: &mut dyn PluginInstance) {}
 
     /// Plugin-specific messages (paper §4: "plugin developers can define
     /// an arbitrary number of plugin specific messages").
     fn custom_message(
         &mut self,
-        _instance: Option<&InstanceRef>,
+        _instance: Option<&mut dyn PluginInstance>,
         name: &str,
         _args: &str,
     ) -> Result<String, PluginError> {

@@ -29,131 +29,128 @@
 //!   stops), which is exactly the failure a shard watchdog must catch
 //!   from the outside via heartbeats.
 
+use crate::dataplane::shard::wedge;
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
 use rp_packet::Mbuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
 
-const MODE_NONE: u8 = 0;
-const MODE_PANIC: u8 = 1;
-const MODE_DROP: u8 = 2;
-const MODE_STALL: u8 = 3;
-const MODE_CORRUPT: u8 = 4;
-const MODE_WEDGE: u8 = 5;
-const MODE_PANIC_ONCE: u8 = 6;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    None,
+    Panic,
+    PanicOnce,
+    Drop,
+    Stall,
+    Corrupt,
+    Wedge,
+}
 
-/// Bumped by [`release_wedges`]; a wedged call captures the value at
-/// entry and spins (sleeping) until it changes. Global on purpose: a
-/// wedged shard cannot be reached through control messages (that is the
-/// point), so tests need an out-of-band release.
-static WEDGE_EPOCH: AtomicU64 = AtomicU64::new(0);
+impl Mode {
+    fn parse(s: &str) -> Result<Mode, PluginError> {
+        match s {
+            "none" => Ok(Mode::None),
+            "panic" => Ok(Mode::Panic),
+            "panic-once" => Ok(Mode::PanicOnce),
+            "drop" => Ok(Mode::Drop),
+            "stall" => Ok(Mode::Stall),
+            "corrupt" => Ok(Mode::Corrupt),
+            "wedge" => Ok(Mode::Wedge),
+            other => Err(PluginError::BadConfig(format!("bad mode={other}"))),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Mode::None => "none",
+            Mode::Panic => "panic",
+            Mode::PanicOnce => "panic-once",
+            Mode::Drop => "drop",
+            Mode::Stall => "stall",
+            Mode::Corrupt => "corrupt",
+            Mode::Wedge => "wedge",
+        }
+    }
+}
 
 /// Release every thread currently wedged in a `mode=wedge` chaos
-/// instance (they resume and forward the packet normally).
+/// instance (they resume and forward the packet normally). Process-wide
+/// on purpose: a wedged shard cannot be reached through control messages
+/// (that is the point), so tests need an out-of-band release.
 pub fn release_wedges() {
-    WEDGE_EPOCH.fetch_add(1, Ordering::SeqCst);
+    wedge::release();
 }
 
-fn parse_mode(s: &str) -> Result<u8, PluginError> {
-    match s {
-        "none" => Ok(MODE_NONE),
-        "panic" => Ok(MODE_PANIC),
-        "panic-once" => Ok(MODE_PANIC_ONCE),
-        "drop" => Ok(MODE_DROP),
-        "stall" => Ok(MODE_STALL),
-        "corrupt" => Ok(MODE_CORRUPT),
-        "wedge" => Ok(MODE_WEDGE),
-        other => Err(PluginError::BadConfig(format!("bad mode={other}"))),
-    }
-}
-
-fn mode_name(m: u8) -> &'static str {
-    match m {
-        MODE_PANIC => "panic",
-        MODE_PANIC_ONCE => "panic-once",
-        MODE_DROP => "drop",
-        MODE_STALL => "stall",
-        MODE_CORRUPT => "corrupt",
-        MODE_WEDGE => "wedge",
-        _ => "none",
-    }
-}
-
-/// A chaos instance. All knobs are atomics so a bound instance can be
-/// rearmed mid-stream through a custom message.
+/// A chaos instance; a bound instance can be rearmed mid-stream through
+/// a custom message.
 pub struct ChaosInstance {
-    mode: AtomicU8,
-    every: AtomicU64,
-    cost_ns: AtomicU64,
-    calls: AtomicU64,
+    mode: Mode,
+    every: u64,
+    cost_ns: u64,
+    calls: u64,
 }
 
 impl ChaosInstance {
-    fn new(mode: u8, every: u64, cost_ns: u64) -> Self {
+    fn new(mode: Mode, every: u64, cost_ns: u64) -> Self {
         ChaosInstance {
-            mode: AtomicU8::new(mode),
-            every: AtomicU64::new(every.max(1)),
-            cost_ns: AtomicU64::new(cost_ns),
-            calls: AtomicU64::new(0),
+            mode,
+            every: every.max(1),
+            cost_ns,
+            calls: 0,
         }
     }
 
-    fn configure(&self, args: &str) -> Result<(), PluginError> {
+    fn configure(&mut self, args: &str) -> Result<(), PluginError> {
         let map = super::config_map(args);
         if let Some(m) = map.get("mode") {
-            self.mode.store(parse_mode(m)?, Ordering::Relaxed);
+            self.mode = Mode::parse(m)?;
         }
-        let every = super::config_num(&map, "every", self.every.load(Ordering::Relaxed))?;
-        self.every.store(every.max(1), Ordering::Relaxed);
-        let cost = super::config_num(&map, "cost", self.cost_ns.load(Ordering::Relaxed))?;
-        self.cost_ns.store(cost, Ordering::Relaxed);
+        self.every = super::config_num(&map, "every", self.every)?.max(1);
+        self.cost_ns = super::config_num(&map, "cost", self.cost_ns)?;
         Ok(())
     }
 
     fn status(&self) -> String {
         format!(
             "mode={} every={} cost={} calls={}",
-            mode_name(self.mode.load(Ordering::Relaxed)),
-            self.every.load(Ordering::Relaxed),
-            self.cost_ns.load(Ordering::Relaxed),
-            self.calls.load(Ordering::Relaxed),
+            self.mode.name(),
+            self.every,
+            self.cost_ns,
+            self.calls,
         )
     }
 }
 
 impl PluginInstance for ChaosInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        let every = self.every.load(Ordering::Relaxed).max(1);
-        if !n.is_multiple_of(every) {
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
+        self.calls += 1;
+        let n = self.calls;
+        if !n.is_multiple_of(self.every) {
             return PluginAction::Continue;
         }
-        match self.mode.load(Ordering::Relaxed) {
-            MODE_PANIC => panic!("chaos: injected panic on call {n}"),
-            MODE_PANIC_ONCE => {
+        match self.mode {
+            Mode::Panic => panic!("chaos: injected panic on call {n}"),
+            Mode::PanicOnce => {
                 // Disarm before unwinding: the next call (or a journal-
                 // rebuilt twin of this instance) behaves normally.
-                self.mode.store(MODE_NONE, Ordering::SeqCst);
+                self.mode = Mode::None;
                 panic!("chaos: injected one-shot panic on call {n}")
             }
-            MODE_WEDGE => {
+            Mode::Wedge => {
                 // Genuinely stop the calling thread (not virtual cost):
                 // hold until someone calls `release_wedges`.
-                let entry = WEDGE_EPOCH.load(Ordering::SeqCst);
-                while WEDGE_EPOCH.load(Ordering::SeqCst) == entry {
+                let entry = wedge::epoch();
+                while wedge::epoch() == entry {
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
                 PluginAction::Continue
             }
-            MODE_DROP => PluginAction::Drop,
-            MODE_STALL => {
-                ctx.cost_ns = self.cost_ns.load(Ordering::Relaxed);
+            Mode::Drop => PluginAction::Drop,
+            Mode::Stall => {
+                ctx.cost_ns = self.cost_ns;
                 PluginAction::Continue
             }
-            MODE_CORRUPT => {
+            Mode::Corrupt => {
                 // Flip one payload-ish byte (past the basic header so the
                 // packet stays parseable and the damage travels end to
                 // end, like a bad link would inflict).
@@ -163,7 +160,7 @@ impl PluginInstance for ChaosInstance {
                 }
                 PluginAction::Continue
             }
-            _ => PluginAction::Continue,
+            Mode::None => PluginAction::Continue,
         }
     }
 
@@ -172,12 +169,10 @@ impl PluginInstance for ChaosInstance {
     }
 }
 
-/// The chaos plugin module. Keeps concrete handles to its instances so
-/// custom messages can reach their atomics (matched by pointer identity,
-/// as the scheduler plugins do).
+/// The chaos plugin module.
 #[derive(Default)]
 pub struct ChaosPlugin {
-    instances: Vec<Arc<ChaosInstance>>,
+    _priv: (),
 }
 
 impl Plugin for ChaosPlugin {
@@ -191,33 +186,19 @@ impl Plugin for ChaosPlugin {
         PluginCode::new(PluginType::STATS, 99)
     }
 
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
-        let inst = ChaosInstance::new(MODE_NONE, 1, 1_000_000_000);
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+        let mut inst = ChaosInstance::new(Mode::None, 1, 1_000_000_000);
         inst.configure(config)?;
-        let inst = Arc::new(inst);
-        self.instances.push(inst.clone());
-        Ok(inst)
-    }
-
-    fn free_instance(&mut self, instance: &InstanceRef) {
-        self.instances
-            .retain(|i| !Arc::ptr_eq(&(i.clone() as InstanceRef), instance));
+        Ok(Box::new(inst))
     }
 
     fn custom_message(
         &mut self,
-        instance: Option<&InstanceRef>,
+        instance: Option<&mut dyn PluginInstance>,
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let target = instance
-            .ok_or_else(|| PluginError::BadConfig("chaos message needs an instance".into()))?;
-        let inst = self
-            .instances
-            .iter()
-            .find(|i| Arc::ptr_eq(&((*i).clone() as InstanceRef), target))
-            .ok_or_else(|| PluginError::BadConfig("not a chaos instance".into()))?
-            .clone();
+        let inst: &mut ChaosInstance = super::target(instance, "chaos")?;
         match name {
             "set" => {
                 inst.configure(args)?;
@@ -250,7 +231,7 @@ mod tests {
         )
     }
 
-    fn call(inst: &ChaosInstance, m: &mut Mbuf) -> PluginAction {
+    fn call(inst: &mut ChaosInstance, m: &mut Mbuf) -> PluginAction {
         let mut soft = None;
         let mut ctx = PacketCtx {
             gate: Gate::Stats,
@@ -265,18 +246,18 @@ mod tests {
 
     #[test]
     fn none_mode_passes_everything() {
-        let inst = ChaosInstance::new(MODE_NONE, 1, 0);
+        let mut inst = ChaosInstance::new(Mode::None, 1, 0);
         let mut m = pkt();
         for _ in 0..10 {
-            assert_eq!(call(&inst, &mut m), PluginAction::Continue);
+            assert_eq!(call(&mut inst, &mut m), PluginAction::Continue);
         }
     }
 
     #[test]
     fn drop_every_third() {
-        let inst = ChaosInstance::new(MODE_DROP, 3, 0);
+        let mut inst = ChaosInstance::new(Mode::Drop, 3, 0);
         let mut m = pkt();
-        let actions: Vec<_> = (0..9).map(|_| call(&inst, &mut m)).collect();
+        let actions: Vec<_> = (0..9).map(|_| call(&mut inst, &mut m)).collect();
         let drops = actions.iter().filter(|a| **a == PluginAction::Drop).count();
         assert_eq!(drops, 3);
         assert_eq!(actions[2], PluginAction::Drop);
@@ -285,7 +266,7 @@ mod tests {
 
     #[test]
     fn stall_charges_cost() {
-        let inst = ChaosInstance::new(MODE_STALL, 1, 42_000);
+        let mut inst = ChaosInstance::new(Mode::Stall, 1, 42_000);
         let mut m = pkt();
         let mut soft = None;
         let mut ctx = PacketCtx {
@@ -302,42 +283,39 @@ mod tests {
 
     #[test]
     fn corrupt_flips_a_byte() {
-        let inst = ChaosInstance::new(MODE_CORRUPT, 1, 0);
+        let mut inst = ChaosInstance::new(Mode::Corrupt, 1, 0);
         let mut m = pkt();
         let before = m.data().to_vec();
-        call(&inst, &mut m);
+        call(&mut inst, &mut m);
         assert_ne!(m.data(), &before[..]);
     }
 
     #[test]
     fn panic_mode_panics() {
-        let inst = ChaosInstance::new(MODE_PANIC, 1, 0);
+        let mut inst = ChaosInstance::new(Mode::Panic, 1, 0);
         let mut m = pkt();
-        let err = crate::supervisor::run_isolated(|| call(&inst, &mut m)).unwrap_err();
+        let err = crate::supervisor::run_isolated(|| call(&mut inst, &mut m)).unwrap_err();
         assert!(err.contains("injected panic"), "{err}");
     }
 
     #[test]
     fn panic_once_disarms_itself() {
-        let inst = ChaosInstance::new(MODE_PANIC_ONCE, 1, 0);
+        let mut inst = ChaosInstance::new(Mode::PanicOnce, 1, 0);
         let mut m = pkt();
-        let err = crate::supervisor::run_isolated(|| call(&inst, &mut m)).unwrap_err();
+        let err = crate::supervisor::run_isolated(|| call(&mut inst, &mut m)).unwrap_err();
         assert!(err.contains("one-shot"), "{err}");
         // Second call: mode stored back to none, no fault.
-        assert_eq!(call(&inst, &mut m), PluginAction::Continue);
+        assert_eq!(call(&mut inst, &mut m), PluginAction::Continue);
         assert!(inst.status().contains("mode=none"), "{}", inst.status());
     }
 
     #[test]
     fn wedge_blocks_until_released() {
-        let inst = Arc::new(ChaosInstance::new(MODE_WEDGE, 1, 0));
-        let worker = {
-            let inst = Arc::clone(&inst);
-            std::thread::spawn(move || {
-                let mut m = pkt();
-                call(&inst, &mut m)
-            })
-        };
+        let mut inst = ChaosInstance::new(Mode::Wedge, 1, 0);
+        let worker = std::thread::spawn(move || {
+            let mut m = pkt();
+            call(&mut inst, &mut m)
+        });
         // The worker is stuck inside handle_packet: give it time to enter
         // the wedge, confirm it has not finished, then release it.
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -350,11 +328,13 @@ mod tests {
     #[test]
     fn config_and_reconfig() {
         let mut plugin = ChaosPlugin::default();
-        let inst = plugin.create_instance("mode=drop every=2").unwrap();
-        let reply = plugin.custom_message(Some(&inst), "status", "").unwrap();
+        let mut inst = plugin.create_instance("mode=drop every=2").unwrap();
+        let reply = plugin
+            .custom_message(Some(inst.as_mut()), "status", "")
+            .unwrap();
         assert!(reply.contains("mode=drop every=2"), "{reply}");
         let reply = plugin
-            .custom_message(Some(&inst), "set", "mode=panic every=5")
+            .custom_message(Some(inst.as_mut()), "set", "mode=panic every=5")
             .unwrap();
         assert!(reply.contains("mode=panic every=5"), "{reply}");
         assert!(plugin.create_instance("mode=bogus").is_err());

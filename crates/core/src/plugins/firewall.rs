@@ -8,13 +8,10 @@
 //! firewall semantics (specific allows punch holes in broad denies).
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
 use crate::plugins::config_map;
 use rp_packet::Mbuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What a firewall instance does with matched packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,19 +25,19 @@ pub enum FwAction {
 /// A firewall instance.
 pub struct FirewallInstance {
     action: FwAction,
-    matched: AtomicU64,
+    matched: u64,
 }
 
 impl FirewallInstance {
     /// Packets that hit this instance.
     pub fn matched(&self) -> u64 {
-        self.matched.load(Ordering::Relaxed)
+        self.matched
     }
 }
 
 impl PluginInstance for FirewallInstance {
-    fn handle_packet(&self, _mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
-        self.matched.fetch_add(1, Ordering::Relaxed);
+    fn handle_packet(&mut self, _mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
+        self.matched += 1;
         match self.action {
             FwAction::Allow => PluginAction::Continue,
             FwAction::Deny => PluginAction::Drop,
@@ -68,7 +65,7 @@ impl Plugin for FirewallPlugin {
     }
 
     /// Config: `action=allow|deny` (default deny).
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let action = match map.get("action").map(String::as_str) {
             None | Some("deny") => FwAction::Deny,
@@ -77,10 +74,7 @@ impl Plugin for FirewallPlugin {
                 return Err(PluginError::BadConfig(format!("action={other}")));
             }
         };
-        Ok(Arc::new(FirewallInstance {
-            action,
-            matched: AtomicU64::new(0),
-        }))
+        Ok(Box::new(FirewallInstance { action, matched: 0 }))
     }
 }
 
@@ -90,7 +84,7 @@ mod tests {
     use crate::gate::Gate;
     use rp_packet::mbuf::FlowIndex;
 
-    fn call(inst: &InstanceRef) -> PluginAction {
+    fn call(inst: &mut dyn PluginInstance) -> PluginAction {
         let mut m = Mbuf::new(vec![0u8; 20], 0);
         let mut soft = None;
         let mut ctx = PacketCtx {
@@ -107,12 +101,12 @@ mod tests {
     #[test]
     fn deny_drops_allow_continues() {
         let mut p = FirewallPlugin::default();
-        let deny = p.create_instance("action=deny").unwrap();
-        let allow = p.create_instance("action=allow").unwrap();
-        let default = p.create_instance("").unwrap();
-        assert_eq!(call(&deny), PluginAction::Drop);
-        assert_eq!(call(&allow), PluginAction::Continue);
-        assert_eq!(call(&default), PluginAction::Drop);
+        let mut deny = p.create_instance("action=deny").unwrap();
+        let mut allow = p.create_instance("action=allow").unwrap();
+        let mut default = p.create_instance("").unwrap();
+        assert_eq!(call(deny.as_mut()), PluginAction::Drop);
+        assert_eq!(call(allow.as_mut()), PluginAction::Continue);
+        assert_eq!(call(default.as_mut()), PluginAction::Drop);
         assert!(deny.describe().contains("1 matched"));
     }
 

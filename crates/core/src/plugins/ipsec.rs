@@ -11,18 +11,14 @@
 //! 64-entry anti-replay window.
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
 use crate::plugins::{config_map, config_num};
-use parking_lot::Mutex;
 use rp_packet::ipsec::{
     ah_icv, esp_decapsulate, esp_encapsulate, AhHeader, ToyCipher, AH_TOTAL_LEN,
 };
 use rp_packet::ipv6::{Ipv6Packet, HEADER_LEN as V6_HDR};
 use rp_packet::{hmac, Mbuf, Protocol};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// RFC 2401 sliding anti-replay window (64 entries).
 #[derive(Debug, Default, Clone, Copy)]
@@ -85,20 +81,20 @@ pub struct AhInstance {
     mode: AhMode,
     key: Vec<u8>,
     spi: u32,
-    seq: AtomicU64,
-    replay: Mutex<ReplayWindow>,
-    auth_failures: AtomicU64,
+    seq: u32,
+    replay: ReplayWindow,
+    auth_failures: u64,
 }
 
 impl AhInstance {
     /// Authentication failures observed (verify mode).
     pub fn auth_failures(&self) -> u64 {
-        self.auth_failures.load(Ordering::Relaxed)
+        self.auth_failures
     }
 }
 
 impl PluginInstance for AhInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
         let Ok(pkt) = Ipv6Packet::new_checked(mbuf.data()) else {
             return PluginAction::Continue; // not IPv6: out of scope
         };
@@ -106,7 +102,8 @@ impl PluginInstance for AhInstance {
             AhMode::Sign => {
                 let inner = pkt.next_header();
                 let payload = pkt.payload().to_vec();
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed) as u32 + 1;
+                self.seq = self.seq.wrapping_add(1);
+                let seq = self.seq;
                 let mut ah_buf = vec![0u8; AH_TOTAL_LEN];
                 {
                     let mut ah = AhHeader::new_unchecked(&mut ah_buf[..]);
@@ -126,12 +123,12 @@ impl PluginInstance for AhInstance {
             AhMode::Verify => {
                 if pkt.next_header() != Protocol::Ah {
                     // Policy says authenticated traffic only.
-                    self.auth_failures.fetch_add(1, Ordering::Relaxed);
+                    self.auth_failures += 1;
                     return PluginAction::Drop;
                 }
                 let payload = pkt.payload().to_vec();
                 let Ok(ah) = AhHeader::new_checked(&payload[..]) else {
-                    self.auth_failures.fetch_add(1, Ordering::Relaxed);
+                    self.auth_failures += 1;
                     return PluginAction::Drop;
                 };
                 let inner = ah.next_header();
@@ -141,11 +138,11 @@ impl PluginInstance for AhInstance {
                 let body = &payload[ah_len..];
                 let want = ah_icv(&self.key, spi, seq, inner, body);
                 if spi != self.spi || !hmac::verify_mac(ah.icv(), &want) {
-                    self.auth_failures.fetch_add(1, Ordering::Relaxed);
+                    self.auth_failures += 1;
                     return PluginAction::Drop;
                 }
-                if !self.replay.lock().check_and_update(seq) {
-                    self.auth_failures.fetch_add(1, Ordering::Relaxed);
+                if !self.replay.check_and_update(seq) {
+                    self.auth_failures += 1;
                     return PluginAction::Drop;
                 }
                 let body = body.to_vec();
@@ -186,7 +183,7 @@ impl Plugin for AhPlugin {
     }
 
     /// Config: `mode=sign|verify key=<string> spi=<n>`.
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let mode = match map.get("mode").map(String::as_str) {
             Some("sign") => AhMode::Sign,
@@ -203,13 +200,13 @@ impl Plugin for AhPlugin {
             .clone()
             .into_bytes();
         let spi: u32 = config_num(&map, "spi", 256)?;
-        Ok(Arc::new(AhInstance {
+        Ok(Box::new(AhInstance {
             mode,
             key,
             spi,
-            seq: AtomicU64::new(0),
-            replay: Mutex::new(ReplayWindow::default()),
-            auth_failures: AtomicU64::new(0),
+            seq: 0,
+            replay: ReplayWindow::default(),
+            auth_failures: 0,
         }))
     }
 }
@@ -224,20 +221,20 @@ pub struct EspInstance {
     mode: EspMode,
     cipher: ToyCipher,
     spi: u32,
-    seq: AtomicU64,
-    replay: Mutex<ReplayWindow>,
-    failures: AtomicU64,
+    seq: u32,
+    replay: ReplayWindow,
+    failures: u64,
 }
 
 impl EspInstance {
     /// Decapsulation failures observed.
     pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
+        self.failures
     }
 }
 
 impl PluginInstance for EspInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
         let Ok(pkt) = Ipv6Packet::new_checked(mbuf.data()) else {
             return PluginAction::Continue;
         };
@@ -245,7 +242,8 @@ impl PluginInstance for EspInstance {
             EspMode::Encap => {
                 let inner = pkt.next_header();
                 let payload = pkt.payload().to_vec();
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed) as u32 + 1;
+                self.seq = self.seq.wrapping_add(1);
+                let seq = self.seq;
                 let esp = esp_encapsulate(&self.cipher, self.spi, seq, inner, &payload);
                 if rebuild_v6(mbuf, Protocol::Esp, &esp).is_err() {
                     return PluginAction::Drop;
@@ -254,16 +252,16 @@ impl PluginInstance for EspInstance {
             }
             EspMode::Decap => {
                 if pkt.next_header() != Protocol::Esp {
-                    self.failures.fetch_add(1, Ordering::Relaxed);
+                    self.failures += 1;
                     return PluginAction::Drop;
                 }
                 let payload = pkt.payload().to_vec();
                 let Ok(esp) = rp_packet::ipsec::EspPacket::new_checked(&payload[..]) else {
-                    self.failures.fetch_add(1, Ordering::Relaxed);
+                    self.failures += 1;
                     return PluginAction::Drop;
                 };
-                if esp.spi() != self.spi || !self.replay.lock().check_and_update(esp.seq()) {
-                    self.failures.fetch_add(1, Ordering::Relaxed);
+                if esp.spi() != self.spi || !self.replay.check_and_update(esp.seq()) {
+                    self.failures += 1;
                     return PluginAction::Drop;
                 }
                 match esp_decapsulate(&self.cipher, &payload) {
@@ -274,7 +272,7 @@ impl PluginInstance for EspInstance {
                         PluginAction::Continue
                     }
                     Err(_) => {
-                        self.failures.fetch_add(1, Ordering::Relaxed);
+                        self.failures += 1;
                         PluginAction::Drop
                     }
                 }
@@ -311,7 +309,7 @@ impl Plugin for EspPlugin {
     }
 
     /// Config: `mode=encap|decap key=<string> spi=<n>`.
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let mode = match map.get("mode").map(String::as_str) {
             Some("encap") => EspMode::Encap,
@@ -326,13 +324,13 @@ impl Plugin for EspPlugin {
             .get("key")
             .ok_or_else(|| PluginError::BadConfig("key=<secret> required".to_string()))?;
         let spi: u32 = config_num(&map, "spi", 257)?;
-        Ok(Arc::new(EspInstance {
+        Ok(Box::new(EspInstance {
             mode,
             cipher: ToyCipher::new(key.as_bytes()),
             spi,
-            seq: AtomicU64::new(0),
-            replay: Mutex::new(ReplayWindow::default()),
-            failures: AtomicU64::new(0),
+            seq: 0,
+            replay: ReplayWindow::default(),
+            failures: 0,
         }))
     }
 }
@@ -350,7 +348,7 @@ mod tests {
         IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, a))
     }
 
-    fn call(inst: &InstanceRef, m: &mut Mbuf) -> PluginAction {
+    fn call(inst: &mut Box<dyn PluginInstance>, m: &mut Mbuf) -> PluginAction {
         let mut soft = None;
         let mut ctx = PacketCtx {
             gate: Gate::IpSecurity,
@@ -380,17 +378,17 @@ mod tests {
     #[test]
     fn ah_sign_verify_roundtrip() {
         let mut ap = AhPlugin::default();
-        let signer = ap.create_instance("mode=sign key=s3cret spi=7").unwrap();
-        let verifier = ap.create_instance("mode=verify key=s3cret spi=7").unwrap();
+        let mut signer = ap.create_instance("mode=sign key=s3cret spi=7").unwrap();
+        let mut verifier = ap.create_instance("mode=verify key=s3cret spi=7").unwrap();
         let original = PacketSpec::udp(v6(1), v6(2), 1000, 2000, 64).build();
         let mut m = Mbuf::new(original.clone(), 0);
-        assert_eq!(call(&signer, &mut m), PluginAction::Continue);
+        assert_eq!(call(&mut signer, &mut m), PluginAction::Continue);
         // Signed packet: next header is AH, longer.
         let pkt = Ipv6Packet::new_checked(m.data()).unwrap();
         assert_eq!(pkt.next_header(), Protocol::Ah);
         assert!(m.len() > original.len());
         // Verify restores the original bytes.
-        assert_eq!(call(&verifier, &mut m), PluginAction::Continue);
+        assert_eq!(call(&mut verifier, &mut m), PluginAction::Continue);
         assert_eq!(m.data(), &original[..]);
         // The six-tuple survives the round trip.
         let t = FlowTuple::extract(m.data(), 0).unwrap();
@@ -400,66 +398,66 @@ mod tests {
     #[test]
     fn ah_tamper_detected() {
         let mut ap = AhPlugin::default();
-        let signer = ap.create_instance("mode=sign key=k spi=7").unwrap();
-        let verifier = ap.create_instance("mode=verify key=k spi=7").unwrap();
+        let mut signer = ap.create_instance("mode=sign key=k spi=7").unwrap();
+        let mut verifier = ap.create_instance("mode=verify key=k spi=7").unwrap();
         let mut m = Mbuf::new(PacketSpec::udp(v6(1), v6(2), 1, 2, 32).build(), 0);
-        call(&signer, &mut m);
+        call(&mut signer, &mut m);
         let last = m.len() - 1;
         m.data_mut()[last] ^= 0xFF; // tamper with the payload
-        assert_eq!(call(&verifier, &mut m), PluginAction::Drop);
+        assert_eq!(call(&mut verifier, &mut m), PluginAction::Drop);
     }
 
     #[test]
     fn ah_wrong_key_or_unauthenticated_dropped() {
         let mut ap = AhPlugin::default();
-        let signer = ap.create_instance("mode=sign key=right spi=7").unwrap();
-        let verifier = ap.create_instance("mode=verify key=wrong spi=7").unwrap();
+        let mut signer = ap.create_instance("mode=sign key=right spi=7").unwrap();
+        let mut verifier = ap.create_instance("mode=verify key=wrong spi=7").unwrap();
         let mut m = Mbuf::new(PacketSpec::udp(v6(1), v6(2), 1, 2, 32).build(), 0);
-        call(&signer, &mut m);
-        assert_eq!(call(&verifier, &mut m), PluginAction::Drop);
+        call(&mut signer, &mut m);
+        assert_eq!(call(&mut verifier, &mut m), PluginAction::Drop);
         // Plain traffic at a verify instance is also dropped.
         let mut plain = Mbuf::new(PacketSpec::udp(v6(1), v6(2), 1, 2, 32).build(), 0);
-        assert_eq!(call(&verifier, &mut plain), PluginAction::Drop);
+        assert_eq!(call(&mut verifier, &mut plain), PluginAction::Drop);
     }
 
     #[test]
     fn ah_replayed_packet_dropped() {
         let mut ap = AhPlugin::default();
-        let signer = ap.create_instance("mode=sign key=k spi=7").unwrap();
-        let verifier = ap.create_instance("mode=verify key=k spi=7").unwrap();
+        let mut signer = ap.create_instance("mode=sign key=k spi=7").unwrap();
+        let mut verifier = ap.create_instance("mode=verify key=k spi=7").unwrap();
         let mut m = Mbuf::new(PacketSpec::udp(v6(1), v6(2), 1, 2, 32).build(), 0);
-        call(&signer, &mut m);
+        call(&mut signer, &mut m);
         let replayed = m.clone();
-        assert_eq!(call(&verifier, &mut m), PluginAction::Continue);
+        assert_eq!(call(&mut verifier, &mut m), PluginAction::Continue);
         let mut m2 = replayed;
-        assert_eq!(call(&verifier, &mut m2), PluginAction::Drop);
+        assert_eq!(call(&mut verifier, &mut m2), PluginAction::Drop);
     }
 
     #[test]
     fn esp_encap_decap_roundtrip() {
         let mut ep = EspPlugin::default();
-        let enc = ep.create_instance("mode=encap key=vpn spi=9").unwrap();
-        let dec = ep.create_instance("mode=decap key=vpn spi=9").unwrap();
+        let mut enc = ep.create_instance("mode=encap key=vpn spi=9").unwrap();
+        let mut dec = ep.create_instance("mode=decap key=vpn spi=9").unwrap();
         let original = PacketSpec::tcp(v6(1), v6(2), 443, 555, 128).build();
         let mut m = Mbuf::new(original.clone(), 0);
-        assert_eq!(call(&enc, &mut m), PluginAction::Continue);
+        assert_eq!(call(&mut enc, &mut m), PluginAction::Continue);
         let pkt = Ipv6Packet::new_checked(m.data()).unwrap();
         assert_eq!(pkt.next_header(), Protocol::Esp);
         // Payload is ciphertext: ports are no longer recoverable.
         let t = FlowTuple::extract(m.data(), 0).unwrap();
         assert_eq!(t.proto, u8::from(Protocol::Esp));
-        assert_eq!(call(&dec, &mut m), PluginAction::Continue);
+        assert_eq!(call(&mut dec, &mut m), PluginAction::Continue);
         assert_eq!(m.data(), &original[..]);
     }
 
     #[test]
     fn esp_wrong_spi_dropped() {
         let mut ep = EspPlugin::default();
-        let enc = ep.create_instance("mode=encap key=vpn spi=9").unwrap();
-        let dec = ep.create_instance("mode=decap key=vpn spi=10").unwrap();
+        let mut enc = ep.create_instance("mode=encap key=vpn spi=9").unwrap();
+        let mut dec = ep.create_instance("mode=decap key=vpn spi=10").unwrap();
         let mut m = Mbuf::new(PacketSpec::udp(v6(1), v6(2), 1, 2, 16).build(), 0);
-        call(&enc, &mut m);
-        assert_eq!(call(&dec, &mut m), PluginAction::Drop);
+        call(&mut enc, &mut m);
+        assert_eq!(call(&mut dec, &mut m), PluginAction::Drop);
     }
 
     #[test]

@@ -4,15 +4,12 @@
 //! carries source routing (which a security-conscious router refuses).
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
-use parking_lot::Mutex;
 use rp_packet::ipv4::Ipv4Packet;
 use rp_packet::ipv4_opts::{OptionIter, OptionKind};
 use rp_packet::Mbuf;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Loose/strict source route kinds (refused, as most routers do).
 const LSRR: u8 = 131;
@@ -21,42 +18,41 @@ const SSRR: u8 = 137;
 /// An IPv4 option-processing instance.
 #[derive(Default)]
 pub struct Ipv4OptsInstance {
-    seen: Mutex<HashMap<u8, u64>>,
-    dropped: Mutex<u64>,
+    seen: HashMap<u8, u64>,
+    dropped: u64,
 }
 
 impl Ipv4OptsInstance {
     /// Times an option kind was seen.
     pub fn seen(&self, kind: u8) -> u64 {
-        *self.seen.lock().get(&kind).unwrap_or(&0)
+        self.seen.get(&kind).copied().unwrap_or(0)
     }
 
     /// Packets dropped (malformed options or source routing).
     pub fn dropped(&self) -> u64 {
-        *self.dropped.lock()
+        self.dropped
     }
 }
 
 impl PluginInstance for Ipv4OptsInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
         let Ok(pkt) = Ipv4Packet::new_checked(mbuf.data()) else {
             return PluginAction::Continue; // not IPv4: out of scope
         };
         if pkt.header_len() == 20 {
             return PluginAction::Continue; // no options
         }
-        let mut seen = self.seen.lock();
         for opt in OptionIter::from_slice(pkt.options()) {
             let Ok(opt) = opt else {
-                *self.dropped.lock() += 1;
+                self.dropped += 1;
                 return PluginAction::Drop;
             };
             if opt.kind == OptionKind::NOP {
                 continue;
             }
-            *seen.entry(opt.kind.0).or_insert(0) += 1;
+            *self.seen.entry(opt.kind.0).or_insert(0) += 1;
             if opt.kind.0 == LSRR || opt.kind.0 == SSRR {
-                *self.dropped.lock() += 1;
+                self.dropped += 1;
                 return PluginAction::Drop;
             }
         }
@@ -66,7 +62,7 @@ impl PluginInstance for Ipv4OptsInstance {
     fn describe(&self) -> String {
         format!(
             "opt4: {} option kinds seen, {} dropped",
-            self.seen.lock().len(),
+            self.seen.len(),
             self.dropped()
         )
     }
@@ -87,8 +83,8 @@ impl Plugin for Ipv4OptsPlugin {
         PluginCode::new(PluginType::IPV6_OPTS, 2)
     }
 
-    fn create_instance(&mut self, _config: &str) -> Result<InstanceRef, PluginError> {
-        Ok(Arc::new(Ipv4OptsInstance::default()))
+    fn create_instance(&mut self, _config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+        Ok(Box::new(Ipv4OptsInstance::default()))
     }
 }
 
@@ -104,7 +100,7 @@ mod tests {
         format!("10.0.0.{d}").parse().unwrap()
     }
 
-    fn call(inst: &Ipv4OptsInstance, buf: Vec<u8>) -> PluginAction {
+    fn call(inst: &mut Ipv4OptsInstance, buf: Vec<u8>) -> PluginAction {
         let mut m = Mbuf::new(buf, 0);
         let mut soft = None;
         let mut ctx = PacketCtx {
@@ -120,29 +116,29 @@ mod tests {
 
     #[test]
     fn router_alert_counted() {
-        let inst = Ipv4OptsInstance::default();
+        let mut inst = Ipv4OptsInstance::default();
         let buf = PacketSpec::udp(v4(1), v4(2), 1, 2, 16)
             .with_v4_option(OptionKind::ROUTER_ALERT.0, vec![0, 0])
             .build();
-        assert_eq!(call(&inst, buf), PluginAction::Continue);
+        assert_eq!(call(&mut inst, buf), PluginAction::Continue);
         assert_eq!(inst.seen(OptionKind::ROUTER_ALERT.0), 1);
     }
 
     #[test]
     fn source_routing_refused() {
-        let inst = Ipv4OptsInstance::default();
+        let mut inst = Ipv4OptsInstance::default();
         let buf = PacketSpec::udp(v4(1), v4(2), 1, 2, 16)
             .with_v4_option(LSRR, vec![4, 0, 0, 0, 0])
             .build();
-        assert_eq!(call(&inst, buf), PluginAction::Drop);
+        assert_eq!(call(&mut inst, buf), PluginAction::Drop);
         assert_eq!(inst.dropped(), 1);
     }
 
     #[test]
     fn no_options_is_noop() {
-        let inst = Ipv4OptsInstance::default();
+        let mut inst = Ipv4OptsInstance::default();
         let buf = PacketSpec::udp(v4(1), v4(2), 1, 2, 16).build();
-        assert_eq!(call(&inst, buf), PluginAction::Continue);
+        assert_eq!(call(&mut inst, buf), PluginAction::Continue);
         assert!(inst.describe().contains("0 option kinds"));
     }
 }

@@ -8,43 +8,35 @@
 //! high-order bits (skip / discard).
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
-use parking_lot::Mutex;
 use rp_packet::ext_hdr::{ExtHeader, Ipv6Option};
 use rp_packet::ipv6::Ipv6Packet;
 use rp_packet::{Mbuf, Protocol};
 use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Counters per option type.
-#[derive(Default)]
-struct OptCounters {
-    seen: HashMap<u8, u64>,
-    dropped: u64,
-}
 
 /// A hop-by-hop option-processing instance.
 #[derive(Default)]
 pub struct Ipv6OptsInstance {
-    counters: Mutex<OptCounters>,
+    /// Times each option type was seen.
+    seen: HashMap<u8, u64>,
+    dropped: u64,
 }
 
 impl Ipv6OptsInstance {
     /// Times an option type was seen.
     pub fn seen(&self, kind: u8) -> u64 {
-        *self.counters.lock().seen.get(&kind).unwrap_or(&0)
+        self.seen.get(&kind).copied().unwrap_or(0)
     }
 
     /// Packets dropped for carrying must-discard options.
     pub fn dropped(&self) -> u64 {
-        self.counters.lock().dropped
+        self.dropped
     }
 }
 
 impl PluginInstance for Ipv6OptsInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
         let Ok(pkt) = Ipv6Packet::new_checked(mbuf.data()) else {
             // Not IPv6 (or malformed): nothing for this gate to do.
             return PluginAction::Continue;
@@ -55,10 +47,9 @@ impl PluginInstance for Ipv6OptsInstance {
         let Ok(hbh) = ExtHeader::new_checked(pkt.payload()) else {
             return PluginAction::Drop;
         };
-        let mut c = self.counters.lock();
         for opt in hbh.options() {
             let Ok(opt) = opt else {
-                c.dropped += 1;
+                self.dropped += 1;
                 return PluginAction::Drop;
             };
             if opt.is_padding() {
@@ -66,13 +57,13 @@ impl PluginInstance for Ipv6OptsInstance {
             }
             match opt.kind {
                 Ipv6Option::ROUTER_ALERT => {
-                    *c.seen.entry(opt.kind).or_insert(0) += 1;
+                    *self.seen.entry(opt.kind).or_insert(0) += 1;
                 }
                 kind => {
-                    *c.seen.entry(kind).or_insert(0) += 1;
+                    *self.seen.entry(kind).or_insert(0) += 1;
                     if opt.unrecognised_action() != 0 {
                         // 1/2/3 = discard (we do not generate ICMP here).
-                        c.dropped += 1;
+                        self.dropped += 1;
                         return PluginAction::Drop;
                     }
                 }
@@ -82,11 +73,10 @@ impl PluginInstance for Ipv6OptsInstance {
     }
 
     fn describe(&self) -> String {
-        let c = self.counters.lock();
         format!(
             "opt6: {} option kinds seen, {} dropped",
-            c.seen.len(),
-            c.dropped
+            self.seen.len(),
+            self.dropped
         )
     }
 }
@@ -106,8 +96,8 @@ impl Plugin for Ipv6OptsPlugin {
         PluginCode::new(PluginType::IPV6_OPTS, 1)
     }
 
-    fn create_instance(&mut self, _config: &str) -> Result<InstanceRef, PluginError> {
-        Ok(Arc::new(Ipv6OptsInstance::default()))
+    fn create_instance(&mut self, _config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+        Ok(Box::new(Ipv6OptsInstance::default()))
     }
 }
 
@@ -123,7 +113,7 @@ mod tests {
         IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, a))
     }
 
-    fn call(inst: &Ipv6OptsInstance, buf: Vec<u8>) -> PluginAction {
+    fn call(inst: &mut Ipv6OptsInstance, buf: Vec<u8>) -> PluginAction {
         let mut m = Mbuf::new(buf, 0);
         let mut soft = None;
         let mut ctx = PacketCtx {
@@ -139,42 +129,42 @@ mod tests {
 
     #[test]
     fn router_alert_counted() {
-        let inst = Ipv6OptsInstance::default();
+        let mut inst = Ipv6OptsInstance::default();
         let buf = PacketSpec::udp(v6(1), v6(2), 1, 2, 8)
             .with_hbh_option(Ipv6Option::ROUTER_ALERT, vec![0, 0])
             .build();
-        assert_eq!(call(&inst, buf), PluginAction::Continue);
+        assert_eq!(call(&mut inst, buf), PluginAction::Continue);
         assert_eq!(inst.seen(Ipv6Option::ROUTER_ALERT), 1);
         assert_eq!(inst.dropped(), 0);
     }
 
     #[test]
     fn unknown_skippable_option_continues() {
-        let inst = Ipv6OptsInstance::default();
+        let mut inst = Ipv6OptsInstance::default();
         // Type 0x1E: high bits 00 → skip if unrecognised.
         let buf = PacketSpec::udp(v6(1), v6(2), 1, 2, 8)
             .with_hbh_option(0x1E, vec![1, 2, 3])
             .build();
-        assert_eq!(call(&inst, buf), PluginAction::Continue);
+        assert_eq!(call(&mut inst, buf), PluginAction::Continue);
         assert_eq!(inst.seen(0x1E), 1);
     }
 
     #[test]
     fn must_discard_option_drops() {
-        let inst = Ipv6OptsInstance::default();
+        let mut inst = Ipv6OptsInstance::default();
         // Type 0x40 | x: high bits 01 → discard if unrecognised.
         let buf = PacketSpec::udp(v6(1), v6(2), 1, 2, 8)
             .with_hbh_option(0x41, vec![])
             .build();
-        assert_eq!(call(&inst, buf), PluginAction::Drop);
+        assert_eq!(call(&mut inst, buf), PluginAction::Drop);
         assert_eq!(inst.dropped(), 1);
     }
 
     #[test]
     fn no_hbh_is_noop() {
-        let inst = Ipv6OptsInstance::default();
+        let mut inst = Ipv6OptsInstance::default();
         let buf = PacketSpec::udp(v6(1), v6(2), 1, 2, 8).build();
-        assert_eq!(call(&inst, buf), PluginAction::Continue);
+        assert_eq!(call(&mut inst, buf), PluginAction::Continue);
         // IPv4 packets pass through untouched too.
         let v4buf = PacketSpec::udp(
             "10.0.0.1".parse().unwrap(),
@@ -184,6 +174,6 @@ mod tests {
             8,
         )
         .build();
-        assert_eq!(call(&inst, v4buf), PluginAction::Continue);
+        assert_eq!(call(&mut inst, v4buf), PluginAction::Continue);
     }
 }

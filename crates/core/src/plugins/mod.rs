@@ -107,6 +107,19 @@ pub(crate) fn config_num<T: std::str::FromStr>(
     }
 }
 
+/// The instance a control message names, as the receiving plugin's own
+/// instance type.
+pub(crate) fn target<'a, T: crate::plugin::PluginInstance>(
+    instance: Option<&'a mut dyn crate::plugin::PluginInstance>,
+    plugin: &str,
+) -> Result<&'a mut T, crate::plugin::PluginError> {
+    use crate::plugin::PluginError::BadConfig;
+    instance
+        .ok_or_else(|| BadConfig("message needs an instance".into()))?
+        .downcast_mut()
+        .ok_or_else(|| BadConfig(format!("not a {plugin} instance")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

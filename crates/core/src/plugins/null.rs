@@ -6,29 +6,26 @@
 //! indirect calls) with zero useful work.
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
 use rp_packet::Mbuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// An instance that counts invocations and continues.
 #[derive(Default)]
 pub struct NullInstance {
-    calls: AtomicU64,
+    calls: u64,
 }
 
 impl NullInstance {
     /// Number of times the instance was called.
     pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.calls
     }
 }
 
 impl PluginInstance for NullInstance {
-    fn handle_packet(&self, _mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+    fn handle_packet(&mut self, _mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
+        self.calls += 1;
         PluginAction::Continue
     }
 
@@ -52,8 +49,8 @@ impl Plugin for NullPlugin {
         PluginCode::new(PluginType::STATS, 0)
     }
 
-    fn create_instance(&mut self, _config: &str) -> Result<InstanceRef, PluginError> {
-        Ok(Arc::new(NullInstance::default()))
+    fn create_instance(&mut self, _config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+        Ok(Box::new(NullInstance::default()))
     }
 }
 
@@ -65,7 +62,7 @@ mod tests {
 
     #[test]
     fn counts_calls() {
-        let inst = NullInstance::default();
+        let mut inst = NullInstance::default();
         let mut m = Mbuf::new(vec![0u8; 20], 0);
         let mut soft = None;
         let mut ctx = PacketCtx {

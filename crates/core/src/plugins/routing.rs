@@ -7,32 +7,29 @@
 //! classification*, overriding the destination-only core routing table.
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
 use crate::plugins::{config_map, config_num};
 use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// An L4-switching instance: forces matched flows out one interface.
 pub struct RoutingInstance {
     tx_if: IfIndex,
-    switched: AtomicU64,
+    switched: u64,
 }
 
 impl RoutingInstance {
     /// Packets steered by this instance.
     pub fn switched(&self) -> u64 {
-        self.switched.load(Ordering::Relaxed)
+        self.switched
     }
 }
 
 impl PluginInstance for RoutingInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
         mbuf.tx_if = Some(self.tx_if);
-        self.switched.fetch_add(1, Ordering::Relaxed);
+        self.switched += 1;
         PluginAction::Continue
     }
 
@@ -57,16 +54,13 @@ impl Plugin for RoutingPlugin {
     }
 
     /// Config: `tx_if=<n>` (required).
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         if !map.contains_key("tx_if") {
             return Err(PluginError::BadConfig("tx_if=<n> required".to_string()));
         }
         let tx_if: IfIndex = config_num(&map, "tx_if", 0)?;
-        Ok(Arc::new(RoutingInstance {
-            tx_if,
-            switched: AtomicU64::new(0),
-        }))
+        Ok(Box::new(RoutingInstance { tx_if, switched: 0 }))
     }
 }
 
@@ -79,7 +73,7 @@ mod tests {
     #[test]
     fn sets_egress() {
         let mut p = RoutingPlugin::default();
-        let inst = p.create_instance("tx_if=3").unwrap();
+        let mut inst = p.create_instance("tx_if=3").unwrap();
         let mut m = Mbuf::new(vec![0u8; 20], 0);
         let mut soft = None;
         let mut ctx = PacketCtx {

@@ -10,11 +10,10 @@
 //! state ("it was straightforward to add a queue per flow").
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType, SchedulerInstance,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
+    SchedulerInstance,
 };
-use crate::plugins::{config_map, config_num};
-use parking_lot::Mutex;
+use crate::plugins::{config_map, config_num, target};
 use rp_classifier::FilterId;
 use rp_packet::{FlowTuple, Mbuf};
 use rp_sched::hfsc::ClassId;
@@ -25,122 +24,129 @@ use rp_sched::{
 };
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// Cookie-addressed store for packets owned by a scheduler.
+/// The packets a scheduler holds, in a slab: the cookie a [`SchedPacket`]
+/// carries is the slot. Every cookie is taken exactly once — on dequeue,
+/// purge or refused enqueue — which puts the slot on the free list.
 #[derive(Default)]
 struct PacketStore {
-    map: HashMap<u64, Mbuf>,
-    next: u64,
+    slots: Vec<Option<Mbuf>>,
+    free: Vec<u32>,
 }
 
 impl PacketStore {
     fn put(&mut self, mbuf: Mbuf) -> u64 {
-        let c = self.next;
-        self.next += 1;
-        self.map.insert(c, mbuf);
-        c
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(mbuf);
+                u64::from(slot)
+            }
+            None => {
+                self.slots.push(Some(mbuf));
+                (self.slots.len() - 1) as u64
+            }
+        }
     }
 
     fn take(&mut self, cookie: u64) -> Option<Mbuf> {
-        self.map.remove(&cookie)
+        let mbuf = self.slots.get_mut(cookie as usize)?.take()?;
+        self.free.push(cookie as u32);
+        Some(mbuf)
     }
 }
 
-/// Take ownership of the packet out of the gate's `&mut Mbuf`.
-fn take_mbuf(mbuf: &mut Mbuf) -> Mbuf {
+/// The gate side of every scheduler: move the packet out of the gate's
+/// `&mut Mbuf` into `store` and offer it to `sched` as flow `flow`.
+fn enqueue(
+    sched: &mut impl Scheduler,
+    store: &mut PacketStore,
+    mbuf: &mut Mbuf,
+    flow: u32,
+    now_ns: u64,
+) -> PluginAction {
     let rx = mbuf.rx_if;
-    std::mem::replace(mbuf, Mbuf::new(Vec::new(), rx))
+    let owned = std::mem::replace(mbuf, Mbuf::new(Vec::new(), rx));
+    let len = owned.len() as u32;
+    let cookie = store.put(owned);
+    let pkt = SchedPacket {
+        flow,
+        len,
+        arrival_ns: now_ns,
+        cookie,
+    };
+    if sched.enqueue(pkt, now_ns) {
+        PluginAction::Consumed
+    } else {
+        store.take(cookie);
+        PluginAction::Drop
+    }
+}
+
+/// The driver side: the scheduler picks, the store hands the packet back.
+fn dequeue(sched: &mut impl Scheduler, store: &mut PacketStore, now_ns: u64) -> Option<Mbuf> {
+    let pkt = sched.dequeue(now_ns)?;
+    store.take(pkt.cookie)
 }
 
 // ---------------------------------------------------------------------
 // DRR
 // ---------------------------------------------------------------------
 
-struct DrrInner {
+/// A weighted-DRR instance (one per interface, per the paper).
+pub struct DrrInstance {
     drr: DrrScheduler,
     store: PacketStore,
     /// Weight per installed filter (the plugin's per-filter hard state).
     filter_weights: HashMap<FilterId, u32>,
 }
 
-/// A weighted-DRR instance (one per interface, per the paper).
-pub struct DrrInstance {
-    inner: Mutex<DrrInner>,
-}
-
 impl PluginInstance for DrrInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let mut g = self.inner.lock();
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
         let flow = ctx.fix.0;
-        if let Some(f) = ctx.filter {
-            if let Some(w) = g.filter_weights.get(&f).copied() {
-                g.drr.set_weight(flow, w);
-            }
+        if let Some(w) = ctx.filter.and_then(|f| self.filter_weights.get(&f)) {
+            self.drr.set_weight(flow, *w);
         }
         // Remember the flow id in soft state so eviction can purge.
         ctx.soft_state.get_or_insert_with(|| Box::new(flow));
-        let owned = take_mbuf(mbuf);
-        let len = owned.len() as u32;
-        let cookie = g.store.put(owned);
-        let ok = g.drr.enqueue(
-            SchedPacket {
-                flow,
-                len,
-                arrival_ns: ctx.now_ns,
-                cookie,
-            },
-            ctx.now_ns,
-        );
-        if ok {
-            PluginAction::Consumed
-        } else {
-            g.store.take(cookie);
-            PluginAction::Drop
-        }
+        enqueue(&mut self.drr, &mut self.store, mbuf, flow, ctx.now_ns)
     }
 
-    fn flow_unbound(&self, _key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
+    fn flow_unbound(&mut self, _key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
         if let Some(flow) = soft_state.and_then(|b| b.downcast::<u32>().ok()) {
-            let mut g = self.inner.lock();
-            for pkt in g.drr.purge_flow(*flow) {
-                g.store.take(pkt.cookie);
+            for pkt in self.drr.purge_flow(*flow) {
+                self.store.take(pkt.cookie);
             }
         }
     }
 
-    fn as_scheduler(&self) -> Option<&dyn SchedulerInstance> {
+    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
         Some(self)
     }
 
+    fn backlog(&self) -> usize {
+        self.drr.backlog()
+    }
+
     fn describe(&self) -> String {
-        let g = self.inner.lock();
         format!(
             "drr: backlog={} active_flows={} drops={}",
-            g.drr.backlog(),
-            g.drr.active_flows(),
-            g.drr.drops()
+            self.drr.backlog(),
+            self.drr.active_flows(),
+            self.drr.drops()
         )
     }
 }
 
 impl SchedulerInstance for DrrInstance {
-    fn dequeue(&self, now_ns: u64) -> Option<Mbuf> {
-        let mut g = self.inner.lock();
-        let pkt = g.drr.dequeue(now_ns)?;
-        g.store.take(pkt.cookie)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.lock().drr.backlog()
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
+        dequeue(&mut self.drr, &mut self.store, now_ns)
     }
 }
 
-/// The DRR plugin module. Keeps typed handles to its instances so
-/// plugin-specific messages can reach their internals.
+/// The DRR plugin module.
 #[derive(Default)]
 pub struct DrrPlugin {
-    instances: Vec<Arc<DrrInstance>>,
+    _priv: (),
 }
 
 impl Plugin for DrrPlugin {
@@ -153,45 +159,29 @@ impl Plugin for DrrPlugin {
     }
 
     /// Config: `quantum=<bytes> limit=<pkts-per-flow>`.
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let quantum: u32 = config_num(&map, "quantum", 9180)?;
         let limit: usize = config_num(&map, "limit", 128)?;
         if quantum == 0 {
             return Err(PluginError::BadConfig("quantum must be > 0".into()));
         }
-        let inst = Arc::new(DrrInstance {
-            inner: Mutex::new(DrrInner {
-                drr: DrrScheduler::new(quantum, limit),
-                store: PacketStore::default(),
-                filter_weights: HashMap::new(),
-            }),
-        });
-        self.instances.push(inst.clone());
-        Ok(inst)
-    }
-
-    fn free_instance(&mut self, instance: &InstanceRef) {
-        self.instances
-            .retain(|i| !Arc::ptr_eq(&(i.clone() as InstanceRef), instance));
+        Ok(Box::new(DrrInstance {
+            drr: DrrScheduler::new(quantum, limit),
+            store: PacketStore::default(),
+            filter_weights: HashMap::new(),
+        }))
     }
 
     /// Messages: `setweight filter=<id> weight=<w>` (bandwidth
     /// reservation — §6.1's dynamically recalculated weights), `stats`.
     fn custom_message(
         &mut self,
-        instance: Option<&InstanceRef>,
+        instance: Option<&mut dyn PluginInstance>,
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let inst =
-            instance.ok_or_else(|| PluginError::BadConfig("message needs an instance".into()))?;
-        let drr = self
-            .instances
-            .iter()
-            .find(|i| Arc::ptr_eq(&((*i).clone() as InstanceRef), inst))
-            .ok_or_else(|| PluginError::BadConfig("not a drr instance".into()))?
-            .clone();
+        let drr: &mut DrrInstance = target(instance, "drr")?;
         match name {
             "setweight" => {
                 let map = config_map(args);
@@ -202,10 +192,10 @@ impl Plugin for DrrPlugin {
                         "setweight filter=<id> weight=<w>".into(),
                     ));
                 }
-                drr.inner.lock().filter_weights.insert(FilterId(fid), w);
+                drr.filter_weights.insert(FilterId(fid), w);
                 Ok(format!("filter {fid} weight {w}"))
             }
-            "stats" => Ok(inst.describe()),
+            "stats" => Ok(drr.describe()),
             other => Err(PluginError::UnknownMessage(other.to_string())),
         }
     }
@@ -215,84 +205,58 @@ impl Plugin for DrrPlugin {
 // H-FSC
 // ---------------------------------------------------------------------
 
-struct HfscInner {
+/// An H-FSC instance (one per interface).
+pub struct HfscInstance {
     hfsc: HfscScheduler,
     store: PacketStore,
     filter_class: HashMap<FilterId, ClassId>,
     default_class: Option<ClassId>,
 }
 
-/// An H-FSC instance (one per interface).
-pub struct HfscInstance {
-    inner: Mutex<HfscInner>,
-}
-
 impl PluginInstance for HfscInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let mut g = self.inner.lock();
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
         let flow = ctx.fix.0;
         // Route the flow to its class: filter binding, else default.
         let class = ctx
             .filter
-            .and_then(|f| g.filter_class.get(&f).copied())
-            .or(g.default_class);
+            .and_then(|f| self.filter_class.get(&f).copied())
+            .or(self.default_class);
         let Some(class) = class else {
             return PluginAction::Drop;
         };
-        g.hfsc.bind_flow(flow, class);
-        let owned = take_mbuf(mbuf);
-        let len = owned.len() as u32;
-        let cookie = g.store.put(owned);
-        let ok = g.hfsc.enqueue(
-            SchedPacket {
-                flow,
-                len,
-                arrival_ns: ctx.now_ns,
-                cookie,
-            },
-            ctx.now_ns,
-        );
-        if ok {
-            PluginAction::Consumed
-        } else {
-            g.store.take(cookie);
-            PluginAction::Drop
-        }
+        self.hfsc.bind_flow(flow, class);
+        enqueue(&mut self.hfsc, &mut self.store, mbuf, flow, ctx.now_ns)
     }
 
-    fn as_scheduler(&self) -> Option<&dyn SchedulerInstance> {
+    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
         Some(self)
     }
 
+    fn backlog(&self) -> usize {
+        self.hfsc.backlog()
+    }
+
     fn describe(&self) -> String {
-        let g = self.inner.lock();
         format!(
             "hfsc: backlog={} rt_served={} ls_served={} drops={}",
-            g.hfsc.backlog(),
-            g.hfsc.rt_served,
-            g.hfsc.ls_served,
-            g.hfsc.drops()
+            self.hfsc.backlog(),
+            self.hfsc.rt_served,
+            self.hfsc.ls_served,
+            self.hfsc.drops()
         )
     }
 }
 
 impl SchedulerInstance for HfscInstance {
-    fn dequeue(&self, now_ns: u64) -> Option<Mbuf> {
-        let mut g = self.inner.lock();
-        let pkt = g.hfsc.dequeue(now_ns)?;
-        g.store.take(pkt.cookie)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.lock().hfsc.backlog()
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
+        dequeue(&mut self.hfsc, &mut self.store, now_ns)
     }
 }
 
-/// The H-FSC plugin module. Keeps typed handles to its instances so
-/// plugin-specific messages (class tree construction) can reach them.
+/// The H-FSC plugin module.
 #[derive(Default)]
 pub struct HfscPlugin {
-    instances: Vec<Arc<HfscInstance>>,
+    _priv: (),
 }
 
 impl Plugin for HfscPlugin {
@@ -305,25 +269,16 @@ impl Plugin for HfscPlugin {
     }
 
     /// Config: `rate=<bps> limit=<pkts-per-class>`.
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let rate: u64 = config_num(&map, "rate", 10_000_000)?;
         let limit: usize = config_num(&map, "limit", 256)?;
-        let inst = Arc::new(HfscInstance {
-            inner: Mutex::new(HfscInner {
-                hfsc: HfscScheduler::new(rate, limit),
-                store: PacketStore::default(),
-                filter_class: HashMap::new(),
-                default_class: None,
-            }),
-        });
-        self.instances.push(inst.clone());
-        Ok(inst)
-    }
-
-    fn free_instance(&mut self, instance: &InstanceRef) {
-        self.instances
-            .retain(|i| !Arc::ptr_eq(&(i.clone() as InstanceRef), instance));
+        Ok(Box::new(HfscInstance {
+            hfsc: HfscScheduler::new(rate, limit),
+            store: PacketStore::default(),
+            filter_class: HashMap::new(),
+            default_class: None,
+        }))
     }
 
     /// Messages:
@@ -334,19 +289,11 @@ impl Plugin for HfscPlugin {
     /// * `stats`
     fn custom_message(
         &mut self,
-        instance: Option<&InstanceRef>,
+        instance: Option<&mut dyn PluginInstance>,
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let inst =
-            instance.ok_or_else(|| PluginError::BadConfig("message needs an instance".into()))?;
-        let typed = self
-            .instances
-            .iter()
-            .find(|i| Arc::ptr_eq(&((*i).clone() as InstanceRef), inst))
-            .ok_or_else(|| PluginError::BadConfig("not an hfsc instance".into()))?
-            .clone();
-        let mut g = typed.inner.lock();
+        let g: &mut HfscInstance = target(instance, "hfsc")?;
         let map = config_map(args);
         match name {
             "addclass" => {
@@ -393,7 +340,7 @@ impl Plugin for HfscPlugin {
                 g.hfsc.set_default_class(ClassId(cid));
                 Ok(format!("default class {cid}"))
             }
-            "stats" => Ok(typed.describe()),
+            "stats" => Ok(g.describe()),
             other => Err(PluginError::UnknownMessage(other.to_string())),
         }
     }
@@ -402,13 +349,6 @@ impl Plugin for HfscPlugin {
 // ---------------------------------------------------------------------
 // HSF (Hierarchical Scheduling Framework — the paper's §6 plan)
 // ---------------------------------------------------------------------
-
-struct HsfInner {
-    hsf: HsfScheduler,
-    store: PacketStore,
-    filter_leaf: HashMap<FilterId, ClassId>,
-    filter_weight: HashMap<FilterId, u32>,
-}
 
 /// An HSF instance: H-FSC across leaves, weighted DRR within each leaf —
 /// "DRR could be used to do fair queuing for all flows ending in the
@@ -420,67 +360,49 @@ struct HsfInner {
 /// Residual packets of an evicted flow drain at their leaf's rate; a
 /// reused flow index is re-bound on its first packet.
 pub struct HsfInstance {
-    inner: Mutex<HsfInner>,
+    hsf: HsfScheduler,
+    store: PacketStore,
+    filter_leaf: HashMap<FilterId, ClassId>,
+    filter_weight: HashMap<FilterId, u32>,
 }
 
 impl PluginInstance for HsfInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let mut g = self.inner.lock();
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
         let flow = ctx.fix.0;
         if let Some(f) = ctx.filter {
-            if let Some(leaf) = g.filter_leaf.get(&f).copied() {
-                g.hsf.bind_flow(flow, leaf);
+            if let Some(leaf) = self.filter_leaf.get(&f).copied() {
+                self.hsf.bind_flow(flow, leaf);
             }
-            if let Some(w) = g.filter_weight.get(&f).copied() {
-                g.hsf.set_flow_weight(flow, w);
+            if let Some(w) = self.filter_weight.get(&f).copied() {
+                self.hsf.set_flow_weight(flow, w);
             }
         }
-        let owned = take_mbuf(mbuf);
-        let len = owned.len() as u32;
-        let cookie = g.store.put(owned);
-        let ok = g.hsf.enqueue(
-            SchedPacket {
-                flow,
-                len,
-                arrival_ns: ctx.now_ns,
-                cookie,
-            },
-            ctx.now_ns,
-        );
-        if ok {
-            PluginAction::Consumed
-        } else {
-            g.store.take(cookie);
-            PluginAction::Drop
-        }
+        enqueue(&mut self.hsf, &mut self.store, mbuf, flow, ctx.now_ns)
     }
 
-    fn as_scheduler(&self) -> Option<&dyn SchedulerInstance> {
+    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
         Some(self)
     }
 
+    fn backlog(&self) -> usize {
+        self.hsf.backlog()
+    }
+
     fn describe(&self) -> String {
-        let g = self.inner.lock();
-        format!("hsf: backlog={}", g.hsf.backlog())
+        format!("hsf: backlog={}", self.hsf.backlog())
     }
 }
 
 impl SchedulerInstance for HsfInstance {
-    fn dequeue(&self, now_ns: u64) -> Option<Mbuf> {
-        let mut g = self.inner.lock();
-        let pkt = g.hsf.dequeue(now_ns)?;
-        g.store.take(pkt.cookie)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.lock().hsf.backlog()
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
+        dequeue(&mut self.hsf, &mut self.store, now_ns)
     }
 }
 
 /// The HSF plugin module.
 #[derive(Default)]
 pub struct HsfPlugin {
-    instances: Vec<Arc<HsfInstance>>,
+    _priv: (),
 }
 
 impl Plugin for HsfPlugin {
@@ -493,26 +415,17 @@ impl Plugin for HsfPlugin {
     }
 
     /// Config: `rate=<bps> quantum=<bytes> limit=<pkts-per-flow>`.
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let rate: u64 = config_num(&map, "rate", 10_000_000)?;
         let quantum: u32 = config_num(&map, "quantum", 9180)?;
         let limit: usize = config_num(&map, "limit", 128)?;
-        let inst = Arc::new(HsfInstance {
-            inner: Mutex::new(HsfInner {
-                hsf: HsfScheduler::new(rate, quantum, limit),
-                store: PacketStore::default(),
-                filter_leaf: HashMap::new(),
-                filter_weight: HashMap::new(),
-            }),
-        });
-        self.instances.push(inst.clone());
-        Ok(inst)
-    }
-
-    fn free_instance(&mut self, instance: &InstanceRef) {
-        self.instances
-            .retain(|i| !Arc::ptr_eq(&(i.clone() as InstanceRef), instance));
+        Ok(Box::new(HsfInstance {
+            hsf: HsfScheduler::new(rate, quantum, limit),
+            store: PacketStore::default(),
+            filter_leaf: HashMap::new(),
+            filter_weight: HashMap::new(),
+        }))
     }
 
     /// Messages:
@@ -524,21 +437,13 @@ impl Plugin for HsfPlugin {
     /// * `stats`
     fn custom_message(
         &mut self,
-        instance: Option<&InstanceRef>,
+        instance: Option<&mut dyn PluginInstance>,
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let inst =
-            instance.ok_or_else(|| PluginError::BadConfig("message needs an instance".into()))?;
-        let typed = self
-            .instances
-            .iter()
-            .find(|i| Arc::ptr_eq(&((*i).clone() as InstanceRef), inst))
-            .ok_or_else(|| PluginError::BadConfig("not an hsf instance".into()))?
-            .clone();
-        let mut g = typed.inner.lock();
+        let g: &mut HsfInstance = target(instance, "hsf")?;
         let map = config_map(args);
-        let parent = |g: &HsfInner| -> Result<ClassId, PluginError> {
+        let parent = |g: &HsfInstance| -> Result<ClassId, PluginError> {
             match map.get("parent").map(String::as_str) {
                 None | Some("root") => Ok(g.hsf.root()),
                 Some(p) => {
@@ -550,13 +455,13 @@ impl Plugin for HsfPlugin {
         };
         match name {
             "addinterior" => {
-                let p = parent(&g)?;
+                let p = parent(g)?;
                 let ls: u64 = config_num(&map, "ls", 0)?;
                 let id = g.hsf.add_interior(p, ls);
                 Ok(format!("class {}", id.0))
             }
             "addleaf" => {
-                let p = parent(&g)?;
+                let p = parent(g)?;
                 let ls: u64 = config_num(&map, "ls", 0)?;
                 let rt = if map.contains_key("m2") {
                     let m2: u64 = config_num(&map, "m2", 0)?;
@@ -603,7 +508,7 @@ impl Plugin for HsfPlugin {
                 g.hsf.set_default_leaf(ClassId(cid));
                 Ok(format!("default leaf {cid}"))
             }
-            "stats" => Ok(typed.describe()),
+            "stats" => Ok(g.describe()),
             other => Err(PluginError::UnknownMessage(other.to_string())),
         }
     }
@@ -613,62 +518,37 @@ impl Plugin for HsfPlugin {
 // FIFO
 // ---------------------------------------------------------------------
 
-struct FifoInner {
+/// A FIFO instance (the default best-effort egress queue).
+pub struct FifoInstance {
     fifo: FifoScheduler,
     store: PacketStore,
 }
 
-/// A FIFO instance (the default best-effort egress queue).
-pub struct FifoInstance {
-    inner: Mutex<FifoInner>,
-}
-
 impl PluginInstance for FifoInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let mut g = self.inner.lock();
-        let owned = take_mbuf(mbuf);
-        let len = owned.len() as u32;
-        let cookie = g.store.put(owned);
-        let ok = g.fifo.enqueue(
-            SchedPacket {
-                flow: ctx.fix.0,
-                len,
-                arrival_ns: ctx.now_ns,
-                cookie,
-            },
-            ctx.now_ns,
-        );
-        if ok {
-            PluginAction::Consumed
-        } else {
-            g.store.take(cookie);
-            PluginAction::Drop
-        }
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
+        enqueue(&mut self.fifo, &mut self.store, mbuf, ctx.fix.0, ctx.now_ns)
     }
 
-    fn as_scheduler(&self) -> Option<&dyn SchedulerInstance> {
+    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
         Some(self)
     }
 
+    fn backlog(&self) -> usize {
+        self.fifo.backlog()
+    }
+
     fn describe(&self) -> String {
-        let g = self.inner.lock();
         format!(
             "fifo: backlog={} drops={}",
-            g.fifo.backlog(),
-            g.fifo.drops()
+            self.fifo.backlog(),
+            self.fifo.drops()
         )
     }
 }
 
 impl SchedulerInstance for FifoInstance {
-    fn dequeue(&self, now_ns: u64) -> Option<Mbuf> {
-        let mut g = self.inner.lock();
-        let pkt = g.fifo.dequeue(now_ns)?;
-        g.store.take(pkt.cookie)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.lock().fifo.backlog()
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
+        dequeue(&mut self.fifo, &mut self.store, now_ns)
     }
 }
 
@@ -688,14 +568,12 @@ impl Plugin for FifoPlugin {
     }
 
     /// Config: `limit=<pkts>`.
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let limit: usize = config_num(&map, "limit", 512)?;
-        Ok(Arc::new(FifoInstance {
-            inner: Mutex::new(FifoInner {
-                fifo: FifoScheduler::new(limit),
-                store: PacketStore::default(),
-            }),
+        Ok(Box::new(FifoInstance {
+            fifo: FifoScheduler::new(limit),
+            store: PacketStore::default(),
         }))
     }
 }
@@ -704,64 +582,39 @@ impl Plugin for FifoPlugin {
 // RED
 // ---------------------------------------------------------------------
 
-struct RedInner {
+/// A RED instance (congestion-controlled egress queue).
+pub struct RedInstance {
     red: RedQueue,
     store: PacketStore,
 }
 
-/// A RED instance (congestion-controlled egress queue).
-pub struct RedInstance {
-    inner: Mutex<RedInner>,
-}
-
 impl PluginInstance for RedInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let mut g = self.inner.lock();
-        let owned = take_mbuf(mbuf);
-        let len = owned.len() as u32;
-        let cookie = g.store.put(owned);
-        let ok = g.red.enqueue(
-            SchedPacket {
-                flow: ctx.fix.0,
-                len,
-                arrival_ns: ctx.now_ns,
-                cookie,
-            },
-            ctx.now_ns,
-        );
-        if ok {
-            PluginAction::Consumed
-        } else {
-            g.store.take(cookie);
-            PluginAction::Drop
-        }
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
+        enqueue(&mut self.red, &mut self.store, mbuf, ctx.fix.0, ctx.now_ns)
     }
 
-    fn as_scheduler(&self) -> Option<&dyn SchedulerInstance> {
+    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
         Some(self)
     }
 
+    fn backlog(&self) -> usize {
+        self.red.backlog()
+    }
+
     fn describe(&self) -> String {
-        let g = self.inner.lock();
         format!(
             "red: backlog={} avg={:.2} early_drops={} forced_drops={}",
-            g.red.backlog(),
-            g.red.avg_queue(),
-            g.red.early_drops(),
-            g.red.forced_drops()
+            self.red.backlog(),
+            self.red.avg_queue(),
+            self.red.early_drops(),
+            self.red.forced_drops()
         )
     }
 }
 
 impl SchedulerInstance for RedInstance {
-    fn dequeue(&self, now_ns: u64) -> Option<Mbuf> {
-        let mut g = self.inner.lock();
-        let pkt = g.red.dequeue(now_ns)?;
-        g.store.take(pkt.cookie)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.lock().red.backlog()
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
+        dequeue(&mut self.red, &mut self.store, now_ns)
     }
 }
 
@@ -781,7 +634,7 @@ impl Plugin for RedPlugin {
     }
 
     /// Config: `minth= maxth= maxp= limit= wq= seed=` (all optional).
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let cfg = rp_sched::red::RedConfig {
             w_q: config_num(&map, "wq", 0.002f64)?,
@@ -795,11 +648,9 @@ impl Plugin for RedPlugin {
             return Err(PluginError::BadConfig("minth must be < maxth".into()));
         }
         let seed: u64 = config_num(&map, "seed", 0x5eed)?;
-        Ok(Arc::new(RedInstance {
-            inner: Mutex::new(RedInner {
-                red: RedQueue::new(cfg, seed),
-                store: PacketStore::default(),
-            }),
+        Ok(Box::new(RedInstance {
+            red: RedQueue::new(cfg, seed),
+            store: PacketStore::default(),
         }))
     }
 }
@@ -808,72 +659,49 @@ impl Plugin for RedPlugin {
 // Virtual Clock (the "third-party" plugin the paper predicts)
 // ---------------------------------------------------------------------
 
-struct VcInner {
+/// A Virtual Clock instance: per-flow rate policing by stamp ordering.
+pub struct VcInstance {
     vc: VirtualClockScheduler,
     store: PacketStore,
     filter_rates: HashMap<FilterId, u64>,
 }
 
-/// A Virtual Clock instance: per-flow rate policing by stamp ordering.
-pub struct VcInstance {
-    inner: Mutex<VcInner>,
-}
-
 impl PluginInstance for VcInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let mut g = self.inner.lock();
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
         let flow = ctx.fix.0;
-        if let Some(f) = ctx.filter {
-            if let Some(rate) = g.filter_rates.get(&f).copied() {
-                g.vc.set_rate(flow, rate);
-            }
+        if let Some(rate) = ctx.filter.and_then(|f| self.filter_rates.get(&f)) {
+            self.vc.set_rate(flow, *rate);
         }
-        let owned = take_mbuf(mbuf);
-        let len = owned.len() as u32;
-        let cookie = g.store.put(owned);
-        let ok = g.vc.enqueue(
-            SchedPacket {
-                flow,
-                len,
-                arrival_ns: ctx.now_ns,
-                cookie,
-            },
-            ctx.now_ns,
-        );
-        if ok {
-            PluginAction::Consumed
-        } else {
-            g.store.take(cookie);
-            PluginAction::Drop
-        }
+        enqueue(&mut self.vc, &mut self.store, mbuf, flow, ctx.now_ns)
     }
 
-    fn as_scheduler(&self) -> Option<&dyn SchedulerInstance> {
+    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
         Some(self)
     }
 
+    fn backlog(&self) -> usize {
+        self.vc.backlog()
+    }
+
     fn describe(&self) -> String {
-        let g = self.inner.lock();
-        format!("vclock: backlog={} drops={}", g.vc.backlog(), g.vc.drops())
+        format!(
+            "vclock: backlog={} drops={}",
+            self.vc.backlog(),
+            self.vc.drops()
+        )
     }
 }
 
 impl SchedulerInstance for VcInstance {
-    fn dequeue(&self, now_ns: u64) -> Option<Mbuf> {
-        let mut g = self.inner.lock();
-        let pkt = g.vc.dequeue(now_ns)?;
-        g.store.take(pkt.cookie)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.lock().vc.backlog()
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
+        dequeue(&mut self.vc, &mut self.store, now_ns)
     }
 }
 
 /// The Virtual Clock plugin module.
 #[derive(Default)]
 pub struct VcPlugin {
-    instances: Vec<Arc<VcInstance>>,
+    _priv: (),
 }
 
 impl Plugin for VcPlugin {
@@ -886,44 +714,28 @@ impl Plugin for VcPlugin {
     }
 
     /// Config: `rate=<bps> limit=<pkts>` (default per-flow rate).
-    fn create_instance(&mut self, config: &str) -> Result<InstanceRef, PluginError> {
+    fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let rate: u64 = config_num(&map, "rate", 1_000_000)?;
         let limit: usize = config_num(&map, "limit", 512)?;
         if rate == 0 {
             return Err(PluginError::BadConfig("rate must be > 0".into()));
         }
-        let inst = Arc::new(VcInstance {
-            inner: Mutex::new(VcInner {
-                vc: VirtualClockScheduler::new(rate, limit),
-                store: PacketStore::default(),
-                filter_rates: HashMap::new(),
-            }),
-        });
-        self.instances.push(inst.clone());
-        Ok(inst)
-    }
-
-    fn free_instance(&mut self, instance: &InstanceRef) {
-        self.instances
-            .retain(|i| !Arc::ptr_eq(&(i.clone() as InstanceRef), instance));
+        Ok(Box::new(VcInstance {
+            vc: VirtualClockScheduler::new(rate, limit),
+            store: PacketStore::default(),
+            filter_rates: HashMap::new(),
+        }))
     }
 
     /// Messages: `setrate filter=<fid> rate=<bps>`, `stats`.
     fn custom_message(
         &mut self,
-        instance: Option<&InstanceRef>,
+        instance: Option<&mut dyn PluginInstance>,
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let inst =
-            instance.ok_or_else(|| PluginError::BadConfig("message needs an instance".into()))?;
-        let typed = self
-            .instances
-            .iter()
-            .find(|i| Arc::ptr_eq(&((*i).clone() as InstanceRef), inst))
-            .ok_or_else(|| PluginError::BadConfig("not a vclock instance".into()))?
-            .clone();
+        let vc: &mut VcInstance = target(instance, "vclock")?;
         match name {
             "setrate" => {
                 let map = config_map(args);
@@ -934,10 +746,10 @@ impl Plugin for VcPlugin {
                         "setrate filter=<fid> rate=<bps>".into(),
                     ));
                 }
-                typed.inner.lock().filter_rates.insert(FilterId(fid), rate);
+                vc.filter_rates.insert(FilterId(fid), rate);
                 Ok(format!("filter {fid} rate {rate}"))
             }
-            "stats" => Ok(typed.describe()),
+            "stats" => Ok(vc.describe()),
             other => Err(PluginError::UnknownMessage(other.to_string())),
         }
     }
@@ -949,7 +761,7 @@ mod tests {
     use crate::gate::Gate;
     use rp_packet::mbuf::FlowIndex;
 
-    fn call(inst: &InstanceRef, fix: u32, len: usize, now: u64) -> PluginAction {
+    fn call(inst: &mut Box<dyn PluginInstance>, fix: u32, len: usize, now: u64) -> PluginAction {
         let mut m = Mbuf::new(vec![0u8; len], 0);
         let mut soft = None;
         let mut ctx = PacketCtx {
@@ -966,11 +778,11 @@ mod tests {
     #[test]
     fn fifo_consume_and_drain() {
         let mut p = FifoPlugin::default();
-        let inst = p.create_instance("limit=4").unwrap();
-        assert_eq!(call(&inst, 1, 100, 0), PluginAction::Consumed);
-        assert_eq!(call(&inst, 2, 200, 0), PluginAction::Consumed);
+        let mut inst = p.create_instance("limit=4").unwrap();
+        assert_eq!(call(&mut inst, 1, 100, 0), PluginAction::Consumed);
+        assert_eq!(call(&mut inst, 2, 200, 0), PluginAction::Consumed);
+        assert_eq!(inst.backlog(), 2);
         let sched = inst.as_scheduler().unwrap();
-        assert_eq!(sched.backlog(), 2);
         assert_eq!(sched.dequeue(0).unwrap().len(), 100);
         assert_eq!(sched.dequeue(0).unwrap().len(), 200);
         assert!(sched.dequeue(0).is_none());
@@ -979,18 +791,18 @@ mod tests {
     #[test]
     fn fifo_overflow_drops() {
         let mut p = FifoPlugin::default();
-        let inst = p.create_instance("limit=1").unwrap();
-        assert_eq!(call(&inst, 1, 100, 0), PluginAction::Consumed);
-        assert_eq!(call(&inst, 1, 100, 0), PluginAction::Drop);
+        let mut inst = p.create_instance("limit=1").unwrap();
+        assert_eq!(call(&mut inst, 1, 100, 0), PluginAction::Consumed);
+        assert_eq!(call(&mut inst, 1, 100, 0), PluginAction::Drop);
     }
 
     #[test]
     fn drr_round_robins_flows() {
         let mut p = DrrPlugin::default();
-        let inst = p.create_instance("quantum=1000 limit=16").unwrap();
+        let mut inst = p.create_instance("quantum=1000 limit=16").unwrap();
         for _ in 0..3 {
-            call(&inst, 1, 500, 0);
-            call(&inst, 2, 500, 0);
+            call(&mut inst, 1, 500, 0);
+            call(&mut inst, 2, 500, 0);
         }
         let sched = inst.as_scheduler().unwrap();
         let mut flows = Vec::new();
@@ -1003,13 +815,14 @@ mod tests {
     #[test]
     fn hfsc_plugin_classes_via_messages() {
         let mut p = HfscPlugin::default();
-        let inst = p.create_instance("rate=10000000 limit=64").unwrap();
+        let mut inst = p.create_instance("rate=10000000 limit=64").unwrap();
         let reply = p
-            .custom_message(Some(&inst), "addclass", "parent=root ls=5000000")
+            .custom_message(Some(inst.as_mut()), "addclass", "parent=root ls=5000000")
             .unwrap();
         assert_eq!(reply, "class 1");
-        p.custom_message(Some(&inst), "default", "class=1").unwrap();
-        assert_eq!(call(&inst, 7, 400, 0), PluginAction::Consumed);
+        p.custom_message(Some(inst.as_mut()), "default", "class=1")
+            .unwrap();
+        assert_eq!(call(&mut inst, 7, 400, 0), PluginAction::Consumed);
         let sched = inst.as_scheduler().unwrap();
         assert_eq!(sched.dequeue(1000).unwrap().len(), 400);
     }
@@ -1017,60 +830,63 @@ mod tests {
     #[test]
     fn hfsc_without_class_drops() {
         let mut p = HfscPlugin::default();
-        let inst = p.create_instance("").unwrap();
-        assert_eq!(call(&inst, 7, 400, 0), PluginAction::Drop);
+        let mut inst = p.create_instance("").unwrap();
+        assert_eq!(call(&mut inst, 7, 400, 0), PluginAction::Drop);
     }
 
     #[test]
     fn hsf_plugin_hierarchy_via_messages() {
         let mut p = HsfPlugin::default();
-        let inst = p
+        let mut inst = p
             .create_instance("rate=10000000 quantum=1500 limit=32")
             .unwrap();
         let a = p
-            .custom_message(Some(&inst), "addleaf", "parent=root ls=7000000")
+            .custom_message(Some(inst.as_mut()), "addleaf", "parent=root ls=7000000")
             .unwrap();
         assert_eq!(a, "class 1");
-        p.custom_message(Some(&inst), "default", "class=1").unwrap();
-        assert_eq!(call(&inst, 5, 300, 0), PluginAction::Consumed);
-        assert_eq!(call(&inst, 6, 300, 0), PluginAction::Consumed);
+        p.custom_message(Some(inst.as_mut()), "default", "class=1")
+            .unwrap();
+        assert_eq!(call(&mut inst, 5, 300, 0), PluginAction::Consumed);
+        assert_eq!(call(&mut inst, 6, 300, 0), PluginAction::Consumed);
+        assert_eq!(inst.backlog(), 2);
         let sched = inst.as_scheduler().unwrap();
-        assert_eq!(sched.backlog(), 2);
         assert!(sched.dequeue(100).is_some());
         assert!(sched.dequeue(200).is_some());
         assert!(sched.dequeue(300).is_none());
         // Interior classes and leaf with a real-time curve parse too.
         let i = p
-            .custom_message(Some(&inst), "addinterior", "parent=root ls=3000000")
+            .custom_message(Some(inst.as_mut()), "addinterior", "parent=root ls=3000000")
             .unwrap();
         assert!(i.starts_with("class "));
         let leaf = p
             .custom_message(
-                Some(&inst),
+                Some(inst.as_mut()),
                 "addleaf",
                 "parent=2 ls=1000000 m1=2000000 d=10000 m2=500000",
             )
             .unwrap();
         assert!(leaf.starts_with("class "));
         // Bad messages rejected.
-        assert!(p.custom_message(Some(&inst), "bindfilter", "").is_err());
-        assert!(p.custom_message(Some(&inst), "bogus", "").is_err());
+        assert!(p
+            .custom_message(Some(inst.as_mut()), "bindfilter", "")
+            .is_err());
+        assert!(p.custom_message(Some(inst.as_mut()), "bogus", "").is_err());
     }
 
     #[test]
     fn hsf_plugin_without_default_drops() {
         let mut p = HsfPlugin::default();
-        let inst = p.create_instance("").unwrap();
-        assert_eq!(call(&inst, 9, 100, 0), PluginAction::Drop);
+        let mut inst = p.create_instance("").unwrap();
+        assert_eq!(call(&mut inst, 9, 100, 0), PluginAction::Drop);
     }
 
     #[test]
     fn vclock_plugin_orders_by_rate() {
         let mut p = VcPlugin::default();
-        let inst = p.create_instance("rate=1000000 limit=64").unwrap();
+        let mut inst = p.create_instance("rate=1000000 limit=64").unwrap();
         for i in 0..4 {
-            assert_eq!(call(&inst, 1, 500, i), PluginAction::Consumed);
-            assert_eq!(call(&inst, 2, 500, i), PluginAction::Consumed);
+            assert_eq!(call(&mut inst, 1, 500, i), PluginAction::Consumed);
+            assert_eq!(call(&mut inst, 2, 500, i), PluginAction::Consumed);
         }
         let sched = inst.as_scheduler().unwrap();
         let mut n = 0;
@@ -1079,16 +895,18 @@ mod tests {
         }
         assert_eq!(n, 8);
         assert!(p
-            .custom_message(Some(&inst), "setrate", "filter=1 rate=5000000")
+            .custom_message(Some(inst.as_mut()), "setrate", "filter=1 rate=5000000")
             .is_ok());
-        assert!(p.custom_message(Some(&inst), "setrate", "").is_err());
+        assert!(p
+            .custom_message(Some(inst.as_mut()), "setrate", "")
+            .is_err());
     }
 
     #[test]
     fn red_accepts_when_idle() {
         let mut p = RedPlugin::default();
-        let inst = p.create_instance("").unwrap();
-        assert_eq!(call(&inst, 1, 100, 0), PluginAction::Consumed);
+        let mut inst = p.create_instance("").unwrap();
+        assert_eq!(call(&mut inst, 1, 100, 0), PluginAction::Consumed);
         let sched = inst.as_scheduler().unwrap();
         assert!(sched.dequeue(0).is_some());
     }

@@ -7,15 +7,11 @@
 //! hashing on the hot path); aggregate counters in the instance.
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
-use parking_lot::Mutex;
 use rp_packet::{FlowTuple, Mbuf};
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Per-flow counters kept in flow-record soft state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -29,30 +25,29 @@ pub struct FlowCounters {
 /// A statistics instance.
 #[derive(Default)]
 pub struct StatsInstance {
-    total_packets: AtomicU64,
-    total_bytes: AtomicU64,
+    total_packets: u64,
+    total_bytes: u64,
     /// Counters of flows that left the cache (folded in on eviction so
     /// long-term reports stay complete).
-    retired: Mutex<HashMap<String, FlowCounters>>,
+    retired: HashMap<String, FlowCounters>,
 }
 
 impl StatsInstance {
     /// Total packets observed.
     pub fn packets(&self) -> u64 {
-        self.total_packets.load(Ordering::Relaxed)
+        self.total_packets
     }
 
     /// Total bytes observed.
     pub fn bytes(&self) -> u64 {
-        self.total_bytes.load(Ordering::Relaxed)
+        self.total_bytes
     }
 }
 
 impl PluginInstance for StatsInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        self.total_packets.fetch_add(1, Ordering::Relaxed);
-        self.total_bytes
-            .fetch_add(mbuf.len() as u64, Ordering::Relaxed);
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
+        self.total_packets += 1;
+        self.total_bytes += mbuf.len() as u64;
         let counters = ctx
             .soft_state
             .get_or_insert_with(|| Box::new(FlowCounters::default()));
@@ -63,9 +58,9 @@ impl PluginInstance for StatsInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&self, key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
+    fn flow_unbound(&mut self, key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
         if let Some(c) = soft_state.and_then(|b| b.downcast::<FlowCounters>().ok()) {
-            self.retired.lock().insert(key.to_string(), *c);
+            self.retired.insert(key.to_string(), *c);
         }
     }
 
@@ -74,7 +69,7 @@ impl PluginInstance for StatsInstance {
             "stats: {} pkts / {} bytes, {} retired flows",
             self.packets(),
             self.bytes(),
-            self.retired.lock().len()
+            self.retired.len()
         )
     }
 }
@@ -94,13 +89,13 @@ impl Plugin for StatsPlugin {
         PluginCode::new(PluginType::STATS, 1)
     }
 
-    fn create_instance(&mut self, _config: &str) -> Result<InstanceRef, PluginError> {
-        Ok(Arc::new(StatsInstance::default()))
+    fn create_instance(&mut self, _config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+        Ok(Box::new(StatsInstance::default()))
     }
 
     fn custom_message(
         &mut self,
-        instance: Option<&InstanceRef>,
+        instance: Option<&mut dyn PluginInstance>,
         name: &str,
         _args: &str,
     ) -> Result<String, PluginError> {
@@ -121,7 +116,7 @@ mod tests {
     use rp_packet::mbuf::FlowIndex;
     use std::net::{IpAddr, Ipv4Addr};
 
-    fn ctx_call(inst: &StatsInstance, soft: &mut Option<Box<dyn Any + Send>>, len: usize) {
+    fn ctx_call(inst: &mut StatsInstance, soft: &mut Option<Box<dyn Any + Send>>, len: usize) {
         let mut m = Mbuf::new(vec![0u8; len], 0);
         let mut ctx = PacketCtx {
             gate: Gate::Stats,
@@ -136,12 +131,12 @@ mod tests {
 
     #[test]
     fn per_flow_and_totals() {
-        let inst = StatsInstance::default();
+        let mut inst = StatsInstance::default();
         let mut flow_a = None;
         let mut flow_b = None;
-        ctx_call(&inst, &mut flow_a, 100);
-        ctx_call(&inst, &mut flow_a, 100);
-        ctx_call(&inst, &mut flow_b, 50);
+        ctx_call(&mut inst, &mut flow_a, 100);
+        ctx_call(&mut inst, &mut flow_a, 100);
+        ctx_call(&mut inst, &mut flow_b, 50);
         assert_eq!(inst.packets(), 3);
         assert_eq!(inst.bytes(), 250);
         let a = flow_a.unwrap();
@@ -151,9 +146,9 @@ mod tests {
 
     #[test]
     fn eviction_folds_into_retired() {
-        let inst = StatsInstance::default();
+        let mut inst = StatsInstance::default();
         let mut soft = None;
-        ctx_call(&inst, &mut soft, 64);
+        ctx_call(&mut inst, &mut soft, 64);
         let key = FlowTuple {
             src: IpAddr::V4(Ipv4Addr::new(1, 2, 3, 4)),
             dst: IpAddr::V4(Ipv4Addr::new(5, 6, 7, 8)),

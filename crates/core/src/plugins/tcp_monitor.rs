@@ -9,16 +9,13 @@
 //! monitoring use case.
 
 use crate::plugin::{
-    InstanceRef, PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance,
-    PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
 };
-use parking_lot::Mutex;
 use rp_packet::ipv4::Ipv4Packet;
 use rp_packet::ipv6::Ipv6Packet;
 use rp_packet::tcp::{TcpFlags, TcpPacket};
 use rp_packet::{FlowTuple, IpVersion, Mbuf};
 use std::any::Any;
-use std::sync::Arc;
 
 /// Per-flow TCP accounting, kept in flow-record soft state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -51,18 +48,18 @@ struct Aggregate {
 /// A TCP-monitor instance.
 #[derive(Default)]
 pub struct TcpMonitorInstance {
-    agg: Mutex<Aggregate>,
+    agg: Aggregate,
 }
 
 impl TcpMonitorInstance {
     /// Total suspected retransmissions observed.
     pub fn retransmissions(&self) -> u64 {
-        self.agg.lock().retransmissions
+        self.agg.retransmissions
     }
 
     /// Total TCP segments observed.
     pub fn segments(&self) -> u64 {
-        self.agg.lock().segments
+        self.agg.segments
     }
 }
 
@@ -94,7 +91,7 @@ fn tcp_view(data: &[u8]) -> Option<(u32, usize, TcpFlags)> {
 }
 
 impl PluginInstance for TcpMonitorInstance {
-    fn handle_packet(&self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
+    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
         let Some((seq, payload_len, flags)) = tcp_view(mbuf.data()) else {
             return PluginAction::Continue; // not TCP
         };
@@ -104,7 +101,7 @@ impl PluginInstance for TcpMonitorInstance {
         let Some(st) = st.downcast_mut::<TcpFlowState>() else {
             return PluginAction::Continue;
         };
-        let mut agg = self.agg.lock();
+        let agg = &mut self.agg;
         st.segments += 1;
         agg.segments += 1;
         if flags.contains(TcpFlags::SYN) && !st.syn_seen {
@@ -135,17 +132,16 @@ impl PluginInstance for TcpMonitorInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&self, key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
+    fn flow_unbound(&mut self, key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
         if let Some(st) = soft_state.and_then(|b| b.downcast::<TcpFlowState>().ok()) {
             self.agg
-                .lock()
                 .retired
                 .push((key.to_string(), st.segments, st.retransmissions));
         }
     }
 
     fn describe(&self) -> String {
-        let a = self.agg.lock();
+        let a = &self.agg;
         format!(
             "tcpmon: {} segs, {} rexmits ({:.2}%), {} opens, {} closes, {} resets",
             a.segments,
@@ -177,13 +173,13 @@ impl Plugin for TcpMonitorPlugin {
         PluginCode::new(PluginType::STATS, 2)
     }
 
-    fn create_instance(&mut self, _config: &str) -> Result<InstanceRef, PluginError> {
-        Ok(Arc::new(TcpMonitorInstance::default()))
+    fn create_instance(&mut self, _config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+        Ok(Box::new(TcpMonitorInstance::default()))
     }
 
     fn custom_message(
         &mut self,
-        instance: Option<&InstanceRef>,
+        instance: Option<&mut dyn PluginInstance>,
         name: &str,
         _args: &str,
     ) -> Result<String, PluginError> {
@@ -235,7 +231,7 @@ mod tests {
         buf
     }
 
-    fn feed(inst: &TcpMonitorInstance, soft: &mut Option<Box<dyn Any + Send>>, buf: Vec<u8>) {
+    fn feed(inst: &mut TcpMonitorInstance, soft: &mut Option<Box<dyn Any + Send>>, buf: Vec<u8>) {
         let mut m = Mbuf::new(buf, 0);
         let mut ctx = PacketCtx {
             gate: Gate::Stats,
@@ -250,13 +246,13 @@ mod tests {
 
     #[test]
     fn retransmission_detection() {
-        let inst = TcpMonitorInstance::default();
+        let mut inst = TcpMonitorInstance::default();
         let mut soft = None;
-        feed(&inst, &mut soft, tcp_packet(1000, TcpFlags::SYN, 0));
-        feed(&inst, &mut soft, tcp_packet(1001, TcpFlags::ACK, 100)); // 1001..1101
-        feed(&inst, &mut soft, tcp_packet(1101, TcpFlags::ACK, 100)); // progress
-        feed(&inst, &mut soft, tcp_packet(1101, TcpFlags::ACK, 100)); // retransmit!
-        feed(&inst, &mut soft, tcp_packet(1201, TcpFlags::ACK, 100)); // progress
+        feed(&mut inst, &mut soft, tcp_packet(1000, TcpFlags::SYN, 0));
+        feed(&mut inst, &mut soft, tcp_packet(1001, TcpFlags::ACK, 100)); // 1001..1101
+        feed(&mut inst, &mut soft, tcp_packet(1101, TcpFlags::ACK, 100)); // progress
+        feed(&mut inst, &mut soft, tcp_packet(1101, TcpFlags::ACK, 100)); // retransmit!
+        feed(&mut inst, &mut soft, tcp_packet(1201, TcpFlags::ACK, 100)); // progress
         assert_eq!(inst.retransmissions(), 1);
         assert_eq!(inst.segments(), 5);
         let st = soft.unwrap();
@@ -267,12 +263,12 @@ mod tests {
 
     #[test]
     fn lifecycle_counting() {
-        let inst = TcpMonitorInstance::default();
+        let mut inst = TcpMonitorInstance::default();
         let mut soft = None;
-        feed(&inst, &mut soft, tcp_packet(1, TcpFlags::SYN, 0));
-        feed(&inst, &mut soft, tcp_packet(2, TcpFlags::ACK, 10));
+        feed(&mut inst, &mut soft, tcp_packet(1, TcpFlags::SYN, 0));
+        feed(&mut inst, &mut soft, tcp_packet(2, TcpFlags::ACK, 10));
         feed(
-            &inst,
+            &mut inst,
             &mut soft,
             tcp_packet(12, TcpFlags::FIN.union(TcpFlags::ACK), 0),
         );
@@ -288,30 +284,30 @@ mod tests {
             rx_if: 0,
         };
         inst.flow_unbound(&key, soft.take());
-        assert_eq!(inst.agg.lock().retired.len(), 1);
+        assert_eq!(inst.agg.retired.len(), 1);
     }
 
     #[test]
     fn non_tcp_ignored() {
-        let inst = TcpMonitorInstance::default();
+        let mut inst = TcpMonitorInstance::default();
         let mut soft = None;
         let udp = rp_packet::builder::PacketSpec::udp(v6(1), v6(2), 1, 2, 32).build();
-        feed(&inst, &mut soft, udp);
+        feed(&mut inst, &mut soft, udp);
         assert_eq!(inst.segments(), 0);
         assert!(soft.is_none());
     }
 
     #[test]
     fn seq_wraparound_not_flagged() {
-        let inst = TcpMonitorInstance::default();
+        let mut inst = TcpMonitorInstance::default();
         let mut soft = None;
         feed(
-            &inst,
+            &mut inst,
             &mut soft,
             tcp_packet(u32::MAX - 50, TcpFlags::ACK, 100),
         );
         // Wraps past 0: still forward progress.
-        feed(&inst, &mut soft, tcp_packet(49, TcpFlags::ACK, 100));
+        feed(&mut inst, &mut soft, tcp_packet(49, TcpFlags::ACK, 100));
         assert_eq!(inst.retransmissions(), 0);
     }
 }

@@ -10,7 +10,7 @@ use crate::loader::PluginLoader;
 use crate::message::{PluginMsg, PluginReply};
 use crate::obs::{self, MetricsRegistry, MetricsSnapshot, TraceCategory, Tracer};
 use crate::pcu::Pcu;
-use crate::plugin::{InstanceId, InstanceRef, PacketCtx, PluginAction, PluginError};
+use crate::plugin::{InstanceHandle, InstanceId, PacketCtx, PluginAction, PluginError};
 use crate::supervisor::{self, FaultKind, FaultPolicy, HealthReport, Supervisor};
 use rp_classifier::aiu::ClassifyOutcome;
 use rp_classifier::flow_table::EvictedFlow;
@@ -18,7 +18,6 @@ use rp_classifier::{Aiu, AiuConfig, BmpKind, FilterId, FlowTableConfig};
 use rp_packet::mbuf::IfIndex;
 use rp_packet::{Mbuf, MbufPool, PoolStats};
 use std::net::IpAddr;
-use std::sync::Arc;
 
 /// A network interface: egress queue plus bookkeeping. Reception is
 /// modelled by calling [`Router::receive`] with the interface id.
@@ -32,15 +31,15 @@ pub struct Interface {
     pub addr: Option<IpAddr>,
     /// Scheduler instances that currently hold packets for this interface
     /// (the default FIFO plus any flow-bound plugin instances).
-    scheds: Vec<InstanceRef>,
+    scheds: Vec<InstanceHandle>,
     /// Transmitted packets, collected by the testbench ("the wire").
     pub tx_log: Vec<Mbuf>,
 }
 
 impl Interface {
-    fn attach_sched(&mut self, inst: &InstanceRef) {
-        if !self.scheds.iter().any(|s| Arc::ptr_eq(s, inst)) {
-            self.scheds.push(inst.clone());
+    fn attach_sched(&mut self, inst: InstanceHandle) {
+        if !self.scheds.contains(&inst) {
+            self.scheds.push(inst);
         }
     }
 }
@@ -95,7 +94,7 @@ pub struct Router {
     pub pcu: Pcu,
     /// The module loader.
     pub loader: PluginLoader,
-    aiu: Aiu<InstanceRef>,
+    aiu: Aiu<InstanceHandle>,
     routes: RoutingTable,
     interfaces: Vec<Interface>,
     enabled: [bool; GATE_COUNT],
@@ -103,7 +102,13 @@ pub struct Router {
     max_sojourn_ns: u64,
     stats: DataPathStats,
     now_ns: u64,
+    /// The instance table: every plugin instance this router runs, with
+    /// its health record.
     supervisor: Supervisor,
+    /// The gate and instance whose code is running right now, written
+    /// before every call into a plugin: a panic caught by the enclosing
+    /// isolation frame is charged to this instance.
+    in_flight: Option<(Gate, InstanceHandle)>,
     metrics: MetricsRegistry,
     tracer: Tracer,
     /// Free list of packet backing buffers. Every data-path drop and
@@ -112,19 +117,25 @@ pub struct Router {
     /// via [`Router::recycle_mbuf`] run allocation-free in steady state.
     pool: MbufPool,
     /// Reusable buffer for idle-expiry sweeps (no per-sweep `Vec`).
-    evict_scratch: Vec<EvictedFlow<InstanceRef>>,
+    evict_scratch: Vec<EvictedFlow<InstanceHandle>>,
 }
 
-/// Result of one supervised gate invocation (internal to the data path).
-enum GateOutcome {
-    /// The instance ran to completion and returned an action.
-    Action(PluginAction),
-    /// The instance faulted mid-packet; the packet must be dropped (and
-    /// counted) rather than forwarded with possibly-torn state.
-    Fault,
-    /// The data path's own flow state was inconsistent.
-    Internal,
+/// How a pre-routing gate ended a packet's walk.
+enum GateStop {
+    /// The instance took the packet.
+    Consumed(Gate),
+    /// The packet is to be dropped (plugin verdict, or unclassifiable).
+    Drop(DropReason),
 }
+
+/// The gates a packet crosses before the routing decision, in order.
+const PRE_ROUTING_GATES: [Gate; 5] = [
+    Gate::Firewall,
+    Gate::Ipv6Options,
+    Gate::IpSecurity,
+    Gate::Routing,
+    Gate::Stats,
+];
 
 impl Router {
     /// Build a router; plugins are loaded separately (see
@@ -160,6 +171,7 @@ impl Router {
             stats: DataPathStats::default(),
             now_ns: 0,
             supervisor: Supervisor::new(cfg.fault_policy),
+            in_flight: None,
             metrics: MetricsRegistry::default(),
             tracer: Tracer::default(),
             pool: MbufPool::default(),
@@ -204,10 +216,9 @@ impl Router {
     ) -> Result<PluginReply, PluginError> {
         match msg {
             PluginMsg::CreateInstance { config } => {
-                let (id, inst) = self.pcu.create_instance(plugin, &config)?;
-                // Supervise it: the name + config are what a restart needs
-                // to rebuild the instance from the plugin's factory.
-                self.supervisor.track(plugin, id, &config, &inst);
+                let (id, _) = self
+                    .pcu
+                    .create_instance(plugin, &config, &mut self.supervisor)?;
                 Ok(PluginReply::InstanceCreated(id))
             }
             PluginMsg::FreeInstance { id } => {
@@ -219,44 +230,30 @@ impl Router {
                 // forwarded and must not be blackholed. This also detaches
                 // the instance so the data path can't dequeue from it
                 // after the free.
-                self.detach_sched_everywhere(&inst);
+                self.detach_sched_everywhere(inst);
                 // Purge filter bindings referencing this instance.
                 for gate in ALL_GATES {
-                    let ids: Vec<FilterId> = self
-                        .aiu
-                        .filter_table(gate.index())
-                        .filter_ids()
-                        .into_iter()
-                        .filter(|fid| {
-                            self.aiu
-                                .filter_table(gate.index())
-                                .get(*fid)
-                                .map(|(_, v)| Arc::ptr_eq(v, &inst))
-                                .unwrap_or(false)
-                        })
-                        .collect();
-                    for fid in ids {
+                    for fid in self.filters_bound_to(gate, inst) {
                         self.deregister(gate, fid)?;
                     }
                 }
-                self.supervisor.untrack(&inst);
-                self.pcu.free_instance(plugin, id)?;
+                self.pcu.free_instance(plugin, id, &mut self.supervisor)?;
                 Ok(PluginReply::InstanceFreed)
             }
             PluginMsg::RegisterInstance { id, gate, filter } => {
                 let inst = self.pcu.instance(plugin, id)?;
                 let (fid, evicted) = self
                     .aiu
-                    .install_filter(gate.index(), filter.clone(), inst.clone())
+                    .install_filter(gate.index(), filter.clone(), inst)
                     .map_err(|e| PluginError::Filter(e.to_string()))?;
                 if self.tracer.wants(TraceCategory::Filter) {
                     let now = self.now_ns;
                     let detail = format!("filter installed at {gate} id={}: {filter}", fid.0);
                     self.tracer.record(now, TraceCategory::Filter, detail);
                 }
-                self.supervisor.note_binding(&inst, gate, filter, fid);
+                self.supervisor.note_binding(inst, gate, filter, fid);
                 for mut ev in evicted {
-                    Self::run_eviction_callbacks(&mut ev);
+                    Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
                 }
                 Ok(PluginReply::Registered(fid))
             }
@@ -269,10 +266,26 @@ impl Router {
                 name,
                 args,
             } => {
-                let text = self.pcu.custom_message(plugin, instance, &name, &args)?;
+                let text = self.pcu.custom_message(
+                    plugin,
+                    instance,
+                    &name,
+                    &args,
+                    &mut self.supervisor,
+                )?;
                 Ok(PluginReply::Text(text))
             }
         }
+    }
+
+    /// The filters at `gate` whose binding is `inst`.
+    fn filters_bound_to(&self, gate: Gate, inst: InstanceHandle) -> Vec<FilterId> {
+        let table = self.aiu.filter_table(gate.index());
+        table
+            .filter_ids()
+            .into_iter()
+            .filter(|fid| table.get(*fid).is_some_and(|(_, v)| *v == inst))
+            .collect()
     }
 
     fn deregister(&mut self, gate: Gate, fid: FilterId) -> Result<(), PluginError> {
@@ -285,30 +298,22 @@ impl Router {
             let detail = format!("filter removed at {gate} id={}", fid.0);
             self.tracer.record(now, TraceCategory::Filter, detail);
         }
-        self.supervisor.note_unbinding(&inst, gate, fid);
-        let _ = supervisor::run_isolated(|| inst.filter_unbound(fid));
+        self.supervisor.note_unbinding(inst, gate, fid);
+        if let Some(inst) = self.supervisor.live_mut(inst) {
+            let _ = supervisor::run_isolated(|| inst.filter_unbound(fid));
+        }
         for mut ev in evicted {
-            Self::run_eviction_callbacks(&mut ev);
+            Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
         }
         Ok(())
     }
 
-    fn run_eviction_callbacks(ev: &mut EvictedFlow<InstanceRef>) {
-        Self::run_eviction_callbacks_skipping(ev, None);
-    }
-
-    /// Run per-flow eviction callbacks, isolated from panics. `skip`
-    /// suppresses the callback for one instance — used when quarantining
-    /// a faulted instance, whose code must not run again.
-    fn run_eviction_callbacks_skipping(
-        ev: &mut EvictedFlow<InstanceRef>,
-        skip: Option<&InstanceRef>,
-    ) {
+    /// Run per-flow eviction callbacks, each isolated from panics. Only
+    /// live instances hear them: a quarantined instance's code must not
+    /// run again, and a stale handle names nobody.
+    fn run_eviction_callbacks(instances: &mut Supervisor, ev: &mut EvictedFlow<InstanceHandle>) {
         for g in ev.gates.drain() {
-            if let Some(inst) = g.instance {
-                if skip.is_some_and(|s| Arc::ptr_eq(s, &inst)) {
-                    continue;
-                }
+            if let Some(inst) = g.instance.and_then(|h| instances.live_mut(h)) {
                 let _ = supervisor::run_isolated(|| inst.flow_unbound(&ev.key, g.soft_state));
             }
         }
@@ -367,14 +372,18 @@ impl Router {
         id: InstanceId,
     ) -> Result<(), PluginError> {
         let inst = self.pcu.instance(plugin, id)?;
-        if inst.as_scheduler().is_none() {
+        let is_scheduler = self
+            .supervisor
+            .instance_mut(inst)
+            .is_some_and(|i| i.as_scheduler().is_some());
+        if !is_scheduler {
             return Err(PluginError::BadConfig(format!(
                 "instance {id} of {plugin} is not a scheduler"
             )));
         }
         let ifc = &mut self.interfaces[iface as usize];
-        ifc.scheds.retain(|_| false);
-        ifc.attach_sched(&inst);
+        ifc.scheds.clear();
+        ifc.attach_sched(inst);
         Ok(())
     }
 
@@ -405,7 +414,7 @@ impl Router {
                 let detail = format!("flow expired: {}", ev.key);
                 self.tracer.record(now, TraceCategory::Flow, detail);
             }
-            Self::run_eviction_callbacks(&mut ev);
+            Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
         }
         self.evict_scratch = evicted;
         n
@@ -416,85 +425,86 @@ impl Router {
         self.now_ns
     }
 
-    /// The gate dispatch: ensure the packet is classified (first gate),
-    /// then fetch the bound instance for `gate` through the FIX — the
-    /// paper's gate macro. `Err` means the packet could not be classified
-    /// at all (unparsable headers): it must take the malformed drop path,
-    /// not silently skip the gate.
-    fn at_gate(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<Option<InstanceRef>, DropReason> {
-        if mbuf.fix.is_none() && !mbuf.class_denied {
-            match self.aiu.classify_mbuf(mbuf) {
-                Ok((outcome, evicted)) => {
-                    let gi = gate.index();
-                    match outcome {
-                        ClassifyOutcome::CacheHit(_) => self.metrics.class_hits[gi] += 1,
-                        ClassifyOutcome::CacheMiss(_) => {
-                            self.metrics.class_misses[gi] += 1;
-                            if rp_packet::flow::is_fragment(mbuf.data()) {
-                                self.metrics.fragment_flows += 1;
-                            }
-                            if self.tracer.wants(TraceCategory::Flow) {
-                                let now = self.now_ns;
-                                let detail = format!(
-                                    "flow created at {gate} fix={:?}",
-                                    mbuf.fix.map(|f| f.0)
-                                );
-                                self.tracer.record(now, TraceCategory::Flow, detail);
-                            }
-                        }
-                        ClassifyOutcome::Denied => {
-                            // Admission control refused a record: the
-                            // packet still forwards, uncached, on every
-                            // gate's default path. Counted via the
-                            // flow-table stats gauge in the metrics
-                            // snapshot.
-                            self.metrics.class_misses[gi] += 1;
-                            if self.tracer.wants(TraceCategory::Flow) {
-                                let now = self.now_ns;
-                                let detail = format!("flow admission denied at {gate}");
-                                self.tracer.record(now, TraceCategory::Flow, detail);
-                            }
-                        }
-                    }
-                    if let Some(ev) = evicted {
-                        self.metrics.class_recycled[gi] += 1;
-                        if self.tracer.wants(TraceCategory::Flow) {
-                            let now = self.now_ns;
-                            let detail = format!("flow recycled at {gate}: {}", ev.key);
-                            self.tracer.record(now, TraceCategory::Flow, detail);
-                        }
-                        Self::run_eviction_callbacks(ev);
-                    }
+    /// First-gate classification, the slow half of the paper's gate macro:
+    /// look the flow up, create its record on a miss, cache the FIX in the
+    /// mbuf. `Err` means the packet could not be classified at all
+    /// (unparsable headers): it must take the malformed drop path, not
+    /// silently skip the gate.
+    fn classify(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<(), DropReason> {
+        let Ok((outcome, evicted)) = self.aiu.classify_mbuf(mbuf) else {
+            return Err(DropReason::Malformed);
+        };
+        let gi = gate.index();
+        match outcome {
+            ClassifyOutcome::CacheHit(_) => self.metrics.class_hits[gi] += 1,
+            ClassifyOutcome::CacheMiss(_) => {
+                self.metrics.class_misses[gi] += 1;
+                if rp_packet::flow::is_fragment(mbuf.data()) {
+                    self.metrics.fragment_flows += 1;
                 }
-                Err(_) => return Err(DropReason::Malformed),
+                if self.tracer.wants(TraceCategory::Flow) {
+                    let now = self.now_ns;
+                    let detail = format!("flow created at {gate} fix={:?}", mbuf.fix.map(|f| f.0));
+                    self.tracer.record(now, TraceCategory::Flow, detail);
+                }
+            }
+            ClassifyOutcome::Denied => {
+                // Admission control refused a record: the packet still
+                // forwards, uncached, on every gate's default path.
+                // Counted via the flow-table stats gauge in the metrics
+                // snapshot.
+                self.metrics.class_misses[gi] += 1;
+                if self.tracer.wants(TraceCategory::Flow) {
+                    let now = self.now_ns;
+                    let detail = format!("flow admission denied at {gate}");
+                    self.tracer.record(now, TraceCategory::Flow, detail);
+                }
             }
         }
-        let Some(fix) = mbuf.fix else {
-            return Ok(None);
-        };
-        let Some(inst) = self.aiu.instance(fix, gate.index()).cloned() else {
-            return Ok(None);
-        };
-        // Defense in depth: a quarantined instance never sees another
-        // packet, even through a stale cached binding.
-        if self.supervisor.is_quarantined(&inst) {
-            return Ok(None);
+        if let Some(ev) = evicted {
+            self.metrics.class_recycled[gi] += 1;
+            if self.tracer.wants(TraceCategory::Flow) {
+                let now = self.now_ns;
+                let detail = format!("flow recycled at {gate}: {}", ev.key);
+                self.tracer.record(now, TraceCategory::Flow, detail);
+            }
+            Self::run_eviction_callbacks(&mut self.supervisor, ev);
         }
-        Ok(Some(inst))
+        Ok(())
     }
 
-    /// Invoke an instance at a gate under supervision: the call is
-    /// panic-isolated, charged against the policy's packet budget, and
-    /// any fault is counted against the instance's health.
-    fn call_instance(&mut self, inst: &InstanceRef, mbuf: &mut Mbuf, gate: Gate) -> GateOutcome {
-        self.stats.plugin_calls += 1;
+    /// The gate: classify on first use, then fetch the flow record's
+    /// binding for `gate` — instance handle, filter and soft-state slot in
+    /// one access — and call the instance, charging the call against the
+    /// policy's packet budget. `Ok(None)` is the gate's default path:
+    /// nothing bound, or a handle that no longer leads to a live instance.
+    ///
+    /// The caller provides the isolation frame (one spans many gates), so
+    /// every call into plugin code is bracketed by the in-flight marker.
+    #[inline]
+    fn gate(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<Option<PluginAction>, DropReason> {
+        if mbuf.fix.is_none() && !mbuf.class_denied {
+            self.classify(mbuf, gate)?;
+        }
         let Some(fix) = mbuf.fix else {
-            // Gates run only after classification; no FIX here means the
-            // data path lost track of its own state. Count, don't panic.
-            return GateOutcome::Internal;
+            return Ok(None);
         };
-        let now = self.now_ns;
-        let budget = self.supervisor.policy().packet_budget_ns;
+        let Some((&handle, filter, soft_state)) = self.aiu.binding_mut(fix, gate.index()) else {
+            return Ok(None);
+        };
+        // A quarantined instance never sees another packet, even through a
+        // stale cached binding; neither does a slot's next occupant.
+        let Some(inst) = self.supervisor.live_mut(handle) else {
+            return Ok(None);
+        };
+        if gate == Gate::Scheduling {
+            // The instance may keep this packet: put it on the egress
+            // interface's drain list first.
+            if let Some(ifc) = mbuf.tx_if.and_then(|i| self.interfaces.get_mut(i as usize)) {
+                ifc.attach_sched(handle);
+            }
+        }
+        self.stats.plugin_calls += 1;
         // Latency is wall-clock (virtual time doesn't advance inside a
         // call) and sampled 1-in-N so the clock reads stay off the common
         // path.
@@ -502,118 +512,119 @@ impl Router {
             .metrics
             .note_gate_call(gate)
             .then(std::time::Instant::now);
-        // The AIU borrow lives only inside this block: fault handling
-        // below needs `&mut self` again.
-        let call = {
-            let Some((filter, slot)) = self.aiu.binding_mut(fix, gate.index()) else {
-                // The flow record vanished between classification and the
-                // gate call (e.g. recycled under pressure mid-pipeline).
-                return GateOutcome::Internal;
-            };
-            let mut ctx = PacketCtx {
-                gate,
-                now_ns: now,
-                fix,
-                filter,
-                soft_state: slot,
-                cost_ns: 0,
-            };
-            supervisor::run_isolated(|| {
-                let action = inst.handle_packet(mbuf, &mut ctx);
-                (action, ctx.cost_ns)
-            })
+        let mut ctx = PacketCtx {
+            gate,
+            now_ns: self.now_ns,
+            fix,
+            filter,
+            soft_state,
+            cost_ns: 0,
         };
+        self.in_flight = Some((gate, handle));
+        let action = inst.handle_packet(mbuf, &mut ctx);
+        self.in_flight = None;
+        let cost_ns = ctx.cost_ns;
         if let Some(t0) = t0 {
             self.metrics
                 .note_gate_latency(gate, t0.elapsed().as_nanos() as u64);
         }
-        match call {
-            Ok((action, cost_ns)) => {
-                if budget > 0 && cost_ns > budget {
-                    // A modelled stall: the call "completed" but charged
-                    // more processing time than the policy tolerates.
-                    let kind = FaultKind::BudgetExceeded {
-                        cost_ns,
-                        budget_ns: budget,
-                    };
-                    if self.note_fault(inst, &kind) {
-                        mbuf.fix = None; // quarantined: reclassify downstream
-                    }
-                }
-                GateOutcome::Action(action)
-            }
-            Err(msg) => {
-                if self.note_fault(inst, &FaultKind::Panic(msg)) {
-                    mbuf.fix = None;
-                }
-                GateOutcome::Fault
+        let budget_ns = self.supervisor.policy().packet_budget_ns;
+        if budget_ns > 0 && cost_ns > budget_ns {
+            // A modelled stall: the call "completed" but charged more
+            // processing time than the policy tolerates.
+            let kind = FaultKind::BudgetExceeded { cost_ns, budget_ns };
+            if self.note_fault(handle, &kind) {
+                mbuf.fix = None; // quarantined: reclassify downstream
             }
         }
+        Ok(Some(action))
+    }
+
+    /// The pre-routing gates of one packet (run inside one isolation
+    /// frame). `Some` when a gate ended the packet's walk.
+    fn pre_routing_gates(&mut self, mbuf: &mut Mbuf) -> Option<GateStop> {
+        for gate in PRE_ROUTING_GATES {
+            if !self.enabled[gate.index()] {
+                continue;
+            }
+            match self.gate(mbuf, gate) {
+                Ok(None | Some(PluginAction::Continue)) => {}
+                Ok(Some(PluginAction::Consumed)) => return Some(GateStop::Consumed(gate)),
+                Ok(Some(PluginAction::Drop)) => {
+                    return Some(GateStop::Drop(DropReason::Plugin(gate)))
+                }
+                Err(reason) => return Some(GateStop::Drop(reason)),
+            }
+        }
+        None
+    }
+
+    /// An isolation frame caught a panic: charge it to the instance whose
+    /// call was in flight. A panic with no plugin call in flight is the
+    /// router's own bug and keeps unwinding.
+    fn charge_panic(&mut self, msg: String) -> (Gate, InstanceHandle) {
+        let Some((gate, inst)) = self.in_flight.take() else {
+            panic!("{msg}");
+        };
+        self.note_fault(inst, &FaultKind::Panic(msg));
+        (gate, inst)
     }
 
     /// Count one fault; on the quarantine edge, pull the instance off the
     /// data path. Returns true when the instance was just quarantined.
-    fn note_fault(&mut self, inst: &InstanceRef, kind: &FaultKind) -> bool {
+    fn note_fault(&mut self, inst: InstanceHandle, kind: &FaultKind) -> bool {
         self.stats.plugin_faults += 1;
         if self.tracer.wants(TraceCategory::Plugin) {
             let now = self.now_ns;
-            let detail = format!("fault in {}: {kind}", inst.describe());
+            let detail = format!("fault in {}: {kind}", self.describe_instance(inst));
             self.tracer.record(now, TraceCategory::Plugin, detail);
         }
-        let verdict = self.supervisor.record_fault(inst, kind);
-        if verdict.newly_quarantined {
+        let quarantine = self
+            .supervisor
+            .record_fault(inst, kind)
+            .is_some_and(|v| v.newly_quarantined);
+        if quarantine {
             self.quarantine(inst);
-            true
-        } else {
-            false
         }
+        quarantine
+    }
+
+    fn describe_instance(&self, inst: InstanceHandle) -> String {
+        self.supervisor
+            .instance(inst)
+            .map_or_else(|| "(no instance)".to_string(), |i| i.describe())
     }
 
     /// Remove a quarantined instance from the data path: its filters go,
     /// its cached flows are invalidated (falling back to each gate's
     /// default path on their next packet), its egress queues drain to the
     /// wire, and a restart is scheduled per policy.
-    fn quarantine(&mut self, inst: &InstanceRef) {
+    fn quarantine(&mut self, inst: InstanceHandle) {
         self.stats.plugin_quarantines += 1;
         if self.tracer.wants(TraceCategory::Plugin) {
             let now = self.now_ns;
-            let detail = format!("quarantined {}", inst.describe());
+            let detail = format!("quarantined {}", self.describe_instance(inst));
             self.tracer.record(now, TraceCategory::Plugin, detail);
         }
         // Filters first — otherwise the next classification would re-bind
-        // the dead instance. The instance's own callbacks are skipped (its
-        // code must not run again); other instances' callbacks still fire.
+        // the dead instance. Its own eviction callbacks do not run (it is
+        // no longer live); other instances' callbacks still fire.
         for gate in ALL_GATES {
-            let table = self.aiu.filter_table(gate.index());
-            let ids: Vec<FilterId> = table
-                .filter_ids()
-                .into_iter()
-                .filter(|fid| {
-                    table
-                        .get(*fid)
-                        .map(|(_, v)| Arc::ptr_eq(v, inst))
-                        .unwrap_or(false)
-                })
-                .collect();
-            for fid in ids {
+            for fid in self.filters_bound_to(gate, inst) {
                 if let Ok((_spec, _inst, evicted)) = self.aiu.remove_filter(gate.index(), fid) {
                     for mut ev in evicted {
-                        Self::run_eviction_callbacks_skipping(&mut ev, Some(inst));
+                        Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
                     }
                 }
             }
         }
         // Then any cached flow still binding it at any gate (filters
         // installed behind the router's back, recycled records, …).
-        let dead = inst.clone();
-        let evicted = self.aiu.invalidate_flows_where(|r| {
-            r.gates
-                .instances()
-                .iter()
-                .any(|i| i.as_ref().is_some_and(|v| Arc::ptr_eq(v, &dead)))
-        });
+        let evicted = self
+            .aiu
+            .invalidate_flows_where(|r| r.gates.instances().contains(&Some(inst)));
         for mut ev in evicted {
-            Self::run_eviction_callbacks_skipping(&mut ev, Some(inst));
+            Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
         }
         self.detach_sched_everywhere(inst);
         let _ = self.supervisor.schedule_restart(inst, self.now_ns);
@@ -623,65 +634,60 @@ impl Router {
     /// whatever its queue still holds onto the wire first (those packets
     /// were already counted forwarded when they were queued; dropping
     /// them silently would blackhole them).
-    fn detach_sched_everywhere(&mut self, inst: &InstanceRef) {
+    fn detach_sched_everywhere(&mut self, inst: InstanceHandle) {
         let now = self.now_ns;
         for ifc in &mut self.interfaces {
-            if !ifc.scheds.iter().any(|s| Arc::ptr_eq(s, inst)) {
+            if !ifc.scheds.contains(&inst) {
                 continue;
             }
-            if let Some(sched) = inst.as_scheduler() {
+            let sched = self.supervisor.instance_mut(inst);
+            if let Some(sched) = sched.and_then(|i| i.as_scheduler()) {
                 while let Ok(Some(pkt)) = supervisor::run_isolated(|| sched.dequeue(now)) {
                     self.metrics.note_tx(ifc.id, pkt.len());
                     ifc.tx_log.push(pkt);
                 }
             }
-            ifc.scheds.retain(|s| !Arc::ptr_eq(s, inst));
+            ifc.scheds.retain(|s| *s != inst);
         }
     }
 
-    /// Attempt every due restart: free the dead instance, rebuild it from
-    /// the plugin's factory with the original config, and re-install its
-    /// filter bindings for the fresh instance.
+    /// Attempt every due restart: tear down the dead instance, rebuild it
+    /// in its slot from the plugin's factory with the original config,
+    /// and re-install its filter bindings under the fresh handle.
     fn poll_restarts(&mut self) {
         if !self.supervisor.restart_due(self.now_ns) {
             return;
         }
         for t in self.supervisor.take_due(self.now_ns) {
-            let _ = self.pcu.free_instance(&t.plugin, t.id);
-            match self.pcu.create_instance(&t.plugin, &t.config) {
-                Ok((new_id, new_inst)) => {
-                    let mut new_bindings = Vec::new();
-                    for (gate, spec) in &t.bindings {
-                        if let Ok((fid, evicted)) =
-                            self.aiu
-                                .install_filter(gate.index(), spec.clone(), new_inst.clone())
-                        {
-                            for mut ev in evicted {
-                                Self::run_eviction_callbacks(&mut ev);
-                            }
-                            new_bindings.push((*gate, spec.clone(), fid));
-                        }
+            let rebuilt = self.pcu.restart_instance(
+                &t.plugin,
+                (t.id, t.handle),
+                &t.config,
+                &mut self.supervisor,
+            );
+            let Ok((new_id, new_inst)) = rebuilt else {
+                // Factory refused (or the plugin was unloaded while the
+                // instance sat in quarantine): re-arm the backoff or give
+                // up, per policy.
+                self.supervisor.fail_restart(t.handle, self.now_ns);
+                continue;
+            };
+            for (gate, spec) in t.bindings {
+                if let Ok((fid, evicted)) =
+                    self.aiu
+                        .install_filter(gate.index(), spec.clone(), new_inst)
+                {
+                    for mut ev in evicted {
+                        Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
                     }
-                    self.stats.plugin_restarts += 1;
-                    if self.tracer.wants(TraceCategory::Plugin) {
-                        let now = self.now_ns;
-                        let detail = format!("restarted {} {} → {}", t.plugin, t.id.0, new_id.0);
-                        self.tracer.record(now, TraceCategory::Plugin, detail);
-                    }
-                    self.supervisor.complete_restart(
-                        &t.plugin,
-                        t.id,
-                        new_id,
-                        &new_inst,
-                        new_bindings,
-                    );
+                    self.supervisor.note_binding(new_inst, gate, spec, fid);
                 }
-                Err(_) => {
-                    // Factory refused (or the plugin was unloaded while
-                    // the instance sat in quarantine): re-arm the backoff
-                    // or give up, per policy.
-                    self.supervisor.fail_restart(&t.plugin, t.id, self.now_ns);
-                }
+            }
+            self.stats.plugin_restarts += 1;
+            if self.tracer.wants(TraceCategory::Plugin) {
+                let now = self.now_ns;
+                let detail = format!("restarted {} {} → {}", t.plugin, t.id.0, new_id.0);
+                self.tracer.record(now, TraceCategory::Plugin, detail);
             }
         }
     }
@@ -703,39 +709,22 @@ impl Router {
             return self.drop_pkt(mbuf, reason);
         }
 
-        // Pre-routing gates.
-        for gate in [
-            Gate::Firewall,
-            Gate::Ipv6Options,
-            Gate::IpSecurity,
-            Gate::Routing,
-            Gate::Stats,
-        ] {
-            if !self.enabled[gate.index()] {
-                continue;
+        // Pre-routing gates, all inside one isolation frame.
+        match supervisor::run_isolated(|| self.pre_routing_gates(&mut mbuf)) {
+            Ok(None) => {}
+            Ok(Some(GateStop::Consumed(gate))) => {
+                // A consuming plugin either took the buffer (the mbuf left
+                // behind is an empty shell) or left it; recycling handles
+                // both.
+                self.pool.recycle(mbuf);
+                return Disposition::Consumed(gate);
             }
-            let inst = match self.at_gate(&mut mbuf, gate) {
-                Ok(i) => i,
-                Err(reason) => return self.drop_pkt(mbuf, reason),
-            };
-            if let Some(inst) = inst {
-                match self.call_instance(&inst, &mut mbuf, gate) {
-                    GateOutcome::Action(PluginAction::Continue) => {}
-                    GateOutcome::Action(PluginAction::Consumed) => {
-                        // A consuming plugin either took the buffer (the
-                        // mbuf left behind is an empty shell) or left it;
-                        // recycling handles both.
-                        self.pool.recycle(mbuf);
-                        return Disposition::Consumed(gate);
-                    }
-                    GateOutcome::Action(PluginAction::Drop) => {
-                        return self.drop_pkt(mbuf, DropReason::Plugin(gate))
-                    }
-                    GateOutcome::Fault => {
-                        return self.drop_pkt(mbuf, DropReason::PluginFault(gate))
-                    }
-                    GateOutcome::Internal => return self.drop_pkt(mbuf, DropReason::Internal),
-                }
+            Ok(Some(GateStop::Drop(reason))) => return self.drop_pkt(mbuf, reason),
+            Err(panic) => {
+                // The instance faulted mid-packet: drop (and count) the
+                // packet rather than forward possibly-torn state.
+                let (gate, _) = self.charge_panic(panic);
+                return self.drop_pkt(mbuf, DropReason::PluginFault(gate));
             }
         }
 
@@ -841,34 +830,27 @@ impl Router {
     /// Scheduling gate + emission for a packet whose egress interface is
     /// already decided and which fits the MTU.
     fn dispatch_egress(&mut self, mut mbuf: Mbuf, tx_if: IfIndex) -> Disposition {
-        // Scheduling gate on the egress interface.
+        // Scheduling gate on the egress interface, in its own frame (a
+        // fragmented packet crosses it once per fragment).
         if self.enabled[Gate::Scheduling.index()] {
-            let inst = match self.at_gate(&mut mbuf, Gate::Scheduling) {
-                Ok(i) => i,
-                Err(reason) => return self.drop_pkt(mbuf, reason),
-            };
-            if let Some(inst) = inst {
-                self.interfaces[tx_if as usize].attach_sched(&inst);
-                return match self.call_instance(&inst, &mut mbuf, Gate::Scheduling) {
-                    GateOutcome::Action(PluginAction::Consumed) => {
-                        // The scheduler took the buffer; what's left is an
-                        // empty shell (recycled as a no-op).
-                        self.pool.recycle(mbuf);
-                        self.stats.forwarded += 1;
-                        Disposition::Queued(tx_if)
-                    }
-                    GateOutcome::Action(PluginAction::Drop) => {
-                        self.drop_pkt(mbuf, DropReason::QueueFull)
-                    }
-                    GateOutcome::Action(PluginAction::Continue) => {
-                        // Scheduler declined (e.g. pass-through): emit.
-                        self.emit(mbuf, tx_if)
-                    }
-                    GateOutcome::Fault => {
-                        self.drop_pkt(mbuf, DropReason::PluginFault(Gate::Scheduling))
-                    }
-                    GateOutcome::Internal => self.drop_pkt(mbuf, DropReason::Internal),
-                };
+            match supervisor::run_isolated(|| self.gate(&mut mbuf, Gate::Scheduling)) {
+                // No scheduler bound, or it declined (pass-through): emit.
+                Ok(Ok(None | Some(PluginAction::Continue))) => {}
+                Ok(Ok(Some(PluginAction::Consumed))) => {
+                    // The scheduler took the buffer; what's left is an
+                    // empty shell (recycled as a no-op).
+                    self.pool.recycle(mbuf);
+                    self.stats.forwarded += 1;
+                    return Disposition::Queued(tx_if);
+                }
+                Ok(Ok(Some(PluginAction::Drop))) => {
+                    return self.drop_pkt(mbuf, DropReason::QueueFull)
+                }
+                Ok(Err(reason)) => return self.drop_pkt(mbuf, reason),
+                Err(panic) => {
+                    let (gate, _) = self.charge_panic(panic);
+                    return self.drop_pkt(mbuf, DropReason::PluginFault(gate));
+                }
             }
         }
         self.emit(mbuf, tx_if)
@@ -936,44 +918,59 @@ impl Router {
     /// wire (the device driver's transmit interrupt). Returns packets
     /// transmitted.
     pub fn pump(&mut self, iface: IfIndex, max: usize) -> usize {
-        let now = self.now_ns;
         let mut sent = 0;
-        // Dequeue panics are collected here and counted after the
-        // interface borrow ends (fault handling needs `&mut self`).
-        let mut faulted: Vec<(InstanceRef, String)> = Vec::new();
+        // Schedulers that panicked during this pump: charged once, then
+        // left out while the others keep draining.
+        let mut faulted: Vec<InstanceHandle> = Vec::new();
+        // One isolation frame spans the whole drain; a panicking `dequeue`
+        // ends it and the drain resumes in a new one.
+        while let Err(panic) =
+            supervisor::run_isolated(|| self.drain_scheds(iface, max, &mut sent, &faulted))
         {
-            let ifc = &mut self.interfaces[iface as usize];
-            'outer: while sent < max {
-                let mut any = false;
-                for s in &ifc.scheds {
-                    if faulted.iter().any(|(f, _)| Arc::ptr_eq(f, s)) {
-                        continue;
-                    }
-                    if let Some(sched) = s.as_scheduler() {
-                        match supervisor::run_isolated(|| sched.dequeue(now)) {
-                            Ok(Some(pkt)) => {
-                                self.metrics.note_tx(ifc.id, pkt.len());
-                                ifc.tx_log.push(pkt);
-                                sent += 1;
-                                any = true;
-                                if sent >= max {
-                                    break 'outer;
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(msg) => faulted.push((s.clone(), msg)),
-                        }
-                    }
-                }
-                if !any {
-                    break;
-                }
-            }
-        }
-        for (inst, msg) in faulted {
-            self.note_fault(&inst, &FaultKind::Panic(msg));
+            let (_, inst) = self.charge_panic(panic);
+            faulted.push(inst);
         }
         sent
+    }
+
+    /// Round-robin over the interface's schedulers, one packet each per
+    /// round, until `max` are out or every queue is empty.
+    fn drain_scheds(
+        &mut self,
+        iface: IfIndex,
+        max: usize,
+        sent: &mut usize,
+        skip: &[InstanceHandle],
+    ) {
+        let now = self.now_ns;
+        let ifc = &mut self.interfaces[iface as usize];
+        while *sent < max {
+            let mut any = false;
+            for &handle in &ifc.scheds {
+                if skip.contains(&handle) {
+                    continue;
+                }
+                let inst = self.supervisor.live_mut(handle);
+                let Some(sched) = inst.and_then(|i| i.as_scheduler()) else {
+                    continue;
+                };
+                self.in_flight = Some((Gate::Scheduling, handle));
+                let pkt = sched.dequeue(now);
+                self.in_flight = None;
+                if let Some(pkt) = pkt {
+                    self.metrics.note_tx(ifc.id, pkt.len());
+                    ifc.tx_log.push(pkt);
+                    *sent += 1;
+                    any = true;
+                    if *sent >= max {
+                        return;
+                    }
+                }
+            }
+            if !any {
+                break;
+            }
+        }
     }
 
     /// Take the packets transmitted on an interface since the last call.
@@ -991,13 +988,11 @@ impl Router {
 
     /// Build an ingress mbuf backed by a pooled buffer (the device
     /// driver's receive-side allocation in the paper's architecture).
+    /// No ingress stamp: [`Router::receive`] never reads one, and the
+    /// callers of [`Router::receive_stamped`] stamp each batch with their
+    /// own single clock reading.
     pub fn mbuf_with(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf {
-        let mut m = self.pool.mbuf_from(bytes, rx_if);
-        // Coarse ingress stamp for end-to-end sojourn accounting; the
-        // I/O plane re-stamps per received batch, this covers callers
-        // that inject synthetic traffic directly.
-        m.stamp_ingress(rp_packet::coarse_now_ns());
-        m
+        self.pool.mbuf_from(bytes, rx_if)
     }
 
     /// Return an mbuf's backing buffer to the router's pool (the driver
@@ -1062,7 +1057,7 @@ impl Router {
             let depth: u64 = ifc
                 .scheds
                 .iter()
-                .filter_map(|s| s.as_scheduler())
+                .filter_map(|s| self.supervisor.instance(*s))
                 .map(|s| s.backlog() as u64)
                 .sum();
             m.queue_depth[obs::iface_slot(ifc.id)] = depth;
@@ -1109,7 +1104,7 @@ impl Router {
     }
 
     /// Direct AIU access for tests and the testbench.
-    pub fn aiu_mut(&mut self) -> &mut Aiu<InstanceRef> {
+    pub fn aiu_mut(&mut self) -> &mut Aiu<InstanceHandle> {
         &mut self.aiu
     }
 
@@ -1130,9 +1125,9 @@ impl Router {
             .filter_ids()
             .into_iter()
             .filter_map(|id| {
-                table
-                    .get(id)
-                    .map(|(spec, inst)| format!("filter {} {} → {}", id.0, spec, inst.describe()))
+                let (spec, inst) = table.get(id)?;
+                let inst = self.supervisor.instance(*inst)?;
+                Some(format!("filter {} {} → {}", id.0, spec, inst.describe()))
             })
             .collect()
     }
@@ -1143,7 +1138,8 @@ impl Router {
         for name in self.pcu.plugin_names() {
             if let Ok(ids) = self.pcu.instances(&name) {
                 for id in ids {
-                    if let Ok(inst) = self.pcu.instance(&name, id) {
+                    let inst = self.pcu.instance(&name, id);
+                    if let Some(inst) = inst.ok().and_then(|h| self.supervisor.instance(h)) {
                         out.push(format!("{name} {}: {}", id.0, inst.describe()));
                     }
                 }
@@ -1255,5 +1251,161 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, PluginError::Filter(_)));
+    }
+
+    fn routed_router(script: &str) -> Router {
+        let mut r = base_router();
+        r.add_route(v6(0), 32, 1);
+        crate::pmgr::run_script(&mut r, script).unwrap();
+        r
+    }
+
+    /// The structure's compile-time promises: a router moves to a shard
+    /// thread whole, and an instance is free to hold `!Sync` state.
+    #[test]
+    fn router_is_send_and_instances_need_not_be_sync() {
+        use crate::plugin::PluginInstance;
+        fn assert_send<T: Send>() {}
+        assert_send::<Router>();
+
+        struct Counting(std::cell::Cell<u64>);
+        impl PluginInstance for Counting {
+            fn handle_packet(&mut self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
+                self.0.set(self.0.get() + 1);
+                PluginAction::Continue
+            }
+        }
+        // What `Plugin::create_instance` returns.
+        let _: Box<dyn PluginInstance> = Box::new(Counting(std::cell::Cell::new(0)));
+    }
+
+    #[test]
+    fn stale_handle_never_reaches_the_slots_next_occupant() {
+        let mut r = routed_router("load null\ncreate null\nbind stats null 0 <*, *, UDP, *, *, *>");
+        assert_eq!(r.receive(udp(1)), Disposition::Forwarded(1));
+        assert_eq!(r.stats().plugin_calls, 1);
+        // Free the instance behind the router's back: its filter and the
+        // cached flow keep the handle, the slot goes to the next `create`.
+        let old = r.pcu.instance("null", InstanceId(0)).unwrap();
+        r.pcu
+            .free_instance("null", InstanceId(0), &mut r.supervisor)
+            .unwrap();
+        crate::pmgr::run_script(&mut r, "create null").unwrap();
+        let new = r.pcu.instance("null", InstanceId(1)).unwrap();
+        assert_eq!(new.slot, old.slot, "the freed slot is reused");
+        assert_ne!(new, old);
+        // The cached flow, and a new flow classified through the stale
+        // filter binding, both take the gate's default path.
+        assert_eq!(r.receive(udp(1)), Disposition::Forwarded(1));
+        assert_eq!(r.receive(udp(2)), Disposition::Forwarded(1));
+        assert_eq!(r.stats().plugin_calls, 1);
+        assert_eq!(r.describe_instances(), vec!["null 1: null: 0 calls"]);
+    }
+
+    #[test]
+    fn restarted_instance_gets_a_fresh_generation() {
+        let mut r = routed_router(
+            "load chaos\ncreate chaos mode=panic every=1\nbind stats chaos 0 <*, *, UDP, *, *, *>",
+        );
+        let old = r.pcu.instance("chaos", InstanceId(0)).unwrap();
+        for n in 0..3 {
+            assert_eq!(
+                r.receive(udp(n)),
+                Disposition::Dropped(DropReason::PluginFault(Gate::Stats))
+            );
+        }
+        r.set_time_ns(1_000_000);
+        assert!(r.pcu.instance("chaos", InstanceId(0)).is_err());
+        let new = r.pcu.instance("chaos", InstanceId(1)).unwrap();
+        assert_eq!(new.slot, old.slot, "rebuilt in place");
+        assert_ne!(new.generation, old.generation);
+        assert!(r.supervisor.live_mut(old).is_none());
+        assert!(r.supervisor.live_mut(new).is_some());
+    }
+
+    /// A scheduler whose `dequeue` panics while armed.
+    struct PanicQueue {
+        queued: Vec<Mbuf>,
+        armed: bool,
+    }
+
+    impl crate::plugin::PluginInstance for PanicQueue {
+        fn handle_packet(&mut self, mbuf: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
+            self.queued
+                .push(std::mem::replace(mbuf, Mbuf::new(Vec::new(), 0)));
+            PluginAction::Consumed
+        }
+        fn as_scheduler(&mut self) -> Option<&mut dyn crate::plugin::SchedulerInstance> {
+            Some(self)
+        }
+        fn backlog(&self) -> usize {
+            self.queued.len()
+        }
+    }
+
+    impl crate::plugin::SchedulerInstance for PanicQueue {
+        fn dequeue(&mut self, _now_ns: u64) -> Option<Mbuf> {
+            assert!(!self.armed, "panicq: dequeue while armed");
+            self.queued.pop()
+        }
+    }
+
+    struct PanicQueuePlugin;
+
+    impl crate::plugin::Plugin for PanicQueuePlugin {
+        fn name(&self) -> &str {
+            "panicq"
+        }
+        fn code(&self) -> crate::plugin::PluginCode {
+            crate::plugin::PluginCode::new(crate::plugin::PluginType::PACKET_SCHED, 98)
+        }
+        fn create_instance(
+            &mut self,
+            _config: &str,
+        ) -> Result<Box<dyn crate::plugin::PluginInstance>, PluginError> {
+            Ok(Box::new(PanicQueue {
+                queued: Vec::new(),
+                armed: true,
+            }))
+        }
+    }
+
+    #[test]
+    fn panicking_dequeue_is_charged_once_and_the_pump_goes_on() {
+        let mut r = base_router();
+        r.loader
+            .add_factory("panicq", || Box::new(PanicQueuePlugin))
+            .unwrap();
+        r.add_route(v6(0), 32, 1);
+        // Flows from source port 5 queue in the panicking scheduler, the
+        // rest in a FIFO on the same interface.
+        crate::pmgr::run_script(
+            &mut r,
+            "load panicq\ncreate panicq\nbind sched panicq 0 <*, *, UDP, 5, *, *>\n\
+             load fifo\ncreate fifo\nbind sched fifo 0 <*, *, TCP, *, *, *>",
+        )
+        .unwrap();
+        let tcp = |n: u16| Mbuf::new(PacketSpec::tcp(v6(n), v6(900), 7, 8, 32).build(), 0);
+        for n in 0..4 {
+            assert_eq!(r.receive(udp(n)), Disposition::Queued(1));
+            assert_eq!(r.receive(tcp(n)), Disposition::Queued(1));
+        }
+        // One pump: the FIFO drains completely although the scheduler
+        // listed before it panics on its first dequeue.
+        assert_eq!(r.pump(1, usize::MAX), 4);
+        assert_eq!(r.take_tx(1).len(), 4);
+        let s = r.stats();
+        assert_eq!(s.plugin_faults, 1, "one fault per pump, not one per round");
+        assert_eq!(s.received, s.forwarded + s.dropped_total());
+        let reports = r.health_reports();
+        let of = |name: &str| reports.iter().find(|h| h.plugin == name).unwrap();
+        assert_eq!(of("panicq").faults, 1);
+        assert!(of("panicq")
+            .last_fault
+            .as_deref()
+            .unwrap()
+            .contains("dequeue while armed"));
+        assert_eq!(of("fifo").health, crate::supervisor::HealthState::Healthy);
+        assert_eq!(of("fifo").faults, 0);
     }
 }

@@ -6,9 +6,19 @@
 //! production deployment of that architecture needs — without changing the
 //! plugin programming model:
 //!
-//! * Every gate-side plugin invocation is wrapped in
-//!   [`std::panic::catch_unwind`] (see [`run_isolated`]); a panicking
-//!   instance loses the packet it was processing but never the router.
+//! * The supervisor *is* the router's instance table: every instance
+//!   lives in one slot of [`Supervisor`], next to its health record, and
+//!   everything else (flow records, filter tables, interface scheduler
+//!   lists, the PCU's id maps) names it by [`InstanceHandle`] — slot index
+//!   plus generation. A handle whose slot has since changed occupant
+//!   resolves to nothing.
+//! * Plugin code runs inside isolation frames
+//!   ([`std::panic::catch_unwind`], see [`run_isolated`]): one per
+//!   received packet around the pre-routing gates, one per scheduling-gate
+//!   call and one per `pump`. The router notes which gate and slot are in
+//!   flight before each call, so a caught panic is charged to the right
+//!   instance; that instance loses the packet it was processing, never
+//!   the router.
 //! * Each instance carries a health state machine
 //!   ([`HealthState`]: `Healthy → Degraded → Quarantined`) driven by a
 //!   configurable [`FaultPolicy`]: panics and per-call packet-budget
@@ -26,12 +36,12 @@
 //! invalidation, restart) because only it holds those components.
 
 use crate::gate::Gate;
-use crate::plugin::{InstanceId, InstanceRef};
-use rp_classifier::FilterSpec;
+use crate::plugin::{InstanceHandle, InstanceId, PluginInstance};
+use rp_classifier::{FilterId, FilterSpec};
 use std::cell::Cell;
 use std::fmt;
+use std::num::NonZeroU32;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
 use std::sync::Once;
 
 /// Health of a supervised plugin instance.
@@ -155,6 +165,8 @@ pub struct HealthReport {
 /// A quarantined instance due for a restart attempt.
 #[derive(Debug, Clone)]
 pub(crate) struct RestartTicket {
+    /// The slot to rebuild in place.
+    pub handle: InstanceHandle,
     pub plugin: String,
     pub id: InstanceId,
     pub config: String,
@@ -162,26 +174,46 @@ pub(crate) struct RestartTicket {
     pub bindings: Vec<(Gate, FilterSpec)>,
 }
 
+/// One slot of the instance table.
+struct Slot {
+    /// Bumped whenever the occupant changes (free, restart); handles carry
+    /// the value they were issued with.
+    generation: NonZeroU32,
+    /// `None` = free.
+    record: Option<Record>,
+}
+
+impl Slot {
+    fn bump(&mut self) {
+        self.generation = self.generation.checked_add(1).unwrap_or(NonZeroU32::MIN);
+    }
+}
+
+/// An instance plus everything the supervisor knows about it.
 struct Record {
-    /// Origin for restarts: set when the instance was created through the
-    /// router's control path. Instances created behind the router's back
-    /// (directly on the PCU) are supervised but not restartable.
-    origin: Option<(String, InstanceId, String)>,
-    inst: InstanceRef,
+    /// The instance. `None` between a restart's teardown of the faulted
+    /// instance and a successful rebuild from the factory.
+    inst: Option<Box<dyn PluginInstance>>,
+    /// What a restart rebuilds from, and what pmgr reports the slot as.
+    plugin: String,
+    id: InstanceId,
+    config: String,
     health: HealthState,
     faults: u32,
     total_faults: u64,
     restarts: u32,
     restart_at_ns: Option<u64>,
     next_backoff_ns: u64,
-    bindings: Vec<(Gate, FilterSpec, rp_classifier::FilterId)>,
+    bindings: Vec<(Gate, FilterSpec, FilterId)>,
     last_fault: Option<String>,
 }
 
-/// The supervisor: per-instance health records plus the restart queue.
+/// The supervisor: the router's instance table — every live instance with
+/// its health record — plus the restart queue.
 pub struct Supervisor {
     policy: FaultPolicy,
-    records: Vec<Record>,
+    /// Indexed by [`InstanceHandle`] slot.
+    slots: Vec<Slot>,
     /// Earliest scheduled restart (cheap due-check on the hot path).
     next_due_ns: Option<u64>,
 }
@@ -191,7 +223,7 @@ impl Supervisor {
     pub fn new(policy: FaultPolicy) -> Self {
         Supervisor {
             policy,
-            records: Vec::new(),
+            slots: Vec::new(),
             next_due_ns: None,
         }
     }
@@ -201,17 +233,48 @@ impl Supervisor {
         &self.policy
     }
 
-    fn index_of(&self, inst: &InstanceRef) -> Option<usize> {
-        self.records.iter().position(|r| Arc::ptr_eq(&r.inst, inst))
+    fn record(&self, h: InstanceHandle) -> Option<&Record> {
+        let slot = self.slots.get(h.slot as usize)?;
+        if slot.generation != h.generation {
+            return None;
+        }
+        slot.record.as_ref()
     }
 
-    fn ensure_record(&mut self, inst: &InstanceRef) -> usize {
-        if let Some(i) = self.index_of(inst) {
-            return i;
+    #[inline]
+    fn record_mut(&mut self, h: InstanceHandle) -> Option<&mut Record> {
+        let slot = self.slots.get_mut(h.slot as usize)?;
+        if slot.generation != h.generation {
+            return None;
         }
-        self.records.push(Record {
-            origin: None,
-            inst: inst.clone(),
+        slot.record.as_mut()
+    }
+
+    /// Take ownership of a freshly created instance; the name, id and
+    /// config are what a restart needs to rebuild it from the plugin's
+    /// factory.
+    pub fn insert(
+        &mut self,
+        plugin: &str,
+        id: InstanceId,
+        config: &str,
+        inst: Box<dyn PluginInstance>,
+    ) -> InstanceHandle {
+        let index = match self.slots.iter().position(|s| s.record.is_none()) {
+            Some(i) => i,
+            None => {
+                self.slots.push(Slot {
+                    generation: NonZeroU32::MIN,
+                    record: None,
+                });
+                self.slots.len() - 1
+            }
+        };
+        self.slots[index].record = Some(Record {
+            inst: Some(inst),
+            plugin: plugin.to_string(),
+            id,
+            config: config.to_string(),
             health: HealthState::Healthy,
             faults: 0,
             total_faults: 0,
@@ -221,101 +284,119 @@ impl Supervisor {
             bindings: Vec::new(),
             last_fault: None,
         });
-        self.records.len() - 1
+        InstanceHandle {
+            slot: index as u32,
+            generation: self.slots[index].generation,
+        }
     }
 
-    /// Register a router-created instance (restartable).
-    pub fn track(&mut self, plugin: &str, id: InstanceId, config: &str, inst: &InstanceRef) {
-        let i = self.ensure_record(inst);
-        self.records[i].origin = Some((plugin.to_string(), id, config.to_string()));
-    }
-
-    /// Drop an instance's record (freed through the control path).
-    pub fn untrack(&mut self, inst: &InstanceRef) {
-        self.records.retain(|r| !Arc::ptr_eq(&r.inst, inst));
+    /// Free a slot (instance freed through the control path), handing the
+    /// instance back for the plugin's `free_instance` notification.
+    pub fn remove(&mut self, h: InstanceHandle) -> Option<Box<dyn PluginInstance>> {
+        self.record(h)?;
+        let slot = &mut self.slots[h.slot as usize];
+        slot.bump();
+        let record = slot.record.take()?;
         self.recompute_due();
+        record.inst
     }
 
-    /// Note a filter binding installed for `inst` (kept for re-install on
-    /// restart).
-    pub fn note_binding(
-        &mut self,
-        inst: &InstanceRef,
-        gate: Gate,
-        spec: FilterSpec,
-        fid: rp_classifier::FilterId,
-    ) {
-        let i = self.ensure_record(inst);
-        self.records[i].bindings.push((gate, spec, fid));
+    /// The instance in a slot, whatever its health (control path:
+    /// `describe`, custom messages, draining a quarantined scheduler).
+    pub fn instance(&self, h: InstanceHandle) -> Option<&dyn PluginInstance> {
+        self.record(h)?.inst.as_deref()
+    }
+
+    /// Mutable form of [`Supervisor::instance`].
+    pub fn instance_mut(&mut self, h: InstanceHandle) -> Option<&mut dyn PluginInstance> {
+        self.record_mut(h)?.inst.as_deref_mut()
+    }
+
+    /// The instance a packet may be handed to: the slot still holds the
+    /// occupant the handle was issued for and it is not quarantined.
+    /// Anything else — stale handle, quarantined or torn-down instance —
+    /// is `None`, and the caller takes the gate's default path.
+    #[inline]
+    pub fn live_mut(&mut self, h: InstanceHandle) -> Option<&mut dyn PluginInstance> {
+        let slot = self.record_mut(h)?;
+        if slot.health == HealthState::Quarantined {
+            return None;
+        }
+        slot.inst.as_deref_mut()
+    }
+
+    /// Note a filter binding installed for an instance (kept for
+    /// re-install on restart).
+    pub fn note_binding(&mut self, h: InstanceHandle, gate: Gate, spec: FilterSpec, fid: FilterId) {
+        if let Some(s) = self.record_mut(h) {
+            s.bindings.push((gate, spec, fid));
+        }
     }
 
     /// Note an explicit unbind (the binding is no longer re-installed on
     /// restart).
-    pub fn note_unbinding(&mut self, inst: &InstanceRef, gate: Gate, fid: rp_classifier::FilterId) {
-        if let Some(i) = self.index_of(inst) {
-            self.records[i]
-                .bindings
-                .retain(|(g, _, f)| !(*g == gate && *f == fid));
+    pub fn note_unbinding(&mut self, h: InstanceHandle, gate: Gate, fid: FilterId) {
+        if let Some(s) = self.record_mut(h) {
+            s.bindings.retain(|(g, _, f)| !(*g == gate && *f == fid));
         }
     }
 
     /// Count one fault against an instance, advancing its health machine.
-    pub fn record_fault(&mut self, inst: &InstanceRef, kind: &FaultKind) -> FaultVerdict {
-        let i = self.ensure_record(inst);
-        let r = &mut self.records[i];
-        r.faults += 1;
-        r.total_faults += 1;
-        r.last_fault = Some(kind.to_string());
-        let before = r.health;
-        if r.faults >= self.policy.quarantine_after {
-            r.health = HealthState::Quarantined;
-        } else if r.faults >= self.policy.degrade_after {
-            r.health = HealthState::Degraded;
+    /// `None` when the handle no longer names an instance.
+    pub fn record_fault(&mut self, h: InstanceHandle, kind: &FaultKind) -> Option<FaultVerdict> {
+        let (degrade_after, quarantine_after) =
+            (self.policy.degrade_after, self.policy.quarantine_after);
+        let s = self.record_mut(h)?;
+        s.faults += 1;
+        s.total_faults += 1;
+        s.last_fault = Some(kind.to_string());
+        let before = s.health;
+        if s.faults >= quarantine_after {
+            s.health = HealthState::Quarantined;
+        } else if s.faults >= degrade_after {
+            s.health = HealthState::Degraded;
         }
-        FaultVerdict {
-            health: r.health,
-            newly_quarantined: r.health == HealthState::Quarantined
+        Some(FaultVerdict {
+            health: s.health,
+            newly_quarantined: s.health == HealthState::Quarantined
                 && before != HealthState::Quarantined,
-        }
+        })
     }
 
-    /// Health of an instance, if supervised.
-    pub fn health_of(&self, inst: &InstanceRef) -> Option<HealthState> {
-        self.index_of(inst).map(|i| self.records[i].health)
-    }
-
-    /// Is this instance currently quarantined? (The data path checks this
-    /// to keep a quarantined instance off the packet flow even if a stale
-    /// binding survives somewhere.)
-    pub fn is_quarantined(&self, inst: &InstanceRef) -> bool {
-        self.health_of(inst) == Some(HealthState::Quarantined)
+    /// Health of an instance — a field load from its slot.
+    pub fn health_of(&self, h: InstanceHandle) -> Option<HealthState> {
+        self.record(h).map(|s| s.health)
     }
 
     /// Schedule a restart for a quarantined instance. Returns the
-    /// simulated deadline, or `None` when policy or origin forbid it.
-    pub fn schedule_restart(&mut self, inst: &InstanceRef, now_ns: u64) -> Option<u64> {
+    /// simulated deadline, or `None` when policy forbids it.
+    pub fn schedule_restart(&mut self, h: InstanceHandle, now_ns: u64) -> Option<u64> {
         if !self.policy.restart {
             return None;
         }
         let cap = self.policy.restart_backoff_cap_ns;
         let max_restarts = self.policy.max_restarts;
-        let i = self.index_of(inst)?;
-        let r = &mut self.records[i];
-        if r.origin.is_none() || r.restarts >= max_restarts {
+        let s = self.record_mut(h)?;
+        if s.restarts >= max_restarts {
             return None;
         }
-        let due = now_ns.saturating_add(r.next_backoff_ns);
-        r.restart_at_ns = Some(due);
-        r.next_backoff_ns = r.next_backoff_ns.saturating_mul(2).min(cap.max(1));
+        let due = now_ns.saturating_add(s.next_backoff_ns);
+        s.restart_at_ns = Some(due);
+        s.next_backoff_ns = s.next_backoff_ns.saturating_mul(2).min(cap.max(1));
         self.recompute_due();
         Some(due)
     }
 
     fn recompute_due(&mut self) {
-        self.next_due_ns = self.records.iter().filter_map(|r| r.restart_at_ns).min();
+        self.next_due_ns = self
+            .slots
+            .iter()
+            .filter_map(|s| s.record.as_ref()?.restart_at_ns)
+            .min();
     }
 
     /// Cheap hot-path check: any restart due at `now_ns`?
+    #[inline]
     pub fn restart_due(&self, now_ns: u64) -> bool {
         self.next_due_ns.is_some_and(|t| t <= now_ns)
     }
@@ -323,63 +404,66 @@ impl Supervisor {
     /// Pop every due restart as a ticket (the router attempts them).
     pub(crate) fn take_due(&mut self, now_ns: u64) -> Vec<RestartTicket> {
         let mut out = Vec::new();
-        for r in &mut self.records {
-            if r.restart_at_ns.is_some_and(|t| t <= now_ns) {
-                r.restart_at_ns = None;
-                if let Some((plugin, id, config)) = r.origin.clone() {
-                    out.push(RestartTicket {
-                        plugin,
-                        id,
-                        config,
-                        bindings: r.bindings.iter().map(|(g, s, _)| (*g, s.clone())).collect(),
-                    });
-                }
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(s) = &mut slot.record else { continue };
+            if s.restart_at_ns.is_some_and(|t| t <= now_ns) {
+                s.restart_at_ns = None;
+                out.push(RestartTicket {
+                    handle: InstanceHandle {
+                        slot: i as u32,
+                        generation: slot.generation,
+                    },
+                    plugin: s.plugin.clone(),
+                    id: s.id,
+                    config: s.config.clone(),
+                    bindings: s.bindings.iter().map(|(g, f, _)| (*g, f.clone())).collect(),
+                });
             }
         }
         self.recompute_due();
         out
     }
 
-    /// Complete a successful restart: swap in the fresh instance (new id,
-    /// new filter ids), reset the fault window, keep the backoff ramp.
+    /// First half of a restart: take the faulted instance out of its slot
+    /// (for the plugin's `free_instance`). The slot keeps its record.
+    pub(crate) fn take_instance(&mut self, h: InstanceHandle) -> Option<Box<dyn PluginInstance>> {
+        self.record_mut(h)?.inst.take()
+    }
+
+    /// Second half: seat the rebuilt instance in the same slot under a
+    /// fresh generation — every handle to the old occupant is now stale —
+    /// reset the fault window and keep the backoff ramp.
     pub(crate) fn complete_restart(
         &mut self,
-        old_plugin: &str,
-        old_id: InstanceId,
+        h: InstanceHandle,
         new_id: InstanceId,
-        new_inst: &InstanceRef,
-        new_bindings: Vec<(Gate, FilterSpec, rp_classifier::FilterId)>,
-    ) {
-        if let Some(r) = self.records.iter_mut().find(|r| {
-            r.origin
-                .as_ref()
-                .is_some_and(|(p, i, _)| p == old_plugin && *i == old_id)
-        }) {
-            if let Some(origin) = r.origin.as_mut() {
-                origin.1 = new_id;
-            }
-            r.inst = new_inst.clone();
-            r.health = HealthState::Healthy;
-            r.faults = 0;
-            r.restarts += 1;
-            r.bindings = new_bindings;
-        }
+        inst: Box<dyn PluginInstance>,
+    ) -> Option<InstanceHandle> {
+        let s = self.record_mut(h)?;
+        s.inst = Some(inst);
+        s.id = new_id;
+        s.health = HealthState::Healthy;
+        s.faults = 0;
+        s.restarts += 1;
+        s.bindings.clear();
+        let slot = &mut self.slots[h.slot as usize];
+        slot.bump();
+        Some(InstanceHandle {
+            slot: h.slot,
+            generation: slot.generation,
+        })
     }
 
     /// A restart attempt failed (factory refused, plugin gone): either
     /// re-arm the backoff timer or give up, per policy.
-    pub(crate) fn fail_restart(&mut self, plugin: &str, id: InstanceId, now_ns: u64) {
+    pub(crate) fn fail_restart(&mut self, h: InstanceHandle, now_ns: u64) {
         let cap = self.policy.restart_backoff_cap_ns;
         let max_restarts = self.policy.max_restarts;
-        if let Some(r) = self.records.iter_mut().find(|r| {
-            r.origin
-                .as_ref()
-                .is_some_and(|(p, i, _)| p == plugin && *i == id)
-        }) {
-            r.restarts += 1;
-            if r.restarts < max_restarts {
-                r.restart_at_ns = Some(now_ns.saturating_add(r.next_backoff_ns));
-                r.next_backoff_ns = r.next_backoff_ns.saturating_mul(2).min(cap.max(1));
+        if let Some(s) = self.record_mut(h) {
+            s.restarts += 1;
+            if s.restarts < max_restarts {
+                s.restart_at_ns = Some(now_ns.saturating_add(s.next_backoff_ns));
+                s.next_backoff_ns = s.next_backoff_ns.saturating_mul(2).min(cap.max(1));
             }
         }
         self.recompute_due();
@@ -388,25 +472,18 @@ impl Supervisor {
     /// Snapshot every supervised instance (pmgr `health`).
     pub fn reports(&self) -> Vec<HealthReport> {
         let mut out: Vec<HealthReport> = self
-            .records
+            .slots
             .iter()
-            .map(|r| HealthReport {
-                plugin: r
-                    .origin
-                    .as_ref()
-                    .map(|(p, _, _)| p.clone())
-                    .unwrap_or_else(|| "(untracked)".to_string()),
-                id: r
-                    .origin
-                    .as_ref()
-                    .map(|(_, i, _)| *i)
-                    .unwrap_or(InstanceId(u32::MAX)),
-                health: r.health,
-                faults: r.faults,
-                total_faults: r.total_faults,
-                restarts: r.restarts,
-                restart_at_ns: r.restart_at_ns,
-                last_fault: r.last_fault.clone(),
+            .filter_map(|s| s.record.as_ref())
+            .map(|s| HealthReport {
+                plugin: s.plugin.clone(),
+                id: s.id,
+                health: s.health,
+                faults: s.faults,
+                total_faults: s.total_faults,
+                restarts: s.restarts,
+                restart_at_ns: s.restart_at_ns,
+                last_fault: s.last_fault.clone(),
             })
             .collect();
         out.sort_by(|a, b| (&a.plugin, a.id).cmp(&(&b.plugin, b.id)));
@@ -443,8 +520,8 @@ fn install_quiet_hook() {
 /// re-enters the data path.
 pub(crate) fn run_isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_quiet_hook();
-    // Save-and-restore, not set-and-clear: these calls nest (every plugin
-    // gate call inside a supervised shard loop is itself isolated), and a
+    // Save-and-restore, not set-and-clear: these calls nest (every frame
+    // of a router inside a supervised shard loop is itself isolated), and a
     // plain `set(false)` on inner exit would strip the outer frame's
     // suppression — an injected shard kill would then symbolize a full
     // backtrace, parking the dying thread on the CPU for seconds before
@@ -471,13 +548,9 @@ mod tests {
 
     struct Null;
     impl PluginInstance for Null {
-        fn handle_packet(&self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
+        fn handle_packet(&mut self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
             PluginAction::Continue
         }
-    }
-
-    fn inst() -> InstanceRef {
-        Arc::new(Null)
     }
 
     fn policy() -> FaultPolicy {
@@ -489,6 +562,16 @@ mod tests {
             max_restarts: 2,
             ..FaultPolicy::default()
         }
+    }
+
+    fn tracked(sup: &mut Supervisor, config: &str) -> InstanceHandle {
+        sup.insert("p", InstanceId(0), config, Box::new(Null))
+    }
+
+    #[test]
+    fn handle_is_eight_bytes_and_its_option_is_free() {
+        assert_eq!(std::mem::size_of::<InstanceHandle>(), 8);
+        assert_eq!(std::mem::size_of::<Option<InstanceHandle>>(), 8);
     }
 
     #[test]
@@ -503,66 +586,85 @@ mod tests {
     #[test]
     fn health_machine_degrade_then_quarantine() {
         let mut sup = Supervisor::new(policy());
-        let i = inst();
-        sup.track("p", InstanceId(0), "", &i);
+        let i = tracked(&mut sup, "");
         let k = FaultKind::Panic("x".into());
-        let v1 = sup.record_fault(&i, &k);
+        let v1 = sup.record_fault(i, &k).unwrap();
         assert_eq!(v1.health, HealthState::Degraded);
         assert!(!v1.newly_quarantined);
-        let v2 = sup.record_fault(&i, &k);
+        assert!(sup.live_mut(i).is_some(), "degraded stays on the path");
+        let v2 = sup.record_fault(i, &k).unwrap();
         assert_eq!(v2.health, HealthState::Degraded);
-        let v3 = sup.record_fault(&i, &k);
+        let v3 = sup.record_fault(i, &k).unwrap();
         assert_eq!(v3.health, HealthState::Quarantined);
         assert!(v3.newly_quarantined);
         // Further faults do not re-trigger the quarantine edge.
-        let v4 = sup.record_fault(&i, &k);
+        let v4 = sup.record_fault(i, &k).unwrap();
         assert!(!v4.newly_quarantined);
-        assert!(sup.is_quarantined(&i));
+        assert_eq!(sup.health_of(i), Some(HealthState::Quarantined));
+        // Off the packet path, still reachable from the control path.
+        assert!(sup.live_mut(i).is_none());
+        assert!(sup.instance(i).is_some());
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
         let mut sup = Supervisor::new(policy());
-        let i = inst();
-        sup.track("p", InstanceId(0), "cfg", &i);
-        assert_eq!(sup.schedule_restart(&i, 0), Some(1000));
+        let i = tracked(&mut sup, "cfg");
+        assert_eq!(sup.schedule_restart(i, 0), Some(1000));
         // Doubled to 2000, then capped at 4000.
-        assert_eq!(sup.schedule_restart(&i, 0), Some(2000));
-        assert_eq!(sup.schedule_restart(&i, 0), Some(4000));
-        assert_eq!(sup.schedule_restart(&i, 0), Some(4000));
+        assert_eq!(sup.schedule_restart(i, 0), Some(2000));
+        assert_eq!(sup.schedule_restart(i, 0), Some(4000));
+        assert_eq!(sup.schedule_restart(i, 0), Some(4000));
         assert!(sup.restart_due(4000));
     }
 
     #[test]
-    fn untracked_instances_not_restartable() {
+    fn freed_slot_is_reused_under_a_new_generation() {
         let mut sup = Supervisor::new(policy());
-        let i = inst();
-        sup.record_fault(&i, &FaultKind::Panic("x".into()));
-        assert_eq!(sup.schedule_restart(&i, 0), None);
-        let reports = sup.reports();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].plugin, "(untracked)");
+        let old = tracked(&mut sup, "");
+        assert!(sup.remove(old).is_some());
+        assert!(sup.remove(old).is_none(), "already freed");
+        let new = tracked(&mut sup, "");
+        assert_eq!(new.slot, old.slot, "slot reused");
+        assert_ne!(new, old);
+        // The old handle names nothing: not the new occupant, not a fault
+        // target, not a restart candidate.
+        assert!(sup.live_mut(old).is_none());
+        assert!(sup.instance(old).is_none());
+        assert!(sup
+            .record_fault(old, &FaultKind::Panic("x".into()))
+            .is_none());
+        assert_eq!(sup.schedule_restart(old, 0), None);
+        assert!(sup.live_mut(new).is_some());
+        assert_eq!(sup.reports()[0].total_faults, 0);
     }
 
     #[test]
     fn restart_ticket_lifecycle() {
         let mut sup = Supervisor::new(policy());
-        let i = inst();
-        sup.track("p", InstanceId(0), "k=v", &i);
+        let i = tracked(&mut sup, "k=v");
         for _ in 0..3 {
-            sup.record_fault(&i, &FaultKind::Panic("x".into()));
+            sup.record_fault(i, &FaultKind::Panic("x".into()));
         }
-        sup.schedule_restart(&i, 100).unwrap();
+        sup.schedule_restart(i, 100).unwrap();
         assert!(!sup.restart_due(500));
         assert!(sup.restart_due(1100));
         let due = sup.take_due(1100);
         assert_eq!(due.len(), 1);
+        assert_eq!(due[0].handle, i);
         assert_eq!(due[0].plugin, "p");
         assert_eq!(due[0].config, "k=v");
-        let fresh = inst();
-        sup.complete_restart("p", InstanceId(0), InstanceId(1), &fresh, Vec::new());
-        assert_eq!(sup.health_of(&fresh), Some(HealthState::Healthy));
+        assert!(sup.take_instance(i).is_some());
+        assert!(sup.instance(i).is_none(), "torn down, record kept");
+        let fresh = sup
+            .complete_restart(i, InstanceId(1), Box::new(Null))
+            .unwrap();
+        assert_eq!(fresh.slot, i.slot);
+        assert_ne!(fresh.generation, i.generation);
+        assert!(sup.live_mut(i).is_none(), "old handle is stale");
+        assert_eq!(sup.health_of(fresh), Some(HealthState::Healthy));
         let r = &sup.reports()[0];
+        assert_eq!(r.id, InstanceId(1));
         assert_eq!(r.restarts, 1);
         assert_eq!(r.faults, 0);
         assert_eq!(r.total_faults, 3);
@@ -571,34 +673,27 @@ mod tests {
     #[test]
     fn max_restarts_enforced() {
         let mut sup = Supervisor::new(policy()); // max_restarts = 2
-        let i = inst();
-        sup.track("p", InstanceId(0), "", &i);
-        sup.fail_restart("p", InstanceId(0), 0);
+        let i = tracked(&mut sup, "");
+        sup.fail_restart(i, 0);
         assert!(sup.restart_due(u64::MAX), "first failure re-arms");
         sup.take_due(u64::MAX);
-        sup.fail_restart("p", InstanceId(0), 0);
+        sup.fail_restart(i, 0);
         assert!(!sup.restart_due(u64::MAX), "second failure gives up");
-        assert_eq!(sup.schedule_restart(&i, 0), None);
+        assert_eq!(sup.schedule_restart(i, 0), None);
     }
 
     #[test]
     fn bindings_follow_unbind() {
         let mut sup = Supervisor::new(policy());
-        let i = inst();
-        sup.track("p", InstanceId(0), "", &i);
-        let fid = rp_classifier::FilterId(9);
-        sup.note_binding(&i, Gate::Firewall, FilterSpec::any(), fid);
-        sup.note_binding(
-            &i,
-            Gate::Stats,
-            FilterSpec::any(),
-            rp_classifier::FilterId(10),
-        );
-        sup.note_unbinding(&i, Gate::Firewall, fid);
+        let i = tracked(&mut sup, "");
+        let fid = FilterId(9);
+        sup.note_binding(i, Gate::Firewall, FilterSpec::any(), fid);
+        sup.note_binding(i, Gate::Stats, FilterSpec::any(), FilterId(10));
+        sup.note_unbinding(i, Gate::Firewall, fid);
         for _ in 0..3 {
-            sup.record_fault(&i, &FaultKind::Panic("x".into()));
+            sup.record_fault(i, &FaultKind::Panic("x".into()));
         }
-        sup.schedule_restart(&i, 0).unwrap();
+        sup.schedule_restart(i, 0).unwrap();
         let due = sup.take_due(u64::MAX);
         assert_eq!(due[0].bindings.len(), 1);
         assert_eq!(due[0].bindings[0].0, Gate::Stats);

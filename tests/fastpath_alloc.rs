@@ -90,16 +90,16 @@ fn steady_state_fast_path_stays_off_the_allocator() {
         "steady state allocated fresh mbuf buffers"
     );
 
-    // Total allocator traffic: the packet path itself is allocation-free
-    // once warm; the generous ceiling (< 0.01 allocations/packet, i.e.
-    // < 100 total here) leaves room for incidental lazy initialization
-    // without letting a per-packet clone regression through.
+    // Total allocator traffic is exact too: gate dispatch copies a slot
+    // handle, the DRR instance parks packets in a slab that reuses its
+    // slots, and the queues and tx logs are at their working size — once
+    // warm, nothing between `mbuf_with` and the wire calls the allocator.
+    // The one call left is the testbench's own drain vector, grown once
+    // per `run_router_pooled` call.
     let allocs = allocs_after - allocs_before;
-    let per_packet = allocs as f64 / measured as f64;
     assert!(
-        per_packet < 0.01,
-        "steady state allocated {allocs} times over {measured} packets \
-         ({per_packet:.4}/packet; ceiling 0.01)"
+        allocs <= 1,
+        "steady state allocated {allocs} times over {measured} packets"
     );
 
     // Phase 2: the same discipline must hold with real device plumbing

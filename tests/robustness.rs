@@ -197,6 +197,47 @@ fn chaos_panics_contained_at_every_gate() {
     }
 }
 
+/// One isolation frame spans all pre-routing gates, so attribution rests
+/// on the in-flight marker: with a healthy instance at the first gate and
+/// a crashing one at a later gate, every fault lands on the crashing
+/// instance, the first gate's work still counts, and the dropped packet's
+/// buffer goes back to the pool.
+#[test]
+fn panic_at_a_later_gate_is_charged_to_that_instance_alone() {
+    let mut r = supervised_router(
+        "load null\ncreate null\nbind fw null 0 <*, *, UDP, *, *, *>\n\
+         load chaos\ncreate chaos mode=panic every=1\n\
+         bind stats chaos 0 <*, *, UDP, *, *, *>",
+    );
+    let pool_before = r.pool_stats();
+    for i in 0..3u16 {
+        let m = r.mbuf_with(udp(100 + i).data(), 0);
+        assert_eq!(
+            r.receive(m),
+            Disposition::Dropped(DropReason::PluginFault(Gate::Stats))
+        );
+    }
+    let pool = r.pool_stats();
+    assert_eq!(pool.acquired - pool_before.acquired, 3);
+    assert_eq!(pool.recycled - pool_before.recycled, 3);
+    let s = r.stats();
+    assert_eq!(s.plugin_calls, 6, "the first gate's calls are counted");
+    assert_eq!(s.plugin_faults, 3);
+    assert_eq!(s.dropped_fault, 3);
+    let reports = r.health_reports();
+    let of = |name: &str| reports.iter().find(|h| h.plugin == name).unwrap();
+    assert_eq!(of("chaos").total_faults, 3);
+    assert_eq!(of("chaos").health, HealthState::Quarantined);
+    assert_eq!(of("null").total_faults, 0);
+    assert_eq!(of("null").health, HealthState::Healthy);
+    let instances = run_command(&mut r, "show instances").unwrap();
+    assert!(instances.contains("null: 3 calls"), "{instances}");
+    // With the crashing instance off the path the flow forwards again,
+    // still through the first gate's instance.
+    assert!(matches!(r.receive(udp(100)), Disposition::Forwarded(1)));
+    assert_eq!(r.stats().plugin_calls, 7);
+}
+
 /// A quarantined instance is restarted from its factory after the policy
 /// backoff (simulated time); a second quarantine doubles the backoff.
 #[test]
