@@ -198,59 +198,296 @@ pub struct ShardTraceEvent {
     pub event: TraceEvent,
 }
 
-/// The control-plane surface `pmgr` (and the daemons) drive. One
-/// implementation per data-plane shape; the command language is identical
-/// over both.
+/// One state-mutating control command, shard-agnostic: the value `pmgr`
+/// issues, the shard fan-out carries, and the [`CommandJournal`] records
+/// and replays. A new command is one variant here, one arm in
+/// [`ControlCmd::apply`] and one provided `cp_*` method on
+/// [`ControlPlane`] — nothing else.
+///
+/// [`CommandJournal`]: super::CommandJournal
+#[derive(Debug, Clone)]
+pub enum ControlCmd {
+    /// `modload` — plugin registration with the loader.
+    LoadPlugin(String),
+    /// `modunload`.
+    UnloadPlugin(String),
+    /// Forced `modunload` (frees live instances and bindings first).
+    ForceUnloadPlugin(String),
+    /// Any plugin message: instance create/free, filter (de)registration,
+    /// bindings, custom messages. These are the id-allocating commands.
+    Message {
+        /// Target plugin name.
+        plugin: String,
+        /// The message (cloned per shard on fan-out and on replay).
+        msg: PluginMsg,
+    },
+    /// Core routing table insert.
+    AddRoute {
+        /// Destination network.
+        addr: IpAddr,
+        /// Prefix length.
+        prefix_len: u8,
+        /// Egress interface.
+        tx_if: IfIndex,
+    },
+    /// Core routing table removal.
+    RemoveRoute {
+        /// Destination network.
+        addr: IpAddr,
+        /// Prefix length.
+        prefix_len: u8,
+    },
+    /// FIB compile ([`Router::optimize_routes`]). Journaled so a rebuilt
+    /// shard forwards from the compiled table like its siblings, and in
+    /// sequence so it costs one trie walk, not a repaint per later route.
+    OptimizeRoutes,
+    /// Gate enable/disable.
+    SetGateEnabled {
+        /// The gate.
+        gate: Gate,
+        /// New state.
+        enabled: bool,
+    },
+    /// Default egress scheduler attachment.
+    SetDefaultScheduler {
+        /// Interface.
+        iface: IfIndex,
+        /// Scheduler plugin name.
+        plugin: String,
+        /// Scheduler instance id.
+        id: InstanceId,
+    },
+    /// Interface address assignment.
+    SetInterfaceAddr {
+        /// Interface.
+        iface: IfIndex,
+        /// Address.
+        addr: IpAddr,
+    },
+    /// Tracer on/off (all categories).
+    TraceEnable(bool),
+}
+
+impl ControlCmd {
+    /// Run the command against one router. The single place a command
+    /// meets a [`Router`]: the unsharded control plane, every shard of a
+    /// fan-out and journal replay all come through here, so they cannot
+    /// disagree about what a command does.
+    pub fn apply(&self, router: &mut Router) -> Result<PluginReply, PluginError> {
+        match self {
+            ControlCmd::LoadPlugin(name) => router.load_plugin(name)?,
+            ControlCmd::UnloadPlugin(name) => router.unload_plugin(name)?,
+            ControlCmd::ForceUnloadPlugin(name) => router.force_unload_plugin(name)?,
+            ControlCmd::Message { plugin, msg } => {
+                return router.send_message(plugin, msg.clone());
+            }
+            ControlCmd::AddRoute {
+                addr,
+                prefix_len,
+                tx_if,
+            } => router.add_route(*addr, *prefix_len, *tx_if),
+            ControlCmd::RemoveRoute { addr, prefix_len } => {
+                if !router.remove_route(*addr, *prefix_len) {
+                    return Err(PluginError::BadConfig(format!(
+                        "no route {addr}/{prefix_len}"
+                    )));
+                }
+            }
+            ControlCmd::OptimizeRoutes => router.optimize_routes(),
+            ControlCmd::SetGateEnabled { gate, enabled } => {
+                router.set_gate_enabled(*gate, *enabled)
+            }
+            ControlCmd::SetDefaultScheduler { iface, plugin, id } => {
+                router.set_default_scheduler(*iface, plugin, *id)?
+            }
+            ControlCmd::SetInterfaceAddr { iface, addr } => {
+                router.set_interface_addr(*iface, *addr)
+            }
+            ControlCmd::TraceEnable(on) => router.tracer_mut().set_enabled(*on),
+        }
+        Ok(PluginReply::Done)
+    }
+}
+
+/// What a data plane counts outside its routers: the parallel
+/// dispatcher's sheds, device drops and the absorbed history of exited
+/// shard incarnations. All zero on a single router. The "total" rows of
+/// `stats` and `metrics` are these plus every router's own counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LocalTotals {
+    /// Data-path counters.
+    pub data: DataPathStats,
+    /// Flow-cache counters.
+    pub flows: FlowTableStats,
+    /// Metrics registry (including the dispatcher's own mbuf pool).
+    pub metrics: MetricsSnapshot,
+    /// Packets counted forwarded by a router and later refused by an
+    /// egress device; subtracted from the merged `forwarded`.
+    pub device_tx_unforwarded: u64,
+}
+
+/// The control-plane surface `pmgr` (and the daemons) drive, identical
+/// over every data-plane shape. An implementation supplies three things:
+/// how a [`ControlCmd`] reaches its router(s), how a read-only question
+/// does, and what it counts itself. Everything `pmgr` calls is a
+/// one-line provided method over those.
 pub trait ControlPlane {
+    /// Apply one state-mutating command to every router of the plane and
+    /// return the single merged reply.
+    fn cp_apply(&mut self, cmd: ControlCmd) -> Result<PluginReply, PluginError>;
+    /// Ask every router of the plane a read-only question. One answer per
+    /// router, labelled `None` on a single router and `Some(shard)` on a
+    /// parallel plane, in shard order; a shard that could not answer is
+    /// there as [`ShardAnswer::Down`] / [`ShardAnswer::Unresponsive`].
+    fn cp_query<R, F>(&mut self, f: F) -> Vec<(Option<usize>, ShardAnswer<R>)>
+    where
+        R: Send + 'static,
+        F: Fn(&Router) -> R + Send + Sync + 'static;
+    /// Counters kept outside the routers (see [`LocalTotals`]).
+    fn cp_local_totals(&mut self) -> LocalTotals {
+        LocalTotals::default()
+    }
+
     /// `modload <name>`.
-    fn cp_load_plugin(&mut self, name: &str) -> Result<(), PluginError>;
+    fn cp_load_plugin(&mut self, name: &str) -> Result<(), PluginError> {
+        self.cp_apply(ControlCmd::LoadPlugin(name.to_string()))
+            .map(drop)
+    }
     /// `modunload <name>`.
-    fn cp_unload_plugin(&mut self, name: &str) -> Result<(), PluginError>;
+    fn cp_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
+        self.cp_apply(ControlCmd::UnloadPlugin(name.to_string()))
+            .map(drop)
+    }
     /// Forced `modunload`: free live instances and their bindings first.
-    fn cp_force_unload_plugin(&mut self, name: &str) -> Result<(), PluginError>;
+    fn cp_force_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
+        self.cp_apply(ControlCmd::ForceUnloadPlugin(name.to_string()))
+            .map(drop)
+    }
     /// Standardized / plugin-specific message dispatch.
-    fn cp_send_message(&mut self, plugin: &str, msg: PluginMsg)
-        -> Result<PluginReply, PluginError>;
+    fn cp_send_message(
+        &mut self,
+        plugin: &str,
+        msg: PluginMsg,
+    ) -> Result<PluginReply, PluginError> {
+        let plugin = plugin.to_string();
+        self.cp_apply(ControlCmd::Message { plugin, msg })
+    }
     /// Add a core route.
-    fn cp_add_route(&mut self, addr: IpAddr, prefix_len: u8, tx_if: IfIndex);
-    /// Remove a core route.
-    fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool;
+    fn cp_add_route(&mut self, addr: IpAddr, prefix_len: u8, tx_if: IfIndex) {
+        let _ = self.cp_apply(ControlCmd::AddRoute {
+            addr,
+            prefix_len,
+            tx_if,
+        });
+    }
+    /// Remove a core route; false when there was none.
+    fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool {
+        self.cp_apply(ControlCmd::RemoveRoute { addr, prefix_len })
+            .is_ok()
+    }
     /// Compile the IPv4 routes into the direct-index FIB (on every shard);
     /// call after bulk route loading.
-    fn cp_optimize_routes(&mut self);
+    fn cp_optimize_routes(&mut self) {
+        let _ = self.cp_apply(ControlCmd::OptimizeRoutes);
+    }
     /// Enable/disable a gate.
-    fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool);
+    fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
+        let _ = self.cp_apply(ControlCmd::SetGateEnabled { gate, enabled });
+    }
     /// Attach a default egress scheduler to an interface.
     fn cp_set_default_scheduler(
         &mut self,
         iface: IfIndex,
         plugin: &str,
         id: InstanceId,
-    ) -> Result<(), PluginError>;
-    /// Installed filters at a gate, human-readable.
-    fn cp_describe_filters(&self, gate: Gate) -> Vec<String>;
-    /// Live instances, human-readable.
-    fn cp_describe_instances(&self) -> Vec<String>;
-    /// Supervision state, labelled by shard where applicable.
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport>;
-    /// Loaded plugin names.
-    fn cp_loaded_plugins(&self) -> Vec<String>;
-    /// Statistics rows: the merged total first, then any per-shard
-    /// breakdown.
-    fn cp_stats_rows(&self) -> Vec<StatsRow>;
-    /// Metrics rows: the merged registry snapshot first, then any
-    /// per-shard breakdown.
-    fn cp_metrics_rows(&self) -> Vec<MetricsRow>;
+    ) -> Result<(), PluginError> {
+        let plugin = plugin.to_string();
+        self.cp_apply(ControlCmd::SetDefaultScheduler { iface, plugin, id })
+            .map(drop)
+    }
+    /// Assign the router's own address on an interface.
+    fn cp_set_interface_addr(&mut self, iface: IfIndex, addr: IpAddr) {
+        let _ = self.cp_apply(ControlCmd::SetInterfaceAddr { iface, addr });
+    }
     /// Turn the event tracer on or off (all categories) without stopping
     /// the data path.
-    fn cp_trace_enable(&mut self, on: bool);
+    fn cp_trace_enable(&mut self, on: bool) {
+        let _ = self.cp_apply(ControlCmd::TraceEnable(on));
+    }
+
+    /// Installed filters at a gate, human-readable. Filter tables are in
+    /// lockstep across shards; any answering shard's view is the logical
+    /// router's view.
+    fn cp_describe_filters(&mut self, gate: Gate) -> Vec<String> {
+        first_answer(self.cp_query(move |r| r.describe_filters(gate)))
+    }
+    /// Live instances, human-readable.
+    fn cp_describe_instances(&mut self) -> Vec<String> {
+        first_answer(self.cp_query(|r| r.describe_instances()))
+    }
+    /// Loaded plugin names.
+    fn cp_loaded_plugins(&mut self) -> Vec<String> {
+        first_answer(self.cp_query(|r| r.loader.loaded()))
+    }
+    /// Supervision state, labelled by shard where applicable.
+    fn cp_health_reports(&mut self) -> Vec<ShardHealthReport> {
+        each_answer(self.cp_query(|r| r.health_reports()))
+            .map(|(shard, report)| ShardHealthReport { shard, report })
+            .collect()
+    }
     /// The last `n` trace events (per shard on a parallel data plane),
     /// labelled by origin, oldest first within each origin.
-    fn cp_trace_dump(&self, n: usize) -> Vec<ShardTraceEvent>;
+    fn cp_trace_dump(&mut self, n: usize) -> Vec<ShardTraceEvent> {
+        each_answer(self.cp_query(move |r| r.tracer().dump(n)))
+            .map(|(shard, event)| ShardTraceEvent { shard, event })
+            .collect()
+    }
+    /// Statistics rows: the merged total first, then one row per shard
+    /// (a shard that could not answer keeps its row, labelled so, with
+    /// zero counters).
+    fn cp_stats_rows(&mut self) -> Vec<StatsRow> {
+        let local = self.cp_local_totals();
+        let mut total = StatsRow {
+            label: "total".to_string(),
+            data: local.data,
+            flows: local.flows,
+        };
+        let mut rows = Vec::new();
+        for (shard, answer) in self.cp_query(|r| (r.stats(), r.flow_stats())) {
+            let label = shard.map(|i| row_label(i, &answer));
+            let (data, flows) = answer.ok().unwrap_or_default();
+            total.data.absorb(&data);
+            total.flows.absorb(&flows);
+            rows.extend(label.map(|label| StatsRow { label, data, flows }));
+        }
+        total.data.forwarded = total
+            .data
+            .forwarded
+            .saturating_sub(local.device_tx_unforwarded);
+        rows.insert(0, total);
+        rows
+    }
+    /// Metrics rows: the merged registry snapshot first, then one row per
+    /// shard.
+    fn cp_metrics_rows(&mut self) -> Vec<MetricsRow> {
+        let mut total = MetricsRow {
+            label: "total".to_string(),
+            metrics: self.cp_local_totals().metrics,
+        };
+        let mut rows = Vec::new();
+        for (shard, answer) in self.cp_query(|r| r.metrics_snapshot()) {
+            let label = shard.map(|i| row_label(i, &answer));
+            let metrics = answer.ok().unwrap_or_default();
+            total.metrics.absorb(&metrics);
+            rows.extend(label.map(|label| MetricsRow { label, metrics }));
+        }
+        rows.insert(0, total);
+        rows
+    }
+
     /// Per-shard supervision state (`pmgr shards`). Empty on a single
-    /// (unsharded) router. Takes `&mut self` because reading status is
-    /// also the watchdog's opportunity to harvest dead shards and fire
-    /// due restarts.
+    /// (unsharded) router. Reading status is also the watchdog's
+    /// opportunity to harvest dead shards and fire due restarts.
     fn cp_shard_status(&mut self) -> Vec<ShardStatus> {
         Vec::new()
     }
@@ -269,97 +506,58 @@ pub trait ControlPlane {
     /// Bound network devices (`pmgr devices`): one row per device, in
     /// binding order. Empty unless the plane runs under an `IoPlane`
     /// (the bare routers have no devices).
-    fn cp_device_rows(&self) -> Vec<DeviceRow> {
+    fn cp_device_rows(&mut self) -> Vec<DeviceRow> {
         Vec::new()
     }
 }
 
-impl ControlPlane for Router {
-    fn cp_load_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        self.load_plugin(name)
-    }
-    fn cp_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        self.unload_plugin(name)
-    }
-    fn cp_force_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        self.force_unload_plugin(name)
-    }
-    fn cp_send_message(
-        &mut self,
-        plugin: &str,
-        msg: PluginMsg,
-    ) -> Result<PluginReply, PluginError> {
-        self.send_message(plugin, msg)
-    }
-    fn cp_add_route(&mut self, addr: IpAddr, prefix_len: u8, tx_if: IfIndex) {
-        self.add_route(addr, prefix_len, tx_if)
-    }
-    fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool {
-        self.remove_route(addr, prefix_len)
-    }
-    fn cp_optimize_routes(&mut self) {
-        self.optimize_routes()
-    }
-    fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
-        self.set_gate_enabled(gate, enabled)
-    }
-    fn cp_set_default_scheduler(
-        &mut self,
-        iface: IfIndex,
-        plugin: &str,
-        id: InstanceId,
-    ) -> Result<(), PluginError> {
-        self.set_default_scheduler(iface, plugin, id)
-    }
-    fn cp_describe_filters(&self, gate: Gate) -> Vec<String> {
-        self.describe_filters(gate)
-    }
-    fn cp_describe_instances(&self) -> Vec<String> {
-        self.describe_instances()
-    }
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport> {
-        self.health_reports()
+/// The answer to a question about lockstep state: the first router that
+/// gave one speaks for all.
+fn first_answer<R: Default>(answers: Vec<(Option<usize>, ShardAnswer<R>)>) -> R {
+    answers
+        .into_iter()
+        .find_map(|(_, a)| a.ok())
+        .unwrap_or_default()
+}
+
+/// Flatten per-router lists into one, each item labelled by its origin.
+fn each_answer<T>(
+    answers: Vec<(Option<usize>, ShardAnswer<Vec<T>>)>,
+) -> impl Iterator<Item = (Option<usize>, T)> {
+    answers.into_iter().flat_map(|(shard, a)| {
+        a.ok()
+            .unwrap_or_default()
             .into_iter()
-            .map(|report| ShardHealthReport {
-                shard: None,
-                report,
-            })
-            .collect()
-    }
-    fn cp_loaded_plugins(&self) -> Vec<String> {
-        self.loader.loaded()
-    }
-    fn cp_stats_rows(&self) -> Vec<StatsRow> {
-        vec![StatsRow {
-            label: "total".to_string(),
-            data: self.stats(),
-            flows: self.flow_stats(),
-        }]
-    }
-    fn cp_metrics_rows(&self) -> Vec<MetricsRow> {
-        vec![MetricsRow {
-            label: "total".to_string(),
-            metrics: self.metrics_snapshot(),
-        }]
-    }
-    fn cp_trace_enable(&mut self, on: bool) {
-        self.tracer_mut().set_enabled(on);
-    }
-    fn cp_trace_dump(&self, n: usize) -> Vec<ShardTraceEvent> {
-        self.tracer()
-            .dump(n)
-            .into_iter()
-            .map(|event| ShardTraceEvent { shard: None, event })
-            .collect()
+            .map(move |t| (shard, t))
+    })
+}
+
+/// `shard 2`, or `shard 2 (down)` for a shard that gave no answer.
+fn row_label<R>(shard: usize, answer: &ShardAnswer<R>) -> String {
+    match answer {
+        ShardAnswer::Ok(_) => format!("shard {shard}"),
+        missing => format!("shard {shard} ({})", missing.label()),
     }
 }
 
-/// One shard's answer to a control fan-out, by shard index. `Down` and
-/// `Unresponsive` are the partial-reply cases: the command could not be
-/// delivered (shard dead/quarantined) or its reply never came back
-/// within the fan-out timeout (shard wedged mid-message).
+impl ControlPlane for Router {
+    fn cp_apply(&mut self, cmd: ControlCmd) -> Result<PluginReply, PluginError> {
+        cmd.apply(self)
+    }
+    fn cp_query<R, F>(&mut self, f: F) -> Vec<(Option<usize>, ShardAnswer<R>)>
+    where
+        F: Fn(&Router) -> R,
+    {
+        vec![(None, ShardAnswer::Ok(f(self)))]
+    }
+}
+
+/// One shard's answer to a control fan-out. `Down` and `Unresponsive`
+/// are the partial-reply cases: the command could not be delivered
+/// (shard dead/quarantined) or its reply never came back within the
+/// fan-out timeout (shard wedged mid-message).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ShardAnswer<R> {
+pub enum ShardAnswer<R> {
     /// The shard ran the command and replied.
     Ok(R),
     /// The shard was not serving — the command was never delivered. The
@@ -370,6 +568,14 @@ pub(crate) enum ShardAnswer<R> {
 }
 
 impl<R> ShardAnswer<R> {
+    /// The reply, if there was one.
+    pub fn ok(self) -> Option<R> {
+        match self {
+            ShardAnswer::Ok(r) => Some(r),
+            _ => None,
+        }
+    }
+
     fn label(&self) -> &'static str {
         match self {
             ShardAnswer::Ok(_) => "ok",
@@ -379,35 +585,15 @@ impl<R> ShardAnswer<R> {
     }
 }
 
-/// Aggregate per-shard unit results: the logical operation succeeded iff
-/// it succeeded on every *responsive* shard; the first failure is the
-/// reported one. Down/unresponsive shards don't veto — the command is in
-/// the journal and the rebuild replays it — but an all-missing fan-out is
-/// an error.
-pub(crate) fn merge_unit(
-    answers: Vec<(usize, ShardAnswer<Result<(), PluginError>>)>,
-) -> Result<(), PluginError> {
-    let mut any_ok = false;
-    for (_, a) in answers {
-        if let ShardAnswer::Ok(r) = a {
-            r?;
-            any_ok = true;
-        }
-    }
-    if any_ok {
-        Ok(())
-    } else {
-        Err(PluginError::Busy(
-            "no responsive data-plane shards".to_string(),
-        ))
-    }
-}
-
 /// Aggregate per-shard replies into the single reply the operator sees.
+/// The first failure on a *responsive* shard is the reported one;
+/// down/unresponsive shards don't veto — the command is in the journal and
+/// the rebuild replays it — but an all-missing fan-out is an error.
 ///
 /// Shards execute identical command sequences, so structured replies
-/// (instance ids, filter ids) are expected to agree — any divergence is
-/// surfaced as an error rather than silently picking one shard's answer.
+/// (instance ids, filter ids, `Done`) are expected to agree — any
+/// divergence is surfaced as an error rather than silently picking one
+/// shard's answer.
 /// Plugin-specific `Text` replies may legitimately differ per shard
 /// (e.g. per-shard packet counters); those are joined with a shard label
 /// per line, and shards that could not answer contribute a
@@ -474,9 +660,13 @@ mod tests {
 
     #[test]
     fn unit_first_error_wins() {
-        assert!(merge_unit(vec![ok(0, ()), ok(1, ())]).is_ok());
-        let e = merge_unit(vec![
-            ok(0, ()),
+        let done = PluginReply::Done;
+        assert_eq!(
+            merge_replies(vec![ok(0, done.clone()), ok(1, done.clone())]),
+            Ok(done.clone())
+        );
+        let e = merge_replies(vec![
+            ok(0, done),
             (1, ShardAnswer::Ok(Err(PluginError::Busy("x".into())))),
             (2, ShardAnswer::Ok(Err(PluginError::Busy("y".into())))),
         ])
@@ -486,8 +676,14 @@ mod tests {
 
     #[test]
     fn unit_missing_shards_do_not_veto() {
-        assert!(merge_unit(vec![ok(0, ()), (1, ShardAnswer::Down)]).is_ok());
-        assert!(merge_unit(vec![(0, ShardAnswer::Down), (1, ShardAnswer::Unresponsive)]).is_err());
+        let done = PluginReply::Done;
+        assert_eq!(
+            merge_replies(vec![ok(0, done.clone()), (1, ShardAnswer::Down)]),
+            Ok(done)
+        );
+        assert!(
+            merge_replies(vec![(0, ShardAnswer::Down), (1, ShardAnswer::Unresponsive)]).is_err()
+        );
     }
 
     #[test]
@@ -550,6 +746,5 @@ mod tests {
     #[test]
     fn empty_shard_set_is_an_error() {
         assert!(merge_replies(vec![]).is_err());
-        assert!(merge_unit(vec![]).is_err());
     }
 }

@@ -29,77 +29,8 @@
 //! * packet traffic and per-shard counters — the data path is not
 //!   control state.
 
-use crate::gate::Gate;
-use crate::message::PluginMsg;
-use crate::plugin::InstanceId;
+use super::control::ControlCmd;
 use crate::router::Router;
-use rp_packet::mbuf::IfIndex;
-use std::net::IpAddr;
-
-/// One recorded state-mutating control command, shard-agnostic (the same
-/// record replays into any shard).
-#[derive(Debug, Clone)]
-pub enum JournaledCmd {
-    /// `modload` — plugin registration with the loader.
-    LoadPlugin(String),
-    /// `modunload`.
-    UnloadPlugin(String),
-    /// Forced `modunload` (frees live instances and bindings first).
-    ForceUnloadPlugin(String),
-    /// Any plugin message: instance create/free, filter (de)registration,
-    /// bindings, custom messages. These are the id-allocating commands.
-    Message {
-        /// Target plugin name.
-        plugin: String,
-        /// The message (cloned per shard on fan-out and on replay).
-        msg: PluginMsg,
-    },
-    /// Core routing table insert.
-    AddRoute {
-        /// Destination network.
-        addr: IpAddr,
-        /// Prefix length.
-        prefix_len: u8,
-        /// Egress interface.
-        tx_if: IfIndex,
-    },
-    /// Core routing table removal.
-    RemoveRoute {
-        /// Destination network.
-        addr: IpAddr,
-        /// Prefix length.
-        prefix_len: u8,
-    },
-    /// FIB compile ([`Router::optimize_routes`]). Journaled so a rebuilt
-    /// shard forwards from the compiled table like its siblings, and in
-    /// sequence so it costs one trie walk, not a repaint per later route.
-    OptimizeRoutes,
-    /// Gate enable/disable.
-    SetGateEnabled {
-        /// The gate.
-        gate: Gate,
-        /// New state.
-        enabled: bool,
-    },
-    /// Default egress scheduler attachment.
-    SetDefaultScheduler {
-        /// Interface.
-        iface: IfIndex,
-        /// Scheduler plugin name.
-        plugin: String,
-        /// Scheduler instance id.
-        id: InstanceId,
-    },
-    /// Interface address assignment.
-    SetInterfaceAddr {
-        /// Interface.
-        iface: IfIndex,
-        /// Address.
-        addr: IpAddr,
-    },
-    /// Tracer on/off.
-    TraceEnable(bool),
-}
 
 /// The dispatcher's append-only journal plus the clock high-water mark.
 ///
@@ -108,13 +39,13 @@ pub enum JournaledCmd {
 /// commands), not packet-scale, so no compaction is attempted.
 #[derive(Debug, Clone, Default)]
 pub struct CommandJournal {
-    cmds: Vec<JournaledCmd>,
+    cmds: Vec<ControlCmd>,
     last_now_ns: Option<u64>,
 }
 
 impl CommandJournal {
     /// Append one command.
-    pub fn record(&mut self, cmd: JournaledCmd) {
+    pub fn record(&mut self, cmd: ControlCmd) {
         self.cmds.push(cmd);
     }
 
@@ -143,62 +74,20 @@ impl CommandJournal {
         if let Some(now) = self.last_now_ns {
             router.set_time_ns(now);
         }
-        let mut errors = 0usize;
-        for cmd in &self.cmds {
-            let failed = match cmd {
-                JournaledCmd::LoadPlugin(name) => router.load_plugin(name).is_err(),
-                JournaledCmd::UnloadPlugin(name) => router.unload_plugin(name).is_err(),
-                JournaledCmd::ForceUnloadPlugin(name) => router.force_unload_plugin(name).is_err(),
-                JournaledCmd::Message { plugin, msg } => {
-                    router.send_message(plugin, msg.clone()).is_err()
-                }
-                JournaledCmd::AddRoute {
-                    addr,
-                    prefix_len,
-                    tx_if,
-                } => {
-                    router.add_route(*addr, *prefix_len, *tx_if);
-                    false
-                }
-                JournaledCmd::RemoveRoute { addr, prefix_len } => {
-                    router.remove_route(*addr, *prefix_len);
-                    false
-                }
-                JournaledCmd::OptimizeRoutes => {
-                    router.optimize_routes();
-                    false
-                }
-                JournaledCmd::SetGateEnabled { gate, enabled } => {
-                    router.set_gate_enabled(*gate, *enabled);
-                    false
-                }
-                JournaledCmd::SetDefaultScheduler { iface, plugin, id } => {
-                    router.set_default_scheduler(*iface, plugin, *id).is_err()
-                }
-                JournaledCmd::SetInterfaceAddr { iface, addr } => {
-                    router.set_interface_addr(*iface, *addr);
-                    false
-                }
-                JournaledCmd::TraceEnable(on) => {
-                    router.tracer_mut().set_enabled(*on);
-                    false
-                }
-            };
-            if failed {
-                errors += 1;
-            }
-        }
-        errors
+        self.cmds
+            .iter()
+            .filter(|cmd| cmd.apply(router).is_err())
+            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::PluginReply;
+    use crate::message::{PluginMsg, PluginReply};
     use crate::plugins::register_builtin_factories;
     use crate::router::RouterConfig;
-    use std::net::Ipv4Addr;
+    use std::net::{IpAddr, Ipv4Addr};
 
     fn fresh_router() -> Router {
         let mut r = Router::new(RouterConfig::default());
@@ -208,14 +97,14 @@ mod tests {
 
     fn journal_with_fw_instance() -> CommandJournal {
         let mut j = CommandJournal::default();
-        j.record(JournaledCmd::LoadPlugin("firewall".into()));
-        j.record(JournaledCmd::Message {
+        j.record(ControlCmd::LoadPlugin("firewall".into()));
+        j.record(ControlCmd::Message {
             plugin: "firewall".into(),
             msg: PluginMsg::CreateInstance {
                 config: String::new(),
             },
         });
-        j.record(JournaledCmd::AddRoute {
+        j.record(ControlCmd::AddRoute {
             addr: IpAddr::V4(Ipv4Addr::new(10, 0, 0, 0)),
             prefix_len: 8,
             tx_if: 1,
@@ -250,8 +139,8 @@ mod tests {
         j.replay(&mut uncompiled);
         assert!(!uncompiled.fib_stats().compiled);
 
-        j.record(JournaledCmd::OptimizeRoutes);
-        j.record(JournaledCmd::AddRoute {
+        j.record(ControlCmd::OptimizeRoutes);
+        j.record(ControlCmd::AddRoute {
             addr: IpAddr::V4(Ipv4Addr::new(10, 1, 0, 0)),
             prefix_len: 16,
             tx_if: 2,
@@ -266,8 +155,8 @@ mod tests {
     #[test]
     fn failed_commands_fail_identically_on_replay() {
         let mut j = CommandJournal::default();
-        j.record(JournaledCmd::LoadPlugin("no-such-plugin".into()));
-        j.record(JournaledCmd::LoadPlugin("firewall".into()));
+        j.record(ControlCmd::LoadPlugin("no-such-plugin".into()));
+        j.record(ControlCmd::LoadPlugin("firewall".into()));
         let mut r = fresh_router();
         assert_eq!(j.replay(&mut r), 1);
         let mut r2 = fresh_router();

@@ -20,10 +20,10 @@
 //! filter ids stay in lockstep and an operator-visible id means the same
 //! logical object everywhere.
 //!
-//! Egress is re-serialized: shards push transmitted packets onto one
-//! shared collector channel and the dispatcher buckets them per output
-//! interface. Since a flow is pinned to one shard and each shard emits in
-//! processing order, per-flow order on the wire matches the
+//! Egress is re-serialized: shards push carriers of transmitted packets
+//! onto one shared collector channel and the dispatcher buckets them per
+//! output interface. Since a flow is pinned to one shard and each shard
+//! emits in processing order, per-flow order on the wire matches the
 //! single-threaded router exactly.
 //!
 //! # Shard supervision
@@ -65,29 +65,26 @@ pub mod journal;
 pub mod shard;
 
 pub use control::{
-    ControlPlane, MetricsRow, ShardHealthReport, ShardStatus, ShardTraceEvent, StatsRow,
+    ControlCmd, ControlPlane, LocalTotals, MetricsRow, ShardAnswer, ShardHealthReport, ShardStatus,
+    ShardTraceEvent, StatsRow,
 };
 pub use dispatch::{shard_for_packet, shard_for_tuple, FlowSteer, SteerConfig, SteerStats};
-pub use journal::{CommandJournal, JournaledCmd};
+pub use journal::CommandJournal;
 pub use shard::{ShardCtx, ShardMsg, ShardReport};
 
-use crate::gate::Gate;
 use crate::ip_core::{DataPathStats, DropReason};
 use crate::loader::PluginLoader;
-use crate::message::{PluginMsg, PluginReply};
+use crate::message::PluginReply;
 use crate::obs::{drop_reason_index, MetricsRegistry, MetricsSnapshot};
-use crate::plugin::{InstanceId, PluginError};
+use crate::plugin::PluginError;
 use crate::router::{Router, RouterConfig};
 use crate::supervisor::{FaultPolicy, HealthState};
-use control::{merge_replies, merge_unit, ShardAnswer};
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use control::merge_replies;
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::{FlowTuple, Mbuf, MbufPool, PoolStats};
-use shard::{
-    run_shard, ControlFn, EgressSink, ShardFinal, ShardReceiver, ShardSender, ShardShared,
-};
-use std::net::IpAddr;
+use shard::{run_shard, shard_fifo, ControlFn, EgressSink, ShardFinal, ShardSender, ShardShared};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -110,20 +107,6 @@ const WATCHDOG_STRIDE: u64 = 64;
 /// detection latency is dominated by `stall_timeout`, not the slice.
 const WAIT_SLICE: Duration = Duration::from_millis(10);
 
-/// How packets travel from the dispatcher to the shard workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// The vendored channel stub (a mutex+condvar queue over
-    /// `std::sync::mpsc`). Kept as the bench baseline and a fallback;
-    /// retired from the default hot path.
-    Channel,
-    /// Lock-free SPSC rings (`rp_ring`): one ring per shard with a
-    /// doorbell for idle parking, plus batched egress carriers — no lock
-    /// and no syscall on the steady-state packet path.
-    #[default]
-    Ring,
-}
-
 /// Configuration for a [`ParallelRouter`].
 #[derive(Debug, Clone)]
 pub struct ParallelRouterConfig {
@@ -136,13 +119,13 @@ pub struct ParallelRouterConfig {
     /// (worker heartbeats are wall-clock, unlike the simulated clock the
     /// plugin supervisor runs on).
     pub router: RouterConfig,
-    /// Depth of each shard's ingress FIFO.
+    /// Depth of each shard's ingress FIFO (an `rp_ring` SPSC ring).
     pub ingress_depth: usize,
     /// How long one message may keep a worker continuously busy before
     /// the watchdog classifies the shard as stalled and abandons it.
     pub stall_timeout: Duration,
-    /// How long `receive` waits on a full ingress FIFO before shedding
-    /// the packet as [`DropReason::ShardOverload`]. The bounded wait
+    /// How long dispatch waits on a full ingress FIFO before shedding
+    /// the packets as [`DropReason::ShardOverload`]. The bounded wait
     /// preserves the back-pressure behaviour under transient bursts
     /// while keeping the ingress thread live under sustained overload.
     pub overload_wait: Duration,
@@ -152,9 +135,6 @@ pub struct ParallelRouterConfig {
     /// shard is hot onto a less-loaded alternate. Per-flow affinity (and
     /// therefore per-flow order) is preserved either way.
     pub steer: Option<SteerConfig>,
-    /// Dispatcher→shard transport (see [`DispatchMode`]); the overload,
-    /// watchdog, and conservation semantics are identical in both modes.
-    pub dispatch: DispatchMode,
 }
 
 impl Default for ParallelRouterConfig {
@@ -166,7 +146,6 @@ impl Default for ParallelRouterConfig {
             stall_timeout: Duration::from_millis(500),
             overload_wait: Duration::from_millis(2),
             steer: None,
-            dispatch: DispatchMode::default(),
         }
     }
 }
@@ -237,14 +216,12 @@ pub struct ParallelRouter {
     /// Heartbeat timestamps are relative to this.
     epoch: Instant,
     interfaces: usize,
-    /// Kept so `egress_rx` never disconnects while shards are live (the
-    /// shards hold clones); also the source for rebuilt shards' senders.
-    egress_tx: Sender<(IfIndex, Mbuf)>,
-    egress_rx: Receiver<(IfIndex, Mbuf)>,
-    /// Ring-mode egress: shards send whole carrier `Vec`s of transmitted
-    /// packets (one channel operation per egress drain instead of one
-    /// per packet) and the dispatcher returns the emptied carriers on
-    /// the scrap side, so the steady state allocates nothing.
+    /// Egress collector: shards send whole carrier `Vec`s of transmitted
+    /// packets (one channel operation per egress drain, not one per
+    /// packet) and the dispatcher returns the emptied carriers on the
+    /// scrap side, so the steady state allocates nothing. The `tx` half
+    /// is kept so the collector never disconnects while shards are live
+    /// (they hold clones), and as the source for rebuilt shards' senders.
     egress_batch_tx: Sender<Vec<(IfIndex, Mbuf)>>,
     egress_batch_rx: Receiver<Vec<(IfIndex, Mbuf)>>,
     egress_scrap_tx: Sender<Vec<(IfIndex, Mbuf)>>,
@@ -296,7 +273,6 @@ impl ParallelRouter {
     /// moved onto its worker thread.
     pub fn new(cfg: ParallelRouterConfig, template: &PluginLoader) -> Self {
         let shards = cfg.shards.max(1);
-        let (egress_tx, egress_rx) = unbounded();
         let (egress_batch_tx, egress_batch_rx) = unbounded();
         let (egress_scrap_tx, egress_scrap_rx) = unbounded();
         let (scrap_tx, scrap_rx) = unbounded();
@@ -309,8 +285,6 @@ impl ParallelRouter {
             journal: CommandJournal::default(),
             epoch,
             interfaces,
-            egress_tx,
-            egress_rx,
             egress_batch_tx,
             egress_batch_rx,
             egress_scrap_tx,
@@ -356,30 +330,11 @@ impl ParallelRouter {
             packets: 0,
             cpu_clock_errors: 0,
         };
-        let (tx, rx, egress) = match self.cfg.dispatch {
-            DispatchMode::Channel => {
-                let (tx, rx) = bounded(self.cfg.ingress_depth.max(1));
-                (
-                    ShardSender::Channel(tx),
-                    ShardReceiver::Channel(rx),
-                    EgressSink::PerPacket(self.egress_tx.clone()),
-                )
-            }
-            DispatchMode::Ring => {
-                let (p, c) = rp_ring::spsc(self.cfg.ingress_depth.max(1));
-                (
-                    ShardSender::Ring(std::sync::Mutex::new(p)),
-                    ShardReceiver::Ring {
-                        rx: c,
-                        pending: std::collections::VecDeque::new(),
-                    },
-                    EgressSink::Batched {
-                        tx: self.egress_batch_tx.clone(),
-                        scrap: self.egress_scrap_rx.clone(),
-                        scratch: Vec::new(),
-                    },
-                )
-            }
+        let (tx, rx) = shard_fifo(self.cfg.ingress_depth.max(1));
+        let egress = EgressSink {
+            tx: self.egress_batch_tx.clone(),
+            scrap: self.egress_scrap_rx.clone(),
+            scratch: Vec::new(),
         };
         let shared = Arc::new(ShardShared::new(self.epoch));
         let scrap = self.scrap_tx.clone();
@@ -449,10 +404,9 @@ impl ParallelRouter {
     }
 
     /// Current ingress-FIFO occupancy of every shard, as seen from the
-    /// dispatcher (ring mode reads the SPSC cursors; channel mode has no
-    /// length and reads 0).
-    pub fn shard_depths(&self) -> Vec<usize> {
-        self.slots.iter().map(|s| s.tx.depth()).collect()
+    /// dispatcher (read from the SPSC cursors).
+    pub fn shard_depths(&mut self) -> Vec<usize> {
+        self.slots.iter_mut().map(|s| s.tx.depth()).collect()
     }
 
     /// Feed the steerer the observed ingress-queue depths. Runs at
@@ -463,7 +417,7 @@ impl ParallelRouter {
         if self.steer.is_none() {
             return;
         }
-        for (slot, d) in self.slots.iter().zip(self.depth_scratch.iter_mut()) {
+        for (slot, d) in self.slots.iter_mut().zip(self.depth_scratch.iter_mut()) {
             *d = slot.tx.depth();
         }
         if let Some(st) = self.steer.as_mut() {
@@ -557,11 +511,10 @@ impl ParallelRouter {
     fn abandon(&mut self, shard: usize, why: String, now: Instant) {
         self.slots[shard].shared.mark_abandoned();
         // Replacing (and dropping) our sender disconnects the worker's
-        // recv — in ring mode the producer's drop also rings the doorbell
-        // — so an *idle* abandoned worker exits immediately; a wedged
-        // one exits when whatever wedged it returns.
-        let dead_tx = ShardSender::dead(self.cfg.dispatch == DispatchMode::Ring);
-        drop(std::mem::replace(&mut self.slots[shard].tx, dead_tx));
+        // recv — the producer's drop also rings the doorbell — so an
+        // *idle* abandoned worker exits immediately; a wedged one exits
+        // when whatever wedged it returns.
+        self.slots[shard].tx = ShardSender::dead();
         if let Some(join) = self.slots[shard].join.take() {
             self.zombies.push(Zombie {
                 shard,
@@ -667,15 +620,9 @@ impl ParallelRouter {
         self.slots[shard] = fresh;
     }
 
-    /// Count one shed packet at the dispatcher (the packet is dropped
-    /// here, so the dispatcher also counts it received — the merged
+    /// Count `n` shed packets at the dispatcher (the packets are dropped
+    /// here, so the dispatcher also counts them received — the merged
     /// `received == forwarded + dropped + in-flight` invariant holds).
-    fn shed(&mut self, shard: usize, reason: DropReason) {
-        self.shed_n(shard, reason, 1);
-    }
-
-    /// [`shed`](ParallelRouter::shed) for a whole failed batch: every
-    /// packet of the batch is counted, not just the carrier message.
     fn shed_n(&mut self, shard: usize, reason: DropReason, n: u64) {
         self.local_stats.received += n;
         match reason {
@@ -691,85 +638,103 @@ impl ParallelRouter {
         self.local_metrics.drops[drop_reason_index(reason)] += n;
     }
 
-    /// Recycle every packet of a batch that could not be dispatched and
-    /// return its carrier to the spare stack.
-    fn recycle_failed_batch(&mut self, mut batch: Vec<Mbuf>) {
-        for pkt in batch.drain(..) {
-            self.pool.recycle(pkt);
-        }
-        self.spare_batches.push(batch);
-    }
-
-    // ---- data path ------------------------------------------------
-
-    /// Dispatch one ingress packet to its flow's shard. Returns the shard
-    /// index. A full FIFO back-pressures for at most
-    /// [`ParallelRouterConfig::overload_wait`], then the packet is shed
-    /// as a counted [`DropReason::ShardOverload`]; a dead, stalled, or
-    /// quarantined shard sheds immediately as [`DropReason::ShardDown`].
-    pub fn receive(&mut self, mbuf: Mbuf) -> usize {
-        let s = self.route_shard(&mbuf);
-        self.watchdog_tick = self.watchdog_tick.wrapping_add(1);
-        if self.watchdog_tick.is_multiple_of(WATCHDOG_STRIDE) && !self.slots.is_empty() {
-            let t = ((self.watchdog_tick / WATCHDOG_STRIDE) as usize) % self.slots.len();
-            self.check_shard(t);
-            self.sample_depths();
-        }
+    /// Put one message — packets, control or barrier — on shard `s`'s
+    /// FIFO; the one send loop of the plane. A full FIFO back-pressures
+    /// for at most `patience` ([`ParallelRouterConfig::overload_wait`]
+    /// for packets; twice the stall timeout for control, which takes its
+    /// FIFO place behind packets but must never wedge the dispatcher
+    /// behind a stalled worker), with a watchdog look on every retry.
+    /// Returns false when the shard was not serving, died, or stayed full
+    /// past `patience`; the `packets` the message carried are then
+    /// recycled and counted shed ([`DropReason::ShardDown`] /
+    /// [`DropReason::ShardOverload`]).
+    fn send(&mut self, s: usize, mut msg: ShardMsg, packets: u64, patience: Duration) -> bool {
         if !self.slots[s].serving() {
             // A due restart can bring it back right now.
             self.check_shard(s);
         }
-        if !self.slots[s].serving() {
-            self.pool.recycle(mbuf);
-            self.shed(s, DropReason::ShardDown);
-            return s;
-        }
-        let mut msg = ShardMsg::Packet(mbuf);
         let mut deadline: Option<Instant> = None;
-        loop {
+        let reason = loop {
+            if !self.slots[s].serving() {
+                break DropReason::ShardDown;
+            }
             match self.slots[s].tx.try_send(msg) {
                 Ok(()) => {
-                    self.slots[s].sent += 1;
-                    return s;
+                    self.slots[s].sent += packets;
+                    return true;
                 }
                 Err(TrySendError::Full(m)) => {
+                    msg = m;
                     let now = Instant::now();
-                    let dl = *deadline.get_or_insert(now + self.cfg.overload_wait);
+                    let dl = *deadline.get_or_insert(now + patience);
                     // A persistently full FIFO may mean a wedged worker;
                     // give the watchdog a look before deciding.
                     self.check_shard(s);
-                    if !self.slots[s].serving() {
-                        if let ShardMsg::Packet(p) = m {
-                            self.pool.recycle(p);
+                    if self.slots[s].serving() {
+                        if now >= dl {
+                            break DropReason::ShardOverload;
                         }
-                        self.shed(s, DropReason::ShardDown);
-                        return s;
+                        std::thread::yield_now();
                     }
-                    if now >= dl {
-                        if let ShardMsg::Packet(p) = m {
-                            self.pool.recycle(p);
-                        }
-                        self.shed(s, DropReason::ShardOverload);
-                        return s;
-                    }
-                    msg = m;
-                    std::thread::yield_now();
                 }
                 Err(TrySendError::Disconnected(m)) => {
+                    msg = m;
                     self.check_shard(s);
-                    if let ShardMsg::Packet(p) = m {
-                        self.pool.recycle(p);
-                    }
-                    self.shed(s, DropReason::ShardDown);
-                    return s;
+                    break DropReason::ShardDown;
                 }
             }
+        };
+        if let ShardMsg::Batch(mut batch) = msg {
+            for pkt in batch.drain(..) {
+                self.pool.recycle(pkt);
+            }
+            self.spare_batches.push(batch);
         }
+        self.shed_n(s, reason, packets);
+        false
+    }
+
+    /// Patience for control messages and barriers (see
+    /// [`send`](ParallelRouter::send)).
+    fn control_patience(&self) -> Duration {
+        self.cfg.stall_timeout * 2
+    }
+
+    /// Advance the watchdog by `n` dispatched packets: one shard checked
+    /// (and the steerer's depth sample refreshed) per [`WATCHDOG_STRIDE`]
+    /// packets, at most once per call.
+    fn watchdog(&mut self, n: u64) {
+        let prev = self.watchdog_tick;
+        self.watchdog_tick = prev.wrapping_add(n);
+        if prev / WATCHDOG_STRIDE != self.watchdog_tick / WATCHDOG_STRIDE && !self.slots.is_empty()
+        {
+            let t = ((self.watchdog_tick / WATCHDOG_STRIDE) as usize) % self.slots.len();
+            self.check_shard(t);
+            self.sample_depths();
+        }
+    }
+
+    // ---- data path ------------------------------------------------
+
+    /// Dispatch one ingress packet to its flow's shard — a one-packet
+    /// [`receive_batch`](ParallelRouter::receive_batch) on a recycled
+    /// carrier. Returns the shard index. A full FIFO back-pressures for
+    /// at most [`ParallelRouterConfig::overload_wait`], then the packet
+    /// is shed as a counted [`DropReason::ShardOverload`]; a dead,
+    /// stalled, or quarantined shard sheds immediately as
+    /// [`DropReason::ShardDown`].
+    pub fn receive(&mut self, mbuf: Mbuf) -> usize {
+        let s = self.route_shard(&mbuf);
+        self.watchdog(1);
+        let mut carrier = self.batch_carrier();
+        carrier.push(mbuf);
+        self.dispatch_batch(s, carrier);
+        s
     }
 
     /// Dispatch a whole batch of ingress packets, grouping them by their
     /// flows' shards and sending **one** [`ShardMsg::Batch`] per shard
-    /// touched — the channel send (and, on the worker side, the egress
+    /// touched — the ring push (and, on the worker side, the egress
     /// drain) is amortized over the batch while per-flow order is
     /// untouched (grouping is a stable partition and a flow maps to
     /// exactly one shard). Overload and health semantics per shard group
@@ -783,17 +748,7 @@ impl ParallelRouter {
             self.spare_batches.push(pkts);
             return 0;
         }
-        // Same watchdog cadence as the single-packet path: one shard
-        // checked per WATCHDOG_STRIDE packets, here batched into at most
-        // one check per call.
-        let prev = self.watchdog_tick;
-        self.watchdog_tick = prev.wrapping_add(pkts.len() as u64);
-        if prev / WATCHDOG_STRIDE != self.watchdog_tick / WATCHDOG_STRIDE && !self.slots.is_empty()
-        {
-            let t = ((self.watchdog_tick / WATCHDOG_STRIDE) as usize) % self.slots.len();
-            self.check_shard(t);
-            self.sample_depths();
-        }
+        self.watchdog(pkts.len() as u64);
         self.reclaim_scrap();
         let n = self.slots.len();
         if n == 1 {
@@ -817,61 +772,15 @@ impl ParallelRouter {
         accepted
     }
 
-    /// Send one shard's batch with `receive`'s overload/health semantics.
-    /// Returns the packets accepted; a failed batch is recycled and every
-    /// packet in it is counted shed.
+    /// Send one shard's (non-empty) batch. Returns the packets accepted;
+    /// a failed batch is recycled and every packet in it is counted shed.
     fn dispatch_batch(&mut self, s: usize, batch: Vec<Mbuf>) -> usize {
         let len = batch.len();
-        if len == 0 {
-            self.spare_batches.push(batch);
-            return 0;
-        }
-        if !self.slots[s].serving() {
-            self.check_shard(s);
-        }
-        if !self.slots[s].serving() {
-            self.recycle_failed_batch(batch);
-            self.shed_n(s, DropReason::ShardDown, len as u64);
-            return 0;
-        }
-        let mut msg = ShardMsg::Batch(batch);
-        let mut deadline: Option<Instant> = None;
-        loop {
-            match self.slots[s].tx.try_send(msg) {
-                Ok(()) => {
-                    self.slots[s].sent += len as u64;
-                    return len;
-                }
-                Err(TrySendError::Full(m)) => {
-                    let now = Instant::now();
-                    let dl = *deadline.get_or_insert(now + self.cfg.overload_wait);
-                    self.check_shard(s);
-                    if !self.slots[s].serving() {
-                        if let ShardMsg::Batch(b) = m {
-                            self.recycle_failed_batch(b);
-                        }
-                        self.shed_n(s, DropReason::ShardDown, len as u64);
-                        return 0;
-                    }
-                    if now >= dl {
-                        if let ShardMsg::Batch(b) = m {
-                            self.recycle_failed_batch(b);
-                        }
-                        self.shed_n(s, DropReason::ShardOverload, len as u64);
-                        return 0;
-                    }
-                    msg = m;
-                    std::thread::yield_now();
-                }
-                Err(TrySendError::Disconnected(m)) => {
-                    self.check_shard(s);
-                    if let ShardMsg::Batch(b) = m {
-                        self.recycle_failed_batch(b);
-                    }
-                    self.shed_n(s, DropReason::ShardDown, len as u64);
-                    return 0;
-                }
-            }
+        let patience = self.cfg.overload_wait;
+        if self.send(s, ShardMsg::Batch(batch), len as u64, patience) {
+            len
+        } else {
+            0
         }
     }
 
@@ -889,15 +798,12 @@ impl ParallelRouter {
         self.spare_batches.pop().unwrap_or_default()
     }
 
-    /// Build an ingress mbuf from the dispatcher's buffer pool (the
-    /// parallel-plane counterpart of [`Router::mbuf_with`]).
+    /// Build an ingress mbuf backed by a buffer from the dispatcher's
+    /// pool (the parallel-plane counterpart of [`Router::mbuf_with`]).
+    /// No ingress stamp, as there: the I/O plane stamps each received
+    /// batch with its own single clock reading.
     pub fn mbuf_with(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf {
-        let mut m = self.pool.mbuf_from(bytes, rx_if);
-        // Coarse ingress stamp for end-to-end sojourn accounting (the
-        // I/O plane re-stamps per received batch; this covers synthetic
-        // injectors that build mbufs directly).
-        m.stamp_ingress(rp_packet::coarse_now_ns());
-        m
+        self.pool.mbuf_from(bytes, rx_if)
     }
 
     /// Return a finished packet's backing buffer to the dispatcher pool
@@ -910,36 +816,6 @@ impl ParallelRouter {
     /// through the merged metrics instead).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Deliver a control-path message to a serving shard with a bounded
-    /// wait (a control message takes its FIFO place behind packets, but
-    /// never wedges the dispatcher behind a stalled worker). Returns
-    /// false when the shard stopped serving or stayed full past the
-    /// stall timeout.
-    fn send_control(&mut self, shard: usize, msg: ShardMsg) -> bool {
-        let mut msg = msg;
-        let deadline = Instant::now() + self.cfg.stall_timeout + self.cfg.stall_timeout;
-        loop {
-            if !self.slots[shard].serving() {
-                return false;
-            }
-            match self.slots[shard].tx.try_send(msg) {
-                Ok(()) => return true,
-                Err(TrySendError::Full(m)) => {
-                    if Instant::now() >= deadline {
-                        return false;
-                    }
-                    self.check_shard(shard);
-                    msg = m;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.check_shard(shard);
-                    return false;
-                }
-            }
-        }
     }
 
     /// Quiesce: block until every *live* shard has fully processed
@@ -958,9 +834,10 @@ impl ParallelRouter {
     pub fn flush(&mut self) {
         self.poll_shard_health();
         let (tx, rx) = unbounded::<usize>();
+        let patience = self.control_patience();
         let mut outstanding: Vec<usize> = Vec::new();
         for s in 0..self.slots.len() {
-            if self.slots[s].serving() && self.send_control(s, ShardMsg::Barrier(tx.clone())) {
+            if self.send(s, ShardMsg::Barrier(tx.clone()), 0, patience) {
                 outstanding.push(s);
             }
         }
@@ -986,7 +863,7 @@ impl ParallelRouter {
                 }
             }
         }
-        let deadline = Instant::now() + self.cfg.stall_timeout + self.cfg.stall_timeout;
+        let deadline = Instant::now() + self.control_patience();
         loop {
             self.poll_shard_health();
             let unresolved = !self.zombies.is_empty()
@@ -1002,15 +879,9 @@ impl ParallelRouter {
     }
 
     /// Move everything on the shared egress collector into the
-    /// per-interface buckets. Ring-mode carriers are drained whole and
-    /// handed back to the shards for reuse.
+    /// per-interface buckets. Carriers are drained whole and handed back
+    /// to the shards for reuse.
     fn drain_egress(&mut self) {
-        for (iface, pkt) in self.egress_rx.try_iter() {
-            let i = iface as usize;
-            if i < self.pending.len() {
-                self.pending[i].push(pkt);
-            }
-        }
         while let Ok(mut carrier) = self.egress_batch_rx.try_recv() {
             for (iface, pkt) in carrier.drain(..) {
                 let i = iface as usize;
@@ -1088,14 +959,11 @@ impl ParallelRouter {
         self.poll_shard_health();
         let f = Arc::new(f);
         let (tx, rx) = unbounded::<(usize, R)>();
+        let patience = self.control_patience();
         let n = self.slots.len();
         let mut answers: Vec<Option<ShardAnswer<R>>> = (0..n).map(|_| None).collect();
         let mut outstanding: Vec<usize> = Vec::new();
         for (s, answer) in answers.iter_mut().enumerate() {
-            if !self.slots[s].serving() {
-                *answer = Some(ShardAnswer::Down);
-                continue;
-            }
             let f = Arc::clone(&f);
             let tx = tx.clone();
             let cmd: ControlFn = Box::new(move |ctx: &mut ShardCtx| {
@@ -1103,7 +971,7 @@ impl ParallelRouter {
                 let r = f(ctx);
                 let _ = tx.send((index, r));
             });
-            if self.send_control(s, ShardMsg::Control(cmd)) {
+            if self.send(s, ShardMsg::Control(cmd), 0, patience) {
                 outstanding.push(s);
             } else {
                 *answer = Some(ShardAnswer::Down);
@@ -1141,8 +1009,7 @@ impl ParallelRouter {
     }
 
     /// Run `f` on every serving shard and collect the successful results
-    /// in shard-index order (unresponsive shards are skipped). This is
-    /// the primitive every control-plane fan-out is built on.
+    /// in shard-index order (unresponsive shards are skipped).
     pub fn control_map<R, F>(&mut self, f: F) -> Vec<R>
     where
         R: Send + 'static,
@@ -1150,10 +1017,7 @@ impl ParallelRouter {
     {
         self.fanout(f)
             .into_iter()
-            .filter_map(|(_, a)| match a {
-                ShardAnswer::Ok(r) => Some(r),
-                _ => None,
-            })
+            .filter_map(|(_, a)| a.ok())
             .collect()
     }
 
@@ -1163,13 +1027,6 @@ impl ParallelRouter {
     pub fn set_time_ns(&mut self, now_ns: u64) {
         self.journal.note_time(now_ns);
         self.control_map(move |ctx| ctx.router.set_time_ns(now_ns));
-    }
-
-    /// Assign an address to `iface` on every shard.
-    pub fn set_interface_addr(&mut self, iface: IfIndex, addr: IpAddr) {
-        self.control_map(move |ctx| ctx.router.set_interface_addr(iface, addr));
-        self.journal
-            .record(JournaledCmd::SetInterfaceAddr { iface, addr });
     }
 
     /// Reclaim idle flows on every shard; returns the total reclaimed.
@@ -1193,18 +1050,6 @@ impl ParallelRouter {
         total
     }
 
-    /// Merged data-path counters from `&self`: same merge as
-    /// [`ParallelRouter::stats`] but via the read-only fan-out, so
-    /// conservation checks and reporting don't need `&mut` access.
-    pub fn stats_read(&self) -> DataPathStats {
-        let mut total = self.local_stats;
-        for (_, d) in self.read_all(|ctx| ctx.router.stats()) {
-            total.absorb(&d);
-        }
-        total.forwarded = total.forwarded.saturating_sub(self.device_tx_unforwarded);
-        total
-    }
-
     /// Merged flow-cache counters across all shards (live + retired).
     pub fn flow_stats(&mut self) -> FlowTableStats {
         let mut total = self.local_flows;
@@ -1217,16 +1062,10 @@ impl ParallelRouter {
     /// Merged metrics registry across all shards (live + retired + the
     /// dispatcher's shed counters).
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        let mut total = self.local_metrics;
+        let mut total = self.cp_local_totals().metrics;
         for s in self.control_map(|ctx| ctx.router.metrics_snapshot()) {
             total.absorb(&s);
         }
-        // The dispatcher's own pool traffic (shard pools arrive through
-        // the per-shard snapshots absorbed above).
-        let p = self.pool.stats();
-        total.mbuf_acquired += p.acquired;
-        total.mbuf_recycled += p.recycled;
-        total.mbuf_fresh += p.fresh;
         total
     }
 
@@ -1244,18 +1083,14 @@ impl ParallelRouter {
 
 impl Drop for ParallelRouter {
     fn drop(&mut self) {
-        for slot in &self.slots {
+        let mut joins: Vec<JoinHandle<ShardFinal>> = Vec::new();
+        for slot in &mut self.slots {
             let _ = slot.tx.try_send(ShardMsg::Shutdown);
             // In case the FIFO was full or the worker is wedged: the
-            // abandoned flag (plus the sender drop below) still ends the
-            // loop at its next message boundary.
+            // abandoned flag plus the sender drop still end the loop at
+            // its next message boundary.
             slot.shared.mark_abandoned();
-        }
-        let mut joins: Vec<JoinHandle<ShardFinal>> = Vec::new();
-        let ring = self.cfg.dispatch == DispatchMode::Ring;
-        for slot in &mut self.slots {
-            let dead_tx = ShardSender::dead(ring);
-            drop(std::mem::replace(&mut slot.tx, dead_tx));
+            slot.tx = ShardSender::dead();
             if let Some(j) = slot.join.take() {
                 joins.push(j);
             }
@@ -1280,173 +1115,40 @@ impl Drop for ParallelRouter {
 }
 
 impl ControlPlane for ParallelRouter {
-    fn cp_load_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        let arg = name.to_string();
-        let r = merge_unit(self.fanout(move |ctx| ctx.router.load_plugin(&arg)));
-        self.journal
-            .record(JournaledCmd::LoadPlugin(name.to_string()));
-        r
+    /// Fan the command out to every serving shard, merge the replies,
+    /// then journal it — in that order: a shard rebuilt by the fan-out's
+    /// own watchdog pass replays a journal that does not hold the command
+    /// yet and receives it through the fan-out, never twice.
+    fn cp_apply(&mut self, cmd: ControlCmd) -> Result<PluginReply, PluginError> {
+        let applied = cmd.clone();
+        let reply = merge_replies(self.fanout(move |ctx| applied.apply(&mut ctx.router)));
+        self.journal.record(cmd);
+        reply
     }
-    fn cp_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        let arg = name.to_string();
-        let r = merge_unit(self.fanout(move |ctx| ctx.router.unload_plugin(&arg)));
-        self.journal
-            .record(JournaledCmd::UnloadPlugin(name.to_string()));
-        r
-    }
-    fn cp_force_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        let arg = name.to_string();
-        let r = merge_unit(self.fanout(move |ctx| ctx.router.force_unload_plugin(&arg)));
-        self.journal
-            .record(JournaledCmd::ForceUnloadPlugin(name.to_string()));
-        r
-    }
-    fn cp_send_message(
-        &mut self,
-        plugin: &str,
-        msg: PluginMsg,
-    ) -> Result<PluginReply, PluginError> {
-        let arg = plugin.to_string();
-        let cloned = msg.clone();
-        let r =
-            merge_replies(self.fanout(move |ctx| ctx.router.send_message(&arg, cloned.clone())));
-        self.journal.record(JournaledCmd::Message {
-            plugin: plugin.to_string(),
-            msg,
-        });
-        r
-    }
-    fn cp_add_route(&mut self, addr: IpAddr, prefix_len: u8, tx_if: IfIndex) {
-        self.control_map(move |ctx| ctx.router.add_route(addr, prefix_len, tx_if));
-        self.journal.record(JournaledCmd::AddRoute {
-            addr,
-            prefix_len,
-            tx_if,
-        });
-    }
-    fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool {
-        let removed = self
-            .control_map(move |ctx| ctx.router.remove_route(addr, prefix_len))
+    fn cp_query<R, F>(&mut self, f: F) -> Vec<(Option<usize>, ShardAnswer<R>)>
+    where
+        R: Send + 'static,
+        F: Fn(&Router) -> R + Send + Sync + 'static,
+    {
+        self.fanout(move |ctx| f(&ctx.router))
             .into_iter()
-            .any(|removed| removed);
-        self.journal
-            .record(JournaledCmd::RemoveRoute { addr, prefix_len });
-        removed
+            .map(|(shard, answer)| (Some(shard), answer))
+            .collect()
     }
-    fn cp_optimize_routes(&mut self) {
-        self.control_map(|ctx| ctx.router.optimize_routes());
-        self.journal.record(JournaledCmd::OptimizeRoutes);
-    }
-    fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
-        self.control_map(move |ctx| ctx.router.set_gate_enabled(gate, enabled));
-        self.journal
-            .record(JournaledCmd::SetGateEnabled { gate, enabled });
-    }
-    fn cp_set_default_scheduler(
-        &mut self,
-        iface: IfIndex,
-        plugin: &str,
-        id: InstanceId,
-    ) -> Result<(), PluginError> {
-        let arg = plugin.to_string();
-        let r =
-            merge_unit(self.fanout(move |ctx| ctx.router.set_default_scheduler(iface, &arg, id)));
-        self.journal.record(JournaledCmd::SetDefaultScheduler {
-            iface,
-            plugin: plugin.to_string(),
-            id,
-        });
-        r
-    }
-    fn cp_describe_filters(&self, gate: Gate) -> Vec<String> {
-        // Filter tables are in lockstep across shards; any serving
-        // shard's view is the logical router's view. `&self` here, so
-        // use a direct one-shot fan-out without the watchdog.
-        self.read_first(move |ctx| ctx.router.describe_filters(gate))
-            .unwrap_or_default()
-    }
-    fn cp_describe_instances(&self) -> Vec<String> {
-        self.read_first(|ctx| ctx.router.describe_instances())
-            .unwrap_or_default()
-    }
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport> {
-        let mut out = Vec::new();
-        for (shard, reports) in self.read_all(|ctx| ctx.router.health_reports()) {
-            for report in reports {
-                out.push(ShardHealthReport {
-                    shard: Some(shard),
-                    report,
-                });
-            }
-        }
-        out
-    }
-    fn cp_loaded_plugins(&self) -> Vec<String> {
-        self.read_first(|ctx| ctx.router.loader.loaded())
-            .unwrap_or_default()
-    }
-    fn cp_stats_rows(&self) -> Vec<StatsRow> {
-        let per_shard = self.read_all(|ctx| (ctx.router.stats(), ctx.router.flow_stats()));
-        let mut total_data = self.local_stats;
-        let mut total_flows = self.local_flows;
-        for (_, (d, f)) in &per_shard {
-            total_data.absorb(d);
-            total_flows.absorb(f);
-        }
-        total_data.forwarded = total_data
-            .forwarded
-            .saturating_sub(self.device_tx_unforwarded);
-        let mut rows = vec![StatsRow {
-            label: "total".to_string(),
-            data: total_data,
-            flows: total_flows,
-        }];
-        for (i, (d, f)) in per_shard.into_iter() {
-            rows.push(StatsRow {
-                label: format!("shard {i}"),
-                data: d,
-                flows: f,
-            });
-        }
-        rows
-    }
-    fn cp_metrics_rows(&self) -> Vec<MetricsRow> {
-        let per_shard = self.read_all(|ctx| ctx.router.metrics_snapshot());
-        let mut total = self.local_metrics;
-        for (_, m) in &per_shard {
-            total.absorb(m);
-        }
+    fn cp_local_totals(&mut self) -> LocalTotals {
+        let mut metrics = self.local_metrics;
+        // The dispatcher's own pool traffic (shard pools arrive through
+        // the per-shard snapshots).
         let p = self.pool.stats();
-        total.mbuf_acquired += p.acquired;
-        total.mbuf_recycled += p.recycled;
-        total.mbuf_fresh += p.fresh;
-        let mut rows = vec![MetricsRow {
-            label: "total".to_string(),
-            metrics: total,
-        }];
-        for (i, m) in per_shard.into_iter() {
-            rows.push(MetricsRow {
-                label: format!("shard {i}"),
-                metrics: m,
-            });
+        metrics.mbuf_acquired += p.acquired;
+        metrics.mbuf_recycled += p.recycled;
+        metrics.mbuf_fresh += p.fresh;
+        LocalTotals {
+            data: self.local_stats,
+            flows: self.local_flows,
+            metrics,
+            device_tx_unforwarded: self.device_tx_unforwarded,
         }
-        rows
-    }
-    fn cp_trace_enable(&mut self, on: bool) {
-        self.control_map(move |ctx| ctx.router.tracer_mut().set_enabled(on));
-        self.journal.record(JournaledCmd::TraceEnable(on));
-    }
-    fn cp_trace_dump(&self, n: usize) -> Vec<ShardTraceEvent> {
-        let mut out = Vec::new();
-        for (shard, events) in self.read_all(move |ctx| ctx.router.tracer().dump(n)) {
-            for event in events {
-                out.push(ShardTraceEvent {
-                    shard: Some(shard),
-                    event,
-                });
-            }
-        }
-        out
     }
     fn cp_shard_status(&mut self) -> Vec<ShardStatus> {
         self.poll_shard_health();
@@ -1504,66 +1206,12 @@ impl ControlPlane for ParallelRouter {
         let cmd: ControlFn = Box::new(move |ctx: &mut ShardCtx| {
             panic!("injected kill (pmgr shard kill {})", ctx.index);
         });
-        if self.send_control(shard, ShardMsg::Control(cmd)) {
+        if self.send(shard, ShardMsg::Control(cmd), 0, self.control_patience()) {
             Ok(format!("kill injected into shard {shard}"))
         } else {
             Err(PluginError::Busy(format!(
                 "shard {shard} did not accept the kill"
             )))
         }
-    }
-}
-
-impl ParallelRouter {
-    /// Read-only fan-out for `&self` trait methods: best-effort, skips
-    /// non-serving shards, and bounds the wait so a shard that wedges
-    /// mid-read cannot hang the control plane (the next `&mut`
-    /// entry point's watchdog will quarantine it).
-    fn read_all<R, F>(&self, f: F) -> Vec<(usize, R)>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ShardCtx) -> R + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let (tx, rx) = unbounded::<(usize, R)>();
-        let mut expected = 0usize;
-        for slot in self.slots.iter().filter(|s| s.serving()) {
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            let cmd: ControlFn = Box::new(move |ctx: &mut ShardCtx| {
-                let index = ctx.index;
-                let r = f(ctx);
-                let _ = tx.send((index, r));
-            });
-            if slot.tx.try_send(ShardMsg::Control(cmd)).is_ok() {
-                expected += 1;
-            }
-        }
-        drop(tx);
-        let deadline = Instant::now() + self.cfg.stall_timeout + self.cfg.stall_timeout;
-        let mut out: Vec<(usize, R)> = Vec::with_capacity(expected);
-        while out.len() < expected {
-            match rx.recv_timeout(WAIT_SLICE) {
-                Ok(pair) => out.push(pair),
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out.sort_by_key(|(i, _)| *i);
-        out
-    }
-
-    /// First serving shard's answer to a read-only fan-out (lockstep
-    /// state, e.g. filter tables, is identical everywhere).
-    fn read_first<R, F>(&self, f: F) -> Option<R>
-    where
-        R: Send + 'static,
-        F: Fn(&mut ShardCtx) -> R + Send + Sync + 'static,
-    {
-        self.read_all(f).into_iter().next().map(|(_, r)| r)
     }
 }

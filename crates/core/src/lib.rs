@@ -56,8 +56,7 @@ pub mod router;
 pub mod supervisor;
 
 pub use dataplane::{
-    CommandJournal, ControlPlane, DispatchMode, JournaledCmd, ParallelRouter, ParallelRouterConfig,
-    ShardStatus,
+    CommandJournal, ControlCmd, ControlPlane, ParallelRouter, ParallelRouterConfig, ShardStatus,
 };
 pub use gate::Gate;
 pub use message::{PluginMsg, PluginReply};

@@ -63,6 +63,9 @@ pub enum PluginReply {
     Deregistered,
     /// Plugin-specific textual reply.
     Text(String),
+    /// A control command that is not a plugin message was applied and
+    /// has nothing to report (route, gate, loader commands).
+    Done,
 }
 
 impl PluginReply {

@@ -28,19 +28,17 @@
 use crate::supervisor::{DeviceMonitor, DeviceSupervisorConfig, PollSample};
 use crate::{NetDev, RxBatch};
 use router_core::dataplane::control::{
-    ControlPlane, DeviceHealth, DeviceRow, DeviceStats, MetricsRow, ShardHealthReport, ShardStatus,
-    ShardTraceEvent, StatsRow,
+    ControlCmd, ControlPlane, DeviceHealth, DeviceRow, DeviceStats, LocalTotals, ShardAnswer,
+    ShardStatus,
 };
 use router_core::dataplane::ParallelRouter;
-use router_core::gate::Gate;
 use router_core::ip_core::{DataPathStats, Disposition};
-use router_core::message::{PluginMsg, PluginReply};
-use router_core::plugin::{InstanceId, PluginError};
+use router_core::message::PluginReply;
+use router_core::plugin::PluginError;
 use router_core::router::Router;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::pool::MbufPool;
 use rp_packet::Mbuf;
-use std::net::IpAddr;
 use std::time::Instant;
 
 /// The data-plane surface the [`IoPlane`] needs, implemented by both
@@ -64,9 +62,9 @@ pub trait IoRouter {
     fn io_note_device_rx_drops(&mut self, n: u64);
     /// Re-account `n` forwarded packets refused by an egress device.
     fn io_note_device_tx_drops(&mut self, n: u64);
-    /// Merged data-path counters. Takes `&self` so conservation is
-    /// checkable on a shared reference mid-run.
-    fn io_stats(&self) -> DataPathStats;
+    /// Merged data-path counters (a control fan-out on the parallel
+    /// plane, hence `&mut`).
+    fn io_stats(&mut self) -> DataPathStats;
     /// Number of router interfaces.
     fn io_interface_count(&self) -> usize;
 }
@@ -108,7 +106,7 @@ impl IoRouter for Router {
         self.note_device_tx_drops(n);
     }
 
-    fn io_stats(&self) -> DataPathStats {
+    fn io_stats(&mut self) -> DataPathStats {
         self.stats()
     }
 
@@ -119,7 +117,7 @@ impl IoRouter for Router {
 
 impl IoRouter for ParallelRouter {
     fn io_mbuf(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf {
-        self.pool_mut().mbuf_from(bytes, rx_if)
+        self.mbuf_with(bytes, rx_if)
     }
 
     fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
@@ -152,8 +150,8 @@ impl IoRouter for ParallelRouter {
         self.note_device_tx_drops(n);
     }
 
-    fn io_stats(&self) -> DataPathStats {
-        self.stats_read()
+    fn io_stats(&mut self) -> DataPathStats {
+        self.stats()
     }
 
     fn io_interface_count(&self) -> usize {
@@ -319,7 +317,9 @@ impl<P: IoRouter> IoPlane<P> {
                 self.ledger.decap_dropped += r.dropped;
                 plane.io_note_device_rx_drops(r.dropped);
             }
-            plane.io_inject_batch(&mut bd.rx_scratch);
+            if !bd.rx_scratch.is_empty() {
+                plane.io_inject_batch(&mut bd.rx_scratch);
+            }
         }
         polled
     }
@@ -435,7 +435,7 @@ impl<P: IoRouter> IoPlane<P> {
     ///   `forwarded == device_tx`;
     /// * nothing is unaccounted:
     ///   `device_rx == device_tx + Σdrops`.
-    pub fn check_conservation(&self) {
+    pub fn check_conservation(&mut self) {
         let stats = self.plane.io_stats();
         let led = self.ledger;
         assert_eq!(
@@ -459,69 +459,21 @@ impl<P: IoRouter> IoPlane<P> {
     }
 }
 
-/// The I/O plane re-exports its router's control plane verbatim —
-/// every command pmgr knows works unchanged — and supplies the live
-/// `devices` rows.
+/// The I/O plane re-exports its router's control plane — every command
+/// pmgr knows works unchanged — and supplies the live `devices` rows.
 impl<P: IoRouter + ControlPlane> ControlPlane for IoPlane<P> {
-    fn cp_load_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        self.plane.cp_load_plugin(name)
+    fn cp_apply(&mut self, cmd: ControlCmd) -> Result<PluginReply, PluginError> {
+        self.plane.cp_apply(cmd)
     }
-    fn cp_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        self.plane.cp_unload_plugin(name)
+    fn cp_query<R, F>(&mut self, f: F) -> Vec<(Option<usize>, ShardAnswer<R>)>
+    where
+        R: Send + 'static,
+        F: Fn(&Router) -> R + Send + Sync + 'static,
+    {
+        self.plane.cp_query(f)
     }
-    fn cp_force_unload_plugin(&mut self, name: &str) -> Result<(), PluginError> {
-        self.plane.cp_force_unload_plugin(name)
-    }
-    fn cp_send_message(
-        &mut self,
-        plugin: &str,
-        msg: PluginMsg,
-    ) -> Result<PluginReply, PluginError> {
-        self.plane.cp_send_message(plugin, msg)
-    }
-    fn cp_add_route(&mut self, addr: IpAddr, prefix_len: u8, tx_if: IfIndex) {
-        self.plane.cp_add_route(addr, prefix_len, tx_if)
-    }
-    fn cp_remove_route(&mut self, addr: IpAddr, prefix_len: u8) -> bool {
-        self.plane.cp_remove_route(addr, prefix_len)
-    }
-    fn cp_optimize_routes(&mut self) {
-        self.plane.cp_optimize_routes()
-    }
-    fn cp_set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
-        self.plane.cp_set_gate_enabled(gate, enabled)
-    }
-    fn cp_set_default_scheduler(
-        &mut self,
-        iface: IfIndex,
-        plugin: &str,
-        id: InstanceId,
-    ) -> Result<(), PluginError> {
-        self.plane.cp_set_default_scheduler(iface, plugin, id)
-    }
-    fn cp_describe_filters(&self, gate: Gate) -> Vec<String> {
-        self.plane.cp_describe_filters(gate)
-    }
-    fn cp_describe_instances(&self) -> Vec<String> {
-        self.plane.cp_describe_instances()
-    }
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport> {
-        self.plane.cp_health_reports()
-    }
-    fn cp_loaded_plugins(&self) -> Vec<String> {
-        self.plane.cp_loaded_plugins()
-    }
-    fn cp_stats_rows(&self) -> Vec<StatsRow> {
-        self.plane.cp_stats_rows()
-    }
-    fn cp_metrics_rows(&self) -> Vec<MetricsRow> {
-        self.plane.cp_metrics_rows()
-    }
-    fn cp_trace_enable(&mut self, on: bool) {
-        self.plane.cp_trace_enable(on)
-    }
-    fn cp_trace_dump(&self, n: usize) -> Vec<ShardTraceEvent> {
-        self.plane.cp_trace_dump(n)
+    fn cp_local_totals(&mut self) -> LocalTotals {
+        self.plane.cp_local_totals()
     }
     fn cp_shard_status(&mut self) -> Vec<ShardStatus> {
         self.plane.cp_shard_status()
@@ -532,7 +484,7 @@ impl<P: IoRouter + ControlPlane> ControlPlane for IoPlane<P> {
     fn cp_shard_kill(&mut self, shard: usize) -> Result<String, PluginError> {
         self.plane.cp_shard_kill(shard)
     }
-    fn cp_device_rows(&self) -> Vec<DeviceRow> {
+    fn cp_device_rows(&mut self) -> Vec<DeviceRow> {
         self.device_rows()
     }
 }

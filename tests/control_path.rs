@@ -4,9 +4,14 @@
 //! paper's §3.1 configuration sequence describes.
 
 use router_plugins::core::ip_core::Disposition;
+use router_plugins::core::loader::PluginLoader;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script, PmgrError};
-use router_plugins::core::{Gate, Router, RouterConfig};
+use router_plugins::core::{
+    ControlPlane, Gate, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+};
+use router_plugins::netdev::ioplane::IoPlane;
+use router_plugins::netdev::loopback::LoopbackDev;
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::Mbuf;
@@ -275,4 +280,162 @@ fn new_filter_applies_to_already_cached_flows() {
     ));
     // Unrelated flows are unaffected.
     assert_eq!(r.receive(udp_packet(778)), Disposition::Forwarded(1));
+}
+
+// ---------------------------------------------------------------------
+// One surface, four planes
+// ---------------------------------------------------------------------
+
+/// Every pmgr command, once or more. No traffic flows, so every counter
+/// a reply shows is zero on every plane. `route optimize` comes after the
+/// `metrics` reads because the FIB gauges in the total row count shards;
+/// the kill is asynchronous, so nothing may follow it.
+const EVERY_COMMAND: &str = "load stats
+create stats
+create stats
+bind stats stats 1 <*, *, UDP, *, 53, *>
+bind stats stats 1 <10.0.0.0/8, *, TCP, *, *, *>
+unbind stats stats 0
+msg stats 1 report
+free stats 0
+load drr
+create drr quantum=1500 limit=64
+attach 1 drr 0
+route 10.0.0.0/8 1
+route 2001:db8::/32 2
+gate ipv6opts off
+gate ipv6opts on
+show filters stats
+show filters fw
+show instances
+health
+faults
+stats
+info
+trace on
+load null
+trace dump 4
+trace off
+metrics
+metrics json
+route optimize
+unload null
+unload drr
+unload stats force
+unload stats
+devices
+shards
+shard restart 0
+shards
+shard kill 1";
+
+/// `(command, reply)` for every line of the script; an error is a reply.
+fn transcript<C: ControlPlane>(cp: &mut C) -> Vec<(&'static str, String)> {
+    EVERY_COMMAND
+        .lines()
+        .map(|cmd| {
+            let reply = run_command(cp, cmd).unwrap_or_else(|e| e.to_string());
+            (cmd, reply)
+        })
+        .collect()
+}
+
+/// What a parallel plane's reply says about the logical router: shard 0
+/// speaks for the lockstep state, and the per-shard breakdown (`shard i`
+/// rows, `== shard i ==` sections, the `shards` array) is left out.
+fn logical_view(reply: &str) -> String {
+    let reply = match reply.split_once(",\"shards\":[") {
+        Some((merged, _)) => format!("{merged}}}"),
+        None => reply.to_string(),
+    };
+    let mut in_shard_section = false;
+    let mut out = Vec::new();
+    for line in reply.lines() {
+        if line.starts_with("== ") {
+            in_shard_section = line.starts_with("== shard ");
+        }
+        let breakdown = in_shard_section
+            || (line.starts_with("shard ") && line.contains(": rx="))
+            || (line.starts_with("[shard ") && !line.starts_with("[shard 0] "));
+        if !breakdown {
+            out.push(line.strip_prefix("[shard 0] ").unwrap_or(line));
+        }
+    }
+    out.join("\n")
+}
+
+#[test]
+fn one_command_language_over_every_plane() {
+    let template = || {
+        let mut t = PluginLoader::new();
+        register_builtin_factories(&mut t);
+        t
+    };
+    // The preallocated-records gauge of the total row counts shards too:
+    // the single router gets two shards' worth.
+    let config = |initial_records| {
+        let mut c = RouterConfig::default();
+        c.flow_table.initial_records = initial_records;
+        c
+    };
+    let single = || {
+        let mut r = Router::new(config(2 * 512));
+        r.loader = template();
+        r
+    };
+    let parallel = || {
+        let cfg = ParallelRouterConfig {
+            shards: 2,
+            router: config(512),
+            ..ParallelRouterConfig::default()
+        };
+        ParallelRouter::new(cfg, &template())
+    };
+    let (dev_a, _peer_a) = LoopbackDev::pair("lo-a", "peer-a", 16);
+    let (dev_b, _peer_b) = LoopbackDev::pair("lo-b", "peer-b", 16);
+    let mut io_single = IoPlane::new(single(), 8);
+    io_single.bind(0, Box::new(dev_a));
+    let mut io_parallel = IoPlane::new(parallel(), 8);
+    io_parallel.bind(0, Box::new(dev_b));
+
+    let on_single = transcript(&mut single());
+    let on_parallel = transcript(&mut parallel());
+    let on_io_single = transcript(&mut io_single);
+    let on_io_parallel = transcript(&mut io_parallel);
+
+    // Under an I/O plane nothing changes but the `devices` rows.
+    for (bare, io, dev) in [
+        (&on_single, &on_io_single, "lo-a"),
+        (&on_parallel, &on_io_parallel, "lo-b"),
+    ] {
+        for ((cmd, bare), (_, io)) in bare.iter().zip(io) {
+            if *cmd == "devices" {
+                assert!(bare.starts_with("no bound devices"), "{bare}");
+                assert!(io.starts_with(&format!("{dev} if0 ")), "{io}");
+            } else {
+                assert_eq!(io, bare, "`{cmd}` under an I/O plane");
+            }
+        }
+    }
+
+    // Over shards nothing changes but the labels, the per-shard
+    // breakdown and the shard commands themselves.
+    for ((cmd, one), (_, many)) in on_single.iter().zip(&on_parallel) {
+        if cmd.starts_with("shard") {
+            assert!(one.contains("no data-plane shards"), "`{cmd}`: {one}");
+            assert!(many.contains("shard "), "`{cmd}`: {many}");
+            assert!(!many.starts_with("error"), "`{cmd}`: {many}");
+        } else {
+            assert_eq!(&logical_view(many), one, "`{cmd}` over two shards");
+        }
+    }
+    // The script ran, it did not just fail the same way four times: the
+    // only refusals are the unload of a plugin with a live instance and
+    // the unload of one already gone.
+    let refused: Vec<_> = on_single
+        .iter()
+        .filter(|(cmd, reply)| reply.starts_with("error") && !cmd.starts_with("shard "))
+        .map(|(cmd, _)| *cmd)
+        .collect();
+    assert_eq!(refused, ["unload drr", "unload stats"]);
 }

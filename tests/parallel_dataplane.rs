@@ -12,7 +12,7 @@ use router_plugins::core::dataplane::{shard_for_tuple, ShardReport};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::{
-    ControlPlane, DispatchMode, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
@@ -193,7 +193,8 @@ fn deliveries(tx: &[Mbuf]) -> HashMap<FlowTuple, Vec<u32>> {
     map
 }
 
-fn parallel_matches_single_router(dispatch: DispatchMode) {
+#[test]
+fn parallel_over_rings_matches_single_router_deliveries_order_and_drops() {
     let packets = diff_packets();
 
     // Single-threaded reference.
@@ -225,7 +226,6 @@ fn parallel_matches_single_router(dispatch: DispatchMode) {
                 ..RouterConfig::default()
             },
             ingress_depth: 256,
-            dispatch,
             ..ParallelRouterConfig::default()
         },
         &template,
@@ -278,16 +278,6 @@ fn parallel_matches_single_router(dispatch: DispatchMode) {
     // The flow cache saw every flow exactly once per owning router.
     assert_eq!(single.flow_stats().misses, par.flow_stats().misses);
     assert_eq!(single.flow_stats().hits, par.flow_stats().hits);
-}
-
-#[test]
-fn parallel_over_rings_matches_single_router_deliveries_order_and_drops() {
-    parallel_matches_single_router(DispatchMode::Ring);
-}
-
-#[test]
-fn parallel_over_channels_matches_single_router_deliveries_order_and_drops() {
-    parallel_matches_single_router(DispatchMode::Channel);
 }
 
 // ---------------------------------------------------------------------

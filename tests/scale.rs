@@ -16,7 +16,7 @@ use router_plugins::core::ip_core::{Disposition, FibStats, RouteEntry, RoutingTa
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{
-    ControlPlane, DispatchMode, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
 use router_plugins::lpm::Prefix;
 use router_plugins::packet::builder::PacketSpec;
@@ -260,7 +260,6 @@ fn parallel_plane_matches_single_under_resize_and_route_churn() {
                 ..RouterConfig::default()
             },
             ingress_depth: 256,
-            dispatch: DispatchMode::Ring,
             ..ParallelRouterConfig::default()
         },
         &template,

@@ -7,13 +7,18 @@
 //! lost in a fault window is counted under `shard_down`/`shard_overload`
 //! — zero silent loss).
 
+use router_plugins::classifier::{FilterId, FilterSpec};
+use router_plugins::core::gate::ALL_GATES;
 use router_plugins::core::ip_core::DropReason;
 use router_plugins::core::obs::drop_reason_index;
 use router_plugins::core::plugins::chaos::release_wedges;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::supervisor::HealthState;
-use router_plugins::core::{ControlPlane, ParallelRouter, ParallelRouterConfig, RouterConfig};
+use router_plugins::core::{
+    ControlCmd, ControlPlane, Gate, InstanceId, ParallelRouter, ParallelRouterConfig, PluginMsg,
+    Router, RouterConfig,
+};
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::Mbuf;
@@ -293,6 +298,202 @@ fn restarted_shard_recompiles_its_fib_from_the_journal() {
     let out = run_command(&mut pr, "metrics").unwrap();
     assert!(out.contains("fib: compiled=2 "), "{out}");
     assert_eq!(offer(&mut pr), want, "rebuilt shard forwards differently");
+}
+
+// ---------------------------------------------------------------------
+// Journal-replay equivalence, for every command there is
+// ---------------------------------------------------------------------
+
+fn create(plugin: &str, config: &str) -> ControlCmd {
+    ControlCmd::Message {
+        plugin: plugin.into(),
+        msg: PluginMsg::CreateInstance {
+            config: config.into(),
+        },
+    }
+}
+
+fn bind(plugin: &str, id: u32, gate: Gate, filter: &str) -> ControlCmd {
+    ControlCmd::Message {
+        plugin: plugin.into(),
+        msg: PluginMsg::RegisterInstance {
+            id: InstanceId(id),
+            gate,
+            filter: filter.parse::<FilterSpec>().unwrap(),
+        },
+    }
+}
+
+/// A command sequence holding a value of every `ControlCmd` variant, in an
+/// order a router accepts. It is grown one stanza at a time, each stanza
+/// chosen by the variant that ended the one before — and that `match` has
+/// no wildcard arm, so a new variant does not compile until it has been
+/// given a place in the sequence.
+fn every_command() -> Vec<ControlCmd> {
+    use ControlCmd::*;
+    let v4 = |a, b, c, d| IpAddr::V4(Ipv4Addr::new(a, b, c, d));
+    let mut table: Vec<ControlCmd> = Vec::new();
+    loop {
+        let stanza = match table.last() {
+            None => vec![
+                LoadPlugin("firewall".into()),
+                LoadPlugin("drr".into()),
+                LoadPlugin("stats".into()),
+                LoadPlugin("null".into()),
+                // Fails, identically everywhere, and must again on replay.
+                LoadPlugin("no-such-plugin".into()),
+            ],
+            Some(LoadPlugin(_)) => vec![
+                create("firewall", "action=deny"),
+                create("firewall", "action=allow"),
+                // A freed id is not handed out again: the next create
+                // must say 2 on every router.
+                Message {
+                    plugin: "firewall".into(),
+                    msg: PluginMsg::FreeInstance { id: InstanceId(0) },
+                },
+                create("drr", "quantum=1500 limit=64"),
+                create("stats", ""),
+                bind("firewall", 1, Gate::Firewall, "<*, *, UDP, *, 53, *>"),
+                bind("stats", 0, Gate::Stats, "<*, *, UDP, *, *, *>"),
+                bind("stats", 0, Gate::Stats, "<10.0.0.0/8, *, TCP, *, 80, *>"),
+                Message {
+                    plugin: "stats".into(),
+                    msg: PluginMsg::DeregisterInstance {
+                        gate: Gate::Stats,
+                        filter: FilterId(0),
+                    },
+                },
+                Message {
+                    plugin: "stats".into(),
+                    msg: PluginMsg::Custom {
+                        instance: Some(InstanceId(0)),
+                        name: "report".into(),
+                        args: String::new(),
+                    },
+                },
+            ],
+            Some(Message { .. }) => vec![SetDefaultScheduler {
+                iface: 1,
+                plugin: "drr".into(),
+                id: InstanceId(0),
+            }],
+            Some(SetDefaultScheduler { .. }) => vec![
+                AddRoute {
+                    addr: v4(10, 0, 0, 0),
+                    prefix_len: 8,
+                    tx_if: 1,
+                },
+                AddRoute {
+                    addr: v4(10, 1, 0, 0),
+                    prefix_len: 16,
+                    tx_if: 2,
+                },
+                AddRoute {
+                    addr: v6_host(0),
+                    prefix_len: 32,
+                    tx_if: 3,
+                },
+            ],
+            Some(AddRoute { .. }) => vec![OptimizeRoutes],
+            // After the compile: a repaint, and a miss that fails the
+            // same way on replay.
+            Some(OptimizeRoutes) => vec![
+                RemoveRoute {
+                    addr: v4(10, 1, 0, 0),
+                    prefix_len: 16,
+                },
+                RemoveRoute {
+                    addr: v4(172, 16, 0, 0),
+                    prefix_len: 12,
+                },
+            ],
+            Some(RemoveRoute { .. }) => vec![SetGateEnabled {
+                gate: Gate::Ipv6Options,
+                enabled: false,
+            }],
+            Some(SetGateEnabled { .. }) => vec![SetInterfaceAddr {
+                iface: 0,
+                addr: v6_host(254),
+            }],
+            Some(SetInterfaceAddr { .. }) => vec![TraceEnable(true)],
+            // Takes a live instance and its binding with it.
+            Some(TraceEnable(_)) => vec![ForceUnloadPlugin("stats".into())],
+            Some(ForceUnloadPlugin(_)) => vec![
+                UnloadPlugin("null".into()),
+                // Refused: an instance is live.
+                UnloadPlugin("firewall".into()),
+            ],
+            Some(UnloadPlugin(_)) => return table,
+        };
+        table.extend(stanza);
+    }
+}
+
+/// Everything the control plane can see of a router's configuration.
+fn configuration(r: &Router) -> impl PartialEq + std::fmt::Debug {
+    let fib = r.fib_stats();
+    (
+        r.loader.loaded(),
+        r.describe_instances(),
+        ALL_GATES.map(|g| (r.gate_enabled(g), r.describe_filters(g))),
+        (fib.compiled, fib.next_hops),
+        r.tracer().enabled(),
+    )
+}
+
+#[test]
+fn every_command_replays_into_the_same_router() {
+    let mut single = Router::new(RouterConfig {
+        verify_checksums: false,
+        ..RouterConfig::default()
+    });
+    register_builtin_factories(&mut single.loader);
+    let mut pr = parallel(2, |_| {});
+
+    let mut refused = Vec::new();
+    for cmd in every_command() {
+        let want = cmd.apply(&mut single);
+        if want.is_err() {
+            refused.push(format!("{cmd:?}"));
+        }
+        assert_eq!(pr.cp_apply(cmd.clone()), want, "{cmd:?}");
+    }
+    // The table engages: only the three commands meant to fail did.
+    assert_eq!(refused.len(), 3, "{refused:?}");
+    assert_eq!(pr.journal_len(), every_command().len());
+
+    pr.cp_shard_kill(1).unwrap();
+    wait_for(&mut pr, 1, Duration::from_secs(5), "restarted", |s| {
+        s.health == HealthState::Degraded && s.restarts >= 1
+    });
+
+    let want = configuration(&single);
+    let shards = pr.control_map(|ctx| configuration(&ctx.router));
+    assert_eq!(shards.len(), 2);
+    for (i, got) in shards.iter().enumerate() {
+        assert_eq!(*got, want, "shard {i}");
+    }
+
+    // The id counters came back too: the next instance and the next
+    // filter get the same ids on the router that lived through the
+    // commands, on shard 0, and on the shard rebuilt from the journal.
+    let next = [
+        (
+            create("firewall", "action=deny"),
+            "InstanceCreated(InstanceId(2))",
+        ),
+        (
+            bind("firewall", 2, Gate::Firewall, "<*, *, TCP, *, 22, *>"),
+            "Registered(FilterId(1))",
+        ),
+    ];
+    for (cmd, reply) in next {
+        let want = cmd.apply(&mut single);
+        assert_eq!(format!("{want:?}"), format!("Ok({reply})"), "{cmd:?}");
+        let got = pr.control_map(move |ctx| cmd.apply(&mut ctx.router));
+        assert_eq!(got, vec![want.clone(), want]);
+    }
 }
 
 // ---------------------------------------------------------------------
