@@ -72,7 +72,9 @@ pub struct ShardStatus {
     /// Packets dispatched to the current incarnation.
     pub sent: u64,
     /// Packets the current incarnation finished processing (from the
-    /// shared heartbeat — readable even mid-stall).
+    /// shared heartbeat — readable even mid-stall). Moves once per batch: a
+    /// shard killed mid-batch shows it short by that batch (loss accounting
+    /// reads the worker's final report, never this).
     pub processed: u64,
     /// Packets shed at the dispatcher because this shard's FIFO stayed
     /// full past the bounded-wait budget.

@@ -20,11 +20,11 @@
 //! filter ids stay in lockstep and an operator-visible id means the same
 //! logical object everywhere.
 //!
-//! Egress is re-serialized: shards push carriers of transmitted packets
-//! onto one shared collector channel and the dispatcher buckets them per
-//! output interface. Since a flow is pinned to one shard and each shard
-//! emits in processing order, per-flow order on the wire matches the
-//! single-threaded router exactly.
+//! Egress is re-serialized: shards push one carrier of transmitted
+//! packets per output interface onto one shared collector channel and the
+//! dispatcher appends each to that interface's bucket. Since a flow is
+//! pinned to one shard and each shard emits in processing order, per-flow
+//! order on the wire matches the single-threaded router exactly.
 //!
 //! # Shard supervision
 //!
@@ -40,7 +40,7 @@
 //!   timestamp); the dispatcher's watchdog classifies a worker stuck
 //!   inside one message longer than
 //!   [`ParallelRouterConfig::stall_timeout`] as stalled, abandons that
-//!   incarnation, and every control fan-out / barrier wait carries a
+//!   incarnation, and every control fan-out / flush wait carries a
 //!   timeout with per-shard partial replies (`[shard i] unresponsive`)
 //!   instead of blocking forever.
 //! * **Rebuild** — every state-mutating control command is recorded in a
@@ -175,6 +175,9 @@ struct ShardSlot {
     last_fault: Option<String>,
     /// Packets dispatched to the *current* incarnation.
     sent: u64,
+    /// Messages the current incarnation's FIFO accepted (`flush` waits
+    /// for the worker's completion cursor to reach this).
+    accepted: u64,
     shed_overload: u64,
     shed_down: u64,
 }
@@ -184,6 +187,11 @@ impl ShardSlot {
     /// a restart). Quarantined shards are bypassed with counted sheds.
     fn serving(&self) -> bool {
         matches!(self.health, HealthState::Healthy | HealthState::Degraded)
+    }
+
+    /// `flush` must wait: serving, with an accepted message not yet handled.
+    fn lagging(&self) -> bool {
+        self.serving() && self.shared.completed() < self.accepted
     }
 }
 
@@ -217,15 +225,19 @@ pub struct ParallelRouter {
     epoch: Instant,
     interfaces: usize,
     /// Egress collector: shards send whole carrier `Vec`s of transmitted
-    /// packets (one channel operation per egress drain, not one per
-    /// packet) and the dispatcher returns the emptied carriers on the
-    /// scrap side, so the steady state allocates nothing. The `tx` half
-    /// is kept so the collector never disconnects while shards are live
-    /// (they hold clones), and as the source for rebuilt shards' senders.
-    egress_batch_tx: Sender<Vec<(IfIndex, Mbuf)>>,
-    egress_batch_rx: Receiver<Vec<(IfIndex, Mbuf)>>,
-    egress_scrap_tx: Sender<Vec<(IfIndex, Mbuf)>>,
-    egress_scrap_rx: Receiver<Vec<(IfIndex, Mbuf)>>,
+    /// packets (one channel operation per interface per egress drain, not
+    /// one per packet) and the dispatcher returns the emptied carriers on
+    /// the scrap side, so the steady state allocates nothing. The `tx`
+    /// half is kept so the collector never disconnects while shards are
+    /// live (they hold clones), and as the source for rebuilt shards'
+    /// senders.
+    egress_batch_tx: Sender<(IfIndex, Vec<Mbuf>)>,
+    egress_batch_rx: Receiver<(IfIndex, Vec<Mbuf>)>,
+    egress_scrap_tx: Sender<Vec<Mbuf>>,
+    egress_scrap_rx: Receiver<Vec<Mbuf>>,
+    /// Where `flush` parks while a shard's completion cursor lags; every
+    /// shard rings it after moving its cursor.
+    flush_bell: Arc<rp_ring::Doorbell>,
     /// Return path for emptied batch carrier `Vec`s: shards send the
     /// drained vector back here after processing a [`ShardMsg::Batch`],
     /// and the dispatcher reuses it for a later batch — steady-state
@@ -289,6 +301,7 @@ impl ParallelRouter {
             egress_batch_rx,
             egress_scrap_tx,
             egress_scrap_rx,
+            flush_bell: Arc::default(),
             scrap_tx,
             scrap_rx,
             spare_batches: Vec::new(),
@@ -334,9 +347,9 @@ impl ParallelRouter {
         let egress = EgressSink {
             tx: self.egress_batch_tx.clone(),
             scrap: self.egress_scrap_rx.clone(),
-            scratch: Vec::new(),
+            carrier: Vec::new(),
         };
-        let shared = Arc::new(ShardShared::new(self.epoch));
+        let shared = Arc::new(ShardShared::new(self.epoch, Arc::clone(&self.flush_bell)));
         let scrap = self.scrap_tx.clone();
         let worker_shared = Arc::clone(&shared);
         let join = std::thread::Builder::new()
@@ -370,6 +383,7 @@ impl ParallelRouter {
             gave_up: spawn_failed,
             last_fault,
             sent: 0,
+            accepted: 0,
             shed_overload: 0,
             shed_down: 0,
         }
@@ -638,8 +652,8 @@ impl ParallelRouter {
         self.local_metrics.drops[drop_reason_index(reason)] += n;
     }
 
-    /// Put one message — packets, control or barrier — on shard `s`'s
-    /// FIFO; the one send loop of the plane. A full FIFO back-pressures
+    /// Put one message — packets or control — on shard `s`'s FIFO; the
+    /// one send loop of the plane. A full FIFO back-pressures
     /// for at most `patience` ([`ParallelRouterConfig::overload_wait`]
     /// for packets; twice the stall timeout for control, which takes its
     /// FIFO place behind packets but must never wedge the dispatcher
@@ -661,6 +675,7 @@ impl ParallelRouter {
             match self.slots[s].tx.try_send(msg) {
                 Ok(()) => {
                     self.slots[s].sent += packets;
+                    self.slots[s].accepted += 1;
                     return true;
                 }
                 Err(TrySendError::Full(m)) => {
@@ -694,8 +709,8 @@ impl ParallelRouter {
         false
     }
 
-    /// Patience for control messages and barriers (see
-    /// [`send`](ParallelRouter::send)).
+    /// Patience for control messages (see [`send`](ParallelRouter::send))
+    /// and for `flush`'s settle phase.
     fn control_patience(&self) -> Duration {
         self.cfg.stall_timeout * 2
     }
@@ -824,6 +839,14 @@ impl ParallelRouter {
     /// that dies or stalls mid-flush is quarantined by the watchdog and
     /// skipped instead of blocking the control plane forever.
     ///
+    /// "Fully processed" is read off each shard's completion cursor: a
+    /// shard that has caught up with the messages its FIFO accepted costs
+    /// one `Acquire` load (no message, no wake, no allocation), and since
+    /// it sent each message's egress carriers before moving the cursor,
+    /// they are on the collector. While a cursor lags the dispatcher
+    /// parks on the doorbell the shards ring, in [`WAIT_SLICE`] slices
+    /// with a watchdog look at the laggards between them.
+    ///
     /// The settle phase makes `flush()` followed by
     /// [`stats`](ParallelRouter::stats) a conserving read: a worker that
     /// died during the window is harvested (its final accounting
@@ -833,33 +856,15 @@ impl ParallelRouter {
     /// and its counters stay deferred until it finally exits.
     pub fn flush(&mut self) {
         self.poll_shard_health();
-        let (tx, rx) = unbounded::<usize>();
-        let patience = self.control_patience();
-        let mut outstanding: Vec<usize> = Vec::new();
-        for s in 0..self.slots.len() {
-            if self.send(s, ShardMsg::Barrier(tx.clone()), 0, patience) {
-                outstanding.push(s);
-            }
-        }
-        drop(tx);
-        while !outstanding.is_empty() {
-            match rx.recv_timeout(WAIT_SLICE) {
-                Ok(i) => outstanding.retain(|&x| x != i),
-                Err(RecvTimeoutError::Timeout) => {
-                    // Keep waiting for live shards (they may simply have
-                    // deep FIFOs); drop the ones the watchdog takes out.
-                    for s in outstanding.clone() {
-                        self.check_shard(s);
-                        if !self.slots[s].serving() {
-                            outstanding.retain(|&x| x != s);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every pending barrier was dropped unrun.
-                    for s in outstanding.drain(..) {
-                        self.check_shard(s);
-                    }
+        while self.slots.iter().any(ShardSlot::lagging) {
+            let slots = &self.slots;
+            self.flush_bell
+                .park(|| !slots.iter().any(ShardSlot::lagging), WAIT_SLICE);
+            // Keep waiting for live shards (they may simply have deep
+            // FIFOs); the ones the watchdog takes out stop lagging.
+            for s in 0..self.slots.len() {
+                if self.slots[s].lagging() {
+                    self.check_shard(s);
                 }
             }
         }
@@ -879,16 +884,14 @@ impl ParallelRouter {
     }
 
     /// Move everything on the shared egress collector into the
-    /// per-interface buckets. Carriers are drained whole and handed back
+    /// per-interface buckets. Carriers are appended whole and handed back
     /// to the shards for reuse.
     fn drain_egress(&mut self) {
-        while let Ok(mut carrier) = self.egress_batch_rx.try_recv() {
-            for (iface, pkt) in carrier.drain(..) {
-                let i = iface as usize;
-                if i < self.pending.len() {
-                    self.pending[i].push(pkt);
-                }
+        while let Ok((iface, mut carrier)) = self.egress_batch_rx.try_recv() {
+            if let Some(bucket) = self.pending.get_mut(iface as usize) {
+                bucket.append(&mut carrier);
             }
+            carrier.clear();
             let _ = self.egress_scrap_tx.send(carrier);
         }
     }

@@ -14,7 +14,7 @@
 //! final [`ShardFinal`] accounting report so no counter is silently
 //! lost with the thread.
 
-use crate::ip_core::{DataPathStats, Disposition};
+use crate::ip_core::DataPathStats;
 use crate::obs::{MetricsSnapshot, TraceCategory};
 use crate::router::Router;
 use crate::supervisor::run_isolated;
@@ -24,7 +24,7 @@ use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A control command executed on the shard thread with full access to the
@@ -39,11 +39,12 @@ pub struct ShardCtx {
     /// The shard's complete single-threaded router: its own AIU, flow
     /// table, gates, scheduler queues, and plugin instances.
     pub router: Router,
-    /// Nanoseconds this shard has spent processing packets (receive +
-    /// pump), i.e. its CPU demand. With one core per shard this is the
-    /// shard's wall-clock busy time; the scaling bench divides packet
-    /// count by the *maximum* shard busy time to get the aggregate rate
-    /// the array sustains.
+    /// Nanoseconds this shard has spent processing packets, i.e. its CPU
+    /// demand: wall time measured around each batch's packet loop (two
+    /// clock reads per batch, the egress drain excluded). With one core
+    /// per shard this is the shard's wall-clock busy time; the scaling
+    /// bench divides packet count by the *maximum* shard busy time to get
+    /// the aggregate rate the array sustains.
     pub busy_ns: u64,
     /// Packets this shard has processed.
     pub packets: u64,
@@ -63,10 +64,6 @@ pub enum ShardMsg {
     Batch(Vec<Mbuf>),
     /// A control command (fan-out from the single control plane).
     Control(ControlFn),
-    /// Reply with the shard index on the enclosed channel once every
-    /// earlier message has been fully processed (the dispatcher's
-    /// flush/quiesce point).
-    Barrier(Sender<usize>),
     /// Drain and exit.
     Shutdown,
 }
@@ -175,39 +172,37 @@ impl ShardReceiver {
     }
 }
 
-/// Where a shard pushes transmitted packets: one carrier `Vec` per egress
-/// drain, sent in one channel operation and drained whole by the
+/// Where a shard pushes transmitted packets: one carrier `Vec` per
+/// interface that transmitted in an egress drain, sent in one channel
+/// operation and appended whole to that interface's bucket by the
 /// dispatcher; emptied carriers come back on a scrap channel so the
 /// steady state allocates nothing.
 pub(crate) struct EgressSink {
-    pub(crate) tx: Sender<Vec<(IfIndex, Mbuf)>>,
+    pub(crate) tx: Sender<(IfIndex, Vec<Mbuf>)>,
     /// Emptied carriers returned by the dispatcher; shared by all
-    /// shards (one `try_recv` per drain, not per packet).
-    pub(crate) scrap: Receiver<Vec<(IfIndex, Mbuf)>>,
-    /// Per-interface staging reused across drains.
-    pub(crate) scratch: Vec<Mbuf>,
+    /// shards (one `try_recv` per carrier sent, not per packet).
+    pub(crate) scrap: Receiver<Vec<Mbuf>>,
+    /// The next carrier, filled straight from a tx log.
+    pub(crate) carrier: Vec<Mbuf>,
 }
 
 impl EgressSink {
     /// Push everything the shard's router transmitted onto the collector.
-    /// Packets of one flow always leave the same shard in processing
-    /// order, and a carrier preserves its fill order, so per-flow order
-    /// on the collector is the router's emission order.
+    /// A flow leaves one shard through one interface in processing order,
+    /// and a carrier preserves its fill order, so per-flow order on the
+    /// collector is the router's emission order.
     fn drain(&mut self, router: &mut Router) {
-        let mut carrier: Option<Vec<(IfIndex, Mbuf)>> = None;
         for i in 0..router.interface_count() {
             let ifx = i as IfIndex;
-            router.take_tx_into(ifx, &mut self.scratch);
-            if self.scratch.is_empty() {
+            router.take_tx_into(ifx, &mut self.carrier);
+            if self.carrier.is_empty() {
                 continue;
             }
-            let c = carrier.get_or_insert_with(|| self.scrap.try_recv().unwrap_or_default());
-            c.extend(self.scratch.drain(..).map(|p| (ifx, p)));
-        }
-        if let Some(c) = carrier {
+            let next = self.scrap.try_recv().unwrap_or_default();
+            let full = std::mem::replace(&mut self.carrier, next);
             // A dropped collector means the dispatcher is gone; the
             // shard is about to shut down anyway.
-            let _ = self.tx.send(c);
+            let _ = self.tx.send((ifx, full));
         }
     }
 }
@@ -275,9 +270,9 @@ pub(crate) mod wedge {
     }
 }
 
-/// State shared between a shard thread and the dispatcher's watchdog:
-/// a heartbeat (busy flag + timestamp), a processed-packet counter, and
-/// the abandonment flag that tells a stalled thread it has been replaced.
+/// State shared between a shard thread and the dispatcher: a heartbeat
+/// (busy flag + timestamp), a processed-packet counter, `flush`'s completion
+/// cursor, and the flag that tells a stalled thread it has been replaced.
 pub(crate) struct ShardShared {
     /// Dispatcher-chosen epoch all heartbeat timestamps are relative to.
     epoch: Instant,
@@ -285,9 +280,16 @@ pub(crate) struct ShardShared {
     /// touching a message and clears it after, so a stale busy bit means
     /// the thread is stuck *inside* a message (wedged plugin, hot loop).
     state: AtomicU64,
-    /// Packets fully processed. Lets the dispatcher account queue loss
-    /// (`sent - processed`) without reaching into a dead thread.
+    /// Packets fully processed, published once per batch (short by the one
+    /// in flight if the worker dies; loss is read off its final report).
     processed: AtomicU64,
+    /// Messages fully handled — the completion cursor. Stored `Release`
+    /// after the message's egress carriers were sent, read `Acquire` by
+    /// `flush`: caught up means that egress is on the collector.
+    completed: AtomicU64,
+    /// The dispatcher's doorbell, rung after every cursor move (a fence
+    /// and a flag load unless the dispatcher is parked in `flush`).
+    bell: Arc<rp_ring::Doorbell>,
     /// Set by the dispatcher when it gives up on this incarnation; the
     /// loop exits at the next message boundary instead of racing its
     /// replacement.
@@ -295,11 +297,13 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
-    pub(crate) fn new(epoch: Instant) -> Self {
+    pub(crate) fn new(epoch: Instant, bell: Arc<rp_ring::Doorbell>) -> Self {
         ShardShared {
             epoch,
             state: AtomicU64::new(0),
             processed: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            bell,
             abandoned: AtomicBool::new(false),
         }
     }
@@ -324,9 +328,14 @@ impl ShardShared {
         Some(Duration::from_millis(now_ms.saturating_sub(ts_ms)))
     }
 
-    /// Packets fully processed by this incarnation.
+    /// Packets fully processed by this incarnation (see the field).
     pub(crate) fn processed(&self) -> u64 {
         self.processed.load(Ordering::Relaxed)
+    }
+
+    /// Messages this incarnation has fully handled (see the field).
+    pub(crate) fn completed(&self) -> u64 {
+        self.completed.load(Ordering::Acquire)
     }
 
     pub(crate) fn mark_abandoned(&self) {
@@ -372,26 +381,19 @@ fn thread_cpu_ns() -> Option<u64> {
     Some((utime + stime) * (1_000_000_000 / user_hz()))
 }
 
-/// Run one packet through the shard's data path: receive, the
-/// testbench-mirroring single pump on `Queued`, busy-time and packet
-/// accounting.
-fn process_packet(ctx: &mut ShardCtx, pkt: Mbuf, wall_now_ns: u64) {
-    if ctx.router.tracer().wants(TraceCategory::Shard) {
-        let now = ctx.router.now_ns();
+/// Trace a batch's packets as they reach the shard (one category check
+/// per batch when tracing is off).
+fn trace_batch(ctx: &mut ShardCtx, pkts: &[Mbuf]) {
+    if !ctx.router.tracer().wants(TraceCategory::Shard) {
+        return;
+    }
+    let now = ctx.router.now_ns();
+    for pkt in pkts {
         let detail = format!("shard {} rx_if={} len={}", ctx.index, pkt.rx_if, pkt.len());
         ctx.router
             .tracer_mut()
             .record(now, TraceCategory::Shard, detail);
     }
-    let t0 = Instant::now();
-    let d = ctx.router.receive_stamped(pkt, wall_now_ns);
-    if let Disposition::Queued(iface) = d {
-        // Mirror the testbench's immediate retransmit: drain one packet
-        // from the egress scheduler per arrival.
-        ctx.router.pump(iface, 1);
-    }
-    ctx.busy_ns += t0.elapsed().as_nanos() as u64;
-    ctx.packets += 1;
 }
 
 /// The message loop proper. Runs under `catch_unwind` in [`run_shard`];
@@ -405,6 +407,7 @@ fn shard_loop(
     scrap: &Sender<Vec<Mbuf>>,
     shared: &ShardShared,
 ) {
+    let mut completed = 0u64;
     loop {
         if shared.is_abandoned() {
             return;
@@ -425,13 +428,14 @@ fn shard_loop(
                 // One heartbeat-busy window covers the whole batch; the
                 // watchdog's stall timeouts are tens of milliseconds,
                 // far above any sane batch's processing time. The wall
-                // clock is likewise read once per batch: sojourn is a
-                // coarse end-to-end measure, not a per-packet stopwatch.
+                // clock is likewise read per batch, before and after the
+                // packet loop: sojourn is a coarse end-to-end measure and
+                // busy time a sum, neither a per-packet stopwatch.
                 let wall = rp_packet::coarse_now_ns();
-                for pkt in pkts.drain(..) {
-                    process_packet(ctx, pkt, wall);
-                    shared.processed.fetch_add(1, Ordering::Relaxed);
-                }
+                trace_batch(ctx, &pkts);
+                ctx.packets += ctx.router.receive_burst(&mut pkts, wall);
+                ctx.busy_ns += rp_packet::coarse_now_ns().saturating_sub(wall);
+                shared.processed.store(ctx.packets, Ordering::Relaxed);
                 // Egress drain is the amortized part: one pass over the
                 // tx logs per batch instead of per packet.
                 egress.drain(&mut ctx.router);
@@ -446,14 +450,14 @@ fn shard_loop(
                 // scheduler backlogs to the wire).
                 egress.drain(&mut ctx.router);
             }
-            ShardMsg::Barrier(done) => {
-                let _ = done.send(ctx.index);
-            }
             ShardMsg::Shutdown => {
                 shared.beat(false);
                 return;
             }
         }
+        completed += 1;
+        shared.completed.store(completed, Ordering::Release);
+        shared.bell.ring();
         shared.beat(false);
     }
 }
@@ -465,7 +469,7 @@ pub(crate) fn run_shard(
     mut rx: ShardReceiver,
     mut egress: EgressSink,
     scrap: Sender<Vec<Mbuf>>,
-    shared: std::sync::Arc<ShardShared>,
+    shared: Arc<ShardShared>,
 ) -> ShardFinal {
     let panic = run_isolated(|| shard_loop(&mut ctx, &mut rx, &mut egress, &scrap, &shared)).err();
     shared.beat(false);
@@ -540,7 +544,7 @@ mod tests {
     #[test]
     fn heartbeat_tracks_busy_windows() {
         let epoch = Instant::now();
-        let hb = ShardShared::new(epoch);
+        let hb = ShardShared::new(epoch, Arc::default());
         assert!(hb.busy_for(Instant::now()).is_none());
         hb.beat(true);
         std::thread::sleep(Duration::from_millis(20));

@@ -40,7 +40,9 @@
 //! health                             # supervision state per instance
 //! faults                             # fault/quarantine/restart counters
 //! shards                             # shard supervision state (parallel
-//!                                    # data plane only)
+//!                                    # data plane only); `processed` moves
+//!                                    # once per batch, so a shard killed
+//!                                    # mid-batch shows it short by that one
 //! devices                            # bound network devices with rx/tx
 //!                                    # packet/byte/error counters and
 //!                                    # batch-size histograms (I/O plane

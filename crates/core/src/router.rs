@@ -821,6 +821,23 @@ impl Router {
         self.receive(mbuf)
     }
 
+    /// Receive a burst — the one burst entry of the shard workers and the
+    /// I/O plane. Drains `pkts` front to back through
+    /// [`receive_stamped`](Router::receive_stamped), each packet in its own
+    /// isolation frames exactly as there, pumping the egress scheduler
+    /// once after every queuing disposition (the testbench's immediate
+    /// retransmit; DRR/WFQ output flows without a scheduler thread).
+    /// Returns the packets handled.
+    pub fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64 {
+        let n = pkts.len() as u64;
+        for pkt in pkts.drain(..) {
+            if let Disposition::Queued(iface) = self.receive_stamped(pkt, wall_now_ns) {
+                self.pump(iface, 1);
+            }
+        }
+        n
+    }
+
     /// Set (or clear, with `0`) the end-to-end latency deadline at
     /// runtime; see [`RouterConfig::max_sojourn_ns`].
     pub fn set_max_sojourn_ns(&mut self, ns: u64) {

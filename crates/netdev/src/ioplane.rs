@@ -7,10 +7,10 @@
 //!    scratch batch with pooled mbufs (bytes copied straight from the
 //!    device's buffers into recycled pool buffers; zero fresh
 //!    allocations at steady state), which is then injected into the
-//!    data plane: per-packet `receive` + inline scheduler pump on the
-//!    single router, `receive_batch` on the parallel router.
-//! 2. **Flush** — the parallel plane's barrier + egress settle (no-op
-//!    on the single router).
+//!    data plane: `receive_burst` (per-packet receive + inline scheduler
+//!    pump) on the single router, `receive_batch` on the parallel router.
+//! 2. **Flush** — the parallel plane's completion-cursor wait + egress
+//!    settle (no-op on the single router).
 //! 3. **Egress** — per interface, queued output is drained into the
 //!    device's transmit scratch (append-only, order preserving) and
 //!    handed to `tx_batch`, which recycles every buffer into the pool.
@@ -32,7 +32,7 @@ use router_core::dataplane::control::{
     ShardStatus,
 };
 use router_core::dataplane::ParallelRouter;
-use router_core::ip_core::{DataPathStats, Disposition};
+use router_core::ip_core::DataPathStats;
 use router_core::message::PluginReply;
 use router_core::plugin::PluginError;
 use router_core::router::Router;
@@ -50,7 +50,7 @@ pub trait IoRouter {
     /// Inject a batch of ingress packets. Drains `batch`; its capacity
     /// is reused (or swapped for a recycled carrier) across calls.
     fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>);
-    /// Settle in-flight work so egress queues are complete (barrier on
+    /// Settle in-flight work so egress queues are complete (a wait on
     /// the parallel plane, no-op on the single router).
     fn io_flush(&mut self);
     /// Append interface `iface`'s queued egress to `out`.
@@ -77,15 +77,7 @@ impl IoRouter for Router {
     fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
         // One coarse wall-clock read covers the whole batch — sojourn
         // resolution is the batch, cost is amortised across it.
-        let wall = rp_packet::coarse_now_ns();
-        for m in batch.drain(..) {
-            // Mirror the shard worker: pump the egress scheduler right
-            // after a queuing disposition so DRR/WFQ output flows
-            // without a separate scheduler thread.
-            if let Disposition::Queued(iface) = self.receive_stamped(m, wall) {
-                self.pump(iface, 1);
-            }
-        }
+        self.receive_burst(batch, rp_packet::coarse_now_ns());
     }
 
     fn io_flush(&mut self) {}
@@ -347,12 +339,12 @@ impl<P: IoRouter> IoPlane<P> {
                 continue;
             }
             let attempted = bd.tx_scratch.len() as u64;
-            let errs_before = bd.dev.stats().tx_errors;
+            let errs_before = bd.dev.tx_errors();
             let sent = bd.dev.tx_batch(&mut bd.tx_scratch, self.plane.io_pool());
             self.ledger.device_tx += sent;
             let failed = attempted - sent;
             if failed > 0 {
-                let hard = (bd.dev.stats().tx_errors - errs_before).min(failed);
+                let hard = (bd.dev.tx_errors() - errs_before).min(failed);
                 self.ledger.tx_errors += hard;
                 self.ledger.tx_dropped += failed - hard;
                 self.plane.io_note_device_tx_drops(failed);

@@ -97,6 +97,12 @@ pub trait NetDev {
     /// The device's cumulative I/O counters.
     fn stats(&self) -> DeviceStats;
 
+    /// `stats().tx_errors` alone, which the I/O plane reads around every
+    /// `tx_batch`; the loopback answers without copying [`DeviceStats`].
+    fn tx_errors(&self) -> u64 {
+        self.stats().tx_errors
+    }
+
     /// Tear down and re-establish the device's OS resources — the
     /// supervised recovery path out of quarantine (UDP rebinds and
     /// reconnects its socket, TAP reattaches to the kernel interface;

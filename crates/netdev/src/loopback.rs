@@ -38,20 +38,28 @@ impl Wire {
         }
     }
 
-    fn buffer(&mut self) -> Vec<u8> {
-        self.freelist.pop().unwrap_or_default()
-    }
-
-    /// Queue `bytes` (copied into a recycled buffer). False when full.
-    fn push(&mut self, bytes: &[u8]) -> bool {
+    /// Queue the frame `fill` builds in place in a recycled buffer (the
+    /// frame's one copy). False when the wire is full or `fill` refuses.
+    fn push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> bool) -> bool {
         if self.queue.len() >= self.capacity {
             return false;
         }
-        let mut buf = self.buffer();
-        buf.clear();
-        buf.extend_from_slice(bytes);
-        self.queue.push_back(buf);
-        true
+        let mut buf = self.freelist.pop().unwrap_or_default();
+        if fill(&mut buf) {
+            self.queue.push_back(buf);
+            true
+        } else {
+            self.recycle(buf);
+            false
+        }
+    }
+
+    /// Queue a copy of `bytes`. False when full.
+    fn push(&mut self, bytes: &[u8]) -> bool {
+        self.push_with(|buf| {
+            buf.extend_from_slice(bytes);
+            true
+        })
     }
 
     fn recycle(&mut self, mut buf: Vec<u8>) {
@@ -78,7 +86,6 @@ pub struct LoopbackDev {
     framed: bool,
     mac_local: [u8; 6],
     mac_peer: [u8; 6],
-    scratch: Vec<u8>,
     stats: DeviceStats,
 }
 
@@ -109,7 +116,6 @@ impl LoopbackDev {
             framed,
             mac_local: LOOPBACK_MAC_A,
             mac_peer: LOOPBACK_MAC_B,
-            scratch: Vec::new(),
             stats: DeviceStats::default(),
         };
         let b = LoopbackDev {
@@ -119,7 +125,6 @@ impl LoopbackDev {
             framed,
             mac_local: LOOPBACK_MAC_B,
             mac_peer: LOOPBACK_MAC_A,
-            scratch: Vec::new(),
             stats: DeviceStats::default(),
         };
         (a, b)
@@ -200,10 +205,10 @@ impl NetDev for LoopbackDev {
     fn tx_batch(&mut self, pkts: &mut Vec<Mbuf>, pool: &mut MbufPool) -> u64 {
         let mut written = 0;
         let mut wire = self.tx.lock().unwrap();
+        let (dst, src) = (&self.mac_peer, &self.mac_local);
         for m in pkts.drain(..) {
             let ok = if self.framed {
-                frame::attach_ethernet(&mut self.scratch, &self.mac_peer, &self.mac_local, m.data())
-                    && wire.push(&self.scratch)
+                wire.push_with(|buf| frame::attach_ethernet(buf, dst, src, m.data()))
             } else {
                 wire.push(m.data())
             };
@@ -222,6 +227,10 @@ impl NetDev for LoopbackDev {
 
     fn stats(&self) -> DeviceStats {
         self.stats
+    }
+
+    fn tx_errors(&self) -> u64 {
+        self.stats.tx_errors
     }
 }
 

@@ -32,7 +32,7 @@
 //!   rings the doorbell only when the parked flag is set, so at steady
 //!   state a push performs **no** syscall and no lock — the wake cost
 //!   exists only at the idle edge. The flag handshake is the classic
-//!   Dekker store/fence/load pattern (see `Doorbell`), so a wakeup can
+//!   Dekker store/fence/load pattern (see [`Doorbell`]), so a wakeup can
 //!   never be lost.
 //!
 //! # Memory-ordering argument
@@ -109,56 +109,67 @@ pub enum WaitOutcome {
     TimedOut,
 }
 
-/// The consumer-side parking doorbell. The producer's fast path is one
-/// relaxed flag load; the mutex is touched only around an actual park or
-/// an actual wake.
+/// A parking doorbell between one waiter and the threads that make it
+/// runnable: the ring's consumer parks on one and its producer rings it;
+/// the data plane's dispatcher parks on another in `flush` and its shards
+/// ring that. The ringer's fast path is one fence and one relaxed flag
+/// load; the mutex is touched only around an actual park or an actual
+/// wake.
 ///
-/// Lost-wakeup freedom (Dekker handshake): the consumer stores
-/// `parked = true`, issues a `SeqCst` fence, then re-checks the ring
-/// before sleeping; the producer publishes `tail`, issues a `SeqCst`
-/// fence, then loads `parked`. Whatever the interleaving, either the
-/// consumer's re-check sees the new `tail`, or the producer's load sees
-/// `parked == true` and rings. The flag is cleared under the same mutex
-/// the sleeper holds, so a stale `true` costs at most one spurious
-/// notify.
-struct Doorbell {
+/// Lost-wakeup freedom (Dekker handshake): the waiter stores
+/// `parked = true`, issues a `SeqCst` fence, then re-checks its condition
+/// before sleeping; the ringer publishes the condition (for the ring,
+/// `tail`), issues a `SeqCst` fence, then loads `parked`. Whatever the
+/// interleaving, either the waiter's re-check sees the publication, or
+/// the ringer's load sees `parked == true` and rings. The flag is cleared
+/// under the same mutex the sleeper holds, so a stale `true` costs at
+/// most one spurious notify.
+pub struct Doorbell {
     parked: AtomicBool,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
-impl Doorbell {
-    fn new() -> Doorbell {
+impl Default for Doorbell {
+    fn default() -> Doorbell {
         Doorbell {
             parked: AtomicBool::new(false),
             lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
+}
 
-    /// Producer side: wake the consumer if (and only if) it is parked.
-    /// Call *after* publishing `tail` (the internal fence pairs with the
-    /// consumer's in [`Doorbell::park`]). The flag is cleared here, under
-    /// the lock, so a burst of pushes landing while the woken consumer is
-    /// still being scheduled costs one notify, not one per push.
-    fn ring(&self) {
+impl Doorbell {
+    /// Ringer side: wake the waiter if (and only if) it is parked. Call
+    /// *after* publishing what the waiter's `ready` reads (the internal
+    /// fence pairs with the waiter's in [`Doorbell::park`]). The flag is
+    /// cleared here, under the lock, so a burst of rings landing while the
+    /// woken waiter is still being scheduled costs one notify, not one per
+    /// ring.
+    pub fn ring(&self) {
         fence(Ordering::SeqCst);
         if self.parked.load(Ordering::Relaxed) {
-            // Taking the lock orders this notify after the sleeper's
-            // re-check-then-wait, closing the remaining window.
-            let _g = self.lock.lock().unwrap_or_else(|p| p.into_inner());
-            self.parked.store(false, Ordering::Relaxed);
-            self.cv.notify_all();
+            self.notify();
         }
     }
 
-    /// Consumer side: sleep until rung or `timeout`, unless `nonempty`
-    /// already holds after the parked flag is visible.
-    fn park(&self, nonempty: impl Fn() -> bool, timeout: Duration) {
+    /// Wake the waiter whether or not its flag is visible yet (a closing
+    /// producer's last word). Taking the lock orders the notify after the
+    /// sleeper's re-check-then-wait, closing the remaining window.
+    fn notify(&self) {
+        let _g = self.lock.lock().unwrap_or_else(|p| p.into_inner());
+        self.parked.store(false, Ordering::Relaxed);
+        self.cv.notify_all();
+    }
+
+    /// Waiter side: sleep until rung or `timeout`, unless `ready` already
+    /// holds once the parked flag is visible.
+    pub fn park(&self, ready: impl Fn() -> bool, timeout: Duration) {
         let guard = self.lock.lock().unwrap_or_else(|p| p.into_inner());
         self.parked.store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
-        if nonempty() {
+        if ready() {
             self.parked.store(false, Ordering::Relaxed);
             return;
         }
@@ -221,7 +232,7 @@ pub fn spsc<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         head: CachePadded(AtomicU64::new(0)),
         producer_alive: AtomicBool::new(true),
         consumer_alive: AtomicBool::new(true),
-        doorbell: Doorbell::new(),
+        doorbell: Doorbell::default(),
     });
     (
         Producer {
@@ -335,13 +346,7 @@ impl<T> Drop for Producer<T> {
         }
         self.shared.producer_alive.store(false, Ordering::Release);
         fence(Ordering::SeqCst);
-        let _g = self
-            .shared
-            .doorbell
-            .lock
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        self.shared.doorbell.cv.notify_all();
+        self.shared.doorbell.notify();
     }
 }
 
@@ -700,5 +705,87 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         drop(tx);
         assert_eq!(waiter.join().unwrap(), WaitOutcome::Disconnected);
+    }
+    // The doorbell on its own: the waiter-side twins of the three tests
+    // above, for waiters that are not a ring's consumer.
+
+    #[test]
+    fn parked_waiter_is_woken_by_a_ring_from_another_thread() {
+        let shared = Arc::new((Doorbell::default(), AtomicBool::new(false)));
+        let waiter = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (bell, ready) = &*shared;
+                let t0 = std::time::Instant::now();
+                // Long timeout: this only returns quickly if rung.
+                bell.park(|| ready.load(Ordering::Acquire), Duration::from_secs(30));
+                (ready.load(Ordering::Acquire), t0.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        shared.1.store(true, Ordering::Release);
+        shared.0.ring();
+        let (ready, waited) = waiter.join().unwrap();
+        assert!(ready);
+        assert!(waited < Duration::from_secs(10), "not woken: {waited:?}");
+    }
+
+    #[test]
+    fn ring_with_nobody_parked_touches_no_lock() {
+        let bell = Arc::new(Doorbell::default());
+        // Hold the doorbell's mutex: a ring that notified (or so much as
+        // locked) would block behind it.
+        let held = bell.lock.lock().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let ringer = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || {
+                bell.ring();
+                let _ = done_tx.send(());
+            })
+        };
+        let rung = done_rx.recv_timeout(Duration::from_secs(5));
+        drop(held);
+        ringer.join().unwrap();
+        assert!(rung.is_ok(), "ring() took the lock with nobody parked");
+        assert!(!bell.parked.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn a_ring_between_the_flag_store_and_the_sleep_is_not_lost() {
+        // 10 000 hand-offs between two threads, each a park on one
+        // doorbell answered by a ring of the other. Every one of them
+        // races the ringer against the waiter's flag-store → re-check →
+        // sleep sequence; a lost wakeup sleeps a full `LONG`.
+        const ROUNDS: u64 = 10_000;
+        const LONG: Duration = Duration::from_secs(20);
+        type Side = (Doorbell, AtomicU64);
+        fn post(side: &Side, n: u64) {
+            side.1.store(n, Ordering::Release);
+            side.0.ring();
+        }
+        fn wait(side: &Side, n: u64) {
+            while side.1.load(Ordering::Acquire) < n {
+                side.0.park(|| side.1.load(Ordering::Acquire) >= n, LONG);
+            }
+        }
+        let ping: Arc<Side> = Arc::default();
+        let pong: Arc<Side> = Arc::default();
+        let t0 = std::time::Instant::now();
+        let echo = {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+            std::thread::spawn(move || {
+                for n in 1..=ROUNDS {
+                    wait(&ping, n);
+                    post(&pong, n);
+                }
+            })
+        };
+        for n in 1..=ROUNDS {
+            post(&ping, n);
+            wait(&pong, n);
+        }
+        echo.join().unwrap();
+        assert!(t0.elapsed() < LONG, "a wakeup was lost: {:?}", t0.elapsed());
     }
 }

@@ -414,3 +414,85 @@ fn shard_reports_cover_all_shards_and_account_packets() {
     assert_eq!(pr.stats().received, 100);
     assert_eq!(pr.stats().forwarded, 100);
 }
+
+// ---------------------------------------------------------------------
+// flush() reads a completion cursor: what that could get wrong
+// ---------------------------------------------------------------------
+
+#[test]
+fn flush_returns_with_every_packet_out_cycle_after_cycle() {
+    const CYCLES: u64 = 1_000;
+    const BATCH: u64 = 8;
+    for shards in [1usize, 2] {
+        let mut pr = parallel(shards);
+        run_script(&mut pr, "route 2001:db8::/32 1").unwrap();
+        // Idle plane: every cursor has caught up with nothing.
+        pr.flush();
+        let images: Vec<Vec<u8>> = (0..BATCH as u16)
+            .map(|i| PacketSpec::udp(v6_host(i), v6_host(300), 2000 + i, 80, 64).build())
+            .collect();
+        let mut out = Vec::new();
+        for cycle in 0..CYCLES {
+            let mut batch = pr.batch_carrier();
+            for image in &images {
+                batch.push(pr.mbuf_with(image, 0));
+            }
+            assert_eq!(pr.receive_batch(batch), BATCH as usize);
+            // No sleep, no retry: when flush returns the burst is out.
+            pr.flush();
+            pr.take_tx_into(1, &mut out);
+            assert_eq!(out.len() as u64, BATCH, "{shards} shards, cycle {cycle}");
+            for m in out.drain(..) {
+                pr.recycle_mbuf(m);
+            }
+        }
+        let status = pr.cp_shard_status();
+        assert_eq!(status.len(), shards);
+        for s in &status {
+            assert_eq!(s.sent, s.processed, "{s:?}");
+        }
+        assert_eq!(status.iter().map(|s| s.sent).sum::<u64>(), CYCLES * BATCH);
+        if shards == 2 {
+            assert!(status.iter().all(|s| s.sent > 0), "{status:?}");
+        }
+    }
+}
+
+#[test]
+fn flush_after_a_control_command_sees_what_the_command_emitted() {
+    const BACKLOG: usize = 20;
+    let mut pr = parallel(2);
+    run_script(
+        &mut pr,
+        "load drr\ncreate drr quantum=1500 limit=64\nattach 1 drr 0\n\
+         bind sched drr 0 <*, *, UDP, *, *, *>\nroute 2001:db8::/32 1",
+    )
+    .unwrap();
+    // Queue a backlog inside each shard's DRR instance: `receive` alone,
+    // without the pump the burst entry runs after a queuing disposition.
+    let queued = pr.control_map(|ctx| {
+        (0..BACKLOG as u16)
+            .filter(|&i| {
+                let spec = PacketSpec::udp(v6_host(i), v6_host(300), 3000 + i, 80, 64);
+                ctx.router.receive(Mbuf::new(spec.build(), 0))
+                    == router_plugins::core::ip_core::Disposition::Queued(1)
+            })
+            .count()
+    });
+    assert_eq!(queued, vec![BACKLOG; 2]);
+    pr.flush();
+    assert!(
+        pr.take_tx(1).is_empty(),
+        "the backlog leaked before the unload"
+    );
+
+    // Force-unload drains the backlog to the wire on the shard, after the
+    // command's reply is already on its way: only the cursor — moved after
+    // the message's egress drain — tells flush the carriers are in.
+    assert_eq!(
+        run_command(&mut pr, "unload drr force").unwrap(),
+        "force-unloaded drr"
+    );
+    pr.flush();
+    assert_eq!(pr.take_tx(1).len(), 2 * BACKLOG);
+}

@@ -565,6 +565,101 @@ fn wedged_shard_is_quarantined_by_the_watchdog_and_flush_returns() {
 }
 
 // ---------------------------------------------------------------------
+// flush() waits on a completion cursor: a shard that will never move its
+// cursor again must not hold it, and what it held is counted
+// ---------------------------------------------------------------------
+
+/// `n` packets of distinct flows that all dispatch to `shard`.
+fn batch_for(pr: &ParallelRouter, shard: usize, n: usize) -> Vec<Mbuf> {
+    (0..u16::MAX)
+        .map(|i| udp(200 + (i % 32), 9000 + i, 80))
+        .filter(|m| pr.shard_of(m) == shard)
+        .take(n)
+        .collect()
+}
+
+#[test]
+fn flush_does_not_wait_for_a_shard_killed_with_a_batch_in_flight() {
+    const IN_FLIGHT: usize = 8;
+    let mut pr = parallel(2, |_| {});
+    let stall_timeout = ParallelRouterConfig::default().stall_timeout;
+    run_script(&mut pr, "route 2001:db8::/32 1").unwrap();
+    let batch = batch_for(&pr, 0, IN_FLIGHT);
+
+    // The batch takes its FIFO place behind the kill: accepted, never
+    // handled, so shard 0's cursor stays short of it for good.
+    pr.cp_shard_kill(0).unwrap();
+    pr.receive_batch(batch);
+    let t0 = Instant::now();
+    pr.flush();
+    assert!(
+        t0.elapsed() < 2 * stall_timeout,
+        "flush waited {:?} on a dead shard",
+        t0.elapsed()
+    );
+
+    let s = pr.stats();
+    assert_eq!(s.received, IN_FLIGHT as u64);
+    assert_eq!(s.dropped_shard_down, IN_FLIGHT as u64, "{s:?}");
+    assert_eq!(s.received, s.forwarded + s.dropped_total());
+}
+
+#[test]
+fn flush_does_not_wait_for_a_shard_wedged_under_it() {
+    let _guard = wedge_guard();
+    const IN_FLIGHT: usize = 8;
+    let stall_timeout = Duration::from_millis(300);
+    let mut pr = parallel(2, |c| c.stall_timeout = stall_timeout);
+    run_script(
+        &mut pr,
+        "load chaos\n\
+         create chaos mode=wedge\n\
+         bind stats chaos 0 <*, *, UDP, *, 7777, *>\n\
+         route 2001:db8::/32 1",
+    )
+    .unwrap();
+    let trigger = udp(201, 6000, 7777);
+    let victim = pr.shard_of(&trigger);
+    let batch = batch_for(&pr, victim, IN_FLIGHT);
+    pr.receive(trigger);
+    std::thread::sleep(Duration::from_millis(20)); // let the worker dequeue and wedge
+    assert_eq!(pr.receive_batch(batch), IN_FLIGHT);
+
+    // The wedge lets go only after the watchdog must have given up on the
+    // shard, so flush has to leave the cursor wait on its own; the release
+    // then lets the settle phase harvest the abandoned worker's accounting
+    // inside the same flush.
+    let releaser = std::thread::spawn(move || {
+        std::thread::sleep(stall_timeout * 3 / 2);
+        release_wedges();
+    });
+    let t0 = Instant::now();
+    pr.flush();
+    let waited = t0.elapsed();
+    releaser.join().unwrap();
+    assert!(
+        waited < 2 * stall_timeout,
+        "flush waited {waited:?} on a wedged shard"
+    );
+    let status = pr.cp_shard_status();
+    assert!(
+        status[victim]
+            .last_fault
+            .as_deref()
+            .is_some_and(|f| f.contains("stalled")),
+        "{:?}",
+        status[victim]
+    );
+
+    // The trigger went out once released; the batch queued behind it died
+    // with the abandoned incarnation and is counted, not lost.
+    let s = pr.stats();
+    assert_eq!(s.received, 1 + IN_FLIGHT as u64);
+    assert_eq!(s.dropped_shard_down, IN_FLIGHT as u64, "{s:?}");
+    assert_eq!(s.received, s.forwarded + s.dropped_total());
+}
+
+// ---------------------------------------------------------------------
 // Satellite regression: control fan-out over a pre-killed shard
 // ---------------------------------------------------------------------
 
