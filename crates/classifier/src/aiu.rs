@@ -13,7 +13,7 @@
 
 use crate::dag::{BmpKind, DagError, DagTable, LookupStats};
 use crate::filter::{FilterId, FilterSpec};
-use crate::flow_table::{EvictedFlow, FlowTable, FlowTableConfig, FlowTableStats};
+use crate::flow_table::{Admit, EvictedFlow, FlowTable, FlowTableConfig, FlowTableStats};
 use rp_packet::mbuf::FlowIndex;
 use rp_packet::{FlowTuple, Mbuf};
 
@@ -62,10 +62,11 @@ pub struct Aiu<V: Clone> {
     flow_table: FlowTable<V>,
     cfg: AiuConfig,
     /// The flow the latest classification recycled. Its bindings travel
-    /// inline (no heap), which makes it several cache lines wide, so it is
-    /// parked here and lent out rather than returned by value through
-    /// every layer of a path that, on a cache hit, has nothing to return.
-    evicted: Option<EvictedFlow<V>>,
+    /// inline (no heap), which makes it several cache lines wide, so the
+    /// flow table swaps it in here and it is lent out, rather than
+    /// returned by value through every layer of a path that, on a cache
+    /// hit, has nothing to return.
+    evicted: EvictedFlow<V>,
 }
 
 /// Outcome of classifying one packet.
@@ -100,11 +101,12 @@ impl<V: Clone> Aiu<V> {
             cfg.gates, cfg.flow_table.gates,
             "flow records must carry one binding per gate"
         );
+        let flow_table = FlowTable::new(cfg.flow_table);
         Aiu {
             filter_tables: (0..cfg.gates).map(|_| DagTable::new(cfg.bmp)).collect(),
-            flow_table: FlowTable::new(cfg.flow_table),
+            evicted: flow_table.parked(),
+            flow_table,
             cfg,
-            evicted: None,
         }
     }
 
@@ -147,38 +149,43 @@ impl<V: Clone> Aiu<V> {
     }
 
     /// Classify a packet: the paper's first-gate logic. On a miss, runs
-    /// the filter lookup for **all** gates and creates one flow record
-    /// ("the processing of the first packet of a new flow with n gates
-    /// involves n filter table lookups to create a single entry"). Any
-    /// recycled flow's bindings are lent out for eviction callbacks
-    /// ([`crate::flow_table::GateArray::drain`]); what the caller leaves
-    /// in them is dropped by the next classification that recycles.
+    /// the filter lookup of **every gate that has filters** and fills one
+    /// flow record ("the processing of the first packet of a new flow
+    /// with n gates involves n filter table lookups to create a single
+    /// entry"). Any recycled flow's bindings are lent out for eviction
+    /// callbacks ([`crate::flow_table::GateArray::drain`]); what the
+    /// caller leaves in them is dropped by the next classification that
+    /// recycles.
     pub fn classify(
         &mut self,
         tuple: &FlowTuple,
     ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
-        // One hash per packet: the same value serves the lookup, the
-        // insert, and — crucially — the admission-denied flood path,
-        // which used to hash twice (lookup miss + denied insert).
+        // One hash per packet, on the admission-denied flood path too.
         let hash = crate::flow_table::flow_hash(tuple);
-        if let Some(fix) = self.flow_table.lookup_hashed(tuple, hash) {
-            return (ClassifyOutcome::CacheHit(fix), None);
-        }
-        let Some((fix, evicted)) = self.flow_table.try_insert_hashed(*tuple, hash) else {
-            return (ClassifyOutcome::Denied, None);
-        };
-        for gate in 0..self.cfg.gates {
-            let binding = self.filter_tables[gate]
-                .lookup(tuple)
-                .map(|(id, v)| (id, v.clone()));
-            let rec = self.flow_table.record_mut(fix).expect("fresh record");
-            if let Some((id, v)) = binding {
-                rec.gates.set_instance(gate, Some(v));
-                rec.gates.set_filter(gate, Some(id));
+        match self
+            .flow_table
+            .lookup_or_insert(tuple, hash, &mut self.evicted)
+        {
+            Admit::Hit(fix) => (ClassifyOutcome::CacheHit(fix), None),
+            Admit::Denied => (ClassifyOutcome::Denied, None),
+            Admit::New {
+                fix,
+                record,
+                recycled,
+            } => {
+                for (gate, table) in self.filter_tables.iter().enumerate() {
+                    if table.is_empty() {
+                        continue;
+                    }
+                    if let Some((id, v)) = table.lookup(tuple) {
+                        record.gates.set_instance(gate, Some(v.clone()));
+                        record.gates.set_filter(gate, Some(id));
+                    }
+                }
+                let evicted = recycled.then_some(&mut self.evicted);
+                (ClassifyOutcome::CacheMiss(fix), evicted)
             }
         }
-        self.evicted = evicted;
-        (ClassifyOutcome::CacheMiss(fix), self.evicted.as_mut())
     }
 
     /// Classify an mbuf, extracting its tuple and caching the FIX into the

@@ -20,15 +20,21 @@
 //! * **Incremental resize.** When the live-record count outgrows the
 //!   bucket array, the table doubles it *incrementally*: the old array
 //!   stays live while a bounded number of its buckets are migrated per
-//!   `lookup`/`insert` ([`MIGRATE_BUCKETS_PER_OP`]), so there is never a
+//!   lookup-or-insert ([`MIGRATE_BUCKETS_PER_OP`]), so there is never a
 //!   stop-the-world rehash on the data path. During a migration a lookup
 //!   probes the new chain first and falls back to the old one; each
 //!   record lives in exactly one chain at all times.
-//! * **Inline LRU eviction.** With [`FlowTableConfig::lru_evict`] set, a
-//!   table at its record cap evicts the *coldest* record found within the
-//!   bounded clock-hand probe run instead of denying the insert — the
-//!   right policy for established-flow churn workloads where admission
-//!   denial would punish legitimate new flows.
+//! * **Second-chance recycling.** "The oldest records are recycled" is
+//!   one bounded clock: a hit sets a `referenced` flag in the record
+//!   header (the line it already dirties for the idle timer), and a table
+//!   at its cap advances a hand over at most `RECLAIM_SCAN` (64) slots,
+//!   clearing flags as it passes, to the first record that is idle or was
+//!   not hit since the hand last saw it. The flag, not a timestamp
+//!   comparison, carries recency because no data path advances the
+//!   table's clock per packet: with the clock frozen every `last_used` is
+//!   equal and "coldest" means "inserted first", which recycles an
+//!   established flow as readily as a one-packet one. A new flow costs the
+//!   one or two records the hand reads, whatever the table's size.
 
 use rp_packet::mbuf::FlowIndex;
 use rp_packet::FlowTuple;
@@ -192,12 +198,6 @@ impl<V> GateArray<V> {
         (gate < self.len()).then_some(gate)
     }
 
-    /// Move every binding out (for eviction callbacks), leaving defaults.
-    /// The bindings travel inline, so evicting a flow allocates nothing.
-    fn take_all(&mut self) -> GateArray<V> {
-        std::mem::replace(self, GateArray::new(self.len()))
-    }
-
     /// Hand out each gate's binding in gate order, leaving defaults.
     pub fn drain(&mut self) -> impl Iterator<Item = GateBinding<V>> + '_ {
         (0..self.len()).map(|g| GateBinding {
@@ -229,12 +229,17 @@ pub struct FlowRecord<V> {
     /// Cached [`flow_hash`] of the key: bucket migration and unlinking
     /// must not rehash, and the resize path never touches the key bytes.
     hash: u32,
-    /// Insertion sequence number (for oldest-first recycling).
+    /// Insertion sequence number (breaks `last_used` ties oldest-first).
     seq: u64,
     /// Virtual time of the last lookup hit (for idle expiry).
     last_used: u64,
     /// Slot-in-use flag (false = on the free list).
     live: bool,
+    /// Second chance: set by a hit, cleared on insert and by the passing
+    /// clock hand. Lives in the padding beside `live`, on the line a hit
+    /// writes `last_used` to — the hit path touches no new line and the
+    /// record does not grow.
+    referenced: bool,
     /// Per-gate bindings, indexed by gate id, inline in the slab (after
     /// the header so the hot `instances` line is adjacent to it).
     pub gates: GateArray<V>,
@@ -252,22 +257,26 @@ pub struct FlowTableConfig {
     pub max_buckets: usize,
     /// Initial free-list size ("default is 1024").
     pub initial_records: usize,
-    /// Hard cap on allocated records; beyond this the oldest are recycled.
+    /// Hard cap on allocated records; beyond this records are recycled by
+    /// the second-chance clock (see the module docs).
     pub max_records: usize,
     /// Number of gates each record carries bindings for.
     pub gates: usize,
-    /// Admission control against cache thrash. `0` keeps the legacy
-    /// behaviour (recycle the oldest record when full). When non-zero, a
-    /// full table reclaims an *idle* record (unused for `max_idle_ns`)
-    /// found within a bounded clock-hand scan, and otherwise **denies**
-    /// the insert — a one-packet-flow flood then degrades the flood's own
-    /// flows (no cached record) instead of recycling established ones.
+    /// Admission control against cache thrash. `0` recycles whenever the
+    /// table is full. When non-zero, a full table reclaims only an *idle*
+    /// record (unused for `max_idle_ns`) found within the bounded
+    /// clock-hand scan, and otherwise **denies** the insert — a
+    /// one-packet-flow flood then degrades the flood's own flows (no
+    /// cached record) instead of recycling established ones.
     pub max_idle_ns: u64,
-    /// Inline LRU eviction at the cap: instead of denying when nothing in
-    /// the probe run is idle, evict the *coldest* (least recently used)
-    /// record seen in the bounded scan. The right policy for
+    /// Evict instead of denying when `max_idle_ns` is set and nothing in
+    /// the scan is idle: the hand's first record not hit since its last
+    /// pass (second chance), or — every record of the window referenced —
+    /// the window's least recently used. The right policy for
     /// established-flow churn workloads; leave off to keep strict
-    /// admission-denial semantics under floods.
+    /// admission-denial semantics under floods. (With `max_idle_ns` 0 a
+    /// full table evicts that same victim either way, and this field only
+    /// picks the counter that reports it.)
     pub lru_evict: bool,
 }
 
@@ -292,13 +301,13 @@ pub struct FlowTableStats {
     pub hits: u64,
     /// Lookup misses.
     pub misses: u64,
-    /// Records recycled (evicted while live).
+    /// Records recycled at the cap with `lru_evict` off.
     pub recycled: u64,
     /// Inserts denied by admission control (table full, nothing idle).
     pub denied: u64,
     /// Idle records reclaimed inline at the allocation cap.
     pub inline_expired: u64,
-    /// Coldest-record evictions at the cap (LRU policy).
+    /// Records evicted at the cap with `lru_evict` on.
     pub evicted_lru: u64,
     /// Buckets migrated by the incremental-resize machinery.
     pub resize_steps: u64,
@@ -330,6 +339,24 @@ impl FlowTableStats {
 /// megabytes of them — fewer cache lines and TLB entries on every probe).
 const EMPTY: u32 = u32::MAX;
 
+/// What [`FlowTable::lookup_or_insert`] did for a key.
+pub enum Admit<'a, V> {
+    /// The flow was cached.
+    Hit(FlowIndex),
+    /// A record was created, its bindings empty for the caller to fill.
+    New {
+        /// The new record's index.
+        fix: FlowIndex,
+        /// The new record.
+        record: &'a mut FlowRecord<V>,
+        /// A live flow was recycled to make room: its key and bindings
+        /// are in the caller's parked slot.
+        recycled: bool,
+    },
+    /// The table is full and admission control found nothing to reclaim.
+    Denied,
+}
+
 /// The flow cache.
 pub struct FlowTable<V> {
     /// Current bucket array (the *new* array while a resize is active).
@@ -345,17 +372,16 @@ pub struct FlowTable<V> {
     cfg: FlowTableConfig,
     next_seq: u64,
     now_ns: u64,
-    /// Clock hand for the bounded idle-reclaim scan at the cap.
+    /// Clock hand of the bounded victim scan at the cap.
     hand: usize,
     stats: FlowTableStats,
 }
 
-/// Slots examined per at-cap idle-reclaim attempt. Bounds the hot-path
-/// cost of admission control: one insert never scans more than this many
-/// records, no matter how large the table.
+/// Slots the hand may advance per at-cap insert: one new flow never reads
+/// more than this many records, no matter how large the table.
 const RECLAIM_SCAN: usize = 64;
 
-/// Old-array buckets migrated per `lookup`/`insert` while a resize is in
+/// Old-array buckets migrated per lookup-or-insert while a resize is in
 /// flight. Two per operation means a resize completes after at most
 /// `old_buckets / 2` operations while bounding any single packet's extra
 /// work to two (usually short) chain relinks.
@@ -388,18 +414,19 @@ impl<V> FlowTable<V> {
 
     fn grow(&mut self, n: usize) {
         let start = self.records.len();
-        for i in 0..n {
-            self.records.push(FlowRecord {
-                key: dummy_key(),
-                gates: GateArray::new(self.cfg.gates),
-                next: EMPTY,
-                hash: 0,
-                seq: 0,
-                last_used: 0,
-                live: false,
-            });
-            self.free.push((start + i) as u32);
-        }
+        self.records.extend((0..n).map(|_| FlowRecord {
+            key: dummy_key(),
+            gates: GateArray::new(self.cfg.gates),
+            next: EMPTY,
+            hash: 0,
+            seq: 0,
+            last_used: 0,
+            live: false,
+            referenced: false,
+        }));
+        // Reversed, so the slab fills in slot order: the hand then meets
+        // never-hit flows in the order they arrived.
+        self.free.extend((start..start + n).rev().map(|i| i as u32));
         self.stats.allocated = self.records.len();
     }
 
@@ -463,31 +490,68 @@ impl<V> FlowTable<V> {
         None
     }
 
-    /// Cached-path lookup: the FIX for `key` if present. One hash + chain
-    /// walk; a hit refreshes the record's idle timer.
-    pub fn lookup(&mut self, key: &FlowTuple) -> Option<FlowIndex> {
-        self.lookup_hashed(key, flow_hash(key))
-    }
-
-    /// [`lookup`](Self::lookup) with the caller's precomputed
-    /// [`flow_hash`] — the AIU hashes each packet exactly once and threads
-    /// the value through lookup *and* the subsequent insert, so even the
-    /// admission-denied flood path pays for one hash.
-    pub fn lookup_hashed(&mut self, key: &FlowTuple, hash: u32) -> Option<FlowIndex> {
+    /// The one counted entry point, for a packet's `key` and its
+    /// [`flow_hash`] (the AIU hashes each packet exactly once): the FIX
+    /// on a hit, which refreshes the record's idle timer and its second
+    /// chance; on a miss a fresh record for the caller to fill. At the
+    /// cap the record comes from `reclaim_victim`, whose key and
+    /// bindings are swapped into `evicted` (from [`Self::parked`]; what
+    /// an earlier borrower left in it is dropped) for plugin eviction
+    /// callbacks — or the insert is **denied** (counted in
+    /// [`FlowTableStats::denied`]): established flows keep their records
+    /// and the new flow runs uncached.
+    pub fn lookup_or_insert(
+        &mut self,
+        key: &FlowTuple,
+        hash: u32,
+        evicted: &mut EvictedFlow<V>,
+    ) -> Admit<'_, V> {
         let found = self.find(key, hash);
-        let out = match found {
-            Some(idx) => {
-                self.stats.hits += 1;
-                self.records[idx as usize].last_used = self.now_ns;
-                Some(FlowIndex(idx))
+        self.migrate_step();
+        if let Some(idx) = found {
+            self.stats.hits += 1;
+            let r = &mut self.records[idx as usize];
+            r.last_used = self.now_ns;
+            r.referenced = true;
+            return Admit::Hit(FlowIndex(idx));
+        }
+        self.stats.misses += 1;
+        let mut recycled = false;
+        let idx = match self.free.pop() {
+            Some(i) => i,
+            None if self.records.len() < self.cfg.max_records => {
+                // Exponential growth: double (capped at max).
+                let room = self.cfg.max_records - self.records.len();
+                self.grow(self.records.len().min(room));
+                self.free.pop().expect("grew the free list")
             }
             None => {
-                self.stats.misses += 1;
-                None
+                let Some(victim) = self.reclaim_victim() else {
+                    self.stats.denied += 1;
+                    return Admit::Denied;
+                };
+                self.evict(victim, evicted);
+                recycled = true;
+                victim
             }
         };
-        self.migrate_step();
-        out
+        let b = (hash as usize) & (self.buckets.len() - 1);
+        let r = &mut self.records[idx as usize];
+        r.key = *key;
+        r.hash = hash;
+        r.seq = self.next_seq;
+        r.last_used = self.now_ns;
+        r.live = true;
+        r.referenced = false;
+        r.next = std::mem::replace(&mut self.buckets[b], idx);
+        self.next_seq += 1;
+        self.stats.live += 1;
+        self.maybe_start_resize();
+        Admit::New {
+            fix: FlowIndex(idx),
+            record: &mut self.records[idx as usize],
+            recycled,
+        }
     }
 
     /// Allocation-free idle-expiry sweep ("if a cached flow remains idle
@@ -515,114 +579,6 @@ impl<V> FlowTable<V> {
         self.find(key, flow_hash(key)).map(FlowIndex)
     }
 
-    /// Insert a record for `key` (which must not be cached), returning its
-    /// FIX and, when a live record had to be recycled, the evicted record's
-    /// bindings so the caller can run plugin eviction callbacks. Always
-    /// succeeds: at the cap this recycles the oldest record regardless of
-    /// admission policy.
-    pub fn insert(&mut self, key: FlowTuple) -> (FlowIndex, Option<EvictedFlow<V>>) {
-        let hash = flow_hash(&key);
-        self.insert_hashed(key, hash)
-    }
-
-    /// [`insert`](Self::insert) with a precomputed [`flow_hash`].
-    pub fn insert_hashed(
-        &mut self,
-        key: FlowTuple,
-        hash: u32,
-    ) -> (FlowIndex, Option<EvictedFlow<V>>) {
-        self.insert_inner(key, hash, false)
-            .expect("insert without admission control is infallible")
-    }
-
-    /// Admission-controlled insert: like [`insert`](Self::insert), but when
-    /// the table is at its cap and `max_idle_ns` is configured, only an
-    /// *idle* record (found within a bounded clock-hand scan) may be
-    /// reclaimed. With every record busy the insert is **denied**
-    /// (`None`, counted in [`FlowTableStats::denied`]) — the flow-cache
-    /// equivalent of a `FlowTableFull` error: established flows keep
-    /// their records and the new flow runs uncached. With
-    /// [`FlowTableConfig::lru_evict`] the deny becomes a coldest-record
-    /// eviction instead.
-    pub fn try_insert(&mut self, key: FlowTuple) -> Option<(FlowIndex, Option<EvictedFlow<V>>)> {
-        let hash = flow_hash(&key);
-        self.try_insert_hashed(key, hash)
-    }
-
-    /// [`try_insert`](Self::try_insert) with a precomputed [`flow_hash`].
-    pub fn try_insert_hashed(
-        &mut self,
-        key: FlowTuple,
-        hash: u32,
-    ) -> Option<(FlowIndex, Option<EvictedFlow<V>>)> {
-        let admission = self.cfg.max_idle_ns > 0 || self.cfg.lru_evict;
-        self.insert_inner(key, hash, admission)
-    }
-
-    fn insert_inner(
-        &mut self,
-        key: FlowTuple,
-        hash: u32,
-        admission: bool,
-    ) -> Option<(FlowIndex, Option<EvictedFlow<V>>)> {
-        debug_assert!(self.find(&key, hash).is_none(), "flow already cached");
-        let mut evicted = None;
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                if self.records.len() < self.cfg.max_records {
-                    // Exponential growth: double (capped at max).
-                    let add = self
-                        .records
-                        .len()
-                        .min(self.cfg.max_records - self.records.len());
-                    self.grow(add.max(1));
-                    self.free.pop().expect("grew the free list")
-                } else if admission {
-                    match self.reclaim_victim() {
-                        Some((victim, was_idle)) => {
-                            evicted = Some(self.evict(victim));
-                            if was_idle {
-                                self.stats.inline_expired += 1;
-                            } else {
-                                self.stats.evicted_lru += 1;
-                            }
-                            victim
-                        }
-                        None => {
-                            self.stats.denied += 1;
-                            return None;
-                        }
-                    }
-                } else {
-                    let victim = self.oldest_live().expect("table full but nothing live");
-                    evicted = Some(self.evict(victim));
-                    self.stats.recycled += 1;
-                    victim
-                }
-            }
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let b = (hash as usize) & (self.buckets.len() - 1);
-        {
-            let head = self.buckets[b];
-            let r = &mut self.records[idx as usize];
-            r.key = key;
-            r.hash = hash;
-            r.seq = seq;
-            r.last_used = self.now_ns;
-            r.live = true;
-            r.next = head;
-            r.gates.reset();
-            self.buckets[b] = idx;
-        }
-        self.stats.live += 1;
-        self.maybe_start_resize();
-        self.migrate_step();
-        Some((FlowIndex(idx), evicted))
-    }
-
     /// Begin an incremental bucket-array doubling when the live-record
     /// count has outgrown the array (load factor > 1) and the ceiling
     /// allows it. The old array stays live; [`Self::migrate_step`] drains
@@ -641,7 +597,7 @@ impl<V> FlowTable<V> {
     }
 
     /// Drain up to [`MIGRATE_BUCKETS_PER_OP`] buckets from the old array
-    /// into the current one. Called from every lookup/insert while a
+    /// into the current one. Called once per lookup-or-insert while a
     /// resize is active, so migration cost is amortized over the packets
     /// that caused the growth.
     fn migrate_step(&mut self) {
@@ -670,55 +626,49 @@ impl<V> FlowTable<V> {
         }
     }
 
-    /// At-cap victim selection: advance the clock hand over at most
-    /// [`RECLAIM_SCAN`] slots. An *idle* record (past `max_idle_ns`) wins
-    /// immediately; otherwise, under the LRU policy, the coldest live
-    /// record seen in the window is evicted. No allocation, no full-slab
-    /// sweep — the bounded cost rides on the (already slow)
-    /// classification-miss path. Returns `(victim, was_idle)`.
-    fn reclaim_victim(&mut self) -> Option<(u32, bool)> {
-        let idle_cutoff = if self.cfg.max_idle_ns > 0 {
-            Some(self.now_ns.saturating_sub(self.cfg.max_idle_ns))
-        } else {
-            None
-        };
+    /// At-cap victim selection, one bounded second-chance clock: advance
+    /// the hand over at most [`RECLAIM_SCAN`] slots (every slot is live —
+    /// the free list is empty). A record idle past `max_idle_ns` wins
+    /// immediately; so does one not hit since the hand last passed it,
+    /// unless admission is idle-only. A referenced record loses its flag
+    /// and is passed over; if that was the whole window, its least
+    /// recently used record goes (oldest first among equals), or the
+    /// insert is denied. Counts the eviction under the policy that made
+    /// it.
+    fn reclaim_victim(&mut self) -> Option<u32> {
+        let idle_cutoff =
+            (self.cfg.max_idle_ns > 0).then(|| self.now_ns.saturating_sub(self.cfg.max_idle_ns));
+        let evicts_busy = self.cfg.lru_evict || idle_cutoff.is_none();
         let n = self.records.len();
-        let mut coldest: Option<u32> = None;
-        for _ in 0..RECLAIM_SCAN.min(n) {
-            let i = self.hand;
-            self.hand = (self.hand + 1) % n;
-            let r = &self.records[i];
-            if !r.live {
-                continue;
-            }
-            if idle_cutoff.is_some_and(|c| r.last_used < c) {
-                return Some((i as u32, true));
-            }
-            if self.cfg.lru_evict {
-                let colder = match coldest {
-                    None => true,
-                    Some(c) => {
-                        let cr = &self.records[c as usize];
-                        (r.last_used, r.seq) < (cr.last_used, cr.seq)
-                    }
-                };
-                if colder {
-                    coldest = Some(i as u32);
+        let mut coldest: Option<(u64, u64, usize)> = None;
+        let victim = 'hand: {
+            for _ in 0..RECLAIM_SCAN.min(n) {
+                let i = self.hand;
+                self.hand = if i + 1 == n { 0 } else { i + 1 };
+                let r = &mut self.records[i];
+                debug_assert!(r.live, "record neither live nor on the free list");
+                if idle_cutoff.is_some_and(|c| r.last_used < c) {
+                    self.stats.inline_expired += 1;
+                    return Some(i as u32);
                 }
+                if !evicts_busy {
+                    continue;
+                }
+                if !r.referenced {
+                    break 'hand i;
+                }
+                r.referenced = false;
+                let passed = (r.last_used, r.seq, i);
+                coldest = Some(coldest.map_or(passed, |c| c.min(passed)));
             }
+            coldest?.2
+        };
+        if self.cfg.lru_evict {
+            self.stats.evicted_lru += 1;
+        } else {
+            self.stats.recycled += 1;
         }
-        coldest.map(|c| (c, false))
-    }
-
-    fn oldest_live(&self) -> Option<u32> {
-        // Oldest-first recycling. A scan keeps the fast path free of list
-        // maintenance; recycling only happens at the allocation cap.
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.live)
-            .min_by_key(|(_, r)| r.seq)
-            .map(|(i, _)| i as u32)
+        Some(victim as u32)
     }
 
     /// Remove `idx` from whichever chain holds it — the current array, or
@@ -752,13 +702,26 @@ impl<V> FlowTable<V> {
         false
     }
 
-    fn evict(&mut self, idx: u32) -> EvictedFlow<V> {
+    /// Unlink `idx` and swap its key and bindings into `out`, leaving the
+    /// record with `out`'s cleared ones: nothing is rebuilt or moved by
+    /// value, so evicting a flow allocates nothing.
+    fn evict(&mut self, idx: u32, out: &mut EvictedFlow<V>) {
         self.unlink(idx);
         let r = &mut self.records[idx as usize];
         r.live = false;
-        let gates = r.gates.take_all();
+        out.key = r.key;
+        out.gates.reset();
+        std::mem::swap(&mut r.gates, &mut out.gates);
         self.stats.live -= 1;
-        EvictedFlow { key: r.key, gates }
+    }
+
+    /// An empty [`EvictedFlow`] shaped for this table's records: the slot
+    /// [`Self::lookup_or_insert`] parks a recycled flow in.
+    pub fn parked(&self) -> EvictedFlow<V> {
+        EvictedFlow {
+            key: dummy_key(),
+            gates: GateArray::new(self.cfg.gates),
+        }
     }
 
     /// Remove a cached flow explicitly (e.g. when its filter is removed),
@@ -768,7 +731,8 @@ impl<V> FlowTable<V> {
         if !self.records.get(idx as usize)?.live {
             return None;
         }
-        let out = self.evict(idx);
+        let mut out = self.parked();
+        self.evict(idx, &mut out);
         self.free.push(idx);
         Some(out)
     }
@@ -887,6 +851,36 @@ mod tests {
         }
     }
 
+    /// What one packet of a flow found in the table.
+    struct Arrival {
+        /// The flow's record (`None`: admission denied).
+        fix: Option<FlowIndex>,
+        hit: bool,
+        /// The flow recycled to make room.
+        evicted: Option<FlowTuple>,
+    }
+
+    fn arrive(t: &mut FlowTable<u32>, k: FlowTuple) -> Arrival {
+        let mut parked = t.parked();
+        let (fix, hit, recycled) = match t.lookup_or_insert(&k, flow_hash(&k), &mut parked) {
+            Admit::Hit(fix) => (Some(fix), true, false),
+            Admit::New { fix, recycled, .. } => (Some(fix), false, recycled),
+            Admit::Denied => (None, false, false),
+        };
+        Arrival {
+            fix,
+            hit,
+            evicted: recycled.then_some(parked.key),
+        }
+    }
+
+    /// First packet of a flow that must get a record.
+    fn insert(t: &mut FlowTable<u32>, k: FlowTuple) -> FlowIndex {
+        let a = arrive(t, k);
+        assert!(!a.hit, "flow already cached");
+        a.fix.expect("insert denied")
+    }
+
     fn small() -> FlowTable<u32> {
         FlowTable::new(FlowTableConfig {
             buckets: 64,
@@ -902,10 +896,11 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut t = small();
-        assert!(t.lookup(&key(1)).is_none());
-        let (fix, ev) = t.insert(key(1));
-        assert!(ev.is_none());
-        assert_eq!(t.lookup(&key(1)), Some(fix));
+        let first = arrive(&mut t, key(1));
+        assert!(!first.hit && first.evicted.is_none());
+        let second = arrive(&mut t, key(1));
+        assert!(second.hit);
+        assert_eq!(second.fix, first.fix);
         let s = t.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -913,7 +908,7 @@ mod tests {
     #[test]
     fn bindings_round_trip() {
         let mut t = small();
-        let (fix, _) = t.insert(key(1));
+        let fix = insert(&mut t, key(1));
         {
             let r = t.record_mut(fix).unwrap();
             r.gates.set_instance(0, Some(77));
@@ -934,17 +929,16 @@ mod tests {
     fn exponential_growth_then_recycling() {
         let mut t = small(); // 4 initial, max 8
         for i in 0..8 {
-            t.insert(key(i));
+            insert(&mut t, key(i));
         }
         assert_eq!(t.stats().allocated, 8);
         assert_eq!(t.live(), 8);
         // Ninth insert recycles the oldest (key 0).
-        let (_, ev) = t.insert(key(100));
-        let ev = ev.expect("must recycle");
-        assert_eq!(ev.key, key(0));
+        let ev = arrive(&mut t, key(100)).evicted;
+        assert_eq!(ev.expect("must recycle"), key(0));
         assert_eq!(t.live(), 8);
-        assert!(t.lookup(&key(0)).is_none());
-        assert!(t.lookup(&key(100)).is_some());
+        assert!(t.peek(&key(0)).is_none());
+        assert!(t.peek(&key(100)).is_some());
         assert_eq!(t.stats().recycled, 1);
     }
 
@@ -961,24 +955,24 @@ mod tests {
             max_idle_ns: 0,
             lru_evict: false,
         });
-        let (f1, _) = t.insert(key(1));
-        let (_f2, _) = t.insert(key(2));
-        let (_f3, _) = t.insert(key(3));
+        let f1 = insert(&mut t, key(1));
+        insert(&mut t, key(2));
+        insert(&mut t, key(3));
         // Remove the middle of the chain.
         t.remove(f1).unwrap();
-        assert!(t.lookup(&key(1)).is_none());
-        assert!(t.lookup(&key(2)).is_some());
-        assert!(t.lookup(&key(3)).is_some());
+        assert!(t.peek(&key(1)).is_none());
+        assert!(t.peek(&key(2)).is_some());
+        assert!(t.peek(&key(3)).is_some());
         // Reuse the freed slot.
-        let (f4, _) = t.insert(key(4));
-        assert!(t.lookup(&key(4)) == Some(f4));
+        let f4 = insert(&mut t, key(4));
+        assert!(t.peek(&key(4)) == Some(f4));
     }
 
     #[test]
     fn invalidate_filter_drops_derived_flows() {
         let mut t = small();
         for i in 0..3 {
-            let (fix, _) = t.insert(key(i));
+            let fix = insert(&mut t, key(i));
             let r = t.record_mut(fix).unwrap();
             r.gates
                 .set_filter(1, Some(FilterId(if i == 1 { 9 } else { 5 })));
@@ -986,16 +980,16 @@ mod tests {
         }
         let evicted = t.invalidate_filter(1, FilterId(5));
         assert_eq!(evicted.len(), 2);
-        assert!(t.lookup(&key(1)).is_some());
-        assert!(t.lookup(&key(0)).is_none());
-        assert!(t.lookup(&key(2)).is_none());
+        assert!(t.peek(&key(1)).is_some());
+        assert!(t.peek(&key(0)).is_none());
+        assert!(t.peek(&key(2)).is_none());
     }
 
     #[test]
     fn invalidate_where_drops_matching_records() {
         let mut t = small();
         for i in 0..4 {
-            let (fix, _) = t.insert(key(i));
+            let fix = insert(&mut t, key(i));
             let r = t.record_mut(fix).unwrap();
             // Bind instance 7 at gate 0 for even flows only.
             if i % 2 == 0 {
@@ -1053,12 +1047,12 @@ mod tests {
     fn idle_expiry() {
         let mut t = small();
         t.set_now(0);
-        let (f1, _) = t.insert(key(1));
+        let f1 = insert(&mut t, key(1));
         t.set_now(1_000_000);
-        let (_f2, _) = t.insert(key(2));
+        insert(&mut t, key(2));
         // Touch flow 1 at t=2ms: refreshes its idle timer.
         t.set_now(2_000_000);
-        assert_eq!(t.lookup(&key(1)), Some(f1));
+        assert_eq!(arrive(&mut t, key(1)).fix, Some(f1));
         // At t=2.5ms with 1ms max idle: flow 2 (last used at 1ms) dies,
         // flow 1 (used at 2ms) survives.
         t.set_now(2_500_000);
@@ -1091,21 +1085,18 @@ mod tests {
         let mut t = defended();
         t.set_now(10_000_000);
         for i in 0..8 {
-            assert!(t.try_insert(key(i)).is_some());
+            insert(&mut t, key(i));
         }
         // All 8 records were used "now": nothing is idle, so the flood
         // flow is denied and every established record survives.
         let before = t.stats();
-        assert!(t.try_insert(key(100)).is_none());
+        assert!(arrive(&mut t, key(100)).fix.is_none());
         assert_eq!(t.stats().denied, before.denied + 1);
         assert_eq!(t.live(), 8);
         for i in 0..8 {
             assert!(t.peek(&key(i)).is_some(), "established flow {i} evicted");
         }
         assert!(t.peek(&key(100)).is_none());
-        // Plain insert still recycles (legacy escape hatch).
-        let (_, ev) = t.insert(key(101));
-        assert!(ev.is_some());
     }
 
     #[test]
@@ -1113,24 +1104,25 @@ mod tests {
         let mut t = defended();
         t.set_now(0);
         for i in 0..8 {
-            t.try_insert(key(i)).unwrap();
+            insert(&mut t, key(i));
         }
         // Refresh all but flow 3, then advance past the idle window.
         t.set_now(6_000_000);
         for i in 0..8 {
             if i != 3 {
-                t.lookup(&key(i));
+                arrive(&mut t, key(i));
             }
         }
         t.set_now(6_500_000);
-        let (_, ev) = t.try_insert(key(200)).expect("idle record reclaimable");
-        let ev = ev.expect("reclaim returns the evicted flow");
-        assert_eq!(ev.key, key(3), "only the idle flow is reclaimable");
+        let a = arrive(&mut t, key(200));
+        assert!(a.fix.is_some(), "idle record reclaimable");
+        let ev = a.evicted.expect("reclaim returns the evicted flow");
+        assert_eq!(ev, key(3), "only the idle flow is reclaimable");
         assert_eq!(t.stats().inline_expired, 1);
         assert_eq!(t.stats().recycled, 0, "inline expiry is not recycling");
         assert!(t.peek(&key(200)).is_some());
         // Now every record is busy again → next insert is denied.
-        assert!(t.try_insert(key(201)).is_none());
+        assert!(arrive(&mut t, key(201)).fix.is_none());
     }
 
     #[test]
@@ -1146,22 +1138,23 @@ mod tests {
         });
         t.set_now(0);
         for i in 0..8 {
-            t.try_insert(key(i)).unwrap();
+            insert(&mut t, key(i));
         }
         // Touch everything recently — but flow 5 least recently — with all
         // records inside the idle window, so idle reclaim finds nothing.
         t.set_now(10_000_000);
-        t.lookup(&key(5));
+        arrive(&mut t, key(5));
         t.set_now(10_500_000);
         for i in 0..8 {
             if i != 5 {
-                t.lookup(&key(i));
+                arrive(&mut t, key(i));
             }
         }
         t.set_now(10_600_000);
-        let (_, ev) = t.try_insert(key(300)).expect("LRU eviction, not denial");
-        let ev = ev.expect("eviction returns the coldest flow");
-        assert_eq!(ev.key, key(5), "coldest record is the LRU victim");
+        let a = arrive(&mut t, key(300));
+        assert!(a.fix.is_some(), "LRU eviction, not denial");
+        let ev = a.evicted.expect("eviction returns the coldest flow");
+        assert_eq!(ev, key(5), "coldest record is the LRU victim");
         let s = t.stats();
         assert_eq!(s.evicted_lru, 1);
         assert_eq!(s.denied, 0);
@@ -1183,7 +1176,7 @@ mod tests {
         });
         const N: u32 = 700;
         for i in 0..N {
-            t.insert(key(i));
+            insert(&mut t, key(i));
             // Every already-inserted flow stays reachable mid-migration.
             if i % 97 == 0 {
                 for j in (0..=i).step_by(61) {
@@ -1195,12 +1188,12 @@ mod tests {
         assert!(t.bucket_count() > 8, "bucket array never grew");
         assert_eq!(t.live(), N as usize);
         for i in 0..N {
-            assert!(t.lookup(&key(i)).is_some(), "flow {i} lost after resize");
+            assert!(arrive(&mut t, key(i)).hit, "flow {i} lost after resize");
         }
         // Drive any in-flight migration to completion with lookups only.
         let mut guard = 0;
         while t.resizing() {
-            t.lookup(&key(0));
+            arrive(&mut t, key(0));
             guard += 1;
             assert!(guard < 100_000, "migration never completes");
         }
@@ -1223,7 +1216,7 @@ mod tests {
         });
         let mut fixes = Vec::new();
         for i in 0..64 {
-            fixes.push(t.insert(key(i)).0);
+            fixes.push(insert(&mut t, key(i)));
         }
         assert!(t.resizing() || t.stats().resize_steps > 0);
         // Remove every third flow — some still sit in old-array chains.
@@ -1243,10 +1236,10 @@ mod tests {
     fn expire_idle_into_reuses_buffer() {
         let mut t = small();
         t.set_now(0);
-        t.insert(key(1));
-        t.insert(key(2));
+        insert(&mut t, key(1));
+        insert(&mut t, key(2));
         t.set_now(2_000_000);
-        t.lookup(&key(1));
+        arrive(&mut t, key(1));
         t.set_now(2_500_000);
         let mut scratch = Vec::with_capacity(4);
         let n = t.expire_idle_into(1_000_000, &mut scratch);
@@ -1260,27 +1253,58 @@ mod tests {
         assert!(scratch.is_empty());
     }
 
+    /// The default configuration (`max_idle_ns: 0`, `lru_evict: false`)
+    /// at its 65 536-record cap: a new flow costs a bounded advance of
+    /// the hand, not a sweep of the slab.
     #[test]
-    fn hashed_entry_points_match_unhashed() {
-        let mut a = small();
-        let mut b = small();
-        for i in 0..8 {
-            let h = flow_hash(&key(i));
-            let (fa, _) = a.insert(key(i));
-            let (fb, _) = b.insert_hashed(key(i), h);
-            assert_eq!(fa, fb);
+    fn a_full_default_table_admits_a_new_flow_in_bounded_work() {
+        let mut t: FlowTable<u32> = FlowTable::new(FlowTableConfig::default());
+        const CAP: u32 = 65_536;
+        for i in 0..CAP {
+            insert(&mut t, key(i));
         }
-        for i in 0..8 {
-            let h = flow_hash(&key(i));
-            assert_eq!(a.lookup(&key(i)), b.lookup_hashed(&key(i), h));
+        // Every other established flow is in use, so the hand has records
+        // to pass over, not only records to take.
+        for i in (0..CAP).step_by(2) {
+            assert!(arrive(&mut t, key(i)).hit);
         }
-        assert_eq!(a.stats(), b.stats());
+        let mut advanced = 0;
+        for i in 0..2000 {
+            let before = t.hand;
+            assert!(arrive(&mut t, key(CAP + i)).evicted.is_some());
+            let step = (t.hand + CAP as usize - before) % CAP as usize;
+            assert!((1..=RECLAIM_SCAN).contains(&step), "hand moved {step}");
+            advanced += step;
+        }
+        assert!(advanced <= RECLAIM_SCAN * 2000);
+        let s = t.stats();
+        assert_eq!((s.recycled, s.live), (2000, CAP as usize));
+        assert_eq!((s.evicted_lru, s.inline_expired, s.denied), (0, 0, 0));
+    }
+
+    /// A window in which every record was hit since the hand's last pass
+    /// costs each of them its second chance and the least recently used
+    /// its record; the next victim is then the hand's first.
+    #[test]
+    fn a_fully_referenced_window_falls_back_to_its_coldest() {
+        let mut t = small();
+        for i in 0..8 {
+            insert(&mut t, key(i));
+        }
+        for (now, i) in [3, 1, 0, 2, 7, 6, 5, 4].into_iter().enumerate() {
+            t.set_now(now as u64);
+            arrive(&mut t, key(i));
+        }
+        assert_eq!(arrive(&mut t, key(100)).evicted, Some(key(3)));
+        // All flags are spent and the hand is back at slot 0.
+        assert_eq!(arrive(&mut t, key(101)).evicted, Some(key(0)));
+        assert_eq!(t.stats().recycled, 2);
     }
 
     #[test]
     fn stale_fix_rejected() {
         let mut t = small();
-        let (fix, _) = t.insert(key(1));
+        let fix = insert(&mut t, key(1));
         t.remove(fix).unwrap();
         assert!(t.record(fix).is_none());
         assert!(t.remove(fix).is_none());

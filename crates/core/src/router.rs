@@ -13,11 +13,15 @@ use crate::pcu::Pcu;
 use crate::plugin::{InstanceHandle, InstanceId, PacketCtx, PluginAction, PluginError};
 use crate::supervisor::{self, FaultKind, FaultPolicy, HealthReport, Supervisor};
 use rp_classifier::aiu::ClassifyOutcome;
-use rp_classifier::flow_table::EvictedFlow;
+use rp_classifier::flow_table::{EvictedFlow, FlowRecord};
 use rp_classifier::{Aiu, AiuConfig, BmpKind, FilterId, FlowTableConfig};
 use rp_packet::mbuf::IfIndex;
 use rp_packet::{Mbuf, MbufPool, PoolStats};
 use std::net::IpAddr;
+
+// `scale1m` holds a million of these: a field that widens the record
+// moves its `mem_mb` (and the cache lines a cold hit touches).
+const _: () = assert!(std::mem::size_of::<FlowRecord<InstanceHandle>>() <= 440);
 
 /// A network interface: egress queue plus bookkeeping. Reception is
 /// modelled by calling [`Router::receive`] with the interface id.
@@ -252,9 +256,7 @@ impl Router {
                     self.tracer.record(now, TraceCategory::Filter, detail);
                 }
                 self.supervisor.note_binding(inst, gate, filter, fid);
-                for mut ev in evicted {
-                    Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
-                }
+                self.unbind_flows(evicted);
                 Ok(PluginReply::Registered(fid))
             }
             PluginMsg::DeregisterInstance { gate, filter } => {
@@ -302,21 +304,47 @@ impl Router {
         if let Some(inst) = self.supervisor.live_mut(inst) {
             let _ = supervisor::run_isolated(|| inst.filter_unbound(fid));
         }
-        for mut ev in evicted {
-            Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
-        }
+        self.unbind_flows(evicted);
         Ok(())
     }
 
-    /// Run per-flow eviction callbacks, each isolated from panics. Only
-    /// live instances hear them: a quarantined instance's code must not
-    /// run again, and a stale handle names nobody.
-    fn run_eviction_callbacks(instances: &mut Supervisor, ev: &mut EvictedFlow<InstanceHandle>) {
-        for g in ev.gates.drain() {
-            if let Some(inst) = g.instance.and_then(|h| instances.live_mut(h)) {
-                let _ = supervisor::run_isolated(|| inst.flow_unbound(&ev.key, g.soft_state));
+    /// Run evicted flows' callbacks and charge the ones that panicked.
+    fn unbind_flows(&mut self, evicted: impl IntoIterator<Item = EvictedFlow<InstanceHandle>>) {
+        for mut ev in evicted {
+            for (inst, msg) in Self::run_eviction_callbacks(&mut self.supervisor, &mut ev) {
+                self.note_fault(inst, &FaultKind::Panic(msg));
             }
         }
+    }
+
+    /// Run per-flow eviction callbacks inside one isolation frame per
+    /// flow (a second one only after a panic, for the gates behind it).
+    /// Only live instances hear them: a quarantined instance's code must
+    /// not run again, and a stale handle names nobody. Returns the
+    /// instances whose callback panicked, for the caller to charge once
+    /// its borrow of `ev` — possibly the AIU's parked slot — has ended.
+    #[must_use]
+    fn run_eviction_callbacks(
+        instances: &mut Supervisor,
+        ev: &mut EvictedFlow<InstanceHandle>,
+    ) -> Vec<(InstanceHandle, String)> {
+        let mut faults = Vec::new();
+        let mut in_flight = None;
+        while let Err(msg) = supervisor::run_isolated(|| {
+            for g in ev.gates.drain() {
+                in_flight = g.instance;
+                if let Some(inst) = g.instance.and_then(|h| instances.live_mut(h)) {
+                    inst.flow_unbound(&ev.key, g.soft_state);
+                }
+            }
+        }) {
+            // As in `charge_panic`: no callback in flight, the router's bug.
+            let Some(inst) = in_flight else {
+                panic!("{msg}");
+            };
+            faults.push((inst, msg));
+        }
+        faults
     }
 
     /// Assign the router's own address on an interface (enables ICMP
@@ -408,13 +436,13 @@ impl Router {
         evicted.clear();
         let n = self.aiu.expire_idle_into(max_idle_ns, &mut evicted);
         self.metrics.flows_expired += n as u64;
-        for mut ev in evicted.drain(..) {
+        for ev in evicted.drain(..) {
             if self.tracer.wants(TraceCategory::Flow) {
                 let now = self.now_ns;
                 let detail = format!("flow expired: {}", ev.key);
                 self.tracer.record(now, TraceCategory::Flow, detail);
             }
-            Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
+            self.unbind_flows([ev]);
         }
         self.evict_scratch = evicted;
         n
@@ -468,7 +496,11 @@ impl Router {
                 let detail = format!("flow recycled at {gate}: {}", ev.key);
                 self.tracer.record(now, TraceCategory::Flow, detail);
             }
-            Self::run_eviction_callbacks(&mut self.supervisor, ev);
+            for (inst, msg) in Self::run_eviction_callbacks(&mut self.supervisor, ev) {
+                if self.note_fault(inst, &FaultKind::Panic(msg)) {
+                    mbuf.fix = None; // quarantined: reclassify downstream
+                }
+            }
         }
         Ok(())
     }
@@ -612,9 +644,7 @@ impl Router {
         for gate in ALL_GATES {
             for fid in self.filters_bound_to(gate, inst) {
                 if let Ok((_spec, _inst, evicted)) = self.aiu.remove_filter(gate.index(), fid) {
-                    for mut ev in evicted {
-                        Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
-                    }
+                    self.unbind_flows(evicted);
                 }
             }
         }
@@ -623,9 +653,7 @@ impl Router {
         let evicted = self
             .aiu
             .invalidate_flows_where(|r| r.gates.instances().contains(&Some(inst)));
-        for mut ev in evicted {
-            Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
-        }
+        self.unbind_flows(evicted);
         self.detach_sched_everywhere(inst);
         let _ = self.supervisor.schedule_restart(inst, self.now_ns);
     }
@@ -677,9 +705,7 @@ impl Router {
                     self.aiu
                         .install_filter(gate.index(), spec.clone(), new_inst)
                 {
-                    for mut ev in evicted {
-                        Self::run_eviction_callbacks(&mut self.supervisor, &mut ev);
-                    }
+                    self.unbind_flows(evicted);
                     self.supervisor.note_binding(new_inst, gate, spec, fid);
                 }
             }

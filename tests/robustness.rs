@@ -4,14 +4,19 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use router_plugins::classifier::FlowTableConfig;
 use router_plugins::core::ip_core::{Disposition, DropReason};
+use router_plugins::core::plugin::PacketCtx;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
-use router_plugins::core::{FaultPolicy, Gate, HealthState, Router, RouterConfig};
+use router_plugins::core::{
+    FaultPolicy, Gate, HealthState, PluginAction, PluginInstance, Router, RouterConfig,
+};
 use router_plugins::netsim::topology::{Port, Topology};
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
-use router_plugins::packet::Mbuf;
+use router_plugins::packet::{FlowTuple, Mbuf};
+use std::any::Any;
 
 fn armed_router() -> Router {
     let mut r = Router::new(RouterConfig {
@@ -334,6 +339,102 @@ fn stalling_instance_exceeds_budget_and_quarantines() {
     assert_eq!(rep.restart_at_ns, None, "restart disabled by policy");
     // Quarantined means off the path: later packets skip the stall.
     assert!(matches!(r.receive(udp(9)), Disposition::Forwarded(1)));
+}
+
+/// A plugin whose eviction callback panics — the fault the data path
+/// cannot see coming: it strikes while some *other* flow's first packet
+/// is being classified.
+struct Grumpy;
+struct GrumpyInstance;
+
+impl router_plugins::core::Plugin for Grumpy {
+    fn name(&self) -> &str {
+        "grumpy"
+    }
+    fn code(&self) -> router_plugins::core::PluginCode {
+        router_plugins::core::PluginCode::new(router_plugins::core::PluginType::STATS, 99)
+    }
+    fn create_instance(
+        &mut self,
+        _config: &str,
+    ) -> Result<Box<dyn PluginInstance>, router_plugins::core::plugin::PluginError> {
+        Ok(Box::new(GrumpyInstance))
+    }
+}
+
+impl PluginInstance for GrumpyInstance {
+    fn handle_packet(&mut self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
+        PluginAction::Continue
+    }
+    fn flow_unbound(&mut self, key: &FlowTuple, _soft: Option<Box<dyn Any + Send>>) {
+        panic!("cannot let go of {key}");
+    }
+}
+
+/// A panic in `flow_unbound` is a fault like any other: counted, charged
+/// to the instance that raised it, and quarantining at the policy's
+/// threshold — while the packet whose classification recycled the flow is
+/// forwarded regardless, and every packet is accounted for.
+#[test]
+fn panicking_eviction_callback_is_charged_and_quarantines() {
+    let mut r = Router::new(RouterConfig {
+        verify_checksums: false,
+        flow_table: FlowTableConfig {
+            buckets: 64,
+            max_buckets: 0,
+            initial_records: 4,
+            max_records: 8,
+            ..RouterConfig::default().flow_table
+        },
+        ..RouterConfig::default()
+    });
+    register_builtin_factories(&mut r.loader);
+    r.loader.add_factory("grumpy", || Box::new(Grumpy)).unwrap();
+    r.add_route(v6_host(0), 32, 1);
+    run_script(
+        &mut r,
+        "load grumpy\ncreate grumpy\nbind stats grumpy 0 <*, *, UDP, *, *, *>\n\
+         load null\ncreate null\nbind fw null 0 <*, *, UDP, *, *, *>",
+    )
+    .unwrap();
+    // Eight flows fill the table; each later flow recycles one of them,
+    // and the third recycling crosses the quarantine threshold (3).
+    const FLOWS: u16 = 40;
+    for i in 0..FLOWS {
+        assert_eq!(
+            r.receive(udp(1000 + i)),
+            Disposition::Forwarded(1),
+            "flow {i}"
+        );
+        let faults = u64::from(i.saturating_sub(7).min(3));
+        assert_eq!(r.stats().plugin_faults, faults, "after flow {i}");
+    }
+    let s = r.stats();
+    assert_eq!(
+        (s.received, s.forwarded),
+        (u64::from(FLOWS), u64::from(FLOWS))
+    );
+    assert_eq!(
+        (s.plugin_faults, s.plugin_quarantines, s.dropped_fault),
+        (3, 1, 0)
+    );
+    let reports = r.health_reports();
+    let of = |name: &str| reports.iter().find(|h| h.plugin == name).unwrap();
+    assert_eq!(of("grumpy").health, HealthState::Quarantined);
+    assert_eq!(of("grumpy").total_faults, 3);
+    assert!(of("grumpy")
+        .last_fault
+        .as_deref()
+        .unwrap()
+        .contains("cannot let go"));
+    // The healthy instance on the same flows heard every one of its
+    // callbacks and is charged nothing.
+    assert_eq!(of("null").total_faults, 0);
+    assert_eq!(of("null").health, HealthState::Healthy);
+    // The quarantine flushed grumpy's flows; the table refilled and
+    // went on recycling, now without a fault.
+    assert_eq!(r.flow_stats().live, 8);
+    assert!(r.flow_stats().recycled > 3);
 }
 
 /// Link-level fault injection across a 3-node chain: loss on the first
