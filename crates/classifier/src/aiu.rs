@@ -214,11 +214,6 @@ impl<V: Clone> Aiu<V> {
         self.flow_table.record(fix)?.gates.instance(gate)
     }
 
-    /// The filter a cached binding was derived from.
-    pub fn bound_filter(&self, fix: FlowIndex, gate: GateId) -> Option<FilterId> {
-        self.flow_table.record(fix)?.gates.filter(gate)
-    }
-
     /// Single-access fetch of a gate binding: instance, filter id and
     /// soft-state slot (the data path calls this once per gate; splitting
     /// it into two record lookups would double the fast-path slab
@@ -283,11 +278,6 @@ impl<V: Clone> Aiu<V> {
             total.dag_edges += s.dag_edges;
         }
         total
-    }
-
-    /// Direct access to the flow table (testbench instrumentation).
-    pub fn flow_table_mut(&mut self) -> &mut FlowTable<V> {
-        &mut self.flow_table
     }
 }
 

@@ -360,12 +360,6 @@ impl<V> DagTable<V> {
         self.registry.get(&id).map(|(s, v)| (s, v))
     }
 
-    /// Mutable access to a filter's bound value (used to re-bind a filter
-    /// to a different plugin instance).
-    pub fn get_value_mut(&mut self, id: FilterId) -> Option<&mut V> {
-        self.registry.get_mut(&id).map(|(_, v)| v)
-    }
-
     /// Iterate installed filter ids.
     pub fn filter_ids(&self) -> Vec<FilterId> {
         let mut v: Vec<FilterId> = self.registry.keys().copied().collect();

@@ -141,36 +141,6 @@ impl DeviceStats {
     }
 }
 
-/// Supervision state of a bound network device — the third tier of the
-/// Healthy→Degraded→Quarantined architecture (plugins, shards, devices).
-/// Lives here so the control plane can render it without knowing the
-/// supervising I/O plane's type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeviceHealth {
-    /// The I/O plane runs without device supervision (the default).
-    #[default]
-    Unsupervised,
-    /// Serving, no concerning error/stall pattern.
-    Healthy,
-    /// Serving, but its error window or rx-stall streak crossed the
-    /// degradation threshold (or it is on post-reopen probation).
-    Degraded,
-    /// Taken off the wire: ingress skipped, egress counted as device-tx
-    /// drops, awaiting a `reopen()` attempt under capped backoff.
-    Quarantined,
-}
-
-impl std::fmt::Display for DeviceHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DeviceHealth::Unsupervised => "unsupervised",
-            DeviceHealth::Healthy => "healthy",
-            DeviceHealth::Degraded => "degraded",
-            DeviceHealth::Quarantined => "quarantined",
-        })
-    }
-}
-
 /// One row of the pmgr `devices` report: a bound network device and its
 /// counters.
 #[derive(Debug, Clone)]
@@ -181,9 +151,11 @@ pub struct DeviceRow {
     pub iface: IfIndex,
     /// The device's I/O counters.
     pub stats: DeviceStats,
-    /// Supervision health ([`DeviceHealth::Unsupervised`] when the I/O
-    /// plane runs without a device supervisor).
-    pub health: DeviceHealth,
+    /// Supervision health — the third tier of the
+    /// Healthy→Degraded→Quarantined architecture (plugins, shards,
+    /// devices); `None` (rendered `unsupervised`) when the I/O plane runs
+    /// without a device supervisor.
+    pub health: Option<HealthState>,
     /// Times the device was quarantined.
     pub quarantines: u64,
     /// Successful quarantine→reopen cycles.

@@ -44,9 +44,9 @@
 //!   timeout with per-shard partial replies (`[shard i] unresponsive`)
 //!   instead of blocking forever.
 //! * **Rebuild** — every state-mutating control command is recorded in a
-//!   [`CommandJournal`]; a quarantined shard is restarted (capped
-//!   exponential backoff from the router's [`FaultPolicy`], here in
-//!   *real* time — heartbeats of OS threads are wall-clock) by replaying
+//!   [`CommandJournal`]; a quarantined shard is restarted (the same
+//!   [`Backoff`] the router's [`FaultPolicy`] gives plugin instances,
+//!   due on `coarse_now_ns()` instead of the simulated clock) by replaying
 //!   the journal into a fresh [`Router`], which returns its instance and
 //!   filter ids to lockstep with the survivors. Flow-cache soft state is
 //!   *not* restored: the next packet of each flow re-classifies, exactly
@@ -68,7 +68,7 @@ pub use control::{
     ControlCmd, ControlPlane, LocalTotals, MetricsRow, ShardAnswer, ShardHealthReport, ShardStatus,
     ShardTraceEvent, StatsRow,
 };
-pub use dispatch::{shard_for_packet, shard_for_tuple, FlowSteer, SteerConfig, SteerStats};
+pub use dispatch::{shard_for_packet, shard_for_tuple};
 pub use journal::CommandJournal;
 pub use shard::{ShardCtx, ShardMsg, ShardReport};
 
@@ -78,16 +78,16 @@ use crate::message::PluginReply;
 use crate::obs::{drop_reason_index, MetricsRegistry, MetricsSnapshot};
 use crate::plugin::PluginError;
 use crate::router::{Router, RouterConfig};
-use crate::supervisor::{FaultPolicy, HealthState};
+use crate::supervisor::{duration_ns, Backoff, HealthState};
 use control::merge_replies;
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
-use rp_packet::{FlowTuple, Mbuf, MbufPool, PoolStats};
+use rp_packet::{coarse_now_ns, Mbuf, MbufPool, PoolStats};
 use shard::{run_shard, shard_fifo, ControlFn, EgressSink, ShardFinal, ShardSender, ShardShared};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // The whole design depends on Router moving into worker threads; fail at
 // compile time (not deep inside thread::spawn) if a !Send field sneaks in.
@@ -98,7 +98,7 @@ const _: fn() = || {
 
 /// Check one shard's health every this many dispatched packets, round
 /// robin, so stalls are detected even when all traffic flows to other
-/// shards (one atomic load + `Instant::now` per stride — off the per-
+/// shards (one atomic load + one clock read per stride — off the per-
 /// packet hot path).
 const WATCHDOG_STRIDE: u64 = 64;
 
@@ -113,11 +113,10 @@ pub struct ParallelRouterConfig {
     /// Number of worker shards (each a complete single-threaded router).
     pub shards: usize,
     /// Per-shard router configuration (interfaces, gates, flow table…).
-    /// Its [`FaultPolicy`] also governs shard restarts: `restart`,
-    /// `max_restarts`, and the capped exponential backoff — with the
-    /// backoff nanoseconds interpreted as *real* time at the shard level
-    /// (worker heartbeats are wall-clock, unlike the simulated clock the
-    /// plugin supervisor runs on).
+    /// Its [`FaultPolicy`](crate::supervisor::FaultPolicy) also governs
+    /// shard restarts (`restart`, `max_restarts`, the backoff): plugin
+    /// restarts fall due on the router's simulated `now_ns`, shard and
+    /// device restarts on `coarse_now_ns()` — same unit, same [`Backoff`].
     pub router: RouterConfig,
     /// Depth of each shard's ingress FIFO (an `rp_ring` SPSC ring).
     pub ingress_depth: usize,
@@ -129,12 +128,6 @@ pub struct ParallelRouterConfig {
     /// preserves the back-pressure behaviour under transient bursts
     /// while keeping the ingress thread live under sustained overload.
     pub overload_wait: Duration,
-    /// Optional load-aware flow placement ([`FlowSteer`]). `None` (the
-    /// default) keeps pure hash placement; `Some` pins each new flow at
-    /// first sight, steering flows that arrive while their hash-home
-    /// shard is hot onto a less-loaded alternate. Per-flow affinity (and
-    /// therefore per-flow order) is preserved either way.
-    pub steer: Option<SteerConfig>,
 }
 
 impl Default for ParallelRouterConfig {
@@ -145,13 +138,8 @@ impl Default for ParallelRouterConfig {
             ingress_depth: 1024,
             stall_timeout: Duration::from_millis(500),
             overload_wait: Duration::from_millis(2),
-            steer: None,
         }
     }
-}
-
-fn initial_backoff(policy: &FaultPolicy) -> Duration {
-    Duration::from_nanos(policy.restart_backoff_ns.max(1))
 }
 
 /// The dispatcher's handle to one shard worker plus its supervision
@@ -165,10 +153,10 @@ struct ShardSlot {
     health: HealthState,
     /// Completed restarts of this shard index.
     restarts: u32,
-    /// Next restart delay (capped doubling).
-    next_backoff: Duration,
-    /// When the pending restart becomes due.
-    restart_at: Option<Instant>,
+    /// Restart delays of this shard index (carried across incarnations).
+    backoff: Backoff,
+    /// When the pending restart becomes due ([`coarse_now_ns`]).
+    restart_at: Option<u64>,
     /// Out of restart budget (or policy forbids restarts): permanently
     /// quarantined, traffic shed as `ShardDown`.
     gave_up: bool,
@@ -214,6 +202,9 @@ struct Zombie {
 /// [`flush`](ParallelRouter::flush).
 pub struct ParallelRouter {
     cfg: ParallelRouterConfig,
+    /// `cfg.stall_timeout` / `cfg.overload_wait` in nanoseconds.
+    stall_timeout_ns: u64,
+    overload_wait_ns: u64,
     /// The shared plugin factory registry rebuilds draw from (the
     /// paper's single on-disk module set).
     template: PluginLoader,
@@ -221,8 +212,6 @@ pub struct ParallelRouter {
     zombies: Vec<Zombie>,
     /// Replayable record of every state-mutating control command.
     journal: CommandJournal,
-    /// Heartbeat timestamps are relative to this.
-    epoch: Instant,
     interfaces: usize,
     /// Egress collector: shards send whole carrier `Vec`s of transmitted
     /// packets (one channel operation per interface per egress drain, not
@@ -269,13 +258,6 @@ pub struct ParallelRouter {
     /// subtracted from the merged `forwarded` at read time.
     device_tx_unforwarded: u64,
     watchdog_tick: u64,
-    /// Load-aware flow placement, when configured. Dispatcher-side only:
-    /// shards never see it, so the lock-free shard fast path is
-    /// untouched.
-    steer: Option<FlowSteer>,
-    /// Reusable buffer for the watchdog-cadence ingress-depth sample fed
-    /// to the steerer (no per-sample `Vec`).
-    depth_scratch: Vec<usize>,
 }
 
 impl ParallelRouter {
@@ -288,14 +270,14 @@ impl ParallelRouter {
         let (egress_batch_tx, egress_batch_rx) = unbounded();
         let (egress_scrap_tx, egress_scrap_rx) = unbounded();
         let (scrap_tx, scrap_rx) = unbounded();
-        let epoch = Instant::now();
         let interfaces = cfg.router.interfaces;
         let mut pr = ParallelRouter {
+            stall_timeout_ns: duration_ns(cfg.stall_timeout),
+            overload_wait_ns: duration_ns(cfg.overload_wait),
             template: template.share_factories(),
             slots: Vec::with_capacity(shards),
             zombies: Vec::new(),
             journal: CommandJournal::default(),
-            epoch,
             interfaces,
             egress_batch_tx,
             egress_batch_rx,
@@ -313,8 +295,6 @@ impl ParallelRouter {
             local_metrics: MetricsRegistry::default(),
             device_tx_unforwarded: 0,
             watchdog_tick: 0,
-            steer: cfg.steer.map(|sc| FlowSteer::new(sc, shards)),
-            depth_scratch: vec![0; shards],
             cfg,
         };
         for index in 0..shards {
@@ -349,7 +329,7 @@ impl ParallelRouter {
             scrap: self.egress_scrap_rx.clone(),
             carrier: Vec::new(),
         };
-        let shared = Arc::new(ShardShared::new(self.epoch, Arc::clone(&self.flush_bell)));
+        let shared = Arc::new(ShardShared::new(Arc::clone(&self.flush_bell)));
         let scrap = self.scrap_tx.clone();
         let worker_shared = Arc::clone(&shared);
         let join = std::thread::Builder::new()
@@ -378,7 +358,10 @@ impl ParallelRouter {
                 HealthState::Healthy
             },
             restarts: 0,
-            next_backoff: initial_backoff(policy),
+            backoff: Backoff::new(
+                policy.restart_backoff_ns.max(1),
+                policy.restart_backoff_cap_ns,
+            ),
             restart_at: None,
             gave_up: spawn_failed,
             last_fault,
@@ -394,49 +377,10 @@ impl ParallelRouter {
         self.slots.len()
     }
 
-    /// The shard `mbuf` would be dispatched to by pure hash placement.
-    /// With load-aware steering configured the live dispatch decision
-    /// ([`receive`](ParallelRouter::receive)) may differ for flows pinned
-    /// off a hot shard; it is still per-flow stable.
+    /// The shard `mbuf` is dispatched to: [`shard_for_packet`] over this
+    /// plane's shard count, the one placement decision there is.
     pub fn shard_of(&self, mbuf: &Mbuf) -> usize {
         shard_for_packet(mbuf, self.slots.len())
-    }
-
-    /// The live dispatch decision for `mbuf`: the flow's pinned shard
-    /// when steering is configured, hash placement otherwise (and for
-    /// packets with no extractable five-tuple).
-    fn route_shard(&mut self, mbuf: &Mbuf) -> usize {
-        match (&mut self.steer, FlowTuple::from_mbuf(mbuf)) {
-            (Some(st), Ok(t)) => st.steer(&t),
-            _ => shard_for_packet(mbuf, self.slots.len()),
-        }
-    }
-
-    /// Load-aware placement statistics, when steering is configured.
-    pub fn steer_stats(&self) -> Option<SteerStats> {
-        self.steer.as_ref().map(|s| s.stats())
-    }
-
-    /// Current ingress-FIFO occupancy of every shard, as seen from the
-    /// dispatcher (read from the SPSC cursors).
-    pub fn shard_depths(&mut self) -> Vec<usize> {
-        self.slots.iter_mut().map(|s| s.tx.depth()).collect()
-    }
-
-    /// Feed the steerer the observed ingress-queue depths. Runs at
-    /// watchdog cadence (once per [`WATCHDOG_STRIDE`] dispatched
-    /// packets), so the fast path pays N relaxed cursor reads every 64
-    /// packets, not per packet.
-    fn sample_depths(&mut self) {
-        if self.steer.is_none() {
-            return;
-        }
-        for (slot, d) in self.slots.iter_mut().zip(self.depth_scratch.iter_mut()) {
-            *d = slot.tx.depth();
-        }
-        if let Some(st) = self.steer.as_mut() {
-            st.set_depths(&self.depth_scratch);
-        }
     }
 
     /// State-mutating control commands recorded for shard rebuilds.
@@ -504,8 +448,8 @@ impl ParallelRouter {
 
     /// Record a shard fault and schedule (or refuse) its restart per the
     /// fault policy's capped exponential backoff.
-    fn note_fault(&mut self, shard: usize, why: String, now: Instant) {
-        let policy = self.cfg.router.fault_policy.clone();
+    fn note_fault(&mut self, shard: usize, why: String, now: u64) {
+        let policy = &self.cfg.router.fault_policy;
         let slot = &mut self.slots[shard];
         slot.health = HealthState::Quarantined;
         slot.last_fault = Some(why);
@@ -513,16 +457,14 @@ impl ParallelRouter {
             slot.gave_up = true;
             slot.restart_at = None;
         } else {
-            slot.restart_at = Some(now + slot.next_backoff);
-            let cap = Duration::from_nanos(policy.restart_backoff_cap_ns.max(1));
-            slot.next_backoff = (slot.next_backoff * 2).min(cap);
+            slot.restart_at = Some(slot.backoff.arm(now));
         }
     }
 
     /// Give up on the current incarnation without waiting for its thread:
     /// flag it abandoned (so it exits at the next message boundary),
     /// disconnect its FIFO, and park the join handle for later harvest.
-    fn abandon(&mut self, shard: usize, why: String, now: Instant) {
+    fn abandon(&mut self, shard: usize, why: String, now: u64) {
         self.slots[shard].shared.mark_abandoned();
         // Replacing (and dropping) our sender disconnects the worker's
         // recv — the producer's drop also rings the doorbell — so an
@@ -542,9 +484,8 @@ impl ParallelRouter {
 
     /// One watchdog pass over one shard: harvest it if dead, abandon it
     /// if stalled, rebuild it if its restart is due.
-    fn check_shard(&mut self, shard: usize) {
+    fn check_shard(&mut self, shard: usize, now: u64) {
         self.harvest_zombies();
-        let now = Instant::now();
         if self.slots[shard]
             .join
             .as_ref()
@@ -572,11 +513,11 @@ impl ParallelRouter {
             return;
         }
         if self.slots[shard].serving() {
-            if let Some(busy) = self.slots[shard].shared.busy_for(now) {
-                if busy >= self.cfg.stall_timeout {
+            if let Some(busy_ns) = self.slots[shard].shared.busy_for(now) {
+                if busy_ns >= self.stall_timeout_ns {
                     self.abandon(
                         shard,
-                        format!("stalled: busy {}ms inside one message", busy.as_millis()),
+                        format!("stalled: busy {}ms inside one message", busy_ns / 1_000_000),
                         now,
                     );
                     return;
@@ -584,7 +525,7 @@ impl ParallelRouter {
             }
         }
         if self.slots[shard].restart_at.is_some_and(|t| now >= t) {
-            self.rebuild_shard(shard);
+            self.rebuild_shard(shard, now);
         }
     }
 
@@ -593,14 +534,18 @@ impl ParallelRouter {
     /// fan-out, flush, and status read, plus round-robin from the packet
     /// path — there is no background thread.
     pub fn poll_shard_health(&mut self) {
+        self.check_shards(coarse_now_ns());
+    }
+
+    fn check_shards(&mut self, now: u64) {
         for s in 0..self.slots.len() {
-            self.check_shard(s);
+            self.check_shard(s, now);
         }
     }
 
     /// Replace a quarantined shard with a fresh incarnation rebuilt from
     /// the command journal.
-    fn rebuild_shard(&mut self, shard: usize) {
+    fn rebuild_shard(&mut self, shard: usize, now: u64) {
         // Make sure the previous incarnation can't race the replacement.
         self.slots[shard].shared.mark_abandoned();
         if let Some(join) = self.slots[shard].join.take() {
@@ -611,23 +556,19 @@ impl ParallelRouter {
             });
         }
         let prior = &self.slots[shard];
-        let (restarts, next_backoff, last_fault) =
-            (prior.restarts, prior.next_backoff, prior.last_fault.clone());
+        let (restarts, backoff, last_fault) =
+            (prior.restarts, prior.backoff, prior.last_fault.clone());
         let mut fresh = self.spawn_slot(shard);
         if fresh.gave_up {
             // Spawn failure: keep the fault record, re-arm the backoff.
             self.slots[shard] = fresh;
             self.slots[shard].restarts = restarts;
-            self.note_fault(
-                shard,
-                "worker thread spawn failed".to_string(),
-                Instant::now(),
-            );
+            self.note_fault(shard, "worker thread spawn failed".to_string(), now);
             return;
         }
         fresh.health = HealthState::Degraded;
         fresh.restarts = restarts + 1;
-        fresh.next_backoff = next_backoff;
+        fresh.backoff = backoff;
         if fresh.last_fault.is_none() {
             fresh.last_fault = last_fault;
         }
@@ -654,20 +595,20 @@ impl ParallelRouter {
 
     /// Put one message — packets or control — on shard `s`'s FIFO; the
     /// one send loop of the plane. A full FIFO back-pressures
-    /// for at most `patience` ([`ParallelRouterConfig::overload_wait`]
+    /// for at most `patience_ns` ([`ParallelRouterConfig::overload_wait`]
     /// for packets; twice the stall timeout for control, which takes its
     /// FIFO place behind packets but must never wedge the dispatcher
     /// behind a stalled worker), with a watchdog look on every retry.
     /// Returns false when the shard was not serving, died, or stayed full
-    /// past `patience`; the `packets` the message carried are then
+    /// past `patience_ns`; the `packets` the message carried are then
     /// recycled and counted shed ([`DropReason::ShardDown`] /
     /// [`DropReason::ShardOverload`]).
-    fn send(&mut self, s: usize, mut msg: ShardMsg, packets: u64, patience: Duration) -> bool {
+    fn send(&mut self, s: usize, mut msg: ShardMsg, packets: u64, patience_ns: u64) -> bool {
         if !self.slots[s].serving() {
             // A due restart can bring it back right now.
-            self.check_shard(s);
+            self.check_shard(s, coarse_now_ns());
         }
-        let mut deadline: Option<Instant> = None;
+        let mut deadline: Option<u64> = None;
         let reason = loop {
             if !self.slots[s].serving() {
                 break DropReason::ShardDown;
@@ -680,11 +621,11 @@ impl ParallelRouter {
                 }
                 Err(TrySendError::Full(m)) => {
                     msg = m;
-                    let now = Instant::now();
-                    let dl = *deadline.get_or_insert(now + patience);
+                    let now = coarse_now_ns();
+                    let dl = *deadline.get_or_insert(now.saturating_add(patience_ns));
                     // A persistently full FIFO may mean a wedged worker;
                     // give the watchdog a look before deciding.
-                    self.check_shard(s);
+                    self.check_shard(s, now);
                     if self.slots[s].serving() {
                         if now >= dl {
                             break DropReason::ShardOverload;
@@ -694,7 +635,7 @@ impl ParallelRouter {
                 }
                 Err(TrySendError::Disconnected(m)) => {
                     msg = m;
-                    self.check_shard(s);
+                    self.check_shard(s, coarse_now_ns());
                     break DropReason::ShardDown;
                 }
             }
@@ -711,21 +652,19 @@ impl ParallelRouter {
 
     /// Patience for control messages (see [`send`](ParallelRouter::send))
     /// and for `flush`'s settle phase.
-    fn control_patience(&self) -> Duration {
-        self.cfg.stall_timeout * 2
+    fn control_patience_ns(&self) -> u64 {
+        self.stall_timeout_ns.saturating_add(self.stall_timeout_ns)
     }
 
     /// Advance the watchdog by `n` dispatched packets: one shard checked
-    /// (and the steerer's depth sample refreshed) per [`WATCHDOG_STRIDE`]
-    /// packets, at most once per call.
+    /// per [`WATCHDOG_STRIDE`] packets, at most once per call.
     fn watchdog(&mut self, n: u64) {
         let prev = self.watchdog_tick;
         self.watchdog_tick = prev.wrapping_add(n);
         if prev / WATCHDOG_STRIDE != self.watchdog_tick / WATCHDOG_STRIDE && !self.slots.is_empty()
         {
             let t = ((self.watchdog_tick / WATCHDOG_STRIDE) as usize) % self.slots.len();
-            self.check_shard(t);
-            self.sample_depths();
+            self.check_shard(t, coarse_now_ns());
         }
     }
 
@@ -739,7 +678,7 @@ impl ParallelRouter {
     /// stalled, or quarantined shard sheds immediately as
     /// [`DropReason::ShardDown`].
     pub fn receive(&mut self, mbuf: Mbuf) -> usize {
-        let s = self.route_shard(&mbuf);
+        let s = self.shard_of(&mbuf);
         self.watchdog(1);
         let mut carrier = self.batch_carrier();
         carrier.push(mbuf);
@@ -771,7 +710,7 @@ impl ParallelRouter {
             return self.dispatch_batch(0, pkts);
         }
         for pkt in pkts.drain(..) {
-            let s = self.route_shard(&pkt);
+            let s = shard_for_packet(&pkt, n);
             self.group_scratch[s].push(pkt);
         }
         self.spare_batches.push(pkts);
@@ -791,8 +730,7 @@ impl ParallelRouter {
     /// a failed batch is recycled and every packet in it is counted shed.
     fn dispatch_batch(&mut self, s: usize, batch: Vec<Mbuf>) -> usize {
         let len = batch.len();
-        let patience = self.cfg.overload_wait;
-        if self.send(s, ShardMsg::Batch(batch), len as u64, patience) {
+        if self.send(s, ShardMsg::Batch(batch), len as u64, self.overload_wait_ns) {
             len
         } else {
             0
@@ -862,23 +800,26 @@ impl ParallelRouter {
                 .park(|| !slots.iter().any(ShardSlot::lagging), WAIT_SLICE);
             // Keep waiting for live shards (they may simply have deep
             // FIFOs); the ones the watchdog takes out stop lagging.
+            let now = coarse_now_ns();
             for s in 0..self.slots.len() {
                 if self.slots[s].lagging() {
-                    self.check_shard(s);
+                    self.check_shard(s, now);
                 }
             }
         }
-        let deadline = Instant::now() + self.control_patience();
+        let mut now = coarse_now_ns();
+        let deadline = now.saturating_add(self.control_patience_ns());
         loop {
-            self.poll_shard_health();
+            self.check_shards(now);
             let unresolved = !self.zombies.is_empty()
                 || self.slots.iter().any(|s| {
                     s.restart_at.is_some() || s.join.as_ref().is_some_and(|j| j.is_finished())
                 });
-            if !unresolved || Instant::now() >= deadline {
+            if !unresolved || now >= deadline {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
+            now = coarse_now_ns();
         }
         self.drain_egress();
     }
@@ -962,7 +903,7 @@ impl ParallelRouter {
         self.poll_shard_health();
         let f = Arc::new(f);
         let (tx, rx) = unbounded::<(usize, R)>();
-        let patience = self.control_patience();
+        let patience_ns = self.control_patience_ns();
         let n = self.slots.len();
         let mut answers: Vec<Option<ShardAnswer<R>>> = (0..n).map(|_| None).collect();
         let mut outstanding: Vec<usize> = Vec::new();
@@ -974,7 +915,7 @@ impl ParallelRouter {
                 let r = f(ctx);
                 let _ = tx.send((index, r));
             });
-            if self.send(s, ShardMsg::Control(cmd), 0, patience) {
+            if self.send(s, ShardMsg::Control(cmd), 0, patience_ns) {
                 outstanding.push(s);
             } else {
                 *answer = Some(ShardAnswer::Down);
@@ -988,8 +929,9 @@ impl ParallelRouter {
                     outstanding.retain(|&x| x != i);
                 }
                 Err(RecvTimeoutError::Timeout) => {
+                    let now = coarse_now_ns();
                     for s in outstanding.clone() {
-                        self.check_shard(s);
+                        self.check_shard(s, now);
                         if !self.slots[s].serving() {
                             answers[s] = Some(ShardAnswer::Unresponsive);
                             outstanding.retain(|&x| x != s);
@@ -997,8 +939,9 @@ impl ParallelRouter {
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
+                    let now = coarse_now_ns();
                     for s in outstanding.drain(..) {
-                        self.check_shard(s);
+                        self.check_shard(s, now);
                         answers[s] = Some(ShardAnswer::Down);
                     }
                 }
@@ -1099,16 +1042,16 @@ impl Drop for ParallelRouter {
             }
         }
         // Join what exits promptly; a thread still wedged in a plugin
-        // after the grace period is detached rather than hanging the
+        // after the 2 s grace period is detached rather than hanging the
         // caller forever.
-        let deadline = Instant::now() + Duration::from_secs(2);
+        let deadline = coarse_now_ns() + 2_000_000_000;
         for j in joins {
             loop {
                 if j.is_finished() {
                     let _ = j.join();
                     break;
                 }
-                if Instant::now() >= deadline {
+                if coarse_now_ns() >= deadline {
                     break;
                 }
                 std::thread::sleep(Duration::from_millis(1));
@@ -1175,15 +1118,16 @@ impl ControlPlane for ParallelRouter {
         if shard >= self.slots.len() {
             return Err(PluginError::BadConfig(format!("no shard {shard}")));
         }
-        self.check_shard(shard);
+        let now = coarse_now_ns();
+        self.check_shard(shard, now);
         if self.slots[shard].join.is_some() {
-            self.abandon(shard, "operator restart".to_string(), Instant::now());
+            self.abandon(shard, "operator restart".to_string(), now);
         }
         // Operator intervention overrides an exhausted restart budget and
         // skips the backoff wait.
         self.slots[shard].gave_up = false;
-        self.slots[shard].next_backoff = initial_backoff(&self.cfg.router.fault_policy);
-        self.rebuild_shard(shard);
+        self.slots[shard].backoff.reset();
+        self.rebuild_shard(shard, now);
         if self.slots[shard].serving() {
             Ok(format!(
                 "shard {shard} restarted ({} journal commands replayed)",
@@ -1209,7 +1153,7 @@ impl ControlPlane for ParallelRouter {
         let cmd: ControlFn = Box::new(move |ctx: &mut ShardCtx| {
             panic!("injected kill (pmgr shard kill {})", ctx.index);
         });
-        if self.send(shard, ShardMsg::Control(cmd), 0, self.control_patience()) {
+        if self.send(shard, ShardMsg::Control(cmd), 0, self.control_patience_ns()) {
             Ok(format!("kill injected into shard {shard}"))
         } else {
             Err(PluginError::Busy(format!(

@@ -25,7 +25,7 @@ use rp_packet::Mbuf;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A control command executed on the shard thread with full access to the
 /// shard's state. Results travel back through whatever channel the
@@ -40,8 +40,8 @@ pub struct ShardCtx {
     /// table, gates, scheduler queues, and plugin instances.
     pub router: Router,
     /// Nanoseconds this shard has spent processing packets, i.e. its CPU
-    /// demand: wall time measured around each batch's packet loop (two
-    /// clock reads per batch, the egress drain excluded). With one core
+    /// demand: wall time measured around each batch's packet loop (the
+    /// batch's two clock reads, the egress drain excluded). With one core
     /// per shard this is the shard's wall-clock busy time; the scaling
     /// bench divides packet count by the *maximum* shard busy time to get
     /// the aggregate rate the array sustains.
@@ -112,13 +112,6 @@ impl ShardSender {
             rp_ring::PushError::Full(m) => TrySendError::Full(m),
             rp_ring::PushError::Disconnected(m) => TrySendError::Disconnected(m),
         })
-    }
-
-    /// Messages currently queued toward the shard: occupancy of the
-    /// ingress FIFO as seen from the producer end, read from the SPSC
-    /// cursors ([`rp_ring::Producer::occupancy`]).
-    pub(crate) fn depth(&mut self) -> usize {
-        self.0.occupancy()
     }
 
     /// A sender whose peer is already gone: replacing a slot's sender
@@ -274,11 +267,10 @@ pub(crate) mod wedge {
 /// (busy flag + timestamp), a processed-packet counter, `flush`'s completion
 /// cursor, and the flag that tells a stalled thread it has been replaced.
 pub(crate) struct ShardShared {
-    /// Dispatcher-chosen epoch all heartbeat timestamps are relative to.
-    epoch: Instant,
-    /// `(ms since epoch << 1) | busy`. The shard sets `busy` before
-    /// touching a message and clears it after, so a stale busy bit means
-    /// the thread is stuck *inside* a message (wedged plugin, hot loop).
+    /// `(coarse_now_ns() at message start << 1) | busy`. The shard sets
+    /// `busy` before touching a message and clears it after, so a stale
+    /// busy bit means the thread is stuck *inside* a message (wedged
+    /// plugin, hot loop).
     state: AtomicU64,
     /// Packets fully processed, published once per batch (short by the one
     /// in flight if the worker dies; loss is read off its final report).
@@ -297,9 +289,8 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
-    pub(crate) fn new(epoch: Instant, bell: Arc<rp_ring::Doorbell>) -> Self {
+    pub(crate) fn new(bell: Arc<rp_ring::Doorbell>) -> Self {
         ShardShared {
-            epoch,
             state: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -308,24 +299,22 @@ impl ShardShared {
         }
     }
 
-    fn beat(&self, busy: bool) {
-        let ms = self.epoch.elapsed().as_millis() as u64;
-        self.state
-            .store((ms << 1) | u64::from(busy), Ordering::Relaxed);
+    /// Heartbeat: busy inside a message since `now_ns`.
+    fn beat_busy(&self, now_ns: u64) {
+        self.state.store((now_ns << 1) | 1, Ordering::Relaxed);
     }
 
-    /// How long the shard has been continuously busy inside one message,
-    /// or `None` when it is between messages (idle or draining its FIFO
-    /// promptly). Millisecond granularity — stall timeouts are tens of
-    /// milliseconds and up.
-    pub(crate) fn busy_for(&self, now: Instant) -> Option<Duration> {
+    /// Heartbeat: between messages.
+    fn beat_idle(&self) {
+        self.state.store(0, Ordering::Relaxed);
+    }
+
+    /// Nanoseconds the shard has been continuously busy inside one
+    /// message as of `now_ns`, or `None` when it is between messages
+    /// (idle or draining its FIFO promptly).
+    pub(crate) fn busy_for(&self, now_ns: u64) -> Option<u64> {
         let s = self.state.load(Ordering::Relaxed);
-        if s & 1 == 0 {
-            return None;
-        }
-        let ts_ms = s >> 1;
-        let now_ms = now.duration_since(self.epoch).as_millis() as u64;
-        Some(Duration::from_millis(now_ms.saturating_sub(ts_ms)))
+        (s & 1 == 1).then(|| now_ns.saturating_sub(s >> 1))
     }
 
     /// Packets fully processed by this incarnation (see the field).
@@ -417,7 +406,10 @@ fn shard_loop(
         // old sender when it replaces the shard (and the bounded doorbell
         // park re-checks the abandoned flag).
         let Some(msg) = rx.recv(shared) else { return };
-        shared.beat(true);
+        // The message's one clock reading: heartbeat, ingress sojourn and
+        // the start of the busy span.
+        let wall = rp_packet::coarse_now_ns();
+        shared.beat_busy(wall);
         if shared.is_abandoned() {
             // A replacement already owns this shard index; drop the
             // message (the dispatcher's sent/processed gap accounts it).
@@ -427,11 +419,11 @@ fn shard_loop(
             ShardMsg::Batch(mut pkts) => {
                 // One heartbeat-busy window covers the whole batch; the
                 // watchdog's stall timeouts are tens of milliseconds,
-                // far above any sane batch's processing time. The wall
-                // clock is likewise read per batch, before and after the
-                // packet loop: sojourn is a coarse end-to-end measure and
-                // busy time a sum, neither a per-packet stopwatch.
-                let wall = rp_packet::coarse_now_ns();
+                // far above any sane batch's processing time. The busy
+                // span likewise runs from that one reading to a second
+                // after the packet loop: sojourn is a coarse end-to-end
+                // measure and busy time a sum, neither a per-packet
+                // stopwatch.
                 trace_batch(ctx, &pkts);
                 ctx.packets += ctx.router.receive_burst(&mut pkts, wall);
                 ctx.busy_ns += rp_packet::coarse_now_ns().saturating_sub(wall);
@@ -451,14 +443,14 @@ fn shard_loop(
                 egress.drain(&mut ctx.router);
             }
             ShardMsg::Shutdown => {
-                shared.beat(false);
+                shared.beat_idle();
                 return;
             }
         }
         completed += 1;
         shared.completed.store(completed, Ordering::Release);
         shared.bell.ring();
-        shared.beat(false);
+        shared.beat_idle();
     }
 }
 
@@ -472,7 +464,7 @@ pub(crate) fn run_shard(
     shared: Arc<ShardShared>,
 ) -> ShardFinal {
     let panic = run_isolated(|| shard_loop(&mut ctx, &mut rx, &mut egress, &scrap, &shared)).err();
-    shared.beat(false);
+    shared.beat_idle();
     // Flush whatever already reached the tx logs, then snapshot. Both run
     // isolated too: after a panic the router may be torn mid-call and a
     // second panic here must not take down the final accounting.
@@ -543,14 +535,13 @@ mod tests {
 
     #[test]
     fn heartbeat_tracks_busy_windows() {
-        let epoch = Instant::now();
-        let hb = ShardShared::new(epoch, Arc::default());
-        assert!(hb.busy_for(Instant::now()).is_none());
-        hb.beat(true);
-        std::thread::sleep(Duration::from_millis(20));
-        let busy = hb.busy_for(Instant::now()).expect("busy");
-        assert!(busy >= Duration::from_millis(10), "{busy:?}");
-        hb.beat(false);
-        assert!(hb.busy_for(Instant::now()).is_none());
+        let hb = ShardShared::new(Arc::default());
+        assert_eq!(hb.busy_for(5_000), None);
+        hb.beat_busy(5_000);
+        assert_eq!(hb.busy_for(20_005_000), Some(20_000_000));
+        // A watchdog reading taken just before the beat is not a stall.
+        assert_eq!(hb.busy_for(4_000), Some(0));
+        hb.beat_idle();
+        assert_eq!(hb.busy_for(20_005_000), None);
     }
 }

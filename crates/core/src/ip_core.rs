@@ -442,14 +442,6 @@ impl RoutingTable {
         self.cache_stats
     }
 
-    /// Drop every cached answer (counters are kept).
-    pub fn flush_cache(&mut self) {
-        for slot in self.cache.iter_mut() {
-            *slot = None;
-        }
-        self.cache_live = 0;
-    }
-
     /// Compile the IPv4 RIB into its direct-index FIB (see
     /// [`rp_lpm::Dir24Table::compile`]) and repack the IPv6 trie
     /// breadth-first for cache-line adjacency (see

@@ -318,7 +318,8 @@ pub fn run_command<C: ControlPlane>(router: &mut C, line: &str) -> Result<String
                          rx_batch(mean={:.1} n={}) tx_batch(mean={:.1} n={})",
                         d.name,
                         d.iface,
-                        d.health,
+                        d.health
+                            .map_or_else(|| "unsupervised".to_string(), |h| h.to_string()),
                         s.rx_packets,
                         s.rx_bytes,
                         s.rx_errors,

@@ -69,7 +69,7 @@ pub struct RouterConfig {
     /// End-to-end latency deadline in wall-clock nanoseconds; `0`
     /// disables the check. When set, a packet whose coarse ingress
     /// stamp (see [`rp_packet::coarse_now_ns`]) is already older than
-    /// this at [`Router::receive_stamped`] is shed as
+    /// this at [`Router::receive_burst`] is shed as
     /// [`DropReason::DeadlineExceeded`] instead of forwarded late.
     pub max_sojourn_ns: u64,
 }
@@ -648,8 +648,8 @@ impl Router {
                 }
             }
         }
-        // Then any cached flow still binding it at any gate (filters
-        // installed behind the router's back, recycled records, …).
+        // Then any cached flow still binding it at any gate (recycled
+        // records, …).
         let evicted = self
             .aiu
             .invalidate_flows_where(|r| r.gates.instances().contains(&Some(inst)));
@@ -819,45 +819,43 @@ impl Router {
         self.dispatch_egress(mbuf, tx_if)
     }
 
-    /// [`Router::receive`] with end-to-end latency accounting. `wall_now_ns`
-    /// is the caller's current [`rp_packet::coarse_now_ns`] reading (read
-    /// once per batch, not per packet); [`Mbuf::ingress_ns`] carries the
-    /// packet's coarse ingress stamp from the I/O plane or pool, and a
-    /// packet without one is simply received. The sojourn so far (ingress
-    /// → shard dequeue) is recorded in the per-router metrics histogram,
-    /// and — when a `max_sojourn_ns` deadline is configured — a packet
-    /// already older than the deadline is shed as
-    /// [`DropReason::DeadlineExceeded`] instead of forwarded late: under
-    /// overload latency degrades into counted sheds, not collapse.
-    pub fn receive_stamped(&mut self, mbuf: Mbuf, wall_now_ns: u64) -> Disposition {
-        if let Some(sojourn) = mbuf
-            .ingress_ns()
-            .and_then(|stamp| wall_now_ns.checked_sub(stamp))
-        {
-            self.metrics.note_sojourn(sojourn);
-            if self.max_sojourn_ns != 0 && sojourn > self.max_sojourn_ns {
-                // Count it received (it did arrive) then shed: the
-                // conservation invariant `received == forwarded + Σdrops`
-                // stays exact.
-                self.stats.received += 1;
-                self.metrics.note_rx(mbuf.rx_if, mbuf.len());
-                return self.drop_pkt(mbuf, DropReason::DeadlineExceeded);
-            }
-        }
-        self.receive(mbuf)
-    }
-
     /// Receive a burst — the one burst entry of the shard workers and the
     /// I/O plane. Drains `pkts` front to back through
-    /// [`receive_stamped`](Router::receive_stamped), each packet in its own
-    /// isolation frames exactly as there, pumping the egress scheduler
-    /// once after every queuing disposition (the testbench's immediate
-    /// retransmit; DRR/WFQ output flows without a scheduler thread).
-    /// Returns the packets handled.
+    /// [`receive`](Router::receive), each packet in its own isolation
+    /// frames exactly as there, pumping the egress scheduler once after
+    /// every queuing disposition (the testbench's immediate retransmit;
+    /// DRR/WFQ output flows without a scheduler thread). Returns the
+    /// packets handled.
+    ///
+    /// `wall_now_ns` is the caller's current [`rp_packet::coarse_now_ns`]
+    /// reading (read once per batch, not per packet);
+    /// [`Mbuf::ingress_ns`] carries the packet's coarse ingress stamp from
+    /// the I/O plane or pool, and a packet without one is simply received.
+    /// The sojourn so far (ingress → shard dequeue) is recorded in the
+    /// per-router metrics histogram, and — when a `max_sojourn_ns`
+    /// deadline is configured — a packet already older than the deadline
+    /// is shed as [`DropReason::DeadlineExceeded`] instead of forwarded
+    /// late: under overload latency degrades into counted sheds, not
+    /// collapse.
     pub fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64 {
         let n = pkts.len() as u64;
         for pkt in pkts.drain(..) {
-            if let Disposition::Queued(iface) = self.receive_stamped(pkt, wall_now_ns) {
+            if let Some(sojourn) = pkt
+                .ingress_ns()
+                .and_then(|stamp| wall_now_ns.checked_sub(stamp))
+            {
+                self.metrics.note_sojourn(sojourn);
+                if self.max_sojourn_ns != 0 && sojourn > self.max_sojourn_ns {
+                    // Count it received (it did arrive) then shed: the
+                    // conservation invariant `received == forwarded + Σdrops`
+                    // stays exact.
+                    self.stats.received += 1;
+                    self.metrics.note_rx(pkt.rx_if, pkt.len());
+                    self.drop_pkt(pkt, DropReason::DeadlineExceeded);
+                    continue;
+                }
+            }
+            if let Disposition::Queued(iface) = self.receive(pkt) {
                 self.pump(iface, 1);
             }
         }
@@ -1032,7 +1030,7 @@ impl Router {
     /// Build an ingress mbuf backed by a pooled buffer (the device
     /// driver's receive-side allocation in the paper's architecture).
     /// No ingress stamp: [`Router::receive`] never reads one, and the
-    /// callers of [`Router::receive_stamped`] stamp each batch with their
+    /// callers of [`Router::receive_burst`] stamp each batch with their
     /// own single clock reading.
     pub fn mbuf_with(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf {
         self.pool.mbuf_from(bytes, rx_if)
@@ -1144,11 +1142,6 @@ impl Router {
     /// Number of interfaces.
     pub fn interface_count(&self) -> usize {
         self.interfaces.len()
-    }
-
-    /// Direct AIU access for tests and the testbench.
-    pub fn aiu_mut(&mut self) -> &mut Aiu<InstanceHandle> {
-        &mut self.aiu
     }
 
     /// Supervision snapshot of every tracked instance (pmgr `health`).

@@ -43,6 +43,7 @@ use std::fmt;
 use std::num::NonZeroU32;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
+use std::time::Duration;
 
 /// Health of a supervised plugin instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +132,49 @@ impl Default for FaultPolicy {
     }
 }
 
+/// Capped-doubling restart backoff in nanoseconds — the one ladder all
+/// three supervision tiers (plugin instances here, shard workers in
+/// [`crate::dataplane`], devices in the I/O plane) climb. It owns no
+/// clock: the caller passes its own `now_ns`.
+#[derive(Debug, Clone, Copy)]
+pub struct Backoff {
+    next_ns: u64,
+    initial_ns: u64,
+    cap_ns: u64,
+}
+
+impl Backoff {
+    /// A ladder starting at `initial_ns`, doubling up to `cap_ns` (a cap
+    /// of 0 is treated as 1).
+    pub fn new(initial_ns: u64, cap_ns: u64) -> Backoff {
+        Backoff {
+            next_ns: initial_ns,
+            initial_ns,
+            cap_ns: cap_ns.max(1),
+        }
+    }
+
+    /// Arm the timer at `now_ns`: returns when the attempt falls due
+    /// (now + the current delay), then doubles the delay up to the cap.
+    pub fn arm(&mut self, now_ns: u64) -> u64 {
+        let due_ns = now_ns.saturating_add(self.next_ns);
+        self.next_ns = self.next_ns.saturating_mul(2).min(self.cap_ns);
+        due_ns
+    }
+
+    /// Back to the initial delay (a restart that held, an operator
+    /// override).
+    pub fn reset(&mut self) {
+        self.next_ns = self.initial_ns;
+    }
+}
+
+/// A config `Duration` in the supervision paths' unit: `u64` nanoseconds,
+/// comparable with a caller's `now_ns`.
+pub fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Verdict of recording one fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultVerdict {
@@ -203,7 +247,7 @@ struct Record {
     total_faults: u64,
     restarts: u32,
     restart_at_ns: Option<u64>,
-    next_backoff_ns: u64,
+    backoff: Backoff,
     bindings: Vec<(Gate, FilterSpec, FilterId)>,
     last_fault: Option<String>,
 }
@@ -280,7 +324,10 @@ impl Supervisor {
             total_faults: 0,
             restarts: 0,
             restart_at_ns: None,
-            next_backoff_ns: self.policy.restart_backoff_ns,
+            backoff: Backoff::new(
+                self.policy.restart_backoff_ns,
+                self.policy.restart_backoff_cap_ns,
+            ),
             bindings: Vec::new(),
             last_fault: None,
         });
@@ -374,15 +421,13 @@ impl Supervisor {
         if !self.policy.restart {
             return None;
         }
-        let cap = self.policy.restart_backoff_cap_ns;
         let max_restarts = self.policy.max_restarts;
         let s = self.record_mut(h)?;
         if s.restarts >= max_restarts {
             return None;
         }
-        let due = now_ns.saturating_add(s.next_backoff_ns);
+        let due = s.backoff.arm(now_ns);
         s.restart_at_ns = Some(due);
-        s.next_backoff_ns = s.next_backoff_ns.saturating_mul(2).min(cap.max(1));
         self.recompute_due();
         Some(due)
     }
@@ -457,13 +502,11 @@ impl Supervisor {
     /// A restart attempt failed (factory refused, plugin gone): either
     /// re-arm the backoff timer or give up, per policy.
     pub(crate) fn fail_restart(&mut self, h: InstanceHandle, now_ns: u64) {
-        let cap = self.policy.restart_backoff_cap_ns;
         let max_restarts = self.policy.max_restarts;
         if let Some(s) = self.record_mut(h) {
             s.restarts += 1;
             if s.restarts < max_restarts {
-                s.restart_at_ns = Some(now_ns.saturating_add(s.next_backoff_ns));
-                s.next_backoff_ns = s.next_backoff_ns.saturating_mul(2).min(cap.max(1));
+                s.restart_at_ns = Some(s.backoff.arm(now_ns));
             }
         }
         self.recompute_due();
@@ -604,6 +647,26 @@ mod tests {
         // Off the packet path, still reachable from the control path.
         assert!(sup.live_mut(i).is_none());
         assert!(sup.instance(i).is_some());
+    }
+
+    #[test]
+    fn backoff_arms_then_doubles_to_the_cap() {
+        let mut b = Backoff::new(1000, 4000);
+        assert_eq!(
+            [b.arm(0), b.arm(0), b.arm(0), b.arm(0)],
+            [1000, 2000, 4000, 4000]
+        );
+        b.reset();
+        assert_eq!(b.arm(500), 1500);
+        // Neither the deadline nor the delay wraps.
+        let mut b = Backoff::new(u64::MAX / 2 + 1, u64::MAX);
+        assert_eq!(b.arm(u64::MAX - 1), u64::MAX);
+        assert_eq!(b.arm(0), u64::MAX);
+        // A zero cap is 1 ns, not "never again".
+        let mut b = Backoff::new(0, 0);
+        assert_eq!([b.arm(7), b.arm(7), b.arm(7)], [7, 7, 7]);
+        let mut b = Backoff::new(3, 0);
+        assert_eq!([b.arm(0), b.arm(0)], [3, 1]);
     }
 
     #[test]

@@ -28,8 +28,7 @@
 use crate::supervisor::{DeviceMonitor, DeviceSupervisorConfig, PollSample};
 use crate::{NetDev, RxBatch};
 use router_core::dataplane::control::{
-    ControlCmd, ControlPlane, DeviceHealth, DeviceRow, DeviceStats, LocalTotals, ShardAnswer,
-    ShardStatus,
+    ControlCmd, ControlPlane, DeviceRow, DeviceStats, LocalTotals, ShardAnswer, ShardStatus,
 };
 use router_core::dataplane::ParallelRouter;
 use router_core::ip_core::DataPathStats;
@@ -39,7 +38,6 @@ use router_core::router::Router;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::pool::MbufPool;
 use rp_packet::Mbuf;
-use std::time::Instant;
 
 /// The data-plane surface the [`IoPlane`] needs, implemented by both
 /// [`Router`] (single-threaded) and [`ParallelRouter`] (sharded) so one
@@ -278,15 +276,15 @@ impl<P: IoRouter> IoPlane<P> {
     /// attempted first, and on success the device is polled again this
     /// same cycle (on degraded probation).
     pub fn poll_rx(&mut self) -> u64 {
-        let now = Instant::now();
+        // The cycle's one clock reading: ingress stamps and reopen timers.
         let wall = rp_packet::coarse_now_ns();
         let mut polled = 0;
         for bd in self.devices.iter_mut() {
             bd.rx_frames = 0;
             if let Some(mon) = bd.monitor.as_mut() {
-                if mon.reopen_due(now) {
+                if mon.reopen_due(wall) {
                     let ok = bd.dev.reopen().is_ok();
-                    mon.note_reopen(ok, now);
+                    mon.note_reopen(ok, wall);
                 }
                 if mon.quarantined() {
                     continue;
@@ -357,7 +355,7 @@ impl<P: IoRouter> IoPlane<P> {
     /// last step, with the sum of the *other* devices' rx frames as the
     /// liveness witness for the stall check.
     fn supervise_step(&mut self) {
-        let now = Instant::now();
+        let now = rp_packet::coarse_now_ns();
         let total_rx: u64 = self.devices.iter().map(|bd| bd.rx_frames).sum();
         for bd in self.devices.iter_mut() {
             let Some(mon) = bd.monitor.as_mut() else {
@@ -406,10 +404,7 @@ impl<P: IoRouter> IoPlane<P> {
                 name: bd.dev.name().to_string(),
                 iface: bd.iface,
                 stats: bd.dev.stats(),
-                health: bd
-                    .monitor
-                    .as_ref()
-                    .map_or(DeviceHealth::Unsupervised, |m| m.health()),
+                health: bd.monitor.as_ref().map(|m| m.health()),
                 quarantines: bd.monitor.as_ref().map_or(0, |m| m.quarantines()),
                 reopens: bd.monitor.as_ref().map_or(0, |m| m.reopens()),
             })

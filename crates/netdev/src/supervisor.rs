@@ -8,7 +8,7 @@
 //!
 //! * **error pressure** — hard rx/tx I/O errors accumulate in a decayed
 //!   window (halved every [`DeviceSupervisorConfig::error_window_polls`]
-//!   cycles, the same integer decay the flow steerer uses); crossing
+//!   cycles); crossing
 //!   [`DeviceSupervisorConfig::error_threshold`] degrades the device.
 //! * **rx stall** — polls in which this device read nothing *while its
 //!   peers read frames*: traffic is flowing through the plane, this
@@ -19,16 +19,18 @@
 //! quarantined: the I/O plane stops polling its receive side and sheds
 //! its egress as counted device-tx drops (conservation stays exact —
 //! nothing silently vanishes with the device). Quarantine ends through
-//! [`crate::NetDev::reopen`] under capped exponential backoff; a
-//! successful reopen returns the device to [`DeviceHealth::Degraded`]
-//! *probation*, and [`DeviceSupervisorConfig::recover_after`] clean
-//! cycles make it [`DeviceHealth::Healthy`] again.
+//! [`crate::NetDev::reopen`] under the shared capped-doubling
+//! [`Backoff`]; a successful reopen returns the device to
+//! [`HealthState::Degraded`] *probation*, and
+//! [`DeviceSupervisorConfig::recover_after`] clean cycles make it
+//! [`HealthState::Healthy`] again.
 //!
-//! The monitor is pure state-machine: the I/O plane owns the sampling
-//! and the reopen call, so the machine is testable without sockets.
+//! The monitor is pure state-machine: the I/O plane owns the sampling,
+//! the clock (`now_ns` is its `coarse_now_ns()` reading) and the reopen
+//! call, so the machine is testable without sockets.
 
-use router_core::dataplane::control::DeviceHealth;
-use std::time::{Duration, Instant};
+use router_core::supervisor::{duration_ns, Backoff, HealthState};
+use std::time::Duration;
 
 /// Thresholds and timing of the per-device health machine.
 #[derive(Debug, Clone, Copy)]
@@ -84,26 +86,29 @@ pub struct PollSample {
 #[derive(Debug)]
 pub struct DeviceMonitor {
     cfg: DeviceSupervisorConfig,
-    health: DeviceHealth,
+    health: HealthState,
     err_window: u64,
     polls_in_window: u32,
     stall_polls: u32,
     degraded_streak: u32,
     clean_streak: u32,
-    backoff: Duration,
-    reopen_at: Option<Instant>,
+    backoff: Backoff,
+    reopen_at: Option<u64>,
     quarantines: u64,
     reopens: u64,
     reopen_failures: u64,
 }
 
 impl DeviceMonitor {
-    /// A fresh monitor in [`DeviceHealth::Healthy`].
+    /// A fresh monitor in [`HealthState::Healthy`].
     pub fn new(cfg: DeviceSupervisorConfig) -> DeviceMonitor {
         DeviceMonitor {
-            backoff: cfg.backoff_initial,
+            backoff: Backoff::new(
+                duration_ns(cfg.backoff_initial),
+                duration_ns(cfg.backoff_max),
+            ),
             cfg,
-            health: DeviceHealth::Healthy,
+            health: HealthState::Healthy,
             err_window: 0,
             polls_in_window: 0,
             stall_polls: 0,
@@ -117,13 +122,13 @@ impl DeviceMonitor {
     }
 
     /// Current health.
-    pub fn health(&self) -> DeviceHealth {
+    pub fn health(&self) -> HealthState {
         self.health
     }
 
     /// Whether the device is currently off the wire.
     pub fn quarantined(&self) -> bool {
-        self.health == DeviceHealth::Quarantined
+        self.health == HealthState::Quarantined
     }
 
     /// Times the device was quarantined.
@@ -144,7 +149,7 @@ impl DeviceMonitor {
     /// Step the machine with one duty cycle's sample. No-op while
     /// quarantined (the device is not being polled; there is nothing to
     /// observe).
-    pub fn note_poll(&mut self, s: &PollSample, now: Instant) {
+    pub fn note_poll(&mut self, s: &PollSample, now_ns: u64) {
         if self.quarantined() {
             return;
         }
@@ -162,60 +167,59 @@ impl DeviceMonitor {
         let troubled = self.err_window >= self.cfg.error_threshold
             || self.stall_polls >= self.cfg.rx_stall_polls;
         match self.health {
-            DeviceHealth::Healthy | DeviceHealth::Unsupervised => {
+            HealthState::Healthy => {
                 if troubled {
-                    self.health = DeviceHealth::Degraded;
+                    self.health = HealthState::Degraded;
                     self.degraded_streak = 1;
                     self.clean_streak = 0;
                 }
             }
-            DeviceHealth::Degraded => {
+            HealthState::Degraded => {
                 if troubled {
                     self.degraded_streak += 1;
                     self.clean_streak = 0;
                     if self.degraded_streak >= self.cfg.quarantine_after {
-                        self.health = DeviceHealth::Quarantined;
+                        self.health = HealthState::Quarantined;
                         self.quarantines += 1;
-                        self.reopen_at = Some(now + self.backoff);
+                        self.reopen_at = Some(self.backoff.arm(now_ns));
                     }
                 } else {
                     self.clean_streak += 1;
                     self.degraded_streak = 0;
                     if self.clean_streak >= self.cfg.recover_after {
-                        self.health = DeviceHealth::Healthy;
+                        self.health = HealthState::Healthy;
                         self.err_window = 0;
                         self.polls_in_window = 0;
                     }
                 }
             }
-            DeviceHealth::Quarantined => {}
+            HealthState::Quarantined => {}
         }
     }
 
     /// Whether the quarantine backoff has elapsed and the I/O plane
     /// should attempt [`crate::NetDev::reopen`].
-    pub fn reopen_due(&self, now: Instant) -> bool {
-        matches!(self.reopen_at, Some(at) if self.quarantined() && now >= at)
+    pub fn reopen_due(&self, now_ns: u64) -> bool {
+        matches!(self.reopen_at, Some(at) if self.quarantined() && now_ns >= at)
     }
 
     /// Record the outcome of a reopen attempt. Success puts the device
     /// on degraded probation with cleared windows and reset backoff;
     /// failure doubles the backoff (capped) and re-arms the timer.
-    pub fn note_reopen(&mut self, ok: bool, now: Instant) {
+    pub fn note_reopen(&mut self, ok: bool, now_ns: u64) {
         if ok {
             self.reopens += 1;
-            self.health = DeviceHealth::Degraded;
+            self.health = HealthState::Degraded;
             self.err_window = 0;
             self.polls_in_window = 0;
             self.stall_polls = 0;
             self.degraded_streak = 0;
             self.clean_streak = 0;
-            self.backoff = self.cfg.backoff_initial;
+            self.backoff.reset();
             self.reopen_at = None;
         } else {
             self.reopen_failures += 1;
-            self.backoff = (self.backoff * 2).min(self.cfg.backoff_max);
-            self.reopen_at = Some(now + self.backoff);
+            self.reopen_at = Some(self.backoff.arm(now_ns));
         }
     }
 }
@@ -223,6 +227,8 @@ impl DeviceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const MS: u64 = 1_000_000;
 
     fn cfg() -> DeviceSupervisorConfig {
         DeviceSupervisorConfig {
@@ -246,16 +252,16 @@ mod tests {
     #[test]
     fn error_burst_degrades_then_quarantines() {
         let mut m = DeviceMonitor::new(cfg());
-        let now = Instant::now();
+        let now = 0;
         m.note_poll(&errs(4), now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
+        assert_eq!(m.health(), HealthState::Degraded);
         m.note_poll(&errs(1), now);
         m.note_poll(&errs(1), now);
-        assert_eq!(m.health(), DeviceHealth::Quarantined);
+        assert_eq!(m.health(), HealthState::Quarantined);
         assert_eq!(m.quarantines(), 1);
         // Backoff: not due immediately, due after it elapses.
         assert!(!m.reopen_due(now));
-        assert!(m.reopen_due(now + Duration::from_millis(2)));
+        assert!(m.reopen_due(now + 2 * MS));
     }
 
     #[test]
@@ -268,28 +274,28 @@ mod tests {
             quarantine_after: 8,
             ..cfg()
         });
-        let now = Instant::now();
+        let now = 0;
         m.note_poll(&errs(8), now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
+        assert_eq!(m.health(), HealthState::Degraded);
         for _ in 0..10 {
             m.note_poll(&errs(0), now);
-            if m.health() == DeviceHealth::Healthy {
+            if m.health() == HealthState::Healthy {
                 break;
             }
         }
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        assert_eq!(m.health(), HealthState::Healthy);
         assert_eq!(m.quarantines(), 0, "recovery must not pass quarantine");
     }
 
     #[test]
     fn rx_stall_only_counts_while_peers_progress() {
         let mut m = DeviceMonitor::new(cfg());
-        let now = Instant::now();
+        let now = 0;
         // A quiet wire: nobody reads anything — never a stall.
         for _ in 0..20 {
             m.note_poll(&PollSample::default(), now);
         }
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        assert_eq!(m.health(), HealthState::Healthy);
         // Peers read, this device does not: stall streak → degraded.
         let stalled = PollSample {
             peer_rx_frames: 10,
@@ -297,9 +303,9 @@ mod tests {
         };
         m.note_poll(&stalled, now);
         m.note_poll(&stalled, now);
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        assert_eq!(m.health(), HealthState::Healthy);
         m.note_poll(&stalled, now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
+        assert_eq!(m.health(), HealthState::Degraded);
         // Progress resets the streak and recovers the device.
         let progressing = PollSample {
             rx_frames: 5,
@@ -308,34 +314,34 @@ mod tests {
         };
         m.note_poll(&progressing, now);
         m.note_poll(&progressing, now);
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        assert_eq!(m.health(), HealthState::Healthy);
     }
 
     #[test]
     fn failed_reopens_double_backoff_to_cap() {
         let mut m = DeviceMonitor::new(cfg());
-        let mut now = Instant::now();
+        let mut now = 0u64;
         for _ in 0..3 {
             m.note_poll(&errs(4), now);
         }
         assert!(m.quarantined());
         // 1ms → fail → 2ms → fail → 4ms → fail → 4ms (capped).
         for expect_ms in [2u64, 4, 4] {
-            now += Duration::from_millis(100);
+            now += 100 * MS;
             assert!(m.reopen_due(now));
             m.note_reopen(false, now);
             assert!(m.quarantined());
-            assert!(!m.reopen_due(now + Duration::from_millis(expect_ms - 1)));
-            assert!(m.reopen_due(now + Duration::from_millis(expect_ms)));
+            assert!(!m.reopen_due(now + (expect_ms - 1) * MS));
+            assert!(m.reopen_due(now + expect_ms * MS));
         }
         assert_eq!(m.reopen_failures(), 3);
         // Success: probation, then clean polls → healthy; backoff reset.
-        now += Duration::from_millis(100);
+        now += 100 * MS;
         m.note_reopen(true, now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
+        assert_eq!(m.health(), HealthState::Degraded);
         assert_eq!(m.reopens(), 1);
         m.note_poll(&errs(0), now);
         m.note_poll(&errs(0), now);
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        assert_eq!(m.health(), HealthState::Healthy);
     }
 }

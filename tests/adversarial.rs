@@ -1,11 +1,9 @@
-//! Adversarial-traffic resilience: the load-aware sharded data plane
-//! must stay observationally equivalent to the single-threaded router
-//! under heavy-tailed traffic, and flow-table admission control must
+//! Adversarial-traffic resilience: flow-table admission control must
 //! make a one-packet-flow flood degrade the flood's own flows instead of
-//! established ones — on both data planes.
+//! established ones — on both data planes — and a chaos soak over
+//! heavy-tailed traffic must conserve every packet.
 
 use router_plugins::classifier::FlowTableConfig;
-use router_plugins::core::dataplane::SteerConfig;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::supervisor::HealthState;
@@ -15,7 +13,6 @@ use router_plugins::core::{
 use router_plugins::netsim::traffic::{fragment_flood, v6_host, Workload};
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{FlowTuple, Mbuf};
-use std::collections::HashMap;
 
 /// Wildcard-classified, routed rig: one gate exercises the flow cache on
 /// every packet, the route keeps 2001:db8::/32 deliverable.
@@ -24,50 +21,7 @@ const RIG_SCRIPT: &str = "load null\n\
      bind stats null 0 <*, *, *, *, *, *>\n\
      route 2001:db8::/32 1\n";
 
-/// Stamp a per-flow sequence number into the last 4 payload bytes of
-/// each packet, in emission order (checksum verification is off in
-/// these rigs).
-fn stamp_seqs(pkts: &mut [Mbuf]) {
-    let mut seqs: HashMap<FlowTuple, u32> = HashMap::new();
-    for m in pkts.iter_mut() {
-        let t = FlowTuple::from_mbuf(m).expect("workload packet parses");
-        let seq = seqs.entry(t).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        let data = m.data_mut();
-        let n = data.len();
-        data[n - 4..].copy_from_slice(&s.to_be_bytes());
-    }
-}
-
-/// Per-flow delivered sequence numbers, grouped by five-tuple.
-fn deliveries(tx: &[Mbuf]) -> HashMap<FlowTuple, Vec<u32>> {
-    let mut map: HashMap<FlowTuple, Vec<u32>> = HashMap::new();
-    for m in tx {
-        let mut t = FlowTuple::from_mbuf(m).expect("emitted packet parses");
-        t.rx_if = 0;
-        let d = m.data();
-        let seq = u32::from_be_bytes(d[d.len() - 4..].try_into().unwrap());
-        map.entry(t).or_default().push(seq);
-    }
-    map
-}
-
-fn single_router() -> Router {
-    let mut r = Router::new(RouterConfig {
-        verify_checksums: false,
-        ..RouterConfig::default()
-    });
-    register_builtin_factories(&mut r.loader);
-    run_script(&mut r, RIG_SCRIPT).unwrap();
-    r
-}
-
-fn parallel_router(
-    shards: usize,
-    steer: Option<SteerConfig>,
-    flow_table: FlowTableConfig,
-) -> ParallelRouter {
+fn parallel_router(shards: usize, flow_table: FlowTableConfig) -> ParallelRouter {
     let mut template = router_plugins::core::loader::PluginLoader::new();
     register_builtin_factories(&mut template);
     let mut par = ParallelRouter::new(
@@ -79,7 +33,6 @@ fn parallel_router(
                 ..RouterConfig::default()
             },
             ingress_depth: 4096,
-            steer,
             ..ParallelRouterConfig::default()
         },
         &template,
@@ -103,64 +56,6 @@ fn drain_parallel(par: &mut ParallelRouter) -> Vec<Mbuf> {
         tx.extend(par.take_tx(i as u32));
     }
     tx
-}
-
-/// The differential acceptance gate for load-aware placement: a steered
-/// parallel router must deliver exactly the per-flow packet sequences of
-/// the single-threaded reference under elephant-and-mice traffic, even
-/// while the steerer pins elephant-suspect flows off their hash home.
-#[test]
-fn steered_parallel_matches_single_router_on_heavy_tailed_traffic() {
-    let mut pkts = Workload::heavy_tailed(120, 4, 64, 0xE1E).build();
-    stamp_seqs(&mut pkts);
-
-    let mut single = single_router();
-    for pkt in &pkts {
-        let d = single.receive(pkt.clone());
-        if let router_plugins::core::ip_core::Disposition::Queued(i) = d {
-            single.pump(i, 1);
-        }
-    }
-    let single_tx = drain_single(&mut single);
-
-    // Small window so hot-shard detection engages inside this run.
-    let mut par = parallel_router(
-        4,
-        Some(SteerConfig {
-            window: 256,
-            ..SteerConfig::default()
-        }),
-        FlowTableConfig::default(),
-    );
-    for (n, pkt) in pkts.iter().enumerate() {
-        par.receive(pkt.clone());
-        // Pace the offer so elephants cannot overflow a shard FIFO: an
-        // overload shed would (correctly) break equivalence.
-        if n % 512 == 511 {
-            par.flush();
-        }
-    }
-    let par_tx = drain_parallel(&mut par);
-
-    assert_eq!(single_tx.len(), par_tx.len(), "total delivery count");
-    let single_flows = deliveries(&single_tx);
-    let par_flows = deliveries(&par_tx);
-    assert_eq!(single_flows.len(), par_flows.len(), "delivered flow sets");
-    for (flow, seqs) in &single_flows {
-        let p = par_flows
-            .get(flow)
-            .unwrap_or_else(|| panic!("flow {flow:?} missing from steered delivery"));
-        assert_eq!(seqs, p, "per-flow order diverged for {flow:?}");
-    }
-    let st = par.steer_stats().expect("steering was configured");
-    assert!(st.tracked > 0, "steerer tracked no flows");
-    // The workload must have been spicy enough to exercise hot detection
-    // at least once across 4 shards with elephants present; if not, the
-    // placement degenerates to hash and the test would prove nothing.
-    assert!(
-        st.steered + st.untracked < pkts.len() as u64,
-        "sanity: stats are per-flow, not per-packet"
-    );
 }
 
 fn established_specs() -> Vec<(std::net::IpAddr, std::net::IpAddr, u16, u16)> {
@@ -265,7 +160,7 @@ fn syn_flood_degrades_attacker_not_established_flows_single() {
 /// control, merged counters, zero established loss.
 #[test]
 fn syn_flood_degrades_attacker_not_established_flows_parallel() {
-    let mut par = parallel_router(4, None, defended_flow_table());
+    let mut par = parallel_router(4, defended_flow_table());
 
     let established = established_specs();
     let mut sent_established = 0usize;
@@ -361,7 +256,7 @@ fn flow_churn_accounting_is_conserved_on_both_planes() {
     );
 
     // Parallel.
-    let mut par = parallel_router(4, None, defended_flow_table());
+    let mut par = parallel_router(4, defended_flow_table());
     let mut expired = 0u64;
     let mut now = 0u64;
     for wave in 0..6u16 {
@@ -404,7 +299,7 @@ fn chaos_soak_conserves_with_flat_flow_table_occupancy() {
     const SHARDS: usize = 4;
     let table = defended_flow_table();
     let (cap, idle_ns) = (SHARDS * table.max_records, table.max_idle_ns);
-    let mut par = parallel_router(SHARDS, Some(SteerConfig::default()), table);
+    let mut par = parallel_router(SHARDS, table);
     // The chaos instance sits on a narrow filter, so its faults hit the
     // probe flow below and leave the bulk of each phase to the shards.
     run_script(

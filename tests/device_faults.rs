@@ -5,9 +5,9 @@
 //! a 10k+ packet run — ending with exact wire-to-wire conservation and
 //! at least one quarantine→reopen cycle.
 
-use router_plugins::core::dataplane::control::DeviceHealth;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
+use router_plugins::core::supervisor::HealthState;
 use router_plugins::core::{
     ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
@@ -96,7 +96,7 @@ fn udp_dead_peer_degrades_then_recovers() {
     let a1 = rows.iter().find(|r| r.name == "a1").unwrap();
     assert_eq!(
         a1.health,
-        DeviceHealth::Degraded,
+        Some(HealthState::Degraded),
         "dead peer must degrade the egress device ({:?})",
         a1.stats
     );
@@ -118,7 +118,7 @@ fn udp_dead_peer_degrades_then_recovers() {
     let a1 = rows.iter().find(|r| r.name == "a1").unwrap();
     assert_eq!(
         a1.health,
-        DeviceHealth::Healthy,
+        Some(HealthState::Healthy),
         "errors stopped, must recover"
     );
     assert_eq!(a1.quarantines, 0);
@@ -148,7 +148,7 @@ fn shed_stale_half(t: u64) {
             m.stamp_ingress(t); // 1ms old
             stale += 1;
         }
-        r.receive_stamped(m, wall);
+        r.receive_burst(&mut vec![m], wall);
     }
     let s = r.stats();
     assert_eq!(s.dropped_deadline, stale, "every stale packet must shed");
@@ -247,7 +247,7 @@ fn chaos_soak_flaps_devices_kills_shards_and_conserves() {
         if plane
             .device_rows()
             .iter()
-            .any(|r| r.health == DeviceHealth::Quarantined)
+            .any(|r| r.health == Some(HealthState::Quarantined))
         {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -262,7 +262,9 @@ fn chaos_soak_flaps_devices_kills_shards_and_conserves() {
         plane.poll_until_quiet(4, 200);
         while out_handle.drain_tx().is_some() {}
         let rows = plane.device_rows();
-        let all_live = rows.iter().all(|r| r.health != DeviceHealth::Quarantined);
+        let all_live = rows
+            .iter()
+            .all(|r| r.health != Some(HealthState::Quarantined));
         if all_live || Instant::now() >= deadline {
             break;
         }
@@ -280,7 +282,8 @@ fn chaos_soak_flaps_devices_kills_shards_and_conserves() {
         "no quarantine→reopen cycle completed: {rows:?}"
     );
     assert!(
-        rows.iter().all(|r| r.health != DeviceHealth::Quarantined),
+        rows.iter()
+            .all(|r| r.health != Some(HealthState::Quarantined)),
         "faults cleared, every device must be back on the wire: {rows:?}"
     );
     let led = plane.ledger();

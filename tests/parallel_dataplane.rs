@@ -14,7 +14,7 @@ use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::{
     ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
-use router_plugins::netsim::traffic::v6_host;
+use router_plugins::netsim::traffic::{fragment_flood, v4_host, v6_host};
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{FlowTuple, Mbuf};
 use std::collections::HashMap;
@@ -81,6 +81,38 @@ fn dispatch_is_flow_affine_and_matches_cache_hash() {
             // Multiply-shift range reduction over the same cache hash.
             assert_eq!(s, ((flow_hash(&t) as u64 * shards as u64) >> 32) as usize);
             assert_eq!(s, shard_for_tuple(&t, shards));
+        }
+    }
+}
+
+/// Placement is one pure function of the packet: what `receive` does is
+/// what `shard_of` says, which is the tuple hash — for every packet shape
+/// the dispatcher can be handed.
+#[test]
+fn receive_places_every_packet_shape_by_its_tuple_hash() {
+    let non_first = fragment_flood(1, 2000, 576, 1).swap_remove(1);
+    let t = FlowTuple::from_mbuf(&non_first).expect("fragment parses");
+    assert_eq!((t.sport, t.dport), (0, 0), "non-first fragments key on 0,0");
+    let unparsable = Mbuf::new(vec![0u8; 4], 0);
+    assert!(FlowTuple::from_mbuf(&unparsable).is_err());
+    let cases = [
+        Mbuf::new(
+            PacketSpec::udp(v4_host(1, 2, 3), v4_host(200, 0, 1), 4000, 80, 64).build(),
+            0,
+        ),
+        Mbuf::new(
+            PacketSpec::udp(v6_host(10), v6_host(200), 4000, 80, 64).build(),
+            0,
+        ),
+        non_first,
+        unparsable,
+    ];
+    for shards in [1usize, 2, 4, 8] {
+        let mut par = parallel(shards);
+        for m in &cases {
+            let want = FlowTuple::from_mbuf(m).map_or(0, |t| shard_for_tuple(&t, shards));
+            assert_eq!(par.shard_of(m), want, "{shards} shards");
+            assert_eq!(par.receive(m.clone()), want, "{shards} shards");
         }
     }
 }
