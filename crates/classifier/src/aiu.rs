@@ -21,9 +21,9 @@ use rp_packet::{FlowTuple, Mbuf};
 /// `router-core`; the AIU just numbers them).
 pub type GateId = usize;
 
-/// A flow record's gate binding, fetched in one slab access: the bound
-/// instance, the filter the binding was derived from and the per-flow
-/// soft-state slot.
+/// A flow record's gate binding: the bound instance and the filter the
+/// binding was derived from (one pair of the record) and the per-flow
+/// soft-state slot (the gate's column).
 pub type BindingMut<'a, V> = (
     &'a V,
     Option<FilterId>,
@@ -63,7 +63,7 @@ pub struct Aiu<V: Clone> {
     cfg: AiuConfig,
     /// The flow the latest classification recycled. Its bindings travel
     /// inline (no heap), which makes it several cache lines wide, so the
-    /// flow table swaps it in here and it is lent out, rather than
+    /// flow table gathers it in here and it is lent out, rather than
     /// returned by value through every layer of a path that, on a cache
     /// hit, has nothing to return.
     evicted: EvictedFlow<V>,
@@ -126,6 +126,8 @@ impl<V: Clone> Aiu<V> {
         value: V,
     ) -> Result<(FilterId, Vec<EvictedFlow<V>>), DagError> {
         let id = self.filter_tables[gate].insert(spec.clone(), value)?;
+        // The gate can bind instances from here on: it needs its column.
+        self.flow_table.enable_gate(gate);
         let evicted = self.flow_table.invalidate_matching(&spec);
         Ok((id, evicted))
     }
@@ -156,6 +158,7 @@ impl<V: Clone> Aiu<V> {
     /// callbacks ([`crate::flow_table::GateArray::drain`]); what the
     /// caller leaves in them is dropped by the next classification that
     /// recycles.
+    #[inline]
     pub fn classify(
         &mut self,
         tuple: &FlowTuple,
@@ -168,18 +171,13 @@ impl<V: Clone> Aiu<V> {
         {
             Admit::Hit(fix) => (ClassifyOutcome::CacheHit(fix), None),
             Admit::Denied => (ClassifyOutcome::Denied, None),
-            Admit::New {
-                fix,
-                record,
-                recycled,
-            } => {
+            Admit::New { fix, recycled } => {
                 for (gate, table) in self.filter_tables.iter().enumerate() {
                     if table.is_empty() {
                         continue;
                     }
                     if let Some((id, v)) = table.lookup(tuple) {
-                        record.gates.set_instance(gate, Some(v.clone()));
-                        record.gates.set_filter(gate, Some(id));
+                        self.flow_table.bind(fix, gate, v.clone(), id);
                     }
                 }
                 let evicted = recycled.then_some(&mut self.evicted);
@@ -193,6 +191,7 @@ impl<V: Clone> Aiu<V> {
     /// packet is marked so later gates skip reclassification — without
     /// the mark, every gate of a denied packet would re-run the n filter
     /// lookups, turning admission control into an amplifier.
+    #[inline]
     pub fn classify_mbuf(
         &mut self,
         mbuf: &mut Mbuf,
@@ -211,24 +210,15 @@ impl<V: Clone> Aiu<V> {
     /// filter lookup (the "indirect function call instead of a 'hardwired'
     /// function call" of §3.2).
     pub fn instance(&self, fix: FlowIndex, gate: GateId) -> Option<&V> {
-        self.flow_table.record(fix)?.gates.instance(gate)
+        self.flow_table.record(fix)?.instance(gate)
     }
 
     /// Single-access fetch of a gate binding: instance, filter id and
-    /// soft-state slot (the data path calls this once per gate; splitting
-    /// it into two record lookups would double the fast-path slab
-    /// accesses). `None` when the record is gone or nothing is bound.
+    /// soft-state slot (the data path calls this once per gate). `None`
+    /// when the record is gone or nothing is bound.
+    #[inline]
     pub fn binding_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<BindingMut<'_, V>> {
-        self.flow_table.record_mut(fix)?.gates.binding_mut(gate)
-    }
-
-    /// Mutable access to per-flow plugin soft state at a gate.
-    pub fn soft_state_mut(
-        &mut self,
-        fix: FlowIndex,
-        gate: GateId,
-    ) -> Option<&mut Option<Box<dyn std::any::Any + Send>>> {
-        self.flow_table.record_mut(fix)?.gates.soft_mut(gate)
+        self.flow_table.binding_mut(fix, gate)
     }
 
     /// Drop every cached flow whose record satisfies `pred` (the router
@@ -386,9 +376,23 @@ mod tests {
         let mut aiu = aiu3();
         aiu.install_filter(0, FilterSpec::any(), "p").unwrap();
         let (o, _) = aiu.classify(&tuple(9));
-        *aiu.soft_state_mut(o.fix().unwrap(), 0).unwrap() = Some(Box::new(42u64));
-        let st = aiu.soft_state_mut(o.fix().unwrap(), 0).unwrap();
+        *aiu.binding_mut(o.fix().unwrap(), 0).unwrap().2 = Some(Box::new(42u64));
+        let st = aiu.binding_mut(o.fix().unwrap(), 0).unwrap().2;
         assert_eq!(*st.as_ref().unwrap().downcast_ref::<u64>().unwrap(), 42);
+    }
+
+    /// A gate's first filter, and no later one, buys its soft-state
+    /// column: eight 16-byte slots here, under a live record.
+    #[test]
+    fn a_gates_first_filter_buys_its_soft_state_column() {
+        let mut aiu = aiu3();
+        aiu.classify(&tuple(1));
+        let base = aiu.flow_mem_bytes();
+        aiu.install_filter(1, FilterSpec::any(), "p").unwrap();
+        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 16);
+        let tcp = "*, *, TCP, *, *, *".parse().unwrap();
+        aiu.install_filter(1, tcp, "q").unwrap();
+        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 16);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The flow table (paper §5.2): a hash-indexed cache of fully specified
-//! flows. Each record stores, **per gate**, the bound plugin instance and
-//! an opaque per-flow soft-state slot (the DRR plugin keeps its per-flow
-//! queue pointer there).
+//! flows. Each record stores, **per gate**, the bound plugin instance; an
+//! opaque per-flow soft-state slot (the DRR plugin keeps its per-flow
+//! queue pointer there) sits beside it in a per-gate column.
 //!
 //! Reproduced mechanics:
 //!
@@ -41,6 +41,7 @@ use rp_packet::FlowTuple;
 use std::any::Any;
 use std::net::IpAddr;
 
+use crate::aiu::BindingMut;
 use crate::filter::FilterId;
 
 /// The paper's cheap flow hash: fold the full six-tuple into 32 bits with
@@ -86,33 +87,16 @@ pub struct GateBinding<V> {
     pub soft_state: Option<Box<dyn Any + Send>>,
 }
 
-impl<V> Default for GateBinding<V> {
-    fn default() -> Self {
-        GateBinding {
-            instance: None,
-            filter: None,
-            soft_state: None,
-        }
-    }
-}
-
 /// Hard cap on per-record gate bindings (the data path compiles six
 /// gates; two slots of headroom).
 pub const MAX_GATES: usize = 8;
 
-/// A record's gate bindings, stored **inline** in the record slab rather
-/// than behind a per-record heap `Vec`. A cold-flow hit then costs slab
-/// accesses whose neighbouring lines the hardware prefetcher streams,
-/// instead of a dependent pointer chase into allocator scatter — and a
-/// million-record table makes zero per-record allocations.
-///
-/// Layout is structure-of-arrays, hottest field first: the per-gate
-/// fast path reads only `instances`, so for a pointer-sized `V` every
-/// gate's binding for a flow lands in **one cache line**, adjacent to
-/// the record header the lookup already touched. Filters are consulted
-/// on control-plane invalidation, soft state only when a bound plugin
-/// runs.
-#[repr(C)]
+// One mask bit per gate.
+const _: () = assert!(MAX_GATES <= 8);
+
+/// The bindings of a flow that has left the table, gathered from its
+/// record's pairs and the soft-state columns for [`EvictedFlow`] — a
+/// transport type only: live records keep no `GateArray`.
 pub struct GateArray<V> {
     instances: [Option<V>; MAX_GATES],
     filters: [Option<FilterId>; MAX_GATES],
@@ -122,10 +106,6 @@ pub struct GateArray<V> {
 
 impl<V> GateArray<V> {
     fn new(len: usize) -> Self {
-        assert!(
-            len <= MAX_GATES,
-            "flow table supports at most {MAX_GATES} gates"
-        );
         GateArray {
             instances: std::array::from_fn(|_| None),
             filters: [None; MAX_GATES],
@@ -144,58 +124,9 @@ impl<V> GateArray<V> {
         self.len == 0
     }
 
-    /// The instance bound at `gate` (the per-packet fast-path read).
-    pub fn instance(&self, gate: usize) -> Option<&V> {
-        if gate >= self.len() {
-            return None;
-        }
-        self.instances[gate].as_ref()
-    }
-
-    /// Bind (or unbind) an instance at `gate`.
-    pub fn set_instance(&mut self, gate: usize, v: Option<V>) {
-        assert!(gate < self.len());
-        self.instances[gate] = v;
-    }
-
-    /// All in-use instance slots (for bound-anywhere scans).
-    pub fn instances(&self) -> &[Option<V>] {
-        &self.instances[..self.len()]
-    }
-
-    /// The filter the binding at `gate` was derived from.
-    pub fn filter(&self, gate: usize) -> Option<FilterId> {
-        self.filters.get(self.check(gate)?).copied().flatten()
-    }
-
-    /// Record the filter a binding was derived from.
-    pub fn set_filter(&mut self, gate: usize, f: Option<FilterId>) {
-        assert!(gate < self.len());
-        self.filters[gate] = f;
-    }
-
     /// Per-flow plugin soft state at `gate` (shared view).
     pub fn soft(&self, gate: usize) -> Option<&(dyn Any + Send)> {
-        self.soft[self.check(gate)?].as_deref()
-    }
-
-    /// Mutable slot for per-flow plugin soft state at `gate`.
-    pub fn soft_mut(&mut self, gate: usize) -> Option<&mut Option<Box<dyn Any + Send>>> {
-        let g = self.check(gate)?;
-        Some(&mut self.soft[g])
-    }
-
-    /// One-access fetch of everything a gate's plugin call needs: the
-    /// bound instance, the filter the binding derives from and the
-    /// soft-state slot. `None` when nothing is bound at `gate`.
-    pub fn binding_mut(&mut self, gate: usize) -> Option<crate::aiu::BindingMut<'_, V>> {
-        let g = self.check(gate)?;
-        let instance = self.instances[g].as_ref()?;
-        Some((instance, self.filters[g], &mut self.soft[g]))
-    }
-
-    fn check(&self, gate: usize) -> Option<usize> {
-        (gate < self.len()).then_some(gate)
+        self.soft[..self.len()].get(gate)?.as_deref()
     }
 
     /// Hand out each gate's binding in gate order, leaving defaults.
@@ -206,21 +137,32 @@ impl<V> GateArray<V> {
             soft_state: self.soft[g].take(),
         })
     }
-
-    fn reset(&mut self) {
-        for g in 0..self.len() {
-            self.instances[g] = None;
-            self.filters[g] = None;
-            self.soft[g] = None;
-        }
-    }
 }
 
-/// One row of the flow table. `repr(C)` keeps the header (key, chain
-/// link, timestamps) and the gate instances on adjacent cache lines —
-/// the only bytes a forwarded packet touches.
+/// A record's binding at one gate: the instance and the filter it derives
+/// from, 16 bytes for a handle-sized `V` — four gates to a cache line.
 #[repr(C)]
+struct Pair<V> {
+    instance: Option<V>,
+    /// The raw `FilterId` while the gate's `bound` bit is set; 0 = none.
+    filter: u64,
+}
+
+impl<V> Pair<V> {
+    const NONE: Self = Pair {
+        instance: None,
+        filter: 0,
+    };
+}
+
+/// One row of the flow table, cache-line aligned. Line 0 is everything a
+/// probe and an unbound gate touch; a bound gate reads one more line —
+/// its pair. Soft state and the insertion sequence live in the table's
+/// columns (see [`FlowTable`]), not here.
+#[repr(C, align(64))]
 pub struct FlowRecord<V> {
+    /// Virtual time of the last lookup hit (for idle expiry).
+    last_used: u64,
     /// The fully specified six-tuple identifying the flow.
     pub key: FlowTuple,
     /// Chain link (next record in the same hash bucket; [`EMPTY`]
@@ -229,20 +171,52 @@ pub struct FlowRecord<V> {
     /// Cached [`flow_hash`] of the key: bucket migration and unlinking
     /// must not rehash, and the resize path never touches the key bytes.
     hash: u32,
-    /// Insertion sequence number (breaks `last_used` ties oldest-first).
-    seq: u64,
-    /// Virtual time of the last lookup hit (for idle expiry).
-    last_used: u64,
     /// Slot-in-use flag (false = on the free list).
     live: bool,
     /// Second chance: set by a hit, cleared on insert and by the passing
-    /// clock hand. Lives in the padding beside `live`, on the line a hit
-    /// writes `last_used` to — the hit path touches no new line and the
-    /// record does not grow.
+    /// clock hand.
     referenced: bool,
-    /// Per-gate bindings, indexed by gate id, inline in the slab (after
-    /// the header so the hot `instances` line is adjacent to it).
-    pub gates: GateArray<V>,
+    /// Bit g set = an instance is bound at gate g. An unbound gate stops
+    /// here, on the line the probe already loaded.
+    bound: u8,
+    pairs: [Pair<V>; MAX_GATES],
+}
+
+// Line 0 ends inside 64 bytes and the pairs start at 64 (`core::router`
+// pins the size for its handle type).
+const _: () = {
+    use std::mem::offset_of;
+    type R = FlowRecord<u32>;
+    assert!(offset_of!(R, last_used) + 8 <= 64);
+    assert!(offset_of!(R, key) + std::mem::size_of::<FlowTuple>() <= 64);
+    assert!(offset_of!(R, next) + 4 <= 64);
+    assert!(offset_of!(R, hash) + 4 <= 64);
+    assert!(offset_of!(R, live) < 64);
+    assert!(offset_of!(R, referenced) < 64);
+    assert!(offset_of!(R, bound) < 64);
+    assert!(offset_of!(R, pairs) == 64);
+};
+
+impl<V> FlowRecord<V> {
+    /// The instance bound at `gate`.
+    pub fn instance(&self, gate: usize) -> Option<&V> {
+        self.pairs.get(gate)?.instance.as_ref()
+    }
+
+    /// The filter the binding at `gate` was derived from.
+    pub fn filter(&self, gate: usize) -> Option<FilterId> {
+        self.is_bound(gate)
+            .then(|| FilterId(self.pairs[gate].filter))
+    }
+
+    fn is_bound(&self, gate: usize) -> bool {
+        gate < MAX_GATES && self.bound & (1 << gate) != 0
+    }
+
+    /// Every bound instance, in gate order (for bound-anywhere scans).
+    pub fn instances(&self) -> impl Iterator<Item = &V> {
+        self.pairs.iter().filter_map(|p| p.instance.as_ref())
+    }
 }
 
 /// Flow table configuration (paper defaults).
@@ -340,15 +314,14 @@ impl FlowTableStats {
 const EMPTY: u32 = u32::MAX;
 
 /// What [`FlowTable::lookup_or_insert`] did for a key.
-pub enum Admit<'a, V> {
+pub enum Admit {
     /// The flow was cached.
     Hit(FlowIndex),
-    /// A record was created, its bindings empty for the caller to fill.
+    /// A record was created, its bindings empty for the caller to fill
+    /// with [`FlowTable::bind`].
     New {
         /// The new record's index.
         fix: FlowIndex,
-        /// The new record.
-        record: &'a mut FlowRecord<V>,
         /// A live flow was recycled to make room: its key and bindings
         /// are in the caller's parked slot.
         recycled: bool,
@@ -368,6 +341,15 @@ pub struct FlowTable<V> {
     /// Migration cursor into `old_buckets`.
     migrate_pos: usize,
     records: Vec<FlowRecord<V>>,
+    /// Insertion sequence number per slot (breaks `last_used` ties
+    /// oldest-first). A column, not a record field: only an insert and the
+    /// hand passing a referenced record touch it.
+    seq: Vec<u64>,
+    /// Per-gate soft-state columns, indexed by slot. Column g is empty
+    /// until [`Self::enable_gate`] materialises it to `records.len()`: a
+    /// gate that never held a filter binds no instance, keeps no soft
+    /// state and costs no memory. Inline: a slot is one load away.
+    soft: [Vec<Option<Box<dyn Any + Send>>>; MAX_GATES],
     free: Vec<u32>,
     cfg: FlowTableConfig,
     next_seq: u64,
@@ -396,11 +378,17 @@ impl<V> FlowTable<V> {
             "max bucket count must be 0 or 2^k"
         );
         assert!(cfg.initial_records >= 1);
+        assert!(
+            cfg.gates <= MAX_GATES,
+            "flow table supports at most {MAX_GATES} gates"
+        );
         let mut t = FlowTable {
             buckets: vec![EMPTY; cfg.buckets],
             old_buckets: Vec::new(),
             migrate_pos: 0,
             records: Vec::new(),
+            seq: Vec::new(),
+            soft: std::array::from_fn(|_| Vec::new()),
             free: Vec::new(),
             cfg,
             next_seq: 0,
@@ -415,15 +403,19 @@ impl<V> FlowTable<V> {
     fn grow(&mut self, n: usize) {
         let start = self.records.len();
         self.records.extend((0..n).map(|_| FlowRecord {
+            last_used: 0,
             key: dummy_key(),
-            gates: GateArray::new(self.cfg.gates),
             next: EMPTY,
             hash: 0,
-            seq: 0,
-            last_used: 0,
             live: false,
             referenced: false,
+            bound: 0,
+            pairs: [Pair::NONE; MAX_GATES],
         }));
+        self.seq.resize(start + n, 0);
+        for col in self.soft.iter_mut().filter(|c| !c.is_empty()) {
+            col.resize_with(start + n, || None);
+        }
         // Reversed, so the slab fills in slot order: the hand then meets
         // never-hit flows in the order they arrived.
         self.free.extend((start..start + n).rev().map(|i| i as u32));
@@ -450,14 +442,26 @@ impl<V> FlowTable<V> {
         !self.old_buckets.is_empty()
     }
 
-    /// Rough resident size: bucket arrays + record slab (including the
-    /// inline per-gate bindings) + free list. Used by the scale bench's
-    /// bounded-memory gate; excludes plugin soft state (opaque boxes).
+    /// Rough resident size, every slab: bucket arrays, hot records, `seq`,
+    /// each materialised soft-state column, free list. Used by the scale
+    /// bench's bounded-memory gate; excludes the soft state's own boxes.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
+        let soft_slots: usize = self.soft.iter().map(Vec::capacity).sum();
         (self.buckets.capacity() + self.old_buckets.capacity()) * size_of::<u32>()
             + self.records.capacity() * size_of::<FlowRecord<V>>()
+            + self.seq.capacity() * size_of::<u64>()
+            + soft_slots * size_of::<Option<Box<dyn Any + Send>>>()
             + self.free.capacity() * size_of::<u32>()
+    }
+
+    /// Give `gate` its soft-state column (control path: the AIU calls
+    /// this when the gate's filter table gets a filter). Idempotent.
+    pub fn enable_gate(&mut self, gate: usize) {
+        assert!(gate < self.cfg.gates, "no gate {gate}");
+        if self.soft[gate].is_empty() {
+            self.soft[gate].resize_with(self.records.len(), || None);
+        }
     }
 
     /// Advance the table's virtual clock (drives idle expiry; the router
@@ -495,7 +499,7 @@ impl<V> FlowTable<V> {
     /// on a hit, which refreshes the record's idle timer and its second
     /// chance; on a miss a fresh record for the caller to fill. At the
     /// cap the record comes from `reclaim_victim`, whose key and
-    /// bindings are swapped into `evicted` (from [`Self::parked`]; what
+    /// bindings are gathered into `evicted` (from [`Self::parked`]; what
     /// an earlier borrower left in it is dropped) for plugin eviction
     /// callbacks — or the insert is **denied** (counted in
     /// [`FlowTableStats::denied`]): established flows keep their records
@@ -505,7 +509,7 @@ impl<V> FlowTable<V> {
         key: &FlowTuple,
         hash: u32,
         evicted: &mut EvictedFlow<V>,
-    ) -> Admit<'_, V> {
+    ) -> Admit {
         let found = self.find(key, hash);
         self.migrate_step();
         if let Some(idx) = found {
@@ -539,7 +543,7 @@ impl<V> FlowTable<V> {
         let r = &mut self.records[idx as usize];
         r.key = *key;
         r.hash = hash;
-        r.seq = self.next_seq;
+        self.seq[idx as usize] = self.next_seq;
         r.last_used = self.now_ns;
         r.live = true;
         r.referenced = false;
@@ -549,9 +553,37 @@ impl<V> FlowTable<V> {
         self.maybe_start_resize();
         Admit::New {
             fix: FlowIndex(idx),
-            record: &mut self.records[idx as usize],
             recycled,
         }
+    }
+
+    /// Bind `v`, resolved through `filter`, at `gate` of the live record
+    /// `fix` (the miss path: once per gate whose filter table matched).
+    pub fn bind(&mut self, fix: FlowIndex, gate: usize, v: V, filter: FilterId) {
+        // A no-op behind `Aiu::install_filter`; the safety net for a
+        // caller of the raw table that never enabled the gate.
+        self.enable_gate(gate);
+        let r = &mut self.records[fix.0 as usize];
+        assert!(r.live, "bind on a free slot");
+        r.bound |= 1 << gate;
+        let (instance, filter) = (Some(v), filter.0);
+        r.pairs[gate] = Pair { instance, filter };
+    }
+
+    /// Everything a gate's plugin call needs: the bound instance and the
+    /// filter it derives from — one pair, one line past the probe's — and
+    /// the column slot of its soft state. `None`, without leaving line 0,
+    /// when the record is gone or nothing is bound at `gate`.
+    #[inline]
+    pub fn binding_mut(&mut self, fix: FlowIndex, gate: usize) -> Option<BindingMut<'_, V>> {
+        let i = fix.0 as usize;
+        let r = self.records.get(i)?;
+        if !r.live || !r.is_bound(gate) {
+            return None;
+        }
+        let pair = &r.pairs[gate];
+        let soft = &mut self.soft[gate][i];
+        Some((pair.instance.as_ref()?, Some(FilterId(pair.filter)), soft))
     }
 
     /// Allocation-free idle-expiry sweep ("if a cached flow remains idle
@@ -658,7 +690,7 @@ impl<V> FlowTable<V> {
                     break 'hand i;
                 }
                 r.referenced = false;
-                let passed = (r.last_used, r.seq, i);
+                let passed = (r.last_used, self.seq[i], i);
                 coldest = Some(coldest.map_or(passed, |c| c.min(passed)));
             }
             coldest?.2
@@ -702,16 +734,29 @@ impl<V> FlowTable<V> {
         false
     }
 
-    /// Unlink `idx` and swap its key and bindings into `out`, leaving the
-    /// record with `out`'s cleared ones: nothing is rebuilt or moved by
-    /// value, so evicting a flow allocates nothing.
+    /// Unlink `idx` and gather its key, pairs and soft-state column
+    /// slots into `out` (dropping what `out` held), leaving the slot
+    /// blank at every gate. Soft state exists only where an instance is
+    /// bound, so only those columns are touched; nothing is allocated.
     fn evict(&mut self, idx: u32, out: &mut EvictedFlow<V>) {
         self.unlink(idx);
-        let r = &mut self.records[idx as usize];
+        let i = idx as usize;
+        let r = &mut self.records[i];
         r.live = false;
         out.key = r.key;
-        out.gates.reset();
-        std::mem::swap(&mut r.gates, &mut out.gates);
+        for g in 0..self.cfg.gates {
+            let (filter, instance, soft) = if r.is_bound(g) {
+                let pair = std::mem::replace(&mut r.pairs[g], Pair::NONE);
+                let filter = Some(FilterId(pair.filter));
+                (filter, pair.instance, self.soft[g][i].take())
+            } else {
+                (None, None, None)
+            };
+            out.gates.instances[g] = instance;
+            out.gates.filters[g] = filter;
+            out.gates.soft[g] = soft;
+        }
+        r.bound = 0;
         self.stats.live -= 1;
     }
 
@@ -742,66 +787,39 @@ impl<V> FlowTable<V> {
     /// now classify differently and must be re-resolved on their next
     /// packet). Returns the evicted flows.
     pub fn invalidate_matching(&mut self, spec: &crate::filter::FilterSpec) -> Vec<EvictedFlow<V>> {
-        let victims: Vec<u32> = self
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.live && spec.matches(&r.key))
-            .map(|(i, _)| i as u32)
-            .collect();
-        victims
-            .into_iter()
-            .filter_map(|v| self.remove(FlowIndex(v)))
-            .collect()
+        self.invalidate_where(|r| spec.matches(&r.key))
     }
 
     /// Drop every cached flow derived from `filter` at `gate` (the AIU
     /// calls this when a filter is removed — paper §4,
     /// `deregister_instance` semantics). Returns the evicted flows.
     pub fn invalidate_filter(&mut self, gate: usize, filter: FilterId) -> Vec<EvictedFlow<V>> {
-        let victims: Vec<u32> = self
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.live && r.gates.filter(gate) == Some(filter))
-            .map(|(i, _)| i as u32)
-            .collect();
-        victims
-            .into_iter()
-            .filter_map(|v| self.remove(FlowIndex(v)))
-            .collect()
+        self.invalidate_where(|r| r.filter(gate) == Some(filter))
     }
 
     /// Drop every cached flow for which `pred` holds (the router calls
     /// this when it quarantines a faulted plugin instance: any record
     /// still binding that instance at *any* gate must be re-resolved so
     /// its flows fall back to the gate's default path). Returns the
-    /// evicted flows.
+    /// evicted flows, in slot order — one pass: removing a record moves
+    /// no other.
     pub fn invalidate_where(
         &mut self,
         mut pred: impl FnMut(&FlowRecord<V>) -> bool,
     ) -> Vec<EvictedFlow<V>> {
-        let victims: Vec<u32> = self
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.live && pred(r))
-            .map(|(i, _)| i as u32)
-            .collect();
-        victims
-            .into_iter()
-            .filter_map(|v| self.remove(FlowIndex(v)))
-            .collect()
+        let mut out = Vec::new();
+        for i in 0..self.records.len() {
+            let r = &self.records[i];
+            if r.live && pred(r) {
+                out.extend(self.remove(FlowIndex(i as u32)));
+            }
+        }
+        out
     }
 
     /// Access a record by FIX.
     pub fn record(&self, fix: FlowIndex) -> Option<&FlowRecord<V>> {
         self.records.get(fix.0 as usize).filter(|r| r.live)
-    }
-
-    /// Mutable access to a record by FIX.
-    pub fn record_mut(&mut self, fix: FlowIndex) -> Option<&mut FlowRecord<V>> {
-        self.records.get_mut(fix.0 as usize).filter(|r| r.live)
     }
 
     /// Statistics snapshot.
@@ -909,20 +927,60 @@ mod tests {
     fn bindings_round_trip() {
         let mut t = small();
         let fix = insert(&mut t, key(1));
-        {
-            let r = t.record_mut(fix).unwrap();
-            r.gates.set_instance(0, Some(77));
-            r.gates.set_filter(0, Some(FilterId(5)));
-            *r.gates.soft_mut(0).unwrap() = Some(Box::new("queue".to_string()));
-        }
+        assert!(t.binding_mut(fix, 0).is_none(), "nothing bound yet");
+        // Filter 0 is a filter, not "none".
+        t.bind(fix, 0, 77, FilterId(0));
+        *t.binding_mut(fix, 0).unwrap().2 = Some(Box::new("queue".to_string()));
         let r = t.record(fix).unwrap();
-        assert_eq!(r.gates.instance(0), Some(&77));
-        assert_eq!(r.gates.filter(0), Some(FilterId(5)));
+        assert_eq!(r.instance(0), Some(&77));
+        assert_eq!(r.filter(0), Some(FilterId(0)));
+        assert!(r.instance(1).is_none() && r.filter(1).is_none());
+        assert!(t.binding_mut(fix, 1).is_none());
+        assert!(t.binding_mut(fix, MAX_GATES).is_none(), "no such gate");
+        // Eviction hands the binding back and leaves the slot blank.
+        let ev = t.remove(fix).unwrap();
+        assert_eq!(ev.gates.len(), 2);
         assert_eq!(
-            r.gates.soft(0).unwrap().downcast_ref::<String>().unwrap(),
+            ev.gates.soft(0).unwrap().downcast_ref::<String>().unwrap(),
             "queue"
         );
-        assert!(r.gates.instance(1).is_none());
+        assert!(ev.gates.soft(1).is_none());
+        assert_eq!(insert(&mut t, key(2)), fix, "slot reused");
+        assert!(t.binding_mut(fix, 0).is_none());
+        let r = t.record(fix).unwrap();
+        assert!(r.instance(0).is_none() && r.filter(0).is_none());
+        t.bind(fix, 0, 78, FilterId(1));
+        assert!(t.binding_mut(fix, 0).unwrap().2.is_none(), "stale state");
+    }
+
+    /// Each slot of capacity costs 192 + 8 + 16 per *enabled* gate.
+    #[test]
+    fn memory_is_every_slab_and_a_column_per_enabled_gate() {
+        let mut t: FlowTable<u32> = FlowTable::new(FlowTableConfig {
+            initial_records: 16,
+            max_records: 64,
+            gates: 6,
+            ..small().cfg
+        });
+        let fixed = |t: &FlowTable<u32>| (64 + t.free.capacity()) * 4;
+        assert_eq!(t.approx_mem_bytes(), 16 * (192 + 8) + fixed(&t));
+        t.enable_gate(2);
+        assert_eq!(t.approx_mem_bytes(), 16 * 216 + fixed(&t));
+        // Growth extends the materialised column and no other.
+        for i in 0..40 {
+            insert(&mut t, key(i));
+        }
+        let cols = |t: &FlowTable<u32>| t.soft.each_ref().map(Vec::len);
+        assert_eq!(cols(&t), [0, 0, 64, 0, 0, 0, 0, 0]);
+        assert_eq!(t.approx_mem_bytes(), 64 * 216 + fixed(&t));
+        // Enabling a gate under live records materialises exactly its
+        // column, to the slab's length; a raw `bind` does the same.
+        t.enable_gate(0);
+        assert_eq!(cols(&t), [64, 0, 64, 0, 0, 0, 0, 0]);
+        t.bind(FlowIndex(3), 5, 9, FilterId(1));
+        assert_eq!(cols(&t), [64, 0, 64, 0, 0, 64, 0, 0]);
+        [1, 3, 4].map(|g| t.enable_gate(g));
+        assert_eq!(t.approx_mem_bytes(), 64 * 296 + fixed(&t));
     }
 
     #[test]
@@ -973,10 +1031,7 @@ mod tests {
         let mut t = small();
         for i in 0..3 {
             let fix = insert(&mut t, key(i));
-            let r = t.record_mut(fix).unwrap();
-            r.gates
-                .set_filter(1, Some(FilterId(if i == 1 { 9 } else { 5 })));
-            r.gates.set_instance(1, Some(i));
+            t.bind(fix, 1, i, FilterId(if i == 1 { 9 } else { 5 }));
         }
         let evicted = t.invalidate_filter(1, FilterId(5));
         assert_eq!(evicted.len(), 2);
@@ -990,13 +1045,12 @@ mod tests {
         let mut t = small();
         for i in 0..4 {
             let fix = insert(&mut t, key(i));
-            let r = t.record_mut(fix).unwrap();
             // Bind instance 7 at gate 0 for even flows only.
             if i % 2 == 0 {
-                r.gates.set_instance(0, Some(7));
+                t.bind(fix, 0, 7, FilterId(0));
             }
         }
-        let evicted = t.invalidate_where(|r| r.gates.instances().contains(&Some(7)));
+        let evicted = t.invalidate_where(|r| r.instances().any(|v| *v == 7));
         assert_eq!(evicted.len(), 2);
         assert!(t.peek(&key(0)).is_none());
         assert!(t.peek(&key(1)).is_some());
@@ -1004,7 +1058,7 @@ mod tests {
         assert!(t.peek(&key(3)).is_some());
         // Idempotent once the matching records are gone.
         assert!(t
-            .invalidate_where(|r| r.gates.instances().contains(&Some(7)))
+            .invalidate_where(|r| r.instances().any(|v| *v == 7))
             .is_empty());
     }
 

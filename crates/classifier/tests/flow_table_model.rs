@@ -1,11 +1,13 @@
 //! Model-based property tests for the flow cache: random
-//! lookup/insert/remove/clock interleavings against a slot-exact
-//! reference model of the second-chance clock, under every admission
-//! configuration; conservation under churn and incremental resize; and
-//! the eviction quality the clock exists for.
+//! lookup/insert/bind/remove/invalidate/clock interleavings against a
+//! slot-exact reference model of the second-chance clock and of every
+//! slot's per-gate bindings, under every admission configuration;
+//! conservation under churn and incremental resize; and the eviction
+//! quality the clock exists for.
 
 use proptest::prelude::*;
-use rp_classifier::flow_table::{flow_hash, Admit, FlowTable, FlowTableConfig};
+use rp_classifier::flow_table::{flow_hash, Admit, EvictedFlow, FlowTable, FlowTableConfig};
+use rp_classifier::{FilterId, FilterSpec, PortMatch};
 use rp_packet::mbuf::FlowIndex;
 use rp_packet::FlowTuple;
 use std::collections::HashMap;
@@ -21,12 +23,35 @@ fn key(i: u16) -> FlowTuple {
     }
 }
 
+/// One gate of a flow as the test sees it: the bound instance, the filter
+/// it derives from, and the token a "plugin" left as soft state.
+type Binding = (Option<u32>, Option<FilterId>, Option<u32>);
+
+/// A flow that left the table, with everything it handed back.
+#[derive(Debug, PartialEq)]
+struct Gone {
+    key: FlowTuple,
+    gates: Vec<Binding>,
+}
+
+fn gone(ev: &mut EvictedFlow<u32>) -> Gone {
+    let token = |s: Box<dyn std::any::Any + Send>| *s.downcast::<u32>().expect("a token");
+    Gone {
+        key: ev.key,
+        gates: ev
+            .gates
+            .drain()
+            .map(|g| (g.instance, g.filter, g.soft_state.map(token)))
+            .collect(),
+    }
+}
+
 /// What one packet of a flow found in the table.
 #[derive(Debug, PartialEq)]
 enum Arrival {
     Hit(FlowIndex),
     /// A fresh record, and the flow recycled to make room for it.
-    New(FlowIndex, Option<FlowTuple>),
+    New(FlowIndex, Option<Gone>),
     Denied,
 }
 
@@ -34,7 +59,7 @@ fn arrive(table: &mut FlowTable<u32>, k: &FlowTuple) -> Arrival {
     let mut parked = table.parked();
     match table.lookup_or_insert(k, flow_hash(k), &mut parked) {
         Admit::Hit(fix) => Arrival::Hit(fix),
-        Admit::New { fix, recycled, .. } => Arrival::New(fix, recycled.then_some(parked.key)),
+        Admit::New { fix, recycled } => Arrival::New(fix, recycled.then(|| gone(&mut parked))),
         Admit::Denied => Arrival::Denied,
     }
 }
@@ -47,12 +72,18 @@ fn touch(table: &mut FlowTable<u32>, k: &FlowTuple) -> bool {
 /// The hand's reach per at-cap insert (`RECLAIM_SCAN`).
 const WINDOW: usize = 64;
 
+/// Gates of the modelled table. Nothing enables one up front: a column
+/// appears when an `Enable` or the first `Bind` at its gate comes along,
+/// often after slots have been used and recycled.
+const GATES: usize = 3;
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     key: u16,
     last_used: u64,
     seq: u64,
     referenced: bool,
+    gates: [Binding; GATES],
 }
 
 /// The specification, slot for slot: records sit where the table put
@@ -113,8 +144,28 @@ impl Model {
             last_used: self.now,
             seq: self.seq,
             referenced: false,
+            gates: [(None, None, None); GATES],
         });
         self.seq += 1;
+    }
+
+    /// Free `slot`: what the table must hand back for it.
+    fn take(&mut self, slot: usize) -> Gone {
+        let s = self.slots[slot].take().expect("a live slot");
+        Gone {
+            key: key(s.key),
+            gates: s.gates.to_vec(),
+        }
+    }
+
+    /// Free every slot `pred` holds for, in slot order — a sweep.
+    fn sweep(&mut self, pred: impl Fn(&Slot) -> bool) -> Vec<Gone> {
+        (0..self.slots.len())
+            .filter_map(|i| {
+                let hit = self.slots[i].as_ref().is_some_and(&pred);
+                hit.then(|| self.take(i))
+            })
+            .collect()
     }
 
     /// The full table's victim slot, `None` for a denial.
@@ -154,6 +205,20 @@ impl Model {
     }
 }
 
+fn gones(evicted: Vec<EvictedFlow<u32>>) -> Vec<Gone> {
+    evicted.into_iter().map(|mut ev| gone(&mut ev)).collect()
+}
+
+/// A record just handed to a new flow reads blank at every gate, whoever
+/// held the slot before.
+fn assert_blank(table: &mut FlowTable<u32>, fix: FlowIndex) {
+    for g in 0..GATES {
+        assert!(table.binding_mut(fix, g).is_none(), "gate {g} bound");
+        let r = table.record(fix).expect("a live record");
+        assert_eq!((r.instance(g), r.filter(g)), (None, None), "gate {g}");
+    }
+}
+
 /// One packet of flow `k`: table and model must agree on what it found,
 /// slot for slot and victim for victim.
 fn packet(table: &mut FlowTable<u32>, model: &mut Model, k: u16) {
@@ -173,11 +238,13 @@ fn packet(table: &mut FlowTable<u32>, model: &mut Model, k: u16) {
             fix.0
         );
         model.fill(fix.0 as usize, k);
+        assert_blank(table, fix);
     } else if let Some(slot) = model.reclaim() {
-        let victim = model.slots[slot].expect("victim is live").key;
-        let expected = Arrival::New(FlowIndex(slot as u32), Some(key(victim)));
+        let fix = FlowIndex(slot as u32);
+        let expected = Arrival::New(fix, Some(model.take(slot)));
         assert_eq!(got, expected, "victim for {k}");
         model.fill(slot, k);
+        assert_blank(table, fix);
     } else {
         assert_eq!(got, Arrival::Denied, "admission for {k}");
     }
@@ -195,16 +262,52 @@ enum Op {
     AllEstablished,
     Remove(u16),
     Advance(u32),
+    /// Materialise a gate's soft-state column (`Aiu::install_filter`).
+    Enable(usize),
+    /// The miss path resolving (flow, gate) to (instance, filter).
+    Bind(u16, usize, u32, u64),
+    /// A plugin call at (flow, gate): reads the binding, leaves a token.
+    Soft(u16, usize, u32),
+    Expire,
+    /// Invalidate flows with a source port in `lo..=lo + span`.
+    InvalidateMatching(u16, u16),
+    InvalidateFilter(usize, u64),
+    /// Invalidate flows binding an instance at any gate.
+    InvalidateWhere(u32),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    let bind = || {
+        (any::<u16>(), 0..GATES, 0u32..4, 0u64..4)
+            .prop_map(|(k, g, inst, filter)| Op::Bind(k, g, inst, filter))
+    };
+    let soft = || (any::<u16>(), 0..GATES, any::<u32>()).prop_map(|(k, g, t)| Op::Soft(k, g, t));
+    // Repeats are weights: traffic and bindings outnumber the sweeps, so
+    // the table still spends most of its time at the cap.
     prop_oneof![
+        any::<u16>().prop_map(Op::Classify),
         any::<u16>().prop_map(Op::Classify),
         any::<u16>().prop_map(Op::Established),
         any::<u16>().prop_map(Op::Established),
+        any::<u16>().prop_map(Op::Established),
+        any::<u16>().prop_map(Op::Established),
+        Just(Op::AllEstablished),
         Just(Op::AllEstablished),
         any::<u16>().prop_map(Op::Remove),
+        any::<u16>().prop_map(Op::Remove),
         (1u32..1_500_000).prop_map(Op::Advance),
+        (1u32..1_500_000).prop_map(Op::Advance),
+        bind(),
+        bind(),
+        bind(),
+        soft(),
+        soft(),
+        soft(),
+        (0..GATES).prop_map(Op::Enable),
+        Just(Op::Expire),
+        (0u16..240, 0u16..4).prop_map(|(lo, span)| Op::InvalidateMatching(lo, span)),
+        (0..GATES, 0u64..4).prop_map(|(g, filter)| Op::InvalidateFilter(g, filter)),
+        (0u32..4).prop_map(Op::InvalidateWhere),
     ]
 }
 
@@ -231,11 +334,12 @@ proptest! {
             max_buckets: 0,
             initial_records: 2,
             max_records: max,
-            gates: 1,
+            gates: GATES,
             max_idle_ns,
             lru_evict,
         });
         let mut model = Model::new(max, max_idle_ns, lru_evict);
+        const IDLE_NS: u64 = 1_000_000;
 
         for op in ops {
             match op {
@@ -249,9 +353,9 @@ proptest! {
                 Op::Remove(k) => {
                     let k = k % keys;
                     if let Some(slot) = model.slot_of(k) {
-                        let ev = table.remove(FlowIndex(slot as u32));
-                        prop_assert_eq!(ev.map(|e| e.key), Some(key(k)), "remove live {}", k);
-                        model.slots[slot] = None;
+                        let mut ev = table.remove(FlowIndex(slot as u32));
+                        let expected = Some(model.take(slot));
+                        prop_assert_eq!(ev.as_mut().map(gone), expected, "remove live {}", k);
                     } else if let Some(free) = model.slots.iter().position(Option::is_none) {
                         // Stale FIX: removing a free slot is a no-op.
                         prop_assert!(table.remove(FlowIndex(free as u32)).is_none());
@@ -260,6 +364,52 @@ proptest! {
                 Op::Advance(dt) => {
                     model.now += u64::from(dt);
                     table.set_now(model.now);
+                }
+                Op::Enable(g) => table.enable_gate(g),
+                Op::Bind(k, g, inst, filter) => {
+                    if let Some(slot) = model.slot_of(k % keys) {
+                        table.bind(FlowIndex(slot as u32), g, inst, FilterId(filter));
+                        let b = &mut model.slots[slot].as_mut().unwrap().gates[g];
+                        // A rebind keeps the gate's soft state.
+                        (b.0, b.1) = (Some(inst), Some(FilterId(filter)));
+                    }
+                }
+                Op::Soft(k, g, token) => {
+                    if let Some(slot) = model.slot_of(k % keys) {
+                        let (inst, filter, soft) = &mut model.slots[slot].as_mut().unwrap().gates[g];
+                        let got = table.binding_mut(FlowIndex(slot as u32), g);
+                        prop_assert_eq!(got.is_some(), inst.is_some(), "bound at {}", g);
+                        if let Some((i, f, s)) = got {
+                            let held = s.as_ref().map(|s| *s.downcast_ref::<u32>().unwrap());
+                            prop_assert_eq!((Some(*i), f, held), (*inst, *filter, *soft));
+                            *s = Some(Box::new(token));
+                            *soft = Some(token);
+                        }
+                    }
+                }
+                Op::Expire => {
+                    let mut out = Vec::new();
+                    table.expire_idle_into(IDLE_NS, &mut out);
+                    let cutoff = model.now.saturating_sub(IDLE_NS);
+                    prop_assert_eq!(gones(out), model.sweep(|s| s.last_used < cutoff));
+                }
+                Op::InvalidateMatching(lo, span) => {
+                    let spec = FilterSpec {
+                        sport: PortMatch::Range(1000 + lo, 1000 + lo + span),
+                        ..FilterSpec::any()
+                    };
+                    let got = table.invalidate_matching(&spec);
+                    prop_assert_eq!(gones(got), model.sweep(|s| (lo..=lo + span).contains(&s.key)));
+                }
+                Op::InvalidateFilter(g, filter) => {
+                    let got = table.invalidate_filter(g, FilterId(filter));
+                    let want = model.sweep(|s| s.gates[g].1 == Some(FilterId(filter)));
+                    prop_assert_eq!(gones(got), want);
+                }
+                Op::InvalidateWhere(inst) => {
+                    let got = table.invalidate_where(|r| r.instances().any(|v| *v == inst));
+                    let want = model.sweep(|s| s.gates.iter().any(|b| b.0 == Some(inst)));
+                    prop_assert_eq!(gones(got), want);
                 }
             }
             prop_assert_eq!(table.live(), model.live());
@@ -347,7 +497,7 @@ proptest! {
                             // Inline idle reclaim at the cap: the victim
                             // must have been idle for the full window.
                             evicted += 1;
-                            let t = last_touch.remove(&ev).expect("evicted flow was tracked");
+                            let t = last_touch.remove(&ev.key).expect("evicted flow was tracked");
                             prop_assert!(
                                 now.saturating_sub(t) > IDLE_NS,
                                 "inline reclaim took a flow touched {}ns ago",
