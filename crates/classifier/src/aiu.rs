@@ -150,6 +150,15 @@ impl<V: Clone> Aiu<V> {
         &self.filter_tables[gate]
     }
 
+    /// [`classify_with`](Self::classify_with) and no hook.
+    #[inline]
+    pub fn classify(
+        &mut self,
+        tuple: &FlowTuple,
+    ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
+        self.classify_with(tuple, |_| {})
+    }
+
     /// Classify a packet: the paper's first-gate logic. On a miss, runs
     /// the filter lookup of **every gate that has filters** and fills one
     /// flow record ("the processing of the first packet of a new flow
@@ -157,11 +166,14 @@ impl<V: Clone> Aiu<V> {
     /// entry"). Any recycled flow's bindings are lent out for eviction
     /// callbacks ([`crate::flow_table::GateArray::drain`]); what the
     /// caller leaves in them is dropped by the next classification that
-    /// recycles.
+    /// recycles. `on_new` runs exactly once when the flow gets a fresh
+    /// record, **before** those lookups, and never on a hit or a denial:
+    /// it is where the router starts the route lookup's memory load.
     #[inline]
-    pub fn classify(
+    pub fn classify_with(
         &mut self,
         tuple: &FlowTuple,
+        on_new: impl FnOnce(&FlowTuple),
     ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
         // One hash per packet, on the admission-denied flood path too.
         let hash = crate::flow_table::flow_hash(tuple);
@@ -172,6 +184,7 @@ impl<V: Clone> Aiu<V> {
             Admit::Hit(fix) => (ClassifyOutcome::CacheHit(fix), None),
             Admit::Denied => (ClassifyOutcome::Denied, None),
             Admit::New { fix, recycled } => {
+                on_new(tuple);
                 for (gate, table) in self.filter_tables.iter().enumerate() {
                     if table.is_empty() {
                         continue;
@@ -186,18 +199,29 @@ impl<V: Clone> Aiu<V> {
         }
     }
 
-    /// Classify an mbuf, extracting its tuple and caching the FIX into the
-    /// mbuf (what the first gate's macro does in the paper). A denied
-    /// packet is marked so later gates skip reclassification — without
-    /// the mark, every gate of a denied packet would re-run the n filter
-    /// lookups, turning admission control into an amplifier.
+    /// [`classify_mbuf_with`](Self::classify_mbuf_with) and no hook.
     #[inline]
     pub fn classify_mbuf(
         &mut self,
         mbuf: &mut Mbuf,
     ) -> Result<(ClassifyOutcome, Option<&mut EvictedFlow<V>>), rp_packet::Error> {
+        self.classify_mbuf_with(mbuf, |_| {})
+    }
+
+    /// Classify an mbuf, extracting its tuple and caching the FIX into the
+    /// mbuf (what the first gate's macro does in the paper). A denied
+    /// packet is marked so later gates skip reclassification — without
+    /// the mark, every gate of a denied packet would re-run the n filter
+    /// lookups, turning admission control into an amplifier. `on_new` as
+    /// in [`classify_with`](Self::classify_with).
+    #[inline]
+    pub fn classify_mbuf_with(
+        &mut self,
+        mbuf: &mut Mbuf,
+        on_new: impl FnOnce(&FlowTuple),
+    ) -> Result<(ClassifyOutcome, Option<&mut EvictedFlow<V>>), rp_packet::Error> {
         let tuple = FlowTuple::from_mbuf(mbuf)?;
-        let (outcome, evicted) = self.classify(&tuple);
+        let (outcome, evicted) = self.classify_with(&tuple, on_new);
         mbuf.fix = outcome.fix();
         if matches!(outcome, ClassifyOutcome::Denied) {
             mbuf.class_denied = true;
@@ -338,6 +362,69 @@ mod tests {
             after_miss,
             "cached path must not touch filter tables"
         );
+    }
+
+    /// `on_new` fires once per new record and on nothing else, with the
+    /// packet's own tuple.
+    #[test]
+    fn on_new_runs_once_per_miss_and_never_on_a_hit_or_a_denial() {
+        // Admission control as in `flow_table::tests::defended`: a table
+        // full of busy flows denies the next one.
+        let mut aiu: Aiu<&str> = Aiu::new(AiuConfig {
+            gates: 3,
+            flow_table: FlowTableConfig {
+                gates: 3,
+                buckets: 64,
+                max_buckets: 0,
+                initial_records: 4,
+                max_records: 8,
+                max_idle_ns: 1_000_000,
+                lru_evict: false,
+            },
+            bmp: BmpKind::Bspl,
+        });
+        aiu.install_filter(0, FilterSpec::any(), "p").unwrap();
+        let mut seen = Vec::new();
+        for i in 0..8 {
+            let (o, _) = aiu.classify_with(&tuple(i), |t| seen.push(*t));
+            assert!(matches!(o, ClassifyOutcome::CacheMiss(_)));
+            let (o, _) = aiu.classify_with(&tuple(i), |t| seen.push(*t));
+            assert!(matches!(o, ClassifyOutcome::CacheHit(_)));
+        }
+        assert_eq!(seen, (0..8).map(tuple).collect::<Vec<_>>());
+        let (o, _) = aiu.classify_with(&tuple(100), |t| seen.push(*t));
+        assert_eq!(o, ClassifyOutcome::Denied);
+        assert_eq!(seen.len(), 8, "a denied flow gets no record and no hook");
+        // The mbuf entry hands the same hook the tuple it extracted.
+        let mut aiu = aiu3();
+        let mut m = Mbuf::new(
+            rp_packet::builder::PacketSpec::udp(tuple(1).src, tuple(1).dst, 7, 9, 8).build(),
+            0,
+        );
+        let want = FlowTuple::from_mbuf(&m).unwrap();
+        let mut seen = Vec::new();
+        aiu.classify_mbuf_with(&mut m, |t| seen.push(*t)).unwrap();
+        aiu.classify_mbuf_with(&mut m, |t| seen.push(*t)).unwrap();
+        assert_eq!(seen, [want]);
+    }
+
+    /// The hook runs before any filter table is touched — that is what
+    /// lets the walks hide whatever it starts. A hook that unwinds stops
+    /// the classification where the hook stood: no DAG edge was followed.
+    #[test]
+    fn on_new_runs_before_the_filter_table_walks() {
+        let mut aiu = aiu3();
+        for gate in 0..3 {
+            aiu.install_filter(gate, FilterSpec::any(), "p").unwrap();
+        }
+        let before = aiu.filter_stats().dag_edges;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            aiu.classify_with(&tuple(1), |_| std::panic::resume_unwind(Box::new(())));
+        }));
+        assert!(unwound.is_err(), "the hook ran");
+        assert_eq!(aiu.filter_stats().dag_edges, before);
+        aiu.classify(&tuple(2));
+        assert_eq!(aiu.filter_stats().dag_edges, before + 18, "then the walks");
     }
 
     #[test]

@@ -473,23 +473,28 @@ impl<V> FlowTable<V> {
     /// Find a live record for `key` without touching stats or timers.
     /// Probes the current chain, then (during a resize) the old one.
     fn find(&self, key: &FlowTuple, hash: u32) -> Option<u32> {
-        let mut cur = self.buckets[(hash as usize) & (self.buckets.len() - 1)];
+        let found = Self::chain_find(&self.buckets, &self.records, key, hash);
+        if found.is_none() && !self.old_buckets.is_empty() {
+            return Self::chain_find(&self.old_buckets, &self.records, key, hash);
+        }
+        found
+    }
+
+    /// Walk the chain `hash` selects in `heads` for `key` — every packet's probe, so never a call.
+    #[inline(always)]
+    fn chain_find(
+        heads: &[u32],
+        records: &[FlowRecord<V>],
+        key: &FlowTuple,
+        hash: u32,
+    ) -> Option<u32> {
+        let mut cur = heads[(hash as usize) & (heads.len() - 1)];
         while cur != EMPTY {
-            let r = &self.records[cur as usize];
+            let r = &records[cur as usize];
             if r.key == *key {
                 return Some(cur);
             }
             cur = r.next;
-        }
-        if !self.old_buckets.is_empty() {
-            let mut cur = self.old_buckets[(hash as usize) & (self.old_buckets.len() - 1)];
-            while cur != EMPTY {
-                let r = &self.records[cur as usize];
-                if r.key == *key {
-                    return Some(cur);
-                }
-                cur = r.next;
-            }
         }
         None
     }

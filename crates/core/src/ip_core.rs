@@ -397,6 +397,13 @@ impl RoutingTable {
         }
     }
 
+    /// Hint a coming lookup of `addr` ([`Dir24Table::prefetch`]): IPv4 on a compiled FIB only.
+    pub fn prefetch(&self, addr: IpAddr) {
+        if let IpAddr::V4(a) = addr {
+            self.v4.prefetch(u32::from(a));
+        }
+    }
+
     /// Longest-prefix-match lookup through the hot-prefix cache. Positive
     /// answers are cached (2-way set-associative, LRU-of-two evicted);
     /// negative answers

@@ -461,7 +461,10 @@ impl Router {
     /// (unparsable headers): it must take the malformed drop path, not
     /// silently skip the gate.
     fn classify(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<(), DropReason> {
-        let Ok((outcome, evicted)) = self.aiu.classify_mbuf(mbuf) else {
+        // A new flow's destination is almost always a cold FIB slot: start
+        // that load now and let the filter-table walks hide it.
+        let hint = |t: &rp_packet::FlowTuple| self.routes.prefetch(t.dst);
+        let Ok((outcome, evicted)) = self.aiu.classify_mbuf_with(mbuf, hint) else {
             return Err(DropReason::Malformed);
         };
         let gi = gate.index();
@@ -805,6 +808,7 @@ impl Router {
             let rx = mbuf.rx_if;
             let fix = mbuf.fix;
             let denied = mbuf.class_denied;
+            let (timestamp_ns, ingress_ns) = (mbuf.timestamp_ns, mbuf.ingress_ns());
             // The oversized original's buffer feeds the next acquisition.
             self.pool.recycle(mbuf);
             let mut last = Disposition::Forwarded(tx_if);
@@ -812,6 +816,10 @@ impl Router {
                 let mut fm = Mbuf::new(frag, rx);
                 fm.fix = fix;
                 fm.class_denied = denied;
+                fm.timestamp_ns = timestamp_ns;
+                if let Some(wall_ns) = ingress_ns {
+                    fm.stamp_ingress(wall_ns);
+                }
                 fm.tx_if = Some(tx_if);
                 last = self.dispatch_egress(fm, tx_if);
             }
@@ -908,9 +916,9 @@ impl Router {
         };
         let Some(addr) = ifc.addr else { return };
         if let Some(reply) = crate::ip_core::build_time_exceeded(addr, original.data()) {
-            self.interfaces[rx]
-                .tx_log
-                .push(Mbuf::new(reply, original.rx_if));
+            let mut reply = Mbuf::new(reply, original.rx_if);
+            reply.timestamp_ns = original.timestamp_ns;
+            self.interfaces[rx].tx_log.push(reply);
         }
     }
 

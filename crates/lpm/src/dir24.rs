@@ -204,6 +204,22 @@ impl<V: Clone + Eq + Hash> Fib<V> {
     }
 }
 
+/// Start loading `r`'s cache line without waiting for it: a prefetch
+/// retires at once, where a demand load of a cold line stalls retirement
+/// once the reorder window fills (measured: it keeps a third of the gain).
+#[allow(unsafe_code)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+#[inline(always)]
+fn prefetch_read<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: x86_64 always has SSE; the instruction is a hint that reads and
+    // writes nothing and faults on no address — and this one is a live `&T`.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(r as *const T as *const i8);
+    }
+}
+
 /// IPv4 longest-prefix match: a PATRICIA RIB, and once
 /// [`compile`](Dir24Table::compile)d a DIR-24-8 FIB kept exact under every
 /// later update.
@@ -281,6 +297,15 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
         match &self.fib {
             Some(fib) => fib.lookup(addr),
             None => self.rib.lookup(addr).map(|(v, _)| v),
+        }
+    }
+
+    /// Hint that a [`lookup`](Self::lookup) of `addr` is coming: start loading
+    /// its first-level slot so work in between hides the miss. No-op if uncompiled.
+    #[inline]
+    pub fn prefetch(&self, addr: u32) {
+        if let Some(fib) = &self.fib {
+            prefetch_read(&fib.tbl24[(addr >> 8) as usize]);
         }
     }
 
@@ -530,6 +555,32 @@ mod tests {
         assert!(t.stats().compiled);
         assert_eq!(t.lookup(77 << 8), Some(&77));
         assert_eq!(t.lookup(0), None);
+    }
+
+    #[test]
+    fn prefetch_is_a_hint_on_every_kind_of_table() {
+        // Both ends of the address space and both sides of a /25 boundary.
+        const ADDRS: [u32; 4] = [0, u32::MAX, 0x0A0A_0A7F, 0x0A0A_0A80];
+        let hint = |t: &Dir24Table<u32>| ADDRS.iter().for_each(|&a| t.prefetch(a));
+        let mut t: Dir24Table<u32> = Dir24Table::new();
+        hint(&t); // empty
+        t.insert(p(0x0A00_0000, 8), 8);
+        t.insert(p(0x0A0A_0A80, 25), 25);
+        hint(&t); // uncompiled: the trie has no slot to hint
+        let answers = |t: &Dir24Table<u32>| ADDRS.map(|a| t.lookup(a).copied());
+        let want = [None, None, Some(8), Some(25)];
+        assert_eq!(answers(&t), want);
+        t.compile();
+        hint(&t); // compiled, the /25 in a second-level group
+        assert_eq!(answers(&t), want);
+        // Exhaust the next-hop codes so the table recompiles itself.
+        for v in 0..40_000u32 {
+            t.insert(p(0xC000_0000, 24), 1_000_000 + v);
+            t.prefetch(0xC000_0000 | v);
+        }
+        assert!(t.stats().compiled);
+        hint(&t);
+        assert_eq!(answers(&t), want);
     }
 
     #[test]

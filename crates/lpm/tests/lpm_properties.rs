@@ -41,6 +41,9 @@ impl Reference {
 enum Op {
     Insert(u32, u8, u32),
     Remove(u32, u8),
+    /// A `Dir24Table::prefetch`, anywhere in the address space: a hint, so
+    /// no answer may depend on whether, when or where it was given.
+    Prefetch(u32),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -54,6 +57,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (addr.clone(), len(), 0u32..6).prop_map(|(a, l, v)| Op::Insert(a, l, v)),
         (addr, len()).prop_map(|(a, l)| Op::Remove(a, l)),
+        any::<u32>().prop_map(Op::Prefetch),
     ]
 }
 
@@ -89,6 +93,7 @@ proptest! {
                     bspl.remove(p);
                     dir.remove(p);
                 }
+                Op::Prefetch(a) => dir.prefetch(a),
             }
         }
         let mut recompiled = Dir24Table::new();
@@ -105,6 +110,8 @@ proptest! {
         let probes: Vec<u32> = probes.iter().map(|a| 0x0A00_0000 | a).chain(edges).collect();
         for addr in probes {
             let want = reference.lookup(addr);
+            dir.prefetch(addr);
+            recompiled.prefetch(!addr);
             prop_assert_eq!(pat.lookup(addr).map(|(v, l)| (*v, l)), want, "patricia @ {:08x}", addr);
             prop_assert_eq!(bspl.lookup(addr).map(|(v, l)| (*v, l)), want, "bspl @ {:08x}", addr);
             let value = want.map(|(v, _)| v);

@@ -190,6 +190,7 @@ fn consumed_packets_preserve_bytes_through_scheduler() {
 fn ttl_expiry_generates_icmp_time_exceeded() {
     let mut r = router("");
     r.set_interface_addr(0, v6_host(254).to_owned());
+    r.set_time_ns(5_000_000_000);
     let mut spec = PacketSpec::udp(v6_host(1), v6_host(9), 5, 6, 32);
     spec.ttl = 1;
     assert!(matches!(
@@ -202,6 +203,9 @@ fn ttl_expiry_generates_icmp_time_exceeded() {
     let pkt = Ipv6Packet::new_checked(replies[0].data()).unwrap();
     assert_eq!(pkt.next_header(), Protocol::Icmpv6);
     assert_eq!(pkt.dst_addr().segments()[7], 1);
+    // It carries the arrival time of the packet that caused it, not 1970
+    // (an egress capture writes this stamp).
+    assert_eq!(replies[0].timestamp_ns, 5_000_000_000);
     // Without an interface address, no ICMP is generated.
     let mut r2 = router("");
     let mut spec = PacketSpec::udp(v6_host(1), v6_host(9), 5, 6, 32);
@@ -261,10 +265,17 @@ fn oversized_v4_is_fragmented_at_egress() {
         let mut p = Ipv4Packet::new_unchecked(&mut clear_df[..]);
         p.fill_checksum();
     }
-    let d = r.receive(Mbuf::new(clear_df, 0));
+    r.set_time_ns(5_000_000_000);
+    let mut oversized = Mbuf::new(clear_df, 0);
+    oversized.stamp_ingress(77);
+    let d = r.receive(oversized);
     assert_eq!(d, Disposition::Forwarded(1));
     let frags = r.take_tx(1);
     assert!(frags.len() >= 3, "got {} fragments", frags.len());
+    // Every fragment keeps both of the original's arrival stamps.
+    for f in &frags {
+        assert_eq!((f.timestamp_ns, f.ingress_ns()), (5_000_000_000, Some(77)));
+    }
     // Every fragment fits the MTU, checksums, and offsets chain up.
     let mut reassembled = Vec::new();
     let mut expected_offset = 0usize;

@@ -8,7 +8,7 @@
 //! FIB-cache entry (the hidden-prefix hazard).
 
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 use router_plugins::classifier::flow_table::FlowTableConfig;
@@ -487,12 +487,15 @@ proptest! {
     /// `lookup_cached` (the cache in front of it) and a table that
     /// was never compiled (the trie) give one answer — on the
     /// changed prefix's first and last address, their outside
-    /// neighbours, and random addresses.
+    /// neighbours, and random addresses. `prefetch` hints — at the
+    /// probed address, at arbitrary IPv4 addresses, at an IPv6 one —
+    /// fall between the updates and the lookups and change nothing.
     #[test]
     fn compiled_lookup_matches_trie_and_cache(
         ops in prop::collection::vec(arb_op(), 1..60),
         compile_at in 0usize..30,
         probes in prop::collection::vec(0u32..1 << 18, 8..9),
+        hints in prop::collection::vec(any::<u32>(), 8..9),
     ) {
         let mut fib = RoutingTable::with_cache(16);
         let mut trie = RoutingTable::with_cache(0);
@@ -500,6 +503,8 @@ proptest! {
             if i == compile_at {
                 fib.optimize();
             }
+            fib.prefetch(IpAddr::V4(Ipv4Addr::from(hints[i % hints.len()])));
+            fib.prefetch(IpAddr::V6(Ipv6Addr::LOCALHOST));
             let (bits, len) = match op {
                 Op::Add(bits, len, tx_if) => {
                     let net = IpAddr::V4(Ipv4Addr::from(bits));
@@ -520,6 +525,7 @@ proptest! {
             for addr in edges.into_iter().chain(random) {
                 let a = IpAddr::V4(Ipv4Addr::from(addr));
                 let want = trie.lookup(a);
+                fib.prefetch(a);
                 prop_assert_eq!(fib.lookup(a), want, "fib @ {} after op {}", a, i);
                 prop_assert_eq!(fib.lookup_cached(a), want, "cache @ {} after op {}", a, i);
             }
