@@ -19,7 +19,6 @@ use crate::obs::{MetricsSnapshot, TraceEvent};
 use crate::plugin::{InstanceId, PluginError};
 use crate::router::Router;
 use crate::supervisor::{HealthReport, HealthState};
-use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
 use std::net::IpAddr;
 
@@ -33,26 +32,21 @@ pub struct ShardHealthReport {
     pub report: HealthReport,
 }
 
-/// One row of a `stats` report: a label ("total", "shard 0", …) plus the
-/// data-path and flow-cache counters behind it.
+/// One row of the `stats`, `faults`, `info` and `metrics` reports: a
+/// label ("total", "shard 0", …) plus the registry snapshot behind it.
 #[derive(Debug, Clone)]
-pub struct StatsRow {
+pub struct CounterRow {
     /// Row label.
     pub label: String,
-    /// Data-path counters.
-    pub data: DataPathStats,
-    /// Flow-cache counters.
-    pub flows: FlowTableStats,
+    /// The registry snapshot (flow-table counters in `metrics.flows`).
+    pub metrics: MetricsSnapshot,
 }
 
-/// One row of a `metrics` report: a label ("total", "shard 0", …) plus
-/// the metrics snapshot behind it.
-#[derive(Debug, Clone)]
-pub struct MetricsRow {
-    /// Row label.
-    pub label: String,
-    /// The registry snapshot.
-    pub metrics: MetricsSnapshot,
+impl CounterRow {
+    /// The row's Table 3 counters ([`crate::obs::MetricsRegistry::data_path`]).
+    pub fn data(&self) -> DataPathStats {
+        self.metrics.data_path()
+    }
 }
 
 /// One row of the pmgr `shards` report: a shard worker's supervision
@@ -283,23 +277,6 @@ impl ControlCmd {
     }
 }
 
-/// What a data plane counts outside its routers: the parallel
-/// dispatcher's sheds, device drops and the absorbed history of exited
-/// shard incarnations. All zero on a single router. The "total" rows of
-/// `stats` and `metrics` are these plus every router's own counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LocalTotals {
-    /// Data-path counters.
-    pub data: DataPathStats,
-    /// Flow-cache counters.
-    pub flows: FlowTableStats,
-    /// Metrics registry (including the dispatcher's own mbuf pool).
-    pub metrics: MetricsSnapshot,
-    /// Packets counted forwarded by a router and later refused by an
-    /// egress device; subtracted from the merged `forwarded`.
-    pub device_tx_unforwarded: u64,
-}
-
 /// The control-plane surface `pmgr` (and the daemons) drive, identical
 /// over every data-plane shape. An implementation supplies three things:
 /// how a [`ControlCmd`] reaches its router(s), how a read-only question
@@ -317,9 +294,12 @@ pub trait ControlPlane {
     where
         R: Send + 'static,
         F: Fn(&Router) -> R + Send + Sync + 'static;
-    /// Counters kept outside the routers (see [`LocalTotals`]).
-    fn cp_local_totals(&mut self) -> LocalTotals {
-        LocalTotals::default()
+    /// What the plane counts outside its routers: the parallel
+    /// dispatcher's sheds, device drops, its own mbuf pool and the
+    /// absorbed history of exited shard incarnations. Empty on a single
+    /// router. The "total" row is this plus every router's snapshot.
+    fn cp_local_totals(&mut self) -> MetricsSnapshot {
+        MetricsSnapshot::default()
     }
 
     /// `modload <name>`.
@@ -416,44 +396,23 @@ pub trait ControlPlane {
             .map(|(shard, event)| ShardTraceEvent { shard, event })
             .collect()
     }
-    /// Statistics rows: the merged total first, then one row per shard
-    /// (a shard that could not answer keeps its row, labelled so, with
-    /// zero counters).
-    fn cp_stats_rows(&mut self) -> Vec<StatsRow> {
-        let local = self.cp_local_totals();
-        let mut total = StatsRow {
+    /// Counter rows: the merged total first, then one row per shard (a
+    /// shard that could not answer keeps its row, labelled so, with zero
+    /// counters). The one fan-out behind `stats`, `faults`, `info` and
+    /// `metrics`, and the one merge: [`MetricsRegistry::absorb`].
+    ///
+    /// [`MetricsRegistry::absorb`]: crate::obs::MetricsRegistry::absorb
+    fn cp_counter_rows(&mut self) -> Vec<CounterRow> {
+        let mut total = CounterRow {
             label: "total".to_string(),
-            data: local.data,
-            flows: local.flows,
-        };
-        let mut rows = Vec::new();
-        for (shard, answer) in self.cp_query(|r| (r.stats(), r.flow_stats())) {
-            let label = shard.map(|i| row_label(i, &answer));
-            let (data, flows) = answer.ok().unwrap_or_default();
-            total.data.absorb(&data);
-            total.flows.absorb(&flows);
-            rows.extend(label.map(|label| StatsRow { label, data, flows }));
-        }
-        total.data.forwarded = total
-            .data
-            .forwarded
-            .saturating_sub(local.device_tx_unforwarded);
-        rows.insert(0, total);
-        rows
-    }
-    /// Metrics rows: the merged registry snapshot first, then one row per
-    /// shard.
-    fn cp_metrics_rows(&mut self) -> Vec<MetricsRow> {
-        let mut total = MetricsRow {
-            label: "total".to_string(),
-            metrics: self.cp_local_totals().metrics,
+            metrics: self.cp_local_totals(),
         };
         let mut rows = Vec::new();
         for (shard, answer) in self.cp_query(|r| r.metrics_snapshot()) {
             let label = shard.map(|i| row_label(i, &answer));
             let metrics = answer.ok().unwrap_or_default();
             total.metrics.absorb(&metrics);
-            rows.extend(label.map(|label| MetricsRow { label, metrics }));
+            rows.extend(label.map(|label| CounterRow { label, metrics }));
         }
         rows.insert(0, total);
         rows

@@ -65,8 +65,8 @@ pub mod journal;
 pub mod shard;
 
 pub use control::{
-    ControlCmd, ControlPlane, LocalTotals, MetricsRow, ShardAnswer, ShardHealthReport, ShardStatus,
-    ShardTraceEvent, StatsRow,
+    ControlCmd, ControlPlane, CounterRow, ShardAnswer, ShardHealthReport, ShardStatus,
+    ShardTraceEvent,
 };
 pub use dispatch::{shard_for_packet, shard_for_tuple};
 pub use journal::CommandJournal;
@@ -75,7 +75,7 @@ pub use shard::{ShardCtx, ShardMsg, ShardReport};
 use crate::ip_core::{DataPathStats, DropReason};
 use crate::loader::PluginLoader;
 use crate::message::PluginReply;
-use crate::obs::{drop_reason_index, MetricsRegistry, MetricsSnapshot};
+use crate::obs::{drop_reason_index, MetricsRegistry, MetricsSnapshot, MAX_INTERFACES};
 use crate::plugin::PluginError;
 use crate::router::{Router, RouterConfig};
 use crate::supervisor::{duration_ns, Backoff, HealthState};
@@ -246,17 +246,10 @@ pub struct ParallelRouter {
     pool: MbufPool,
     /// Per-interface egress buckets, filled from the collector.
     pending: Vec<Vec<Mbuf>>,
-    /// Dispatcher-side counters: sheds, plus the absorbed history of
-    /// exited shard incarnations (their final reports), so restarting a
-    /// shard never erases its packets from the merged totals.
-    local_stats: DataPathStats,
-    local_flows: FlowTableStats,
+    /// Dispatcher-side counters: sheds, device drops, plus the absorbed
+    /// history of exited shard incarnations (their final snapshots), so
+    /// restarting a shard never erases its packets from the merged totals.
     local_metrics: MetricsRegistry,
-    /// Forwarded packets later refused by an egress device
-    /// ([`note_device_tx_drops`](ParallelRouter::note_device_tx_drops)).
-    /// Shard counters are absorbed read-only, so this correction is
-    /// subtracted from the merged `forwarded` at read time.
-    device_tx_unforwarded: u64,
     watchdog_tick: u64,
 }
 
@@ -290,10 +283,7 @@ impl ParallelRouter {
             group_scratch: (0..shards).map(|_| Vec::new()).collect(),
             pool: MbufPool::default(),
             pending: (0..interfaces).map(|_| Vec::new()).collect(),
-            local_stats: DataPathStats::default(),
-            local_flows: FlowTableStats::default(),
             local_metrics: MetricsRegistry::default(),
-            device_tx_unforwarded: 0,
             watchdog_tick: 0,
             cfg,
         };
@@ -390,41 +380,32 @@ impl ParallelRouter {
 
     // ---- supervision machinery ------------------------------------
 
-    /// Fold an exited incarnation's final report into the dispatcher's
+    /// Fold an exited incarnation's final snapshot into the dispatcher's
     /// retained history, re-accounting every packet that entered the
     /// shard but never reached the wire as a `ShardDown` drop:
     /// `lost_queue` (dispatched, never processed) and `stranded`
     /// (counted forwarded into a scheduler queue that died with the
     /// worker).
     fn absorb_final(&mut self, shard: usize, sent: u64, f: ShardFinal) {
-        let lost_queue = sent.saturating_sub(f.report.data.received);
-        self.local_stats.absorb(&f.report.data);
-        // Like the queue gauges below: the dead incarnation's flow-table
-        // occupancy gauges (live/allocated) describe records that died
-        // with the worker. Only its counters carry forward, so the merged
-        // occupancy always reflects tables that actually exist.
-        let mut flows = f.report.flows;
-        flows.live = 0;
-        flows.allocated = 0;
-        self.local_flows.absorb(&flows);
-        let mut metrics = f.metrics;
-        // The dead incarnation's queue-depth gauges describe queues that
-        // no longer exist; their content is re-accounted as stranded.
-        for d in metrics.queue_depth.iter_mut() {
-            *d = 0;
-        }
-        // Likewise its FIB gauges: that table was freed with the worker.
-        metrics.fib_compiled = 0;
-        metrics.fib_tbl8_groups = 0;
-        metrics.fib_next_hops = 0;
-        metrics.fib_mem_bytes = 0;
-        metrics.fib_repaints = 0;
-        self.local_metrics.absorb(&metrics);
+        let mut m = f.metrics;
+        let lost_queue = sent.saturating_sub(m.received);
         let lost = lost_queue + f.stranded;
-        self.local_stats.forwarded = self.local_stats.forwarded.saturating_sub(f.stranded);
-        self.local_stats.received += lost_queue;
-        self.local_stats.dropped_shard_down += lost;
-        self.local_metrics.drops[drop_reason_index(DropReason::ShardDown)] += lost;
+        // Only the counters carry forward: the gauges describe queues, a
+        // flow table and a FIB that died with the worker (the queues'
+        // content is re-accounted as stranded), so the merged gauges
+        // always reflect state that actually exists.
+        m.queue_depth = [0; MAX_INTERFACES];
+        m.flows.live = 0;
+        m.flows.allocated = 0;
+        m.fib_compiled = 0;
+        m.fib_tbl8_groups = 0;
+        m.fib_next_hops = 0;
+        m.fib_mem_bytes = 0;
+        m.fib_repaints = 0;
+        m.received += lost_queue;
+        m.forwarded = m.forwarded.saturating_sub(f.stranded);
+        m.drops[drop_reason_index(DropReason::ShardDown)] += lost;
+        self.local_metrics.absorb(&m);
         if let Some(slot) = self.slots.get_mut(shard) {
             slot.shed_down += lost;
         }
@@ -579,18 +560,12 @@ impl ParallelRouter {
     /// here, so the dispatcher also counts them received — the merged
     /// `received == forwarded + dropped + in-flight` invariant holds).
     fn shed_n(&mut self, shard: usize, reason: DropReason, n: u64) {
-        self.local_stats.received += n;
-        match reason {
-            DropReason::ShardOverload => {
-                self.local_stats.dropped_shard_overload += n;
-                self.slots[shard].shed_overload += n;
-            }
-            _ => {
-                self.local_stats.dropped_shard_down += n;
-                self.slots[shard].shed_down += n;
-            }
-        }
+        self.local_metrics.received += n;
         self.local_metrics.drops[drop_reason_index(reason)] += n;
+        match reason {
+            DropReason::ShardOverload => self.slots[shard].shed_overload += n,
+            _ => self.slots[shard].shed_down += n,
+        }
     }
 
     /// Put one message — packets or control — on shard `s`'s FIFO; the
@@ -871,18 +846,15 @@ impl ParallelRouter {
     /// dropped in the same breath, so the merged
     /// `received == forwarded + Σdrops` invariant extends to the wire.
     pub fn note_device_rx_drops(&mut self, n: u64) {
-        self.local_stats.received += n;
-        self.local_stats.dropped_device_rx += n;
+        self.local_metrics.received += n;
         self.local_metrics.drops[drop_reason_index(DropReason::DeviceRx)] += n;
     }
 
     /// Re-account `n` already-forwarded packets whose egress device
-    /// refused to transmit them (same re-accounting the shard harvest
-    /// does for stranded backlogs): they leave the merged `forwarded`
-    /// total and land in the device-tx drop counter.
+    /// refused to transmit them: they land in the device-tx drop slot,
+    /// which the [`stats`](ParallelRouter::stats) view takes back out of
+    /// the merged `forwarded`.
     pub fn note_device_tx_drops(&mut self, n: u64) {
-        self.device_tx_unforwarded += n;
-        self.local_stats.dropped_device_tx += n;
         self.local_metrics.drops[drop_reason_index(DropReason::DeviceTx)] += n;
     }
 
@@ -984,39 +956,26 @@ impl ParallelRouter {
             .sum()
     }
 
-    /// Merged data-path counters: all live shards, plus the dispatcher's
-    /// own accounting (sheds and the retained history of exited
-    /// incarnations).
+    /// Merged data-path counters: the view of the
+    /// [`metrics_snapshot`](ParallelRouter::metrics_snapshot) total.
     pub fn stats(&mut self) -> DataPathStats {
-        let mut total = self.local_stats;
-        for s in self.control_map(|ctx| ctx.router.stats()) {
-            total.absorb(&s);
-        }
-        total.forwarded = total.forwarded.saturating_sub(self.device_tx_unforwarded);
-        total
+        self.metrics_snapshot().data_path()
     }
 
     /// Merged flow-cache counters across all shards (live + retired).
     pub fn flow_stats(&mut self) -> FlowTableStats {
-        let mut total = self.local_flows;
-        for s in self.control_map(|ctx| ctx.router.flow_stats()) {
-            total.absorb(&s);
-        }
-        total
+        self.metrics_snapshot().flows
     }
 
     /// Merged metrics registry across all shards (live + retired + the
-    /// dispatcher's shed counters).
+    /// dispatcher's own counters): the total row of
+    /// [`cp_counter_rows`](ControlPlane::cp_counter_rows).
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        let mut total = self.cp_local_totals().metrics;
-        for s in self.control_map(|ctx| ctx.router.metrics_snapshot()) {
-            total.absorb(&s);
-        }
-        total
+        self.cp_counter_rows().swap_remove(0).metrics
     }
 
-    /// Per-shard statistics snapshots (packets, busy time, counters)
-    /// from the shards that answered.
+    /// Per-shard work snapshots (packets, busy and CPU time) from the
+    /// shards that answered.
     pub fn shard_reports(&mut self) -> Vec<ShardReport> {
         self.control_map(|ctx| ctx.report())
     }
@@ -1081,7 +1040,7 @@ impl ControlPlane for ParallelRouter {
             .map(|(shard, answer)| (Some(shard), answer))
             .collect()
     }
-    fn cp_local_totals(&mut self) -> LocalTotals {
+    fn cp_local_totals(&mut self) -> MetricsSnapshot {
         let mut metrics = self.local_metrics;
         // The dispatcher's own pool traffic (shard pools arrive through
         // the per-shard snapshots).
@@ -1089,12 +1048,7 @@ impl ControlPlane for ParallelRouter {
         metrics.mbuf_acquired += p.acquired;
         metrics.mbuf_recycled += p.recycled;
         metrics.mbuf_fresh += p.fresh;
-        LocalTotals {
-            data: self.local_stats,
-            flows: self.local_flows,
-            metrics,
-            device_tx_unforwarded: self.device_tx_unforwarded,
-        }
+        metrics
     }
     fn cp_shard_status(&mut self) -> Vec<ShardStatus> {
         self.poll_shard_health();

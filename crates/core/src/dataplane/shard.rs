@@ -14,12 +14,10 @@
 //! final [`ShardFinal`] accounting report so no counter is silently
 //! lost with the thread.
 
-use crate::ip_core::DataPathStats;
 use crate::obs::{MetricsSnapshot, TraceCategory};
 use crate::router::Router;
 use crate::supervisor::run_isolated;
 use crossbeam_channel::{Receiver, Sender, TrySendError};
-use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
 use std::collections::VecDeque;
@@ -200,7 +198,8 @@ impl EgressSink {
     }
 }
 
-/// Per-shard statistics snapshot (pmgr `stats` breakdown, scaling bench).
+/// Per-shard work snapshot (scaling bench). The shard router's counters
+/// are its [`Router::metrics_snapshot`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardReport {
     /// Shard index.
@@ -219,10 +218,6 @@ pub struct ShardReport {
     /// Times the CPU clock read failed; a non-zero count flags that
     /// `cpu_ns` under-reports instead of letting 0 pass silently.
     pub cpu_clock_errors: u64,
-    /// The shard router's data-path counters.
-    pub data: DataPathStats,
-    /// The shard router's flow-cache counters.
-    pub flows: FlowTableStats,
 }
 
 /// The final accounting a shard thread returns on any exit path. The
@@ -230,8 +225,6 @@ pub struct ShardReport {
 /// history survives the restart (soft flow-cache state does not — that
 /// is rebuilt by first-packet classification, as the paper intends).
 pub(crate) struct ShardFinal {
-    /// The closing statistics snapshot.
-    pub(crate) report: ShardReport,
     /// The closing metrics registry.
     pub(crate) metrics: MetricsSnapshot,
     /// Packets the router had counted `forwarded` into scheduler queues
@@ -475,15 +468,7 @@ pub(crate) fn run_shard(
         (m, stranded)
     })
     .unwrap_or((MetricsSnapshot::default(), 0));
-    let report = run_isolated(|| ctx.report()).unwrap_or(ShardReport {
-        shard: ctx.index,
-        packets: ctx.packets,
-        busy_ns: ctx.busy_ns,
-        cpu_clock_errors: ctx.cpu_clock_errors,
-        ..ShardReport::default()
-    });
     ShardFinal {
-        report,
         metrics,
         stranded,
         panic,
@@ -508,8 +493,6 @@ impl ShardCtx {
             busy_ns: self.busy_ns,
             cpu_ns,
             cpu_clock_errors: self.cpu_clock_errors,
-            data: self.router.stats(),
-            flows: self.router.flow_stats(),
         }
     }
 }

@@ -85,7 +85,10 @@ pub enum Disposition {
     Consumed(Gate),
 }
 
-/// Data-path counters (Table 3 instrumentation).
+/// Data-path counters (Table 3 instrumentation). On [`crate::Router`] and
+/// the parallel plane this is a view of the metrics registry
+/// ([`crate::obs::MetricsRegistry::data_path`]), never a second count; the
+/// monolithic reference routers fill their own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataPathStats {
     /// Packets handed to the core.
@@ -141,32 +144,6 @@ pub struct DataPathStats {
 }
 
 impl DataPathStats {
-    /// Fold another data path's counters into this one. A sharded data
-    /// plane runs one `Router` per worker; control-plane reporting sums
-    /// them into the view a single data path would show.
-    pub fn absorb(&mut self, other: &DataPathStats) {
-        self.received += other.received;
-        self.forwarded += other.forwarded;
-        self.dropped_malformed += other.dropped_malformed;
-        self.dropped_ttl += other.dropped_ttl;
-        self.dropped_no_route += other.dropped_no_route;
-        self.dropped_plugin += other.dropped_plugin;
-        self.dropped_queue += other.dropped_queue;
-        self.plugin_calls += other.plugin_calls;
-        self.fragmented += other.fragmented;
-        self.dropped_too_big += other.dropped_too_big;
-        self.plugin_faults += other.plugin_faults;
-        self.dropped_fault += other.dropped_fault;
-        self.dropped_internal += other.dropped_internal;
-        self.dropped_shard_overload += other.dropped_shard_overload;
-        self.dropped_shard_down += other.dropped_shard_down;
-        self.dropped_device_rx += other.dropped_device_rx;
-        self.dropped_device_tx += other.dropped_device_tx;
-        self.dropped_deadline += other.dropped_deadline;
-        self.plugin_quarantines += other.plugin_quarantines;
-        self.plugin_restarts += other.plugin_restarts;
-    }
-
     /// Total drops across every reason counter.
     pub fn dropped_total(&self) -> u64 {
         self.dropped_malformed

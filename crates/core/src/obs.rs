@@ -7,11 +7,14 @@
 //!
 //! * **Fixed storage** — every counter and histogram lives in a fixed
 //!   array inside [`MetricsRegistry`]; the hot path never allocates.
+//! * **One ledger** — a data-path event is counted here and nowhere
+//!   else; [`DataPathStats`] is a view computed from a registry
+//!   ([`MetricsRegistry::data_path`]), not a second set of counters.
 //! * **Shard-private, merge-on-read** — each data-plane shard owns a
 //!   private registry (no sharing, no locks, same discipline as the flow
 //!   table); the control plane merges snapshots with
-//!   [`MetricsRegistry::absorb`], the same pattern as
-//!   `FlowTableStats::absorb`.
+//!   [`MetricsRegistry::absorb`], the one merge on the router side — the
+//!   flow-table counters merge inside it.
 //! * **Sampled latency** — per-gate plugin-invocation latency is measured
 //!   with the OS monotonic clock on every [`LATENCY_SAMPLE`]-th call, so
 //!   the steady-state cost of the clock reads amortizes to well under a
@@ -21,7 +24,8 @@
 //!   enabled; the ring overwrites its oldest entry when full.
 
 use crate::gate::{Gate, ALL_GATES, GATE_COUNT};
-use crate::ip_core::DropReason;
+use crate::ip_core::{DataPathStats, DropReason};
+use rp_classifier::flow_table::FlowTableStats;
 use std::fmt::Write as _;
 
 /// Number of log-2 buckets in a [`Histogram`]. Bucket 0 holds the value
@@ -191,8 +195,25 @@ pub fn drop_reason_label(slot: usize) -> String {
 /// The metrics registry: every data-path counter and histogram, in fixed
 /// storage. One per router; one per shard on the parallel data plane,
 /// merged on read. A snapshot is just a copy.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
+    /// Packets handed to the core, plus packets shed before it (device
+    /// receive drops, dispatcher sheds): everything that must end up
+    /// forwarded or in a drop slot.
+    pub received: u64,
+    /// Packets emitted or queued for egress, including ones an egress
+    /// device later refused ([`MetricsRegistry::data_path`] subtracts
+    /// those).
+    pub forwarded: u64,
+    /// Packets fragmented at egress.
+    pub fragmented: u64,
+    /// Plugin faults observed by the supervisor (panics and packet-budget
+    /// overruns, across all instances).
+    pub plugin_faults: u64,
+    /// Instances moved to quarantine.
+    pub plugin_quarantines: u64,
+    /// Successful supervised instance restarts.
+    pub plugin_restarts: u64,
     /// Plugin invocations per gate.
     pub gate_calls: [u64; GATE_COUNT],
     /// Sampled plugin-invocation latency per gate, in nanoseconds (one
@@ -210,20 +231,10 @@ pub struct MetricsRegistry {
     /// Flow records created with the port-less fragment key (IP fragments
     /// classify on `<src, dst, proto, rx_if>`; counted at flow creation).
     pub fragment_flows: u64,
-    /// Flow-record requests refused by admission control (flow table at
-    /// its cap with every record busy — the thrash-defense path; a gauge
-    /// sampled from the flow table at snapshot time).
-    pub flow_admission_denied: u64,
-    /// Idle flow records reclaimed inline at the allocation cap (gauge
-    /// sampled from the flow table at snapshot time).
-    pub flow_inline_expired: u64,
-    /// Live-but-coldest flow records evicted inline at the allocation cap
-    /// (LRU admission; gauge sampled from the flow table at snapshot
-    /// time).
-    pub flow_evicted_lru: u64,
-    /// Old hash buckets migrated by the flow table's incremental resize
-    /// (gauge sampled from the flow table at snapshot time).
-    pub flow_resize_steps: u64,
+    /// The flow table's own counters and occupancy (gauge sampled at
+    /// snapshot time; rendered as `flow_admission_denied`,
+    /// `flow_inline_expired`, `flow_evicted_lru`, `flow_resize_steps`).
+    pub flows: FlowTableStats,
     /// Route lookups answered by the hot-prefix FIB cache (gauge sampled
     /// from the routing table at snapshot time).
     pub fib_cache_hit: u64,
@@ -300,9 +311,10 @@ impl MetricsRegistry {
         self.drops[drop_reason_index(reason)] += 1;
     }
 
-    /// Count one received packet.
+    /// Count one packet handed to the core, on its interface.
     #[inline]
     pub fn note_rx(&mut self, iface: u32, bytes: usize) {
+        self.received += 1;
         let s = iface_slot(iface);
         self.if_rx_packets[s] += 1;
         self.if_rx_bytes[s] += bytes as u64;
@@ -327,6 +339,12 @@ impl MetricsRegistry {
     /// per-shard registries). Counters and histograms add; the queue-depth
     /// gauge also adds, giving the total backlog across shards.
     pub fn absorb(&mut self, other: &MetricsRegistry) {
+        self.received += other.received;
+        self.forwarded += other.forwarded;
+        self.fragmented += other.fragmented;
+        self.plugin_faults += other.plugin_faults;
+        self.plugin_quarantines += other.plugin_quarantines;
+        self.plugin_restarts += other.plugin_restarts;
         for i in 0..GATE_COUNT {
             self.gate_calls[i] += other.gate_calls[i];
             self.gate_latency[i].absorb(&other.gate_latency[i]);
@@ -336,10 +354,7 @@ impl MetricsRegistry {
         }
         self.flows_expired += other.flows_expired;
         self.fragment_flows += other.fragment_flows;
-        self.flow_admission_denied += other.flow_admission_denied;
-        self.flow_inline_expired += other.flow_inline_expired;
-        self.flow_evicted_lru += other.flow_evicted_lru;
-        self.flow_resize_steps += other.flow_resize_steps;
+        self.flows.absorb(&other.flows);
         self.fib_cache_hit += other.fib_cache_hit;
         self.fib_cache_miss += other.fib_cache_miss;
         self.fib_compiled += other.fib_compiled;
@@ -367,6 +382,37 @@ impl MetricsRegistry {
     /// Total dropped packets across all reasons.
     pub fn dropped_total(&self) -> u64 {
         self.drops.iter().sum()
+    }
+
+    /// The Table 3 counters, read off this registry: every field is one
+    /// counter or a sum of drop slots. A packet an egress device refused
+    /// sits in both `forwarded` and the `DeviceTx` slot here, so the view
+    /// subtracts it from `forwarded` once.
+    pub fn data_path(&self) -> DataPathStats {
+        let slot = |r: DropReason| self.drops[drop_reason_index(r)];
+        let per_gate = |r: fn(Gate) -> DropReason| ALL_GATES.iter().map(|&g| slot(r(g))).sum();
+        DataPathStats {
+            received: self.received,
+            forwarded: self.forwarded.saturating_sub(slot(DropReason::DeviceTx)),
+            dropped_malformed: slot(DropReason::Malformed) + slot(DropReason::BadChecksum),
+            dropped_ttl: slot(DropReason::TtlExpired),
+            dropped_no_route: slot(DropReason::NoRoute),
+            dropped_plugin: per_gate(DropReason::Plugin),
+            dropped_queue: slot(DropReason::QueueFull),
+            plugin_calls: self.gate_calls.iter().sum(),
+            fragmented: self.fragmented,
+            dropped_too_big: slot(DropReason::TooBig),
+            plugin_faults: self.plugin_faults,
+            dropped_fault: per_gate(DropReason::PluginFault),
+            dropped_internal: slot(DropReason::Internal),
+            dropped_shard_overload: slot(DropReason::ShardOverload),
+            dropped_shard_down: slot(DropReason::ShardDown),
+            dropped_device_rx: slot(DropReason::DeviceRx),
+            dropped_device_tx: slot(DropReason::DeviceTx),
+            dropped_deadline: slot(DropReason::DeadlineExceeded),
+            plugin_quarantines: self.plugin_quarantines,
+            plugin_restarts: self.plugin_restarts,
+        }
     }
 
     /// Human-readable multi-line rendering (pmgr `metrics`). Zero-valued
@@ -417,10 +463,10 @@ impl MetricsRegistry {
              evicted_lru={} resize_steps={}; pkt_size mean={:.0}B (n={})",
             self.flows_expired,
             self.fragment_flows,
-            self.flow_admission_denied,
-            self.flow_inline_expired,
-            self.flow_evicted_lru,
-            self.flow_resize_steps,
+            self.flows.denied,
+            self.flows.inline_expired,
+            self.flows.evicted_lru,
+            self.flows.resize_steps,
             self.pkt_size.mean(),
             self.pkt_size.count,
         );
@@ -528,10 +574,10 @@ impl MetricsRegistry {
              \"mbuf_pool\":{{\"acquired\":{},\"recycled\":{},\"fresh\":{}}}}}",
             self.flows_expired,
             self.fragment_flows,
-            self.flow_admission_denied,
-            self.flow_inline_expired,
-            self.flow_evicted_lru,
-            self.flow_resize_steps,
+            self.flows.denied,
+            self.flows.inline_expired,
+            self.flows.evicted_lru,
+            self.flows.resize_steps,
             self.fib_cache_hit,
             self.fib_cache_miss,
             self.fib_compiled,
@@ -775,7 +821,12 @@ mod tests {
         b.mbuf_acquired = 10;
         b.mbuf_recycled = 9;
         b.mbuf_fresh = 1;
+        b.forwarded = 4;
+        b.plugin_restarts = 1;
+        b.flows.denied = 5;
         a.absorb(&b);
+        assert_eq!((a.received, a.forwarded, a.plugin_restarts), (1, 4, 1));
+        assert_eq!(a.flows.denied, 5);
         assert_eq!(a.gate_calls[Gate::Firewall.index()], 2);
         assert_eq!(a.gate_calls[Gate::Scheduling.index()], 1);
         assert_eq!(a.gate_latency[Gate::Firewall.index()].count, 1);
@@ -793,6 +844,38 @@ mod tests {
         assert_eq!(a.queue_depth[1], 3);
         assert_eq!(a.pkt_size.count, 1);
         assert_eq!((a.mbuf_acquired, a.mbuf_recycled, a.mbuf_fresh), (10, 9, 1));
+    }
+
+    #[test]
+    fn data_path_is_a_view_of_the_slots() {
+        let mut m = MetricsRegistry::default();
+        // Eight in: three forwarded (one later refused by the device),
+        // five dropped in the router.
+        for _ in 0..8 {
+            m.note_rx(0, 64);
+        }
+        m.forwarded = 3;
+        m.note_gate_call(Gate::Firewall);
+        m.note_gate_call(Gate::Scheduling);
+        for r in [
+            DropReason::Malformed,
+            DropReason::BadChecksum,
+            DropReason::Plugin(Gate::Firewall),
+            DropReason::Plugin(Gate::Stats),
+            DropReason::PluginFault(Gate::Scheduling),
+            DropReason::DeviceTx,
+        ] {
+            m.note_drop(r);
+        }
+        let d = m.data_path();
+        assert_eq!((d.received, d.forwarded, d.plugin_calls), (8, 2, 2));
+        assert_eq!(
+            (d.dropped_malformed, d.dropped_plugin, d.dropped_fault),
+            (2, 2, 1)
+        );
+        assert_eq!(d.dropped_device_tx, 1);
+        assert_eq!(d.dropped_total(), m.dropped_total());
+        assert_eq!(d.received, d.forwarded + d.dropped_total());
     }
 
     #[test]

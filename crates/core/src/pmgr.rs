@@ -359,8 +359,8 @@ pub fn run_command<C: ControlPlane>(router: &mut C, line: &str) -> Result<String
         }
         "faults" => {
             // Row 0 is always the merged total.
-            let rows = router.cp_stats_rows();
-            let s = rows.first().map(|r| r.data).unwrap_or_default();
+            let rows = router.cp_counter_rows();
+            let s = rows.first().map(|r| r.data()).unwrap_or_default();
             Ok(format!(
                 "plugin_calls={} faults={} dropped_fault={} dropped_internal={} quarantines={} restarts={}",
                 s.plugin_calls,
@@ -372,31 +372,32 @@ pub fn run_command<C: ControlPlane>(router: &mut C, line: &str) -> Result<String
             ))
         }
         "stats" => {
-            let rows = router.cp_stats_rows();
+            let rows = router.cp_counter_rows();
             Ok(rows
                 .into_iter()
                 .map(|r| {
+                    let (d, f) = (r.data(), r.metrics.flows);
                     format!(
                         "{}: rx={} fwd={} dropped={} frag={} plugin_calls={} \
                          flows(live={} hits={} misses={} recycled={} allocated={})",
                         r.label,
-                        r.data.received,
-                        r.data.forwarded,
-                        r.data.dropped_total(),
-                        r.data.fragmented,
-                        r.data.plugin_calls,
-                        r.flows.live,
-                        r.flows.hits,
-                        r.flows.misses,
-                        r.flows.recycled,
-                        r.flows.allocated,
+                        d.received,
+                        d.forwarded,
+                        d.dropped_total(),
+                        d.fragmented,
+                        d.plugin_calls,
+                        f.live,
+                        f.hits,
+                        f.misses,
+                        f.recycled,
+                        f.allocated,
                     )
                 })
                 .collect::<Vec<_>>()
                 .join("\n"))
         }
         "metrics" => {
-            let rows = router.cp_metrics_rows();
+            let rows = router.cp_counter_rows();
             match toks.get(1) {
                 Some(&"json") => {
                     // `merged` is always the total row; `shards` appears
@@ -469,8 +470,11 @@ pub fn run_command<C: ControlPlane>(router: &mut C, line: &str) -> Result<String
         },
         "info" => {
             let loaded = router.cp_loaded_plugins().join(", ");
-            let rows = router.cp_stats_rows();
-            let (s, f) = rows.first().map(|r| (r.data, r.flows)).unwrap_or_default();
+            let rows = router.cp_counter_rows();
+            let (s, f) = rows
+                .first()
+                .map(|r| (r.data(), r.metrics.flows))
+                .unwrap_or_default();
             Ok(format!(
                 "plugins: [{loaded}]; rx={} fwd={} flows(live={} hits={} misses={})",
                 s.received, s.forwarded, f.live, f.hits, f.misses

@@ -106,7 +106,6 @@ pub struct Router {
     enabled: [bool; GATE_COUNT],
     verify_checksums: bool,
     max_sojourn_ns: u64,
-    stats: DataPathStats,
     now_ns: u64,
     /// The instance table: every plugin instance this router runs, with
     /// its health record.
@@ -174,7 +173,6 @@ impl Router {
             enabled,
             verify_checksums: cfg.verify_checksums,
             max_sojourn_ns: cfg.max_sojourn_ns,
-            stats: DataPathStats::default(),
             now_ns: 0,
             supervisor: Supervisor::new(cfg.fault_policy),
             in_flight: None,
@@ -541,7 +539,6 @@ impl Router {
                 ifc.attach_sched(handle);
             }
         }
-        self.stats.plugin_calls += 1;
         // Latency is wall-clock (virtual time doesn't advance inside a
         // call) and sampled 1-in-N so the clock reads stay off the common
         // path.
@@ -610,7 +607,7 @@ impl Router {
     /// Count one fault; on the quarantine edge, pull the instance off the
     /// data path. Returns true when the instance was just quarantined.
     fn note_fault(&mut self, inst: InstanceHandle, kind: &FaultKind) -> bool {
-        self.stats.plugin_faults += 1;
+        self.metrics.plugin_faults += 1;
         if self.tracer.wants(TraceCategory::Plugin) {
             let now = self.now_ns;
             let detail = format!("fault in {}: {kind}", self.describe_instance(inst));
@@ -637,7 +634,7 @@ impl Router {
     /// default path on their next packet), its egress queues drain to the
     /// wire, and a restart is scheduled per policy.
     fn quarantine(&mut self, inst: InstanceHandle) {
-        self.stats.plugin_quarantines += 1;
+        self.metrics.plugin_quarantines += 1;
         if self.tracer.wants(TraceCategory::Plugin) {
             let now = self.now_ns;
             let detail = format!("quarantined {}", self.describe_instance(inst));
@@ -714,7 +711,7 @@ impl Router {
                     self.supervisor.note_binding(new_inst, gate, spec, fid);
                 }
             }
-            self.stats.plugin_restarts += 1;
+            self.metrics.plugin_restarts += 1;
             if self.tracer.wants(TraceCategory::Plugin) {
                 let now = self.now_ns;
                 let detail = format!("restarted {} {} → {}", t.plugin, t.id.0, new_id.0);
@@ -726,7 +723,6 @@ impl Router {
     /// Process one received packet through the full data path.
     pub fn receive(&mut self, mut mbuf: Mbuf) -> Disposition {
         self.poll_restarts();
-        self.stats.received += 1;
         self.metrics.note_rx(mbuf.rx_if, mbuf.len());
         mbuf.timestamp_ns = self.now_ns;
 
@@ -791,20 +787,12 @@ impl Router {
                     match crate::ip_core::fragment_v4_with(mbuf.data(), mtu, &mut || pool.buffer())
                     {
                         Ok(f) => f,
-                        Err(r) => {
-                            self.stats.dropped_too_big += 1;
-                            self.pool.recycle(mbuf);
-                            return Disposition::Dropped(r);
-                        }
+                        Err(r) => return self.drop_pkt(mbuf, r),
                     }
                 }
-                _ => {
-                    self.stats.dropped_too_big += 1;
-                    self.pool.recycle(mbuf);
-                    return Disposition::Dropped(DropReason::TooBig);
-                }
+                _ => return self.drop_pkt(mbuf, DropReason::TooBig),
             };
-            self.stats.fragmented += 1;
+            self.metrics.fragmented += 1;
             let rx = mbuf.rx_if;
             let fix = mbuf.fix;
             let denied = mbuf.class_denied;
@@ -859,7 +847,6 @@ impl Router {
                     // Count it received (it did arrive) then shed: the
                     // conservation invariant `received == forwarded + Σdrops`
                     // stays exact.
-                    self.stats.received += 1;
                     self.metrics.note_rx(pkt.rx_if, pkt.len());
                     self.drop_pkt(pkt, DropReason::DeadlineExceeded);
                     continue;
@@ -870,12 +857,6 @@ impl Router {
             }
         }
         n
-    }
-
-    /// Set (or clear, with `0`) the end-to-end latency deadline at
-    /// runtime; see [`RouterConfig::max_sojourn_ns`].
-    pub fn set_max_sojourn_ns(&mut self, ns: u64) {
-        self.max_sojourn_ns = ns;
     }
 
     /// Scheduling gate + emission for a packet whose egress interface is
@@ -891,7 +872,7 @@ impl Router {
                     // The scheduler took the buffer; what's left is an
                     // empty shell (recycled as a no-op).
                     self.pool.recycle(mbuf);
-                    self.stats.forwarded += 1;
+                    self.metrics.forwarded += 1;
                     return Disposition::Queued(tx_if);
                 }
                 Ok(Ok(Some(PluginAction::Drop))) => {
@@ -923,7 +904,7 @@ impl Router {
     }
 
     fn emit(&mut self, mbuf: Mbuf, tx_if: IfIndex) -> Disposition {
-        self.stats.forwarded += 1;
+        self.metrics.forwarded += 1;
         self.metrics.note_tx(tx_if, mbuf.len());
         self.interfaces[tx_if as usize].tx_log.push(mbuf);
         Disposition::Forwarded(tx_if)
@@ -935,33 +916,7 @@ impl Router {
     /// allocator.
     fn drop_pkt(&mut self, mbuf: Mbuf, reason: DropReason) -> Disposition {
         self.pool.recycle(mbuf);
-        self.drop(reason)
-    }
-
-    fn drop(&mut self, reason: DropReason) -> Disposition {
         self.metrics.note_drop(reason);
-        match reason {
-            DropReason::Malformed | DropReason::BadChecksum => self.stats.dropped_malformed += 1,
-            DropReason::TtlExpired => self.stats.dropped_ttl += 1,
-            DropReason::NoRoute => self.stats.dropped_no_route += 1,
-            DropReason::Plugin(_) => self.stats.dropped_plugin += 1,
-            DropReason::QueueFull => self.stats.dropped_queue += 1,
-            DropReason::TooBig => self.stats.dropped_too_big += 1,
-            DropReason::PluginFault(_) => self.stats.dropped_fault += 1,
-            DropReason::Internal => self.stats.dropped_internal += 1,
-            // Shard-level sheds happen at the parallel dispatcher, never
-            // inside a single router's data path; counted for
-            // completeness should a caller synthesize one.
-            DropReason::ShardOverload => self.stats.dropped_shard_overload += 1,
-            DropReason::ShardDown => self.stats.dropped_shard_down += 1,
-            // Device-level drops happen in the I/O plane (which counts
-            // them in bulk via [`Router::note_device_rx_drops`] /
-            // [`Router::note_device_tx_drops`]); counted for completeness
-            // should a caller synthesize one.
-            DropReason::DeviceRx => self.stats.dropped_device_rx += 1,
-            DropReason::DeviceTx => self.stats.dropped_device_tx += 1,
-            DropReason::DeadlineExceeded => self.stats.dropped_deadline += 1,
-        }
         Disposition::Dropped(reason)
     }
 
@@ -1070,24 +1025,22 @@ impl Router {
     /// as received so the conservation invariant
     /// `received == forwarded + Σdrops` extends to the wire.
     pub fn note_device_rx_drops(&mut self, n: u64) {
-        self.stats.received += n;
-        self.stats.dropped_device_rx += n;
+        self.metrics.received += n;
         self.metrics.drops[obs::drop_reason_index(DropReason::DeviceRx)] += n;
     }
 
     /// Re-account `n` already-forwarded packets whose egress device
-    /// refused to transmit them: they leave `forwarded` and land in the
-    /// device-tx drop counter, keeping `received == forwarded + Σdrops`
-    /// exact from wire to wire.
+    /// refused to transmit them: they land in the device-tx drop slot,
+    /// which the [`stats`](Router::stats) view takes back out of
+    /// `forwarded`, keeping `received == forwarded + Σdrops` exact from
+    /// wire to wire.
     pub fn note_device_tx_drops(&mut self, n: u64) {
-        self.stats.forwarded = self.stats.forwarded.saturating_sub(n);
-        self.stats.dropped_device_tx += n;
         self.metrics.drops[obs::drop_reason_index(DropReason::DeviceTx)] += n;
     }
 
-    /// Data-path statistics.
+    /// Data-path statistics: the Table 3 view of the metrics registry.
     pub fn stats(&self) -> DataPathStats {
-        self.stats
+        self.metrics.data_path()
     }
 
     /// Flow-cache statistics (hits/misses/recycling).
@@ -1117,11 +1070,7 @@ impl Router {
         m.mbuf_acquired = p.acquired;
         m.mbuf_recycled = p.recycled;
         m.mbuf_fresh = p.fresh;
-        let f = self.aiu.flow_stats();
-        m.flow_admission_denied = f.denied;
-        m.flow_inline_expired = f.inline_expired;
-        m.flow_evicted_lru = f.evicted_lru;
-        m.flow_resize_steps = f.resize_steps;
+        m.flows = self.aiu.flow_stats();
         let c = self.routes.fib_cache_stats();
         m.fib_cache_hit = c.hits;
         m.fib_cache_miss = c.misses;

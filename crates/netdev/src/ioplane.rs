@@ -28,11 +28,11 @@
 use crate::supervisor::{DeviceMonitor, DeviceSupervisorConfig, PollSample};
 use crate::{NetDev, RxBatch};
 use router_core::dataplane::control::{
-    ControlCmd, ControlPlane, DeviceRow, DeviceStats, LocalTotals, ShardAnswer, ShardStatus,
+    ControlCmd, ControlPlane, DeviceRow, DeviceStats, ShardAnswer, ShardStatus,
 };
 use router_core::dataplane::ParallelRouter;
-use router_core::ip_core::DataPathStats;
 use router_core::message::PluginReply;
+use router_core::obs::MetricsSnapshot;
 use router_core::plugin::PluginError;
 use router_core::router::Router;
 use rp_packet::mbuf::IfIndex;
@@ -41,10 +41,9 @@ use rp_packet::Mbuf;
 
 /// The data-plane surface the [`IoPlane`] needs, implemented by both
 /// [`Router`] (single-threaded) and [`ParallelRouter`] (sharded) so one
-/// driver serves either shape.
-pub trait IoRouter {
-    /// Copy `bytes` into a pooled mbuf stamped with `rx_if`.
-    fn io_mbuf(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf;
+/// driver serves either shape. Counters come through the
+/// [`ControlPlane`] every data plane already is.
+pub trait IoRouter: ControlPlane {
     /// Inject a batch of ingress packets. Drains `batch`; its capacity
     /// is reused (or swapped for a recycled carrier) across calls.
     fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>);
@@ -60,18 +59,11 @@ pub trait IoRouter {
     fn io_note_device_rx_drops(&mut self, n: u64);
     /// Re-account `n` forwarded packets refused by an egress device.
     fn io_note_device_tx_drops(&mut self, n: u64);
-    /// Merged data-path counters (a control fan-out on the parallel
-    /// plane, hence `&mut`).
-    fn io_stats(&mut self) -> DataPathStats;
     /// Number of router interfaces.
     fn io_interface_count(&self) -> usize;
 }
 
 impl IoRouter for Router {
-    fn io_mbuf(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf {
-        self.mbuf_with(bytes, rx_if)
-    }
-
     fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
         // One coarse wall-clock read covers the whole batch — sojourn
         // resolution is the batch, cost is amortised across it.
@@ -96,20 +88,12 @@ impl IoRouter for Router {
         self.note_device_tx_drops(n);
     }
 
-    fn io_stats(&mut self) -> DataPathStats {
-        self.stats()
-    }
-
     fn io_interface_count(&self) -> usize {
         self.interface_count()
     }
 }
 
 impl IoRouter for ParallelRouter {
-    fn io_mbuf(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf {
-        self.mbuf_with(bytes, rx_if)
-    }
-
     fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
         // Swap the caller's filled batch for a recycled carrier, so the
         // Vec the dispatcher consumes came from the scrap channel and
@@ -138,10 +122,6 @@ impl IoRouter for ParallelRouter {
 
     fn io_note_device_tx_drops(&mut self, n: u64) {
         self.note_device_tx_drops(n);
-    }
-
-    fn io_stats(&mut self) -> DataPathStats {
-        self.stats()
     }
 
     fn io_interface_count(&self) -> usize {
@@ -295,7 +275,7 @@ impl<P: IoRouter> IoPlane<P> {
             let plane = &mut self.plane;
             let rx = &mut bd.rx_scratch;
             let r: RxBatch = bd.dev.rx_batch(budget, &mut |bytes| {
-                let mut m = plane.io_mbuf(bytes, iface);
+                let mut m = plane.io_pool().mbuf_from(bytes, iface);
                 m.stamp_ingress(wall);
                 rx.push(m);
             });
@@ -423,7 +403,7 @@ impl<P: IoRouter> IoPlane<P> {
     /// * nothing is unaccounted:
     ///   `device_rx == device_tx + Σdrops`.
     pub fn check_conservation(&mut self) {
-        let stats = self.plane.io_stats();
+        let stats = self.plane.cp_counter_rows().swap_remove(0).data();
         let led = self.ledger;
         assert_eq!(
             led.device_rx, stats.received,
@@ -448,7 +428,7 @@ impl<P: IoRouter> IoPlane<P> {
 
 /// The I/O plane re-exports its router's control plane — every command
 /// pmgr knows works unchanged — and supplies the live `devices` rows.
-impl<P: IoRouter + ControlPlane> ControlPlane for IoPlane<P> {
+impl<P: IoRouter> ControlPlane for IoPlane<P> {
     fn cp_apply(&mut self, cmd: ControlCmd) -> Result<PluginReply, PluginError> {
         self.plane.cp_apply(cmd)
     }
@@ -459,7 +439,7 @@ impl<P: IoRouter + ControlPlane> ControlPlane for IoPlane<P> {
     {
         self.plane.cp_query(f)
     }
-    fn cp_local_totals(&mut self) -> LocalTotals {
+    fn cp_local_totals(&mut self) -> MetricsSnapshot {
         self.plane.cp_local_totals()
     }
     fn cp_shard_status(&mut self) -> Vec<ShardStatus> {

@@ -151,9 +151,7 @@ fn syn_flood_degrades_attacker_not_established_flows_single() {
     );
 
     // The denial shows up in the observability snapshot.
-    let m = r.metrics_snapshot();
-    assert_eq!(m.flow_admission_denied, f.denied);
-    assert_eq!(m.flow_inline_expired, f.inline_expired);
+    assert_eq!(r.metrics_snapshot().flows, f);
 }
 
 /// The same flood against the sharded data plane: per-shard admission

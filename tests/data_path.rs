@@ -320,3 +320,37 @@ fn oversized_v6_dropped_not_fragmented() {
     ));
     assert!(r.take_tx(1).is_empty());
 }
+
+/// Regression: the too-big returns bumped the data-path counter but never
+/// the registry, so `stats` showed a drop `metrics` did not.
+#[test]
+fn too_big_drops_reach_the_drop_ledger() {
+    use router_plugins::core::ip_core::DropReason;
+    use router_plugins::core::obs::drop_reason_index;
+    let mut r = Router::new(RouterConfig {
+        verify_checksums: false,
+        mtu: 600,
+        ..RouterConfig::default()
+    });
+    r.add_route("10.0.0.0".parse().unwrap(), 8, 1);
+    r.add_route(v6_host(0), 32, 1);
+    let src: std::net::IpAddr = "10.0.0.1".parse().unwrap();
+    let dst: std::net::IpAddr = "10.0.0.9".parse().unwrap();
+    // The builder sets DF on IPv4; IPv6 never fragments in transit.
+    for pkt in [
+        PacketSpec::udp(src, dst, 4000, 5000, 1400).build(),
+        PacketSpec::udp(v6_host(1), v6_host(9), 1, 2, 1400).build(),
+    ] {
+        assert_eq!(
+            r.receive(Mbuf::new(pkt, 0)),
+            Disposition::Dropped(DropReason::TooBig)
+        );
+    }
+    let s = r.stats();
+    let m = r.metrics_snapshot();
+    assert_eq!(s.dropped_too_big, 2);
+    assert_eq!(m.drops[drop_reason_index(DropReason::TooBig)], 2);
+    assert_eq!(s.dropped_total(), m.drops.iter().sum::<u64>());
+    let json = run_command(&mut r, "metrics json").unwrap();
+    assert!(json.contains("\"too_big\":2"), "{json}");
+}

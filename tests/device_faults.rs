@@ -23,9 +23,10 @@ const SCRIPT: &str = "load null\n\
      create null\n\
      bind stats null 0 <*, *, *, *, *, *>\n";
 
-fn single_router() -> Router {
+fn single_router(max_sojourn_ns: u64) -> Router {
     let mut r = Router::new(RouterConfig {
         verify_checksums: false,
+        max_sojourn_ns,
         ..RouterConfig::default()
     });
     register_builtin_factories(&mut r.loader);
@@ -69,7 +70,7 @@ fn udp_dead_peer_degrades_then_recovers() {
     let (ingress, _peer) = LoopbackDev::pair("lo-in", "peer-in", 4096);
     let in_handle = ingress.handle();
 
-    let mut plane = IoPlane::new(single_router(), 64);
+    let mut plane = IoPlane::new(single_router(0), 64);
     plane.bind(0, Box::new(ingress));
     plane.bind(1, Box::new(egress));
     plane.supervise(DeviceSupervisorConfig {
@@ -131,8 +132,7 @@ fn udp_dead_peer_degrades_then_recovers() {
 /// exact. Both readings are synthetic — stamp at `t`, present at
 /// `t + 1 ms` — so the outcome cannot depend on how old the process is.
 fn shed_stale_half(t: u64) {
-    let mut r = single_router();
-    r.set_max_sojourn_ns(1_000);
+    let mut r = single_router(1_000);
     let workload = Workload::uniform(2, 8, 128);
     let tb = router_plugins::netsim::testbench::Testbench::new(&workload);
 
