@@ -984,7 +984,9 @@ mod tests {
         assert_eq!(cols(&t), [64, 0, 64, 0, 0, 0, 0, 0]);
         t.bind(FlowIndex(3), 5, 9, FilterId(1));
         assert_eq!(cols(&t), [64, 0, 64, 0, 0, 64, 0, 0]);
-        [1, 3, 4].map(|g| t.enable_gate(g));
+        for g in [1, 3, 4] {
+            t.enable_gate(g);
+        }
         assert_eq!(t.approx_mem_bytes(), 64 * 296 + fixed(&t));
     }
 

@@ -635,47 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_two_levels() {
-        // root → A(70%){A1, A2 equal}, B(30%). All backlogged: A1 and A2
-        // each get 35%, B gets 30%.
-        let mut h = HfscScheduler::new(10 * MBPS, 64);
-        let root = h.root();
-        let a = h.add_class(root, 7 * MBPS, None);
-        let b = h.add_class(root, 3 * MBPS, None);
-        let a1 = h.add_class(a, 35 * MBPS / 10, None);
-        let a2 = h.add_class(a, 35 * MBPS / 10, None);
-        h.bind_flow(1, a1);
-        h.bind_flow(2, a2);
-        h.bind_flow(3, b);
-        let mut sim = LinkSim::new(h, 10 * MBPS);
-        sim.run_backlogged(&[(1, 1000), (2, 1000), (3, 1000)], 2_000_000_000);
-        let total = sim.total_tx_bytes() as f64;
-        let share = |f| sim.stats(f).bytes as f64 / total;
-        assert!((share(1) - 0.35).abs() < 0.03, "A1 {}", share(1));
-        assert!((share(2) - 0.35).abs() < 0.03, "A2 {}", share(2));
-        assert!((share(3) - 0.30).abs() < 0.03, "B {}", share(3));
-    }
-
-    #[test]
-    fn sibling_excess_stays_in_subtree() {
-        // A(70%){A1 active, A2 idle}, B(30%) active: A1 should absorb all
-        // of A's 70% — hierarchical sharing, not global.
-        let mut h = HfscScheduler::new(10 * MBPS, 64);
-        let root = h.root();
-        let a = h.add_class(root, 7 * MBPS, None);
-        let b = h.add_class(root, 3 * MBPS, None);
-        let a1 = h.add_class(a, 35 * MBPS / 10, None);
-        let _a2 = h.add_class(a, 35 * MBPS / 10, None);
-        h.bind_flow(1, a1);
-        h.bind_flow(3, b);
-        let mut sim = LinkSim::new(h, 10 * MBPS);
-        sim.run_backlogged(&[(1, 1000), (3, 1000)], 2_000_000_000);
-        let total = sim.total_tx_bytes() as f64;
-        let s1 = sim.stats(1).bytes as f64 / total;
-        assert!((s1 - 0.70).abs() < 0.04, "A1 share = {s1}");
-    }
-
-    #[test]
     fn realtime_guarantee_overrides_tiny_link_share() {
         // A leaf with a 5 Mb/s real-time curve but negligible link-share
         // weight must still receive ≈ half the 10 Mb/s link.

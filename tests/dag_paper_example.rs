@@ -114,62 +114,3 @@ fn lookup_cost_flat_in_filter_count() {
         s_big.addr_probes
     );
 }
-
-/// E2's headline, as a CI-enforced fact: with every IPv4 prefix length
-/// populated at both address levels (the paper's accounting regime), the
-/// worst-case lookup costs exactly the paper's Table 2 numbers —
-/// 1 + 1 + 2·log2(32) + 2 + 6 = 20 memory accesses.
-#[test]
-fn table2_ipv4_worst_case_is_exactly_20() {
-    use router_plugins::classifier::{AddrMatch, FilterSpec, PortMatch};
-    use router_plugins::lpm::Prefix;
-
-    let mut dag: DagTable<u32> = DagTable::new(BmpKind::Bspl);
-    let mut id = 0u32;
-    for sl in 1..=31u8 {
-        dag.insert(
-            FilterSpec {
-                src: AddrMatch::V4(Prefix::new(u32::MAX, sl)),
-                dst: AddrMatch::V4(Prefix::new(u32::MAX, 31)),
-                proto: Some(17),
-                sport: PortMatch::eq(1000),
-                dport: PortMatch::eq(2000),
-                rx_if: None,
-            },
-            id,
-        )
-        .unwrap();
-        id += 1;
-    }
-    for dl in 1..=31u8 {
-        dag.insert(
-            FilterSpec {
-                src: AddrMatch::V4(Prefix::new(u32::MAX, 31)),
-                dst: AddrMatch::V4(Prefix::new(u32::MAX, dl)),
-                proto: Some(17),
-                sport: PortMatch::eq(1000),
-                dport: PortMatch::eq(2000),
-                rx_if: None,
-            },
-            id,
-        )
-        .unwrap();
-        id += 1;
-    }
-    let probe = FlowTuple {
-        src: IpAddr::V4(std::net::Ipv4Addr::from(u32::MAX)),
-        dst: IpAddr::V4(std::net::Ipv4Addr::from(u32::MAX)),
-        proto: 17,
-        sport: 1000,
-        dport: 2000,
-        rx_if: 0,
-    };
-    let (hit, stats) = dag.lookup_with_stats(&probe);
-    assert!(hit.is_some());
-    assert_eq!(stats.bmp_fn_ptr, 1);
-    assert_eq!(stats.hash_fn_ptr, 1);
-    assert_eq!(stats.addr_probes, 10, "2·log2(32)");
-    assert_eq!(stats.port_probes, 2);
-    assert_eq!(stats.dag_edges, 6);
-    assert_eq!(stats.total(), 20, "the paper's Table 2 IPv4 total");
-}
