@@ -13,9 +13,9 @@
 
 use crate::dag::{BmpKind, DagError, DagTable, LookupStats};
 use crate::filter::{FilterId, FilterSpec};
-use crate::flow_table::{Admit, EvictedFlow, FlowTable, FlowTableConfig, FlowTableStats};
+use crate::flow_table::{key_hash, Admit, EvictedFlow, FlowTable, FlowTableConfig, FlowTableStats};
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::{FlowTuple, Mbuf};
+use rp_packet::{FlowKey, FlowTuple, Mbuf};
 
 /// Index of a gate (the paper's plugin-type/gate correspondence lives in
 /// `router-core`; the AIU just numbers them).
@@ -175,26 +175,42 @@ impl<V: Clone> Aiu<V> {
         tuple: &FlowTuple,
         on_new: impl FnOnce(&FlowTuple),
     ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
-        // One hash per packet, on the admission-denied flood path too.
-        let hash = crate::flow_table::flow_hash(tuple);
+        self.classify_key(&FlowKey::of(tuple), |aiu, fix| {
+            on_new(tuple);
+            aiu.bind_gates(fix, tuple);
+        })
+    }
+
+    /// Both entries' probe: one hash (denied floods too), `miss` on a new record.
+    #[inline]
+    fn classify_key(
+        &mut self,
+        key: &FlowKey,
+        miss: impl FnOnce(&mut Self, FlowIndex),
+    ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
+        let hash = key_hash(key);
         match self
             .flow_table
-            .lookup_or_insert(tuple, hash, &mut self.evicted)
+            .lookup_or_insert(key, hash, &mut self.evicted)
         {
             Admit::Hit(fix) => (ClassifyOutcome::CacheHit(fix), None),
             Admit::Denied => (ClassifyOutcome::Denied, None),
             Admit::New { fix, recycled } => {
-                on_new(tuple);
-                for (gate, table) in self.filter_tables.iter().enumerate() {
-                    if table.is_empty() {
-                        continue;
-                    }
-                    if let Some((id, v)) = table.lookup(tuple) {
-                        self.flow_table.bind(fix, gate, v.clone(), id);
-                    }
-                }
+                miss(self, fix);
                 let evicted = recycled.then_some(&mut self.evicted);
                 (ClassifyOutcome::CacheMiss(fix), evicted)
+            }
+        }
+    }
+
+    /// The miss path: bind each gate's match for `tuple` into record `fix`.
+    fn bind_gates(&mut self, fix: FlowIndex, tuple: &FlowTuple) {
+        for (gate, table) in self.filter_tables.iter().enumerate() {
+            if table.is_empty() {
+                continue;
+            }
+            if let Some((id, v)) = table.lookup(tuple) {
+                self.flow_table.bind(fix, gate, v.clone(), id);
             }
         }
     }
@@ -208,20 +224,24 @@ impl<V: Clone> Aiu<V> {
         self.classify_mbuf_with(mbuf, |_| {})
     }
 
-    /// Classify an mbuf, extracting its tuple and caching the FIX into the
+    /// Classify an mbuf, extracting its key and caching the FIX into the
     /// mbuf (what the first gate's macro does in the paper). A denied
     /// packet is marked so later gates skip reclassification — without
     /// the mark, every gate of a denied packet would re-run the n filter
     /// lookups, turning admission control into an amplifier. `on_new` as
-    /// in [`classify_with`](Self::classify_with).
+    /// in [`classify_with`](Self::classify_with), handed the key; only a
+    /// miss builds the tuple, once, after it.
     #[inline]
     pub fn classify_mbuf_with(
         &mut self,
         mbuf: &mut Mbuf,
-        on_new: impl FnOnce(&FlowTuple),
+        on_new: impl FnOnce(&FlowKey),
     ) -> Result<(ClassifyOutcome, Option<&mut EvictedFlow<V>>), rp_packet::Error> {
-        let tuple = FlowTuple::from_mbuf(mbuf)?;
-        let (outcome, evicted) = self.classify_with(&tuple, on_new);
+        let key = FlowKey::extract(mbuf.data(), mbuf.rx_if)?;
+        let (outcome, evicted) = self.classify_key(&key, |aiu, fix| {
+            on_new(&key);
+            aiu.bind_gates(fix, &key.tuple());
+        });
         mbuf.fix = outcome.fix();
         if matches!(outcome, ClassifyOutcome::Denied) {
             mbuf.class_denied = true;
@@ -395,13 +415,13 @@ mod tests {
         let (o, _) = aiu.classify_with(&tuple(100), |t| seen.push(*t));
         assert_eq!(o, ClassifyOutcome::Denied);
         assert_eq!(seen.len(), 8, "a denied flow gets no record and no hook");
-        // The mbuf entry hands the same hook the tuple it extracted.
+        // The mbuf entry hands the same hook the key it extracted.
         let mut aiu = aiu3();
         let mut m = Mbuf::new(
             rp_packet::builder::PacketSpec::udp(tuple(1).src, tuple(1).dst, 7, 9, 8).build(),
             0,
         );
-        let want = FlowTuple::from_mbuf(&m).unwrap();
+        let want = FlowKey::extract(m.data(), m.rx_if).unwrap();
         let mut seen = Vec::new();
         aiu.classify_mbuf_with(&mut m, |t| seen.push(*t)).unwrap();
         aiu.classify_mbuf_with(&mut m, |t| seen.push(*t)).unwrap();

@@ -6,7 +6,9 @@
 //! Reproduced mechanics:
 //!
 //! * The cheap five-tuple hash ("17 processor cycles on a Pentium") —
-//!   a short xor/fold with no multiplies, [`flow_hash`].
+//!   a short xor/fold with no multiplies, [`key_hash`], over the
+//!   six-tuple as eleven words ([`FlowKey`]), which is also what a probe
+//!   compares: a cached packet never builds a [`FlowTuple`].
 //! * Bucket array sized at boot (default 32768), collision chains as
 //!   singly linked lists threaded through the record slab.
 //! * Records come from a free list seeded with 1024 entries that **grows
@@ -37,40 +39,38 @@
 //!   one or two records the hand reads, whatever the table's size.
 
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::FlowTuple;
+use rp_packet::{FlowKey, FlowTuple};
 use std::any::Any;
-use std::net::IpAddr;
 
 use crate::aiu::BindingMut;
 use crate::filter::FilterId;
 
-/// The paper's cheap flow hash: fold the full six-tuple into 32 bits with
-/// xors, rotates and one final avalanche — comparable work to the
-/// "17 cycles" original (no multiplies, no divisions beyond the mask).
+/// The paper's cheap flow hash over a [`FlowKey`]: fold the six-tuple's
+/// words into 32 bits with xors, rotates and one final avalanche —
+/// comparable work to the "17 cycles" original (no multiplies, no
+/// divisions beyond the mask). An address folds as the xor of its four
+/// words, so an IPv4 address folds to itself.
 #[inline]
-pub fn flow_hash(t: &FlowTuple) -> u32 {
-    #[inline]
-    fn fold_addr(a: IpAddr) -> u32 {
-        match a {
-            IpAddr::V4(v) => u32::from(v),
-            IpAddr::V6(v) => {
-                let b = u128::from(v);
-                (b as u32) ^ ((b >> 32) as u32) ^ ((b >> 64) as u32) ^ ((b >> 96) as u32)
-            }
-        }
-    }
-    let mut h = fold_addr(t.src);
-    h = h.rotate_left(7) ^ fold_addr(t.dst);
-    h = h.rotate_left(7) ^ (u32::from(t.sport) << 16 | u32::from(t.dport));
+pub fn key_hash(k: &FlowKey) -> u32 {
+    let w = k.words();
+    let mut h = w[0] ^ w[1] ^ w[2] ^ w[3];
+    h = h.rotate_left(7) ^ (w[4] ^ w[5] ^ w[6] ^ w[7]);
+    h = h.rotate_left(7) ^ w[8];
     // The key — and record equality — is the full six-tuple; the incoming
     // interface must perturb the hash too, or same-5-tuple flows from
     // different interfaces chain in one bucket (and always co-shard).
-    h = h.rotate_left(5) ^ t.rx_if;
-    h ^= u32::from(t.proto) << 8;
+    h = h.rotate_left(5) ^ w[9];
+    h ^= u32::from(k.proto()) << 8;
     // One-round finisher to spread low bits into the bucket mask.
     h ^= h >> 16;
     h = h.wrapping_mul(0x45d9_f3b5);
     h ^ (h >> 13)
+}
+
+/// [`key_hash`] of a tuple's key.
+#[inline]
+pub fn flow_hash(t: &FlowTuple) -> u32 {
+    key_hash(&FlowKey::of(t))
 }
 
 /// Per-gate binding stored in a flow record: the paper's "pair of pointers
@@ -164,11 +164,11 @@ pub struct FlowRecord<V> {
     /// Virtual time of the last lookup hit (for idle expiry).
     last_used: u64,
     /// The fully specified six-tuple identifying the flow.
-    pub key: FlowTuple,
+    key: FlowKey,
     /// Chain link (next record in the same hash bucket; [`EMPTY`]
     /// terminates).
     next: u32,
-    /// Cached [`flow_hash`] of the key: bucket migration and unlinking
+    /// Cached [`key_hash`] of the key: bucket migration and unlinking
     /// must not rehash, and the resize path never touches the key bytes.
     hash: u32,
     /// Slot-in-use flag (false = on the free list).
@@ -188,7 +188,8 @@ const _: () = {
     use std::mem::offset_of;
     type R = FlowRecord<u32>;
     assert!(offset_of!(R, last_used) + 8 <= 64);
-    assert!(offset_of!(R, key) + std::mem::size_of::<FlowTuple>() <= 64);
+    assert!(offset_of!(R, key) == 8);
+    assert!(offset_of!(R, key) + std::mem::size_of::<FlowKey>() <= 64);
     assert!(offset_of!(R, next) + 4 <= 64);
     assert!(offset_of!(R, hash) + 4 <= 64);
     assert!(offset_of!(R, live) < 64);
@@ -198,6 +199,11 @@ const _: () = {
 };
 
 impl<V> FlowRecord<V> {
+    /// The six-tuple identifying the flow.
+    pub fn key(&self) -> FlowTuple {
+        self.key.tuple()
+    }
+
     /// The instance bound at `gate`.
     pub fn instance(&self, gate: usize) -> Option<&V> {
         self.pairs.get(gate)?.instance.as_ref()
@@ -404,7 +410,7 @@ impl<V> FlowTable<V> {
         let start = self.records.len();
         self.records.extend((0..n).map(|_| FlowRecord {
             last_used: 0,
-            key: dummy_key(),
+            key: FlowKey::default(),
             next: EMPTY,
             hash: 0,
             live: false,
@@ -472,7 +478,7 @@ impl<V> FlowTable<V> {
 
     /// Find a live record for `key` without touching stats or timers.
     /// Probes the current chain, then (during a resize) the old one.
-    fn find(&self, key: &FlowTuple, hash: u32) -> Option<u32> {
+    fn find(&self, key: &FlowKey, hash: u32) -> Option<u32> {
         let found = Self::chain_find(&self.buckets, &self.records, key, hash);
         if found.is_none() && !self.old_buckets.is_empty() {
             return Self::chain_find(&self.old_buckets, &self.records, key, hash);
@@ -480,18 +486,20 @@ impl<V> FlowTable<V> {
         found
     }
 
-    /// Walk the chain `hash` selects in `heads` for `key` — every packet's probe, so never a call.
+    /// Walk the chain `hash` selects in `heads` for `key` — every packet's
+    /// probe, so never a call. A record's cached hash, on the line the walk
+    /// reads anyway, settles most mismatches before the key is compared.
     #[inline(always)]
     fn chain_find(
         heads: &[u32],
         records: &[FlowRecord<V>],
-        key: &FlowTuple,
+        key: &FlowKey,
         hash: u32,
     ) -> Option<u32> {
         let mut cur = heads[(hash as usize) & (heads.len() - 1)];
         while cur != EMPTY {
             let r = &records[cur as usize];
-            if r.key == *key {
+            if r.hash == hash && r.key == *key {
                 return Some(cur);
             }
             cur = r.next;
@@ -500,7 +508,7 @@ impl<V> FlowTable<V> {
     }
 
     /// The one counted entry point, for a packet's `key` and its
-    /// [`flow_hash`] (the AIU hashes each packet exactly once): the FIX
+    /// [`key_hash`] (the AIU hashes each packet exactly once): the FIX
     /// on a hit, which refreshes the record's idle timer and its second
     /// chance; on a miss a fresh record for the caller to fill. At the
     /// cap the record comes from `reclaim_victim`, whose key and
@@ -511,7 +519,7 @@ impl<V> FlowTable<V> {
     /// and the new flow runs uncached.
     pub fn lookup_or_insert(
         &mut self,
-        key: &FlowTuple,
+        key: &FlowKey,
         hash: u32,
         evicted: &mut EvictedFlow<V>,
     ) -> Admit {
@@ -613,7 +621,8 @@ impl<V> FlowTable<V> {
 
     /// Non-counting peek (used by tests/diagnostics).
     pub fn peek(&self, key: &FlowTuple) -> Option<FlowIndex> {
-        self.find(key, flow_hash(key)).map(FlowIndex)
+        let key = FlowKey::of(key);
+        self.find(&key, key_hash(&key)).map(FlowIndex)
     }
 
     /// Begin an incremental bucket-array doubling when the live-record
@@ -748,7 +757,7 @@ impl<V> FlowTable<V> {
         let i = idx as usize;
         let r = &mut self.records[i];
         r.live = false;
-        out.key = r.key;
+        out.key = r.key.tuple();
         for g in 0..self.cfg.gates {
             let (filter, instance, soft) = if r.is_bound(g) {
                 let pair = std::mem::replace(&mut r.pairs[g], Pair::NONE);
@@ -769,7 +778,7 @@ impl<V> FlowTable<V> {
     /// [`Self::lookup_or_insert`] parks a recycled flow in.
     pub fn parked(&self) -> EvictedFlow<V> {
         EvictedFlow {
-            key: dummy_key(),
+            key: FlowKey::default().tuple(),
             gates: GateArray::new(self.cfg.gates),
         }
     }
@@ -792,7 +801,7 @@ impl<V> FlowTable<V> {
     /// now classify differently and must be re-resolved on their next
     /// packet). Returns the evicted flows.
     pub fn invalidate_matching(&mut self, spec: &crate::filter::FilterSpec) -> Vec<EvictedFlow<V>> {
-        self.invalidate_where(|r| spec.matches(&r.key))
+        self.invalidate_where(|r| spec.matches(&r.key()))
     }
 
     /// Drop every cached flow derived from `filter` at `gate` (the AIU
@@ -847,21 +856,10 @@ pub struct EvictedFlow<V> {
     pub gates: GateArray<V>,
 }
 
-fn dummy_key() -> FlowTuple {
-    FlowTuple {
-        src: IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED),
-        dst: IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED),
-        proto: 0,
-        sport: 0,
-        dport: 0,
-        rx_if: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv4Addr;
+    use std::net::{IpAddr, Ipv4Addr};
 
     fn key(i: u32) -> FlowTuple {
         FlowTuple {
@@ -885,7 +883,8 @@ mod tests {
 
     fn arrive(t: &mut FlowTable<u32>, k: FlowTuple) -> Arrival {
         let mut parked = t.parked();
-        let (fix, hit, recycled) = match t.lookup_or_insert(&k, flow_hash(&k), &mut parked) {
+        let k = FlowKey::of(&k);
+        let (fix, hit, recycled) = match t.lookup_or_insert(&k, key_hash(&k), &mut parked) {
             Admit::Hit(fix) => (Some(fix), true, false),
             Admit::New { fix, recycled, .. } => (Some(fix), false, recycled),
             Admit::Denied => (None, false, false),

@@ -2,25 +2,44 @@
 //! lookup/insert/bind/remove/invalidate/clock interleavings against a
 //! slot-exact reference model of the second-chance clock and of every
 //! slot's per-gate bindings, under every admission configuration;
-//! conservation under churn and incremental resize; and the eviction
-//! quality the clock exists for.
+//! conservation under churn and incremental resize; the eviction quality
+//! the clock exists for; and the word key's hash and equality against
+//! the tuple they replaced.
 
 use proptest::prelude::*;
-use rp_classifier::flow_table::{flow_hash, Admit, EvictedFlow, FlowTable, FlowTableConfig};
+use rp_classifier::flow_table::{
+    flow_hash, key_hash, Admit, EvictedFlow, FlowTable, FlowTableConfig,
+};
 use rp_classifier::{FilterId, FilterSpec, PortMatch};
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::FlowTuple;
+use rp_packet::{FlowKey, FlowTuple};
 use std::collections::HashMap;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-fn key(i: u16) -> FlowTuple {
+/// Flow `i` of the key space. Families mix: v6 → v6, v4 → v4 and
+/// v4 → v6 flows in turn, and the v6 sources are IPv4 look-alikes
+/// (`a.b.c.d::`, words 1–3 zero).
+fn tuple(i: u16) -> FlowTuple {
+    let word = 0x2001_0000 | u32::from(i + 1);
+    let v6 = IpAddr::V6(Ipv6Addr::from(u128::from(word) << 96));
+    let v4 = IpAddr::V4(Ipv4Addr::from(word));
+    let (src, dst) = match i % 3 {
+        0 => (v6, "2001:db8::ffff".parse().unwrap()),
+        1 => (v4, "192.0.2.255".parse().unwrap()),
+        _ => (v4, "2001:db8::ffff".parse().unwrap()),
+    };
     FlowTuple {
-        src: format!("2001:db8::{:x}", i + 1).parse().unwrap(),
-        dst: "2001:db8::ffff".parse().unwrap(),
+        src,
+        dst,
         proto: 17,
         sport: 1000 + i,
         dport: 80,
         rx_if: 0,
     }
+}
+
+fn key(i: u16) -> FlowKey {
+    FlowKey::of(&tuple(i))
 }
 
 /// One gate of a flow as the test sees it: the bound instance, the filter
@@ -55,9 +74,9 @@ enum Arrival {
     Denied,
 }
 
-fn arrive(table: &mut FlowTable<u32>, k: &FlowTuple) -> Arrival {
+fn arrive(table: &mut FlowTable<u32>, k: &FlowKey) -> Arrival {
     let mut parked = table.parked();
-    match table.lookup_or_insert(k, flow_hash(k), &mut parked) {
+    match table.lookup_or_insert(k, key_hash(k), &mut parked) {
         Admit::Hit(fix) => Arrival::Hit(fix),
         Admit::New { fix, recycled } => Arrival::New(fix, recycled.then(|| gone(&mut parked))),
         Admit::Denied => Arrival::Denied,
@@ -65,8 +84,8 @@ fn arrive(table: &mut FlowTable<u32>, k: &FlowTuple) -> Arrival {
 }
 
 /// Cached-path packet: counted only when the flow is live, never inserts.
-fn touch(table: &mut FlowTable<u32>, k: &FlowTuple) -> bool {
-    table.peek(k).is_some() && matches!(arrive(table, k), Arrival::Hit(_))
+fn touch(table: &mut FlowTable<u32>, k: &FlowKey) -> bool {
+    table.peek(&k.tuple()).is_some() && matches!(arrive(table, k), Arrival::Hit(_))
 }
 
 /// The hand's reach per at-cap insert (`RECLAIM_SCAN`).
@@ -153,7 +172,7 @@ impl Model {
     fn take(&mut self, slot: usize) -> Gone {
         let s = self.slots[slot].take().expect("a live slot");
         Gone {
-            key: key(s.key),
+            key: tuple(s.key),
             gates: s.gates.to_vec(),
         }
     }
@@ -209,9 +228,10 @@ fn gones(evicted: Vec<EvictedFlow<u32>>) -> Vec<Gone> {
     evicted.into_iter().map(|mut ev| gone(&mut ev)).collect()
 }
 
-/// A record just handed to a new flow reads blank at every gate, whoever
-/// held the slot before.
-fn assert_blank(table: &mut FlowTable<u32>, fix: FlowIndex) {
+/// A record just handed to flow `k` reads back `k`'s tuple and blank at
+/// every gate, whoever held the slot before.
+fn assert_blank(table: &mut FlowTable<u32>, fix: FlowIndex, k: u16) {
+    assert_eq!(table.record(fix).map(|r| r.key()), Some(tuple(k)));
     for g in 0..GATES {
         assert!(table.binding_mut(fix, g).is_none(), "gate {g} bound");
         let r = table.record(fix).expect("a live record");
@@ -238,13 +258,13 @@ fn packet(table: &mut FlowTable<u32>, model: &mut Model, k: u16) {
             fix.0
         );
         model.fill(fix.0 as usize, k);
-        assert_blank(table, fix);
+        assert_blank(table, fix, k);
     } else if let Some(slot) = model.reclaim() {
         let fix = FlowIndex(slot as u32);
         let expected = Arrival::New(fix, Some(model.take(slot)));
         assert_eq!(got, expected, "victim for {k}");
         model.fill(slot, k);
-        assert_blank(table, fix);
+        assert_blank(table, fix, k);
     } else {
         assert_eq!(got, Arrival::Denied, "admission for {k}");
     }
@@ -416,7 +436,7 @@ proptest! {
             prop_assert!(table.live() <= max);
         }
         for k in 0..keys {
-            prop_assert_eq!(table.peek(&key(k)).is_some(), model.slot_of(k).is_some(), "final {}", k);
+            prop_assert_eq!(table.peek(&tuple(k)).is_some(), model.slot_of(k).is_some(), "final {}", k);
         }
         let s = table.stats();
         prop_assert!(s.allocated <= max);
@@ -488,11 +508,11 @@ proptest! {
             match op {
                 ChurnOp::Arrive(k) => match arrive(&mut table, &key(k)) {
                     Arrival::Hit(_) => {
-                        last_touch.insert(key(k), now);
+                        last_touch.insert(tuple(k), now);
                     }
                     Arrival::New(_, ev) => {
                         inserted += 1;
-                        last_touch.insert(key(k), now);
+                        last_touch.insert(tuple(k), now);
                         if let Some(ev) = ev {
                             // Inline idle reclaim at the cap: the victim
                             // must have been idle for the full window.
@@ -510,7 +530,7 @@ proptest! {
                 },
                 ChurnOp::Touch(k) => {
                     if touch(&mut table, &key(k)) {
-                        last_touch.insert(key(k), now);
+                        last_touch.insert(tuple(k), now);
                     }
                 }
                 ChurnOp::Advance(dt) => {
@@ -532,10 +552,10 @@ proptest! {
                     }
                 }
                 ChurnOp::Invalidate(k) => {
-                    if let Some(fix) = table.peek(&key(k)) {
+                    if let Some(fix) = table.peek(&tuple(k)) {
                         prop_assert!(table.remove(fix).is_some());
                         evicted += 1;
-                        last_touch.remove(&key(k));
+                        last_touch.remove(&tuple(k));
                     }
                 }
             }
@@ -635,7 +655,7 @@ proptest! {
                         evicted += 1;
                         let k = live
                             .iter()
-                            .find(|(k, _)| key(**k) == ev.key)
+                            .find(|(k, _)| tuple(**k) == ev.key)
                             .map(|(k, _)| *k)
                             .expect("expired flow was tracked");
                         let t = live.remove(&k).unwrap();
@@ -643,7 +663,7 @@ proptest! {
                     }
                 }
                 ChurnOp::Invalidate(k) => {
-                    if let Some(fix) = table.peek(&key(k)) {
+                    if let Some(fix) = table.peek(&tuple(k)) {
                         prop_assert!(table.remove(fix).is_some());
                         evicted += 1;
                         live.remove(&k);
@@ -661,7 +681,7 @@ proptest! {
             // mis-bucketed), every dead flow absent — mid-migration too.
             for k in 0..RESIZE_KEYS {
                 prop_assert_eq!(
-                    table.peek(&key(k)).is_some(),
+                    table.peek(&tuple(k)).is_some(),
                     live.contains_key(&k),
                     "flow {} presence wrong (resizing={})",
                     k,
@@ -702,15 +722,15 @@ proptest! {
 // 0.996 with it advanced on every packet.
 // ---------------------------------------------------------------------
 
-fn flow(i: u32) -> FlowTuple {
-    FlowTuple {
+fn flow(i: u32) -> FlowKey {
+    FlowKey::of(&FlowTuple {
         src: std::net::Ipv4Addr::from(0x0A00_0000 + i).into(),
         dst: std::net::Ipv4Addr::new(192, 0, 2, 1).into(),
         proto: 6,
         sport: (i >> 16) as u16,
         dport: i as u16,
         rx_if: 0,
-    }
+    })
 }
 
 fn elephant_hit_share(clock_advances: bool) -> f64 {
@@ -782,4 +802,113 @@ fn elephants_survive_a_mouse_flood_whatever_the_clock_does() {
         (frozen - advancing).abs() < 0.002,
         "{frozen:.4} vs {advancing:.4}"
     );
+}
+
+// ---------------------------------------------------------------------
+// The word key. Its hash must be the tuple hash it replaced, bit for bit:
+// shard placement and bucket spread depend on it. Its equality must still
+// be the whole six-tuple, family included.
+// ---------------------------------------------------------------------
+
+/// The flow hash as it was computed over `FlowTuple`'s `IpAddr`s before
+/// the key became words: the reference for `flow_hash` and `key_hash`.
+fn tuple_fold(t: &FlowTuple) -> u32 {
+    fn fold_addr(a: IpAddr) -> u32 {
+        match a {
+            IpAddr::V4(v) => u32::from(v),
+            IpAddr::V6(v) => {
+                let b = u128::from(v);
+                (b as u32) ^ ((b >> 32) as u32) ^ ((b >> 64) as u32) ^ ((b >> 96) as u32)
+            }
+        }
+    }
+    let mut h = fold_addr(t.src);
+    h = h.rotate_left(7) ^ fold_addr(t.dst);
+    h = h.rotate_left(7) ^ (u32::from(t.sport) << 16 | u32::from(t.dport));
+    h = h.rotate_left(5) ^ t.rx_if;
+    h ^= u32::from(t.proto) << 8;
+    h ^= h >> 16;
+    h = h.wrapping_mul(0x45d9_f3b5);
+    h ^ (h >> 13)
+}
+
+/// Any address, with v6 addresses whose last three words are zero — the
+/// IPv4 look-alikes — as common as the others.
+fn arb_addr() -> impl Strategy<Value = IpAddr> {
+    prop_oneof![
+        any::<u32>().prop_map(|a| IpAddr::V4(Ipv4Addr::from(a))),
+        any::<u128>().prop_map(|a| IpAddr::V6(Ipv6Addr::from(a))),
+        any::<u32>().prop_map(|a| IpAddr::V6(Ipv6Addr::from(u128::from(a) << 96))),
+    ]
+}
+
+fn arb_tuple() -> impl Strategy<Value = FlowTuple> {
+    let fields = (any::<u8>(), any::<u16>(), any::<u16>(), any::<u32>());
+    (arb_addr(), arb_addr(), fields).prop_map(|(src, dst, (proto, sport, dport, rx_if))| {
+        FlowTuple {
+            src,
+            dst,
+            proto,
+            sport,
+            dport,
+            rx_if,
+        }
+    })
+}
+
+proptest! {
+    #[test]
+    fn key_hash_is_the_tuple_fold_bit_for_bit(t in arb_tuple()) {
+        prop_assert_eq!(flow_hash(&t), tuple_fold(&t));
+        prop_assert_eq!(key_hash(&FlowKey::of(&t)), tuple_fold(&t));
+    }
+}
+
+/// An IPv4 flow and its IPv6 twins — the v4 address as the first word of
+/// a v6 one, everything else equal — hash alike and so chain in one
+/// bucket: only the family bits tell their records apart.
+#[test]
+fn family_twins_share_a_bucket_but_not_a_record() {
+    let mut table: FlowTable<u32> = FlowTable::new(FlowTableConfig {
+        buckets: 64,
+        max_buckets: 0,
+        initial_records: 4,
+        max_records: 8,
+        gates: 1,
+        max_idle_ns: 0,
+        lru_evict: false,
+    });
+    let v4 = |a: u32| IpAddr::V4(Ipv4Addr::from(a));
+    let v6 = |a: u32| IpAddr::V6(Ipv6Addr::from(u128::from(a) << 96));
+    let (s, d) = (0x0A00_0001, 0xC000_0201);
+    let twins = [
+        (v4(s), v4(d)),
+        (v6(s), v4(d)),
+        (v4(s), v6(d)),
+        (v6(s), v6(d)),
+    ]
+    .map(|(src, dst)| FlowTuple {
+        src,
+        dst,
+        proto: 6,
+        sport: 1234,
+        dport: 80,
+        rx_if: 2,
+    });
+    let hash = flow_hash(&twins[0]);
+    assert!(twins.iter().all(|t| flow_hash(t) == hash));
+    let fixes = twins.map(|t| match arrive(&mut table, &FlowKey::of(&t)) {
+        Arrival::New(fix, None) => fix,
+        got => panic!("{t}: expected a new record, got {got:?}"),
+    });
+    for (t, fix) in twins.iter().zip(fixes) {
+        assert_eq!(
+            arrive(&mut table, &FlowKey::of(t)),
+            Arrival::Hit(fix),
+            "{t}"
+        );
+        assert_eq!(table.peek(t), Some(fix));
+        assert_eq!(table.record(fix).map(|r| r.key()), Some(*t));
+    }
+    assert_eq!(table.live(), 4);
 }

@@ -4,22 +4,23 @@
 //! and per-flow packet order the paper's architecture depends on, without
 //! any cross-shard locking.
 //!
-//! The hash is the flow table's own [`flow_hash`] (the paper's cheap
-//! "17-cycle" five-tuple fold), so dispatch costs the same as one flow
-//! cache probe and spreads exactly as well as the cache itself.
+//! A packet is placed by the shard's own first step: the one parser
+//! ([`FlowKey::extract`]) and the flow table's hash of the key
+//! ([`key_hash`], the paper's cheap xor/rotate fold, over words). So
+//! dispatch costs the front half of a flow-cache probe, spreads exactly
+//! as well as the cache, and [`shard_for_tuple`] agrees with it.
 //! Placement is a pure function of the packet: no table, no load
 //! feedback, the same answer for every packet of a flow.
 
-use rp_classifier::flow_table::flow_hash;
-use rp_packet::{FlowTuple, Mbuf};
+use rp_classifier::flow_table::{flow_hash, key_hash};
+use rp_packet::{FlowKey, FlowTuple, Mbuf};
 
 /// The shard a fully-specified flow belongs to. Multiply-shift range
 /// reduction: unlike `hash % n`, this is unbiased across shards for any
 /// `n` and costs one multiply instead of a hot-path divide.
 #[inline]
 pub fn shard_for_tuple(tuple: &FlowTuple, shards: usize) -> usize {
-    debug_assert!(shards > 0, "dispatch needs at least one shard");
-    ((flow_hash(tuple) as u64 * shards.max(1) as u64) >> 32) as usize
+    shard_of_hash(flow_hash(tuple), shards)
 }
 
 /// The shard a packet is dispatched to. Packets whose five-tuple cannot
@@ -28,10 +29,16 @@ pub fn shard_for_tuple(tuple: &FlowTuple, shards: usize) -> usize {
 /// deterministic.
 #[inline]
 pub fn shard_for_packet(mbuf: &Mbuf, shards: usize) -> usize {
-    match FlowTuple::from_mbuf(mbuf) {
-        Ok(t) => shard_for_tuple(&t, shards),
+    match FlowKey::extract(mbuf.data(), mbuf.rx_if) {
+        Ok(k) => shard_of_hash(key_hash(&k), shards),
         Err(_) => 0,
     }
+}
+
+#[inline]
+fn shard_of_hash(hash: u32, shards: usize) -> usize {
+    debug_assert!(shards > 0, "dispatch needs at least one shard");
+    ((hash as u64 * shards.max(1) as u64) >> 32) as usize
 }
 
 #[cfg(test)]

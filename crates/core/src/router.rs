@@ -461,7 +461,7 @@ impl Router {
     fn classify(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<(), DropReason> {
         // A new flow's destination is almost always a cold FIB slot: start
         // that load now and let the filter-table walks hide it.
-        let hint = |t: &rp_packet::FlowTuple| self.routes.prefetch(t.dst);
+        let hint = |k: &rp_packet::FlowKey| self.routes.prefetch(k.dst());
         let Ok((outcome, evicted)) = self.aiu.classify_mbuf_with(mbuf, hint) else {
             return Err(DropReason::Malformed);
         };

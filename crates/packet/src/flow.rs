@@ -4,18 +4,174 @@
 //!
 //! Extraction is the part of classification every gate shares: parse the IP
 //! header, walk IPv6 extension headers to the transport protocol, read the
-//! ports. The AIU hashes the resulting [`FlowTuple`] into the flow table and
-//! matches it against filter tables.
+//! ports. It produces a [`FlowKey`] — the six-tuple as eleven words, which
+//! the flow table hashes and compares without ever building a
+//! [`FlowTuple`]. The tuple is the key's readable form, and what filter
+//! tables match against.
 
 use crate::ext_hdr;
 use crate::ip::{IpVersion, Protocol};
 use crate::ipv4::Ipv4Packet;
 use crate::ipv6::Ipv6Packet;
 use crate::mbuf::{IfIndex, Mbuf};
-use crate::wire::get_u16;
+use crate::wire::{get_u16, get_u32};
 use crate::{Error, Result};
 use std::fmt;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+
+/// The six-tuple as the flow table keys it: eleven 32-bit words, hashed
+/// and compared whole. Words 0–3 hold the source address, 4–7 the
+/// destination (IPv6 in network order; IPv4 in the first word, the other
+/// three zero), 8 `sport << 16 | dport`, 9 the incoming interface, and 10
+/// the protocol in bits 0–7 plus one bit per address that is IPv6 (8:
+/// source, 9: destination) — so `FlowKey::of(&t).tuple() == t` for every
+/// tuple, mixed families included. 44 bytes, as the [`FlowTuple`] it
+/// replaces in a flow record.
+#[derive(Debug, Clone, Copy, Default, Eq)]
+pub struct FlowKey([u32; 11]);
+
+impl PartialEq for FlowKey {
+    /// Word by word with no early exit: the derived compare of the array
+    /// is a `bcmp` call, on every flow-cache probe.
+    #[inline]
+    fn eq(&self, other: &FlowKey) -> bool {
+        self.0.iter().zip(&other.0).fold(0, |d, (a, b)| d | (a ^ b)) == 0
+    }
+}
+
+const SRC_V6: u32 = 1 << 8;
+const DST_V6: u32 = 1 << 9;
+
+impl FlowKey {
+    /// Extract the key from a packet buffer plus its receive interface:
+    /// the one flow-identity parser. For IPv6, walks the extension chain
+    /// to the upper-layer protocol. Port-less protocols and fragments get
+    /// zero ports; a TCP or UDP header too short for its ports is
+    /// [`Error::Truncated`].
+    #[inline]
+    pub fn extract(data: &[u8], rx_if: IfIndex) -> Result<FlowKey> {
+        if IpVersion::of_packet(data)? == IpVersion::V6 {
+            return Self::extract_v6(data, rx_if);
+        }
+        // IPv4 fields by offset: no accessor calls, no `Protocol` round trip.
+        let ip = Ipv4Packet::new_checked(data)?;
+        let proto = data[9];
+        // Fragments are keyed port-less: non-first fragments carry no
+        // transport header (mid-datagram bytes would be read as "ports"),
+        // and the first fragment must land in the same flow record — and
+        // on the same shard — as the rest, so it gets the same
+        // <src, dst, proto, rx_if> key. 0x3FFF is MF plus the offset.
+        let fragment = get_u16(data, 6) & 0x3FFF != 0;
+        let has_ports = proto == u8::from(Protocol::Tcp) || proto == u8::from(Protocol::Udp);
+        let ports = ports(ip.payload(), fragment || !has_ports)?;
+        let (src, dst, proto) = (get_u32(data, 12), get_u32(data, 16), proto.into());
+        Ok(FlowKey([src, 0, 0, 0, dst, 0, 0, 0, ports, rx_if, proto]))
+    }
+
+    /// The IPv6 half of [`Self::extract`]. Inlined although IPv4 traffic
+    /// never runs it: as a call, its return slot puts the IPv4 key in
+    /// memory as well, written a word at a time and read back in wider
+    /// loads that cannot be forwarded from those stores.
+    #[inline]
+    fn extract_v6(data: &[u8], rx_if: IfIndex) -> Result<FlowKey> {
+        let ip = Ipv6Packet::new_checked(data)?;
+        let walk = ext_hdr::walk_chain(ip.next_header(), ip.payload())?;
+        let upper = &ip.payload()[walk.upper_offset..];
+        // Same port-less keying as v4 whenever a fragment header is
+        // present (the first fragment included).
+        let portless = walk.fragment.is_some() || !walk.upper_protocol.has_ports();
+        let mut w = [0u32; 11];
+        for (i, word) in w[..8].iter_mut().enumerate() {
+            *word = get_u32(data, 8 + 4 * i);
+        }
+        w[8] = ports(upper, portless)?;
+        w[9] = rx_if;
+        w[10] = u32::from(u8::from(walk.upper_protocol)) | SRC_V6 | DST_V6;
+        Ok(FlowKey(w))
+    }
+
+    /// The key of a tuple.
+    #[inline]
+    pub fn of(t: &FlowTuple) -> FlowKey {
+        let mut w = [0u32; 11];
+        let src_v6 = u32::from(put_addr(t.src, &mut w[0..4]));
+        let dst_v6 = u32::from(put_addr(t.dst, &mut w[4..8]));
+        w[8] = u32::from(t.sport) << 16 | u32::from(t.dport);
+        w[9] = t.rx_if;
+        w[10] = u32::from(t.proto) | (src_v6 * SRC_V6) | (dst_v6 * DST_V6);
+        FlowKey(w)
+    }
+
+    /// The tuple this key stands for.
+    #[inline]
+    pub fn tuple(&self) -> FlowTuple {
+        let w = &self.0;
+        FlowTuple {
+            src: addr_of(&w[0..4], w[10] & SRC_V6 != 0),
+            dst: self.dst(),
+            proto: self.proto(),
+            sport: (w[8] >> 16) as u16,
+            dport: w[8] as u16,
+            rx_if: w[9],
+        }
+    }
+
+    /// Destination address.
+    #[inline]
+    pub fn dst(&self) -> IpAddr {
+        addr_of(&self.0[4..8], self.0[10] & DST_V6 != 0)
+    }
+
+    /// Transport protocol number.
+    #[inline]
+    pub fn proto(&self) -> u8 {
+        self.0[10] as u8
+    }
+
+    /// The eleven words, laid out as the type's documentation says.
+    #[inline]
+    pub fn words(&self) -> &[u32; 11] {
+        &self.0
+    }
+}
+
+/// `sport << 16 | dport` from a transport header, 0 when `portless`. A
+/// TCP/UDP header shorter than its port fields is truncated garbage;
+/// reading it as port 0 would alias it with the port-less protocols.
+#[inline]
+fn ports(transport: &[u8], portless: bool) -> Result<u32> {
+    match *transport {
+        _ if portless => Ok(0),
+        [a, b, c, d, ..] => Ok(u32::from_be_bytes([a, b, c, d])),
+        _ => Err(Error::Truncated),
+    }
+}
+
+/// Write `addr` into its four key words; true when it is IPv6.
+#[inline]
+fn put_addr(addr: IpAddr, words: &mut [u32]) -> bool {
+    match addr {
+        IpAddr::V4(a) => words[0] = a.into(),
+        IpAddr::V6(a) => {
+            let b = u128::from(a);
+            for (i, w) in words.iter_mut().enumerate() {
+                *w = (b >> (96 - 32 * i)) as u32;
+            }
+        }
+    }
+    addr.is_ipv6()
+}
+
+/// The address four key words hold.
+#[inline]
+fn addr_of(words: &[u32], v6: bool) -> IpAddr {
+    if v6 {
+        let b = words.iter().fold(0u128, |b, &w| b << 32 | u128::from(w));
+        IpAddr::V6(Ipv6Addr::from(b))
+    } else {
+        IpAddr::V4(Ipv4Addr::from(words[0]))
+    }
+}
 
 /// A fully specified flow identity — the paper's six-tuple with no
 /// wildcards. Flow-table entries are keyed by this.
@@ -37,53 +193,9 @@ pub struct FlowTuple {
 
 impl FlowTuple {
     /// Extract the six-tuple from a packet buffer plus its receive
-    /// interface. For IPv6, walks the extension chain to the upper-layer
-    /// protocol; for port-less protocols the ports are zero.
+    /// interface: [`FlowKey::extract`], read back as a tuple.
     pub fn extract(data: &[u8], rx_if: IfIndex) -> Result<FlowTuple> {
-        match IpVersion::of_packet(data)? {
-            IpVersion::V4 => {
-                let ip = Ipv4Packet::new_checked(data)?;
-                let proto = ip.protocol();
-                // Fragments are keyed port-less: non-first fragments carry no
-                // transport header (mid-datagram bytes would be read as
-                // "ports"), and the first fragment must land in the same flow
-                // record — and on the same shard — as the rest, so it gets the
-                // same <src, dst, proto, rx_if> key.
-                let (sport, dport) = if ip.frag_offset() > 0 || ip.more_frags() {
-                    (0, 0)
-                } else {
-                    ports_of(proto, ip.payload())?
-                };
-                Ok(FlowTuple {
-                    src: IpAddr::V4(ip.src_addr()),
-                    dst: IpAddr::V4(ip.dst_addr()),
-                    proto: proto.into(),
-                    sport,
-                    dport,
-                    rx_if,
-                })
-            }
-            IpVersion::V6 => {
-                let ip = Ipv6Packet::new_checked(data)?;
-                let walk = ext_hdr::walk_chain(ip.next_header(), ip.payload())?;
-                let upper = &ip.payload()[walk.upper_offset..];
-                // Same port-less keying as v4 whenever a fragment header is
-                // present (the first fragment included).
-                let (sport, dport) = if walk.fragment.is_some() {
-                    (0, 0)
-                } else {
-                    ports_of(walk.upper_protocol, upper)?
-                };
-                Ok(FlowTuple {
-                    src: IpAddr::V6(ip.src_addr()),
-                    dst: IpAddr::V6(ip.dst_addr()),
-                    proto: walk.upper_protocol.into(),
-                    sport,
-                    dport,
-                    rx_if,
-                })
-            }
-        }
+        FlowKey::extract(data, rx_if).map(|k| k.tuple())
     }
 
     /// Extract from an [`Mbuf`], using its receive interface.
@@ -114,18 +226,6 @@ impl fmt::Display for FlowTuple {
             self.rx_if
         )
     }
-}
-
-fn ports_of(proto: Protocol, transport: &[u8]) -> Result<(u16, u16)> {
-    if !proto.has_ports() {
-        return Ok((0, 0));
-    }
-    // A TCP/UDP header shorter than its port fields is truncated garbage;
-    // reporting (0, 0) would alias it with legitimate port-less protocols.
-    if transport.len() < 4 {
-        return Err(Error::Truncated);
-    }
-    Ok((get_u16(transport, 0), get_u16(transport, 2)))
 }
 
 /// True when the packet is an IP fragment (IPv4 with a nonzero fragment

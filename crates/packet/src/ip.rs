@@ -128,6 +128,7 @@ pub enum IpVersion {
 
 impl IpVersion {
     /// Sniff the version nibble of a raw packet.
+    #[inline]
     pub fn of_packet(data: &[u8]) -> crate::Result<IpVersion> {
         match data.first().map(|b| b >> 4) {
             Some(4) => Ok(IpVersion::V4),

@@ -14,8 +14,9 @@
 //!   importantly the **flow index** (FIX) that caches the flow-table row for
 //!   gates after the first one.
 //! * [`FlowTuple`] — the paper's six-tuple `<src, dst, proto, sport, dport,
-//!   incoming interface>` and its extraction from raw packets (including the
-//!   IPv6 extension-header walk).
+//!   incoming interface>` — and [`FlowKey`], the same six-tuple as eleven
+//!   words, which the one extraction from raw packets produces (including
+//!   the IPv6 extension-header walk) and the flow table hashes and compares.
 //! * From-scratch **SHA-1/HMAC-SHA1** (RFC 3174 / RFC 2104) for the AH
 //!   security plugin; no crypto crates are available offline and the
 //!   algorithms are small and fully test-vectored.
@@ -48,7 +49,7 @@ pub mod wire;
 
 pub use clock::coarse_now_ns;
 pub use error::{Error, Result};
-pub use flow::FlowTuple;
+pub use flow::{FlowKey, FlowTuple};
 pub use ip::{IpVersion, Protocol};
 pub use mbuf::{FlowIndex, Mbuf};
 pub use pool::{MbufPool, PoolStats};

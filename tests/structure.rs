@@ -157,6 +157,45 @@ fn flow_table_has_one_victim_routine_and_one_way_to_a_binding() {
     forbid("crates/classifier/", "soft_state_mut|fn record_mut");
 }
 
+/// `FlowKey::extract` is the one flow-identity parser: the router, the
+/// dispatcher and the flow cache never build a `FlowTuple` from packet
+/// bytes (lines before a file's first `#[cfg(test)]`), and
+/// `FlowTuple::extract` is the key's parse read back as a tuple.
+#[test]
+fn one_flow_key_parser() {
+    let scope = [
+        "crates/core/src/router.rs",
+        "crates/core/src/dataplane/",
+        "crates/classifier/src/aiu.rs",
+        "crates/classifier/src/flow_table.rs",
+    ];
+    let files = tree()
+        .iter()
+        .filter(|(p, _)| scope.iter().any(|s| p.starts_with(s)));
+    let found = files.flat_map(|(path, text)| {
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        hits(path, &text[..end], |l| {
+            contains(l, "FlowTuple::from_mbuf|FlowTuple::extract")
+        })
+    });
+    assert_none(found.collect(), "a tuple parse beside FlowKey::extract");
+    let flow = file("crates/packet/src/flow.rs");
+    let sig = "pub fn extract(data: &[u8], rx_if: IfIndex) -> Result<FlowTuple> {";
+    let body: Vec<&str> = flow
+        .split_once(sig)
+        .map_or("", |(_, rest)| rest)
+        .lines()
+        .map(str::trim)
+        .skip(1)
+        .take(2)
+        .collect();
+    assert_eq!(
+        body,
+        ["FlowKey::extract(data, rx_if).map(|k| k.tuple())", "}"],
+        "FlowTuple::extract must be the key's parse, read back"
+    );
+}
+
 /// `(stats|data)\.(dropped_[a-z_]+|plugin_calls) *[-+]?=`: a write to a
 /// drop or plugin-call counter outside the registry.
 fn writes_ledger_counter(line: &str) -> bool {
