@@ -10,7 +10,7 @@
 //! is at least the maximum packet size (the classic DRR requirement).
 
 use crate::link::{FlowId, SchedPacket, Scheduler};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 struct FlowQueue {
     queue: VecDeque<SchedPacket>,
@@ -21,9 +21,28 @@ struct FlowQueue {
     visited: bool,
 }
 
+// The per-id cost of the slab, which `DrrScheduler::new` documents.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<FlowQueue>() <= 48);
+
+impl FlowQueue {
+    /// An idle flow: empty queue, zero deficit, not in the round.
+    fn new(weight: u32) -> Self {
+        FlowQueue {
+            queue: VecDeque::new(),
+            deficit: 0,
+            weight,
+            active: false,
+            visited: false,
+        }
+    }
+}
+
 /// Weighted DRR over per-flow queues.
 pub struct DrrScheduler {
-    flows: HashMap<FlowId, FlowQueue>,
+    /// Per-flow state indexed by flow id (the flow table's FIX): a slab
+    /// that grows to `id + 1` the first time an id is seen.
+    flows: Vec<FlowQueue>,
     /// Round-robin list of active flows.
     active: VecDeque<FlowId>,
     quantum: u32,
@@ -33,13 +52,31 @@ pub struct DrrScheduler {
     drops: u64,
 }
 
+/// The slot of `flow`, growing the slab the first time the id is seen.
+fn slot(flows: &mut Vec<FlowQueue>, flow: FlowId, default_weight: u32) -> &mut FlowQueue {
+    let i = flow as usize;
+    if i >= flows.len() {
+        grow(flows, i + 1, default_weight);
+    }
+    &mut flows[i]
+}
+
+#[cold]
+fn grow(flows: &mut Vec<FlowQueue>, len: usize, default_weight: u32) {
+    flows.resize_with(len, || FlowQueue::new(default_weight));
+}
+
 impl DrrScheduler {
     /// DRR with the given quantum (bytes credited per weight unit per
     /// round; should be ≥ the MTU) and per-flow queue limit in packets.
+    ///
+    /// Flow ids must be dense indices, as the flow table's FIX is: the
+    /// per-flow state is a slab indexed by id, so it holds (highest id
+    /// + 1) × 48 B — ≤ 3.1 MB at the default 65 536-record flow table.
     pub fn new(quantum: u32, per_flow_limit: usize) -> Self {
         assert!(quantum > 0);
         DrrScheduler {
-            flows: HashMap::new(),
+            flows: Vec::new(),
             active: VecDeque::new(),
             quantum,
             per_flow_limit,
@@ -54,25 +91,14 @@ impl DrrScheduler {
     /// effect from the flow's next round.
     pub fn set_weight(&mut self, flow: FlowId, weight: u32) {
         assert!(weight > 0);
-        let w = self.default_weight;
-        let limit = self.per_flow_limit;
-        let entry = self.flows.entry(flow).or_insert_with(|| FlowQueue {
-            queue: VecDeque::new(),
-            deficit: 0,
-            weight: w,
-            active: false,
-            visited: false,
-        });
-        let _ = limit;
-        entry.weight = weight;
+        slot(&mut self.flows, flow, self.default_weight).weight = weight;
     }
 
     /// Current weight of a flow.
     pub fn weight(&self, flow: FlowId) -> u32 {
         self.flows
-            .get(&flow)
-            .map(|f| f.weight)
-            .unwrap_or(self.default_weight)
+            .get(flow as usize)
+            .map_or(self.default_weight, |f| f.weight)
     }
 
     /// Packets dropped due to per-flow queue limits.
@@ -82,10 +108,13 @@ impl DrrScheduler {
 
     /// Remove a flow entirely (its classifier cache entry was evicted),
     /// returning any packets still queued so the caller can release them.
+    /// The slot is reset in place, so a recycled id starts idle at the
+    /// default weight.
     pub fn purge_flow(&mut self, flow: FlowId) -> Vec<SchedPacket> {
-        let Some(fq) = self.flows.remove(&flow) else {
+        let Some(entry) = self.flows.get_mut(flow as usize) else {
             return Vec::new();
         };
+        let fq = std::mem::replace(entry, FlowQueue::new(self.default_weight));
         if fq.active {
             self.active.retain(|f| *f != flow);
         }
@@ -101,14 +130,7 @@ impl DrrScheduler {
 
 impl Scheduler for DrrScheduler {
     fn enqueue(&mut self, pkt: SchedPacket, _now_ns: u64) -> bool {
-        let w = self.default_weight;
-        let entry = self.flows.entry(pkt.flow).or_insert_with(|| FlowQueue {
-            queue: VecDeque::new(),
-            deficit: 0,
-            weight: w,
-            active: false,
-            visited: false,
-        });
+        let entry = slot(&mut self.flows, pkt.flow, self.default_weight);
         if entry.queue.len() >= self.per_flow_limit {
             self.drops += 1;
             return false;
@@ -133,7 +155,7 @@ impl Scheduler for DrrScheduler {
         // packet eventually fits.
         loop {
             let flow = *self.active.front()?;
-            let fq = self.flows.get_mut(&flow).expect("active flow has queue");
+            let fq = &mut self.flows[flow as usize];
             if fq.queue.is_empty() {
                 // Became empty after its last service: deactivate.
                 fq.active = false;
@@ -299,6 +321,34 @@ mod tests {
         let seq: Vec<u32> = std::iter::from_fn(|| drr.dequeue(0).map(|p| p.flow)).collect();
         assert_eq!(seq.len(), 2);
         assert!(seq.contains(&1) && seq.contains(&2));
+    }
+
+    #[test]
+    fn purged_slot_comes_back_idle() {
+        // The flow table hands a recycled FIX to the next flow, which
+        // must not inherit the old flow's weight, deficit or queue.
+        let mut drr = DrrScheduler::new(1500, 8);
+        drr.set_weight(3, 5);
+        for cookie in 0..3 {
+            let pkt = SchedPacket {
+                flow: 3,
+                len: 1000,
+                arrival_ns: 0,
+                cookie,
+            };
+            assert!(drr.enqueue(pkt, 0));
+        }
+        assert_eq!(drr.dequeue(0).unwrap().cookie, 0);
+        assert_eq!(drr.flows[3].deficit, 5 * 1500 - 1000);
+        let left: Vec<u64> = drr.purge_flow(3).iter().map(|p| p.cookie).collect();
+        assert_eq!(left, [1, 2]);
+        let fq = &drr.flows[3];
+        assert!(fq.queue.is_empty() && !fq.active && !fq.visited);
+        assert_eq!((fq.weight, fq.deficit), (1, 0));
+        assert_eq!(drr.weight(3), 1);
+        assert_eq!((drr.backlog(), drr.active_flows()), (0, 0));
+        assert!(drr.purge_flow(1_000).is_empty(), "an id never seen");
+        assert_eq!(drr.flows.len(), 4, "purging never grows the slab");
     }
 
     #[test]

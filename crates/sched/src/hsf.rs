@@ -18,6 +18,10 @@ use crate::link::{FlowId, SchedPacket, Scheduler};
 use std::collections::HashMap;
 
 /// H-FSC over leaves, DRR within each leaf.
+///
+/// Each leaf has its own [`DrrScheduler`], so the DRR memory bound
+/// applies per leaf: (highest flow id the leaf has seen + 1) × 48 B,
+/// ≤ 3.1 MB per leaf at the default 65 536-record flow table.
 pub struct HsfScheduler {
     outer: HfscScheduler,
     /// Inner DRR per leaf class.

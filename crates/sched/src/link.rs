@@ -8,6 +8,10 @@
 use std::collections::HashMap;
 
 /// Flow (or leaf-class) identifier within a scheduler.
+///
+/// Ids must be dense indices, as the flow table's FIX is:
+/// [`DrrScheduler`](crate::DrrScheduler) indexes its per-flow state by
+/// id, so its memory grows with the highest id it has seen.
 pub type FlowId = u32;
 
 /// A packet as seen by a scheduler: its wire length and the flow it was

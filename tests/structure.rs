@@ -118,6 +118,8 @@ fn deleted_names_stay_deleted() {
          cp_stats_rows|cp_metrics_rows|io_stats|io_mbuf|set_max_sojourn_ns|.flow_admission_denied\\b|\
          .flow_inline_expired\\b|.flow_evicted_lru\\b|.flow_resize_steps\\b",
     );
+    // A hashed second home for DRR's per-flow state, which the FIX indexes.
+    forbid("crates/sched/src/drr.rs", "HashMap|HashSet");
 }
 
 /// Supervision timestamps are caller-supplied `u64` ns: no `Instant`
