@@ -150,35 +150,21 @@ impl<V: Clone> Aiu<V> {
         &self.filter_tables[gate]
     }
 
-    /// [`classify_with`](Self::classify_with) and no hook.
-    #[inline]
-    pub fn classify(
-        &mut self,
-        tuple: &FlowTuple,
-    ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
-        self.classify_with(tuple, |_| {})
-    }
-
-    /// Classify a packet: the paper's first-gate logic. On a miss, runs
+    /// Classify a flow: the paper's first-gate logic. On a miss, runs
     /// the filter lookup of **every gate that has filters** and fills one
     /// flow record ("the processing of the first packet of a new flow
     /// with n gates involves n filter table lookups to create a single
     /// entry"). Any recycled flow's bindings are lent out for eviction
     /// callbacks ([`crate::flow_table::GateArray::drain`]); what the
     /// caller leaves in them is dropped by the next classification that
-    /// recycles. `on_new` runs exactly once when the flow gets a fresh
-    /// record, **before** those lookups, and never on a hit or a denial:
-    /// it is where the router starts the route lookup's memory load.
+    /// recycles. The router's entry is
+    /// [`classify_mbuf_with`](Self::classify_mbuf_with).
     #[inline]
-    pub fn classify_with(
+    pub fn classify(
         &mut self,
         tuple: &FlowTuple,
-        on_new: impl FnOnce(&FlowTuple),
     ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
-        self.classify_key(&FlowKey::of(tuple), |aiu, fix| {
-            on_new(tuple);
-            aiu.bind_gates(fix, tuple);
-        })
+        self.classify_key(&FlowKey::of(tuple), |aiu, fix| aiu.bind_gates(fix, tuple))
     }
 
     /// Both entries' probe: one hash (denied floods too), `miss` on a new record.
@@ -224,13 +210,16 @@ impl<V: Clone> Aiu<V> {
         self.classify_mbuf_with(mbuf, |_| {})
     }
 
-    /// Classify an mbuf, extracting its key and caching the FIX into the
-    /// mbuf (what the first gate's macro does in the paper). A denied
-    /// packet is marked so later gates skip reclassification — without
-    /// the mark, every gate of a denied packet would re-run the n filter
-    /// lookups, turning admission control into an amplifier. `on_new` as
-    /// in [`classify_with`](Self::classify_with), handed the key; only a
-    /// miss builds the tuple, once, after it.
+    /// Classify an mbuf as [`classify`](Self::classify) does a tuple,
+    /// extracting its key and caching the FIX into the mbuf (what the
+    /// first gate's macro does in the paper). A denied packet is marked
+    /// so later gates skip reclassification — without the mark, every
+    /// gate of a denied packet would re-run the n filter lookups, turning
+    /// admission control into an amplifier. `on_new` runs exactly once
+    /// when the flow gets a fresh record, handed the key, **before** the
+    /// filter lookups, and never on a hit or a denial: it is where the
+    /// router starts the route lookup's memory load. Only a miss builds
+    /// the tuple, once, after it.
     #[inline]
     pub fn classify_mbuf_with(
         &mut self,
@@ -384,8 +373,15 @@ mod tests {
         );
     }
 
+    /// A UDP packet of flow `i`'s addresses and ports.
+    fn packet(i: u32) -> Mbuf {
+        let t = tuple(i);
+        let spec = rp_packet::builder::PacketSpec::udp(t.src, t.dst, t.sport, t.dport, 8);
+        Mbuf::new(spec.build(), 0)
+    }
+
     /// `on_new` fires once per new record and on nothing else, with the
-    /// packet's own tuple.
+    /// packet's own key.
     #[test]
     fn on_new_runs_once_per_miss_and_never_on_a_hit_or_a_denial() {
         // Admission control as in `flow_table::tests::defended`: a table
@@ -405,27 +401,21 @@ mod tests {
         });
         aiu.install_filter(0, FilterSpec::any(), "p").unwrap();
         let mut seen = Vec::new();
+        let mut want = Vec::new();
         for i in 0..8 {
-            let (o, _) = aiu.classify_with(&tuple(i), |t| seen.push(*t));
+            let mut m = packet(i);
+            want.push(FlowKey::extract(m.data(), m.rx_if).unwrap());
+            let (o, _) = aiu.classify_mbuf_with(&mut m, |k| seen.push(*k)).unwrap();
             assert!(matches!(o, ClassifyOutcome::CacheMiss(_)));
-            let (o, _) = aiu.classify_with(&tuple(i), |t| seen.push(*t));
+            let (o, _) = aiu.classify_mbuf_with(&mut m, |k| seen.push(*k)).unwrap();
             assert!(matches!(o, ClassifyOutcome::CacheHit(_)));
         }
-        assert_eq!(seen, (0..8).map(tuple).collect::<Vec<_>>());
-        let (o, _) = aiu.classify_with(&tuple(100), |t| seen.push(*t));
+        assert_eq!(seen, want);
+        let (o, _) = aiu
+            .classify_mbuf_with(&mut packet(100), |k| seen.push(*k))
+            .unwrap();
         assert_eq!(o, ClassifyOutcome::Denied);
         assert_eq!(seen.len(), 8, "a denied flow gets no record and no hook");
-        // The mbuf entry hands the same hook the key it extracted.
-        let mut aiu = aiu3();
-        let mut m = Mbuf::new(
-            rp_packet::builder::PacketSpec::udp(tuple(1).src, tuple(1).dst, 7, 9, 8).build(),
-            0,
-        );
-        let want = FlowKey::extract(m.data(), m.rx_if).unwrap();
-        let mut seen = Vec::new();
-        aiu.classify_mbuf_with(&mut m, |t| seen.push(*t)).unwrap();
-        aiu.classify_mbuf_with(&mut m, |t| seen.push(*t)).unwrap();
-        assert_eq!(seen, [want]);
     }
 
     /// The hook runs before any filter table is touched — that is what
@@ -439,7 +429,8 @@ mod tests {
         }
         let before = aiu.filter_stats().dag_edges;
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            aiu.classify_with(&tuple(1), |_| std::panic::resume_unwind(Box::new(())));
+            let _ =
+                aiu.classify_mbuf_with(&mut packet(1), |_| std::panic::resume_unwind(Box::new(())));
         }));
         assert!(unwound.is_err(), "the hook ran");
         assert_eq!(aiu.filter_stats().dag_edges, before);

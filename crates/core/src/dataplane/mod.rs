@@ -311,7 +311,6 @@ impl ParallelRouter {
             router,
             busy_ns: 0,
             packets: 0,
-            cpu_clock_errors: 0,
         };
         let (tx, rx) = shard_fifo(self.cfg.ingress_depth.max(1));
         let egress = EgressSink {

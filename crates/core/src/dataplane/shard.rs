@@ -37,19 +37,14 @@ pub struct ShardCtx {
     /// The shard's complete single-threaded router: its own AIU, flow
     /// table, gates, scheduler queues, and plugin instances.
     pub router: Router,
-    /// Nanoseconds this shard has spent processing packets, i.e. its CPU
-    /// demand: wall time measured around each batch's packet loop (the
-    /// batch's two clock reads, the egress drain excluded). With one core
-    /// per shard this is the shard's wall-clock busy time; the scaling
-    /// bench divides packet count by the *maximum* shard busy time to get
-    /// the aggregate rate the array sustains.
+    /// Nanoseconds this shard has spent processing packets: wall time
+    /// measured around each batch's packet loop (the batch's two clock
+    /// reads, the egress drain excluded). With one core per shard this is
+    /// the shard's busy time; a benchmark divides packet count by it to
+    /// get the rate one shard sustains.
     pub busy_ns: u64,
     /// Packets this shard has processed.
     pub packets: u64,
-    /// Times the per-thread CPU clock could not be read (`/proc` parse
-    /// failure). Surfaced in [`ShardReport`] so a zero `cpu_ns` is never
-    /// silent.
-    pub cpu_clock_errors: u64,
 }
 
 /// Messages a shard consumes, in strict FIFO order.
@@ -86,7 +81,7 @@ const RECV_PARK: Duration = Duration::from_millis(2);
 /// the doorbell. Probed once; spinning is only worth it with real
 /// parallelism.
 fn recv_wait_profile() -> (u32, u32) {
-    static PROFILE: std::sync::OnceLock<(u32, u32)> = std::sync::OnceLock::new();
+    static PROFILE: OnceLock<(u32, u32)> = OnceLock::new();
     *PROFILE.get_or_init(|| {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -198,8 +193,8 @@ impl EgressSink {
     }
 }
 
-/// Per-shard work snapshot (scaling bench). The shard router's counters
-/// are its [`Router::metrics_snapshot`].
+/// Per-shard work snapshot. The shard router's counters are its
+/// [`Router::metrics_snapshot`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardReport {
     /// Shard index.
@@ -208,16 +203,6 @@ pub struct ShardReport {
     pub packets: u64,
     /// Busy time in nanoseconds (see [`ShardCtx::busy_ns`]).
     pub busy_ns: u64,
-    /// Cumulative CPU time of the shard thread in nanoseconds (0 when the
-    /// platform doesn't expose it — see `cpu_clock_errors`). Unlike
-    /// `busy_ns` (wall time inside the packet path) this is immune to
-    /// preemption inflation when more shards than cores share the
-    /// measurement host, at ~10 ms kernel accounting granularity —
-    /// benches prefer it over long runs.
-    pub cpu_ns: u64,
-    /// Times the CPU clock read failed; a non-zero count flags that
-    /// `cpu_ns` under-reports instead of letting 0 pass silently.
-    pub cpu_clock_errors: u64,
 }
 
 /// The final accounting a shard thread returns on any exit path. The
@@ -327,40 +312,6 @@ impl ShardShared {
     fn is_abandoned(&self) -> bool {
         self.abandoned.load(Ordering::Relaxed)
     }
-}
-
-/// Clock ticks per second for `/proc` utime/stime fields, from
-/// `getconf CLK_TCK` (the no-`unsafe` stand-in for
-/// `sysconf(_SC_CLK_TCK)`), probed once per process. Falls back to 100:
-/// Linux fixes `USER_HZ` at 100 for the userspace ABI regardless of the
-/// kernel's internal HZ, so the fallback is the documented value, not a
-/// guess.
-fn user_hz() -> u64 {
-    static USER_HZ: OnceLock<u64> = OnceLock::new();
-    *USER_HZ.get_or_init(|| {
-        std::process::Command::new("getconf")
-            .arg("CLK_TCK")
-            .output()
-            .ok()
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .filter(|hz| (1..=1_000_000).contains(hz))
-            .unwrap_or(100)
-    })
-}
-
-/// Cumulative CPU time (user + system) of the *calling* thread, from
-/// `/proc/thread-self/stat`. `None` off Linux or on parse failure.
-fn thread_cpu_ns() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
-    // The comm field may contain spaces; everything after the closing
-    // paren is fixed-position. utime/stime are the 12th/13th tokens after
-    // it, in `USER_HZ` ticks (see [`user_hz`]).
-    let (_, rest) = stat.rsplit_once(')')?;
-    let toks: Vec<&str> = rest.split_whitespace().collect();
-    let utime: u64 = toks.get(11)?.parse().ok()?;
-    let stime: u64 = toks.get(12)?.parse().ok()?;
-    Some((utime + stime) * (1_000_000_000 / user_hz()))
 }
 
 /// Trace a batch's packets as they reach the shard (one category check
@@ -476,23 +427,13 @@ pub(crate) fn run_shard(
 }
 
 impl ShardCtx {
-    /// Statistics snapshot. Meant to run *on the shard thread* (i.e. via
-    /// `control_map`), so `cpu_ns` reads that thread's CPU clock; a
-    /// failed read is counted, not silently reported as 0.
-    pub fn report(&mut self) -> ShardReport {
-        let cpu_ns = match thread_cpu_ns() {
-            Some(ns) => ns,
-            None => {
-                self.cpu_clock_errors += 1;
-                0
-            }
-        };
+    /// Statistics snapshot (taken on the shard thread, via
+    /// `control_map`).
+    pub fn report(&self) -> ShardReport {
         ShardReport {
             shard: self.index,
             packets: self.packets,
             busy_ns: self.busy_ns,
-            cpu_ns,
-            cpu_clock_errors: self.cpu_clock_errors,
         }
     }
 }
@@ -500,21 +441,6 @@ impl ShardCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn user_hz_is_sane() {
-        let hz = user_hz();
-        assert!((1..=1_000_000).contains(&hz), "USER_HZ {hz}");
-    }
-
-    #[test]
-    fn thread_cpu_clock_reads_on_linux() {
-        if cfg!(target_os = "linux") {
-            // Parse must succeed; the value itself can legitimately be 0
-            // on a freshly spawned thread (10 ms accounting granularity).
-            assert!(thread_cpu_ns().is_some());
-        }
-    }
 
     #[test]
     fn heartbeat_tracks_busy_windows() {

@@ -4,10 +4,15 @@
 //!
 //! A scheduling instance *consumes* packets at the Scheduling gate (the
 //! gate returns [`PluginAction::Consumed`]) and the interface driver
-//! drains it through [`SchedulerInstance::dequeue`]. Per-flow queues in
-//! the DRR plugin are keyed by the packet's flow index — exactly the
-//! paper's trick of using the AIU's flow table as the scheduler's flow
-//! state ("it was straightforward to add a queue per flow").
+//! drains it through [`SchedulerInstance::dequeue`]. Per-flow state is
+//! keyed by the packet's flow index — exactly the paper's trick of using
+//! the AIU's flow table as the scheduler's flow state ("it was
+//! straightforward to add a queue per flow").
+//!
+//! Every plugin here runs one instance type, `SchedInstance`, over its
+//! `rp_sched` scheduler. What differs per discipline is a `Discipline`:
+//! the setting a filter carries, how it applies to a flow, and what
+//! eviction releases so a recycled FIX starts fresh.
 
 use crate::plugin::{
     PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
@@ -17,13 +22,14 @@ use crate::plugins::{config_map, config_num, target};
 use rp_classifier::FilterId;
 use rp_packet::{FlowTuple, Mbuf};
 use rp_sched::hfsc::ClassId;
-use rp_sched::link::{SchedPacket, Scheduler};
+use rp_sched::link::{FlowId, SchedPacket, Scheduler};
 use rp_sched::{
     DrrScheduler, FifoScheduler, HfscScheduler, HsfScheduler, RedQueue, ServiceCurve,
     VirtualClockScheduler,
 };
 use std::any::Any;
 use std::collections::HashMap;
+use std::str::FromStr;
 
 /// The packets a scheduler holds, in a slab: the cookie a [`SchedPacket`]
 /// carries is the slot. Every cookie is taken exactly once — on dequeue,
@@ -55,65 +61,82 @@ impl PacketStore {
     }
 }
 
-/// The gate side of every scheduler: move the packet out of the gate's
-/// `&mut Mbuf` into `store` and offer it to `sched` as flow `flow`.
-fn enqueue(
-    sched: &mut impl Scheduler,
-    store: &mut PacketStore,
-    mbuf: &mut Mbuf,
-    flow: u32,
-    now_ns: u64,
-) -> PluginAction {
-    let rx = mbuf.rx_if;
-    let owned = std::mem::replace(mbuf, Mbuf::new(Vec::new(), rx));
-    let len = owned.len() as u32;
-    let cookie = store.put(owned);
-    let pkt = SchedPacket {
-        flow,
-        len,
-        arrival_ns: now_ns,
-        cookie,
-    };
-    if sched.enqueue(pkt, now_ns) {
-        PluginAction::Consumed
-    } else {
-        store.take(cookie);
-        PluginAction::Drop
+/// What one queueing discipline adds to the shared [`SchedInstance`].
+trait Discipline: Scheduler + Send + 'static {
+    /// A filter's setting for the flows it binds — the paper's per-filter
+    /// hard state ("opaque pointer … to plugin specific state associated
+    /// with installed filters").
+    type Setting: Copy + Send + 'static;
+
+    /// The discipline keeps state per FIX: the instance remembers each
+    /// flow's FIX in its soft-state slot and hands it to
+    /// [`release`](Self::release) when the flow is evicted.
+    const PER_FLOW: bool = false;
+
+    /// Apply the packet's filter setting to its flow, before the enqueue.
+    fn apply(&mut self, _flow: FlowId, _setting: Self::Setting) {}
+
+    /// Drop an evicted flow's state, so a recycled FIX starts fresh;
+    /// returns the packets this removed from the queues.
+    fn release(&mut self, _flow: FlowId) -> Vec<SchedPacket> {
+        Vec::new()
+    }
+
+    /// The instance's status line ([`PluginInstance::describe`]).
+    fn describe(&self) -> String;
+}
+
+/// A scheduling instance (one per interface, per the paper): a
+/// discipline, the packets it holds, and each filter's setting.
+struct SchedInstance<D: Discipline> {
+    sched: D,
+    store: PacketStore,
+    settings: HashMap<FilterId, D::Setting>,
+}
+
+impl<D: Discipline> SchedInstance<D> {
+    fn boxed(sched: D) -> Result<Box<dyn PluginInstance>, PluginError> {
+        Ok(Box::new(SchedInstance {
+            sched,
+            store: PacketStore::default(),
+            settings: HashMap::new(),
+        }))
     }
 }
 
-/// The driver side: the scheduler picks, the store hands the packet back.
-fn dequeue(sched: &mut impl Scheduler, store: &mut PacketStore, now_ns: u64) -> Option<Mbuf> {
-    let pkt = sched.dequeue(now_ns)?;
-    store.take(pkt.cookie)
-}
-
-// ---------------------------------------------------------------------
-// DRR
-// ---------------------------------------------------------------------
-
-/// A weighted-DRR instance (one per interface, per the paper).
-pub struct DrrInstance {
-    drr: DrrScheduler,
-    store: PacketStore,
-    /// Weight per installed filter (the plugin's per-filter hard state).
-    filter_weights: HashMap<FilterId, u32>,
-}
-
-impl PluginInstance for DrrInstance {
+impl<D: Discipline> PluginInstance for SchedInstance<D> {
+    /// Move the packet out of the gate's `&mut Mbuf` into the store and
+    /// offer it to the scheduler as flow `fix`.
     fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
         let flow = ctx.fix.0;
-        if let Some(w) = ctx.filter.and_then(|f| self.filter_weights.get(&f)) {
-            self.drr.set_weight(flow, *w);
+        if let Some(s) = ctx.filter.and_then(|f| self.settings.get(&f)) {
+            self.sched.apply(flow, *s);
         }
-        // Remember the flow id in soft state so eviction can purge.
-        ctx.soft_state.get_or_insert_with(|| Box::new(flow));
-        enqueue(&mut self.drr, &mut self.store, mbuf, flow, ctx.now_ns)
+        if D::PER_FLOW {
+            // Remember the flow id in soft state so eviction can release it.
+            ctx.soft_state.get_or_insert_with(|| Box::new(flow));
+        }
+        let rx = mbuf.rx_if;
+        let owned = std::mem::replace(mbuf, Mbuf::new(Vec::new(), rx));
+        let len = owned.len() as u32;
+        let cookie = self.store.put(owned);
+        let pkt = SchedPacket {
+            flow,
+            len,
+            arrival_ns: ctx.now_ns,
+            cookie,
+        };
+        if self.sched.enqueue(pkt, ctx.now_ns) {
+            PluginAction::Consumed
+        } else {
+            self.store.take(cookie);
+            PluginAction::Drop
+        }
     }
 
     fn flow_unbound(&mut self, _key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
         if let Some(flow) = soft_state.and_then(|b| b.downcast::<u32>().ok()) {
-            for pkt in self.drr.purge_flow(*flow) {
+            for pkt in self.sched.release(*flow) {
                 self.store.take(pkt.cookie);
             }
         }
@@ -124,22 +147,97 @@ impl PluginInstance for DrrInstance {
     }
 
     fn backlog(&self) -> usize {
-        self.drr.backlog()
+        self.sched.backlog()
+    }
+
+    fn describe(&self) -> String {
+        self.sched.describe()
+    }
+}
+
+impl<D: Discipline> SchedulerInstance for SchedInstance<D> {
+    /// The scheduler picks, the store hands the packet back.
+    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
+        let pkt = self.sched.dequeue(now_ns)?;
+        self.store.take(pkt.cookie)
+    }
+}
+
+type ConfigMap = HashMap<String, String>;
+
+/// `filter=<fid> <key>=<value>`, both required: the one parse of every
+/// per-filter setting message. `usage` is the error when either is
+/// missing (`unset` marks a missing value).
+fn filter_setting<T: FromStr + Copy + PartialEq>(
+    map: &ConfigMap,
+    key: &str,
+    unset: T,
+    usage: &str,
+) -> Result<(u64, T), PluginError> {
+    let fid: u64 = config_num(map, "filter", u64::MAX)?;
+    let value = config_num(map, key, unset)?;
+    if fid == u64::MAX || value == unset {
+        return Err(PluginError::BadConfig(usage.into()));
+    }
+    Ok((fid, value))
+}
+
+/// `class=<cid>`, required (`default class=…`).
+fn class_arg(map: &ConfigMap, usage: &str) -> Result<ClassId, PluginError> {
+    let cid: u32 = config_num(map, "class", u32::MAX)?;
+    if cid == u32::MAX {
+        return Err(PluginError::BadConfig(usage.into()));
+    }
+    Ok(ClassId(cid))
+}
+
+/// `parent=<id|root>` and `ls=<bps>` of a new H-FSC class.
+fn parent_and_ls(map: &ConfigMap, root: ClassId) -> Result<(ClassId, u64), PluginError> {
+    let parent = match map.get("parent").map(String::as_str) {
+        None | Some("root") => root,
+        Some(p) => ClassId(
+            p.parse()
+                .map_err(|_| PluginError::BadConfig(format!("bad parent {p}")))?,
+        ),
+    };
+    Ok((parent, config_num(map, "ls", 0)?))
+}
+
+/// `[m1=<bps> d=<us> m2=<bps>]`: a real-time curve, attached when m2 is
+/// given.
+fn rt_curve(map: &ConfigMap) -> Result<Option<ServiceCurve>, PluginError> {
+    if !map.contains_key("m2") {
+        return Ok(None);
+    }
+    let m2: u64 = config_num(map, "m2", 0)?;
+    Ok(Some(ServiceCurve {
+        m1_bps: config_num(map, "m1", m2)?,
+        d_us: config_num(map, "d", 0)?,
+        m2_bps: m2,
+    }))
+}
+
+/// One queue per flow; a filter sets its flows' weight. Eviction purges
+/// the flow's queue.
+impl Discipline for DrrScheduler {
+    type Setting = u32;
+    const PER_FLOW: bool = true;
+
+    fn apply(&mut self, flow: FlowId, weight: u32) {
+        self.set_weight(flow, weight);
+    }
+
+    fn release(&mut self, flow: FlowId) -> Vec<SchedPacket> {
+        self.purge_flow(flow)
     }
 
     fn describe(&self) -> String {
         format!(
             "drr: backlog={} active_flows={} drops={}",
-            self.drr.backlog(),
-            self.drr.active_flows(),
-            self.drr.drops()
+            self.backlog(),
+            self.active_flows(),
+            self.drops()
         )
-    }
-}
-
-impl SchedulerInstance for DrrInstance {
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
-        dequeue(&mut self.drr, &mut self.store, now_ns)
     }
 }
 
@@ -166,11 +264,7 @@ impl Plugin for DrrPlugin {
         if quantum == 0 {
             return Err(PluginError::BadConfig("quantum must be > 0".into()));
         }
-        Ok(Box::new(DrrInstance {
-            drr: DrrScheduler::new(quantum, limit),
-            store: PacketStore::default(),
-            filter_weights: HashMap::new(),
-        }))
+        SchedInstance::boxed(DrrScheduler::new(quantum, limit))
     }
 
     /// Messages: `setweight filter=<id> weight=<w>` (bandwidth
@@ -181,18 +275,12 @@ impl Plugin for DrrPlugin {
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let drr: &mut DrrInstance = target(instance, "drr")?;
+        let drr: &mut SchedInstance<DrrScheduler> = target(instance, "drr")?;
         match name {
             "setweight" => {
-                let map = config_map(args);
-                let fid: u64 = config_num(&map, "filter", u64::MAX)?;
-                let w: u32 = config_num(&map, "weight", 0)?;
-                if fid == u64::MAX || w == 0 {
-                    return Err(PluginError::BadConfig(
-                        "setweight filter=<id> weight=<w>".into(),
-                    ));
-                }
-                drr.filter_weights.insert(FilterId(fid), w);
+                let usage = "setweight filter=<id> weight=<w>";
+                let (fid, w) = filter_setting(&config_map(args), "weight", 0u32, usage)?;
+                drr.settings.insert(FilterId(fid), w);
                 Ok(format!("filter {fid} weight {w}"))
             }
             "stats" => Ok(drr.describe()),
@@ -201,55 +289,29 @@ impl Plugin for DrrPlugin {
     }
 }
 
-// ---------------------------------------------------------------------
-// H-FSC
-// ---------------------------------------------------------------------
+/// A filter names the class its flows join; a flow no filter names goes
+/// to the scheduler's default class.
+impl Discipline for HfscScheduler {
+    type Setting = ClassId;
+    const PER_FLOW: bool = true;
 
-/// An H-FSC instance (one per interface).
-pub struct HfscInstance {
-    hfsc: HfscScheduler,
-    store: PacketStore,
-    filter_class: HashMap<FilterId, ClassId>,
-    default_class: Option<ClassId>,
-}
-
-impl PluginInstance for HfscInstance {
-    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let flow = ctx.fix.0;
-        // Route the flow to its class: filter binding, else default.
-        let class = ctx
-            .filter
-            .and_then(|f| self.filter_class.get(&f).copied())
-            .or(self.default_class);
-        let Some(class) = class else {
-            return PluginAction::Drop;
-        };
-        self.hfsc.bind_flow(flow, class);
-        enqueue(&mut self.hfsc, &mut self.store, mbuf, flow, ctx.now_ns)
+    fn apply(&mut self, flow: FlowId, class: ClassId) {
+        self.bind_flow(flow, class);
     }
 
-    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
-        Some(self)
-    }
-
-    fn backlog(&self) -> usize {
-        self.hfsc.backlog()
+    fn release(&mut self, flow: FlowId) -> Vec<SchedPacket> {
+        self.release_flow(flow);
+        Vec::new()
     }
 
     fn describe(&self) -> String {
         format!(
             "hfsc: backlog={} rt_served={} ls_served={} drops={}",
-            self.hfsc.backlog(),
-            self.hfsc.rt_served,
-            self.hfsc.ls_served,
-            self.hfsc.drops()
+            self.backlog(),
+            self.rt_served,
+            self.ls_served,
+            self.drops()
         )
-    }
-}
-
-impl SchedulerInstance for HfscInstance {
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
-        dequeue(&mut self.hfsc, &mut self.store, now_ns)
     }
 }
 
@@ -273,12 +335,7 @@ impl Plugin for HfscPlugin {
         let map = config_map(config);
         let rate: u64 = config_num(&map, "rate", 10_000_000)?;
         let limit: usize = config_num(&map, "limit", 256)?;
-        Ok(Box::new(HfscInstance {
-            hfsc: HfscScheduler::new(rate, limit),
-            store: PacketStore::default(),
-            filter_class: HashMap::new(),
-            default_class: None,
-        }))
+        SchedInstance::boxed(HfscScheduler::new(rate, limit))
     }
 
     /// Messages:
@@ -293,52 +350,24 @@ impl Plugin for HfscPlugin {
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let g: &mut HfscInstance = target(instance, "hfsc")?;
+        let g: &mut SchedInstance<HfscScheduler> = target(instance, "hfsc")?;
         let map = config_map(args);
         match name {
             "addclass" => {
-                let parent = match map.get("parent").map(String::as_str) {
-                    None | Some("root") => g.hfsc.root(),
-                    Some(p) => ClassId(
-                        p.parse()
-                            .map_err(|_| PluginError::BadConfig(format!("bad parent {p}")))?,
-                    ),
-                };
-                let ls: u64 = config_num(&map, "ls", 0)?;
-                let rt = if map.contains_key("m2") {
-                    let m2: u64 = config_num(&map, "m2", 0)?;
-                    let m1: u64 = config_num(&map, "m1", m2)?;
-                    let d_us: u64 = config_num(&map, "d", 0)?;
-                    Some(ServiceCurve {
-                        m1_bps: m1,
-                        d_us,
-                        m2_bps: m2,
-                    })
-                } else {
-                    None
-                };
-                let id = g.hfsc.add_class(parent, ls, rt);
+                let (parent, ls) = parent_and_ls(&map, g.sched.root())?;
+                let id = g.sched.add_class(parent, ls, rt_curve(&map)?);
                 Ok(format!("class {}", id.0))
             }
             "bindfilter" => {
-                let fid: u64 = config_num(&map, "filter", u64::MAX)?;
-                let cid: u32 = config_num(&map, "class", u32::MAX)?;
-                if fid == u64::MAX || cid == u32::MAX {
-                    return Err(PluginError::BadConfig(
-                        "bindfilter filter=<fid> class=<cid>".into(),
-                    ));
-                }
-                g.filter_class.insert(FilterId(fid), ClassId(cid));
+                let usage = "bindfilter filter=<fid> class=<cid>";
+                let (fid, cid) = filter_setting(&map, "class", u32::MAX, usage)?;
+                g.settings.insert(FilterId(fid), ClassId(cid));
                 Ok(format!("filter {fid} → class {cid}"))
             }
             "default" => {
-                let cid: u32 = config_num(&map, "class", u32::MAX)?;
-                if cid == u32::MAX {
-                    return Err(PluginError::BadConfig("default class=<cid>".into()));
-                }
-                g.default_class = Some(ClassId(cid));
-                g.hfsc.set_default_class(ClassId(cid));
-                Ok(format!("default class {cid}"))
+                let cid = class_arg(&map, "default class=<cid>")?;
+                g.sched.set_default_class(cid);
+                Ok(format!("default class {}", cid.0))
             }
             "stats" => Ok(g.describe()),
             other => Err(PluginError::UnknownMessage(other.to_string())),
@@ -346,56 +375,31 @@ impl Plugin for HfscPlugin {
     }
 }
 
-// ---------------------------------------------------------------------
-// HSF (Hierarchical Scheduling Framework — the paper's §6 plan)
-// ---------------------------------------------------------------------
+/// H-FSC across leaves, weighted DRR within each leaf — "DRR could be
+/// used to do fair queuing for all flows ending in the same H-FSC leaf
+/// node" (paper §6). A filter may name its flows' leaf and their weight
+/// in that leaf. Eviction unbinds the flow but leaves its queued packets
+/// (see [`HsfScheduler::release_flow`]).
+impl Discipline for HsfScheduler {
+    type Setting = (Option<ClassId>, Option<u32>);
+    const PER_FLOW: bool = true;
 
-/// An HSF instance: H-FSC across leaves, weighted DRR within each leaf —
-/// "DRR could be used to do fair queuing for all flows ending in the
-/// same H-FSC leaf node" (paper §6).
-///
-/// Flow-cache eviction deliberately does *not* purge queued packets
-/// here: the outer H-FSC's per-leaf byte accounting mirrors the inner
-/// DRR exactly, so dropping inner packets would desynchronise the two.
-/// Residual packets of an evicted flow drain at their leaf's rate; a
-/// reused flow index is re-bound on its first packet.
-pub struct HsfInstance {
-    hsf: HsfScheduler,
-    store: PacketStore,
-    filter_leaf: HashMap<FilterId, ClassId>,
-    filter_weight: HashMap<FilterId, u32>,
-}
-
-impl PluginInstance for HsfInstance {
-    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let flow = ctx.fix.0;
-        if let Some(f) = ctx.filter {
-            if let Some(leaf) = self.filter_leaf.get(&f).copied() {
-                self.hsf.bind_flow(flow, leaf);
-            }
-            if let Some(w) = self.filter_weight.get(&f).copied() {
-                self.hsf.set_flow_weight(flow, w);
-            }
+    fn apply(&mut self, flow: FlowId, (leaf, weight): Self::Setting) {
+        if let Some(leaf) = leaf {
+            self.bind_flow(flow, leaf);
         }
-        enqueue(&mut self.hsf, &mut self.store, mbuf, flow, ctx.now_ns)
+        if let Some(w) = weight {
+            self.set_flow_weight(flow, w);
+        }
     }
 
-    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
-        Some(self)
-    }
-
-    fn backlog(&self) -> usize {
-        self.hsf.backlog()
+    fn release(&mut self, flow: FlowId) -> Vec<SchedPacket> {
+        self.release_flow(flow);
+        Vec::new()
     }
 
     fn describe(&self) -> String {
-        format!("hsf: backlog={}", self.hsf.backlog())
-    }
-}
-
-impl SchedulerInstance for HsfInstance {
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
-        dequeue(&mut self.hsf, &mut self.store, now_ns)
+        format!("hsf: backlog={}", self.backlog())
     }
 }
 
@@ -420,12 +424,7 @@ impl Plugin for HsfPlugin {
         let rate: u64 = config_num(&map, "rate", 10_000_000)?;
         let quantum: u32 = config_num(&map, "quantum", 9180)?;
         let limit: usize = config_num(&map, "limit", 128)?;
-        Ok(Box::new(HsfInstance {
-            hsf: HsfScheduler::new(rate, quantum, limit),
-            store: PacketStore::default(),
-            filter_leaf: HashMap::new(),
-            filter_weight: HashMap::new(),
-        }))
+        SchedInstance::boxed(HsfScheduler::new(rate, quantum, limit))
     }
 
     /// Messages:
@@ -441,72 +440,35 @@ impl Plugin for HsfPlugin {
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let g: &mut HsfInstance = target(instance, "hsf")?;
+        let g: &mut SchedInstance<HsfScheduler> = target(instance, "hsf")?;
         let map = config_map(args);
-        let parent = |g: &HsfInstance| -> Result<ClassId, PluginError> {
-            match map.get("parent").map(String::as_str) {
-                None | Some("root") => Ok(g.hsf.root()),
-                Some(p) => {
-                    Ok(ClassId(p.parse().map_err(|_| {
-                        PluginError::BadConfig(format!("bad parent {p}"))
-                    })?))
-                }
-            }
-        };
         match name {
             "addinterior" => {
-                let p = parent(g)?;
-                let ls: u64 = config_num(&map, "ls", 0)?;
-                let id = g.hsf.add_interior(p, ls);
+                let (p, ls) = parent_and_ls(&map, g.sched.root())?;
+                let id = g.sched.add_interior(p, ls);
                 Ok(format!("class {}", id.0))
             }
             "addleaf" => {
-                let p = parent(g)?;
-                let ls: u64 = config_num(&map, "ls", 0)?;
-                let rt = if map.contains_key("m2") {
-                    let m2: u64 = config_num(&map, "m2", 0)?;
-                    let m1: u64 = config_num(&map, "m1", m2)?;
-                    let d_us: u64 = config_num(&map, "d", 0)?;
-                    Some(ServiceCurve {
-                        m1_bps: m1,
-                        d_us,
-                        m2_bps: m2,
-                    })
-                } else {
-                    None
-                };
-                let id = g.hsf.add_leaf(p, ls, rt);
+                let (p, ls) = parent_and_ls(&map, g.sched.root())?;
+                let id = g.sched.add_leaf(p, ls, rt_curve(&map)?);
                 Ok(format!("class {}", id.0))
             }
             "bindfilter" => {
-                let fid: u64 = config_num(&map, "filter", u64::MAX)?;
-                let cid: u32 = config_num(&map, "class", u32::MAX)?;
-                if fid == u64::MAX || cid == u32::MAX {
-                    return Err(PluginError::BadConfig(
-                        "bindfilter filter=<fid> class=<leaf>".into(),
-                    ));
-                }
-                g.filter_leaf.insert(FilterId(fid), ClassId(cid));
+                let usage = "bindfilter filter=<fid> class=<leaf>";
+                let (fid, cid) = filter_setting(&map, "class", u32::MAX, usage)?;
+                g.settings.entry(FilterId(fid)).or_insert((None, None)).0 = Some(ClassId(cid));
                 Ok(format!("filter {fid} → leaf {cid}"))
             }
             "setweight" => {
-                let fid: u64 = config_num(&map, "filter", u64::MAX)?;
-                let w: u32 = config_num(&map, "weight", 0)?;
-                if fid == u64::MAX || w == 0 {
-                    return Err(PluginError::BadConfig(
-                        "setweight filter=<fid> weight=<w>".into(),
-                    ));
-                }
-                g.filter_weight.insert(FilterId(fid), w);
+                let usage = "setweight filter=<fid> weight=<w>";
+                let (fid, w) = filter_setting(&map, "weight", 0u32, usage)?;
+                g.settings.entry(FilterId(fid)).or_insert((None, None)).1 = Some(w);
                 Ok(format!("filter {fid} weight {w}"))
             }
             "default" => {
-                let cid: u32 = config_num(&map, "class", u32::MAX)?;
-                if cid == u32::MAX {
-                    return Err(PluginError::BadConfig("default class=<leaf>".into()));
-                }
-                g.hsf.set_default_leaf(ClassId(cid));
-                Ok(format!("default leaf {cid}"))
+                let cid = class_arg(&map, "default class=<leaf>")?;
+                g.sched.set_default_leaf(cid);
+                Ok(format!("default leaf {}", cid.0))
             }
             "stats" => Ok(g.describe()),
             other => Err(PluginError::UnknownMessage(other.to_string())),
@@ -514,41 +476,12 @@ impl Plugin for HsfPlugin {
     }
 }
 
-// ---------------------------------------------------------------------
-// FIFO
-// ---------------------------------------------------------------------
-
-/// A FIFO instance (the default best-effort egress queue).
-pub struct FifoInstance {
-    fifo: FifoScheduler,
-    store: PacketStore,
-}
-
-impl PluginInstance for FifoInstance {
-    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        enqueue(&mut self.fifo, &mut self.store, mbuf, ctx.fix.0, ctx.now_ns)
-    }
-
-    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
-        Some(self)
-    }
-
-    fn backlog(&self) -> usize {
-        self.fifo.backlog()
-    }
+/// The default best-effort egress queue.
+impl Discipline for FifoScheduler {
+    type Setting = ();
 
     fn describe(&self) -> String {
-        format!(
-            "fifo: backlog={} drops={}",
-            self.fifo.backlog(),
-            self.fifo.drops()
-        )
-    }
-}
-
-impl SchedulerInstance for FifoInstance {
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
-        dequeue(&mut self.fifo, &mut self.store, now_ns)
+        format!("fifo: backlog={} drops={}", self.backlog(), self.drops())
     }
 }
 
@@ -571,50 +504,22 @@ impl Plugin for FifoPlugin {
     fn create_instance(&mut self, config: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
         let map = config_map(config);
         let limit: usize = config_num(&map, "limit", 512)?;
-        Ok(Box::new(FifoInstance {
-            fifo: FifoScheduler::new(limit),
-            store: PacketStore::default(),
-        }))
+        SchedInstance::boxed(FifoScheduler::new(limit))
     }
 }
 
-// ---------------------------------------------------------------------
-// RED
-// ---------------------------------------------------------------------
-
-/// A RED instance (congestion-controlled egress queue).
-pub struct RedInstance {
-    red: RedQueue,
-    store: PacketStore,
-}
-
-impl PluginInstance for RedInstance {
-    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        enqueue(&mut self.red, &mut self.store, mbuf, ctx.fix.0, ctx.now_ns)
-    }
-
-    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
-        Some(self)
-    }
-
-    fn backlog(&self) -> usize {
-        self.red.backlog()
-    }
+/// A congestion-controlled egress queue.
+impl Discipline for RedQueue {
+    type Setting = ();
 
     fn describe(&self) -> String {
         format!(
             "red: backlog={} avg={:.2} early_drops={} forced_drops={}",
-            self.red.backlog(),
-            self.red.avg_queue(),
-            self.red.early_drops(),
-            self.red.forced_drops()
+            self.backlog(),
+            self.avg_queue(),
+            self.early_drops(),
+            self.forced_drops()
         )
-    }
-}
-
-impl SchedulerInstance for RedInstance {
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
-        dequeue(&mut self.red, &mut self.store, now_ns)
     }
 }
 
@@ -648,53 +553,27 @@ impl Plugin for RedPlugin {
             return Err(PluginError::BadConfig("minth must be < maxth".into()));
         }
         let seed: u64 = config_num(&map, "seed", 0x5eed)?;
-        Ok(Box::new(RedInstance {
-            red: RedQueue::new(cfg, seed),
-            store: PacketStore::default(),
-        }))
+        SchedInstance::boxed(RedQueue::new(cfg, seed))
     }
 }
 
-// ---------------------------------------------------------------------
-// Virtual Clock (the "third-party" plugin the paper predicts)
-// ---------------------------------------------------------------------
+/// Per-flow rate policing by stamp ordering; a filter sets its flows'
+/// rate.
+impl Discipline for VirtualClockScheduler {
+    type Setting = u64;
+    const PER_FLOW: bool = true;
 
-/// A Virtual Clock instance: per-flow rate policing by stamp ordering.
-pub struct VcInstance {
-    vc: VirtualClockScheduler,
-    store: PacketStore,
-    filter_rates: HashMap<FilterId, u64>,
-}
-
-impl PluginInstance for VcInstance {
-    fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
-        let flow = ctx.fix.0;
-        if let Some(rate) = ctx.filter.and_then(|f| self.filter_rates.get(&f)) {
-            self.vc.set_rate(flow, *rate);
-        }
-        enqueue(&mut self.vc, &mut self.store, mbuf, flow, ctx.now_ns)
+    fn apply(&mut self, flow: FlowId, rate: u64) {
+        self.set_rate(flow, rate);
     }
 
-    fn as_scheduler(&mut self) -> Option<&mut dyn SchedulerInstance> {
-        Some(self)
-    }
-
-    fn backlog(&self) -> usize {
-        self.vc.backlog()
+    fn release(&mut self, flow: FlowId) -> Vec<SchedPacket> {
+        self.release_flow(flow);
+        Vec::new()
     }
 
     fn describe(&self) -> String {
-        format!(
-            "vclock: backlog={} drops={}",
-            self.vc.backlog(),
-            self.vc.drops()
-        )
-    }
-}
-
-impl SchedulerInstance for VcInstance {
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
-        dequeue(&mut self.vc, &mut self.store, now_ns)
+        format!("vclock: backlog={} drops={}", self.backlog(), self.drops())
     }
 }
 
@@ -721,11 +600,7 @@ impl Plugin for VcPlugin {
         if rate == 0 {
             return Err(PluginError::BadConfig("rate must be > 0".into()));
         }
-        Ok(Box::new(VcInstance {
-            vc: VirtualClockScheduler::new(rate, limit),
-            store: PacketStore::default(),
-            filter_rates: HashMap::new(),
-        }))
+        SchedInstance::boxed(VirtualClockScheduler::new(rate, limit))
     }
 
     /// Messages: `setrate filter=<fid> rate=<bps>`, `stats`.
@@ -735,18 +610,12 @@ impl Plugin for VcPlugin {
         name: &str,
         args: &str,
     ) -> Result<String, PluginError> {
-        let vc: &mut VcInstance = target(instance, "vclock")?;
+        let vc: &mut SchedInstance<VirtualClockScheduler> = target(instance, "vclock")?;
         match name {
             "setrate" => {
-                let map = config_map(args);
-                let fid: u64 = config_num(&map, "filter", u64::MAX)?;
-                let rate: u64 = config_num(&map, "rate", 0)?;
-                if fid == u64::MAX || rate == 0 {
-                    return Err(PluginError::BadConfig(
-                        "setrate filter=<fid> rate=<bps>".into(),
-                    ));
-                }
-                vc.filter_rates.insert(FilterId(fid), rate);
+                let usage = "setrate filter=<fid> rate=<bps>";
+                let (fid, rate) = filter_setting(&config_map(args), "rate", 0u64, usage)?;
+                vc.settings.insert(FilterId(fid), rate);
                 Ok(format!("filter {fid} rate {rate}"))
             }
             "stats" => Ok(vc.describe()),
@@ -761,18 +630,46 @@ mod tests {
     use crate::gate::Gate;
     use rp_packet::mbuf::FlowIndex;
 
+    type Soft = Option<Box<dyn Any + Send>>;
+
     fn call(inst: &mut Box<dyn PluginInstance>, fix: u32, len: usize, now: u64) -> PluginAction {
+        offer(inst, fix, None, &mut None, len, now)
+    }
+
+    /// One packet of flow `fix`, matched by `filter`, with the flow's own
+    /// soft-state slot (as the flow record lends it to the gate).
+    fn offer(
+        inst: &mut Box<dyn PluginInstance>,
+        fix: u32,
+        filter: Option<FilterId>,
+        soft: &mut Soft,
+        len: usize,
+        now: u64,
+    ) -> PluginAction {
         let mut m = Mbuf::new(vec![0u8; len], 0);
-        let mut soft = None;
         let mut ctx = PacketCtx {
             gate: Gate::Scheduling,
             now_ns: now,
             fix: FlowIndex(fix),
-            filter: None,
-            soft_state: &mut soft,
+            filter,
+            soft_state: soft,
             cost_ns: 0,
         };
         inst.handle_packet(&mut m, &mut ctx)
+    }
+
+    /// The flow table evicts the flow whose soft-state slot is `soft`.
+    fn evict(inst: &mut Box<dyn PluginInstance>, soft: &mut Soft) {
+        let any = std::net::Ipv4Addr::UNSPECIFIED.into();
+        let key = FlowTuple {
+            src: any,
+            dst: any,
+            proto: 17,
+            sport: 0,
+            dport: 0,
+            rx_if: 0,
+        };
+        inst.flow_unbound(&key, soft.take());
     }
 
     #[test]
@@ -915,5 +812,79 @@ mod tests {
     fn red_config_validation() {
         let mut p = RedPlugin::default();
         assert!(p.create_instance("minth=10 maxth=5").is_err());
+    }
+
+    /// A recycled FIX must not be stamped behind the evicted flow's
+    /// virtual clock.
+    #[test]
+    fn vclock_recycled_fix_starts_a_fresh_clock() {
+        let mut p = VcPlugin::default();
+        let mut inst = p.create_instance("rate=1000000 limit=64").unwrap();
+        let mut soft = None;
+        for _ in 0..8 {
+            assert_eq!(
+                offer(&mut inst, 1, None, &mut soft, 500, 0),
+                PluginAction::Consumed
+            );
+        }
+        let sched = inst.as_scheduler().unwrap();
+        while sched.dequeue(0).is_some() {}
+        evict(&mut inst, &mut soft);
+        // The burst stamped fix 1 32 ms ahead; a fresh clock stamps the
+        // reused fix's 400 B ahead of the new fix 2's 500 B.
+        assert_eq!(
+            offer(&mut inst, 1, None, &mut soft, 400, 1_000),
+            PluginAction::Consumed
+        );
+        assert_eq!(call(&mut inst, 2, 500, 1_000), PluginAction::Consumed);
+        let sched = inst.as_scheduler().unwrap();
+        assert_eq!(
+            sched.dequeue(1_000).unwrap().len(),
+            400,
+            "reused fix 1 first"
+        );
+        assert_eq!(sched.dequeue(1_000).unwrap().len(), 500);
+    }
+
+    /// A recycled FIX must not inherit the evicted flow's leaf.
+    #[test]
+    fn hsf_recycled_fix_forgets_its_leaf() {
+        let mut p = HsfPlugin::default();
+        let mut inst = p.create_instance("").unwrap();
+        let mut msg = |name: &str, args: &str| p.custom_message(Some(inst.as_mut()), name, args);
+        assert_eq!(msg("addleaf", "parent=root ls=1000000").unwrap(), "class 1");
+        msg("bindfilter", "filter=7 class=1").unwrap();
+        let mut soft = None;
+        let x = Some(FilterId(7));
+        assert_eq!(
+            offer(&mut inst, 3, x, &mut soft, 100, 0),
+            PluginAction::Consumed
+        );
+        evict(&mut inst, &mut soft);
+        // No filter and no default leaf: refused, not queued in leaf 1.
+        assert_eq!(
+            offer(&mut inst, 3, None, &mut soft, 100, 0),
+            PluginAction::Drop
+        );
+        assert_eq!(inst.backlog(), 1, "the evicted flow's packet still drains");
+    }
+
+    /// Only disciplines with per-flow state keep a soft-state box per flow.
+    #[test]
+    fn soft_state_only_where_state_is_per_flow() {
+        let plugins: [(Box<dyn Plugin>, bool); 6] = [
+            (Box::new(FifoPlugin::default()), false),
+            (Box::new(RedPlugin::default()), false),
+            (Box::new(DrrPlugin::default()), true),
+            (Box::new(HfscPlugin::default()), true),
+            (Box::new(HsfPlugin::default()), true),
+            (Box::new(VcPlugin::default()), true),
+        ];
+        for (mut p, per_flow) in plugins {
+            let mut inst = p.create_instance("").unwrap();
+            let mut soft = None;
+            offer(&mut inst, 1, None, &mut soft, 100, 0);
+            assert_eq!(soft.is_some(), per_flow, "{}", p.name());
+        }
     }
 }

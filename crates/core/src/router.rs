@@ -250,11 +250,10 @@ impl Router {
                     .aiu
                     .install_filter(gate.index(), filter.clone(), inst)
                     .map_err(|e| PluginError::Filter(e.to_string()))?;
-                if self.tracer.wants(TraceCategory::Filter) {
-                    let now = self.now_ns;
-                    let detail = format!("filter installed at {gate} id={}: {filter}", fid.0);
-                    self.tracer.record(now, TraceCategory::Filter, detail);
-                }
+                self.tracer
+                    .record_with(self.now_ns, TraceCategory::Filter, || {
+                        format!("filter installed at {gate} id={}: {filter}", fid.0)
+                    });
                 self.supervisor.note_binding(inst, gate, filter, fid);
                 self.unbind_flows(evicted);
                 Ok(PluginReply::Registered(fid))
@@ -295,11 +294,10 @@ impl Router {
             .aiu
             .remove_filter(gate.index(), fid)
             .map_err(|e| PluginError::Filter(e.to_string()))?;
-        if self.tracer.wants(TraceCategory::Filter) {
-            let now = self.now_ns;
-            let detail = format!("filter removed at {gate} id={}", fid.0);
-            self.tracer.record(now, TraceCategory::Filter, detail);
-        }
+        self.tracer
+            .record_with(self.now_ns, TraceCategory::Filter, || {
+                format!("filter removed at {gate} id={}", fid.0)
+            });
         self.supervisor.note_unbinding(inst, gate, fid);
         if let Some(inst) = self.supervisor.live_mut(inst) {
             let _ = supervisor::run_isolated(|| inst.filter_unbound(fid));
@@ -437,11 +435,10 @@ impl Router {
         let n = self.aiu.expire_idle_into(max_idle_ns, &mut evicted);
         self.metrics.flows_expired += n as u64;
         for ev in evicted.drain(..) {
-            if self.tracer.wants(TraceCategory::Flow) {
-                let now = self.now_ns;
-                let detail = format!("flow expired: {}", ev.key);
-                self.tracer.record(now, TraceCategory::Flow, detail);
-            }
+            self.tracer
+                .record_with(self.now_ns, TraceCategory::Flow, || {
+                    format!("flow expired: {}", ev.key)
+                });
             self.unbind_flows([ev]);
         }
         self.evict_scratch = evicted;
@@ -473,11 +470,10 @@ impl Router {
                 if rp_packet::flow::is_fragment(mbuf.data()) {
                     self.metrics.fragment_flows += 1;
                 }
-                if self.tracer.wants(TraceCategory::Flow) {
-                    let now = self.now_ns;
-                    let detail = format!("flow created at {gate} fix={:?}", mbuf.fix.map(|f| f.0));
-                    self.tracer.record(now, TraceCategory::Flow, detail);
-                }
+                self.tracer
+                    .record_with(self.now_ns, TraceCategory::Flow, || {
+                        format!("flow created at {gate} fix={:?}", mbuf.fix.map(|f| f.0))
+                    });
             }
             ClassifyOutcome::Denied => {
                 // Admission control refused a record: the packet still
@@ -485,20 +481,18 @@ impl Router {
                 // Counted via the flow-table stats gauge in the metrics
                 // snapshot.
                 self.metrics.class_misses[gi] += 1;
-                if self.tracer.wants(TraceCategory::Flow) {
-                    let now = self.now_ns;
-                    let detail = format!("flow admission denied at {gate}");
-                    self.tracer.record(now, TraceCategory::Flow, detail);
-                }
+                self.tracer
+                    .record_with(self.now_ns, TraceCategory::Flow, || {
+                        format!("flow admission denied at {gate}")
+                    });
             }
         }
         if let Some(ev) = evicted {
             self.metrics.class_recycled[gi] += 1;
-            if self.tracer.wants(TraceCategory::Flow) {
-                let now = self.now_ns;
-                let detail = format!("flow recycled at {gate}: {}", ev.key);
-                self.tracer.record(now, TraceCategory::Flow, detail);
-            }
+            self.tracer
+                .record_with(self.now_ns, TraceCategory::Flow, || {
+                    format!("flow recycled at {gate}: {}", ev.key)
+                });
             for (inst, msg) in Self::run_eviction_callbacks(&mut self.supervisor, ev) {
                 if self.note_fault(inst, &FaultKind::Panic(msg)) {
                     mbuf.fix = None; // quarantined: reclassify downstream
@@ -608,11 +602,10 @@ impl Router {
     /// data path. Returns true when the instance was just quarantined.
     fn note_fault(&mut self, inst: InstanceHandle, kind: &FaultKind) -> bool {
         self.metrics.plugin_faults += 1;
-        if self.tracer.wants(TraceCategory::Plugin) {
-            let now = self.now_ns;
-            let detail = format!("fault in {}: {kind}", self.describe_instance(inst));
-            self.tracer.record(now, TraceCategory::Plugin, detail);
-        }
+        self.tracer
+            .record_with(self.now_ns, TraceCategory::Plugin, || {
+                format!("fault in {}: {kind}", self.supervisor.describe(inst))
+            });
         let quarantine = self
             .supervisor
             .record_fault(inst, kind)
@@ -623,23 +616,16 @@ impl Router {
         quarantine
     }
 
-    fn describe_instance(&self, inst: InstanceHandle) -> String {
-        self.supervisor
-            .instance(inst)
-            .map_or_else(|| "(no instance)".to_string(), |i| i.describe())
-    }
-
     /// Remove a quarantined instance from the data path: its filters go,
     /// its cached flows are invalidated (falling back to each gate's
     /// default path on their next packet), its egress queues drain to the
     /// wire, and a restart is scheduled per policy.
     fn quarantine(&mut self, inst: InstanceHandle) {
         self.metrics.plugin_quarantines += 1;
-        if self.tracer.wants(TraceCategory::Plugin) {
-            let now = self.now_ns;
-            let detail = format!("quarantined {}", self.describe_instance(inst));
-            self.tracer.record(now, TraceCategory::Plugin, detail);
-        }
+        self.tracer
+            .record_with(self.now_ns, TraceCategory::Plugin, || {
+                format!("quarantined {}", self.supervisor.describe(inst))
+            });
         // Filters first — otherwise the next classification would re-bind
         // the dead instance. Its own eviction callbacks do not run (it is
         // no longer live); other instances' callbacks still fire.
@@ -712,11 +698,10 @@ impl Router {
                 }
             }
             self.metrics.plugin_restarts += 1;
-            if self.tracer.wants(TraceCategory::Plugin) {
-                let now = self.now_ns;
-                let detail = format!("restarted {} {} → {}", t.plugin, t.id.0, new_id.0);
-                self.tracer.record(now, TraceCategory::Plugin, detail);
-            }
+            self.tracer
+                .record_with(self.now_ns, TraceCategory::Plugin, || {
+                    format!("restarted {} {} → {}", t.plugin, t.id.0, new_id.0)
+                });
         }
     }
 

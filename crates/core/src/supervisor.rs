@@ -354,6 +354,12 @@ impl Supervisor {
         self.record(h)?.inst.as_deref()
     }
 
+    /// The instance's `describe` line, for trace events.
+    pub(crate) fn describe(&self, h: InstanceHandle) -> String {
+        self.instance(h)
+            .map_or_else(|| "(no instance)".to_string(), |i| i.describe())
+    }
+
     /// Mutable form of [`Supervisor::instance`].
     pub fn instance_mut(&mut self, h: InstanceHandle) -> Option<&mut dyn PluginInstance> {
         self.record_mut(h)?.inst.as_deref_mut()

@@ -3,9 +3,9 @@
 //! Stands in for the paper's physical testbed (a P6/233 NetBSD box with
 //! ATM NICs, MTU 9180): simulated interfaces, flow-structured traffic
 //! generators, an SSP-daemon analogue driving the control path, and a
-//! testbench that pushes packets through a [`router_core::Router`] while
-//! collecting per-packet costs — the measurements behind Table 3 and the
-//! flow-cache experiments.
+//! testbench that replays packets through a [`router_core::Router`] and
+//! counts dispositions and flow-cache hits. Timing lives in the
+//! `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

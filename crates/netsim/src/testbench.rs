@@ -1,18 +1,15 @@
-//! The measurement harness: plays a workload through a router
-//! configuration and reports per-packet cost — the software analogue of
-//! the paper's device-driver cycle-counter timestamps ("we added a time
-//! stamp function into the ATM device driver which timestamped every
-//! incoming packet … compared to the CPU cycle counter right before the
-//! packet was output").
+//! Workload replay: plays a workload through a router configuration
+//! (the plugin router, the sharded plane or a monolithic baseline) and
+//! counts what became of each packet and of the flow cache. It keeps no
+//! time; the timed harness is the `benchmark/` package.
 
 use crate::traffic::Workload;
 use router_core::ip_core::Disposition;
 use router_core::monolithic::{AltqDrrRouter, BestEffortRouter};
 use router_core::{ParallelRouter, Router};
 use rp_packet::Mbuf;
-use std::time::Instant;
 
-/// Results of one measured run.
+/// Results of one replay.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Packets offered.
@@ -21,8 +18,6 @@ pub struct RunStats {
     pub forwarded: u64,
     /// Packets dropped.
     pub dropped: u64,
-    /// Total processing wall time (ns) across all packets.
-    pub total_ns: u64,
     /// Flow-cache hits (0 for routers without one).
     pub cache_hits: u64,
     /// Flow-cache misses.
@@ -83,17 +78,10 @@ impl Testbench {
         let h0 = router.flow_stats();
         for _ in 0..reps {
             for pkt in &self.packets {
-                let m = pkt.clone();
-                let t0 = Instant::now();
-                let d = router.receive(m);
-                let queued_if = match d {
-                    Disposition::Queued(i) => Some(i),
-                    _ => None,
-                };
-                if let Some(i) = queued_if {
+                let d = router.receive(pkt.clone());
+                if let Disposition::Queued(i) = d {
                     router.pump(i, 1);
                 }
-                stats.total_ns += t0.elapsed().as_nanos() as u64;
                 stats.packets += 1;
                 match d {
                     Disposition::Forwarded(_) | Disposition::Queued(_) => stats.forwarded += 1,
@@ -125,12 +113,10 @@ impl Testbench {
         for _ in 0..reps {
             for pkt in &self.packets {
                 let m = router.mbuf_with(pkt.data(), pkt.rx_if);
-                let t0 = Instant::now();
                 let d = router.receive(m);
                 if let Disposition::Queued(i) = d {
                     router.pump(i, 1);
                 }
-                stats.total_ns += t0.elapsed().as_nanos() as u64;
                 stats.packets += 1;
                 match d {
                     Disposition::Forwarded(_) | Disposition::Queued(_) => stats.forwarded += 1,
@@ -187,10 +173,7 @@ impl Testbench {
         let mut stats = RunStats::default();
         for _ in 0..reps {
             for pkt in &self.packets {
-                let m = pkt.clone();
-                let t0 = Instant::now();
-                let d = router.receive(m);
-                stats.total_ns += t0.elapsed().as_nanos() as u64;
+                let d = router.receive(pkt.clone());
                 stats.packets += 1;
                 match d {
                     Disposition::Forwarded(_) => stats.forwarded += 1,
@@ -210,14 +193,11 @@ impl Testbench {
         let mut now = 0u64;
         for _ in 0..reps {
             for pkt in &self.packets {
-                let m = pkt.clone();
                 now += 1000;
-                let t0 = Instant::now();
-                let d = router.receive(m, now);
+                let d = router.receive(pkt.clone(), now);
                 if let Disposition::Queued(i) = d {
                     router.pump(i, 1, now);
                 }
-                stats.total_ns += t0.elapsed().as_nanos() as u64;
                 stats.packets += 1;
                 match d {
                     Disposition::Queued(_) | Disposition::Forwarded(_) => stats.forwarded += 1,
@@ -258,7 +238,6 @@ mod tests {
         assert_eq!(stats.packets, 600);
         assert_eq!(stats.forwarded, 600);
         assert_eq!(stats.dropped, 0);
-        assert!(stats.total_ns > 0);
     }
 
     #[test]

@@ -340,6 +340,12 @@ impl HfscScheduler {
         self.flow_map.insert(flow, class);
     }
 
+    /// Forget a flow's class (its classifier cache entry was evicted), so
+    /// a recycled id goes to the default class until bound again.
+    pub fn release_flow(&mut self, flow: FlowId) {
+        self.flow_map.remove(&flow);
+    }
+
     /// Class that receives unmapped flows (else they are dropped).
     pub fn set_default_class(&mut self, class: ClassId) {
         self.default_class = Some(class);

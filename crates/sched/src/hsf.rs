@@ -90,6 +90,16 @@ impl HsfScheduler {
             }
         }
     }
+
+    /// Forget a flow (its classifier cache entry was evicted): a recycled
+    /// id starts unbound, at weight 1 in its old leaf. Packets it still
+    /// has queued are not purged but drain at their leaf's rate, because
+    /// dropping them from the inner DRR would desynchronise the outer
+    /// H-FSC, whose per-leaf byte accounting mirrors it exactly.
+    pub fn release_flow(&mut self, flow: FlowId) {
+        self.set_flow_weight(flow, 1);
+        self.flow_leaf.remove(&flow);
+    }
 }
 
 impl Scheduler for HsfScheduler {

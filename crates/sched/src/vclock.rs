@@ -86,6 +86,22 @@ impl VirtualClockScheduler {
         e.rate = rate_bps as f64 / 8.0;
     }
 
+    /// Forget a flow (its classifier cache entry was evicted), so a
+    /// recycled id starts at the default rate with a fresh virtual clock.
+    /// Packets it still has queued stay counted against the id until
+    /// they leave.
+    pub fn release_flow(&mut self, flow: FlowId) {
+        match self.flows.get_mut(&flow) {
+            Some(f) if f.queued > 0 => {
+                f.rate = self.default_rate;
+                f.last_stamp = 0.0;
+            }
+            _ => {
+                self.flows.remove(&flow);
+            }
+        }
+    }
+
     /// Packets dropped at the limit.
     pub fn drops(&self) -> u64 {
         self.drops

@@ -58,6 +58,14 @@ fn lines_where(scope: &str, hit: impl Fn(&str) -> bool + Copy) -> Vec<String> {
     files.flat_map(|(p, t)| hits(p, t, hit)).collect()
 }
 
+/// [`lines_where`] over the code before each file's first `#[cfg(test)]`.
+fn code_lines_where(scope: &str, hit: impl Fn(&str) -> bool + Copy) -> Vec<String> {
+    let in_scope = |p: &String| scope.split(' ').any(|s| p.starts_with(s));
+    let files = tree().iter().filter(|(p, _)| in_scope(p));
+    let code = |t: &'static str| &t[..t.find("#[cfg(test)]").unwrap_or(t.len())];
+    files.flat_map(|(p, t)| hits(p, code(t), hit)).collect()
+}
+
 /// Does `line` contain one of the `|`-separated `pats`? A trailing `\b`
 /// on a pattern also requires that no identifier character follow it.
 fn contains(line: &str, pats: &str) -> bool {
@@ -120,6 +128,31 @@ fn deleted_names_stay_deleted() {
     );
     // A hashed second home for DRR's per-flow state, which the FIX indexes.
     forbid("crates/sched/src/drr.rs", "HashMap|HashSet");
+    // A per-discipline scheduling instance, a second classification hook
+    // entry, a shard CPU clock.
+    forbid(
+        EVERYWHERE,
+        "DrrInstance|HfscInstance|HsfInstance|FifoInstance|RedInstance|VcInstance|\
+         classify_with|thread_cpu_ns|user_hz",
+    );
+}
+
+/// The scheduling plugins share one instance: one `SchedulerInstance`
+/// impl, one `as_scheduler` and one packet store (lines before a file's
+/// first `#[cfg(test)]`).
+#[test]
+fn one_scheduling_instance() {
+    for (scope, what) in [
+        (
+            "crates/core/src/plugins/",
+            "impl SchedulerInstance for|> SchedulerInstance for",
+        ),
+        ("crates/core/src/plugins/", "fn as_scheduler"),
+        (EVERYWHERE, "struct PacketStore"),
+    ] {
+        let found = code_lines_where(scope, |l| contains(l, what));
+        assert_eq!(found.len(), 1, "{what}:\n{}", found.join("\n"));
+    }
 }
 
 /// Supervision timestamps are caller-supplied `u64` ns: no `Instant`
@@ -128,12 +161,8 @@ fn deleted_names_stay_deleted() {
 fn supervision_paths_read_no_instant() {
     let paths = "crates/core/src/dataplane/mod.rs crates/core/src/dataplane/shard.rs \
                  crates/netdev/src/supervisor.rs crates/netdev/src/ioplane.rs";
-    let found = paths.split(' ').flat_map(|path| {
-        let text = file(path);
-        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
-        hits(path, &text[..end], |l| l.contains("Instant"))
-    });
-    assert_none(found.collect(), "Instant outside #[cfg(test)]");
+    let found = code_lines_where(paths, |l| l.contains("Instant"));
+    assert_none(found, "Instant outside #[cfg(test)]");
 }
 
 /// `supervisor::Backoff` is the one ladder.
@@ -165,22 +194,12 @@ fn flow_table_has_one_victim_routine_and_one_way_to_a_binding() {
 /// `FlowTuple::extract` is the key's parse read back as a tuple.
 #[test]
 fn one_flow_key_parser() {
-    let scope = [
-        "crates/core/src/router.rs",
-        "crates/core/src/dataplane/",
-        "crates/classifier/src/aiu.rs",
-        "crates/classifier/src/flow_table.rs",
-    ];
-    let files = tree()
-        .iter()
-        .filter(|(p, _)| scope.iter().any(|s| p.starts_with(s)));
-    let found = files.flat_map(|(path, text)| {
-        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
-        hits(path, &text[..end], |l| {
-            contains(l, "FlowTuple::from_mbuf|FlowTuple::extract")
-        })
+    let scope = "crates/core/src/router.rs crates/core/src/dataplane/ \
+                 crates/classifier/src/aiu.rs crates/classifier/src/flow_table.rs";
+    let found = code_lines_where(scope, |l| {
+        contains(l, "FlowTuple::from_mbuf|FlowTuple::extract")
     });
-    assert_none(found.collect(), "a tuple parse beside FlowKey::extract");
+    assert_none(found, "a tuple parse beside FlowKey::extract");
     let flow = file("crates/packet/src/flow.rs");
     let sig = "pub fn extract(data: &[u8], rx_if: IfIndex) -> Result<FlowTuple> {";
     let body: Vec<&str> = flow
