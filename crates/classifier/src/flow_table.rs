@@ -22,7 +22,7 @@
 //! * **Incremental resize.** When the live-record count outgrows the
 //!   bucket array, the table doubles it *incrementally*: the old array
 //!   stays live while a bounded number of its buckets are migrated per
-//!   lookup-or-insert ([`MIGRATE_BUCKETS_PER_OP`]), so there is never a
+//!   lookup-or-insert (`MIGRATE_BUCKETS_PER_OP`), so there is never a
 //!   stop-the-world rehash on the data path. During a migration a lookup
 //!   probes the new chain first and falls back to the old one; each
 //!   record lives in exactly one chain at all times.
@@ -757,6 +757,7 @@ impl<V> FlowTable<V> {
         let i = idx as usize;
         let r = &mut self.records[i];
         r.live = false;
+        out.fix = FlowIndex(idx);
         out.key = r.key.tuple();
         for g in 0..self.cfg.gates {
             let (filter, instance, soft) = if r.is_bound(g) {
@@ -778,6 +779,7 @@ impl<V> FlowTable<V> {
     /// [`Self::lookup_or_insert`] parks a recycled flow in.
     pub fn parked(&self) -> EvictedFlow<V> {
         EvictedFlow {
+            fix: FlowIndex(0),
             key: FlowKey::default().tuple(),
             gates: GateArray::new(self.cfg.gates),
         }
@@ -849,6 +851,8 @@ impl<V> FlowTable<V> {
 
 /// Bindings of a removed/recycled flow, handed back for plugin callbacks.
 pub struct EvictedFlow<V> {
+    /// The record it held, free for the next flow.
+    pub fix: FlowIndex,
     /// The evicted flow's key.
     pub key: FlowTuple,
     /// Its per-gate bindings (instances + soft state); consume them with

@@ -1,5 +1,5 @@
 //! Grid-of-tries (Srinivasan, Varghese, Suri, Waldvogel — SIGCOMM '98,
-//! the paper's reference [26]): two-dimensional `(dst, src)` prefix
+//! the paper's reference \[26\]): two-dimensional `(dst, src)` prefix
 //! classification in `O(W_dst + W_src)` node visits **without**
 //! set-pruning's filter replication.
 //!

@@ -9,7 +9,7 @@
 //! `create` names the same logical instance on every shard.
 //!
 //! [`ControlPlane`] is the trait `pmgr` drives; it is implemented by the
-//! single-threaded [`Router`](crate::router::Router) (trivially) and by
+//! single-threaded [`Router`] (trivially) and by
 //! [`ParallelRouter`](super::ParallelRouter) (fan-out + aggregation).
 
 use crate::gate::Gate;

@@ -33,7 +33,7 @@
 //! instances, one level up:
 //!
 //! * **Containment** — the shard loop runs under `catch_unwind`
-//!   ([`shard::run_shard`]); a panic escaping a control closure kills
+//!   (`shard::run_shard`); a panic escaping a control closure kills
 //!   only that shard. The dispatcher detects dead or disconnected
 //!   workers and quarantines them.
 //! * **Liveness** — each worker writes a heartbeat (busy flag +
@@ -45,7 +45,7 @@
 //!   instead of blocking forever.
 //! * **Rebuild** — every state-mutating control command is recorded in a
 //!   [`CommandJournal`]; a quarantined shard is restarted (the same
-//!   [`Backoff`] the router's [`FaultPolicy`] gives plugin instances,
+//!   [`Backoff`] the router's [`FaultPolicy`](crate::supervisor::FaultPolicy) gives plugin instances,
 //!   due on `coarse_now_ns()` instead of the simulated clock) by replaying
 //!   the journal into a fresh [`Router`], which returns its instance and
 //!   filter ids to lockstep with the survivors. Flow-cache soft state is
@@ -717,7 +717,7 @@ impl ParallelRouter {
         self.spare_batches.extend(self.scrap_rx.try_iter());
     }
 
-    /// A carrier `Vec` for the next [`receive_batch`] — recycled from a
+    /// A carrier `Vec` for the next [`receive_batch`](Self::receive_batch) — recycled from a
     /// previously dispatched batch when one has come back, fresh
     /// otherwise.
     pub fn batch_carrier(&mut self) -> Vec<Mbuf> {
@@ -756,7 +756,7 @@ impl ParallelRouter {
     /// one `Acquire` load (no message, no wake, no allocation), and since
     /// it sent each message's egress carriers before moving the cursor,
     /// they are on the collector. While a cursor lags the dispatcher
-    /// parks on the doorbell the shards ring, in [`WAIT_SLICE`] slices
+    /// parks on the doorbell the shards ring, in `WAIT_SLICE` slices
     /// with a watchdog look at the laggards between them.
     ///
     /// The settle phase makes `flush()` followed by
@@ -841,7 +841,7 @@ impl ParallelRouter {
 
     /// Account `n` frames a device's receive side dropped before they
     /// became IP packets. Counted dispatcher-side exactly like an
-    /// overload shed ([`shed_n`](ParallelRouter::shed_n)): received and
+    /// overload shed (`shed_n`): received and
     /// dropped in the same breath, so the merged
     /// `received == forwarded + Σdrops` invariant extends to the wire.
     pub fn note_device_rx_drops(&mut self, n: u64) {

@@ -11,7 +11,7 @@
 //! (a panic escaping a control closure kills the *shard*, not the
 //! process), writes a heartbeat the dispatcher's watchdog reads, and —
 //! on any exit path, including abandonment after a stall — returns a
-//! final [`ShardFinal`] accounting report so no counter is silently
+//! final `ShardFinal` accounting report so no counter is silently
 //! lost with the thread.
 
 use crate::obs::{MetricsSnapshot, TraceCategory};

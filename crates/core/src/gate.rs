@@ -48,6 +48,11 @@ impl Gate {
         self as usize
     }
 
+    /// The gate's bit in a gate mask.
+    pub const fn bit(self) -> u8 {
+        1 << self as usize
+    }
+
     /// Gate from its index.
     pub fn from_index(i: usize) -> Option<Gate> {
         ALL_GATES.get(i).copied()

@@ -104,6 +104,9 @@ pub enum PluginAction {
     Drop,
 }
 
+/// An instance's private state for one flow, kept in the flow record.
+pub type SoftState = Option<Box<dyn Any + Send>>;
+
 /// Context handed to an instance along with the packet at a gate.
 pub struct PacketCtx<'a> {
     /// The gate issuing the call.
@@ -121,7 +124,7 @@ pub struct PacketCtx<'a> {
     /// The plugin's private per-flow soft state slot in the flow record
     /// (the second pointer of the paper's per-gate pointer pair). `Send`
     /// because flow records may live on a data-plane worker shard.
-    pub soft_state: &'a mut Option<Box<dyn Any + Send>>,
+    pub soft_state: &'a mut SoftState,
     /// Processing cost the instance charges for this call, in netsim
     /// clock units (ns). Starts at 0; the supervisor compares it against
     /// [`crate::supervisor::FaultPolicy::packet_budget_ns`] after the
@@ -142,8 +145,9 @@ pub trait PluginInstance: Any + Send {
 
     /// Called by the AIU when a flow bound to this instance is removed
     /// from the flow table (entry eviction callback, §4). Receives the
-    /// flow key and the instance's soft state for that flow.
-    fn flow_unbound(&mut self, _key: &FlowTuple, _soft_state: Option<Box<dyn Any + Send>>) {}
+    /// flow's FIX (free for reuse once this returns), its key and the
+    /// instance's soft state for that flow.
+    fn flow_unbound(&mut self, _fix: FlowIndex, _key: &FlowTuple, _soft_state: SoftState) {}
 
     /// Called when a filter bound to this instance is removed from a
     /// filter table.
@@ -178,8 +182,10 @@ impl dyn PluginInstance {
 /// [`PluginInstance::handle_packet`] (returning
 /// [`PluginAction::Consumed`]); the interface drains via this trait.
 pub trait SchedulerInstance {
-    /// Next packet to transmit on the interface, if any.
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf>;
+    /// Append up to `max` packets to `out` in transmit order and return
+    /// how many; fewer than `max` means nothing more is due at `now_ns`.
+    /// Draining in several calls yields the sequence one call yields.
+    fn dequeue_into(&mut self, now_ns: u64, max: usize, out: &mut Vec<Mbuf>) -> usize;
 }
 
 /// Handle to a slot of the router's instance table — the value bound into

@@ -4,7 +4,7 @@
 //!
 //! A scheduling instance *consumes* packets at the Scheduling gate (the
 //! gate returns [`PluginAction::Consumed`]) and the interface driver
-//! drains it through [`SchedulerInstance::dequeue`]. Per-flow state is
+//! drains it through [`SchedulerInstance::dequeue_into`]. Per-flow state is
 //! keyed by the packet's flow index — exactly the paper's trick of using
 //! the AIU's flow table as the scheduler's flow state ("it was
 //! straightforward to add a queue per flow").
@@ -16,10 +16,11 @@
 
 use crate::plugin::{
     PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
-    SchedulerInstance,
+    SchedulerInstance, SoftState,
 };
 use crate::plugins::{config_map, config_num, target};
 use rp_classifier::FilterId;
+use rp_packet::mbuf::FlowIndex;
 use rp_packet::{FlowTuple, Mbuf};
 use rp_sched::hfsc::ClassId;
 use rp_sched::link::{FlowId, SchedPacket, Scheduler};
@@ -27,7 +28,6 @@ use rp_sched::{
     DrrScheduler, FifoScheduler, HfscScheduler, HsfScheduler, RedQueue, ServiceCurve,
     VirtualClockScheduler,
 };
-use std::any::Any;
 use std::collections::HashMap;
 use std::str::FromStr;
 
@@ -68,11 +68,6 @@ trait Discipline: Scheduler + Send + 'static {
     /// with installed filters").
     type Setting: Copy + Send + 'static;
 
-    /// The discipline keeps state per FIX: the instance remembers each
-    /// flow's FIX in its soft-state slot and hands it to
-    /// [`release`](Self::release) when the flow is evicted.
-    const PER_FLOW: bool = false;
-
     /// Apply the packet's filter setting to its flow, before the enqueue.
     fn apply(&mut self, _flow: FlowId, _setting: Self::Setting) {}
 
@@ -112,10 +107,6 @@ impl<D: Discipline> PluginInstance for SchedInstance<D> {
         if let Some(s) = ctx.filter.and_then(|f| self.settings.get(&f)) {
             self.sched.apply(flow, *s);
         }
-        if D::PER_FLOW {
-            // Remember the flow id in soft state so eviction can release it.
-            ctx.soft_state.get_or_insert_with(|| Box::new(flow));
-        }
         let rx = mbuf.rx_if;
         let owned = std::mem::replace(mbuf, Mbuf::new(Vec::new(), rx));
         let len = owned.len() as u32;
@@ -127,18 +118,18 @@ impl<D: Discipline> PluginInstance for SchedInstance<D> {
             cookie,
         };
         if self.sched.enqueue(pkt, ctx.now_ns) {
-            PluginAction::Consumed
-        } else {
-            self.store.take(cookie);
-            PluginAction::Drop
+            return PluginAction::Consumed;
         }
+        // Refused: hand the packet back, so the router's drop recycles it.
+        if let Some(owned) = self.store.take(cookie) {
+            *mbuf = owned;
+        }
+        PluginAction::Drop
     }
 
-    fn flow_unbound(&mut self, _key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
-        if let Some(flow) = soft_state.and_then(|b| b.downcast::<u32>().ok()) {
-            for pkt in self.sched.release(*flow) {
-                self.store.take(pkt.cookie);
-            }
+    fn flow_unbound(&mut self, fix: FlowIndex, _key: &FlowTuple, _soft: SoftState) {
+        for pkt in self.sched.release(fix.0) {
+            self.store.take(pkt.cookie);
         }
     }
 
@@ -156,10 +147,18 @@ impl<D: Discipline> PluginInstance for SchedInstance<D> {
 }
 
 impl<D: Discipline> SchedulerInstance for SchedInstance<D> {
-    /// The scheduler picks, the store hands the packet back.
-    fn dequeue(&mut self, now_ns: u64) -> Option<Mbuf> {
-        let pkt = self.sched.dequeue(now_ns)?;
-        self.store.take(pkt.cookie)
+    /// The scheduler picks, the store hands each packet back.
+    fn dequeue_into(&mut self, now_ns: u64, max: usize, out: &mut Vec<Mbuf>) -> usize {
+        let start = out.len();
+        while out.len() - start < max {
+            let Some(pkt) = self.sched.dequeue(now_ns) else {
+                break;
+            };
+            if let Some(mbuf) = self.store.take(pkt.cookie) {
+                out.push(mbuf);
+            }
+        }
+        out.len() - start
     }
 }
 
@@ -221,7 +220,6 @@ fn rt_curve(map: &ConfigMap) -> Result<Option<ServiceCurve>, PluginError> {
 /// the flow's queue.
 impl Discipline for DrrScheduler {
     type Setting = u32;
-    const PER_FLOW: bool = true;
 
     fn apply(&mut self, flow: FlowId, weight: u32) {
         self.set_weight(flow, weight);
@@ -293,7 +291,6 @@ impl Plugin for DrrPlugin {
 /// to the scheduler's default class.
 impl Discipline for HfscScheduler {
     type Setting = ClassId;
-    const PER_FLOW: bool = true;
 
     fn apply(&mut self, flow: FlowId, class: ClassId) {
         self.bind_flow(flow, class);
@@ -382,7 +379,6 @@ impl Plugin for HfscPlugin {
 /// (see [`HsfScheduler::release_flow`]).
 impl Discipline for HsfScheduler {
     type Setting = (Option<ClassId>, Option<u32>);
-    const PER_FLOW: bool = true;
 
     fn apply(&mut self, flow: FlowId, (leaf, weight): Self::Setting) {
         if let Some(leaf) = leaf {
@@ -561,7 +557,6 @@ impl Plugin for RedPlugin {
 /// rate.
 impl Discipline for VirtualClockScheduler {
     type Setting = u64;
-    const PER_FLOW: bool = true;
 
     fn apply(&mut self, flow: FlowId, rate: u64) {
         self.set_rate(flow, rate);
@@ -628,9 +623,6 @@ impl Plugin for VcPlugin {
 mod tests {
     use super::*;
     use crate::gate::Gate;
-    use rp_packet::mbuf::FlowIndex;
-
-    type Soft = Option<Box<dyn Any + Send>>;
 
     fn call(inst: &mut Box<dyn PluginInstance>, fix: u32, len: usize, now: u64) -> PluginAction {
         offer(inst, fix, None, &mut None, len, now)
@@ -642,7 +634,7 @@ mod tests {
         inst: &mut Box<dyn PluginInstance>,
         fix: u32,
         filter: Option<FilterId>,
-        soft: &mut Soft,
+        soft: &mut SoftState,
         len: usize,
         now: u64,
     ) -> PluginAction {
@@ -658,8 +650,15 @@ mod tests {
         inst.handle_packet(&mut m, &mut ctx)
     }
 
-    /// The flow table evicts the flow whose soft-state slot is `soft`.
-    fn evict(inst: &mut Box<dyn PluginInstance>, soft: &mut Soft) {
+    /// The instance's next packet on the wire.
+    fn next(inst: &mut Box<dyn PluginInstance>, now: u64) -> Option<Mbuf> {
+        let mut out = Vec::new();
+        inst.as_scheduler().unwrap().dequeue_into(now, 1, &mut out);
+        out.pop()
+    }
+
+    /// The flow table evicts flow `fix`, whose soft-state slot is `soft`.
+    fn evict(inst: &mut Box<dyn PluginInstance>, fix: u32, soft: &mut SoftState) {
         let any = std::net::Ipv4Addr::UNSPECIFIED.into();
         let key = FlowTuple {
             src: any,
@@ -669,7 +668,7 @@ mod tests {
             dport: 0,
             rx_if: 0,
         };
-        inst.flow_unbound(&key, soft.take());
+        inst.flow_unbound(FlowIndex(fix), &key, soft.take());
     }
 
     #[test]
@@ -679,10 +678,9 @@ mod tests {
         assert_eq!(call(&mut inst, 1, 100, 0), PluginAction::Consumed);
         assert_eq!(call(&mut inst, 2, 200, 0), PluginAction::Consumed);
         assert_eq!(inst.backlog(), 2);
-        let sched = inst.as_scheduler().unwrap();
-        assert_eq!(sched.dequeue(0).unwrap().len(), 100);
-        assert_eq!(sched.dequeue(0).unwrap().len(), 200);
-        assert!(sched.dequeue(0).is_none());
+        assert_eq!(next(&mut inst, 0).unwrap().len(), 100);
+        assert_eq!(next(&mut inst, 0).unwrap().len(), 200);
+        assert!(next(&mut inst, 0).is_none());
     }
 
     #[test]
@@ -701,9 +699,8 @@ mod tests {
             call(&mut inst, 1, 500, 0);
             call(&mut inst, 2, 500, 0);
         }
-        let sched = inst.as_scheduler().unwrap();
         let mut flows = Vec::new();
-        while let Some(m) = sched.dequeue(0) {
+        while let Some(m) = next(&mut inst, 0) {
             flows.push(m.len());
         }
         assert_eq!(flows.len(), 6);
@@ -720,8 +717,7 @@ mod tests {
         p.custom_message(Some(inst.as_mut()), "default", "class=1")
             .unwrap();
         assert_eq!(call(&mut inst, 7, 400, 0), PluginAction::Consumed);
-        let sched = inst.as_scheduler().unwrap();
-        assert_eq!(sched.dequeue(1000).unwrap().len(), 400);
+        assert_eq!(next(&mut inst, 1000).unwrap().len(), 400);
     }
 
     #[test]
@@ -746,10 +742,9 @@ mod tests {
         assert_eq!(call(&mut inst, 5, 300, 0), PluginAction::Consumed);
         assert_eq!(call(&mut inst, 6, 300, 0), PluginAction::Consumed);
         assert_eq!(inst.backlog(), 2);
-        let sched = inst.as_scheduler().unwrap();
-        assert!(sched.dequeue(100).is_some());
-        assert!(sched.dequeue(200).is_some());
-        assert!(sched.dequeue(300).is_none());
+        assert!(next(&mut inst, 100).is_some());
+        assert!(next(&mut inst, 200).is_some());
+        assert!(next(&mut inst, 300).is_none());
         // Interior classes and leaf with a real-time curve parse too.
         let i = p
             .custom_message(Some(inst.as_mut()), "addinterior", "parent=root ls=3000000")
@@ -785,9 +780,8 @@ mod tests {
             assert_eq!(call(&mut inst, 1, 500, i), PluginAction::Consumed);
             assert_eq!(call(&mut inst, 2, 500, i), PluginAction::Consumed);
         }
-        let sched = inst.as_scheduler().unwrap();
         let mut n = 0;
-        while sched.dequeue(0).is_some() {
+        while next(&mut inst, 0).is_some() {
             n += 1;
         }
         assert_eq!(n, 8);
@@ -804,8 +798,7 @@ mod tests {
         let mut p = RedPlugin::default();
         let mut inst = p.create_instance("").unwrap();
         assert_eq!(call(&mut inst, 1, 100, 0), PluginAction::Consumed);
-        let sched = inst.as_scheduler().unwrap();
-        assert!(sched.dequeue(0).is_some());
+        assert!(next(&mut inst, 0).is_some());
     }
 
     #[test]
@@ -827,9 +820,8 @@ mod tests {
                 PluginAction::Consumed
             );
         }
-        let sched = inst.as_scheduler().unwrap();
-        while sched.dequeue(0).is_some() {}
-        evict(&mut inst, &mut soft);
+        while next(&mut inst, 0).is_some() {}
+        evict(&mut inst, 1, &mut soft);
         // The burst stamped fix 1 32 ms ahead; a fresh clock stamps the
         // reused fix's 400 B ahead of the new fix 2's 500 B.
         assert_eq!(
@@ -837,13 +829,12 @@ mod tests {
             PluginAction::Consumed
         );
         assert_eq!(call(&mut inst, 2, 500, 1_000), PluginAction::Consumed);
-        let sched = inst.as_scheduler().unwrap();
         assert_eq!(
-            sched.dequeue(1_000).unwrap().len(),
+            next(&mut inst, 1_000).unwrap().len(),
             400,
             "reused fix 1 first"
         );
-        assert_eq!(sched.dequeue(1_000).unwrap().len(), 500);
+        assert_eq!(next(&mut inst, 1_000).unwrap().len(), 500);
     }
 
     /// A recycled FIX must not inherit the evicted flow's leaf.
@@ -860,7 +851,7 @@ mod tests {
             offer(&mut inst, 3, x, &mut soft, 100, 0),
             PluginAction::Consumed
         );
-        evict(&mut inst, &mut soft);
+        evict(&mut inst, 3, &mut soft);
         // No filter and no default leaf: refused, not queued in leaf 1.
         assert_eq!(
             offer(&mut inst, 3, None, &mut soft, 100, 0),
@@ -869,22 +860,111 @@ mod tests {
         assert_eq!(inst.backlog(), 1, "the evicted flow's packet still drains");
     }
 
-    /// Only disciplines with per-flow state keep a soft-state box per flow.
+    /// A refused packet comes back to the gate with its bytes, for the
+    /// router's drop to recycle.
     #[test]
-    fn soft_state_only_where_state_is_per_flow() {
-        let plugins: [(Box<dyn Plugin>, bool); 6] = [
-            (Box::new(FifoPlugin::default()), false),
-            (Box::new(RedPlugin::default()), false),
-            (Box::new(DrrPlugin::default()), true),
-            (Box::new(HfscPlugin::default()), true),
-            (Box::new(HsfPlugin::default()), true),
-            (Box::new(VcPlugin::default()), true),
-        ];
-        for (mut p, per_flow) in plugins {
-            let mut inst = p.create_instance("").unwrap();
+    fn refused_packet_is_handed_back() {
+        let mut inst = FifoPlugin::default().create_instance("limit=1").unwrap();
+        assert_eq!(call(&mut inst, 1, 100, 0), PluginAction::Consumed);
+        let mut m = Mbuf::new(vec![7u8; 300], 0);
+        let mut ctx = PacketCtx {
+            gate: Gate::Scheduling,
+            now_ns: 0,
+            fix: FlowIndex(1),
+            filter: None,
+            soft_state: &mut None,
+            cost_ns: 0,
+        };
+        assert_eq!(inst.handle_packet(&mut m, &mut ctx), PluginAction::Drop);
+        assert_eq!(m.data(), &[7u8; 300][..]);
+    }
+
+    /// Every discipline, configured so that any flow has a class: the
+    /// plugin, its instance config and the messages that follow it.
+    fn every_discipline() -> [(Box<dyn Plugin>, &'static str, &'static [&'static str]); 6] {
+        [
+            (Box::new(FifoPlugin::default()), "", &[]),
+            (Box::new(RedPlugin::default()), "", &[]),
+            (Box::new(DrrPlugin::default()), "quantum=500", &[]),
+            (
+                Box::new(HfscPlugin::default()),
+                "",
+                &["addclass parent=root ls=5000000", "default class=1"],
+            ),
+            (
+                Box::new(HsfPlugin::default()),
+                "quantum=500",
+                &["addleaf parent=root ls=5000000", "default class=1"],
+            ),
+            (Box::new(VcPlugin::default()), "", &[]),
+        ]
+    }
+
+    /// No discipline keeps a soft-state box: eviction hands the instance
+    /// the FIX itself.
+    #[test]
+    fn no_discipline_keeps_a_soft_box() {
+        for (mut p, config, _) in every_discipline() {
+            let mut inst = p.create_instance(config).unwrap();
             let mut soft = None;
             offer(&mut inst, 1, None, &mut soft, 100, 0);
-            assert_eq!(soft.is_some(), per_flow, "{}", p.name());
+            assert!(soft.is_none(), "{}", p.name());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Draining in calls of any size gives the packets, in the order,
+        /// that one unbounded call gives.
+        fn dequeue_into_in_chunks_is_one_drain(
+            pkts in proptest::collection::vec((0u32..6, 40usize..1500, 0u64..3_000), 1..80),
+            maxes in proptest::collection::vec(1usize..9, 1..16),
+            now in 0u64..20_000_000,
+        ) {
+            for (mut p, config, msgs) in every_discipline() {
+                let mut twin = || {
+                    let mut inst = p.create_instance(config).unwrap();
+                    for m in msgs {
+                        let (name, args) = m.split_once(' ').unwrap();
+                        p.custom_message(Some(inst.as_mut()), name, args).unwrap();
+                    }
+                    inst
+                };
+                let (mut whole, mut chunked) = (twin(), twin());
+                for (tag, &(fix, len, at)) in pkts.iter().enumerate() {
+                    for inst in [&mut whole, &mut chunked] {
+                        let mut data = vec![0u8; len];
+                        data[..4].copy_from_slice(&(tag as u32).to_be_bytes());
+                        let mut m = Mbuf::new(data, 0);
+                        let mut ctx = PacketCtx {
+                            gate: Gate::Scheduling,
+                            now_ns: at,
+                            fix: FlowIndex(fix),
+                            filter: None,
+                            soft_state: &mut None,
+                            cost_ns: 0,
+                        };
+                        inst.handle_packet(&mut m, &mut ctx);
+                    }
+                }
+                let mut one = Vec::new();
+                let n = whole.as_scheduler().unwrap().dequeue_into(now, usize::MAX, &mut one);
+                proptest::prop_assert_eq!(n, one.len());
+                let mut calls = Vec::new();
+                for &max in maxes.iter().cycle() {
+                    let got = chunked.as_scheduler().unwrap().dequeue_into(now, max, &mut calls);
+                    proptest::prop_assert!(got <= max);
+                    if got < max {
+                        break;
+                    }
+                }
+                let tags = |v: &[Mbuf]| -> Vec<(Vec<u8>, usize)> {
+                    v.iter().map(|m| (m.data()[..4].to_vec(), m.len())).collect()
+                };
+                proptest::prop_assert_eq!(tags(&one), tags(&calls), "{}", p.name());
+                proptest::prop_assert_eq!(chunked.backlog(), whole.backlog());
+            }
         }
     }
 }

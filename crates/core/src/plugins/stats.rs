@@ -7,10 +7,10 @@
 //! hashing on the hot path); aggregate counters in the instance.
 
 use crate::plugin::{
-    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType, SoftState,
 };
+use rp_packet::mbuf::FlowIndex;
 use rp_packet::{FlowTuple, Mbuf};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Per-flow counters kept in flow-record soft state.
@@ -58,7 +58,7 @@ impl PluginInstance for StatsInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&mut self, key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
+    fn flow_unbound(&mut self, _fix: FlowIndex, key: &FlowTuple, soft_state: SoftState) {
         if let Some(c) = soft_state.and_then(|b| b.downcast::<FlowCounters>().ok()) {
             self.retired.insert(key.to_string(), *c);
         }
@@ -113,10 +113,9 @@ impl Plugin for StatsPlugin {
 mod tests {
     use super::*;
     use crate::gate::Gate;
-    use rp_packet::mbuf::FlowIndex;
     use std::net::{IpAddr, Ipv4Addr};
 
-    fn ctx_call(inst: &mut StatsInstance, soft: &mut Option<Box<dyn Any + Send>>, len: usize) {
+    fn ctx_call(inst: &mut StatsInstance, soft: &mut SoftState, len: usize) {
         let mut m = Mbuf::new(vec![0u8; len], 0);
         let mut ctx = PacketCtx {
             gate: Gate::Stats,
@@ -157,7 +156,7 @@ mod tests {
             dport: 2,
             rx_if: 0,
         };
-        inst.flow_unbound(&key, soft.take());
+        inst.flow_unbound(FlowIndex(0), &key, soft.take());
         assert!(inst.describe().contains("1 retired"));
     }
 }

@@ -9,13 +9,13 @@
 //! monitoring use case.
 
 use crate::plugin::{
-    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
+    PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType, SoftState,
 };
 use rp_packet::ipv4::Ipv4Packet;
 use rp_packet::ipv6::Ipv6Packet;
+use rp_packet::mbuf::FlowIndex;
 use rp_packet::tcp::{TcpFlags, TcpPacket};
 use rp_packet::{FlowTuple, IpVersion, Mbuf};
-use std::any::Any;
 
 /// Per-flow TCP accounting, kept in flow-record soft state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +132,7 @@ impl PluginInstance for TcpMonitorInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&mut self, key: &FlowTuple, soft_state: Option<Box<dyn Any + Send>>) {
+    fn flow_unbound(&mut self, _fix: FlowIndex, key: &FlowTuple, soft_state: SoftState) {
         if let Some(st) = soft_state.and_then(|b| b.downcast::<TcpFlowState>().ok()) {
             self.agg
                 .retired
@@ -194,7 +194,6 @@ impl Plugin for TcpMonitorPlugin {
 mod tests {
     use super::*;
     use crate::gate::Gate;
-    use rp_packet::mbuf::FlowIndex;
     use rp_packet::tcp::TcpRepr;
     use std::net::{IpAddr, Ipv6Addr};
 
@@ -231,7 +230,7 @@ mod tests {
         buf
     }
 
-    fn feed(inst: &mut TcpMonitorInstance, soft: &mut Option<Box<dyn Any + Send>>, buf: Vec<u8>) {
+    fn feed(inst: &mut TcpMonitorInstance, soft: &mut SoftState, buf: Vec<u8>) {
         let mut m = Mbuf::new(buf, 0);
         let mut ctx = PacketCtx {
             gate: Gate::Stats,
@@ -283,7 +282,7 @@ mod tests {
             dport: 80,
             rx_if: 0,
         };
-        inst.flow_unbound(&key, soft.take());
+        inst.flow_unbound(FlowIndex(0), &key, soft.take());
         assert_eq!(inst.agg.retired.len(), 1);
     }
 

@@ -103,7 +103,8 @@ pub struct Router {
     aiu: Aiu<InstanceHandle>,
     routes: RoutingTable,
     interfaces: Vec<Interface>,
-    enabled: [bool; GATE_COUNT],
+    /// The enabled gates, one [`Gate::bit`] each.
+    enabled: u8,
     verify_checksums: bool,
     max_sojourn_ns: u64,
     now_ns: u64,
@@ -142,16 +143,16 @@ const PRE_ROUTING_GATES: [Gate; 5] = [
     Gate::Stats,
 ];
 
+/// The gate mask of [`PRE_ROUTING_GATES`]: every gate before Scheduling.
+const PRE_ROUTING: u8 = Gate::Scheduling.bit() - 1;
+
 impl Router {
     /// Build a router; plugins are loaded separately (see
     /// [`crate::plugins::register_builtin_factories`]).
     pub fn new(cfg: RouterConfig) -> Self {
         let mut flow_cfg = cfg.flow_table;
         flow_cfg.gates = GATE_COUNT;
-        let mut enabled = [false; GATE_COUNT];
-        for g in &cfg.enabled_gates {
-            enabled[g.index()] = true;
-        }
+        let enabled = cfg.enabled_gates.iter().fold(0, |m, g| m | g.bit());
         Router {
             pcu: Pcu::new(),
             loader: PluginLoader::new(),
@@ -332,7 +333,7 @@ impl Router {
             for g in ev.gates.drain() {
                 in_flight = g.instance;
                 if let Some(inst) = g.instance.and_then(|h| instances.live_mut(h)) {
-                    inst.flow_unbound(&ev.key, g.soft_state);
+                    inst.flow_unbound(ev.fix, &ev.key, g.soft_state);
                 }
             }
         }) {
@@ -381,12 +382,12 @@ impl Router {
 
     /// Enable or disable a gate at run time.
     pub fn set_gate_enabled(&mut self, gate: Gate, enabled: bool) {
-        self.enabled[gate.index()] = enabled;
+        self.enabled = self.enabled & !gate.bit() | if enabled { gate.bit() } else { 0 };
     }
 
     /// Is a gate enabled?
     pub fn gate_enabled(&self, gate: Gate) -> bool {
-        self.enabled[gate.index()]
+        self.enabled & gate.bit() != 0
     }
 
     /// Attach a scheduler instance to an interface as its default egress
@@ -572,7 +573,7 @@ impl Router {
     /// frame). `Some` when a gate ended the packet's walk.
     fn pre_routing_gates(&mut self, mbuf: &mut Mbuf) -> Option<GateStop> {
         for gate in PRE_ROUTING_GATES {
-            if !self.enabled[gate.index()] {
+            if self.enabled & gate.bit() == 0 {
                 continue;
             }
             match self.gate(mbuf, gate) {
@@ -652,18 +653,20 @@ impl Router {
     /// them silently would blackhole them).
     fn detach_sched_everywhere(&mut self, inst: InstanceHandle) {
         let now = self.now_ns;
-        for ifc in &mut self.interfaces {
+        for i in 0..self.interfaces.len() {
+            let ifc = &mut self.interfaces[i];
             if !ifc.scheds.contains(&inst) {
                 continue;
             }
+            ifc.scheds.retain(|s| *s != inst);
+            let start = ifc.tx_log.len();
             let sched = self.supervisor.instance_mut(inst);
             if let Some(sched) = sched.and_then(|i| i.as_scheduler()) {
-                while let Ok(Some(pkt)) = supervisor::run_isolated(|| sched.dequeue(now)) {
-                    self.metrics.note_tx(ifc.id, pkt.len());
-                    ifc.tx_log.push(pkt);
-                }
+                let _ = supervisor::run_isolated(|| {
+                    sched.dequeue_into(now, usize::MAX, &mut ifc.tx_log)
+                });
             }
-            ifc.scheds.retain(|s| *s != inst);
+            self.note_tx_since(i as IfIndex, start);
         }
     }
 
@@ -721,22 +724,25 @@ impl Router {
             return self.drop_pkt(mbuf, reason);
         }
 
-        // Pre-routing gates, all inside one isolation frame.
-        match supervisor::run_isolated(|| self.pre_routing_gates(&mut mbuf)) {
-            Ok(None) => {}
-            Ok(Some(GateStop::Consumed(gate))) => {
-                // A consuming plugin either took the buffer (the mbuf left
-                // behind is an empty shell) or left it; recycling handles
-                // both.
-                self.pool.recycle(mbuf);
-                return Disposition::Consumed(gate);
-            }
-            Ok(Some(GateStop::Drop(reason))) => return self.drop_pkt(mbuf, reason),
-            Err(panic) => {
-                // The instance faulted mid-packet: drop (and count) the
-                // packet rather than forward possibly-torn state.
-                let (gate, _) = self.charge_panic(panic);
-                return self.drop_pkt(mbuf, DropReason::PluginFault(gate));
+        // Pre-routing gates, all inside one isolation frame, opened only
+        // when one of them is enabled.
+        if self.enabled & PRE_ROUTING != 0 {
+            match supervisor::run_isolated(|| self.pre_routing_gates(&mut mbuf)) {
+                Ok(None) => {}
+                Ok(Some(GateStop::Consumed(gate))) => {
+                    // A consuming plugin either took the buffer (the mbuf
+                    // left behind is an empty shell) or left it; recycling
+                    // handles both.
+                    self.pool.recycle(mbuf);
+                    return Disposition::Consumed(gate);
+                }
+                Ok(Some(GateStop::Drop(reason))) => return self.drop_pkt(mbuf, reason),
+                Err(panic) => {
+                    // The instance faulted mid-packet: drop (and count) the
+                    // packet rather than forward possibly-torn state.
+                    let (gate, _) = self.charge_panic(panic);
+                    return self.drop_pkt(mbuf, DropReason::PluginFault(gate));
+                }
             }
         }
 
@@ -849,7 +855,7 @@ impl Router {
     fn dispatch_egress(&mut self, mut mbuf: Mbuf, tx_if: IfIndex) -> Disposition {
         // Scheduling gate on the egress interface, in its own frame (a
         // fragmented packet crosses it once per fragment).
-        if self.enabled[Gate::Scheduling.index()] {
+        if self.enabled & Gate::Scheduling.bit() != 0 {
             match supervisor::run_isolated(|| self.gate(&mut mbuf, Gate::Scheduling)) {
                 // No scheduler bound, or it declined (pass-through): emit.
                 Ok(Ok(None | Some(PluginAction::Continue))) => {}
@@ -913,31 +919,37 @@ impl Router {
         // Schedulers that panicked during this pump: charged once, then
         // left out while the others keep draining.
         let mut faulted: Vec<InstanceHandle> = Vec::new();
-        // One isolation frame spans the whole drain; a panicking `dequeue`
-        // ends it and the drain resumes in a new one.
-        while let Err(panic) =
-            supervisor::run_isolated(|| self.drain_scheds(iface, max, &mut sent, &faulted))
-        {
+        // One isolation frame spans the whole drain; a panicking
+        // `dequeue_into` ends it and the drain resumes in a new one. What
+        // the frame put on the wire stays there and is counted before the
+        // charge (a quarantine drains and counts its own).
+        loop {
+            let start = self.interfaces[iface as usize].tx_log.len();
+            let drained =
+                supervisor::run_isolated(|| self.drain_scheds(iface, start, max - sent, &faulted));
+            sent += self.note_tx_since(iface, start);
+            let Err(panic) = drained else { return sent };
             let (_, inst) = self.charge_panic(panic);
             faulted.push(inst);
         }
-        sent
     }
 
-    /// Round-robin over the interface's schedulers, one packet each per
-    /// round, until `max` are out or every queue is empty.
-    fn drain_scheds(
-        &mut self,
-        iface: IfIndex,
-        max: usize,
-        sent: &mut usize,
-        skip: &[InstanceHandle],
-    ) {
+    /// Round-robin over the interface's schedulers until `max` packets
+    /// are on the wire past `start` or every queue is empty. A lone
+    /// scheduler drains in one call; several take turns, one packet each
+    /// per round.
+    fn drain_scheds(&mut self, iface: IfIndex, start: usize, max: usize, skip: &[InstanceHandle]) {
         let now = self.now_ns;
         let ifc = &mut self.interfaces[iface as usize];
-        while *sent < max {
-            let mut any = false;
+        let turn = if ifc.scheds.len() == 1 { usize::MAX } else { 1 };
+        let mut more = true;
+        while more {
+            more = false;
             for &handle in &ifc.scheds {
+                let sent = ifc.tx_log.len() - start;
+                if sent >= max {
+                    return;
+                }
                 if skip.contains(&handle) {
                     continue;
                 }
@@ -945,23 +957,21 @@ impl Router {
                 let Some(sched) = inst.and_then(|i| i.as_scheduler()) else {
                     continue;
                 };
+                let quota = turn.min(max - sent);
                 self.in_flight = Some((Gate::Scheduling, handle));
-                let pkt = sched.dequeue(now);
+                more |= sched.dequeue_into(now, quota, &mut ifc.tx_log) == quota;
                 self.in_flight = None;
-                if let Some(pkt) = pkt {
-                    self.metrics.note_tx(ifc.id, pkt.len());
-                    ifc.tx_log.push(pkt);
-                    *sent += 1;
-                    any = true;
-                    if *sent >= max {
-                        return;
-                    }
-                }
-            }
-            if !any {
-                break;
             }
         }
+    }
+
+    /// Count the packets an interface's wire gained past `start`.
+    fn note_tx_since(&mut self, iface: IfIndex, start: usize) -> usize {
+        let tail = &self.interfaces[iface as usize].tx_log[start..];
+        for m in tail {
+            self.metrics.note_tx(iface, m.len());
+        }
+        tail.len()
     }
 
     /// Take the packets transmitted on an interface since the last call.
@@ -1303,10 +1313,11 @@ mod tests {
         assert!(r.supervisor.live_mut(new).is_some());
     }
 
-    /// A scheduler whose `dequeue` panics while armed.
+    /// A scheduler that hands out `budget` packets, then panics inside
+    /// `dequeue_into`.
     struct PanicQueue {
         queued: Vec<Mbuf>,
-        armed: bool,
+        budget: usize,
     }
 
     impl crate::plugin::PluginInstance for PanicQueue {
@@ -1324,9 +1335,16 @@ mod tests {
     }
 
     impl crate::plugin::SchedulerInstance for PanicQueue {
-        fn dequeue(&mut self, _now_ns: u64) -> Option<Mbuf> {
-            assert!(!self.armed, "panicq: dequeue while armed");
-            self.queued.pop()
+        fn dequeue_into(&mut self, _now_ns: u64, max: usize, out: &mut Vec<Mbuf>) -> usize {
+            for n in 0..max {
+                if self.queued.is_empty() {
+                    return n;
+                }
+                assert!(self.budget > 0, "panicq: dequeue past its budget");
+                self.budget -= 1;
+                out.push(self.queued.remove(0));
+            }
+            max
         }
     }
 
@@ -1341,11 +1359,14 @@ mod tests {
         }
         fn create_instance(
             &mut self,
-            _config: &str,
+            config: &str,
         ) -> Result<Box<dyn crate::plugin::PluginInstance>, PluginError> {
+            let budget = config
+                .strip_prefix("yield=")
+                .map_or(0, |n| n.parse().unwrap());
             Ok(Box::new(PanicQueue {
                 queued: Vec::new(),
-                armed: true,
+                budget,
             }))
         }
     }
@@ -1384,8 +1405,58 @@ mod tests {
             .last_fault
             .as_deref()
             .unwrap()
-            .contains("dequeue while armed"));
+            .contains("dequeue past its budget"));
         assert_eq!(of("fifo").health, crate::supervisor::HealthState::Healthy);
         assert_eq!(of("fifo").faults, 0);
+
+        // Alone on interface 2, a scheduler drains in one call: the two
+        // packets it appends before it panics are on the wire, counted in
+        // `if_tx` and in the pump's return, and the panic is charged once.
+        let if2 = IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb9, 0, 0, 0, 0, 0, 1));
+        r.add_route(if2, 32, 2);
+        crate::pmgr::run_script(
+            &mut r,
+            "create panicq yield=2\nbind sched panicq 1 <*, *, UDP, 9, *, *>",
+        )
+        .unwrap();
+        for n in 0..4 {
+            let m = Mbuf::new(PacketSpec::udp(v6(n), if2, 9, 6, 32).build(), 0);
+            assert_eq!(r.receive(m), Disposition::Queued(2));
+        }
+        assert_eq!(r.pump(2, usize::MAX), 2);
+        assert_eq!(r.take_tx(2).len(), 2);
+        assert_eq!(r.metrics.if_tx_packets[2], 2);
+        let s = r.stats();
+        assert_eq!(s.plugin_faults, 2);
+        assert_eq!(s.received, s.forwarded + s.dropped_total());
+        let reports = r.health_reports();
+        let yielding = reports
+            .iter()
+            .find(|h| h.plugin == "panicq" && h.id == InstanceId(1))
+            .unwrap();
+        assert_eq!(yielding.faults, 1);
+    }
+
+    /// Several schedulers on one interface take turns, one packet each
+    /// per round; a pump cut short starts its next round at the first.
+    #[test]
+    fn two_schedulers_interleave_one_packet_per_round() {
+        let mut r = routed_router(
+            "load fifo\ncreate fifo\ncreate fifo\n\
+             bind sched fifo 0 <*, *, UDP, *, *, *>\nbind sched fifo 1 <*, *, TCP, *, *, *>",
+        );
+        let tcp = |n: u16| Mbuf::new(PacketSpec::tcp(v6(n), v6(900), 7, 8, 32).build(), 0);
+        for n in 1..=3 {
+            assert_eq!(r.receive(udp(n)), Disposition::Queued(1));
+        }
+        for n in 11..=12 {
+            assert_eq!(r.receive(tcp(n)), Disposition::Queued(1));
+        }
+        assert_eq!(r.pump(1, 3), 3);
+        assert_eq!(r.pump(1, usize::MAX), 2);
+        // The last byte of the IPv6 source address names the packet.
+        let order: Vec<u8> = r.take_tx(1).iter().map(|m| m.data()[23]).collect();
+        assert_eq!(order, [1, 11, 2, 3, 12]);
+        assert_eq!(r.metrics.if_tx_packets[1], 5);
     }
 }

@@ -13,7 +13,7 @@
 //!   plus generation. A handle whose slot has since changed occupant
 //!   resolves to nothing.
 //! * Plugin code runs inside isolation frames
-//!   ([`std::panic::catch_unwind`], see [`run_isolated`]): one per
+//!   ([`std::panic::catch_unwind`], see `run_isolated`): one per
 //!   received packet around the pre-routing gates, one per scheduling-gate
 //!   call and one per `pump`. The router notes which gate and slot are in
 //!   flight before each call, so a caught panic is charged to the right

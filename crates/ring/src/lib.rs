@@ -13,7 +13,7 @@
 //!
 //! * **Cache-line-padded cursors.** The producer cursor (`tail`) and the
 //!   consumer cursor (`head`) live on their own 64-byte lines
-//!   ([`CachePadded`]), so the two sides never false-share: each side
+//!   (`CachePadded`), so the two sides never false-share: each side
 //!   writes only its own line and reads the other's at a cadence
 //!   governed by cursor caching (below).
 //! * **Cursor caching.** The producer keeps a local copy of the last

@@ -1,5 +1,5 @@
 //! Virtual Clock scheduling (Zhang, 1990; the paper's related-work space
-//! also cites Leap Forward Virtual Clock [28]). Included as the
+//! also cites Leap Forward Virtual Clock \[28\]). Included as the
 //! "third-party plugin" the paper predicts: "doubtless, additional
 //! plugin types will be introduced by third parties once we have
 //! released our code" — this one slots into the same `Scheduler`

@@ -7,10 +7,12 @@
 //! allocation per packet. The third phase holds the *slow* path to the same
 //! ceiling: every fourth packet opens a flow that evicts another. The last
 //! holds the parallel plane behind framed loopback devices — the plane the
-//! benchmark's `wire_par` measures — to exactly zero, on every thread.
+//! benchmark's `wire_par` measures — to exactly zero, on every thread. The
+//! fifth overflows a scheduler: a refused packet's buffer goes back to the
+//! pool, not to the allocator.
 
 use router_plugins::classifier::FlowTableConfig;
-use router_plugins::core::ip_core::Disposition;
+use router_plugins::core::ip_core::{Disposition, DropReason};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{ParallelRouter, ParallelRouterConfig, Router, RouterConfig};
@@ -371,5 +373,39 @@ fn steady_state_fast_path_stays_off_the_allocator() {
     assert_eq!(
         plane.ledger().device_tx,
         ((WARM_BURSTS + STEADY_BURSTS) * BURST) as u64
+    );
+
+    // Phase 5: overflow. A DRR queue one packet deep refuses every packet
+    // after the first; the scheduler hands each refused packet back and the
+    // router's drop recycles its buffer, so refusals take no fresh buffer.
+    const REFUSALS: usize = 1000;
+    let mut r5 = Router::new(RouterConfig {
+        verify_checksums: false,
+        ..RouterConfig::default()
+    });
+    register_builtin_factories(&mut r5.loader);
+    run_script(
+        &mut r5,
+        "load drr\n\
+         create drr quantum=9180 limit=1\n\
+         bind sched drr 0 <*, *, UDP, *, *, *>\n",
+    )
+    .unwrap();
+    r5.add_route(v6_host(0), 32, 1);
+    let one = PacketSpec::udp(v6_host(1), v6_host(2), 5, 6, 64).build();
+    let offer = |r: &mut Router| {
+        let m = r.mbuf_with(&one, 0);
+        r.receive(m)
+    };
+    assert_eq!(offer(&mut r5), Disposition::Queued(1));
+    assert_eq!(offer(&mut r5), Disposition::Dropped(DropReason::QueueFull));
+    let fresh_before = r5.pool_stats().fresh;
+    for _ in 0..REFUSALS {
+        assert_eq!(offer(&mut r5), Disposition::Dropped(DropReason::QueueFull));
+    }
+    assert_eq!(
+        r5.pool_stats().fresh,
+        fresh_before,
+        "refused packets leaked their buffers"
     );
 }

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use router_plugins::classifier::FlowTableConfig;
 use router_plugins::core::ip_core::{Disposition, DropReason};
-use router_plugins::core::plugin::PacketCtx;
+use router_plugins::core::plugin::{PacketCtx, SoftState};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::{
@@ -15,8 +15,8 @@ use router_plugins::core::{
 use router_plugins::netsim::topology::{Port, Topology};
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
+use router_plugins::packet::mbuf::FlowIndex;
 use router_plugins::packet::{FlowTuple, Mbuf};
-use std::any::Any;
 
 fn armed_router() -> Router {
     let mut r = Router::new(RouterConfig {
@@ -366,7 +366,7 @@ impl PluginInstance for GrumpyInstance {
     fn handle_packet(&mut self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
         PluginAction::Continue
     }
-    fn flow_unbound(&mut self, key: &FlowTuple, _soft: Option<Box<dyn Any + Send>>) {
+    fn flow_unbound(&mut self, _fix: FlowIndex, key: &FlowTuple, _soft: SoftState) {
         panic!("cannot let go of {key}");
     }
 }

@@ -135,6 +135,9 @@ fn deleted_names_stay_deleted() {
         "DrrInstance|HfscInstance|HsfInstance|FifoInstance|RedInstance|VcInstance|\
          classify_with|thread_cpu_ns|user_hz",
     );
+    // A discipline that keeps its flow's FIX in a soft-state box (the
+    // eviction callback receives the FIX).
+    forbid(EVERYWHERE, "PER_FLOW");
 }
 
 /// The scheduling plugins share one instance: one `SchedulerInstance`
@@ -153,6 +156,30 @@ fn one_scheduling_instance() {
         let found = code_lines_where(scope, |l| contains(l, what));
         assert_eq!(found.len(), 1, "{what}:\n{}", found.join("\n"));
     }
+}
+
+/// Queued egress drains in one call per scheduler: `SchedulerInstance`
+/// declares one method, `dequeue_into`, and the router never dequeues a
+/// packet at a time (lines before its first `#[cfg(test)]`).
+#[test]
+fn schedulers_drain_through_one_call() {
+    let plugin = file("crates/core/src/plugin.rs");
+    let (_, body) = plugin
+        .split_once("pub trait SchedulerInstance {")
+        .expect("trait SchedulerInstance is gone");
+    let body = &body[..body.find("\n}").unwrap_or(body.len())];
+    let methods: Vec<&str> = body
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("fn "))
+        .collect();
+    assert!(
+        methods.len() == 1 && methods[0].starts_with("fn dequeue_into("),
+        "SchedulerInstance must declare dequeue_into alone:\n{}",
+        methods.join("\n")
+    );
+    let found = code_lines_where("crates/core/src/router.rs", |l| l.contains(".dequeue("));
+    assert_none(found, "a per-packet dequeue in the router");
 }
 
 /// Supervision timestamps are caller-supplied `u64` ns: no `Instant`
