@@ -69,6 +69,9 @@ pub enum DropReason {
     /// degrades gracefully (drops, not collapse) and conservation stays
     /// exact.
     DeadlineExceeded,
+    /// Purged from a scheduler queue with its recycled flow record; the
+    /// view takes it back out of `forwarded`, as it does `DeviceTx`.
+    Evicted,
 }
 
 /// Final outcome of processing one packet.
@@ -137,6 +140,8 @@ pub struct DataPathStats {
     /// end-to-end latency deadline (`max_sojourn_ns`) when their shard
     /// dequeued them (always 0 unless a deadline is configured).
     pub dropped_deadline: u64,
+    /// Queued packets purged when their flow record was recycled.
+    pub dropped_evicted: u64,
     /// Instances moved to quarantine.
     pub plugin_quarantines: u64,
     /// Successful supervised instance restarts.
@@ -159,6 +164,7 @@ impl DataPathStats {
             + self.dropped_device_rx
             + self.dropped_device_tx
             + self.dropped_deadline
+            + self.dropped_evicted
     }
 }
 

@@ -150,7 +150,7 @@ impl Histogram {
 
 /// Number of distinct [`DropReason`] slots: the scalar reasons plus one
 /// per gate for `Plugin(gate)` and `PluginFault(gate)`.
-pub const DROP_KINDS: usize = 12 + 2 * GATE_COUNT;
+pub const DROP_KINDS: usize = 13 + 2 * GATE_COUNT;
 
 /// Map a drop reason to its counter slot.
 pub fn drop_reason_index(reason: DropReason) -> usize {
@@ -169,6 +169,7 @@ pub fn drop_reason_index(reason: DropReason) -> usize {
         DropReason::DeadlineExceeded => 11,
         DropReason::Plugin(g) => 12 + g.index(),
         DropReason::PluginFault(g) => 12 + GATE_COUNT + g.index(),
+        DropReason::Evicted => 12 + 2 * GATE_COUNT,
     }
 }
 
@@ -188,7 +189,8 @@ pub fn drop_reason_label(slot: usize) -> String {
         10 => "device_tx".to_string(),
         11 => "deadline_exceeded".to_string(),
         s if s < 12 + GATE_COUNT => format!("plugin_{}", ALL_GATES[s - 12]),
-        s => format!("plugin_fault_{}", ALL_GATES[s - 12 - GATE_COUNT]),
+        s if s < 12 + 2 * GATE_COUNT => format!("plugin_fault_{}", ALL_GATES[s - 12 - GATE_COUNT]),
+        _ => "evicted".to_string(),
     }
 }
 
@@ -387,13 +389,16 @@ impl MetricsRegistry {
     /// The Table 3 counters, read off this registry: every field is one
     /// counter or a sum of drop slots. A packet an egress device refused
     /// sits in both `forwarded` and the `DeviceTx` slot here, so the view
-    /// subtracts it from `forwarded` once.
+    /// subtracts it from `forwarded` once; so does a queued packet that
+    /// eviction purged (the `Evicted` slot).
     pub fn data_path(&self) -> DataPathStats {
         let slot = |r: DropReason| self.drops[drop_reason_index(r)];
         let per_gate = |r: fn(Gate) -> DropReason| ALL_GATES.iter().map(|&g| slot(r(g))).sum();
         DataPathStats {
             received: self.received,
-            forwarded: self.forwarded.saturating_sub(slot(DropReason::DeviceTx)),
+            forwarded: self
+                .forwarded
+                .saturating_sub(slot(DropReason::DeviceTx) + slot(DropReason::Evicted)),
             dropped_malformed: slot(DropReason::Malformed) + slot(DropReason::BadChecksum),
             dropped_ttl: slot(DropReason::TtlExpired),
             dropped_no_route: slot(DropReason::NoRoute),
@@ -410,6 +415,7 @@ impl MetricsRegistry {
             dropped_device_rx: slot(DropReason::DeviceRx),
             dropped_device_tx: slot(DropReason::DeviceTx),
             dropped_deadline: slot(DropReason::DeadlineExceeded),
+            dropped_evicted: slot(DropReason::Evicted),
             plugin_quarantines: self.plugin_quarantines,
             plugin_restarts: self.plugin_restarts,
         }
@@ -894,6 +900,7 @@ mod tests {
             DropReason::DeviceRx,
             DropReason::DeviceTx,
             DropReason::DeadlineExceeded,
+            DropReason::Evicted,
         ];
         for g in ALL_GATES {
             reasons.push(DropReason::Plugin(g));

@@ -146,8 +146,10 @@ pub trait PluginInstance: Any + Send {
     /// Called by the AIU when a flow bound to this instance is removed
     /// from the flow table (entry eviction callback, §4). Receives the
     /// flow's FIX (free for reuse once this returns), its key and the
-    /// instance's soft state for that flow.
-    fn flow_unbound(&mut self, _fix: FlowIndex, _key: &FlowTuple, _soft_state: SoftState) {}
+    /// instance's soft state for that flow. A scheduler appends the
+    /// packets it still held for the flow to the `Vec`; the router counts
+    /// them dropped and recycles their buffers.
+    fn flow_unbound(&mut self, _: FlowIndex, _: &FlowTuple, _: SoftState, _: &mut Vec<Mbuf>) {}
 
     /// Called when a filter bound to this instance is removed from a
     /// filter table.

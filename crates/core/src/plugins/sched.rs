@@ -127,9 +127,9 @@ impl<D: Discipline> PluginInstance for SchedInstance<D> {
         PluginAction::Drop
     }
 
-    fn flow_unbound(&mut self, fix: FlowIndex, _key: &FlowTuple, _soft: SoftState) {
+    fn flow_unbound(&mut self, fix: FlowIndex, _: &FlowTuple, _: SoftState, out: &mut Vec<Mbuf>) {
         for pkt in self.sched.release(fix.0) {
-            self.store.take(pkt.cookie);
+            out.extend(self.store.take(pkt.cookie));
         }
     }
 
@@ -668,7 +668,7 @@ mod tests {
             dport: 0,
             rx_if: 0,
         };
-        inst.flow_unbound(FlowIndex(fix), &key, soft.take());
+        inst.flow_unbound(FlowIndex(fix), &key, soft.take(), &mut Vec::new());
     }
 
     #[test]

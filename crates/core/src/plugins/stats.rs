@@ -58,8 +58,8 @@ impl PluginInstance for StatsInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&mut self, _fix: FlowIndex, key: &FlowTuple, soft_state: SoftState) {
-        if let Some(c) = soft_state.and_then(|b| b.downcast::<FlowCounters>().ok()) {
+    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowTuple, soft: SoftState, _: &mut Vec<Mbuf>) {
+        if let Some(c) = soft.and_then(|b| b.downcast::<FlowCounters>().ok()) {
             self.retired.insert(key.to_string(), *c);
         }
     }
@@ -156,7 +156,7 @@ mod tests {
             dport: 2,
             rx_if: 0,
         };
-        inst.flow_unbound(FlowIndex(0), &key, soft.take());
+        inst.flow_unbound(FlowIndex(0), &key, soft.take(), &mut Vec::new());
         assert!(inst.describe().contains("1 retired"));
     }
 }

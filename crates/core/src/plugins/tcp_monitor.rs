@@ -132,8 +132,8 @@ impl PluginInstance for TcpMonitorInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&mut self, _fix: FlowIndex, key: &FlowTuple, soft_state: SoftState) {
-        if let Some(st) = soft_state.and_then(|b| b.downcast::<TcpFlowState>().ok()) {
+    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowTuple, soft: SoftState, _: &mut Vec<Mbuf>) {
+        if let Some(st) = soft.and_then(|b| b.downcast::<TcpFlowState>().ok()) {
             self.agg
                 .retired
                 .push((key.to_string(), st.segments, st.retransmissions));
@@ -282,7 +282,7 @@ mod tests {
             dport: 80,
             rx_if: 0,
         };
-        inst.flow_unbound(FlowIndex(0), &key, soft.take());
+        inst.flow_unbound(FlowIndex(0), &key, soft.take(), &mut Vec::new());
         assert_eq!(inst.agg.retired.len(), 1);
     }
 

@@ -309,10 +309,21 @@ impl Router {
 
     /// Run evicted flows' callbacks and charge the ones that panicked.
     fn unbind_flows(&mut self, evicted: impl IntoIterator<Item = EvictedFlow<InstanceHandle>>) {
+        let mut purged = Vec::new();
         for mut ev in evicted {
-            for (inst, msg) in Self::run_eviction_callbacks(&mut self.supervisor, &mut ev) {
+            let faults = Self::run_eviction_callbacks(&mut self.supervisor, &mut ev, &mut purged);
+            for (inst, msg) in faults {
                 self.note_fault(inst, &FaultKind::Panic(msg));
             }
+        }
+        self.drop_purged(purged);
+    }
+
+    /// Drop the queued packets eviction callbacks purged. Each was
+    /// counted `forwarded` when queued; the `Evicted` slot takes it back.
+    fn drop_purged(&mut self, purged: Vec<Mbuf>) {
+        for mbuf in purged {
+            self.drop_pkt(mbuf, DropReason::Evicted);
         }
     }
 
@@ -326,6 +337,7 @@ impl Router {
     fn run_eviction_callbacks(
         instances: &mut Supervisor,
         ev: &mut EvictedFlow<InstanceHandle>,
+        purged: &mut Vec<Mbuf>,
     ) -> Vec<(InstanceHandle, String)> {
         let mut faults = Vec::new();
         let mut in_flight = None;
@@ -333,7 +345,7 @@ impl Router {
             for g in ev.gates.drain() {
                 in_flight = g.instance;
                 if let Some(inst) = g.instance.and_then(|h| instances.live_mut(h)) {
-                    inst.flow_unbound(ev.fix, &ev.key, g.soft_state);
+                    inst.flow_unbound(ev.fix, &ev.key, g.soft_state, purged);
                 }
             }
         }) {
@@ -494,11 +506,13 @@ impl Router {
                 .record_with(self.now_ns, TraceCategory::Flow, || {
                     format!("flow recycled at {gate}: {}", ev.key)
                 });
-            for (inst, msg) in Self::run_eviction_callbacks(&mut self.supervisor, ev) {
+            let mut purged = Vec::new();
+            for (inst, msg) in Self::run_eviction_callbacks(&mut self.supervisor, ev, &mut purged) {
                 if self.note_fault(inst, &FaultKind::Panic(msg)) {
                     mbuf.fix = None; // quarantined: reclassify downstream
                 }
             }
+            self.drop_purged(purged);
         }
         Ok(())
     }

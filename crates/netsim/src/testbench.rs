@@ -1,12 +1,13 @@
 //! Workload replay: plays a workload through a router configuration
-//! (the plugin router, the sharded plane or a monolithic baseline) and
-//! counts what became of each packet and of the flow cache. It keeps no
-//! time; the timed harness is the `benchmark/` package.
+//! (any data plane, through one driver loop, or a monolithic baseline)
+//! and counts what became of each packet. It keeps no time; the timed
+//! harness is the `benchmark/` package.
 
 use crate::traffic::Workload;
 use router_core::ip_core::Disposition;
 use router_core::monolithic::{AltqDrrRouter, BestEffortRouter};
-use router_core::{ParallelRouter, Router};
+use rp_netdev::IoRouter;
+use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
 
 /// Results of one replay.
@@ -14,14 +15,11 @@ use rp_packet::Mbuf;
 pub struct RunStats {
     /// Packets offered.
     pub packets: u64,
-    /// Packets forwarded/queued.
+    /// Packets forwarded: put on the wire by [`Testbench::run`], given a
+    /// forwarding disposition by a baseline.
     pub forwarded: u64,
-    /// Packets dropped.
+    /// Packets offered and not forwarded.
     pub dropped: u64,
-    /// Flow-cache hits (0 for routers without one).
-    pub cache_hits: u64,
-    /// Flow-cache misses.
-    pub cache_misses: u64,
 }
 
 /// The testbench: replays workloads and accumulates statistics.
@@ -33,9 +31,7 @@ pub struct Testbench {
 impl Testbench {
     /// Build from a workload.
     pub fn new(workload: &Workload) -> Self {
-        Testbench {
-            packets: workload.build(),
-        }
+        workload.build().into()
     }
 
     /// The prebuilt packet sequence (one rep of the workload).
@@ -70,101 +66,33 @@ impl Testbench {
         w.into_bytes()
     }
 
-    /// Replay through the plugin router `reps` times; the scheduling gate
-    /// is drained (`pump`) after each packet, mirroring the testbed's
-    /// immediate retransmission on the output ATM port.
-    pub fn run_router(&self, router: &mut Router, reps: usize) -> RunStats {
-        let mut stats = RunStats::default();
-        let h0 = router.flow_stats();
-        for _ in 0..reps {
-            for pkt in &self.packets {
-                let d = router.receive(pkt.clone());
-                if let Disposition::Queued(i) = d {
-                    router.pump(i, 1);
-                }
-                stats.packets += 1;
-                match d {
-                    Disposition::Forwarded(_) | Disposition::Queued(_) => stats.forwarded += 1,
-                    Disposition::Dropped(_) => stats.dropped += 1,
-                    Disposition::Consumed(_) => {}
-                }
-            }
-            // Clear tx logs so memory stays bounded across reps.
-            for i in 0..router.interface_count() {
-                router.take_tx(i as u32);
-            }
-        }
-        let h1 = router.flow_stats();
-        stats.cache_hits = h1.hits - h0.hits;
-        stats.cache_misses = h1.misses - h0.misses;
-        stats
-    }
-
-    /// [`run_router`](Testbench::run_router) on the zero-allocation fast
-    /// path: ingress mbufs are built from the router's buffer pool
-    /// ([`Router::mbuf_with`]) instead of cloned, and transmitted packets
-    /// are handed back to the pool after each repetition — the driver
-    /// loop of a real port. After pool warm-up no per-packet heap
-    /// allocation remains on this path.
-    pub fn run_router_pooled(&self, router: &mut Router, reps: usize) -> RunStats {
-        let mut stats = RunStats::default();
-        let h0 = router.flow_stats();
-        let mut done: Vec<Mbuf> = Vec::new();
-        for _ in 0..reps {
-            for pkt in &self.packets {
-                let m = router.mbuf_with(pkt.data(), pkt.rx_if);
-                let d = router.receive(m);
-                if let Disposition::Queued(i) = d {
-                    router.pump(i, 1);
-                }
-                stats.packets += 1;
-                match d {
-                    Disposition::Forwarded(_) | Disposition::Queued(_) => stats.forwarded += 1,
-                    Disposition::Dropped(_) => stats.dropped += 1,
-                    Disposition::Consumed(_) => {}
-                }
-            }
-            // The driver's retransmit-complete step: return transmitted
-            // buffers to the pool instead of freeing them.
-            for i in 0..router.interface_count() {
-                router.take_tx_into(i as u32, &mut done);
-                for m in done.drain(..) {
-                    router.recycle_mbuf(m);
-                }
-            }
-        }
-        let h1 = router.flow_stats();
-        stats.cache_hits = h1.hits - h0.hits;
-        stats.cache_misses = h1.misses - h0.misses;
-        stats
-    }
-
-    /// Replay through a sharded parallel data plane `reps` times on the
-    /// batched fast path: ingress mbufs come from the dispatcher's
-    /// buffer pool, up to `batch` packets are handed to
-    /// [`ParallelRouter::receive_batch`] per call (one channel send per
-    /// shard touched instead of one per packet), the run is quiesced
-    /// with a barrier [`flush`](ParallelRouter::flush), and transmitted
-    /// packets are recycled after each repetition. `batch == 1`
-    /// degenerates to per-packet dispatch through the same entry point.
-    pub fn run_parallel_batched(&self, router: &mut ParallelRouter, reps: usize, batch: usize) {
+    /// Replay through a data plane `reps` times, the driver loop of a
+    /// real port: ingress buffers come from the plane's pool, up to
+    /// `batch` packets are injected per call (the burst entry on a
+    /// `Router`, batched shard dispatch on a `ParallelRouter`), and
+    /// transmitted packets go back to the pool, after each burst and
+    /// after the [`io_flush`](IoRouter::io_flush) that ends a repetition.
+    /// `forwarded` counts what reached the wire. Once the pool is warm
+    /// the loop allocates nothing but its one scratch vector.
+    pub fn run<P: IoRouter>(&self, plane: &mut P, reps: usize, batch: usize) -> RunStats {
         let batch = batch.max(1);
+        let mut burst = Vec::with_capacity(batch);
+        let mut forwarded = 0;
         for _ in 0..reps {
-            let mut carrier = router.batch_carrier();
-            for pkt in &self.packets {
-                carrier.push(router.mbuf_with(pkt.data(), pkt.rx_if));
-                if carrier.len() >= batch {
-                    router.receive_batch(carrier);
-                    carrier = router.batch_carrier();
-                }
+            for chunk in self.packets.chunks(batch) {
+                let pool = plane.io_pool();
+                burst.extend(chunk.iter().map(|p| pool.mbuf_from(p.data(), p.rx_if)));
+                plane.io_inject_batch(&mut burst);
+                forwarded += recycle_tx(plane, &mut burst);
             }
-            router.receive_batch(carrier);
-            router.flush();
-            for i in 0..router.interface_count() {
-                for m in router.take_tx(i as u32) {
-                    router.recycle_mbuf(m);
-                }
-            }
+            plane.io_flush();
+            forwarded += recycle_tx(plane, &mut burst);
+        }
+        let packets = (reps * self.packets.len()) as u64;
+        RunStats {
+            packets,
+            forwarded,
+            dropped: packets.saturating_sub(forwarded),
         }
     }
 
@@ -212,6 +140,26 @@ impl Testbench {
     }
 }
 
+/// Take every interface's transmitted packets into `scratch` and hand
+/// their buffers back to the plane's pool; returns how many there were.
+fn recycle_tx<P: IoRouter>(plane: &mut P, scratch: &mut Vec<Mbuf>) -> u64 {
+    for i in 0..plane.io_interface_count() {
+        plane.io_take_tx_into(i as IfIndex, scratch);
+    }
+    let n = scratch.len() as u64;
+    for m in scratch.drain(..) {
+        plane.io_pool().recycle(m);
+    }
+    n
+}
+
+impl From<Vec<Mbuf>> for Testbench {
+    /// Replay a prebuilt packet sequence.
+    fn from(packets: Vec<Mbuf>) -> Self {
+        Testbench { packets }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,7 +182,7 @@ mod tests {
     fn plugin_router_forwards_workload() {
         let mut r = plugin_router(vec![]);
         let tb = Testbench::new(&Workload::paper_table3());
-        let stats = tb.run_router(&mut r, 2);
+        let stats = tb.run(&mut r, 2, 1);
         assert_eq!(stats.packets, 600);
         assert_eq!(stats.forwarded, 600);
         assert_eq!(stats.dropped, 0);
@@ -249,10 +197,9 @@ mod tests {
         )
         .unwrap();
         let tb = Testbench::new(&Workload::paper_table3());
-        let stats = tb.run_router(&mut r, 1);
+        assert_eq!(tb.run(&mut r, 1, 64).forwarded, 300);
         // 3 flows → 3 misses, 297 hits.
-        assert_eq!(stats.cache_misses, 3);
-        assert_eq!(stats.cache_hits, 297);
+        assert_eq!((r.flow_stats().misses, r.flow_stats().hits), (3, 297));
     }
 
     #[test]

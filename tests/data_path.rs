@@ -169,6 +169,44 @@ fn flow_eviction_purges_scheduler_state() {
     assert!(backlog <= 32, "backlog = {backlog} ({report})");
 }
 
+/// A queued packet whose flow record is recycled leaves the scheduler
+/// with its flow: it is counted as an eviction drop, taken back out of
+/// `forwarded`, and its buffer goes back to the pool.
+#[test]
+fn eviction_purges_are_counted_drops_and_recycled() {
+    let mut r = Router::new(RouterConfig {
+        verify_checksums: false,
+        flow_table: router_plugins::classifier::FlowTableConfig {
+            buckets: 64,
+            initial_records: 4,
+            max_records: 8,
+            gates: 6,
+            ..router_plugins::classifier::FlowTableConfig::default()
+        },
+        ..RouterConfig::default()
+    });
+    register_builtin_factories(&mut r.loader);
+    r.add_route(v6_host(0), 32, 1);
+    run_script(
+        &mut r,
+        "load drr\ncreate drr quantum=1500 limit=4\nattach 1 drr 0\n\
+         bind sched drr 0 <*, *, UDP, *, *, *>",
+    )
+    .unwrap();
+    let fresh = r.pool_stats().fresh;
+    for i in 0..100u16 {
+        let spec = PacketSpec::udp(v6_host(i + 1), v6_host(9), 1000 + i, 6, 64);
+        let m = r.mbuf_with(&spec.build(), 0);
+        assert_eq!(r.receive(m), Disposition::Queued(1));
+    }
+    r.pump(1, usize::MAX);
+    let wire = r.take_tx(1).len() as u64;
+    let s = r.stats();
+    assert_eq!((s.received, s.forwarded, wire), (100, 8, 8), "{s:?}");
+    assert_eq!((s.dropped_evicted, s.dropped_total()), (92, 92), "{s:?}");
+    assert!(r.pool_stats().fresh - fresh <= 9, "{:?}", r.pool_stats());
+}
+
 #[test]
 fn consumed_packets_preserve_bytes_through_scheduler() {
     let mut r = router(

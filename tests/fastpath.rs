@@ -1,327 +1,13 @@
-//! The zero-allocation fast path must be invisible to an outside
-//! observer: running packets through pooled mbufs and batched shard
-//! dispatch has to produce byte-identical per-flow outputs, the same
-//! drop-reason totals, and the same flow-cache behaviour as the plain
-//! clone-per-packet, one-message-per-packet paths it replaces. These
-//! tests drive both variants of both data planes over a workload whose
-//! flows exercise distinct fates (forwarded+scheduled, firewall-denied,
-//! unrouted) and compare everything observable.
+//! The zero-allocation fast path in steady state: pooled mbufs on the
+//! single router never miss a warm pool, and batched shard dispatch gets
+//! its carriers back. That the pooled and batched paths deliver what the
+//! plain per-packet paths deliver is a row of `tests/differential.rs`.
 
-use router_plugins::core::ip_core::Disposition;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{ParallelRouter, ParallelRouterConfig, Router, RouterConfig};
 use router_plugins::netsim::testbench::Testbench;
 use router_plugins::netsim::traffic::{v6_host, Workload};
-use router_plugins::packet::builder::PacketSpec;
-use router_plugins::packet::{FlowTuple, Mbuf};
-use std::collections::HashMap;
-use std::net::IpAddr;
-
-/// Flows exercising distinct fates: routed+scheduled UDP, firewall-denied
-/// (dport 9999), and unrouted destinations (outside 2001:db8::/32).
-struct DiffFlow {
-    src: IpAddr,
-    dst: IpAddr,
-    sport: u16,
-    dport: u16,
-    count: usize,
-}
-
-fn diff_flows() -> Vec<DiffFlow> {
-    let mut flows = Vec::new();
-    for i in 0..24u16 {
-        flows.push(DiffFlow {
-            src: v6_host(10 + i),
-            dst: v6_host(200 + (i % 5)),
-            sport: 4000 + i,
-            dport: 80,
-            count: 20 + (i as usize % 7),
-        });
-    }
-    for i in 0..4u16 {
-        flows.push(DiffFlow {
-            src: v6_host(50 + i),
-            dst: v6_host(210),
-            sport: 4100 + i,
-            dport: 9999,
-            count: 10,
-        });
-    }
-    for i in 0..4u16 {
-        flows.push(DiffFlow {
-            src: v6_host(60 + i),
-            dst: IpAddr::V6(std::net::Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, i)),
-            sport: 4200 + i,
-            dport: 80,
-            count: 8,
-        });
-    }
-    flows
-}
-
-/// Interleaved packet sequence with a per-flow sequence number stamped in
-/// the last 4 payload bytes (checksum verification is off in this rig).
-fn diff_packets() -> Vec<Mbuf> {
-    let flows = diff_flows();
-    let mut seqs = vec![0u32; flows.len()];
-    let mut out = Vec::new();
-    let mut round = 0usize;
-    loop {
-        let mut emitted = false;
-        for (fi, f) in flows.iter().enumerate() {
-            if round < f.count {
-                let mut m = Mbuf::new(
-                    PacketSpec::udp(f.src, f.dst, f.sport, f.dport, 128).build(),
-                    0,
-                );
-                let seq = seqs[fi];
-                seqs[fi] += 1;
-                let data = m.data_mut();
-                let n = data.len();
-                data[n - 4..].copy_from_slice(&seq.to_be_bytes());
-                out.push(m);
-                emitted = true;
-            }
-        }
-        if !emitted {
-            break;
-        }
-        round += 1;
-    }
-    out
-}
-
-const DIFF_SCRIPT: &str = "load null\n\
-     create null\n\
-     bind stats null 0 <*, *, *, *, *, *>\n\
-     load firewall\n\
-     create firewall action=deny\n\
-     bind fw firewall 0 <*, *, UDP, *, 9999, *>\n\
-     load drr\n\
-     create drr quantum=9180 limit=512\n\
-     attach 1 drr 0\n\
-     bind sched drr 0 <*, *, UDP, *, *, *>\n\
-     route 2001:db8::/32 1\n";
-
-/// Per-flow emitted packets as full byte images, grouped by the emitted
-/// packet's five-tuple, in emission order. Byte-identical outputs means
-/// these maps compare equal.
-fn deliveries(tx: &[Mbuf]) -> HashMap<FlowTuple, Vec<Vec<u8>>> {
-    let mut map: HashMap<FlowTuple, Vec<Vec<u8>>> = HashMap::new();
-    for m in tx {
-        let mut t = FlowTuple::from_mbuf(m).expect("emitted packet parses");
-        t.rx_if = 0;
-        map.entry(t).or_default().push(m.data().to_vec());
-    }
-    map
-}
-
-fn single_router() -> Router {
-    let mut r = Router::new(RouterConfig {
-        verify_checksums: false,
-        ..RouterConfig::default()
-    });
-    register_builtin_factories(&mut r.loader);
-    run_script(&mut r, DIFF_SCRIPT).unwrap();
-    r
-}
-
-fn parallel_router(shards: usize) -> ParallelRouter {
-    let mut template = router_plugins::core::loader::PluginLoader::new();
-    register_builtin_factories(&mut template);
-    let mut pr = ParallelRouter::new(
-        ParallelRouterConfig {
-            shards,
-            router: RouterConfig {
-                verify_checksums: false,
-                ..RouterConfig::default()
-            },
-            ingress_depth: 256,
-            ..ParallelRouterConfig::default()
-        },
-        &template,
-    );
-    run_script(&mut pr, DIFF_SCRIPT).unwrap();
-    pr
-}
-
-fn assert_same_deliveries(
-    reference: &HashMap<FlowTuple, Vec<Vec<u8>>>,
-    candidate: &HashMap<FlowTuple, Vec<Vec<u8>>>,
-) {
-    assert_eq!(
-        reference.len(),
-        candidate.len(),
-        "delivered flow sets differ"
-    );
-    for (flow, pkts) in reference {
-        let c = candidate
-            .get(flow)
-            .unwrap_or_else(|| panic!("flow {flow:?} missing from candidate delivery"));
-        assert_eq!(
-            pkts.len(),
-            c.len(),
-            "per-flow delivery count diverged for {flow:?}"
-        );
-        assert_eq!(pkts, c, "per-flow bytes diverged for {flow:?}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Single-threaded router: pooled driver loop vs clone-per-packet
-// ---------------------------------------------------------------------
-
-#[test]
-fn pooled_single_router_is_byte_identical_to_unpooled() {
-    let packets = diff_packets();
-
-    // Reference: clone each prebuilt packet (fresh heap buffer per rx).
-    let mut reference = single_router();
-    for pkt in &packets {
-        let d = reference.receive(pkt.clone());
-        if let Disposition::Queued(i) = d {
-            reference.pump(i, 1);
-        }
-    }
-    let mut ref_tx = Vec::new();
-    for i in 0..reference.interface_count() {
-        ref_tx.extend(reference.take_tx(i as u32));
-    }
-
-    // Candidate: build every ingress mbuf from the router's pool and
-    // recycle transmitted buffers, the way a driver would.
-    let mut pooled = single_router();
-    let mut pooled_tx = Vec::new();
-    for pkt in &packets {
-        let m = pooled.mbuf_with(pkt.data(), pkt.rx_if);
-        let d = pooled.receive(m);
-        if let Disposition::Queued(i) = d {
-            pooled.pump(i, 1);
-        }
-    }
-    for i in 0..pooled.interface_count() {
-        pooled.take_tx_into(i as u32, &mut pooled_tx);
-    }
-
-    assert_same_deliveries(&deliveries(&ref_tx), &deliveries(&pooled_tx));
-    assert_eq!(ref_tx.len(), pooled_tx.len());
-
-    // Identical counters everywhere an operator looks.
-    let s = reference.stats();
-    let p = pooled.stats();
-    assert_eq!(s.received, p.received);
-    assert_eq!(s.forwarded, p.forwarded);
-    assert_eq!(s.dropped_plugin, p.dropped_plugin);
-    assert_eq!(s.dropped_no_route, p.dropped_no_route);
-    assert_eq!(s.dropped_total(), p.dropped_total());
-    assert_eq!(reference.flow_stats().misses, pooled.flow_stats().misses);
-    assert_eq!(reference.flow_stats().hits, pooled.flow_stats().hits);
-
-    // The pooled run drew every ingress buffer through the pool and the
-    // recycled tx buffers are available for reuse.
-    let ps = pooled.pool_stats();
-    assert_eq!(ps.acquired, packets.len() as u64);
-    assert!(ps.recycled > 0, "driver recycling never reached the pool");
-}
-
-// ---------------------------------------------------------------------
-// Parallel data plane: batched pooled dispatch vs one-message-per-packet
-// ---------------------------------------------------------------------
-
-#[test]
-fn batched_parallel_is_byte_identical_to_per_packet_dispatch() {
-    let packets = diff_packets();
-
-    // Reference: the established per-packet entry point, cloned mbufs.
-    let mut reference = parallel_router(4);
-    for pkt in &packets {
-        reference.receive(pkt.clone());
-    }
-    reference.flush();
-    let mut ref_tx = Vec::new();
-    for i in 0..reference.interface_count() {
-        ref_tx.extend(reference.take_tx(i as u32));
-    }
-
-    // Candidate: pooled mbufs, dispatched 64 at a time.
-    let mut batched = parallel_router(4);
-    let mut carrier = batched.batch_carrier();
-    for pkt in &packets {
-        let m = batched.mbuf_with(pkt.data(), pkt.rx_if);
-        carrier.push(m);
-        if carrier.len() >= 64 {
-            batched.receive_batch(carrier);
-            carrier = batched.batch_carrier();
-        }
-    }
-    batched.receive_batch(carrier);
-    batched.flush();
-    let mut batched_tx = Vec::new();
-    for i in 0..batched.interface_count() {
-        for m in batched.take_tx(i as u32) {
-            batched_tx.push(m);
-        }
-    }
-
-    assert_same_deliveries(&deliveries(&ref_tx), &deliveries(&batched_tx));
-    assert_eq!(ref_tx.len(), batched_tx.len());
-
-    let s = reference.stats();
-    let b = batched.stats();
-    assert_eq!(s.received, b.received);
-    assert_eq!(s.forwarded, b.forwarded);
-    assert_eq!(s.dropped_plugin, b.dropped_plugin);
-    assert_eq!(s.dropped_no_route, b.dropped_no_route);
-    assert_eq!(s.dropped_total(), b.dropped_total());
-    assert_eq!(s.dropped_shard_overload, 0);
-    assert_eq!(b.dropped_shard_overload, 0);
-    assert_eq!(reference.flow_stats().misses, batched.flow_stats().misses);
-    assert_eq!(reference.flow_stats().hits, batched.flow_stats().hits);
-}
-
-#[test]
-fn batch_sizes_agree_with_each_other() {
-    // Same workload through batch sizes 1, 8, and 64 of the batched
-    // entry point itself: per-flow outputs must not depend on framing.
-    let packets = diff_packets();
-    let mut outputs = Vec::new();
-    for batch in [1usize, 8, 64] {
-        let mut pr = parallel_router(4);
-        let mut carrier = pr.batch_carrier();
-        for pkt in &packets {
-            carrier.push(pr.mbuf_with(pkt.data(), pkt.rx_if));
-            if carrier.len() >= batch {
-                pr.receive_batch(carrier);
-                carrier = pr.batch_carrier();
-            }
-        }
-        pr.receive_batch(carrier);
-        pr.flush();
-        let mut tx = Vec::new();
-        for i in 0..pr.interface_count() {
-            tx.extend(pr.take_tx(i as u32));
-        }
-        outputs.push((batch, deliveries(&tx), pr.stats()));
-    }
-    let (_, ref_deliv, ref_stats) = &outputs[0];
-    for (batch, deliv, stats) in &outputs[1..] {
-        assert_same_deliveries(ref_deliv, deliv);
-        assert_eq!(
-            ref_stats.forwarded, stats.forwarded,
-            "batch={batch} forwarded diverged"
-        );
-        assert_eq!(
-            ref_stats.dropped_total(),
-            stats.dropped_total(),
-            "batch={batch} drops diverged"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Steady-state pool behaviour
-// ---------------------------------------------------------------------
 
 #[test]
 fn steady_state_run_allocates_no_fresh_mbufs() {
@@ -344,9 +30,9 @@ fn steady_state_run_allocates_no_fresh_mbufs() {
     .unwrap();
     r.add_route(v6_host(0), 32, 1);
 
-    tb.run_router_pooled(&mut r, 1);
+    tb.run(&mut r, 1, 1);
     let warm = r.pool_stats();
-    let s = tb.run_router_pooled(&mut r, 10);
+    let s = tb.run(&mut r, 10, 1);
     let done = r.pool_stats();
 
     assert_eq!(s.packets, 10_000);
@@ -368,8 +54,21 @@ fn steady_state_run_allocates_no_fresh_mbufs() {
 fn batch_carriers_are_recycled_through_the_scrap_channel() {
     let workload = Workload::uniform(8, 50, 256);
     let tb = Testbench::new(&workload);
-    let mut pr = parallel_router(2);
-    tb.run_parallel_batched(&mut pr, 2, 64);
+    let mut template = router_plugins::core::loader::PluginLoader::new();
+    register_builtin_factories(&mut template);
+    let mut pr = ParallelRouter::new(
+        ParallelRouterConfig {
+            shards: 2,
+            router: RouterConfig {
+                verify_checksums: false,
+                ..RouterConfig::default()
+            },
+            ..ParallelRouterConfig::default()
+        },
+        &template,
+    );
+    run_script(&mut pr, "route 2001:db8::/32 1").unwrap();
+    tb.run(&mut pr, 2, 64);
     // After the shards drained their batches, the emptied carriers came
     // back: the next carrier is a reused vector, not a fresh one.
     let carrier = pr.batch_carrier();

@@ -76,11 +76,11 @@ fn steady_state_fast_path_stays_off_the_allocator() {
 
     // Warm up: fill the mbuf pool, classify every flow, grow the
     // scheduler queues and tx logs to their working size.
-    tb.run_router_pooled(&mut r, 2);
+    tb.run(&mut r, 2, 64);
 
     let fresh_before = r.pool_stats().fresh;
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let s = tb.run_router_pooled(&mut r, STEADY_REPS);
+    let s = tb.run(&mut r, STEADY_REPS, 64);
     let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
     let fresh_after = r.pool_stats().fresh;
 
@@ -98,8 +98,8 @@ fn steady_state_fast_path_stays_off_the_allocator() {
     // handle, the DRR instance parks packets in a slab that reuses its
     // slots, and the queues and tx logs are at their working size — once
     // warm, nothing between `mbuf_with` and the wire calls the allocator.
-    // The one call left is the testbench's own drain vector, grown once
-    // per `run_router_pooled` call.
+    // The one call left is the testbench's own scratch vector, made once
+    // per `run` call.
     let allocs = allocs_after - allocs_before;
     assert!(
         allocs <= 1,

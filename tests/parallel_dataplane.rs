@@ -1,9 +1,8 @@
-//! The sharded parallel data plane must be observationally equivalent to
-//! the paper-faithful single-threaded router: same per-flow deliveries in
-//! the same per-flow order, same drop-reason totals, and one control
-//! plane whose commands mean the same thing on both. These tests drive
-//! both data planes through identical pmgr scripts and flow-structured
-//! workloads and compare everything an outside observer can see.
+//! The sharded parallel data plane: flow-affine, balanced placement,
+//! one control plane whose commands mean the same thing on every shard,
+//! and a `flush` that returns with everything out. That it delivers what
+//! the single-threaded router delivers is a row of
+//! `tests/differential.rs`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,13 +10,10 @@ use router_plugins::classifier::flow_table::flow_hash;
 use router_plugins::core::dataplane::{shard_for_tuple, ShardReport};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
-use router_plugins::core::{
-    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
-};
+use router_plugins::core::{ControlPlane, ParallelRouter, ParallelRouterConfig, RouterConfig};
 use router_plugins::netsim::traffic::{fragment_flood, v4_host, v6_host};
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{FlowTuple, Mbuf};
-use std::collections::HashMap;
 use std::net::IpAddr;
 
 // ---------------------------------------------------------------------
@@ -115,201 +111,6 @@ fn receive_places_every_packet_shape_by_its_tuple_hash() {
             assert_eq!(par.receive(m.clone()), want, "{shards} shards");
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Differential: single-threaded Router vs ParallelRouter
-// ---------------------------------------------------------------------
-
-/// Flows exercising distinct fates: routed+scheduled UDP, firewall-denied
-/// (dport 9999), and unrouted destinations (outside 2001:db8::/32).
-struct DiffFlow {
-    src: IpAddr,
-    dst: IpAddr,
-    sport: u16,
-    dport: u16,
-    count: usize,
-}
-
-fn diff_flows() -> Vec<DiffFlow> {
-    let mut flows = Vec::new();
-    for i in 0..24u16 {
-        flows.push(DiffFlow {
-            src: v6_host(10 + i),
-            dst: v6_host(200 + (i % 5)),
-            sport: 4000 + i,
-            dport: 80,
-            count: 20 + (i as usize % 7),
-        });
-    }
-    // Firewall-denied flows.
-    for i in 0..4u16 {
-        flows.push(DiffFlow {
-            src: v6_host(50 + i),
-            dst: v6_host(210),
-            sport: 4100 + i,
-            dport: 9999,
-            count: 10,
-        });
-    }
-    // No-route flows (fc00::/7 ULA space, not covered by the route).
-    for i in 0..4u16 {
-        flows.push(DiffFlow {
-            src: v6_host(60 + i),
-            dst: IpAddr::V6(std::net::Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, i)),
-            sport: 4200 + i,
-            dport: 80,
-            count: 8,
-        });
-    }
-    flows
-}
-
-/// Interleaved packet sequence with a per-flow sequence number stamped in
-/// the last 4 payload bytes (checksum verification is off in this rig).
-fn diff_packets() -> Vec<Mbuf> {
-    let flows = diff_flows();
-    let mut seqs = vec![0u32; flows.len()];
-    let mut out = Vec::new();
-    let mut round = 0usize;
-    loop {
-        let mut emitted = false;
-        for (fi, f) in flows.iter().enumerate() {
-            if round < f.count {
-                let mut m = Mbuf::new(
-                    PacketSpec::udp(f.src, f.dst, f.sport, f.dport, 128).build(),
-                    0,
-                );
-                let seq = seqs[fi];
-                seqs[fi] += 1;
-                let data = m.data_mut();
-                let n = data.len();
-                data[n - 4..].copy_from_slice(&seq.to_be_bytes());
-                out.push(m);
-                emitted = true;
-            }
-        }
-        if !emitted {
-            break;
-        }
-        round += 1;
-    }
-    out
-}
-
-const DIFF_SCRIPT: &str = "load null\n\
-     create null\n\
-     bind stats null 0 <*, *, *, *, *, *>\n\
-     load firewall\n\
-     create firewall action=deny\n\
-     bind fw firewall 0 <*, *, UDP, *, 9999, *>\n\
-     load drr\n\
-     create drr quantum=9180 limit=512\n\
-     attach 1 drr 0\n\
-     bind sched drr 0 <*, *, UDP, *, *, *>\n\
-     route 2001:db8::/32 1\n";
-
-/// Per-flow delivered sequence numbers, grouped by the emitted packet's
-/// five-tuple, in emission order.
-fn deliveries(tx: &[Mbuf]) -> HashMap<FlowTuple, Vec<u32>> {
-    let mut map: HashMap<FlowTuple, Vec<u32>> = HashMap::new();
-    for m in tx {
-        let mut t = FlowTuple::from_mbuf(m).expect("emitted packet parses");
-        // Normalize receive context: arrival interface is not part of the
-        // flow identity on the wire.
-        t.rx_if = 0;
-        let d = m.data();
-        let seq = u32::from_be_bytes(d[d.len() - 4..].try_into().unwrap());
-        map.entry(t).or_default().push(seq);
-    }
-    map
-}
-
-#[test]
-fn parallel_over_rings_matches_single_router_deliveries_order_and_drops() {
-    let packets = diff_packets();
-
-    // Single-threaded reference.
-    let mut single = Router::new(RouterConfig {
-        verify_checksums: false,
-        ..RouterConfig::default()
-    });
-    register_builtin_factories(&mut single.loader);
-    run_script(&mut single, DIFF_SCRIPT).unwrap();
-    let mut single_tx = Vec::new();
-    for pkt in &packets {
-        let d = single.receive(pkt.clone());
-        if let router_plugins::core::ip_core::Disposition::Queued(i) = d {
-            single.pump(i, 1);
-        }
-    }
-    for i in 0..single.interface_count() {
-        single_tx.extend(single.take_tx(i as u32));
-    }
-
-    // Parallel data plane, 4 shards, identical script.
-    let mut template = router_plugins::core::loader::PluginLoader::new();
-    register_builtin_factories(&mut template);
-    let mut par = ParallelRouter::new(
-        ParallelRouterConfig {
-            shards: 4,
-            router: RouterConfig {
-                verify_checksums: false,
-                ..RouterConfig::default()
-            },
-            ingress_depth: 256,
-            ..ParallelRouterConfig::default()
-        },
-        &template,
-    );
-    run_script(&mut par, DIFF_SCRIPT).unwrap();
-    for pkt in &packets {
-        par.receive(pkt.clone());
-    }
-    par.flush();
-    let mut par_tx = Vec::new();
-    for i in 0..par.interface_count() {
-        par_tx.extend(par.take_tx(i as u32));
-    }
-
-    // Identical per-flow delivery counts AND per-flow packet order.
-    let single_flows = deliveries(&single_tx);
-    let par_flows = deliveries(&par_tx);
-    assert_eq!(
-        single_flows.len(),
-        par_flows.len(),
-        "delivered flow sets differ"
-    );
-    for (flow, seqs) in &single_flows {
-        let p = par_flows
-            .get(flow)
-            .unwrap_or_else(|| panic!("flow {flow:?} missing from parallel delivery"));
-        assert_eq!(seqs, p, "per-flow order diverged for {flow:?}");
-    }
-    assert_eq!(
-        single_tx.len(),
-        par_tx.len(),
-        "total delivery count differs"
-    );
-
-    // Identical drop-reason totals.
-    let s = single.stats();
-    let p = par.stats();
-    assert_eq!(s.received, p.received);
-    assert_eq!(s.forwarded, p.forwarded);
-    assert_eq!(s.dropped_plugin, p.dropped_plugin, "firewall drops differ");
-    assert_eq!(
-        s.dropped_no_route, p.dropped_no_route,
-        "no-route drops differ"
-    );
-    assert_eq!(s.dropped_malformed, p.dropped_malformed);
-    assert_eq!(s.dropped_ttl, p.dropped_ttl);
-    assert_eq!(s.dropped_queue, p.dropped_queue);
-    assert_eq!(s.dropped_total(), p.dropped_total(), "drop totals differ");
-
-    // The flow cache saw every flow exactly once per owning router.
-    assert_eq!(single.flow_stats().misses, par.flow_stats().misses);
-    assert_eq!(single.flow_stats().hits, par.flow_stats().hits);
 }
 
 // ---------------------------------------------------------------------

@@ -366,7 +366,7 @@ impl PluginInstance for GrumpyInstance {
     fn handle_packet(&mut self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
         PluginAction::Continue
     }
-    fn flow_unbound(&mut self, _fix: FlowIndex, key: &FlowTuple, _soft: SoftState) {
+    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowTuple, _: SoftState, _: &mut Vec<Mbuf>) {
         panic!("cannot let go of {key}");
     }
 }

@@ -157,9 +157,8 @@ fn mini_table3_all_kernels_forward() {
          bind ipsec null 0 <*, *, *, *, *, *>\n\
          bind stats null 0 <*, *, *, *, *, *>",
     );
-    let s = tb.run_router(&mut fw, 1);
-    assert_eq!(s.forwarded, 300);
-    assert_eq!(s.cache_misses, 3);
+    assert_eq!(tb.run(&mut fw, 1, 1).forwarded, 300);
+    assert_eq!(fw.flow_stats().misses, 3);
 
     let mut altq = AltqDrrRouter::new(4, 64, 9180, false);
     altq.add_route(v6_host(0), 32, 1);
@@ -169,7 +168,7 @@ fn mini_table3_all_kernels_forward() {
         "load drr\ncreate drr quantum=9180 limit=512\nattach 1 drr 0\n\
          bind sched drr 0 <*, *, UDP, *, *, *>",
     );
-    assert_eq!(tb.run_router(&mut pd, 1).forwarded, 300);
+    assert_eq!(tb.run(&mut pd, 1, 1).forwarded, 300);
 }
 
 /// The HSF plugin end to end: two leaves with different shares, DRR

@@ -1,9 +1,9 @@
 //! Structural guards over the source tree: the plugin and dispatch paths
 //! hold no lock, names that simplifications deleted stay deleted, each
-//! "one of" (backoff doubling, victim routine, counter ledger) stays one,
-//! and `unsafe` stays where it is counted. Every file under `crates`,
-//! `tests`, `src` and `examples` is read as text, the way `grep -r`
-//! would; a failure names the offending `file:line`.
+//! "one of" (backoff doubling, victim routine, counter ledger, test
+//! scaffolding) stays one, and `unsafe` stays where it is counted. Every
+//! file under `crates`, `tests`, `src` and `examples` is read as text,
+//! the way `grep -r` would; a failure names the offending `file:line`.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -138,6 +138,22 @@ fn deleted_names_stay_deleted() {
     // A discipline that keeps its flow's FIX in a soft-state box (the
     // eviction callback receives the FIX).
     forbid(EVERYWHERE, "PER_FLOW");
+    // A router loop per plane beside `Testbench::run`.
+    forbid(EVERYWHERE, "run_router_pooled|run_parallel_batched");
+}
+
+/// Differential scaffolding exists once (`tests/differential.rs`): each
+/// of these is defined in at most one file under `tests/`.
+#[test]
+fn differential_scaffolding_exists_once() {
+    let defs = "struct DiffFlow|fn diff_packets|fn deliveries|fn by_flow|fn direct_output|\
+                fn assert_same_deliveries";
+    for def in defs.split('|') {
+        let found = lines_where("tests/", |l| contains(l, &format!("{def}\\b")));
+        let mut files: Vec<_> = found.iter().map(|l| l.split(':').next()).collect();
+        files.dedup();
+        assert!(files.len() <= 1, "{def}:\n{}", found.join("\n"));
+    }
 }
 
 /// The scheduling plugins share one instance: one `SchedulerInstance`
