@@ -24,7 +24,7 @@
 //!   function-pointer loads are tallied separately.
 
 use crate::filter::{AddrMatch, FilterId, FilterSpec, PortMatch};
-use rp_lpm::{AccessCounter, BsplTable, IntMap, LpmTable, PatriciaTable, Prefix};
+use rp_lpm::{BsplTable, IntMap, LpmTable, PatriciaTable, Prefix};
 use rp_packet::FlowTuple;
 use std::cell::Cell;
 use std::fmt;
@@ -87,7 +87,8 @@ impl LookupStats {
     }
 }
 
-type NodeId = usize;
+/// Index of a node in its level's arena.
+type NodeId = u32;
 
 enum AddrMatcher<T: rp_lpm::Bits> {
     Patricia(PatriciaTable<T, NodeId>),
@@ -95,10 +96,10 @@ enum AddrMatcher<T: rp_lpm::Bits> {
 }
 
 impl<T: rp_lpm::Bits> AddrMatcher<T> {
-    fn new(kind: BmpKind, counter: AccessCounter) -> Self {
+    fn new(kind: BmpKind) -> Self {
         match kind {
-            BmpKind::Patricia => AddrMatcher::Patricia(PatriciaTable::with_counter(counter)),
-            BmpKind::Bspl => AddrMatcher::Bspl(BsplTable::with_counter(counter)),
+            BmpKind::Patricia => AddrMatcher::Patricia(PatriciaTable::new()),
+            BmpKind::Bspl => AddrMatcher::Bspl(BsplTable::new()),
         }
     }
 
@@ -124,11 +125,14 @@ impl<T: rp_lpm::Bits> AddrMatcher<T> {
         }
     }
 
-    fn lookup(&self, addr: T) -> Option<NodeId> {
-        match self {
-            AddrMatcher::Patricia(t) => t.lookup(addr).map(|(v, _)| *v),
-            AddrMatcher::Bspl(t) => t.lookup(addr).map(|(v, _)| *v),
-        }
+    /// The child under the longest matching prefix, and the probes the
+    /// BMP plugin made to find it.
+    fn lookup(&self, addr: T) -> (Option<NodeId>, u64) {
+        let (hit, probes) = match self {
+            AddrMatcher::Patricia(t) => t.lookup_counted(addr),
+            AddrMatcher::Bspl(t) => t.lookup_counted(addr),
+        };
+        (hit.map(|(v, _)| *v), probes)
     }
 }
 
@@ -153,11 +157,13 @@ enum ExactEdges {
 /// Distinct-label count at which [`ExactEdges`] abandons the sorted array.
 const EXACT_SPILL: usize = 96;
 
-impl ExactEdges {
-    fn new() -> Self {
+impl Default for ExactEdges {
+    fn default() -> Self {
         ExactEdges::Sorted(Vec::new())
     }
+}
 
+impl ExactEdges {
     fn get(&self, key: u32) -> Option<NodeId> {
         match self {
             ExactEdges::Sorted(v) => v
@@ -219,35 +225,105 @@ impl ExactEdges {
     }
 }
 
-// The Addr variant dominates the size, but Addr nodes also dominate the
-// node population of any realistic filter set — boxing it would add a
-// pointer chase to every address-level lookup for no real memory win.
-#[allow(clippy::large_enum_variant)]
-enum NodeKind {
-    Addr {
-        v4: Option<AddrMatcher<u32>>,
-        v6: Option<AddrMatcher<u128>>,
-        /// Authoritative edge list for cover computations.
-        edges: Vec<(AddrMatch, NodeId)>,
-        wildcard: Option<NodeId>,
-    },
-    Exact {
-        edges: ExactEdges,
-        wildcard: Option<NodeId>,
-    },
-    Port {
-        edges: Vec<(PortMatch, NodeId)>,
-        wildcard: Option<NodeId>,
-    },
-    Leaf {
-        filters: Vec<FilterId>,
-    },
+/// An address node (levels 0–1): a BMP matcher per family and the
+/// wildcard edge. Its authoritative edge list, read only to compute
+/// covers, is the arena's cold column.
+#[derive(Default)]
+struct AddrNode {
+    v4: Option<AddrMatcher<u32>>,
+    v6: Option<AddrMatcher<u128>>,
+    wildcard: Option<NodeId>,
 }
 
-struct Node {
-    /// Every filter whose replication passes through this node.
+/// A protocol or interface node (levels 2 and 5).
+#[derive(Default)]
+struct ExactNode {
+    edges: ExactEdges,
+    wildcard: Option<NodeId>,
+}
+
+/// A source- or destination-port node (levels 3 and 4).
+#[derive(Default)]
+struct PortNode {
+    edges: Vec<(PortMatch, NodeId)>,
+    wildcard: Option<NodeId>,
+}
+
+/// What only installation and removal read: every filter whose
+/// replication passes through the node (a leaf's candidates), and at the
+/// address levels the edge list.
+#[derive(Default)]
+struct Cold<X> {
     installed: Vec<FilterId>,
-    kind: NodeKind,
+    edges: X,
+}
+
+// A walk loads one node per level; below the address levels each is one
+// line. A leaf (level 6) is its `Cold<()>`.
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<ExactNode>() <= 64);
+    assert!(size_of::<PortNode>() <= 64);
+    assert!(size_of::<Cold<()>>() <= 64);
+};
+
+/// One node kind's store: node `i`'s lookup fields are `hot[i]`, its
+/// install-time state `cold[i]`. A child index points into the next
+/// level's arena, and released slots are reused before the arena grows.
+#[derive(Default)]
+struct Arena<N, X = ()> {
+    hot: Vec<N>,
+    cold: Vec<Cold<X>>,
+    free: Vec<NodeId>,
+}
+
+impl<N: Default, X: Default> Arena<N, X> {
+    fn alloc(&mut self) -> NodeId {
+        if let Some(i) = self.free.pop() {
+            return i;
+        }
+        self.hot.push(N::default());
+        self.cold.push(Cold::default());
+        NodeId::try_from(self.hot.len() - 1).expect("under 2^32 nodes per arena")
+    }
+
+    fn release(&mut self, i: NodeId) {
+        self.hot[i as usize] = N::default();
+        self.cold[i as usize] = Cold::default();
+        self.free.push(i);
+    }
+
+    fn live(&self) -> usize {
+        self.hot.len() - self.free.len()
+    }
+}
+
+fn addr_label(level: usize, spec: &FilterSpec) -> AddrMatch {
+    if level == 0 {
+        spec.src
+    } else {
+        spec.dst
+    }
+}
+
+fn exact_label(level: usize, spec: &FilterSpec) -> Option<u32> {
+    if level == 2 {
+        spec.proto.map(u32::from)
+    } else {
+        spec.rx_if
+    }
+}
+
+fn port_label(level: usize, spec: &FilterSpec) -> PortMatch {
+    if level == 3 {
+        spec.sport
+    } else {
+        spec.dport
+    }
+}
+
+fn bump(tally: &Cell<u64>, n: u64) {
+    tally.set(tally.get() + n);
 }
 
 /// Number of levels (fields) in the DAG.
@@ -275,12 +351,17 @@ pub const LEVELS: usize = 6;
 /// assert_eq!(dag.lookup(&t), Some((id, &"qos")));
 /// ```
 pub struct DagTable<V> {
-    nodes: Vec<Node>,
-    root: NodeId,
+    /// Levels 0–1; the root is slot 0.
+    addr: Arena<AddrNode, Vec<(AddrMatch, NodeId)>>,
+    /// Levels 2 and 5.
+    exact: Arena<ExactNode>,
+    /// Levels 3 and 4.
+    port: Arena<PortNode>,
+    /// Level 6.
+    leaf: Arena<()>,
     registry: IntMap<FilterId, (FilterSpec, V)>,
     next_id: u64,
     bmp_kind: BmpKind,
-    addr_counter: AccessCounter,
     /// Non-degenerate port ranges installed, per field (sport, dport).
     /// Only range-vs-range pairs can be ambiguous (exact ports always
     /// nest or miss), so the install-time ambiguity check scans these
@@ -290,53 +371,33 @@ pub struct DagTable<V> {
     // Lookup tallies (interior-mutable: lookup takes &self).
     s_bmp_fn: Cell<u64>,
     s_hash_fn: Cell<u64>,
+    s_addr: Cell<u64>,
     s_port: Cell<u64>,
     s_edges: Cell<u64>,
 }
 
+const ROOT: NodeId = 0;
+
 impl<V> DagTable<V> {
     /// Empty table with the chosen BMP plugin for its address levels.
     pub fn new(bmp_kind: BmpKind) -> Self {
-        let root = Node {
-            installed: Vec::new(),
-            kind: Self::kind_for_level(0),
-        };
+        let mut addr = Arena::default();
+        addr.alloc(); // ROOT
         DagTable {
-            nodes: vec![root],
-            root: 0,
+            addr,
+            exact: Arena::default(),
+            port: Arena::default(),
+            leaf: Arena::default(),
             registry: IntMap::default(),
             next_id: 0,
             bmp_kind,
-            addr_counter: AccessCounter::new(),
             sport_ranges: Vec::new(),
             dport_ranges: Vec::new(),
             s_bmp_fn: Cell::new(0),
             s_hash_fn: Cell::new(0),
+            s_addr: Cell::new(0),
             s_port: Cell::new(0),
             s_edges: Cell::new(0),
-        }
-    }
-
-    fn kind_for_level(level: usize) -> NodeKind {
-        match level {
-            0 | 1 => NodeKind::Addr {
-                v4: None,
-                v6: None,
-                edges: Vec::new(),
-                wildcard: None,
-            },
-            2 | 5 => NodeKind::Exact {
-                edges: ExactEdges::new(),
-                wildcard: None,
-            },
-            3 | 4 => NodeKind::Port {
-                edges: Vec::new(),
-                wildcard: None,
-            },
-            6 => NodeKind::Leaf {
-                filters: Vec::new(),
-            },
-            _ => unreachable!("level out of range"),
         }
     }
 
@@ -350,9 +411,9 @@ impl<V> DagTable<V> {
         self.registry.is_empty()
     }
 
-    /// Number of trie nodes (the memory-blowup metric of §5.1.2).
+    /// Number of live trie nodes (the memory-blowup metric of §5.1.2).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.addr.live() + self.exact.live() + self.port.live() + self.leaf.live()
     }
 
     /// The spec and value of an installed filter.
@@ -396,16 +457,17 @@ impl<V> DagTable<V> {
             }
         }
         self.registry.insert(id, (spec, value));
-        self.insert_rec(self.root, 0, id);
+        self.insert_rec(ROOT, 0, id);
         Ok(id)
     }
 
-    /// Remove a filter, returning its bound value.
+    /// Remove a filter, returning its bound value. Nodes it leaves empty
+    /// return to their arenas' free lists.
     pub fn remove(&mut self, id: FilterId) -> Result<(FilterSpec, V), DagError> {
         if !self.registry.contains_key(&id) {
             return Err(DagError::NoSuchFilter);
         }
-        self.remove_rec(self.root, id);
+        self.remove_rec(ROOT, 0, id);
         self.sport_ranges.retain(|(_, f)| *f != id);
         self.dport_ranges.retain(|(_, f)| *f != id);
         Ok(self.registry.remove(&id).expect("checked present"))
@@ -415,63 +477,102 @@ impl<V> DagTable<V> {
         &self.registry.get(&id).expect("registered filter").0
     }
 
+    fn installed(&self, level: usize, node: NodeId) -> &Vec<FilterId> {
+        let n = node as usize;
+        match level {
+            0 | 1 => &self.addr.cold[n].installed,
+            2 | 5 => &self.exact.cold[n].installed,
+            3 | 4 => &self.port.cold[n].installed,
+            _ => &self.leaf.cold[n].installed,
+        }
+    }
+
+    fn installed_mut(&mut self, level: usize, node: NodeId) -> &mut Vec<FilterId> {
+        let n = node as usize;
+        match level {
+            0 | 1 => &mut self.addr.cold[n].installed,
+            2 | 5 => &mut self.exact.cold[n].installed,
+            3 | 4 => &mut self.port.cold[n].installed,
+            _ => &mut self.leaf.cold[n].installed,
+        }
+    }
+
+    /// The wildcard edge of an inner node at `level`.
+    fn wildcard_mut(&mut self, level: usize, node: NodeId) -> &mut Option<NodeId> {
+        let n = node as usize;
+        match level {
+            0 | 1 => &mut self.addr.hot[n].wildcard,
+            2 | 5 => &mut self.exact.hot[n].wildcard,
+            _ => &mut self.port.hot[n].wildcard,
+        }
+    }
+
+    fn alloc(&mut self, level: usize) -> NodeId {
+        match level {
+            0 | 1 => self.addr.alloc(),
+            2 | 5 => self.exact.alloc(),
+            3 | 4 => self.port.alloc(),
+            _ => self.leaf.alloc(),
+        }
+    }
+
+    fn release(&mut self, level: usize, node: NodeId) {
+        match level {
+            0 | 1 => self.addr.release(node),
+            2 | 5 => self.exact.release(node),
+            3 | 4 => self.port.release(node),
+            _ => self.leaf.release(node),
+        }
+    }
+
+    /// The wildcard child of a node at `level`, created if absent.
+    fn wildcard_child(&mut self, level: usize, node: NodeId) -> NodeId {
+        if let Some(w) = *self.wildcard_mut(level, node) {
+            return w;
+        }
+        let w = self.alloc(level + 1);
+        *self.wildcard_mut(level, node) = Some(w);
+        w
+    }
+
     fn insert_rec(&mut self, node: NodeId, level: usize, fid: FilterId) {
+        let installed = self.installed_mut(level, node);
         debug_assert!(
-            !self.nodes[node].installed.contains(&fid),
+            !installed.contains(&fid),
             "duplicate replication of {fid:?}"
         );
-        self.nodes[node].installed.push(fid);
-        if level == LEVELS {
-            if let NodeKind::Leaf { filters } = &mut self.nodes[node].kind {
-                filters.push(fid);
-            }
-            return;
-        }
+        installed.push(fid);
         // Only the one Copy field this level matches on is read from the
         // spec — cloning the whole multi-field spec here would deep-copy
-        // it once per visited node of the replication recursion.
+        // it once per visited node of the replication recursion. A leaf's
+        // installed list is its candidate set, so level 6 is done.
         match level {
             0 | 1 => {
-                let spec = self.spec_of(fid);
-                let label = if level == 0 { spec.src } else { spec.dst };
+                let label = addr_label(level, self.spec_of(fid));
                 self.insert_addr_level(node, level, fid, label)
             }
             2 | 5 => {
-                let spec = self.spec_of(fid);
-                let label = if level == 2 {
-                    spec.proto.map(u32::from)
-                } else {
-                    spec.rx_if
-                };
+                let label = exact_label(level, self.spec_of(fid));
                 self.insert_exact_level(node, level, fid, label)
             }
             3 | 4 => {
-                let spec = self.spec_of(fid);
-                let label = if level == 3 { spec.sport } else { spec.dport };
+                let label = port_label(level, self.spec_of(fid));
                 self.insert_port_level(node, level, fid, label)
             }
-            _ => unreachable!(),
+            _ => {}
         }
     }
 
-    fn new_child(&mut self, level: usize) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes.push(Node {
-            installed: Vec::new(),
-            kind: Self::kind_for_level(level + 1),
-        });
-        id
-    }
-
-    /// Deduplicated filters installed under each of `children`.
-    fn inherited(&self, children: impl IntoIterator<Item = NodeId>) -> Vec<FilterId> {
+    /// Deduplicated filters installed under each of `children` (nodes at
+    /// `level`).
+    fn inherited(&self, level: usize, children: impl IntoIterator<Item = NodeId>) -> Vec<FilterId> {
         // Order-preserving dedup; the set guard keeps nested-filter
         // inheritance (where one edge's installed list can be large)
         // linear instead of quadratic.
         let mut seen = Vec::new();
         let mut guard = std::collections::HashSet::new();
         for c in children {
-            for f in &self.nodes[c].installed {
+            for f in self.installed(level, c) {
                 if guard.insert(*f) {
                     seen.push(*f);
                 }
@@ -485,42 +586,27 @@ impl<V> DagTable<V> {
         // covering (less specific) and covered (more specific) edges.
         // Collecting only the matches keeps the common insert free of the
         // O(edges) clone that would otherwise dominate large tables.
-        let (existing, covering, covered, wildcard) = match &self.nodes[node].kind {
-            NodeKind::Addr {
-                edges, wildcard, ..
-            } => {
-                let mut existing = None;
-                let mut covering = Vec::new();
-                let mut covered = Vec::new();
-                if label == AddrMatch::Any {
-                    covered.extend(edges.iter().map(|(_, c)| *c));
-                } else {
-                    for (l, c) in edges {
-                        if *l == label {
-                            existing = Some(*c);
-                        } else if l.covers(&label) {
-                            covering.push(*c);
-                        } else if label.covers(l) {
-                            covered.push(*c);
-                        }
-                    }
+        let n = node as usize;
+        let mut existing = None;
+        let mut covering = Vec::new();
+        let mut covered = Vec::new();
+        let edges = &self.addr.cold[n].edges;
+        if label == AddrMatch::Any {
+            covered.extend(edges.iter().map(|(_, c)| *c));
+        } else {
+            for (l, c) in edges {
+                if *l == label {
+                    existing = Some(*c);
+                } else if l.covers(&label) {
+                    covering.push(*c);
+                } else if label.covers(l) {
+                    covered.push(*c);
                 }
-                (existing, covering, covered, *wildcard)
             }
-            _ => unreachable!("level kind mismatch"),
-        };
+        }
         if label == AddrMatch::Any {
             // Main path: the wildcard edge; replicate into every edge.
-            let wc = match wildcard {
-                Some(w) => w,
-                None => {
-                    let w = self.new_child(level);
-                    if let NodeKind::Addr { wildcard, .. } = &mut self.nodes[node].kind {
-                        *wildcard = Some(w);
-                    }
-                    w
-                }
-            };
+            let wc = self.wildcard_child(level, node);
             self.insert_rec(wc, level + 1, fid);
             for child in covered {
                 self.insert_rec(child, level + 1, fid);
@@ -531,17 +617,28 @@ impl<V> DagTable<V> {
         let child = match existing {
             Some(c) => c,
             None => {
-                let c = self.new_child(level);
+                let c = self.alloc(level + 1);
                 // Inherit suffixes from every covering edge + wildcard.
+                let wildcard = self.addr.hot[n].wildcard;
                 let inherit_from: Vec<NodeId> = covering.iter().copied().chain(wildcard).collect();
-                for g in self.inherited(inherit_from) {
+                for g in self.inherited(level + 1, inherit_from) {
                     self.insert_rec(c, level + 1, g);
                 }
                 // Register the edge in both the list and the matcher.
-                if let NodeKind::Addr { edges, .. } = &mut self.nodes[node].kind {
-                    edges.push((label, c));
+                self.addr.cold[n].edges.push((label, c));
+                let kind = self.bmp_kind;
+                let hot = &mut self.addr.hot[n];
+                match label {
+                    AddrMatch::V4(p) => hot
+                        .v4
+                        .get_or_insert_with(|| AddrMatcher::new(kind))
+                        .insert(p, c),
+                    AddrMatch::V6(p) => hot
+                        .v6
+                        .get_or_insert_with(|| AddrMatcher::new(kind))
+                        .insert(p, c),
+                    AddrMatch::Any => unreachable!("wildcard not in matcher"),
                 }
-                self.matcher_insert(node, label, c);
                 c
             }
         };
@@ -552,22 +649,6 @@ impl<V> DagTable<V> {
         }
     }
 
-    fn matcher_insert(&mut self, node: NodeId, label: AddrMatch, child: NodeId) {
-        let kind = self.bmp_kind;
-        let counter = self.addr_counter.clone();
-        if let NodeKind::Addr { v4, v6, .. } = &mut self.nodes[node].kind {
-            match label {
-                AddrMatch::V4(p) => v4
-                    .get_or_insert_with(|| AddrMatcher::new(kind, counter))
-                    .insert(p, child),
-                AddrMatch::V6(p) => v6
-                    .get_or_insert_with(|| AddrMatcher::new(kind, counter))
-                    .insert(p, child),
-                AddrMatch::Any => unreachable!("wildcard not in matcher"),
-            }
-        }
-    }
-
     fn insert_exact_level(
         &mut self,
         node: NodeId,
@@ -575,45 +656,27 @@ impl<V> DagTable<V> {
         fid: FilterId,
         label: Option<u32>,
     ) {
-        let (existing, all_children, wildcard) = match &self.nodes[node].kind {
-            NodeKind::Exact {
-                edges, wildcard, ..
-            } => match label {
-                None => (None, edges.children(), *wildcard),
-                Some(val) => (edges.get(val), Vec::new(), *wildcard),
-            },
-            _ => unreachable!("level kind mismatch"),
-        };
+        let n = node as usize;
         match label {
             None => {
-                let wc = match wildcard {
-                    Some(w) => w,
-                    None => {
-                        let w = self.new_child(level);
-                        if let NodeKind::Exact { wildcard, .. } = &mut self.nodes[node].kind {
-                            *wildcard = Some(w);
-                        }
-                        w
-                    }
-                };
+                let all_children = self.exact.hot[n].edges.children();
+                let wc = self.wildcard_child(level, node);
                 self.insert_rec(wc, level + 1, fid);
                 for child in all_children {
                     self.insert_rec(child, level + 1, fid);
                 }
             }
             Some(val) => {
-                let child = match existing {
+                let child = match self.exact.hot[n].edges.get(val) {
                     Some(c) => c,
                     None => {
-                        let c = self.new_child(level);
-                        if let Some(w) = wildcard {
-                            for g in self.inherited([w]) {
+                        let c = self.alloc(level + 1);
+                        if let Some(w) = self.exact.hot[n].wildcard {
+                            for g in self.inherited(level + 1, [w]) {
                                 self.insert_rec(c, level + 1, g);
                             }
                         }
-                        if let NodeKind::Exact { edges, .. } = &mut self.nodes[node].kind {
-                            edges.insert(val, c);
-                        }
+                        self.exact.hot[n].edges.insert(val, c);
                         c
                     }
                 };
@@ -623,41 +686,26 @@ impl<V> DagTable<V> {
     }
 
     fn insert_port_level(&mut self, node: NodeId, level: usize, fid: FilterId, label: PortMatch) {
-        let (existing, covering, covered, wildcard) = match &self.nodes[node].kind {
-            NodeKind::Port {
-                edges, wildcard, ..
-            } => {
-                let mut existing = None;
-                let mut covering = Vec::new();
-                let mut covered = Vec::new();
-                if label == PortMatch::Any {
-                    covered.extend(edges.iter().map(|(_, c)| *c));
-                } else {
-                    for (l, c) in edges {
-                        if *l == label {
-                            existing = Some(*c);
-                        } else if l.covers(&label) {
-                            covering.push(*c);
-                        } else if label.covers(l) {
-                            covered.push(*c);
-                        }
-                    }
-                }
-                (existing, covering, covered, *wildcard)
-            }
-            _ => unreachable!("level kind mismatch"),
-        };
+        let n = node as usize;
+        let mut existing = None;
+        let mut covering = Vec::new();
+        let mut covered = Vec::new();
+        let edges = &self.port.hot[n].edges;
         if label == PortMatch::Any {
-            let wc = match wildcard {
-                Some(w) => w,
-                None => {
-                    let w = self.new_child(level);
-                    if let NodeKind::Port { wildcard, .. } = &mut self.nodes[node].kind {
-                        *wildcard = Some(w);
-                    }
-                    w
+            covered.extend(edges.iter().map(|(_, c)| *c));
+        } else {
+            for (l, c) in edges {
+                if *l == label {
+                    existing = Some(*c);
+                } else if l.covers(&label) {
+                    covering.push(*c);
+                } else if label.covers(l) {
+                    covered.push(*c);
                 }
-            };
+            }
+        }
+        if label == PortMatch::Any {
+            let wc = self.wildcard_child(level, node);
             self.insert_rec(wc, level + 1, fid);
             for child in covered {
                 self.insert_rec(child, level + 1, fid);
@@ -667,14 +715,13 @@ impl<V> DagTable<V> {
         let child = match existing {
             Some(c) => c,
             None => {
-                let c = self.new_child(level);
+                let c = self.alloc(level + 1);
+                let wildcard = self.port.hot[n].wildcard;
                 let inherit_from: Vec<NodeId> = covering.iter().copied().chain(wildcard).collect();
-                for g in self.inherited(inherit_from) {
+                for g in self.inherited(level + 1, inherit_from) {
                     self.insert_rec(c, level + 1, g);
                 }
-                if let NodeKind::Port { edges, .. } = &mut self.nodes[node].kind {
-                    edges.push((label, c));
-                }
+                self.port.hot[n].edges.push((label, c));
                 c
             }
         };
@@ -684,168 +731,132 @@ impl<V> DagTable<V> {
         }
     }
 
-    fn remove_rec(&mut self, node: NodeId, fid: FilterId) {
-        let pos = match self.nodes[node].installed.iter().position(|f| *f == fid) {
-            Some(p) => p,
-            None => return,
+    fn remove_rec(&mut self, node: NodeId, level: usize, fid: FilterId) {
+        let installed = self.installed_mut(level, node);
+        let Some(pos) = installed.iter().position(|f| *f == fid) else {
+            return;
         };
-        self.nodes[node].installed.swap_remove(pos);
-
-        // Snapshot children (owned) so recursion can take &mut self.
-        enum Snap {
-            Leaf,
-            Addr(Vec<(AddrMatch, NodeId)>, Option<NodeId>),
-            Exact(Vec<(u32, NodeId)>, Option<NodeId>),
-            Port(Vec<(PortMatch, NodeId)>, Option<NodeId>),
+        installed.swap_remove(pos);
+        // Edges are snapshotted (owned) so recursion can take &mut self.
+        let n = node as usize;
+        match level {
+            0 | 1 => {
+                let orphan = self.orphan(level, node, fid, addr_label);
+                let edges = self.addr.cold[n].edges.clone();
+                let dead = self.remove_below(level, fid, edges, orphan);
+                self.addr.cold[n].edges.retain(|(l, _)| !dead.contains(l));
+                let hot = &mut self.addr.hot[n];
+                for l in dead {
+                    match (l, &mut hot.v4, &mut hot.v6) {
+                        (AddrMatch::V4(p), Some(m), _) => m.remove(p),
+                        (AddrMatch::V6(p), _, Some(m)) => m.remove(p),
+                        _ => {}
+                    }
+                }
+            }
+            2 | 5 => {
+                let orphan = self.orphan(level, node, fid, exact_label).flatten();
+                let edges = self.exact.hot[n].edges.entries();
+                for k in self.remove_below(level, fid, edges, orphan) {
+                    self.exact.hot[n].edges.remove(k);
+                }
+            }
+            3 | 4 => {
+                let orphan = self.orphan(level, node, fid, port_label);
+                let edges = self.port.hot[n].edges.clone();
+                let dead = self.remove_below(level, fid, edges, orphan);
+                self.port.hot[n].edges.retain(|(l, _)| !dead.contains(l));
+            }
+            _ => return,
         }
-        let snap = match &self.nodes[node].kind {
-            NodeKind::Leaf { .. } => Snap::Leaf,
-            NodeKind::Addr {
-                edges, wildcard, ..
-            } => Snap::Addr(edges.clone(), *wildcard),
-            NodeKind::Exact { edges, wildcard } => Snap::Exact(edges.entries(), *wildcard),
-            NodeKind::Port { edges, wildcard } => Snap::Port(edges.clone(), *wildcard),
-        };
-
-        match snap {
-            Snap::Leaf => {
-                if let NodeKind::Leaf { filters } = &mut self.nodes[node].kind {
-                    filters.retain(|f| *f != fid);
-                }
-            }
-            Snap::Addr(edges, wildcard) => {
-                for (_, c) in &edges {
-                    self.remove_rec(*c, fid);
-                }
-                if let Some(w) = wildcard {
-                    self.remove_rec(w, fid);
-                }
-                let dead: Vec<AddrMatch> = edges
-                    .iter()
-                    .filter(|(_, c)| self.nodes[*c].installed.is_empty())
-                    .map(|(l, _)| *l)
-                    .collect();
-                let wc_dead = wildcard.is_some_and(|w| self.nodes[w].installed.is_empty());
-                if let NodeKind::Addr {
-                    edges,
-                    wildcard,
-                    v4,
-                    v6,
-                } = &mut self.nodes[node].kind
-                {
-                    edges.retain(|(l, _)| !dead.contains(l));
-                    if wc_dead {
-                        *wildcard = None;
-                    }
-                    for l in &dead {
-                        match l {
-                            AddrMatch::V4(p) => {
-                                if let Some(m) = v4 {
-                                    m.remove(*p);
-                                }
-                            }
-                            AddrMatch::V6(p) => {
-                                if let Some(m) = v6 {
-                                    m.remove(*p);
-                                }
-                            }
-                            AddrMatch::Any => {}
-                        }
-                    }
-                }
-            }
-            Snap::Exact(edges, wildcard) => {
-                for (_, c) in &edges {
-                    self.remove_rec(*c, fid);
-                }
-                if let Some(w) = wildcard {
-                    self.remove_rec(w, fid);
-                }
-                let dead: Vec<u32> = edges
-                    .iter()
-                    .filter(|(_, c)| self.nodes[*c].installed.is_empty())
-                    .map(|(k, _)| *k)
-                    .collect();
-                let wc_dead = wildcard.is_some_and(|w| self.nodes[w].installed.is_empty());
-                if let NodeKind::Exact { edges, wildcard } = &mut self.nodes[node].kind {
-                    for k in dead {
-                        edges.remove(k);
-                    }
-                    if wc_dead {
-                        *wildcard = None;
-                    }
-                }
-            }
-            Snap::Port(edges, wildcard) => {
-                for (_, c) in &edges {
-                    self.remove_rec(*c, fid);
-                }
-                if let Some(w) = wildcard {
-                    self.remove_rec(w, fid);
-                }
-                let dead: Vec<PortMatch> = edges
-                    .iter()
-                    .filter(|(_, c)| self.nodes[*c].installed.is_empty())
-                    .map(|(l, _)| *l)
-                    .collect();
-                let wc_dead = wildcard.is_some_and(|w| self.nodes[w].installed.is_empty());
-                if let NodeKind::Port { edges, wildcard } = &mut self.nodes[node].kind {
-                    edges.retain(|(l, _)| !dead.contains(l));
-                    if wc_dead {
-                        *wildcard = None;
-                    }
-                }
+        if let Some(w) = *self.wildcard_mut(level, node) {
+            if self.remove_child(w, level + 1, fid, false) {
+                *self.wildcard_mut(level, node) = None;
             }
         }
+    }
+
+    /// `fid`'s label at a node once `fid` is gone from it, if no filter
+    /// left there has that label. Its edge then holds only filters
+    /// inherited from covering edges, which those edges already match:
+    /// a table built without `fid` has no such edge.
+    fn orphan<L: PartialEq>(
+        &self,
+        level: usize,
+        node: NodeId,
+        fid: FilterId,
+        label: fn(usize, &FilterSpec) -> L,
+    ) -> Option<L> {
+        let own = label(level, self.spec_of(fid));
+        let mut left = self.installed(level, node).iter();
+        (!left.any(|g| label(level, self.spec_of(*g)) == own)).then_some(own)
+    }
+
+    /// Remove `fid` under each edge of a node at `level`, and everything
+    /// under the `orphan` edge; the labels of the edges left empty.
+    fn remove_below<L: PartialEq>(
+        &mut self,
+        level: usize,
+        fid: FilterId,
+        edges: Vec<(L, NodeId)>,
+        orphan: Option<L>,
+    ) -> Vec<L> {
+        let dead = edges.into_iter().filter(|(l, c)| {
+            let orphaned = orphan.as_ref() == Some(l);
+            self.remove_child(*c, level + 1, fid, orphaned)
+        });
+        dead.map(|(l, _)| l).collect()
+    }
+
+    /// Remove `fid` under `child` (at `level`), or the whole subtree when
+    /// the edge is `orphaned`, and release the child if that left it
+    /// empty. A child's installed list is a subset of its parent's, so an
+    /// empty child's own children were released first.
+    fn remove_child(&mut self, child: NodeId, level: usize, fid: FilterId, orphaned: bool) -> bool {
+        if orphaned {
+            self.release_subtree(child, level);
+            return true;
+        }
+        self.remove_rec(child, level, fid);
+        let dead = self.installed(level, child).is_empty();
+        if dead {
+            self.release(level, child);
+        }
+        dead
+    }
+
+    /// Release `node` (at `level`) and every node under it, each visited
+    /// once: nodes are never shared, so nothing outside points in.
+    fn release_subtree(&mut self, node: NodeId, level: usize) {
+        let n = node as usize;
+        let mut under: Vec<NodeId> = match level {
+            0 | 1 => self.addr.cold[n].edges.iter().map(|(_, c)| *c).collect(),
+            2 | 5 => self.exact.hot[n].edges.children(),
+            3 | 4 => self.port.hot[n].edges.iter().map(|(_, c)| *c).collect(),
+            _ => Vec::new(),
+        };
+        if level < LEVELS {
+            under.extend(*self.wildcard_mut(level, node));
+        }
+        for c in under {
+            self.release_subtree(c, level + 1);
+        }
+        self.release(level, node);
     }
 
     /// Classify a tuple: the most specific matching filter and its bound
     /// value. Never backtracks; `O(fields)` node visits.
     pub fn lookup(&self, t: &FlowTuple) -> Option<(FilterId, &V)> {
-        self.s_bmp_fn.set(self.s_bmp_fn.get() + 1);
-        self.s_hash_fn.set(self.s_hash_fn.get() + 1);
-        let mut node = self.root;
-        for level in 0..LEVELS {
-            self.s_edges.set(self.s_edges.get() + 1);
-            let next = match &self.nodes[node].kind {
-                NodeKind::Addr {
-                    v4, v6, wildcard, ..
-                } => {
-                    let addr = if level == 0 { t.src } else { t.dst };
-                    let hit = match addr {
-                        IpAddr::V4(a) => v4.as_ref().and_then(|m| m.lookup(u32::from(a))),
-                        IpAddr::V6(a) => v6.as_ref().and_then(|m| m.lookup(u128::from(a))),
-                    };
-                    hit.or(*wildcard)
-                }
-                NodeKind::Exact { edges, wildcard } => {
-                    let val = if level == 2 {
-                        u32::from(t.proto)
-                    } else {
-                        t.rx_if
-                    };
-                    edges.get(val).or(*wildcard)
-                }
-                NodeKind::Port { edges, wildcard } => {
-                    self.s_port.set(self.s_port.get() + 1);
-                    let port = if level == 3 { t.sport } else { t.dport };
-                    // Matching ranges are nested (ambiguity rejected), so
-                    // the narrowest matching range is the most specific.
-                    edges
-                        .iter()
-                        .filter(|(l, _)| l.matches(port))
-                        .max_by_key(|(l, _)| l.specificity())
-                        .map(|(_, c)| *c)
-                        .or(*wildcard)
-                }
-                NodeKind::Leaf { .. } => unreachable!("leaf before last level"),
-            };
-            node = next?;
-        }
-        let NodeKind::Leaf { filters } = &self.nodes[node].kind else {
-            unreachable!("non-leaf at last level");
-        };
-        let best = filters
+        bump(&self.s_bmp_fn, 1);
+        bump(&self.s_hash_fn, 1);
+        let n = self.addr_step(ROOT, t.src)?;
+        let n = self.addr_step(n, t.dst)?;
+        let n = self.exact_step(n, u32::from(t.proto))?;
+        let n = self.port_step(n, t.sport)?;
+        let n = self.port_step(n, t.dport)?;
+        let leaf = self.exact_step(n, t.rx_if)?;
+        let best = self.leaf.cold[leaf as usize]
+            .installed
             .iter()
             .max_by(|a, b| {
                 let sa = self.spec_of(**a).specificity();
@@ -854,6 +865,43 @@ impl<V> DagTable<V> {
             })
             .copied()?;
         Some((best, &self.registry[&best].1))
+    }
+
+    fn addr_step(&self, node: NodeId, addr: IpAddr) -> Option<NodeId> {
+        bump(&self.s_edges, 1);
+        let node = &self.addr.hot[node as usize];
+        let (hit, probes) = match addr {
+            IpAddr::V4(a) => node
+                .v4
+                .as_ref()
+                .map_or((None, 0), |m| m.lookup(u32::from(a))),
+            IpAddr::V6(a) => node
+                .v6
+                .as_ref()
+                .map_or((None, 0), |m| m.lookup(u128::from(a))),
+        };
+        bump(&self.s_addr, probes);
+        hit.or(node.wildcard)
+    }
+
+    fn exact_step(&self, node: NodeId, val: u32) -> Option<NodeId> {
+        bump(&self.s_edges, 1);
+        let node = &self.exact.hot[node as usize];
+        node.edges.get(val).or(node.wildcard)
+    }
+
+    fn port_step(&self, node: NodeId, port: u16) -> Option<NodeId> {
+        bump(&self.s_edges, 1);
+        bump(&self.s_port, 1);
+        let node = &self.port.hot[node as usize];
+        // Matching ranges are nested (ambiguity rejected), so the
+        // narrowest matching range is the most specific.
+        node.edges
+            .iter()
+            .filter(|(l, _)| l.matches(port))
+            .max_by_key(|(l, _)| l.specificity())
+            .map(|(_, c)| *c)
+            .or(node.wildcard)
     }
 
     /// Like [`DagTable::lookup`] but also returns the Table 2 access
@@ -879,7 +927,7 @@ impl<V> DagTable<V> {
         LookupStats {
             bmp_fn_ptr: self.s_bmp_fn.get(),
             hash_fn_ptr: self.s_hash_fn.get(),
-            addr_probes: self.addr_counter.get(),
+            addr_probes: self.s_addr.get(),
             port_probes: self.s_port.get(),
             dag_edges: self.s_edges.get(),
         }
@@ -1060,12 +1108,91 @@ mod tests {
         assert_eq!(dag.len(), 0);
         // All edges pruned (root remains).
         assert_eq!(
-            dag.nodes[dag.root].installed.len(),
+            dag.addr.cold[ROOT as usize].installed.len(),
             0,
             "root installed list drained"
         );
         let _ = base_nodes;
         assert!(dag.remove(a).is_err());
+    }
+
+    /// Nested and disjoint prefixes at both address levels and both
+    /// families, exact and wildcard protocols, ports and interfaces.
+    fn mixed_filters() -> Vec<FilterSpec> {
+        (0..128u32)
+            .map(|i| {
+                let src = match i % 4 {
+                    0 => "*".to_string(),
+                    1 => format!("10.{}.0.0/16", i % 8),
+                    2 => format!("10.{}.{i}.0/24", i % 8),
+                    _ => format!("2001:db8:{:x}::/48", i % 8),
+                };
+                let dst = match i % 3 {
+                    0 => "*".to_string(),
+                    _ if i % 4 == 3 => format!("2001:db8::{i:x}"),
+                    _ => format!("20.{}.0.0/{}", i % 5, 16 + i % 9),
+                };
+                let proto = ["*", "TCP", "UDP"][i as usize % 3];
+                let dport = if i % 2 == 0 {
+                    "*".to_string()
+                } else {
+                    (1000 + i % 7).to_string()
+                };
+                let rx_if = if i % 5 == 0 { "if1" } else { "*" };
+                format!("{src}, {dst}, {proto}, *, {dport}, {rx_if}")
+                    .parse()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn removed_filters_free_their_nodes_for_reuse() {
+        let filters = mixed_filters();
+        let mut dag: DagTable<u32> = DagTable::new(BmpKind::Bspl);
+        let mut first = None;
+        for cycle in 0..4 {
+            let mut ids: Vec<FilterId> = filters
+                .iter()
+                .map(|f| dag.insert(f.clone(), 0).unwrap())
+                .collect();
+            let peak = dag.node_count();
+            if cycle % 2 == 1 {
+                ids.reverse();
+            }
+            for id in ids {
+                dag.remove(id).unwrap();
+            }
+            assert_eq!(dag.node_count(), 1, "only the root outlives the filters");
+            let slots =
+                dag.addr.hot.len() + dag.exact.hot.len() + dag.port.hot.len() + dag.leaf.hot.len();
+            assert_eq!(
+                *first.get_or_insert((peak, slots)),
+                (peak, slots),
+                "cycle {cycle}"
+            );
+        }
+    }
+
+    #[test]
+    fn partial_removal_leaves_the_shape_of_a_fresh_build() {
+        let filters = mixed_filters();
+        for kind in [BmpKind::Bspl, BmpKind::Patricia] {
+            let mut dag: DagTable<u32> = DagTable::new(kind);
+            let ids: Vec<FilterId> = filters
+                .iter()
+                .map(|f| dag.insert(f.clone(), 0).unwrap())
+                .collect();
+            let mut fresh: DagTable<u32> = DagTable::new(kind);
+            for (i, (f, id)) in filters.iter().zip(ids).enumerate() {
+                if i % 3 == 0 {
+                    dag.remove(id).unwrap();
+                } else {
+                    fresh.insert(f.clone(), 0).unwrap();
+                }
+            }
+            assert_eq!(dag.node_count(), fresh.node_count(), "{kind:?}");
+        }
     }
 
     #[test]
@@ -1145,9 +1272,9 @@ mod tests {
     fn exact_edges_sorted_then_spills() {
         // Small maps stay in the sorted array; past the spill threshold
         // the map converts to a hash and keeps answering identically.
-        let mut s = ExactEdges::new();
+        let mut s = ExactEdges::default();
         for k in [5u32, 1, 3] {
-            s.insert(k, k as usize);
+            s.insert(k, k);
         }
         assert!(matches!(s, ExactEdges::Sorted(_)));
         assert_eq!(s.get(3), Some(3));
@@ -1157,13 +1284,13 @@ mod tests {
         assert_eq!(s.children().len(), 2);
         assert_eq!(s.entries().len(), 2);
 
-        let mut e = ExactEdges::new();
+        let mut e = ExactEdges::default();
         for k in (0..2 * EXACT_SPILL as u32).rev() {
-            e.insert(k, k as usize);
+            e.insert(k, k);
         }
         assert!(matches!(e, ExactEdges::Hash(_)));
         for k in 0..2 * EXACT_SPILL as u32 {
-            assert_eq!(e.get(k), Some(k as usize));
+            assert_eq!(e.get(k), Some(k));
         }
         e.remove(100);
         assert_eq!(e.get(100), None);

@@ -81,10 +81,9 @@ fn removal_returns_node_count_to_baseline() {
     assert!(dag.node_count() > baseline);
     dag.remove(b).unwrap();
     dag.remove(c).unwrap();
-    // Structure pruned back to exactly the single-filter shape is not
-    // guaranteed node-for-node (arena slots are not reused), but the
-    // *reachable* filter set matches: every probe behaves as with only
-    // filter a.
+    // Pruned back to the single-filter shape node for node, and every
+    // probe behaves as with only filter a.
+    assert_eq!(dag.node_count(), baseline);
     let mut reference: DagTable<u32> = DagTable::new(BmpKind::Bspl);
     reference
         .insert("10.0.0.0/8, *, UDP, *, *, *".parse().unwrap(), 1)

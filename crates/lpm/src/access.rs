@@ -3,18 +3,20 @@
 //! The paper's Table 2 expresses worst-case filter-lookup cost in *memory
 //! accesses* (then multiplies by a 60 ns access delay), because on the 1998
 //! testbed every hash probe and trie-node visit was a likely cache miss.
-//! Each LPM structure here charges one unit per node visit / hash-bucket
-//! probe through a shared [`AccessCounter`], so the benches can report the
-//! same deterministic metric regardless of the host machine.
+//! Each LPM lookup counts its node visits / hash-bucket probes in a local
+//! and returns the count ([`crate::BsplTable::lookup_counted`],
+//! [`crate::PatriciaTable::lookup_counted`]), so the DAG classifier tallies
+//! Table 2 without touching shared state. A PATRICIA trie built
+//! [`crate::PatriciaTable::with_counter`] also charges each node visit to
+//! a shared [`AccessCounter`], so a bench can [`AccessCounter::measure`] a
+//! stand-alone trie through the plain [`crate::LpmTable::lookup`]; no
+//! router table is built with one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared memory-access counter. Cloning shares the underlying count.
-/// Relaxed atomics keep the counter `Send` so a whole classifier (and the
-/// router shard owning it) can move onto a worker thread; each shard still
-/// runs its data path single-threaded per the paper's in-kernel design, so
-/// the counter is never actually contended.
+/// Atomic only so a table type that may carry one stays `Send`.
 #[derive(Debug, Clone, Default)]
 pub struct AccessCounter {
     count: Arc<AtomicU64>,

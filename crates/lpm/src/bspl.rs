@@ -14,7 +14,7 @@
 //! lengths — at most 5 for IPv4 (k ≤ 31 non-trivial lengths fit height 5)
 //! and 7 for IPv6 with realistic length distributions, which is the
 //! `log2(32)`/`log2(128)` accounting the paper's Table 2 uses. Each probe
-//! is charged as one memory access.
+//! counts as one memory access.
 //!
 //! Updates: inserting a prefix whose length is already populated touches
 //! only its own search path plus the entries it covers (found through a
@@ -23,7 +23,6 @@
 //! at most once per distinct length (≤ W times over a table's lifetime),
 //! keeping bulk loads near-linear.
 
-use crate::access::AccessCounter;
 use crate::bits::Bits;
 use crate::hash::IntMap;
 use crate::patricia::PatriciaTable;
@@ -74,7 +73,6 @@ pub struct BsplTable<A: Bits, V: Clone> {
     /// Value for the zero-length prefix, handled without a hash probe (a
     /// default route / full wildcard needs no search).
     default_value: Option<V>,
-    counter: AccessCounter,
 }
 
 impl<A: Bits, V: Clone> Default for BsplTable<A, V> {
@@ -86,11 +84,6 @@ impl<A: Bits, V: Clone> Default for BsplTable<A, V> {
 impl<A: Bits, V: Clone> BsplTable<A, V> {
     /// Empty table.
     pub fn new() -> Self {
-        Self::with_counter(AccessCounter::new())
-    }
-
-    /// Empty table charging probes to `counter`.
-    pub fn with_counter(counter: AccessCounter) -> Self {
         BsplTable {
             tables: Vec::new(),
             lengths: Vec::new(),
@@ -98,13 +91,7 @@ impl<A: Bits, V: Clone> BsplTable<A, V> {
             real: PatriciaTable::new(),
             key_index: PatriciaTable::new(),
             default_value: None,
-            counter,
         }
-    }
-
-    /// The access counter used by this table.
-    pub fn counter(&self) -> &AccessCounter {
-        &self.counter
     }
 
     /// Number of populated lengths (binary-search domain size).
@@ -232,9 +219,29 @@ impl<A: Bits, V: Clone> BsplTable<A, V> {
     /// Expected-case probe count for `addr` (for instrumentation): runs a
     /// lookup and returns how many probes it used.
     pub fn probes_for(&self, addr: A) -> u64 {
-        let before = self.counter.get();
-        let _ = self.lookup(addr);
-        self.counter.get() - before
+        self.lookup_counted(addr).1
+    }
+
+    /// [`LpmTable::lookup`] plus the number of hash probes it made.
+    pub fn lookup_counted(&self, addr: A) -> (Option<(&V, u8)>, u64) {
+        let mut best: Option<(&V, u8)> = self.default_value.as_ref().map(|v| (v, 0));
+        let mut probes = 0;
+        let (mut lo, mut hi) = (0isize, self.lengths.len() as isize - 1);
+        while lo <= hi {
+            let mid = ((lo + hi) / 2) as usize;
+            let m = self.lengths[mid];
+            probes += 1;
+            match self.tables[mid].get(&addr.mask(m)) {
+                Some(e) => {
+                    if let Some((v, l)) = &e.bmp {
+                        best = Some((v, *l));
+                    }
+                    lo = mid as isize + 1;
+                }
+                None => hi = mid as isize - 1,
+            }
+        }
+        (best, probes)
     }
 }
 
@@ -311,23 +318,7 @@ impl<A: Bits, V: Clone> LpmTable<A, V> for BsplTable<A, V> {
     }
 
     fn lookup(&self, addr: A) -> Option<(&V, u8)> {
-        let mut best: Option<(&V, u8)> = self.default_value.as_ref().map(|v| (v, 0));
-        let (mut lo, mut hi) = (0isize, self.lengths.len() as isize - 1);
-        while lo <= hi {
-            let mid = ((lo + hi) / 2) as usize;
-            let m = self.lengths[mid];
-            self.counter.charge(1); // one hash probe
-            match self.tables[mid].get(&addr.mask(m)) {
-                Some(e) => {
-                    if let Some((v, l)) = &e.bmp {
-                        best = Some((v, *l));
-                    }
-                    lo = mid as isize + 1;
-                }
-                None => hi = mid as isize - 1,
-            }
-        }
-        best
+        self.lookup_counted(addr).0
     }
 
     fn get(&self, prefix: Prefix<A>) -> Option<&V> {
@@ -383,9 +374,9 @@ mod tests {
     fn default_route_without_probe() {
         let mut t: BsplTable<u32, &str> = BsplTable::new();
         t.insert(Prefix::default_route(), "default");
-        t.counter().reset();
-        assert_eq!(t.lookup(0x1234_5678).unwrap(), (&"default", 0));
-        assert_eq!(t.counter().get(), 0, "default route must cost no probes");
+        let (hit, probes) = t.lookup_counted(0x1234_5678);
+        assert_eq!(hit.unwrap(), (&"default", 0));
+        assert_eq!(probes, 0, "default route must cost no probes");
     }
 
     #[test]
@@ -396,12 +387,10 @@ mod tests {
             t.insert(Prefix::new(0xFFFF_FFFFu32, len), len);
         }
         assert_eq!(t.populated_lengths(), 31);
-        t.counter().reset();
-        let _ = t.lookup(0xFFFF_FFFF);
-        assert!(t.counter().get() <= 5, "probes = {}", t.counter().get());
-        t.counter().reset();
-        let _ = t.lookup(0x0000_0001); // all misses
-        assert!(t.counter().get() <= 5, "probes = {}", t.counter().get());
+        let probes = t.probes_for(0xFFFF_FFFF);
+        assert!(probes <= 5, "probes = {probes}");
+        let probes = t.probes_for(0x0000_0001); // all misses
+        assert!(probes <= 5, "probes = {probes}");
     }
 
     #[test]

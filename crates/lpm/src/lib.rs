@@ -7,8 +7,9 @@
 //! prefix lengths* (Waldvogel et al., SIGCOMM '97). This crate implements
 //! both behind the [`LpmTable`] trait, generic over the address width
 //! through the [`Bits`] trait (`u32` for IPv4, `u128` for IPv6), and both
-//! count their **memory accesses** through an [`AccessCounter`], because
-//! the paper's Table 2 is denominated in memory accesses, not nanoseconds.
+//! return the **memory accesses** a lookup made (an [`AccessCounter`]
+//! sums them for a stand-alone table), because the paper's Table 2 is
+//! denominated in memory accesses, not nanoseconds.
 //!
 //! The third structure is what the paper cites as the state of the art,
 //! controlled prefix expansion (Srinivasan & Varghese, SIGMETRICS '98), in

@@ -2,7 +2,7 @@
 //!
 //! This is the paper's "slower but freely available" BMP plugin, modelled on
 //! the BSD radix tree (Sklower). Lookup walks at most one node per differing
-//! bit region, charging one memory access per node visited, so its
+//! bit region, counting one memory access per node visited, so its
 //! worst-case access count grows with the trie depth — exactly the property
 //! that motivates the paper's preference for binary search on prefix
 //! lengths in Table 2.
@@ -17,7 +17,7 @@
 //! idea of "Cache-aware data structures for packet forwarding tables";
 //! path compression already collapses degree-1 chains, so breadth-first
 //! placement is what turns depth into line-adjacency). The access
-//! accounting is unchanged: one charge per node visited, so Table 2
+//! accounting is unchanged: one access per node visited, so Table 2
 //! semantics are identical to the pointer-chasing layout.
 
 use crate::access::AccessCounter;
@@ -49,7 +49,7 @@ pub struct PatriciaTable<A: Bits, V> {
     /// Recycled arena slots.
     free: Vec<u32>,
     len: usize,
-    counter: AccessCounter,
+    counter: Option<AccessCounter>,
 }
 
 impl<A: Bits, V> Default for PatriciaTable<A, V> {
@@ -59,13 +59,8 @@ impl<A: Bits, V> Default for PatriciaTable<A, V> {
 }
 
 impl<A: Bits, V> PatriciaTable<A, V> {
-    /// Empty trie.
+    /// Empty trie that charges no counter.
     pub fn new() -> Self {
-        Self::with_counter(AccessCounter::new())
-    }
-
-    /// Empty trie charging accesses to `counter`.
-    pub fn with_counter(counter: AccessCounter) -> Self {
         PatriciaTable {
             nodes: vec![Node {
                 prefix: Prefix::default_route(),
@@ -74,13 +69,50 @@ impl<A: Bits, V> PatriciaTable<A, V> {
             }],
             free: Vec::new(),
             len: 0,
-            counter,
+            counter: None,
         }
     }
 
-    /// The access counter used by this table.
-    pub fn counter(&self) -> &AccessCounter {
-        &self.counter
+    /// Empty trie that also charges every node visit to `counter`.
+    pub fn with_counter(counter: AccessCounter) -> Self {
+        PatriciaTable {
+            counter: Some(counter),
+            ..Self::new()
+        }
+    }
+
+    /// The access counter this trie charges, if built with one.
+    pub fn counter(&self) -> Option<&AccessCounter> {
+        self.counter.as_ref()
+    }
+
+    /// [`LpmTable::lookup`] plus the number of nodes it visited.
+    pub fn lookup_counted(&self, addr: A) -> (Option<(&V, u8)>, u64) {
+        let mut node = &self.nodes[0];
+        let mut best: Option<(&V, u8)> = None;
+        let mut visits = 0;
+        loop {
+            visits += 1;
+            if let Some(c) = &self.counter {
+                c.charge(1);
+            }
+            if !node.prefix.matches(addr) {
+                break;
+            }
+            if let Some(v) = &node.value {
+                best = Some((v, node.prefix.len()));
+            }
+            if u32::from(node.prefix.len()) >= A::BITS {
+                break;
+            }
+            let bit = usize::from(addr.bit(node.prefix.len()));
+            let c = node.children[bit];
+            if c == NIL {
+                break;
+            }
+            node = &self.nodes[c as usize];
+        }
+        (best, visits)
     }
 
     /// Allocate an arena slot for a fresh leaf.
@@ -333,27 +365,7 @@ impl<A: Bits, V> LpmTable<A, V> for PatriciaTable<A, V> {
     }
 
     fn lookup(&self, addr: A) -> Option<(&V, u8)> {
-        let mut node = &self.nodes[0];
-        let mut best: Option<(&V, u8)> = None;
-        loop {
-            self.counter.charge(1);
-            if !node.prefix.matches(addr) {
-                break;
-            }
-            if let Some(v) = &node.value {
-                best = Some((v, node.prefix.len()));
-            }
-            if u32::from(node.prefix.len()) >= A::BITS {
-                break;
-            }
-            let bit = usize::from(addr.bit(node.prefix.len()));
-            let c = node.children[bit];
-            if c == NIL {
-                break;
-            }
-            node = &self.nodes[c as usize];
-        }
-        best
+        self.lookup_counted(addr).0
     }
 
     fn get(&self, prefix: Prefix<A>) -> Option<&V> {
@@ -482,9 +494,8 @@ mod tests {
     #[test]
     fn access_counting() {
         let t: PatriciaTable<u32, u32> = PatriciaTable::new();
-        t.counter().reset();
-        t.lookup(42);
-        assert!(t.counter().get() >= 1);
+        assert!(t.counter().is_none());
+        assert!(t.lookup_counted(42).1 >= 1);
     }
 
     #[test]
@@ -577,21 +588,16 @@ mod tests {
         let before: Vec<(Option<(u32, u8)>, u64)> = probes
             .iter()
             .map(|a| {
-                t.counter().reset();
-                let r = t.lookup(*a).map(|(v, l)| (*v, l));
-                (r, t.counter().get())
+                let (r, n) = t.lookup_counted(*a);
+                (r.map(|(v, l)| (*v, l)), n)
             })
             .collect();
         t.repack();
         for (a, (want, accesses)) in probes.iter().zip(&before) {
-            t.counter().reset();
-            let got = t.lookup(*a).map(|(v, l)| (*v, l));
+            let (got, n) = t.lookup_counted(*a);
+            let got = got.map(|(v, l)| (*v, l));
             assert_eq!(&got, want, "lookup changed by repack at {a:08x}");
-            assert_eq!(
-                t.counter().get(),
-                *accesses,
-                "access count changed by repack at {a:08x}"
-            );
+            assert_eq!(n, *accesses, "access count changed by repack at {a:08x}");
         }
         // Structure still fully mutable after repack.
         assert_eq!(t.len(), reference.len());

@@ -137,10 +137,9 @@ proptest! {
         }
         let bound = t.worst_case_probes() as u64;
         for p in probes {
-            t.counter().reset();
-            let _ = t.lookup(p);
-            prop_assert!(t.counter().get() <= bound,
-                "probes {} > bound {} with {} lengths", t.counter().get(), bound, lens.len());
+            let probes = t.probes_for(p);
+            prop_assert!(probes <= bound,
+                "probes {} > bound {} with {} lengths", probes, bound, lens.len());
         }
     }
 }

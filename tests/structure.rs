@@ -1,9 +1,10 @@
 //! Structural guards over the source tree: the plugin and dispatch paths
 //! hold no lock, names that simplifications deleted stay deleted, each
 //! "one of" (backoff doubling, victim routine, counter ledger, test
-//! scaffolding) stays one, and `unsafe` stays where it is counted. Every
-//! file under `crates`, `tests`, `src` and `examples` is read as text,
-//! the way `grep -r` would; a failure names the offending `file:line`.
+//! scaffolding) stays one, `unsafe` stays where it is counted, and probe
+//! counts stay off shared counters. Every file under `crates`, `tests`,
+//! `src` and `examples` is read as text, the way `grep -r` would; a
+//! failure names the offending `file:line`.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -206,6 +207,24 @@ fn supervision_paths_read_no_instant() {
                  crates/netdev/src/supervisor.rs crates/netdev/src/ioplane.rs";
     let found = code_lines_where(paths, |l| l.contains("Instant"));
     assert_none(found, "Instant outside #[cfg(test)]");
+}
+
+/// Table 2's counts are returned by the lookups, not charged: no router
+/// layer holds a shared counter, the stand-alone counter's add is the
+/// one atomic add in `rp-lpm`, and each DAG node kind keeps its own
+/// arena (no enum over the kinds, sized by its largest).
+#[test]
+fn probe_counts_are_returned_and_dag_nodes_sized_to_their_level() {
+    forbid("crates/classifier/src/ crates/core/src/", "AccessCounter");
+    let adds = lines_where("crates/lpm/src/", |l| l.contains("fetch_add"));
+    let adds = adds
+        .into_iter()
+        .filter(|l| !l.starts_with("crates/lpm/src/access.rs:"));
+    assert_none(adds.collect(), "fetch_add outside access.rs");
+    forbid(
+        "crates/classifier/src/dag.rs",
+        r"large_enum_variant|NodeKind\b",
+    );
 }
 
 /// `supervisor::Backoff` is the one ladder.
