@@ -15,7 +15,7 @@ use crate::dag::{BmpKind, DagError, DagTable, LookupStats};
 use crate::filter::{FilterId, FilterSpec};
 use crate::flow_table::{key_hash, Admit, EvictedFlow, FlowTable, FlowTableConfig, FlowTableStats};
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::{FlowKey, FlowTuple, Mbuf};
+use rp_packet::{FlowKey, Mbuf};
 
 /// Index of a gate (the paper's plugin-type/gate correspondence lives in
 /// `router-core`; the AIU just numbers them).
@@ -162,17 +162,18 @@ impl<V: Clone> Aiu<V> {
     #[inline]
     pub fn classify(
         &mut self,
-        tuple: &FlowTuple,
+        tuple: &rp_packet::FlowTuple,
     ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
-        self.classify_key(&FlowKey::of(tuple), |aiu, fix| aiu.bind_gates(fix, tuple))
+        self.classify_key(&FlowKey::of(tuple), |_| {})
     }
 
-    /// Both entries' probe: one hash (denied floods too), `miss` on a new record.
+    /// Both entries' probe: one hash (denied floods too); on a new record,
+    /// `on_new` and then the filter-table walks.
     #[inline]
     fn classify_key(
         &mut self,
         key: &FlowKey,
-        miss: impl FnOnce(&mut Self, FlowIndex),
+        on_new: impl FnOnce(&FlowKey),
     ) -> (ClassifyOutcome, Option<&mut EvictedFlow<V>>) {
         let hash = key_hash(key);
         match self
@@ -182,20 +183,21 @@ impl<V: Clone> Aiu<V> {
             Admit::Hit(fix) => (ClassifyOutcome::CacheHit(fix), None),
             Admit::Denied => (ClassifyOutcome::Denied, None),
             Admit::New { fix, recycled } => {
-                miss(self, fix);
+                on_new(key);
+                self.bind_gates(fix, key);
                 let evicted = recycled.then_some(&mut self.evicted);
                 (ClassifyOutcome::CacheMiss(fix), evicted)
             }
         }
     }
 
-    /// The miss path: bind each gate's match for `tuple` into record `fix`.
-    fn bind_gates(&mut self, fix: FlowIndex, tuple: &FlowTuple) {
+    /// The miss path: bind each gate's match for `key` into record `fix`.
+    fn bind_gates(&mut self, fix: FlowIndex, key: &FlowKey) {
         for (gate, table) in self.filter_tables.iter().enumerate() {
             if table.is_empty() {
                 continue;
             }
-            if let Some((id, v)) = table.lookup(tuple) {
+            if let Some((id, v)) = table.lookup(key) {
                 self.flow_table.bind(fix, gate, v.clone(), id);
             }
         }
@@ -218,8 +220,7 @@ impl<V: Clone> Aiu<V> {
     /// admission control into an amplifier. `on_new` runs exactly once
     /// when the flow gets a fresh record, handed the key, **before** the
     /// filter lookups, and never on a hit or a denial: it is where the
-    /// router starts the route lookup's memory load. Only a miss builds
-    /// the tuple, once, after it.
+    /// router starts the route lookup's memory load.
     #[inline]
     pub fn classify_mbuf_with(
         &mut self,
@@ -227,10 +228,7 @@ impl<V: Clone> Aiu<V> {
         on_new: impl FnOnce(&FlowKey),
     ) -> Result<(ClassifyOutcome, Option<&mut EvictedFlow<V>>), rp_packet::Error> {
         let key = FlowKey::extract(mbuf.data(), mbuf.rx_if)?;
-        let (outcome, evicted) = self.classify_key(&key, |aiu, fix| {
-            on_new(&key);
-            aiu.bind_gates(fix, &key.tuple());
-        });
+        let (outcome, evicted) = self.classify_key(&key, on_new);
         mbuf.fix = outcome.fix();
         if matches!(outcome, ClassifyOutcome::Denied) {
             mbuf.class_denied = true;
@@ -307,6 +305,7 @@ impl<V: Clone> Aiu<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rp_packet::FlowTuple;
     use std::net::{IpAddr, Ipv4Addr};
 
     fn tuple(i: u32) -> FlowTuple {

@@ -25,7 +25,7 @@
 
 use crate::filter::{AddrMatch, FilterId, FilterSpec, PortMatch};
 use rp_lpm::{BsplTable, IntMap, LpmTable, PatriciaTable, Prefix};
-use rp_packet::FlowTuple;
+use rp_packet::FlowKey;
 use std::cell::Cell;
 use std::fmt;
 use std::net::IpAddr;
@@ -334,21 +334,17 @@ pub const LEVELS: usize = 6;
 ///
 /// ```
 /// use rp_classifier::{BmpKind, DagTable};
-/// use rp_packet::FlowTuple;
+/// use rp_packet::builder::PacketSpec;
+/// use rp_packet::FlowKey;
 ///
 /// let mut dag = DagTable::new(BmpKind::Bspl);
 /// let id = dag
 ///     .insert("129.*.*.*, 192.94.233.10, TCP, *, *, *".parse().unwrap(), "qos")
 ///     .unwrap();
-/// let t = FlowTuple {
-///     src: "129.1.2.3".parse().unwrap(),
-///     dst: "192.94.233.10".parse().unwrap(),
-///     proto: 6,
-///     sport: 1234,
-///     dport: 80,
-///     rx_if: 0,
-/// };
-/// assert_eq!(dag.lookup(&t), Some((id, &"qos")));
+/// let (src, dst) = ("129.1.2.3".parse().unwrap(), "192.94.233.10".parse().unwrap());
+/// let packet = PacketSpec::tcp(src, dst, 1234, 80, 0).build();
+/// let key = FlowKey::extract(&packet, 0).unwrap();
+/// assert_eq!(dag.lookup(&key), Some((id, &"qos")));
 /// ```
 pub struct DagTable<V> {
     /// Levels 0–1; the root is slot 0.
@@ -844,17 +840,17 @@ impl<V> DagTable<V> {
         self.release(level, node);
     }
 
-    /// Classify a tuple: the most specific matching filter and its bound
+    /// Classify a flow: the most specific matching filter and its bound
     /// value. Never backtracks; `O(fields)` node visits.
-    pub fn lookup(&self, t: &FlowTuple) -> Option<(FilterId, &V)> {
+    pub fn lookup(&self, key: &FlowKey) -> Option<(FilterId, &V)> {
         bump(&self.s_bmp_fn, 1);
         bump(&self.s_hash_fn, 1);
-        let n = self.addr_step(ROOT, t.src)?;
-        let n = self.addr_step(n, t.dst)?;
-        let n = self.exact_step(n, u32::from(t.proto))?;
-        let n = self.port_step(n, t.sport)?;
-        let n = self.port_step(n, t.dport)?;
-        let leaf = self.exact_step(n, t.rx_if)?;
+        let n = self.addr_step(ROOT, key.src())?;
+        let n = self.addr_step(n, key.dst())?;
+        let n = self.exact_step(n, u32::from(key.proto()))?;
+        let n = self.port_step(n, key.sport())?;
+        let n = self.port_step(n, key.dport())?;
+        let leaf = self.exact_step(n, key.rx_if())?;
         let best = self.leaf.cold[leaf as usize]
             .installed
             .iter()
@@ -905,10 +901,13 @@ impl<V> DagTable<V> {
     }
 
     /// Like [`DagTable::lookup`] but also returns the Table 2 access
-    /// breakdown for this single lookup.
-    pub fn lookup_with_stats(&self, t: &FlowTuple) -> (Option<(FilterId, &V)>, LookupStats) {
+    /// breakdown for this single lookup. Takes a spelled-out tuple too.
+    pub fn lookup_with_stats(
+        &self,
+        key: impl Into<FlowKey>,
+    ) -> (Option<(FilterId, &V)>, LookupStats) {
         let before = self.stats_snapshot();
-        let out = self.lookup(t);
+        let out = self.lookup(&key.into());
         let after = self.stats_snapshot();
         (
             out,
@@ -938,17 +937,18 @@ impl<V> DagTable<V> {
 mod tests {
     use super::*;
     use crate::filter::paper_table1_filters;
+    use rp_packet::FlowTuple;
     use std::net::Ipv4Addr;
 
-    fn t4(src: [u8; 4], dst: [u8; 4], proto: u8, sport: u16, dport: u16) -> FlowTuple {
-        FlowTuple {
+    fn t4(src: [u8; 4], dst: [u8; 4], proto: u8, sport: u16, dport: u16) -> FlowKey {
+        FlowKey::of(&FlowTuple {
             src: IpAddr::V4(Ipv4Addr::from(src)),
             dst: IpAddr::V4(Ipv4Addr::from(dst)),
             proto,
             sport,
             dport,
             rx_if: 0,
-        }
+        })
     }
 
     fn table1_dag(kind: BmpKind) -> (DagTable<usize>, Vec<FilterId>) {
@@ -1077,11 +1077,10 @@ mod tests {
             .unwrap();
         dag.insert("*, *, *, *, *, *".parse().unwrap(), "any")
             .unwrap();
-        let mut t = t4([1, 1, 1, 1], [2, 2, 2, 2], 6, 1, 1);
-        t.rx_if = 1;
-        assert_eq!(*dag.lookup(&t).unwrap().1, "if1");
-        t.rx_if = 2;
-        assert_eq!(*dag.lookup(&t).unwrap().1, "any");
+        let t = t4([1, 1, 1, 1], [2, 2, 2, 2], 6, 1, 1).tuple();
+        let on = |rx_if| FlowKey::of(&FlowTuple { rx_if, ..t });
+        assert_eq!(*dag.lookup(&on(1)).unwrap().1, "if1");
+        assert_eq!(*dag.lookup(&on(2)).unwrap().1, "any");
     }
 
     #[test]
@@ -1213,19 +1212,19 @@ mod tests {
             dport: 2,
             rx_if: 0,
         };
-        assert_eq!(*dag.lookup(&t).unwrap().1, "pair");
+        assert_eq!(*dag.lookup(&FlowKey::of(&t)).unwrap().1, "pair");
         let t2 = FlowTuple {
             src: "2001:db8::99".parse().unwrap(),
             ..t
         };
-        assert_eq!(*dag.lookup(&t2).unwrap().1, "site");
+        assert_eq!(*dag.lookup(&FlowKey::of(&t2)).unwrap().1, "site");
     }
 
     #[test]
     fn stats_have_paper_shape() {
         let (dag, _) = table1_dag(BmpKind::Bspl);
         let t = t4([128, 252, 153, 1], [128, 252, 153, 7], 17, 9, 9);
-        let (hit, stats) = dag.lookup_with_stats(&t);
+        let (hit, stats) = dag.lookup_with_stats(t);
         assert!(hit.is_some());
         assert_eq!(stats.bmp_fn_ptr, 1);
         assert_eq!(stats.hash_fn_ptr, 1);
@@ -1245,7 +1244,7 @@ mod tests {
         // Compare edge/port accesses at 4 filters vs hundreds.
         let (dag_small, _) = table1_dag(BmpKind::Patricia);
         let t = t4([128, 252, 153, 1], [128, 252, 153, 7], 17, 9, 9);
-        let (_, small) = dag_small.lookup_with_stats(&t);
+        let (_, small) = dag_small.lookup_with_stats(t);
 
         let mut dag_big: DagTable<usize> = DagTable::new(BmpKind::Patricia);
         for (i, f) in paper_table1_filters().into_iter().enumerate() {
@@ -1262,7 +1261,7 @@ mod tests {
             .unwrap();
             dag_big.insert(spec, 100 + i as usize).unwrap();
         }
-        let (hit, big) = dag_big.lookup_with_stats(&t);
+        let (hit, big) = dag_big.lookup_with_stats(t);
         assert!(hit.is_some());
         assert_eq!(small.dag_edges, big.dag_edges);
         assert_eq!(small.port_probes, big.port_probes);

@@ -8,7 +8,7 @@
 
 use rp_lpm::Prefix;
 use rp_packet::mbuf::IfIndex;
-use rp_packet::{FlowTuple, Protocol};
+use rp_packet::{FlowKey, FlowTuple, Protocol};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
@@ -32,10 +32,7 @@ pub enum AddrMatch {
 impl AddrMatch {
     /// Exact-host convenience constructor.
     pub fn host(addr: IpAddr) -> Self {
-        match addr {
-            IpAddr::V4(a) => AddrMatch::V4(Prefix::new(u32::from(a), 32)),
-            IpAddr::V6(a) => AddrMatch::V6(Prefix::new(u128::from(a), 128)),
-        }
+        Self::prefix(addr, if addr.is_ipv4() { 32 } else { 128 })
     }
 
     /// Prefix constructor from an address + length.
@@ -209,14 +206,14 @@ impl FilterSpec {
         }
     }
 
-    /// Does the filter match a concrete flow tuple?
-    pub fn matches(&self, t: &FlowTuple) -> bool {
-        self.src.matches(t.src)
-            && self.dst.matches(t.dst)
-            && self.proto.is_none_or(|p| p == t.proto)
-            && self.sport.matches(t.sport)
-            && self.dport.matches(t.dport)
-            && self.rx_if.is_none_or(|i| i == t.rx_if)
+    /// Does the filter match a concrete flow?
+    pub fn matches(&self, key: &FlowKey) -> bool {
+        self.src.matches(key.src())
+            && self.dst.matches(key.dst())
+            && self.proto.is_none_or(|p| p == key.proto())
+            && self.sport.matches(key.sport())
+            && self.dport.matches(key.dport())
+            && self.rx_if.is_none_or(|i| i == key.rx_if())
     }
 
     /// Specificity vector compared lexicographically in the DAG's field
@@ -492,7 +489,7 @@ mod tests {
         let matched: Vec<usize> = filters
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.matches(&t))
+            .filter(|(_, f)| f.matches(&FlowKey::of(&t)))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(matched, vec![3]);
@@ -503,7 +500,7 @@ mod tests {
         let matched: Vec<usize> = filters
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.matches(&t))
+            .filter(|(_, f)| f.matches(&FlowKey::of(&t)))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(matched, vec![1, 3]);
@@ -547,19 +544,19 @@ mod tests {
     fn exact_filter_matches_only_its_flow() {
         let t = tuple([10, 0, 0, 1], [10, 0, 0, 2], 17, 5, 6);
         let f = FilterSpec::exact(&t);
-        assert!(f.matches(&t));
+        assert!(f.matches(&FlowKey::of(&t)));
         let mut t2 = t;
         t2.sport = 7;
-        assert!(!f.matches(&t2));
+        assert!(!f.matches(&FlowKey::of(&t2)));
         let mut t3 = t;
         t3.rx_if = 9;
-        assert!(!f.matches(&t3));
+        assert!(!f.matches(&FlowKey::of(&t3)));
     }
 
     #[test]
     fn any_matches_everything() {
         let f = FilterSpec::any();
-        assert!(f.matches(&tuple([1, 2, 3, 4], [5, 6, 7, 8], 99, 0, 0)));
+        assert!(f.matches(&FlowKey::of(&tuple([1, 2, 3, 4], [5, 6, 7, 8], 99, 0, 0))));
         assert_eq!(f.specificity(), (0, 0, 0, 0, 0, 0));
     }
 
@@ -574,6 +571,6 @@ mod tests {
             dport: 2,
             rx_if: 0,
         };
-        assert!(!f.matches(&t6));
+        assert!(!f.matches(&FlowKey::of(&t6)));
     }
 }

@@ -5,10 +5,10 @@
 //!
 //! Reproduced mechanics:
 //!
-//! * The cheap five-tuple hash ("17 processor cycles on a Pentium") —
+//! * The paper's cheap flow hash ("17 processor cycles on a Pentium") —
 //!   a short xor/fold with no multiplies, [`key_hash`], over the
 //!   six-tuple as eleven words ([`FlowKey`]), which is also what a probe
-//!   compares: a cached packet never builds a [`FlowTuple`].
+//!   compares and what an evicted flow is handed back as.
 //! * Bucket array sized at boot (default 32768), collision chains as
 //!   singly linked lists threaded through the record slab.
 //! * Records come from a free list seeded with 1024 entries that **grows
@@ -39,7 +39,7 @@
 //!   one or two records the hand reads, whatever the table's size.
 
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::{FlowKey, FlowTuple};
+use rp_packet::FlowKey;
 use std::any::Any;
 
 use crate::aiu::BindingMut;
@@ -65,12 +65,6 @@ pub fn key_hash(k: &FlowKey) -> u32 {
     h ^= h >> 16;
     h = h.wrapping_mul(0x45d9_f3b5);
     h ^ (h >> 13)
-}
-
-/// [`key_hash`] of a tuple's key.
-#[inline]
-pub fn flow_hash(t: &FlowTuple) -> u32 {
-    key_hash(&FlowKey::of(t))
 }
 
 /// Per-gate binding stored in a flow record: the paper's "pair of pointers
@@ -200,8 +194,8 @@ const _: () = {
 
 impl<V> FlowRecord<V> {
     /// The six-tuple identifying the flow.
-    pub fn key(&self) -> FlowTuple {
-        self.key.tuple()
+    pub fn key(&self) -> FlowKey {
+        self.key
     }
 
     /// The instance bound at `gate`.
@@ -620,9 +614,8 @@ impl<V> FlowTable<V> {
     }
 
     /// Non-counting peek (used by tests/diagnostics).
-    pub fn peek(&self, key: &FlowTuple) -> Option<FlowIndex> {
-        let key = FlowKey::of(key);
-        self.find(&key, key_hash(&key)).map(FlowIndex)
+    pub fn peek(&self, key: &FlowKey) -> Option<FlowIndex> {
+        self.find(key, key_hash(key)).map(FlowIndex)
     }
 
     /// Begin an incremental bucket-array doubling when the live-record
@@ -758,7 +751,7 @@ impl<V> FlowTable<V> {
         let r = &mut self.records[i];
         r.live = false;
         out.fix = FlowIndex(idx);
-        out.key = r.key.tuple();
+        out.key = r.key;
         for g in 0..self.cfg.gates {
             let (filter, instance, soft) = if r.is_bound(g) {
                 let pair = std::mem::replace(&mut r.pairs[g], Pair::NONE);
@@ -780,7 +773,7 @@ impl<V> FlowTable<V> {
     pub fn parked(&self) -> EvictedFlow<V> {
         EvictedFlow {
             fix: FlowIndex(0),
-            key: FlowKey::default().tuple(),
+            key: FlowKey::default(),
             gates: GateArray::new(self.cfg.gates),
         }
     }
@@ -803,7 +796,7 @@ impl<V> FlowTable<V> {
     /// now classify differently and must be re-resolved on their next
     /// packet). Returns the evicted flows.
     pub fn invalidate_matching(&mut self, spec: &crate::filter::FilterSpec) -> Vec<EvictedFlow<V>> {
-        self.invalidate_where(|r| spec.matches(&r.key()))
+        self.invalidate_where(|r| spec.matches(&r.key))
     }
 
     /// Drop every cached flow derived from `filter` at `gate` (the AIU
@@ -854,7 +847,7 @@ pub struct EvictedFlow<V> {
     /// The record it held, free for the next flow.
     pub fix: FlowIndex,
     /// The evicted flow's key.
-    pub key: FlowTuple,
+    pub key: FlowKey,
     /// Its per-gate bindings (instances + soft state); consume them with
     /// [`GateArray::drain`].
     pub gates: GateArray<V>,
@@ -863,17 +856,18 @@ pub struct EvictedFlow<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rp_packet::FlowTuple;
     use std::net::{IpAddr, Ipv4Addr};
 
-    fn key(i: u32) -> FlowTuple {
-        FlowTuple {
+    fn key(i: u32) -> FlowKey {
+        FlowKey::of(&FlowTuple {
             src: IpAddr::V4(Ipv4Addr::from(0x0A00_0000 | i)),
             dst: IpAddr::V4(Ipv4Addr::from(0x1400_0000 | i)),
             proto: 17,
             sport: (i % 60000) as u16,
             dport: 80,
             rx_if: 0,
-        }
+        })
     }
 
     /// What one packet of a flow found in the table.
@@ -882,12 +876,11 @@ mod tests {
         fix: Option<FlowIndex>,
         hit: bool,
         /// The flow recycled to make room.
-        evicted: Option<FlowTuple>,
+        evicted: Option<FlowKey>,
     }
 
-    fn arrive(t: &mut FlowTable<u32>, k: FlowTuple) -> Arrival {
+    fn arrive(t: &mut FlowTable<u32>, k: FlowKey) -> Arrival {
         let mut parked = t.parked();
-        let k = FlowKey::of(&k);
         let (fix, hit, recycled) = match t.lookup_or_insert(&k, key_hash(&k), &mut parked) {
             Admit::Hit(fix) => (Some(fix), true, false),
             Admit::New { fix, recycled, .. } => (Some(fix), false, recycled),
@@ -901,7 +894,7 @@ mod tests {
     }
 
     /// First packet of a flow that must get a record.
-    fn insert(t: &mut FlowTable<u32>, k: FlowTuple) -> FlowIndex {
+    fn insert(t: &mut FlowTable<u32>, k: FlowKey) -> FlowIndex {
         let a = arrive(t, k);
         assert!(!a.hit, "flow already cached");
         a.fix.expect("insert denied")
@@ -1078,7 +1071,7 @@ mod tests {
         // buckets, expect a reasonable spread.
         let mut buckets = vec![0u32; 256];
         for i in 0..1000 {
-            buckets[(flow_hash(&key(i)) as usize) % 256] += 1;
+            buckets[(key_hash(&key(i)) as usize) % 256] += 1;
         }
         let max = *buckets.iter().max().unwrap();
         assert!(max < 30, "worst bucket has {max} of 1000 keys");
@@ -1088,23 +1081,24 @@ mod tests {
 
     #[test]
     fn hash_depends_on_each_field() {
-        let base = key(1);
-        let h = flow_hash(&base);
+        let base = key(1).tuple();
+        let h = key_hash(&key(1));
+        let hash = |t: &FlowTuple| key_hash(&FlowKey::of(t));
         let mut t = base;
         t.sport ^= 1;
-        assert_ne!(flow_hash(&t), h);
+        assert_ne!(hash(&t), h);
         let mut t = base;
         t.dport ^= 1;
-        assert_ne!(flow_hash(&t), h);
+        assert_ne!(hash(&t), h);
         let mut t = base;
         t.proto ^= 1;
-        assert_ne!(flow_hash(&t), h);
+        assert_ne!(hash(&t), h);
         let mut t = base;
         t.src = IpAddr::V4(Ipv4Addr::new(9, 9, 9, 9));
-        assert_ne!(flow_hash(&t), h);
+        assert_ne!(hash(&t), h);
         let mut t = base;
         t.rx_if ^= 1;
-        assert_ne!(flow_hash(&t), h);
+        assert_ne!(hash(&t), h);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   filter replication along covering edges so lookup never backtracks,
 //!   and cost `O(fields)` — independent of the number of filters.
 //! * [`flow_table::FlowTable`] — the hash-based flow cache (§5.2): the
-//!   cheap five-tuple hash, chained buckets, a free list that grows
+//!   cheap hash of the six-tuple's key, chained buckets, a free list that grows
 //!   exponentially (1024, 2048, …), and recycling of the oldest records.
 //! * [`linear::LinearTable`] — the `O(n)` scan that stands in for the
 //!   "typical filter algorithms used in existing implementations" the

@@ -7,7 +7,7 @@
 //! identical results — which the property tests in `tests/` assert.
 
 use crate::filter::{FilterId, FilterSpec};
-use rp_packet::FlowTuple;
+use rp_packet::FlowKey;
 
 /// A classifier that scans every installed filter.
 pub struct LinearTable<V> {
@@ -56,10 +56,10 @@ impl<V> LinearTable<V> {
     }
 
     /// Most specific matching filter: scans all `n` filters.
-    pub fn lookup(&self, t: &FlowTuple) -> Option<(FilterId, &V)> {
+    pub fn lookup(&self, key: &FlowKey) -> Option<(FilterId, &V)> {
         self.filters
             .iter()
-            .filter(|(_, spec, _)| spec.matches(t))
+            .filter(|(_, spec, _)| spec.matches(key))
             .max_by(|(ia, sa, _), (ib, sb, _)| {
                 sa.specificity().cmp(&sb.specificity()).then(ib.cmp(ia)) // earlier id wins ties
             })
@@ -71,17 +71,18 @@ impl<V> LinearTable<V> {
 mod tests {
     use super::*;
     use crate::filter::paper_table1_filters;
+    use rp_packet::FlowTuple;
     use std::net::{IpAddr, Ipv4Addr};
 
-    fn t4(src: [u8; 4], dst: [u8; 4], proto: u8) -> FlowTuple {
-        FlowTuple {
+    fn t4(src: [u8; 4], dst: [u8; 4], proto: u8) -> FlowKey {
+        FlowKey::of(&FlowTuple {
             src: IpAddr::V4(Ipv4Addr::from(src)),
             dst: IpAddr::V4(Ipv4Addr::from(dst)),
             proto,
             sport: 9,
             dport: 9,
             rx_if: 0,
-        }
+        })
     }
 
     #[test]

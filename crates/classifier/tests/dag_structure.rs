@@ -3,7 +3,7 @@
 //! interaction in the AIU.
 
 use rp_classifier::{Aiu, AiuConfig, BmpKind, DagTable, FilterSpec, FlowTableConfig};
-use rp_packet::FlowTuple;
+use rp_packet::{FlowKey, FlowTuple};
 use std::net::IpAddr;
 
 fn t(src: &str, dport: u16) -> FlowTuple {
@@ -59,7 +59,7 @@ fn nested_wildcards_replicate() {
     for i in 0..16 {
         let mut probe = t(&format!("10.{i}.0.1"), 1);
         probe.proto = 6;
-        assert_eq!(dag.lookup(&probe).map(|(_, v)| *v), Some(99));
+        assert_eq!(dag.lookup(&FlowKey::of(&probe)).map(|(_, v)| *v), Some(99));
     }
 }
 
@@ -95,8 +95,8 @@ fn removal_returns_node_count_to_baseline() {
         t("10.200.2.3", 80),
     ] {
         assert_eq!(
-            dag.lookup(&probe).map(|(_, v)| *v),
-            reference.lookup(&probe).map(|(_, v)| *v),
+            dag.lookup(&FlowKey::of(&probe)).map(|(_, v)| *v),
+            reference.lookup(&FlowKey::of(&probe)).map(|(_, v)| *v),
             "probe {probe}"
         );
     }

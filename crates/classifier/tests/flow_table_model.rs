@@ -7,9 +7,7 @@
 //! the tuple they replaced.
 
 use proptest::prelude::*;
-use rp_classifier::flow_table::{
-    flow_hash, key_hash, Admit, EvictedFlow, FlowTable, FlowTableConfig,
-};
+use rp_classifier::flow_table::{key_hash, Admit, EvictedFlow, FlowTable, FlowTableConfig};
 use rp_classifier::{FilterId, FilterSpec, PortMatch};
 use rp_packet::mbuf::FlowIndex;
 use rp_packet::{FlowKey, FlowTuple};
@@ -49,7 +47,7 @@ type Binding = (Option<u32>, Option<FilterId>, Option<u32>);
 /// A flow that left the table, with everything it handed back.
 #[derive(Debug, PartialEq)]
 struct Gone {
-    key: FlowTuple,
+    key: FlowKey,
     gates: Vec<Binding>,
 }
 
@@ -85,7 +83,7 @@ fn arrive(table: &mut FlowTable<u32>, k: &FlowKey) -> Arrival {
 
 /// Cached-path packet: counted only when the flow is live, never inserts.
 fn touch(table: &mut FlowTable<u32>, k: &FlowKey) -> bool {
-    table.peek(&k.tuple()).is_some() && matches!(arrive(table, k), Arrival::Hit(_))
+    table.peek(k).is_some() && matches!(arrive(table, k), Arrival::Hit(_))
 }
 
 /// The hand's reach per at-cap insert (`RECLAIM_SCAN`).
@@ -172,7 +170,7 @@ impl Model {
     fn take(&mut self, slot: usize) -> Gone {
         let s = self.slots[slot].take().expect("a live slot");
         Gone {
-            key: tuple(s.key),
+            key: key(s.key),
             gates: s.gates.to_vec(),
         }
     }
@@ -231,7 +229,7 @@ fn gones(evicted: Vec<EvictedFlow<u32>>) -> Vec<Gone> {
 /// A record just handed to flow `k` reads back `k`'s tuple and blank at
 /// every gate, whoever held the slot before.
 fn assert_blank(table: &mut FlowTable<u32>, fix: FlowIndex, k: u16) {
-    assert_eq!(table.record(fix).map(|r| r.key()), Some(tuple(k)));
+    assert_eq!(table.record(fix).map(|r| r.key()), Some(key(k)));
     for g in 0..GATES {
         assert!(table.binding_mut(fix, g).is_none(), "gate {g} bound");
         let r = table.record(fix).expect("a live record");
@@ -436,7 +434,7 @@ proptest! {
             prop_assert!(table.live() <= max);
         }
         for k in 0..keys {
-            prop_assert_eq!(table.peek(&tuple(k)).is_some(), model.slot_of(k).is_some(), "final {}", k);
+            prop_assert_eq!(table.peek(&key(k)).is_some(), model.slot_of(k).is_some(), "final {}", k);
         }
         let s = table.stats();
         prop_assert!(s.allocated <= max);
@@ -517,7 +515,7 @@ proptest! {
                             // Inline idle reclaim at the cap: the victim
                             // must have been idle for the full window.
                             evicted += 1;
-                            let t = last_touch.remove(&ev.key).expect("evicted flow was tracked");
+                            let t = last_touch.remove(&ev.key.tuple()).expect("evicted flow was tracked");
                             prop_assert!(
                                 now.saturating_sub(t) > IDLE_NS,
                                 "inline reclaim took a flow touched {}ns ago",
@@ -543,7 +541,7 @@ proptest! {
                     prop_assert_eq!(n, scratch.len());
                     for ev in &scratch {
                         evicted += 1;
-                        let t = last_touch.remove(&ev.key).expect("expired flow was tracked");
+                        let t = last_touch.remove(&ev.key.tuple()).expect("expired flow was tracked");
                         prop_assert!(
                             now.saturating_sub(t) > IDLE_NS,
                             "expired a flow touched {}ns ago",
@@ -552,7 +550,7 @@ proptest! {
                     }
                 }
                 ChurnOp::Invalidate(k) => {
-                    if let Some(fix) = table.peek(&tuple(k)) {
+                    if let Some(fix) = table.peek(&key(k)) {
                         prop_assert!(table.remove(fix).is_some());
                         evicted += 1;
                         last_touch.remove(&tuple(k));
@@ -655,7 +653,7 @@ proptest! {
                         evicted += 1;
                         let k = live
                             .iter()
-                            .find(|(k, _)| tuple(**k) == ev.key)
+                            .find(|(k, _)| key(**k) == ev.key)
                             .map(|(k, _)| *k)
                             .expect("expired flow was tracked");
                         let t = live.remove(&k).unwrap();
@@ -663,7 +661,7 @@ proptest! {
                     }
                 }
                 ChurnOp::Invalidate(k) => {
-                    if let Some(fix) = table.peek(&tuple(k)) {
+                    if let Some(fix) = table.peek(&key(k)) {
                         prop_assert!(table.remove(fix).is_some());
                         evicted += 1;
                         live.remove(&k);
@@ -681,7 +679,7 @@ proptest! {
             // mis-bucketed), every dead flow absent — mid-migration too.
             for k in 0..RESIZE_KEYS {
                 prop_assert_eq!(
-                    table.peek(&tuple(k)).is_some(),
+                    table.peek(&key(k)).is_some(),
                     live.contains_key(&k),
                     "flow {} presence wrong (resizing={})",
                     k,
@@ -811,7 +809,7 @@ fn elephants_survive_a_mouse_flood_whatever_the_clock_does() {
 // ---------------------------------------------------------------------
 
 /// The flow hash as it was computed over `FlowTuple`'s `IpAddr`s before
-/// the key became words: the reference for `flow_hash` and `key_hash`.
+/// the key became words: the reference for `key_hash`.
 fn tuple_fold(t: &FlowTuple) -> u32 {
     fn fold_addr(a: IpAddr) -> u32 {
         match a {
@@ -859,7 +857,6 @@ fn arb_tuple() -> impl Strategy<Value = FlowTuple> {
 proptest! {
     #[test]
     fn key_hash_is_the_tuple_fold_bit_for_bit(t in arb_tuple()) {
-        prop_assert_eq!(flow_hash(&t), tuple_fold(&t));
         prop_assert_eq!(key_hash(&FlowKey::of(&t)), tuple_fold(&t));
     }
 }
@@ -895,8 +892,8 @@ fn family_twins_share_a_bucket_but_not_a_record() {
         dport: 80,
         rx_if: 2,
     });
-    let hash = flow_hash(&twins[0]);
-    assert!(twins.iter().all(|t| flow_hash(t) == hash));
+    let hash = key_hash(&FlowKey::of(&twins[0]));
+    assert!(twins.iter().all(|t| key_hash(&FlowKey::of(t)) == hash));
     let fixes = twins.map(|t| match arrive(&mut table, &FlowKey::of(&t)) {
         Arrival::New(fix, None) => fix,
         got => panic!("{t}: expected a new record, got {got:?}"),
@@ -907,8 +904,8 @@ fn family_twins_share_a_bucket_but_not_a_record() {
             Arrival::Hit(fix),
             "{t}"
         );
-        assert_eq!(table.peek(t), Some(fix));
-        assert_eq!(table.record(fix).map(|r| r.key()), Some(*t));
+        assert_eq!(table.peek(&FlowKey::of(t)), Some(fix));
+        assert_eq!(table.record(fix).map(|r| r.key()), Some(FlowKey::of(t)));
     }
     assert_eq!(table.live(), 4);
 }

@@ -7,10 +7,10 @@
 //! scales that design out instead of up: it runs N complete
 //! single-threaded [`Router`]s — each with its own AIU, flow table,
 //! gates, and plugin instances — on N worker threads, and steers every
-//! packet to the shard owning its flow (`flow_hash(five-tuple) % N`,
-//! see [`dispatch`]). No data-path state is ever shared, so no data-path
-//! lock exists; per-flow packet order is preserved because one flow
-//! always lives on one shard.
+//! packet to the shard owning its flow (a multiply-shift of the flow
+//! key's hash onto `0..N`, see [`dispatch`]). No data-path state is ever
+//! shared, so no data-path lock exists; per-flow packet order is
+//! preserved because one flow always lives on one shard.
 //!
 //! The control plane stays single. Every `pmgr` command fans out to all
 //! shards through the same per-shard FIFO as the packets (so
@@ -68,7 +68,7 @@ pub use control::{
     ControlCmd, ControlPlane, CounterRow, ShardAnswer, ShardHealthReport, ShardStatus,
     ShardTraceEvent,
 };
-pub use dispatch::{shard_for_packet, shard_for_tuple};
+pub use dispatch::shard_for_packet;
 pub use journal::CommandJournal;
 pub use shard::{ShardCtx, ShardMsg, ShardReport};
 

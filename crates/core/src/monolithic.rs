@@ -12,9 +12,9 @@
 use crate::ip_core::{
     dst_of, validate_and_age, DataPathStats, Disposition, DropReason, RoutingTable,
 };
-use rp_classifier::flow_table::flow_hash;
+use rp_classifier::flow_table::key_hash;
 use rp_packet::mbuf::IfIndex;
-use rp_packet::{FlowTuple, Mbuf};
+use rp_packet::{FlowKey, Mbuf};
 use rp_sched::link::{SchedPacket, Scheduler};
 use rp_sched::DrrScheduler;
 use std::collections::HashMap;
@@ -143,11 +143,9 @@ impl AltqDrrRouter {
             self.stats.dropped_no_route += 1;
             return Disposition::Dropped(DropReason::NoRoute);
         }
-        // ALTQ-WFQ classification: hash the five-tuple onto a fixed queue.
-        let queue = match FlowTuple::from_mbuf(&mbuf) {
-            Ok(t) => flow_hash(&t) % self.nqueues,
-            Err(_) => 0,
-        };
+        // ALTQ-WFQ classification: hash the flow key onto a fixed queue.
+        let key = FlowKey::extract(mbuf.data(), mbuf.rx_if);
+        let queue = key.map_or(0, |k| key_hash(&k) % self.nqueues);
         let (drr, store, next) = &mut self.queues[tx];
         let cookie = *next;
         *next += 1;

@@ -8,7 +8,7 @@
 //! configurations of a plugin that get bound to flows through filters.
 
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::{FlowTuple, Mbuf};
+use rp_packet::{FlowKey, Mbuf};
 use std::any::Any;
 use std::fmt;
 use std::num::NonZeroU32;
@@ -149,7 +149,7 @@ pub trait PluginInstance: Any + Send {
     /// instance's soft state for that flow. A scheduler appends the
     /// packets it still held for the flow to the `Vec`; the router counts
     /// them dropped and recycles their buffers.
-    fn flow_unbound(&mut self, _: FlowIndex, _: &FlowTuple, _: SoftState, _: &mut Vec<Mbuf>) {}
+    fn flow_unbound(&mut self, _: FlowIndex, _: &FlowKey, _: SoftState, _: &mut Vec<Mbuf>) {}
 
     /// Called when a filter bound to this instance is removed from a
     /// filter table.

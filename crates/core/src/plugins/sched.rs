@@ -21,7 +21,7 @@ use crate::plugin::{
 use crate::plugins::{config_map, config_num, target};
 use rp_classifier::FilterId;
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::{FlowTuple, Mbuf};
+use rp_packet::{FlowKey, Mbuf};
 use rp_sched::hfsc::ClassId;
 use rp_sched::link::{FlowId, SchedPacket, Scheduler};
 use rp_sched::{
@@ -127,7 +127,7 @@ impl<D: Discipline> PluginInstance for SchedInstance<D> {
         PluginAction::Drop
     }
 
-    fn flow_unbound(&mut self, fix: FlowIndex, _: &FlowTuple, _: SoftState, out: &mut Vec<Mbuf>) {
+    fn flow_unbound(&mut self, fix: FlowIndex, _: &FlowKey, _: SoftState, out: &mut Vec<Mbuf>) {
         for pkt in self.sched.release(fix.0) {
             out.extend(self.store.take(pkt.cookie));
         }
@@ -659,15 +659,7 @@ mod tests {
 
     /// The flow table evicts flow `fix`, whose soft-state slot is `soft`.
     fn evict(inst: &mut Box<dyn PluginInstance>, fix: u32, soft: &mut SoftState) {
-        let any = std::net::Ipv4Addr::UNSPECIFIED.into();
-        let key = FlowTuple {
-            src: any,
-            dst: any,
-            proto: 17,
-            sport: 0,
-            dport: 0,
-            rx_if: 0,
-        };
+        let key = FlowKey::default();
         inst.flow_unbound(FlowIndex(fix), &key, soft.take(), &mut Vec::new());
     }
 

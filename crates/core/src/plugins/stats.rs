@@ -10,7 +10,7 @@ use crate::plugin::{
     PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType, SoftState,
 };
 use rp_packet::mbuf::FlowIndex;
-use rp_packet::{FlowTuple, Mbuf};
+use rp_packet::{FlowKey, Mbuf};
 use std::collections::HashMap;
 
 /// Per-flow counters kept in flow-record soft state.
@@ -27,9 +27,9 @@ pub struct FlowCounters {
 pub struct StatsInstance {
     total_packets: u64,
     total_bytes: u64,
-    /// Counters of flows that left the cache (folded in on eviction so
-    /// long-term reports stay complete).
-    retired: HashMap<String, FlowCounters>,
+    /// Counters of flows that left the cache, by key words, summed over
+    /// each flow's lives so long-term reports stay complete.
+    retired: HashMap<[u32; 11], FlowCounters>,
 }
 
 impl StatsInstance {
@@ -58,9 +58,11 @@ impl PluginInstance for StatsInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowTuple, soft: SoftState, _: &mut Vec<Mbuf>) {
+    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowKey, soft: SoftState, _: &mut Vec<Mbuf>) {
         if let Some(c) = soft.and_then(|b| b.downcast::<FlowCounters>().ok()) {
-            self.retired.insert(key.to_string(), *c);
+            let sum = self.retired.entry(*key.words()).or_default();
+            sum.packets += c.packets;
+            sum.bytes += c.bytes;
         }
     }
 
@@ -113,6 +115,7 @@ impl Plugin for StatsPlugin {
 mod tests {
     use super::*;
     use crate::gate::Gate;
+    use rp_packet::FlowTuple;
     use std::net::{IpAddr, Ipv4Addr};
 
     fn ctx_call(inst: &mut StatsInstance, soft: &mut SoftState, len: usize) {
@@ -143,20 +146,43 @@ mod tests {
         assert_eq!((a.packets, a.bytes), (2, 200));
     }
 
-    #[test]
-    fn eviction_folds_into_retired() {
-        let mut inst = StatsInstance::default();
-        let mut soft = None;
-        ctx_call(&mut inst, &mut soft, 64);
-        let key = FlowTuple {
+    fn key() -> FlowKey {
+        FlowKey::of(&FlowTuple {
             src: IpAddr::V4(Ipv4Addr::new(1, 2, 3, 4)),
             dst: IpAddr::V4(Ipv4Addr::new(5, 6, 7, 8)),
             proto: 17,
             sport: 1,
             dport: 2,
             rx_if: 0,
+        })
+    }
+
+    #[test]
+    fn eviction_folds_into_retired() {
+        let mut inst = StatsInstance::default();
+        let mut soft = None;
+        ctx_call(&mut inst, &mut soft, 64);
+        inst.flow_unbound(FlowIndex(0), &key(), soft.take(), &mut Vec::new());
+        assert!(inst.describe().contains("1 retired"));
+    }
+
+    /// A flow evicted, re-cached and evicted again retires both lives'
+    /// counters, not the last one's.
+    #[test]
+    fn a_flow_retired_twice_adds_both_lives() {
+        let mut inst = StatsInstance::default();
+        for packets in [1, 2] {
+            let mut soft = None;
+            for _ in 0..packets {
+                ctx_call(&mut inst, &mut soft, 64);
+            }
+            inst.flow_unbound(FlowIndex(0), &key(), soft.take(), &mut Vec::new());
+        }
+        let want = FlowCounters {
+            packets: 3,
+            bytes: 192,
         };
-        inst.flow_unbound(FlowIndex(0), &key, soft.take(), &mut Vec::new());
+        assert_eq!(inst.retired[key().words()], want);
         assert!(inst.describe().contains("1 retired"));
     }
 }

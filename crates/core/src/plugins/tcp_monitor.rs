@@ -15,7 +15,7 @@ use rp_packet::ipv4::Ipv4Packet;
 use rp_packet::ipv6::Ipv6Packet;
 use rp_packet::mbuf::FlowIndex;
 use rp_packet::tcp::{TcpFlags, TcpPacket};
-use rp_packet::{FlowTuple, IpVersion, Mbuf};
+use rp_packet::{FlowKey, IpVersion, Mbuf};
 
 /// Per-flow TCP accounting, kept in flow-record soft state.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +41,8 @@ struct Aggregate {
     connections_opened: u64,
     connections_closed: u64,
     resets: u64,
-    /// (flow, segments, retransmissions) of flows that left the cache.
-    retired: Vec<(String, u64, u64)>,
+    /// Monitored flows that left the cache.
+    retired: u64,
 }
 
 /// A TCP-monitor instance.
@@ -132,12 +132,9 @@ impl PluginInstance for TcpMonitorInstance {
         PluginAction::Continue
     }
 
-    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowTuple, soft: SoftState, _: &mut Vec<Mbuf>) {
-        if let Some(st) = soft.and_then(|b| b.downcast::<TcpFlowState>().ok()) {
-            self.agg
-                .retired
-                .push((key.to_string(), st.segments, st.retransmissions));
-        }
+    fn flow_unbound(&mut self, _: FlowIndex, _: &FlowKey, soft: SoftState, _: &mut Vec<Mbuf>) {
+        let monitored = soft.is_some_and(|b| b.is::<TcpFlowState>());
+        self.agg.retired += u64::from(monitored);
     }
 
     fn describe(&self) -> String {
@@ -273,17 +270,17 @@ mod tests {
         );
         let d = inst.describe();
         assert!(d.contains("1 opens") && d.contains("1 closes"), "{d}");
-        // Eviction records the flow.
-        let key = FlowTuple {
+        // Eviction counts the flow.
+        let key = FlowKey::of(&rp_packet::FlowTuple {
             src: v6(1),
             dst: v6(2),
             proto: 6,
             sport: 1000,
             dport: 80,
             rx_if: 0,
-        };
+        });
         inst.flow_unbound(FlowIndex(0), &key, soft.take(), &mut Vec::new());
-        assert_eq!(inst.agg.retired.len(), 1);
+        assert_eq!(inst.agg.retired, 1);
     }
 
     #[test]

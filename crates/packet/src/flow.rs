@@ -5,9 +5,9 @@
 //! Extraction is the part of classification every gate shares: parse the IP
 //! header, walk IPv6 extension headers to the transport protocol, read the
 //! ports. It produces a [`FlowKey`] — the six-tuple as eleven words, which
-//! the flow table hashes and compares without ever building a
-//! [`FlowTuple`]. The tuple is the key's readable form, and what filter
-//! tables match against.
+//! the flow table hashes and compares and the filter tables match field by
+//! field. The [`FlowTuple`] is the key's readable form, for code that
+//! spells a flow out: traffic generators, reports and tests.
 
 use crate::ext_hdr;
 use crate::ip::{IpVersion, Protocol};
@@ -36,6 +36,20 @@ impl PartialEq for FlowKey {
     #[inline]
     fn eq(&self, other: &FlowKey) -> bool {
         self.0.iter().zip(&other.0).fold(0, |d, (a, b)| d | (a ^ b)) == 0
+    }
+}
+
+/// The key of a tuple, for an interface that takes either spelling.
+impl From<&FlowTuple> for FlowKey {
+    fn from(t: &FlowTuple) -> FlowKey {
+        FlowKey::of(t)
+    }
+}
+
+/// Exactly the text of the key's [`FlowTuple`].
+impl fmt::Display for FlowKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.tuple(), f)
     }
 }
 
@@ -105,15 +119,20 @@ impl FlowKey {
     /// The tuple this key stands for.
     #[inline]
     pub fn tuple(&self) -> FlowTuple {
-        let w = &self.0;
         FlowTuple {
-            src: addr_of(&w[0..4], w[10] & SRC_V6 != 0),
+            src: self.src(),
             dst: self.dst(),
             proto: self.proto(),
-            sport: (w[8] >> 16) as u16,
-            dport: w[8] as u16,
-            rx_if: w[9],
+            sport: self.sport(),
+            dport: self.dport(),
+            rx_if: self.rx_if(),
         }
+    }
+
+    /// Source address.
+    #[inline]
+    pub fn src(&self) -> IpAddr {
+        addr_of(&self.0[0..4], self.0[10] & SRC_V6 != 0)
     }
 
     /// Destination address.
@@ -126,6 +145,24 @@ impl FlowKey {
     #[inline]
     pub fn proto(&self) -> u8 {
         self.0[10] as u8
+    }
+
+    /// Source port (0 when the protocol has none).
+    #[inline]
+    pub fn sport(&self) -> u16 {
+        (self.0[8] >> 16) as u16
+    }
+
+    /// Destination port (0 when the protocol has none).
+    #[inline]
+    pub fn dport(&self) -> u16 {
+        self.0[8] as u16
+    }
+
+    /// Incoming interface.
+    #[inline]
+    pub fn rx_if(&self) -> IfIndex {
+        self.0[9]
     }
 
     /// The eleven words, laid out as the type's documentation says.
@@ -201,15 +238,6 @@ impl FlowTuple {
     /// Extract from an [`Mbuf`], using its receive interface.
     pub fn from_mbuf(mbuf: &Mbuf) -> Result<FlowTuple> {
         Self::extract(mbuf.data(), mbuf.rx_if)
-    }
-
-    /// The IP version of the flow (source address decides; a flow never
-    /// mixes families).
-    pub fn version(&self) -> IpVersion {
-        match self.src {
-            IpAddr::V4(_) => IpVersion::V4,
-            IpAddr::V6(_) => IpVersion::V6,
-        }
     }
 }
 
@@ -289,7 +317,7 @@ mod tests {
         assert_eq!(t.sport, 5000);
         assert_eq!(t.dport, 53);
         assert_eq!(t.rx_if, 3);
-        assert_eq!(t.version(), IpVersion::V4);
+        assert!(t.src.is_ipv4());
     }
 
     #[test]
@@ -321,7 +349,7 @@ mod tests {
         assert_eq!(t.proto, 17);
         assert_eq!(t.sport, 9999);
         assert_eq!(t.dport, 80);
-        assert_eq!(t.version(), IpVersion::V6);
+        assert!(t.src.is_ipv6());
     }
 
     #[test]

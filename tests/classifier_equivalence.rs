@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use router_plugins::classifier::{
     AddrMatch, BmpKind, DagTable, FilterSpec, LinearTable, PortMatch,
 };
-use router_plugins::packet::FlowTuple;
+use router_plugins::packet::{FlowKey, FlowTuple};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Clustered v4 addresses so prefixes actually overlap.
@@ -91,8 +91,8 @@ proptest! {
             lin.insert(f, i);
         }
         for t in tuples {
-            let d = dag.lookup(&t).map(|(_, v)| *v);
-            let l = lin.lookup(&t).map(|(_, v)| *v);
+            let d = dag.lookup(&FlowKey::of(&t)).map(|(_, v)| *v);
+            let l = lin.lookup(&FlowKey::of(&t)).map(|(_, v)| *v);
             prop_assert_eq!(d, l, "diverged on {}", t);
         }
     }
@@ -120,8 +120,8 @@ proptest! {
             }
         }
         for t in tuples {
-            let d = dag.lookup(&t).map(|(_, v)| *v);
-            let l = lin.lookup(&t).map(|(_, v)| *v);
+            let d = dag.lookup(&FlowKey::of(&t)).map(|(_, v)| *v);
+            let l = lin.lookup(&FlowKey::of(&t)).map(|(_, v)| *v);
             prop_assert_eq!(d, l, "diverged after removal on {}", t);
         }
     }
@@ -154,8 +154,8 @@ fn nested_port_ranges_match_linear() {
                 rx_if: 0,
             };
             assert_eq!(
-                dag.lookup(&t).map(|(_, v)| *v),
-                lin.lookup(&t).map(|(_, v)| *v),
+                dag.lookup(&FlowKey::of(&t)).map(|(_, v)| *v),
+                lin.lookup(&FlowKey::of(&t)).map(|(_, v)| *v),
                 "sport={sport} dport={dport}"
             );
         }

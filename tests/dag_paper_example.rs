@@ -3,18 +3,18 @@
 
 use router_plugins::classifier::filter::paper_table1_filters;
 use router_plugins::classifier::{BmpKind, DagTable, LinearTable};
-use router_plugins::packet::FlowTuple;
+use router_plugins::packet::{FlowKey, FlowTuple};
 use std::net::IpAddr;
 
-fn t(src: &str, dst: &str, proto: u8) -> FlowTuple {
-    FlowTuple {
+fn t(src: &str, dst: &str, proto: u8) -> FlowKey {
+    FlowKey::of(&FlowTuple {
         src: src.parse::<IpAddr>().unwrap(),
         dst: dst.parse::<IpAddr>().unwrap(),
         proto,
         sport: 1234,
         dport: 80,
         rx_if: 0,
-    }
+    })
 }
 
 #[test]
@@ -102,8 +102,8 @@ fn lookup_cost_flat_in_filter_count() {
         big.insert(f.parse().unwrap(), 10 + i as usize).unwrap();
     }
     let probe = t("128.252.153.1", "128.252.153.7", 17);
-    let (_, s_small) = small.lookup_with_stats(&probe);
-    let (_, s_big) = big.lookup_with_stats(&probe);
+    let (_, s_small) = small.lookup_with_stats(probe);
+    let (_, s_big) = big.lookup_with_stats(probe);
     assert_eq!(s_small.dag_edges, s_big.dag_edges);
     assert_eq!(s_small.port_probes, s_big.port_probes);
     // BSPL probes grow at most logarithmically with populated lengths,

@@ -1,16 +1,25 @@
 //! End-to-end data-path tests spanning every crate: the cached/uncached
 //! flow paths of paper §3.2, IPsec transforms in the forwarding path,
-//! IPv6 option handling, scheduling at egress, and eviction callbacks.
+//! IPv6 option handling, scheduling at egress, and eviction callbacks —
+//! which hear the evicted flow's own key on every eviction path.
 
+use router_plugins::classifier::FlowTableConfig;
 use router_plugins::core::ip_core::Disposition;
+use router_plugins::core::plugin::{PacketCtx, PluginError, SoftState};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
-use router_plugins::core::{Router, RouterConfig};
+use router_plugins::core::{
+    Plugin, PluginAction, PluginCode, PluginInstance, PluginType, Router, RouterConfig,
+    TraceCategory,
+};
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::ext_hdr::Ipv6Option;
 use router_plugins::packet::ipv6::Ipv6Packet;
-use router_plugins::packet::{Mbuf, Protocol};
+use router_plugins::packet::mbuf::FlowIndex;
+use router_plugins::packet::{FlowKey, FlowTuple, Mbuf, Protocol};
+use std::net::{IpAddr, Ipv4Addr};
+use std::sync::{Arc, Mutex};
 
 fn router(script: &str) -> Router {
     let mut r = Router::new(RouterConfig {
@@ -391,4 +400,211 @@ fn too_big_drops_reach_the_drop_ledger() {
     assert_eq!(s.dropped_total(), m.drops.iter().sum::<u64>());
     let json = run_command(&mut r, "metrics json").unwrap();
     assert!(json.contains("\"too_big\":2"), "{json}");
+}
+
+// ---------------------------------------------------------------------
+// The evicted key is the evicted flow's key, on every eviction path
+// ---------------------------------------------------------------------
+
+type KeyLog = Arc<Mutex<Vec<FlowKey>>>;
+
+/// A plugin whose instances write down every key `flow_unbound` hands
+/// them.
+struct Unbinds(KeyLog);
+struct UnbindsInstance(KeyLog);
+
+impl Plugin for Unbinds {
+    fn name(&self) -> &str {
+        "unbinds"
+    }
+    fn code(&self) -> PluginCode {
+        PluginCode::new(PluginType::STATS, 98)
+    }
+    fn create_instance(&mut self, _: &str) -> Result<Box<dyn PluginInstance>, PluginError> {
+        Ok(Box::new(UnbindsInstance(self.0.clone())))
+    }
+}
+
+impl PluginInstance for UnbindsInstance {
+    fn handle_packet(&mut self, _: &mut Mbuf, _: &mut PacketCtx<'_>) -> PluginAction {
+        PluginAction::Continue
+    }
+    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowKey, _: SoftState, _: &mut Vec<Mbuf>) {
+        self.0.lock().unwrap().push(*key);
+    }
+}
+
+/// A router whose stats gate binds an `unbinds` instance to every UDP
+/// flow, in an 8-record flow table, plus the flows sent and not yet
+/// handed back — by their `FlowKey::extract` key and spelled out.
+struct Evictions {
+    r: Router,
+    log: KeyLog,
+    v6: bool,
+    live: Vec<(FlowKey, FlowTuple)>,
+}
+
+impl Evictions {
+    fn new(v6: bool, script: &str) -> Evictions {
+        let mut r = Router::new(RouterConfig {
+            verify_checksums: false,
+            flow_table: FlowTableConfig {
+                buckets: 64,
+                max_buckets: 0,
+                initial_records: 4,
+                max_records: 8,
+                ..RouterConfig::default().flow_table
+            },
+            ..RouterConfig::default()
+        });
+        register_builtin_factories(&mut r.loader);
+        let log = KeyLog::default();
+        let unbinds = log.clone();
+        r.loader
+            .add_factory("unbinds", move || Box::new(Unbinds(unbinds.clone())))
+            .unwrap();
+        r.add_route(v6_host(0), 32, 1);
+        r.add_route("10.0.0.0".parse().unwrap(), 8, 1);
+        r.tracer_mut().set_enabled(true);
+        let setup = "load unbinds\ncreate unbinds\nbind stats unbinds 0 <*, *, UDP, *, *, *>";
+        run_script(&mut r, &format!("{setup}\n{script}")).expect("setup script");
+        Evictions {
+            r,
+            log,
+            v6,
+            live: Vec::new(),
+        }
+    }
+
+    /// Flow `i`, spelled out.
+    fn flow(&self, i: u16) -> FlowTuple {
+        let (src, dst) = if self.v6 {
+            (v6_host(i + 1), v6_host(900))
+        } else {
+            let host = |h: u16| IpAddr::V4(Ipv4Addr::from(0x0A00_0000 | u32::from(h)));
+            (host(i + 1), host(900))
+        };
+        FlowTuple {
+            src,
+            dst,
+            proto: 17,
+            sport: 1000 + i,
+            dport: 80,
+            rx_if: 0,
+        }
+    }
+
+    /// One packet of flow `i`.
+    fn send(&mut self, i: u16) -> Disposition {
+        let t = self.flow(i);
+        let m = Mbuf::new(
+            PacketSpec::udp(t.src, t.dst, t.sport, t.dport, 32).build(),
+            0,
+        );
+        let key = FlowKey::extract(m.data(), m.rx_if).unwrap();
+        if !self.live.iter().any(|(k, _)| *k == key) {
+            self.live.push((key, t));
+        }
+        self.r.receive(m)
+    }
+
+    /// The flows handed to `flow_unbound` since the last call, in order:
+    /// each key must be a live flow's, which is live no more.
+    fn unbound(&mut self) -> Vec<FlowTuple> {
+        let keys = std::mem::take(&mut *self.log.lock().unwrap());
+        let take = |k: FlowKey| {
+            let at = self.live.iter().position(|(l, _)| *l == k);
+            let at = at.unwrap_or_else(|| panic!("unbound {k}, the key of no live flow"));
+            self.live.remove(at).1
+        };
+        keys.into_iter().map(take).collect()
+    }
+
+    /// The flow trace's latest `n` lines.
+    fn flow_trace(&self, n: usize) -> Vec<String> {
+        let events = self.r.tracer().dump(usize::MAX).into_iter();
+        let flow = events.filter(|e| e.category == TraceCategory::Flow);
+        let lines: Vec<String> = flow.map(|e| e.detail).collect();
+        lines[lines.len().saturating_sub(n)..].to_vec()
+    }
+}
+
+/// Flows `0..n` sent until `live` holds each of them.
+fn sent(v6: bool, script: &str, n: u16) -> Evictions {
+    let mut e = Evictions::new(v6, script);
+    for i in 0..n {
+        e.send(i);
+    }
+    assert!(e.unbound().is_empty());
+    assert_eq!(e.live.len(), usize::from(n));
+    e
+}
+
+#[test]
+fn lru_recycle_hands_back_the_recycled_flows_key() {
+    for v6 in [false, true] {
+        let mut e = sent(v6, "", 8);
+        for i in 8..24 {
+            e.send(i);
+            let gone = e.unbound();
+            assert_eq!(gone.len(), 1, "flow {i} recycles one record");
+            let want = format!("flow recycled at firewall: {}", gone[0]);
+            assert_eq!(e.flow_trace(1), [want]);
+        }
+    }
+}
+
+#[test]
+fn filter_install_hands_back_each_invalidated_flows_key() {
+    for v6 in [false, true] {
+        let mut e = sent(v6, "load null\ncreate null", 6);
+        run_command(&mut e.r, "bind fw null 0 <*, *, UDP, *, *, *>").unwrap();
+        assert_eq!(e.unbound().len(), 6);
+        assert!(e.live.is_empty());
+    }
+}
+
+#[test]
+fn filter_removal_hands_back_each_derived_flows_key() {
+    for v6 in [false, true] {
+        let bound = "load null\ncreate null\nbind fw null 0 <*, *, UDP, 1002-1003, *, *>";
+        let mut e = sent(v6, bound, 6);
+        run_command(&mut e.r, "unbind fw null 0").unwrap();
+        let gone = e.unbound();
+        assert_eq!(gone, [e.flow(2), e.flow(3)]);
+    }
+}
+
+#[test]
+fn idle_expiry_hands_back_each_expired_flows_key() {
+    for v6 in [false, true] {
+        let mut e = sent(v6, "", 5);
+        e.r.set_time_ns(5_000_000_000);
+        e.send(0);
+        e.send(3);
+        e.r.set_time_ns(6_000_000_000);
+        assert_eq!(e.r.expire_idle_flows(2_000_000_000), 3);
+        let gone = e.unbound();
+        assert_eq!(gone, [e.flow(1), e.flow(2), e.flow(4)]);
+        let trace = e.flow_trace(3);
+        let want = gone.iter().map(|t| format!("flow expired: {t}"));
+        assert_eq!(trace, want.collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn quarantine_hands_back_each_flow_of_the_faulted_instance() {
+    for v6 in [false, true] {
+        let chaos = "load chaos\ncreate chaos\nbind fw chaos 0 <*, *, UDP, *, *, *>";
+        let mut e = sent(v6, chaos, 6);
+        run_command(&mut e.r, "msg chaos 0 set mode=panic").unwrap();
+        // The third fault quarantines the instance, and every flow bound
+        // to it — all six — is re-resolved.
+        for i in 0..3 {
+            e.send(i);
+        }
+        assert_eq!(e.r.stats().plugin_quarantines, 1);
+        assert_eq!(e.unbound().len(), 6);
+        assert!(e.live.is_empty());
+    }
 }

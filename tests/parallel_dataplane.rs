@@ -6,14 +6,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use router_plugins::classifier::flow_table::flow_hash;
-use router_plugins::core::dataplane::{shard_for_tuple, ShardReport};
+use router_plugins::classifier::flow_table::key_hash;
+use router_plugins::core::dataplane::{shard_for_packet, ShardReport};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::{ControlPlane, ParallelRouter, ParallelRouterConfig, RouterConfig};
 use router_plugins::netsim::traffic::{fragment_flood, v4_host, v6_host};
 use router_plugins::packet::builder::PacketSpec;
-use router_plugins::packet::{FlowTuple, Mbuf};
+use router_plugins::packet::{FlowKey, FlowTuple, Mbuf};
 use std::net::IpAddr;
 
 // ---------------------------------------------------------------------
@@ -43,15 +43,33 @@ fn random_tuple(rng: &mut StdRng) -> FlowTuple {
     }
 }
 
+/// A packet of flow `t`.
+fn packet_of(t: &FlowTuple) -> Mbuf {
+    let spec = if t.proto == 6 {
+        PacketSpec::tcp
+    } else {
+        PacketSpec::udp
+    };
+    Mbuf::new(spec(t.src, t.dst, t.sport, t.dport, 0).build(), t.rx_if)
+}
+
+/// The shard of `key`'s flow: multiply-shift range reduction of the
+/// flow-cache hash.
+fn placement(key: &FlowKey, shards: usize) -> usize {
+    ((key_hash(key) as u64 * shards as u64) >> 32) as usize
+}
+
 #[test]
 fn dispatch_spreads_random_flows_within_15_percent_of_mean() {
     const TUPLES: usize = 20_000;
     let mut rng = StdRng::seed_from_u64(0x5AAD);
-    let tuples: Vec<FlowTuple> = (0..TUPLES).map(|_| random_tuple(&mut rng)).collect();
+    let packets: Vec<Mbuf> = (0..TUPLES)
+        .map(|_| packet_of(&random_tuple(&mut rng)))
+        .collect();
     for shards in [2usize, 4, 8] {
         let mut load = vec![0u64; shards];
-        for t in &tuples {
-            load[shard_for_tuple(t, shards)] += 1;
+        for m in &packets {
+            load[shard_for_packet(m, shards)] += 1;
         }
         let mean = TUPLES as f64 / shards as f64;
         let max = *load.iter().max().unwrap() as f64;
@@ -72,11 +90,12 @@ fn dispatch_is_flow_affine_and_matches_cache_hash() {
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..500 {
         let t = random_tuple(&mut rng);
+        let m = packet_of(&t);
         for shards in [1usize, 2, 4, 8] {
-            let s = shard_for_tuple(&t, shards);
+            let s = shard_for_packet(&m, shards);
             // Multiply-shift range reduction over the same cache hash.
-            assert_eq!(s, ((flow_hash(&t) as u64 * shards as u64) >> 32) as usize);
-            assert_eq!(s, shard_for_tuple(&t, shards));
+            assert_eq!(s, placement(&FlowKey::of(&t), shards));
+            assert_eq!(s, shard_for_packet(&m, shards));
         }
     }
 }
@@ -106,7 +125,7 @@ fn receive_places_every_packet_shape_by_its_tuple_hash() {
     for shards in [1usize, 2, 4, 8] {
         let mut par = parallel(shards);
         for m in &cases {
-            let want = FlowTuple::from_mbuf(m).map_or(0, |t| shard_for_tuple(&t, shards));
+            let want = FlowKey::extract(m.data(), m.rx_if).map_or(0, |k| placement(&k, shards));
             assert_eq!(par.shard_of(m), want, "{shards} shards");
             assert_eq!(par.receive(m.clone()), want, "{shards} shards");
         }

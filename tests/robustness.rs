@@ -16,7 +16,7 @@ use router_plugins::netsim::topology::{Port, Topology};
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::mbuf::FlowIndex;
-use router_plugins::packet::{FlowTuple, Mbuf};
+use router_plugins::packet::{FlowKey, Mbuf};
 
 fn armed_router() -> Router {
     let mut r = Router::new(RouterConfig {
@@ -366,7 +366,7 @@ impl PluginInstance for GrumpyInstance {
     fn handle_packet(&mut self, _m: &mut Mbuf, _c: &mut PacketCtx<'_>) -> PluginAction {
         PluginAction::Continue
     }
-    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowTuple, _: SoftState, _: &mut Vec<Mbuf>) {
+    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowKey, _: SoftState, _: &mut Vec<Mbuf>) {
         panic!("cannot let go of {key}");
     }
 }

@@ -1,10 +1,10 @@
 //! Structural guards over the source tree: the plugin and dispatch paths
 //! hold no lock, names that simplifications deleted stay deleted, each
 //! "one of" (backoff doubling, victim routine, counter ledger, test
-//! scaffolding) stays one, `unsafe` stays where it is counted, and probe
-//! counts stay off shared counters. Every file under `crates`, `tests`,
-//! `src` and `examples` is read as text, the way `grep -r` would; a
-//! failure names the offending `file:line`.
+//! scaffolding, flow type on the data path) stays one, `unsafe` stays
+//! where it is counted, and probe counts stay off shared counters. Every
+//! file under `crates`, `tests`, `src` and `examples` is read as text,
+//! the way `grep -r` would; a failure names the offending `file:line`.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -141,6 +141,10 @@ fn deleted_names_stay_deleted() {
     forbid(EVERYWHERE, "PER_FLOW");
     // A router loop per plane beside `Testbench::run`.
     forbid(EVERYWHERE, "run_router_pooled|run_parallel_batched");
+    // A tuple hash beside `key_hash`, a tuple placement beside
+    // `shard_for_packet`, and the tuple's family probe.
+    forbid(EVERYWHERE, r"fn flow_hash\b|shard_for_tuple");
+    forbid("crates/packet/src/flow.rs", r"fn version\b");
 }
 
 /// Differential scaffolding exists once (`tests/differential.rs`): each
@@ -276,6 +280,31 @@ fn one_flow_key_parser() {
         body,
         ["FlowKey::extract(data, rx_if).map(|k| k.tuple())", "}"],
         "FlowTuple::extract must be the key's parse, read back"
+    );
+}
+
+/// One flow type on the data path: `FlowKey` from the wire to the DAG
+/// leaf and the eviction callback. `FlowTuple`, the flow spelled out, is
+/// named by no line before the first `#[cfg(test)]` of the router, the
+/// plugins, the dispatcher, the comparator, the flow table or the filter
+/// tables, and in `aiu.rs` only by `classify`'s signature.
+#[test]
+fn one_flow_type() {
+    let scope = "crates/core/src/router.rs crates/core/src/plugin.rs crates/core/src/plugins/ \
+                 crates/core/src/monolithic.rs crates/core/src/dataplane/ \
+                 crates/classifier/src/flow_table.rs crates/classifier/src/dag.rs \
+                 crates/classifier/src/linear.rs";
+    let found = code_lines_where(scope, |l| l.contains("FlowTuple"));
+    assert_none(found, "FlowTuple on the data path");
+    let aiu = "crates/classifier/src/aiu.rs";
+    let found = code_lines_where(aiu, |l| l.contains("FlowTuple"));
+    let signature = file(aiu)
+        .split_once("pub fn classify(")
+        .map_or("", |(_, rest)| &rest[..rest.find('{').unwrap_or(0)]);
+    assert!(
+        found.len() == 1 && signature.contains("FlowTuple"),
+        "FlowTuple in aiu.rs beside classify's signature:\n{}",
+        found.join("\n")
     );
 }
 
