@@ -244,9 +244,18 @@ impl<V: Clone> Aiu<V> {
         self.flow_table.record(fix)?.instance(gate)
     }
 
+    /// The gates the record `fix` binds, one bit per gate; 0 when the
+    /// record is gone. The data path reads it once per packet and walks
+    /// only the gates it names.
+    #[inline]
+    pub fn bound_mask(&self, fix: FlowIndex) -> u8 {
+        self.flow_table.bound_mask(fix)
+    }
+
     /// Single-access fetch of a gate binding: instance, filter id and
-    /// soft-state slot (the data path calls this once per gate). `None`
-    /// when the record is gone or nothing is bound.
+    /// soft-state slot (the data path calls this only at a gate the
+    /// record's [`bound_mask`](Aiu::bound_mask) names). `None` when the
+    /// record is gone or nothing is bound.
     #[inline]
     pub fn binding_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<BindingMut<'_, V>> {
         self.flow_table.binding_mut(fix, gate)

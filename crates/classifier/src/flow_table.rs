@@ -150,9 +150,10 @@ impl<V> Pair<V> {
 }
 
 /// One row of the flow table, cache-line aligned. Line 0 is everything a
-/// probe and an unbound gate touch; a bound gate reads one more line —
-/// its pair. Soft state and the insertion sequence live in the table's
-/// columns (see [`FlowTable`]), not here.
+/// probe and the gate walk's [`FlowTable::bound_mask`] read touch; a
+/// bound gate reads one more line — its pair. Soft state and the
+/// insertion sequence live in the table's columns (see [`FlowTable`]),
+/// not here.
 #[repr(C, align(64))]
 pub struct FlowRecord<V> {
     /// Virtual time of the last lookup hit (for idle expiry).
@@ -170,8 +171,9 @@ pub struct FlowRecord<V> {
     /// Second chance: set by a hit, cleared on insert and by the passing
     /// clock hand.
     referenced: bool,
-    /// Bit g set = an instance is bound at gate g. An unbound gate stops
-    /// here, on the line the probe already loaded.
+    /// Bit g set = an instance is bound at gate g. The gate walk reads it
+    /// once per packet, on the line the probe already loaded, and skips
+    /// every gate whose bit is clear.
     bound: u8,
     pairs: [Pair<V>; MAX_GATES],
 }
@@ -577,6 +579,16 @@ impl<V> FlowTable<V> {
         r.pairs[gate] = Pair { instance, filter };
     }
 
+    /// The gates `fix` binds, one bit per gate ([`FlowRecord`]'s `bound`);
+    /// 0 for a slot that is not live. Reads line 0 only.
+    #[inline]
+    pub fn bound_mask(&self, fix: FlowIndex) -> u8 {
+        match self.records.get(fix.0 as usize) {
+            Some(r) if r.live => r.bound,
+            _ => 0,
+        }
+    }
+
     /// Everything a gate's plugin call needs: the bound instance and the
     /// filter it derives from — one pair, one line past the probe's — and
     /// the column slot of its soft state. `None`, without leaving line 0,
@@ -929,8 +941,10 @@ mod tests {
         let mut t = small();
         let fix = insert(&mut t, key(1));
         assert!(t.binding_mut(fix, 0).is_none(), "nothing bound yet");
+        assert_eq!(t.bound_mask(fix), 0);
         // Filter 0 is a filter, not "none".
         t.bind(fix, 0, 77, FilterId(0));
+        assert_eq!(t.bound_mask(fix), 0b01);
         *t.binding_mut(fix, 0).unwrap().2 = Some(Box::new("queue".to_string()));
         let r = t.record(fix).unwrap();
         assert_eq!(r.instance(0), Some(&77));
@@ -940,6 +954,7 @@ mod tests {
         assert!(t.binding_mut(fix, MAX_GATES).is_none(), "no such gate");
         // Eviction hands the binding back and leaves the slot blank.
         let ev = t.remove(fix).unwrap();
+        assert_eq!(t.bound_mask(fix), 0, "a free slot binds nothing");
         assert_eq!(ev.gates.len(), 2);
         assert_eq!(
             ev.gates.soft(0).unwrap().downcast_ref::<String>().unwrap(),

@@ -15,7 +15,7 @@ use crate::supervisor::{self, FaultKind, FaultPolicy, HealthReport, Supervisor};
 use rp_classifier::aiu::ClassifyOutcome;
 use rp_classifier::flow_table::{EvictedFlow, FlowRecord};
 use rp_classifier::{Aiu, AiuConfig, BmpKind, FilterId, FlowTableConfig};
-use rp_packet::mbuf::IfIndex;
+use rp_packet::mbuf::{FlowIndex, IfIndex};
 use rp_packet::{Mbuf, MbufPool, PoolStats};
 use std::net::IpAddr;
 
@@ -517,30 +517,21 @@ impl Router {
         Ok(())
     }
 
-    /// The gate: classify on first use, then fetch the flow record's
-    /// binding for `gate` — instance handle, filter and soft-state slot in
-    /// one access — and call the instance, charging the call against the
-    /// policy's packet budget. `Ok(None)` is the gate's default path:
-    /// nothing bound, or a handle that no longer leads to a live instance.
+    /// Call the instance the record `fix` binds at `gate`: fetch the
+    /// binding — instance handle, filter and soft-state slot in one access
+    /// — and charge the call against the policy's packet budget. `None` is
+    /// the gate's default path: the binding is gone, or its handle no
+    /// longer leads to a live instance.
     ///
-    /// The caller provides the isolation frame (one spans many gates), so
-    /// every call into plugin code is bracketed by the in-flight marker.
+    /// The caller provides the isolation frame (one spans many gates) and
+    /// clears the in-flight marker this sets once the frame's last call
+    /// has returned.
     #[inline]
-    fn gate(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<Option<PluginAction>, DropReason> {
-        if mbuf.fix.is_none() && !mbuf.class_denied {
-            self.classify(mbuf, gate)?;
-        }
-        let Some(fix) = mbuf.fix else {
-            return Ok(None);
-        };
-        let Some((&handle, filter, soft_state)) = self.aiu.binding_mut(fix, gate.index()) else {
-            return Ok(None);
-        };
+    fn call_gate(&mut self, mbuf: &mut Mbuf, gate: Gate, fix: FlowIndex) -> Option<PluginAction> {
+        let (&handle, filter, soft_state) = self.aiu.binding_mut(fix, gate.index())?;
         // A quarantined instance never sees another packet, even through a
         // stale cached binding; neither does a slot's next occupant.
-        let Some(inst) = self.supervisor.live_mut(handle) else {
-            return Ok(None);
-        };
+        let inst = self.supervisor.live_mut(handle)?;
         if gate == Gate::Scheduling {
             // The instance may keep this packet: put it on the egress
             // interface's drain list first.
@@ -565,41 +556,81 @@ impl Router {
         };
         self.in_flight = Some((gate, handle));
         let action = inst.handle_packet(mbuf, &mut ctx);
-        self.in_flight = None;
         let cost_ns = ctx.cost_ns;
+        let budget_ns = self.supervisor.policy().packet_budget_ns;
         if let Some(t0) = t0 {
             self.metrics
                 .note_gate_latency(gate, t0.elapsed().as_nanos() as u64);
         }
-        let budget_ns = self.supervisor.policy().packet_budget_ns;
         if budget_ns > 0 && cost_ns > budget_ns {
             // A modelled stall: the call "completed" but charged more
             // processing time than the policy tolerates.
+            self.in_flight = None;
             let kind = FaultKind::BudgetExceeded { cost_ns, budget_ns };
             if self.note_fault(handle, &kind) {
                 mbuf.fix = None; // quarantined: reclassify downstream
             }
         }
-        Ok(Some(action))
+        Some(action)
     }
 
     /// The pre-routing gates of one packet (run inside one isolation
-    /// frame). `Some` when a gate ended the packet's walk.
+    /// frame, which clears the in-flight marker once the walk returns).
+    /// The first enabled gate classifies; from there the walk reads the
+    /// record's bound mask once and calls only the gates in
+    /// `enabled & bound`, starting over at the next enabled gate only when
+    /// the packet's FIX changes (a quarantine clears it, and that gate
+    /// reclassifies). `Some` when a gate ended the packet's walk.
     fn pre_routing_gates(&mut self, mbuf: &mut Mbuf) -> Option<GateStop> {
+        // The packet's FIX and the gates its record has left to call.
+        let mut walk = None;
         for gate in PRE_ROUTING_GATES {
-            if self.enabled & gate.bit() == 0 {
+            let (fix, mask) = match walk {
+                Some(w) => w,
+                None => {
+                    if self.enabled & gate.bit() == 0 {
+                        continue;
+                    }
+                    if mbuf.fix.is_none() && !mbuf.class_denied {
+                        if let Err(reason) = self.classify(mbuf, gate) {
+                            return Some(GateStop::Drop(reason));
+                        }
+                    }
+                    let Some(fix) = mbuf.fix else { continue };
+                    *walk.insert((fix, self.enabled & self.aiu.bound_mask(fix)))
+                }
+            };
+            if mask & gate.bit() == 0 {
                 continue;
             }
-            match self.gate(mbuf, gate) {
-                Ok(None | Some(PluginAction::Continue)) => {}
-                Ok(Some(PluginAction::Consumed)) => return Some(GateStop::Consumed(gate)),
-                Ok(Some(PluginAction::Drop)) => {
-                    return Some(GateStop::Drop(DropReason::Plugin(gate)))
-                }
-                Err(reason) => return Some(GateStop::Drop(reason)),
+            let action = self.call_gate(mbuf, gate, fix);
+            if mbuf.fix != Some(fix) {
+                // No call is in flight while the next gate reclassifies.
+                self.in_flight = None;
+                walk = None;
+            }
+            match action {
+                None | Some(PluginAction::Continue) => {}
+                Some(PluginAction::Consumed) => return Some(GateStop::Consumed(gate)),
+                Some(PluginAction::Drop) => return Some(GateStop::Drop(DropReason::Plugin(gate))),
             }
         }
         None
+    }
+
+    /// The Scheduling gate of one packet (run inside its own isolation
+    /// frame): classify if no pre-routing gate did, then call what the
+    /// record binds there.
+    fn scheduling_gate(&mut self, mbuf: &mut Mbuf) -> Result<Option<PluginAction>, DropReason> {
+        if mbuf.fix.is_none() && !mbuf.class_denied {
+            self.classify(mbuf, Gate::Scheduling)?;
+        }
+        let Some(fix) = mbuf.fix else {
+            return Ok(None);
+        };
+        let action = self.call_gate(mbuf, Gate::Scheduling, fix);
+        self.in_flight = None;
+        Ok(action)
     }
 
     /// An isolation frame caught a panic: charge it to the instance whose
@@ -741,7 +772,12 @@ impl Router {
         // Pre-routing gates, all inside one isolation frame, opened only
         // when one of them is enabled.
         if self.enabled & PRE_ROUTING != 0 {
-            match supervisor::run_isolated(|| self.pre_routing_gates(&mut mbuf)) {
+            let walk = supervisor::run_isolated(|| {
+                let stop = self.pre_routing_gates(&mut mbuf);
+                self.in_flight = None;
+                stop
+            });
+            match walk {
                 Ok(None) => {}
                 Ok(Some(GateStop::Consumed(gate))) => {
                     // A consuming plugin either took the buffer (the mbuf
@@ -868,9 +904,16 @@ impl Router {
     /// already decided and which fits the MTU.
     fn dispatch_egress(&mut self, mut mbuf: Mbuf, tx_if: IfIndex) -> Disposition {
         // Scheduling gate on the egress interface, in its own frame (a
-        // fragmented packet crosses it once per fragment).
-        if self.enabled & Gate::Scheduling.bit() != 0 {
-            match supervisor::run_isolated(|| self.gate(&mut mbuf, Gate::Scheduling)) {
+        // fragmented packet crosses it once per fragment), opened only for
+        // a record that binds a scheduler or a packet still to classify.
+        let sched = Gate::Scheduling.bit();
+        let crosses = self.enabled & sched != 0
+            && match mbuf.fix {
+                Some(fix) => self.aiu.bound_mask(fix) & sched != 0,
+                None => !mbuf.class_denied,
+            };
+        if crosses {
+            match supervisor::run_isolated(|| self.scheduling_gate(&mut mbuf)) {
                 // No scheduler bound, or it declined (pass-through): emit.
                 Ok(Ok(None | Some(PluginAction::Continue))) => {}
                 Ok(Ok(Some(PluginAction::Consumed))) => {
@@ -894,7 +937,9 @@ impl Router {
     }
 
     /// Build and transmit an ICMP(v4/v6) Time Exceeded toward the
-    /// offending packet's source, out the interface it arrived on.
+    /// offending packet's source, out the interface it arrived on. The
+    /// reply counts on that interface's tx counters only: it was never
+    /// received, so it is not `forwarded` either.
     fn emit_time_exceeded(&mut self, original: &Mbuf) {
         let rx = original.rx_if as usize;
         let Some(ifc) = self.interfaces.get(rx) else {
@@ -904,6 +949,7 @@ impl Router {
         if let Some(reply) = crate::ip_core::build_time_exceeded(addr, original.data()) {
             let mut reply = Mbuf::new(reply, original.rx_if);
             reply.timestamp_ns = original.timestamp_ns;
+            self.metrics.note_tx(original.rx_if, reply.len());
             self.interfaces[rx].tx_log.push(reply);
         }
     }

@@ -4,12 +4,13 @@
 //! which hear the evicted flow's own key on every eviction path.
 
 use router_plugins::classifier::FlowTableConfig;
+use router_plugins::core::gate::ALL_GATES;
 use router_plugins::core::ip_core::Disposition;
 use router_plugins::core::plugin::{PacketCtx, PluginError, SoftState};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::{
-    Plugin, PluginAction, PluginCode, PluginInstance, PluginType, Router, RouterConfig,
+    Gate, Plugin, PluginAction, PluginCode, PluginInstance, PluginType, Router, RouterConfig,
     TraceCategory,
 };
 use router_plugins::netsim::traffic::v6_host;
@@ -253,12 +254,137 @@ fn ttl_expiry_generates_icmp_time_exceeded() {
     // It carries the arrival time of the packet that caused it, not 1970
     // (an egress capture writes this stamp).
     assert_eq!(replies[0].timestamp_ns, 5_000_000_000);
+    // It counts on the interface's tx counters, and only there: the
+    // packet that caused it is a drop, so `received == forwarded + drops`.
+    let m = r.metrics_snapshot();
+    assert_eq!(m.if_tx_packets[0], 1);
+    assert_eq!(m.if_tx_bytes[0], replies[0].len() as u64);
+    assert_eq!(m.if_tx_packets.iter().sum::<u64>(), 1);
+    let s = r.stats();
+    assert_eq!((s.received, s.forwarded, s.dropped_ttl), (1, 0, 1));
+    assert_eq!(s.received, s.forwarded + s.dropped_total());
     // Without an interface address, no ICMP is generated.
     let mut r2 = router("");
     let mut spec = PacketSpec::udp(v6_host(1), v6_host(9), 5, 6, 32);
     spec.ttl = 1;
     r2.receive(Mbuf::new(spec.build(), 0));
     assert!(r2.take_tx(0).is_empty());
+}
+
+// ---------------------------------------------------------------------
+// The gate walk calls what a flow binds, at the gates it binds
+// ---------------------------------------------------------------------
+
+/// `scale1m`'s router: every gate enabled, one stats instance bound at
+/// the Stats gate and nothing anywhere else. Each packet classifies at
+/// Firewall, calls the Stats instance once and no other gate, and
+/// forwards without a scheduler; each flow's count reaches its own slot
+/// (the `unbinds` stats plugin below hands it back at expiry).
+#[test]
+fn all_gates_enabled_only_stats_bound_calls_stats_once_per_packet() {
+    let log = KeyLog::default();
+    let mut r = router("");
+    let unbinds = log.clone();
+    r.loader
+        .add_factory("unbinds", move || Box::new(Unbinds(unbinds.clone())))
+        .unwrap();
+    run_script(
+        &mut r,
+        "load unbinds\ncreate unbinds\nbind stats unbinds 0 <*, *, UDP, *, *, *>",
+    )
+    .unwrap();
+    // Flows of 1, 2, 3, 5 and 8 packets, interleaved: mice among elephants.
+    let counts = [1u64, 2, 3, 5, 8];
+    let pkt = |i: usize| PacketSpec::udp(v6_host(i as u16 + 1), v6_host(9), 7, 9, 64).build();
+    let mut packets = 0;
+    for round in 0..8 {
+        for (i, &n) in counts.iter().enumerate() {
+            if round < n {
+                assert_eq!(r.receive(Mbuf::new(pkt(i), 0)), Disposition::Forwarded(1));
+                packets += 1;
+            }
+        }
+    }
+    let flows = counts.len() as u64;
+    let s = r.stats();
+    assert_eq!(
+        (s.received, s.forwarded, s.plugin_calls),
+        (packets, packets, packets)
+    );
+    let m = r.metrics_snapshot();
+    let fw = Gate::Firewall.index();
+    assert_eq!(
+        (m.class_misses[fw], m.class_hits[fw]),
+        (flows, packets - flows)
+    );
+    for g in ALL_GATES.into_iter().filter(|g| *g != Gate::Firewall) {
+        let i = g.index();
+        assert_eq!((m.class_misses[i], m.class_hits[i]), (0, 0), "{g}");
+    }
+    for g in ALL_GATES.into_iter().filter(|g| *g != Gate::Stats) {
+        assert_eq!(m.gate_calls[g.index()], 0, "{g}");
+    }
+    // No scheduler holds or drains anything: everything is on the wire.
+    assert!(m.queue_depth.iter().all(|&d| d == 0));
+    for i in 0..r.interface_count() as u32 {
+        assert_eq!(r.pump(i, usize::MAX), 0, "if{i}");
+    }
+    assert_eq!(r.take_tx(1).len() as u64, packets);
+    // Every flow's own count, handed back when it leaves the cache.
+    r.set_time_ns(1);
+    assert_eq!(r.expire_idle_flows(0), counts.len());
+    let mut got = log.lock().unwrap().clone();
+    got.sort_by_key(|(_, n)| *n);
+    let want: Vec<_> = (0..counts.len())
+        .map(|i| (FlowKey::extract(&pkt(i), 0).unwrap(), counts[i]))
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// `drr`'s router: Scheduling is the only enabled gate, so it is the gate
+/// that classifies, and every packet queues at its scheduler.
+#[test]
+fn scheduling_as_the_only_gate_classifies_and_queues() {
+    let mut r = Router::new(RouterConfig {
+        verify_checksums: false,
+        enabled_gates: vec![Gate::Scheduling],
+        ..RouterConfig::default()
+    });
+    register_builtin_factories(&mut r.loader);
+    r.add_route(v6_host(0), 32, 1);
+    run_script(
+        &mut r,
+        "load drr\ncreate drr quantum=1500 limit=64\nattach 1 drr 0\n\
+         bind sched drr 0 <*, *, UDP, *, *, *>",
+    )
+    .unwrap();
+    let (flows, per_flow) = (4u16, 3u64);
+    for _ in 0..per_flow {
+        for f in 0..flows {
+            let m = Mbuf::new(
+                PacketSpec::udp(v6_host(f + 1), v6_host(9), 7, 9, 200).build(),
+                0,
+            );
+            assert_eq!(r.receive(m), Disposition::Queued(1));
+        }
+    }
+    let (flows, packets) = (u64::from(flows), u64::from(flows) * per_flow);
+    let s = r.stats();
+    assert_eq!((s.forwarded, s.plugin_calls), (packets, packets));
+    let m = r.metrics_snapshot();
+    let sched = Gate::Scheduling.index();
+    assert_eq!(
+        (m.class_misses[sched], m.class_hits[sched]),
+        (flows, packets - flows)
+    );
+    assert_eq!(
+        m.class_misses.iter().sum::<u64>(),
+        flows,
+        "classified at Scheduling only"
+    );
+    assert_eq!(m.queue_depth[1], packets);
+    assert_eq!(r.pump(1, usize::MAX) as u64, packets);
+    assert_eq!(r.take_tx(1).len() as u64, packets);
 }
 
 #[test]
@@ -406,10 +532,10 @@ fn too_big_drops_reach_the_drop_ledger() {
 // The evicted key is the evicted flow's key, on every eviction path
 // ---------------------------------------------------------------------
 
-type KeyLog = Arc<Mutex<Vec<FlowKey>>>;
+type KeyLog = Arc<Mutex<Vec<(FlowKey, u64)>>>;
 
-/// A plugin whose instances write down every key `flow_unbound` hands
-/// them.
+/// A stats plugin that counts each flow's packets in its soft-state slot
+/// and writes down every key `flow_unbound` hands it, with that count.
 struct Unbinds(KeyLog);
 struct UnbindsInstance(KeyLog);
 
@@ -426,11 +552,14 @@ impl Plugin for Unbinds {
 }
 
 impl PluginInstance for UnbindsInstance {
-    fn handle_packet(&mut self, _: &mut Mbuf, _: &mut PacketCtx<'_>) -> PluginAction {
+    fn handle_packet(&mut self, _: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
+        let n = ctx.soft_state.get_or_insert_with(|| Box::new(0u64));
+        *n.downcast_mut::<u64>().unwrap() += 1;
         PluginAction::Continue
     }
-    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowKey, _: SoftState, _: &mut Vec<Mbuf>) {
-        self.0.lock().unwrap().push(*key);
+    fn flow_unbound(&mut self, _: FlowIndex, key: &FlowKey, soft: SoftState, _: &mut Vec<Mbuf>) {
+        let n = soft.map_or(0, |b| *b.downcast::<u64>().unwrap());
+        self.0.lock().unwrap().push((*key, n));
     }
 }
 
@@ -517,7 +646,7 @@ impl Evictions {
             let at = at.unwrap_or_else(|| panic!("unbound {k}, the key of no live flow"));
             self.live.remove(at).1
         };
-        keys.into_iter().map(take).collect()
+        keys.into_iter().map(|(k, _)| k).map(take).collect()
     }
 
     /// The flow trace's latest `n` lines.

@@ -341,6 +341,47 @@ fn stalling_instance_exceeds_budget_and_quarantines() {
     assert!(matches!(r.receive(udp(9)), Disposition::Forwarded(1)));
 }
 
+/// A budget fault that quarantines an instance mid-walk ends that
+/// instance's run: the same packet's later gate, bound to the same
+/// instance, must not call it again. Two calls per packet against a
+/// quarantine threshold of three puts the quarantining fault at the
+/// first gate of the second packet.
+#[test]
+fn quarantine_mid_walk_stops_the_instances_run() {
+    let mut r = Router::new(RouterConfig {
+        verify_checksums: false,
+        fault_policy: FaultPolicy {
+            packet_budget_ns: 10_000,
+            restart: false,
+            ..FaultPolicy::default()
+        },
+        ..RouterConfig::default()
+    });
+    register_builtin_factories(&mut r.loader);
+    r.add_route(v6_host(0), 32, 1);
+    run_script(
+        &mut r,
+        "load chaos\ncreate chaos mode=stall cost=50000\n\
+         bind fw chaos 0 <*, *, UDP, *, *, *>\n\
+         bind stats chaos 0 <*, *, UDP, *, *, *>",
+    )
+    .unwrap();
+    assert!(matches!(r.receive(udp(1)), Disposition::Forwarded(1)));
+    let s = r.stats();
+    assert_eq!((s.plugin_calls, s.plugin_faults), (2, 2));
+    assert_eq!(r.health_reports()[0].health, HealthState::Degraded);
+    // The fw call is the third fault: quarantined there, never at stats.
+    assert!(matches!(r.receive(udp(1)), Disposition::Forwarded(1)));
+    let s = r.stats();
+    assert_eq!((s.plugin_calls, s.plugin_faults), (3, 3));
+    assert_eq!(s.plugin_quarantines, 1);
+    assert_eq!(r.health_reports()[0].health, HealthState::Quarantined);
+    // Off the path at both gates, for the old flow and a new one.
+    assert!(matches!(r.receive(udp(1)), Disposition::Forwarded(1)));
+    assert!(matches!(r.receive(udp(2)), Disposition::Forwarded(1)));
+    assert_eq!(r.stats().plugin_calls, 3);
+}
+
 /// A plugin whose eviction callback panics — the fault the data path
 /// cannot see coming: it strikes while some *other* flow's first packet
 /// is being classified.

@@ -145,6 +145,8 @@ fn deleted_names_stay_deleted() {
     // `shard_for_packet`, and the tuple's family probe.
     forbid(EVERYWHERE, r"fn flow_hash\b|shard_for_tuple");
     forbid("crates/packet/src/flow.rs", r"fn version\b");
+    // A per-gate walk beside the one over the record's bound mask.
+    forbid("crates/core/src/router.rs", r"fn gate\(");
 }
 
 /// Differential scaffolding exists once (`tests/differential.rs`): each
