@@ -8,8 +8,9 @@
 //! grid-of-tries can provide better memory utilization without
 //! sacrificing performance, but work only in the special case of
 //! two-dimensional filters", §5.1.2). This module implements it so the
-//! repository can quantify that trade-off (see the `grid_vs_dag`
-//! experiment binary).
+//! repository can quantify that trade-off (see
+//! `dag_outgrows_grid_of_tries_on_overlapping_2d_filters` in
+//! `tests/paper_claims.rs`).
 //!
 //! Structure: a binary destination trie; each destination-prefix node
 //! with filters owns a source trie. Source-trie nodes carry **switch

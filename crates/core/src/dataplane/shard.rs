@@ -17,7 +17,7 @@
 use crate::obs::{MetricsSnapshot, TraceCategory};
 use crate::router::Router;
 use crate::supervisor::run_isolated;
-use crossbeam_channel::{Receiver, Sender, TrySendError};
+use crossbeam_channel::Sender;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
 use std::collections::VecDeque;
@@ -52,13 +52,11 @@ pub enum ShardMsg {
     /// Packets of this shard's flows (one or many), dispatched in one
     /// ring push — the only way a packet reaches a shard. Processed
     /// front-to-back, so per-flow order is dispatch order; the emptied
-    /// carrier `Vec` is returned to the dispatcher on the scrap channel
-    /// for reuse.
+    /// carrier `Vec` goes back to the dispatcher holding the batch's
+    /// egress.
     Batch(Vec<Mbuf>),
     /// A control command (fan-out from the single control plane).
     Control(ControlFn),
-    /// Drain and exit.
-    Shutdown,
 }
 
 /// Messages the consumer pulls into its local run per cursor
@@ -100,11 +98,8 @@ fn recv_wait_profile() -> (u32, u32) {
 pub(crate) struct ShardSender(rp_ring::Producer<ShardMsg>);
 
 impl ShardSender {
-    pub(crate) fn try_send(&mut self, msg: ShardMsg) -> Result<(), TrySendError<ShardMsg>> {
-        self.0.try_push(msg).map_err(|e| match e {
-            rp_ring::PushError::Full(m) => TrySendError::Full(m),
-            rp_ring::PushError::Disconnected(m) => TrySendError::Disconnected(m),
-        })
+    pub(crate) fn try_send(&mut self, msg: ShardMsg) -> Result<(), rp_ring::PushError<ShardMsg>> {
+        self.0.try_push(msg)
     }
 
     /// A sender whose peer is already gone: replacing a slot's sender
@@ -158,39 +153,19 @@ impl ShardReceiver {
     }
 }
 
-/// Where a shard pushes transmitted packets: one carrier `Vec` per
-/// interface that transmitted in an egress drain, sent in one channel
-/// operation and appended whole to that interface's bucket by the
-/// dispatcher; emptied carriers come back on a scrap channel so the
-/// steady state allocates nothing.
-pub(crate) struct EgressSink {
-    pub(crate) tx: Sender<(IfIndex, Vec<Mbuf>)>,
-    /// Emptied carriers returned by the dispatcher; shared by all
-    /// shards (one `try_recv` per carrier sent, not per packet).
-    pub(crate) scrap: Receiver<Vec<Mbuf>>,
-    /// The next carrier, filled straight from a tx log.
-    pub(crate) carrier: Vec<Mbuf>,
-}
-
-impl EgressSink {
-    /// Push everything the shard's router transmitted onto the collector.
-    /// A flow leaves one shard through one interface in processing order,
-    /// and a carrier preserves its fill order, so per-flow order on the
-    /// collector is the router's emission order.
-    fn drain(&mut self, router: &mut Router) {
-        for i in 0..router.interface_count() {
-            let ifx = i as IfIndex;
-            router.take_tx_into(ifx, &mut self.carrier);
-            if self.carrier.is_empty() {
-                continue;
-            }
-            let next = self.scrap.try_recv().unwrap_or_default();
-            let full = std::mem::replace(&mut self.carrier, next);
-            // A dropped collector means the dispatcher is gone; the
-            // shard is about to shut down anyway.
-            let _ = self.tx.send((ifx, full));
-        }
+/// Move everything the router transmitted into `carrier`, one tx log
+/// after another, and send it to the dispatcher: one channel operation
+/// per message, however many interfaces transmitted. Each packet carries
+/// its egress interface and a flow leaves through one interface in
+/// emission order, so the dispatcher's stable partition by `tx_if`
+/// restores per-flow order.
+fn send_egress(router: &mut Router, mut carrier: Vec<Mbuf>, back: &Sender<Vec<Mbuf>>) {
+    for i in 0..router.interface_count() {
+        router.take_tx_into(i as IfIndex, &mut carrier);
     }
+    // A dropped receiver means the dispatcher is gone; the shard is about
+    // to exit anyway.
+    let _ = back.send(carrier);
 }
 
 /// Per-shard work snapshot. The shard router's counters are its
@@ -254,8 +229,8 @@ pub(crate) struct ShardShared {
     /// in flight if the worker dies; loss is read off its final report).
     processed: AtomicU64,
     /// Messages fully handled — the completion cursor. Stored `Release`
-    /// after the message's egress carriers were sent, read `Acquire` by
-    /// `flush`: caught up means that egress is on the collector.
+    /// after the message's egress carrier was sent, read `Acquire` by
+    /// `flush`: caught up means that egress is on the return channel.
     completed: AtomicU64,
     /// The dispatcher's doorbell, rung after every cursor move (a fence
     /// and a flag load unless the dispatcher is parked in `flush`).
@@ -336,8 +311,7 @@ fn trace_batch(ctx: &mut ShardCtx, pkts: &[Mbuf]) {
 fn shard_loop(
     ctx: &mut ShardCtx,
     rx: &mut ShardReceiver,
-    egress: &mut EgressSink,
-    scrap: &Sender<Vec<Mbuf>>,
+    back: &Sender<Vec<Mbuf>>,
     shared: &ShardShared,
 ) {
     let mut completed = 0u64;
@@ -372,23 +346,16 @@ fn shard_loop(
                 ctx.packets += ctx.router.receive_burst(&mut pkts, wall);
                 ctx.busy_ns += rp_packet::coarse_now_ns().saturating_sub(wall);
                 shared.processed.store(ctx.packets, Ordering::Relaxed);
-                // Egress drain is the amortized part: one pass over the
-                // tx logs per batch instead of per packet.
-                egress.drain(&mut ctx.router);
-                // Hand the emptied carrier back for reuse. A dropped
-                // scrap receiver just means the dispatcher stopped
-                // recycling; the Vec is freed here instead.
-                let _ = scrap.send(pkts);
+                // The emptied carrier goes back holding the batch's
+                // egress: one pass over the tx logs per batch.
+                send_egress(&mut ctx.router, pkts, back);
             }
             ShardMsg::Control(f) => {
                 f(ctx);
                 // Control actions can emit too (force-unload drains
-                // scheduler backlogs to the wire).
-                egress.drain(&mut ctx.router);
-            }
-            ShardMsg::Shutdown => {
-                shared.beat_idle();
-                return;
+                // scheduler backlogs to the wire), in a carrier of their
+                // own.
+                send_egress(&mut ctx.router, Vec::new(), back);
             }
         }
         completed += 1;
@@ -403,16 +370,15 @@ fn shard_loop(
 pub(crate) fn run_shard(
     mut ctx: ShardCtx,
     mut rx: ShardReceiver,
-    mut egress: EgressSink,
-    scrap: Sender<Vec<Mbuf>>,
+    back: Sender<Vec<Mbuf>>,
     shared: Arc<ShardShared>,
 ) -> ShardFinal {
-    let panic = run_isolated(|| shard_loop(&mut ctx, &mut rx, &mut egress, &scrap, &shared)).err();
+    let panic = run_isolated(|| shard_loop(&mut ctx, &mut rx, &back, &shared)).err();
     shared.beat_idle();
     // Flush whatever already reached the tx logs, then snapshot. Both run
     // isolated too: after a panic the router may be torn mid-call and a
     // second panic here must not take down the final accounting.
-    let _ = run_isolated(|| egress.drain(&mut ctx.router));
+    let _ = run_isolated(|| send_egress(&mut ctx.router, Vec::new(), &back));
     let (metrics, stranded) = run_isolated(|| {
         let m = ctx.router.metrics_snapshot();
         let stranded: u64 = m.queue_depth.iter().sum();

@@ -96,9 +96,9 @@ impl IoRouter for Router {
 impl IoRouter for ParallelRouter {
     fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
         // Swap the caller's filled batch for a recycled carrier, so the
-        // Vec the dispatcher consumes came from the scrap channel and
-        // the caller keeps a warm empty one — capacities circulate
-        // instead of being reallocated.
+        // Vec the dispatcher consumes is one a shard sent back and the
+        // caller keeps a warm empty one — capacities circulate instead
+        // of being reallocated.
         let mut carrier = self.batch_carrier();
         std::mem::swap(&mut carrier, batch);
         self.receive_batch(carrier);

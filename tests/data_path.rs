@@ -737,3 +737,101 @@ fn quarantine_hands_back_each_flow_of_the_faulted_instance() {
         assert!(e.live.is_empty());
     }
 }
+
+// ---------------------------------------------------------------------
+// Every transmitted packet names the interface it left on
+// ---------------------------------------------------------------------
+
+/// A 1 400-byte IPv4 UDP packet from `src` to `dst` with `ttl` hops left,
+/// arriving on `rx_if`, with DF clear so an egress MTU of 600 fragments it
+/// into three.
+fn v4_fragmentable(src: u32, dst: u32, ttl: u8, rx_if: u32) -> Mbuf {
+    use router_plugins::packet::ipv4::Ipv4Packet;
+    let (src, dst) = (Ipv4Addr::from(src).into(), Ipv4Addr::from(dst).into());
+    let mut spec = PacketSpec::udp(src, dst, 4000, 5000, 1372);
+    spec.ttl = ttl;
+    let mut bytes = spec.build();
+    bytes[6] &= !0x40;
+    Ipv4Packet::new_unchecked(&mut bytes[..]).fill_checksum();
+    Mbuf::new(bytes, rx_if)
+}
+
+/// Every packet `take_tx(i)` hands back carries `tx_if == Some(i)` and
+/// was counted in `if_tx_packets[i]`, on the single router and on two
+/// shards, along the two paths that can break it. One DRR instance serves
+/// flows routed to interfaces 1 and 2: each packet queues three fragments
+/// and the one-packet pump after it leaves two behind, which the next pump
+/// of the other interface dequeues. And an ICMP Time Exceeded reply
+/// leaves on the receive interface. A forced unload then drains what is
+/// still queued through the same check.
+#[test]
+fn every_packet_leaves_on_the_interface_its_route_chose() {
+    use router_plugins::core::loader::PluginLoader;
+    use router_plugins::core::{
+        ControlPlane, MetricsSnapshot, ParallelRouter, ParallelRouterConfig,
+    };
+    const SCRIPT: &str = "load drr\ncreate drr quantum=1500 limit=256\n\
+                          bind sched drr 0 <*, *, UDP, *, *, *>\n\
+                          route 20.0.1.0/24 1\nroute 20.0.2.0/24 2";
+    const FLOWS: u32 = 32;
+    const EXPIRED: u32 = 4;
+    let cfg = RouterConfig {
+        verify_checksums: false,
+        mtu: 600,
+        ..RouterConfig::default()
+    };
+    let addr: IpAddr = "10.9.9.9".parse().unwrap();
+    // Flows alternate between 20.0.1.0/24 and 20.0.2.0/24; every eighth
+    // is followed by a packet arriving on interface 3 with one hop left.
+    let traffic = || {
+        let mut pkts = Vec::new();
+        for flow in 0..FLOWS {
+            let dst = 0x1400_0100 + ((flow % 2) << 8) + flow;
+            pkts.push(v4_fragmentable(0x0A00_0000 + flow, dst, 64, 0));
+            if flow % (FLOWS / EXPIRED) == 0 {
+                pkts.push(v4_fragmentable(0x0A00_0000 + flow, dst, 1, 3));
+            }
+        }
+        pkts
+    };
+    let check = |plane: &str, tx: Vec<Vec<Mbuf>>, m: MetricsSnapshot| {
+        for (i, log) in tx.iter().enumerate() {
+            let on: Vec<_> = log.iter().map(|p| p.tx_if).collect();
+            assert!(
+                on.iter().all(|t| *t == Some(i as u32)),
+                "{plane}: interface {i} sent {on:?}"
+            );
+            assert_eq!(m.if_tx_packets[i], log.len() as u64, "{plane}: if{i}");
+        }
+        let sent: Vec<usize> = tx.iter().map(Vec::len).collect();
+        let half = (FLOWS / 2 * 3) as usize;
+        assert_eq!(sent, [0, half, half, EXPIRED as usize], "{plane}");
+    };
+
+    let mut r = Router::new(cfg.clone());
+    register_builtin_factories(&mut r.loader);
+    run_script(&mut r, SCRIPT).unwrap();
+    r.cp_set_interface_addr(3, addr);
+    r.receive_burst(&mut traffic(), 0);
+    run_command(&mut r, "unload drr force").unwrap();
+    let tx = (0..4).map(|i| r.take_tx(i)).collect();
+    check("router", tx, r.metrics_snapshot());
+
+    let mut template = PluginLoader::new();
+    register_builtin_factories(&mut template);
+    let mut pr = ParallelRouter::new(
+        ParallelRouterConfig {
+            shards: 2,
+            router: cfg,
+            ..ParallelRouterConfig::default()
+        },
+        &template,
+    );
+    run_script(&mut pr, SCRIPT).unwrap();
+    pr.cp_set_interface_addr(3, addr);
+    pr.receive_batch(traffic());
+    run_command(&mut pr, "unload drr force").unwrap();
+    pr.flush();
+    let tx = (0..4).map(|i| pr.take_tx(i)).collect();
+    check("2 shards", tx, pr.metrics_snapshot());
+}

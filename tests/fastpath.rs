@@ -51,7 +51,7 @@ fn steady_state_run_allocates_no_fresh_mbufs() {
 }
 
 #[test]
-fn batch_carriers_are_recycled_through_the_scrap_channel() {
+fn batch_carriers_are_recycled_through_the_return_channel() {
     let workload = Workload::uniform(8, 50, 256);
     let tb = Testbench::new(&workload);
     let mut template = router_plugins::core::loader::PluginLoader::new();
@@ -74,7 +74,7 @@ fn batch_carriers_are_recycled_through_the_scrap_channel() {
     let carrier = pr.batch_carrier();
     assert!(
         carrier.capacity() > 0,
-        "no carrier returned through the scrap channel"
+        "no carrier returned through the return channel"
     );
     // Dispatcher pool traffic is folded into the merged metrics: the
     // merged counters include at least everything the dispatcher pool

@@ -291,89 +291,95 @@ fn steady_state_fast_path_stays_off_the_allocator() {
         "churn allocated {allocs} times over {measured} packets \
          ({per_packet:.4}/packet; ceiling 0.01)"
     );
-    // Phase 4: the parallel plane, wire to wire. One shard behind an
-    // IoPlane over framed loopback pairs, 256-frame bursts through
-    // `poll()`, egress spread over all four interfaces. The allocator
-    // counter is process-wide, so it covers the shard thread too: once the
-    // pools, wire freelists, batch and egress carriers are warm, a burst
-    // crosses dispatcher → ring → shard → collector → devices without one
-    // allocation — in particular `flush()` builds no channel to wait on.
+    // Phase 4: the parallel plane, wire to wire. One shard, then two,
+    // behind an IoPlane over framed loopback pairs, 256-frame bursts
+    // through `poll()`, egress spread over all four interfaces. The
+    // allocator counter is process-wide, so it covers the shard threads
+    // too: once the pools, wire freelists, batch carriers and egress
+    // buckets are warm, a burst crosses dispatcher → ring → shard → the
+    // batch's own carrier back → devices without one allocation — in
+    // particular `flush()` builds no channel to wait on. Two shards also
+    // split each burst through `group_scratch` and the spare carriers, so
+    // every carrier taken from the spare stack must come back to it.
     const BURST: usize = 256;
     const WARM_BURSTS: usize = 64;
     const STEADY_BURSTS: usize = 128;
-    let mut template = router_plugins::core::loader::PluginLoader::new();
-    register_builtin_factories(&mut template);
-    let pr = ParallelRouter::new(
-        ParallelRouterConfig {
-            shards: 1,
-            router: RouterConfig {
-                verify_checksums: false,
-                ..RouterConfig::default()
+    for shards in [1, 2] {
+        let mut template = router_plugins::core::loader::PluginLoader::new();
+        register_builtin_factories(&mut template);
+        let pr = ParallelRouter::new(
+            ParallelRouterConfig {
+                shards,
+                router: RouterConfig {
+                    verify_checksums: false,
+                    ..RouterConfig::default()
+                },
+                ..ParallelRouterConfig::default()
             },
-            ..ParallelRouterConfig::default()
-        },
-        &template,
-    );
-    let mut plane = IoPlane::new(pr, BURST);
-    run_script(
-        &mut plane,
-        "load null\n\
-         create null\n\
-         bind fw null 0 <*, *, *, *, *, *>\n\
-         bind stats null 0 <*, *, UDP, *, *, *>\n\
-         route 20.0.0.0/24 0\n\
-         route 20.0.1.0/24 1\n\
-         route 20.0.2.0/24 2\n\
-         route 20.0.3.0/24 3\n",
-    )
-    .unwrap();
-    let mut peers: Vec<LoopbackDev> = Vec::new();
-    for i in 0..4u32 {
-        let (peer, dev) = LoopbackDev::pair_framed(&format!("peer{i}"), &format!("lo{i}"), 1024);
-        plane.bind(i, Box::new(dev));
-        peers.push(peer);
-    }
-    let mut inj_pool = MbufPool::new(2 * BURST);
-    let mut batch: Vec<Mbuf> = Vec::with_capacity(BURST);
-    let mut burst = |plane: &mut IoPlane<ParallelRouter>, inj_pool: &mut MbufPool| -> usize {
-        for flow in 0..BURST as u32 {
-            image[12..16].copy_from_slice(&(0x0A00_0000 | (flow % 64)).to_be_bytes());
-            image[16..20].copy_from_slice(&(u32::from(net(flow % 4)) | 7).to_be_bytes());
-            batch.push(inj_pool.mbuf_from(&image, 0));
+            &template,
+        );
+        let mut plane = IoPlane::new(pr, BURST);
+        run_script(
+            &mut plane,
+            "load null\n\
+             create null\n\
+             bind fw null 0 <*, *, *, *, *, *>\n\
+             bind stats null 0 <*, *, UDP, *, *, *>\n\
+             route 20.0.0.0/24 0\n\
+             route 20.0.1.0/24 1\n\
+             route 20.0.2.0/24 2\n\
+             route 20.0.3.0/24 3\n",
+        )
+        .unwrap();
+        let mut peers: Vec<LoopbackDev> = Vec::new();
+        for i in 0..4u32 {
+            let (peer, dev) =
+                LoopbackDev::pair_framed(&format!("peer{i}"), &format!("lo{i}"), 1024);
+            plane.bind(i, Box::new(dev));
+            peers.push(peer);
         }
-        peers[0].tx_batch(&mut batch, inj_pool);
-        plane.poll();
-        let mut out = 0;
-        for peer in peers.iter_mut() {
-            let r = peer.rx_batch(usize::MAX, &mut |_p| out += 1);
-            assert!(r.delivered > 0, "an interface carried nothing");
+        let mut inj_pool = MbufPool::new(2 * BURST);
+        let mut batch: Vec<Mbuf> = Vec::with_capacity(BURST);
+        let mut burst = |plane: &mut IoPlane<ParallelRouter>, inj_pool: &mut MbufPool| -> usize {
+            for flow in 0..BURST as u32 {
+                image[12..16].copy_from_slice(&(0x0A00_0000 | (flow % 64)).to_be_bytes());
+                image[16..20].copy_from_slice(&(u32::from(net(flow % 4)) | 7).to_be_bytes());
+                batch.push(inj_pool.mbuf_from(&image, 0));
+            }
+            peers[0].tx_batch(&mut batch, inj_pool);
+            plane.poll();
+            let mut out = 0;
+            for peer in peers.iter_mut() {
+                let r = peer.rx_batch(usize::MAX, &mut |_p| out += 1);
+                assert!(r.delivered > 0, "an interface carried nothing");
+            }
+            out
+        };
+        for _ in 0..WARM_BURSTS {
+            assert_eq!(burst(&mut plane, &mut inj_pool), BURST);
         }
-        out
-    };
-    for _ in 0..WARM_BURSTS {
-        assert_eq!(burst(&mut plane, &mut inj_pool), BURST);
+        let fresh_plane = |plane: &mut IoPlane<ParallelRouter>| {
+            plane.plane().pool_stats().fresh + plane.plane_mut().metrics_snapshot().mbuf_fresh
+        };
+        let fresh_plane_before = fresh_plane(&mut plane);
+        let fresh_inj_before = inj_pool.stats().fresh;
+        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..STEADY_BURSTS {
+            assert_eq!(burst(&mut plane, &mut inj_pool), BURST);
+        }
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+        assert_eq!(
+            allocs, 0,
+            "parallel plane ({shards} shards) allocated {allocs} times over {STEADY_BURSTS} bursts"
+        );
+        assert_eq!(fresh_plane(&mut plane), fresh_plane_before);
+        assert_eq!(inj_pool.stats().fresh, fresh_inj_before);
+        plane.check_conservation();
+        assert_eq!(
+            plane.ledger().device_tx,
+            ((WARM_BURSTS + STEADY_BURSTS) * BURST) as u64
+        );
     }
-    let fresh_plane = |plane: &mut IoPlane<ParallelRouter>| {
-        plane.plane().pool_stats().fresh + plane.plane_mut().metrics_snapshot().mbuf_fresh
-    };
-    let fresh_plane_before = fresh_plane(&mut plane);
-    let fresh_inj_before = inj_pool.stats().fresh;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..STEADY_BURSTS {
-        assert_eq!(burst(&mut plane, &mut inj_pool), BURST);
-    }
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    assert_eq!(
-        allocs, 0,
-        "parallel plane allocated {allocs} times over {STEADY_BURSTS} bursts"
-    );
-    assert_eq!(fresh_plane(&mut plane), fresh_plane_before);
-    assert_eq!(inj_pool.stats().fresh, fresh_inj_before);
-    plane.check_conservation();
-    assert_eq!(
-        plane.ledger().device_tx,
-        ((WARM_BURSTS + STEADY_BURSTS) * BURST) as u64
-    );
 
     // Phase 5: overflow. A DRR queue one packet deep refuses every packet
     // after the first; the scheduler hands each refused packet back and the

@@ -109,6 +109,11 @@ fn deleted_names_stay_deleted() {
         EVERYWHERE,
         "DispatchMode|ShardMsg::Packet|ShardMsg::Barrier|EgressSink::PerPacket|read_all|stats_read",
     );
+    // A second egress transport beside the carrier loop.
+    forbid(
+        EVERYWHERE,
+        "EgressSink|egress_scrap|scrap_tx|reclaim_scrap|ShardMsg::Shutdown",
+    );
     // Load-aware steering, a second health enum, a stamped receive.
     forbid(
         EVERYWHERE,
