@@ -7,13 +7,14 @@
 //! ([`crate::message::PluginMsg`]); instances are specific run-time
 //! configurations of a plugin that get bound to flows through filters.
 
-use rp_packet::mbuf::FlowIndex;
+use rp_packet::mbuf::{FlowIndex, IfIndex};
 use rp_packet::{FlowKey, Mbuf};
 use std::any::Any;
 use std::fmt;
 use std::num::NonZeroU32;
 
 use crate::gate::Gate;
+use crate::obs::MetricsRegistry;
 
 /// Plugin type — the upper 16 bits of the plugin code. "There is a direct
 /// correspondence between a gate in our architecture and the plugin type."
@@ -184,10 +185,51 @@ impl dyn PluginInstance {
 /// [`PluginInstance::handle_packet`] (returning
 /// [`PluginAction::Consumed`]); the interface drains via this trait.
 pub trait SchedulerInstance {
-    /// Append up to `max` packets to `out` in transmit order and return
-    /// how many; fewer than `max` means nothing more is due at `now_ns`.
+    /// Put up to `max` packets on `out` in transmit order and return how
+    /// many; fewer than `max` means nothing more is due at `now_ns`.
     /// Draining in several calls yields the sequence one call yields.
-    fn dequeue_into(&mut self, now_ns: u64, max: usize, out: &mut Vec<Mbuf>) -> usize;
+    fn dequeue_into(&mut self, now_ns: u64, max: usize, out: &mut Wires<'_>) -> usize;
+}
+
+/// The interfaces' wires a scheduler drains onto. Each packet goes on
+/// the wire of its own `tx_if`, counted there, so an instance that
+/// serves several interfaces sends each packet where its route chose. A
+/// packet whose `tx_if` names no wire leaves on `home`, the interface
+/// being drained, and is marked so.
+pub struct Wires<'a> {
+    logs: &'a mut [Vec<Mbuf>],
+    metrics: &'a mut MetricsRegistry,
+    home: IfIndex,
+    sent: usize,
+}
+
+impl<'a> Wires<'a> {
+    /// The wires `logs`, one per interface, counted in `metrics`.
+    pub fn new(logs: &'a mut [Vec<Mbuf>], metrics: &'a mut MetricsRegistry, home: IfIndex) -> Self {
+        Wires {
+            logs,
+            metrics,
+            home,
+            sent: 0,
+        }
+    }
+
+    /// Send `m` on its wire.
+    #[inline]
+    pub fn push(&mut self, mut m: Mbuf) {
+        let j = match m.tx_if {
+            Some(j) if (j as usize) < self.logs.len() => j,
+            _ => *m.tx_if.insert(self.home),
+        };
+        self.metrics.note_tx(j, m.len());
+        self.logs[j as usize].push(m);
+        self.sent += 1;
+    }
+
+    /// Packets sent so far.
+    pub fn sent(&self) -> usize {
+        self.sent
+    }
 }
 
 /// Handle to a slot of the router's instance table — the value bound into

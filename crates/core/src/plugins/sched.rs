@@ -16,7 +16,7 @@
 
 use crate::plugin::{
     PacketCtx, Plugin, PluginAction, PluginCode, PluginError, PluginInstance, PluginType,
-    SchedulerInstance, SoftState,
+    SchedulerInstance, SoftState, Wires,
 };
 use crate::plugins::{config_map, config_num, target};
 use rp_classifier::FilterId;
@@ -148,9 +148,9 @@ impl<D: Discipline> PluginInstance for SchedInstance<D> {
 
 impl<D: Discipline> SchedulerInstance for SchedInstance<D> {
     /// The scheduler picks, the store hands each packet back.
-    fn dequeue_into(&mut self, now_ns: u64, max: usize, out: &mut Vec<Mbuf>) -> usize {
-        let start = out.len();
-        while out.len() - start < max {
+    fn dequeue_into(&mut self, now_ns: u64, max: usize, out: &mut Wires<'_>) -> usize {
+        let start = out.sent();
+        while out.sent() - start < max {
             let Some(pkt) = self.sched.dequeue(now_ns) else {
                 break;
             };
@@ -158,7 +158,7 @@ impl<D: Discipline> SchedulerInstance for SchedInstance<D> {
                 out.push(mbuf);
             }
         }
-        out.len() - start
+        out.sent() - start
     }
 }
 
@@ -623,6 +623,7 @@ impl Plugin for VcPlugin {
 mod tests {
     use super::*;
     use crate::gate::Gate;
+    use crate::obs::MetricsRegistry;
 
     fn call(inst: &mut Box<dyn PluginInstance>, fix: u32, len: usize, now: u64) -> PluginAction {
         offer(inst, fix, None, &mut None, len, now)
@@ -652,9 +653,10 @@ mod tests {
 
     /// The instance's next packet on the wire.
     fn next(inst: &mut Box<dyn PluginInstance>, now: u64) -> Option<Mbuf> {
-        let mut out = Vec::new();
+        let (mut wire, mut metrics) = ([Vec::new()], MetricsRegistry::default());
+        let mut out = Wires::new(&mut wire, &mut metrics, 0);
         inst.as_scheduler().unwrap().dequeue_into(now, 1, &mut out);
-        out.pop()
+        wire[0].pop()
     }
 
     /// The flow table evicts flow `fix`, whose soft-state slot is `soft`.
@@ -940,21 +942,24 @@ mod tests {
                         inst.handle_packet(&mut m, &mut ctx);
                     }
                 }
-                let mut one = Vec::new();
-                let n = whole.as_scheduler().unwrap().dequeue_into(now, usize::MAX, &mut one);
-                proptest::prop_assert_eq!(n, one.len());
-                let mut calls = Vec::new();
+                let (mut one, mut calls) = ([Vec::new()], [Vec::new()]);
+                let mut metrics = MetricsRegistry::default();
+                let mut out = Wires::new(&mut one, &mut metrics, 0);
+                let n = whole.as_scheduler().unwrap().dequeue_into(now, usize::MAX, &mut out);
+                proptest::prop_assert_eq!(n, out.sent());
+                let mut out = Wires::new(&mut calls, &mut metrics, 0);
                 for &max in maxes.iter().cycle() {
-                    let got = chunked.as_scheduler().unwrap().dequeue_into(now, max, &mut calls);
+                    let got = chunked.as_scheduler().unwrap().dequeue_into(now, max, &mut out);
                     proptest::prop_assert!(got <= max);
                     if got < max {
                         break;
                     }
                 }
+                let (one, calls) = (&one[0], &calls[0]);
                 let tags = |v: &[Mbuf]| -> Vec<(Vec<u8>, usize)> {
                     v.iter().map(|m| (m.data()[..4].to_vec(), m.len())).collect()
                 };
-                proptest::prop_assert_eq!(tags(&one), tags(&calls), "{}", p.name());
+                proptest::prop_assert_eq!(tags(one), tags(calls), "{}", p.name());
                 proptest::prop_assert_eq!(chunked.backlog(), whole.backlog());
             }
         }
