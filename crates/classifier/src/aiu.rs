@@ -21,9 +21,17 @@ use rp_packet::{FlowKey, Mbuf};
 /// `router-core`; the AIU just numbers them).
 pub type GateId = usize;
 
-/// A flow record's gate binding: the bound instance and the filter the
-/// binding was derived from (one pair of the record) and the per-flow
-/// soft-state slot (the gate's column).
+/// A flow record's gate binding as a gate call takes it: the bound
+/// instance (the record's line 1), and in the gate's column cell the
+/// filter the binding was derived from — by reference, so a call that
+/// never asks for it never loads it — and the per-flow soft-state slot.
+pub type GateMut<'a, V> = (
+    &'a V,
+    &'a FilterId,
+    &'a mut Option<Box<dyn std::any::Any + Send>>,
+);
+
+/// A [`GateMut`] with the filter id read out (diagnostics and tests).
 pub type BindingMut<'a, V> = (
     &'a V,
     Option<FilterId>,
@@ -252,13 +260,13 @@ impl<V: Clone> Aiu<V> {
         self.flow_table.bound_mask(fix)
     }
 
-    /// Single-access fetch of a gate binding: instance, filter id and
-    /// soft-state slot (the data path calls this only at a gate the
-    /// record's [`bound_mask`](Aiu::bound_mask) names). `None` when the
-    /// record is gone or nothing is bound.
+    /// Single-access fetch of a gate binding: instance, and references
+    /// to the filter id and soft-state slot (the data path calls this
+    /// only at a gate the record's [`bound_mask`](Aiu::bound_mask)
+    /// names). `None` when the record is gone or nothing is bound.
     #[inline]
-    pub fn binding_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<BindingMut<'_, V>> {
-        self.flow_table.binding_mut(fix, gate)
+    pub fn gate_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<GateMut<'_, V>> {
+        self.flow_table.gate_mut(fix, gate)
     }
 
     /// Drop every cached flow whose record satisfies `pred` (the router
@@ -266,7 +274,7 @@ impl<V: Clone> Aiu<V> {
     /// to it, at any gate). Returns the evicted flows for callbacks.
     pub fn invalidate_flows_where(
         &mut self,
-        pred: impl FnMut(&crate::flow_table::FlowRecord<V>) -> bool,
+        pred: impl FnMut(&crate::flow_table::FlowView<'_, V>) -> bool,
     ) -> Vec<EvictedFlow<V>> {
         self.flow_table.invalidate_where(pred)
     }
@@ -469,12 +477,12 @@ mod tests {
         let (fid, _) = aiu.install_filter(0, FilterSpec::any(), "p").unwrap();
         let (o, _) = aiu.classify(&tuple(9));
         let fix = o.fix().unwrap();
-        let (inst, filter, soft) = aiu.binding_mut(fix, 0).unwrap();
-        assert_eq!((*inst, filter), ("p", Some(fid)));
+        let (inst, filter, soft) = aiu.gate_mut(fix, 0).unwrap();
+        assert_eq!((*inst, *filter), ("p", fid));
         *soft = Some(Box::new(7u8));
-        assert!(aiu.binding_mut(fix, 0).unwrap().2.is_some());
-        assert!(aiu.binding_mut(fix, 1).is_none(), "nothing bound at gate 1");
-        assert!(aiu.binding_mut(fix, 3).is_none(), "no such gate");
+        assert!(aiu.gate_mut(fix, 0).unwrap().2.is_some());
+        assert!(aiu.gate_mut(fix, 1).is_none(), "nothing bound at gate 1");
+        assert!(aiu.gate_mut(fix, 3).is_none(), "no such gate");
     }
 
     #[test]
@@ -482,23 +490,23 @@ mod tests {
         let mut aiu = aiu3();
         aiu.install_filter(0, FilterSpec::any(), "p").unwrap();
         let (o, _) = aiu.classify(&tuple(9));
-        *aiu.binding_mut(o.fix().unwrap(), 0).unwrap().2 = Some(Box::new(42u64));
-        let st = aiu.binding_mut(o.fix().unwrap(), 0).unwrap().2;
+        *aiu.gate_mut(o.fix().unwrap(), 0).unwrap().2 = Some(Box::new(42u64));
+        let st = aiu.gate_mut(o.fix().unwrap(), 0).unwrap().2;
         assert_eq!(*st.as_ref().unwrap().downcast_ref::<u64>().unwrap(), 42);
     }
 
-    /// A gate's first filter, and no later one, buys its soft-state
-    /// column: eight 16-byte slots here, under a live record.
+    /// A gate's first filter, and no later one, buys its column: eight
+    /// 24-byte cells (soft state + filter id) here, under a live record.
     #[test]
     fn a_gates_first_filter_buys_its_soft_state_column() {
         let mut aiu = aiu3();
         aiu.classify(&tuple(1));
         let base = aiu.flow_mem_bytes();
         aiu.install_filter(1, FilterSpec::any(), "p").unwrap();
-        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 16);
+        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 24);
         let tcp = "*, *, TCP, *, *, *".parse().unwrap();
         aiu.install_filter(1, tcp, "q").unwrap();
-        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 16);
+        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 24);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The flow table (paper §5.2): a hash-indexed cache of fully specified
-//! flows. Each record stores, **per gate**, the bound plugin instance; an
-//! opaque per-flow soft-state slot (the DRR plugin keeps its per-flow
-//! queue pointer there) sits beside it in a per-gate column.
+//! flows. Each record stores, **per gate**, the bound plugin instance; the
+//! gate's column holds the rest of that gate's binding — an opaque
+//! per-flow soft-state slot (the DRR plugin keeps its per-flow queue
+//! pointer there) and the filter the binding derives from.
 //!
 //! Reproduced mechanics:
 //!
@@ -42,7 +43,7 @@ use rp_packet::mbuf::FlowIndex;
 use rp_packet::FlowKey;
 use std::any::Any;
 
-use crate::aiu::BindingMut;
+use crate::aiu::{BindingMut, GateMut};
 use crate::filter::FilterId;
 
 /// The paper's cheap flow hash over a [`FlowKey`]: fold the six-tuple's
@@ -89,7 +90,7 @@ pub const MAX_GATES: usize = 8;
 const _: () = assert!(MAX_GATES <= 8);
 
 /// The bindings of a flow that has left the table, gathered from its
-/// record's pairs and the soft-state columns for [`EvictedFlow`] — a
+/// record's instances and its gates' column cells for [`EvictedFlow`] — a
 /// transport type only: live records keep no `GateArray`.
 pub struct GateArray<V> {
     instances: [Option<V>; MAX_GATES],
@@ -133,25 +134,29 @@ impl<V> GateArray<V> {
     }
 }
 
-/// A record's binding at one gate: the instance and the filter it derives
-/// from, 16 bytes for a handle-sized `V` — four gates to a cache line.
-#[repr(C)]
-struct Pair<V> {
-    instance: Option<V>,
-    /// The raw `FilterId` while the gate's `bound` bit is set; 0 = none.
-    filter: u64,
+/// One flow's cell in a gate's column: the second pointer of the paper's
+/// pair — the flow's soft state — and the filter the binding derives
+/// from, a filter's hard state being reached through the filter, not the
+/// flow. The filter is the raw id while the gate's `bound` bit is set;
+/// read only by the plugin that asks for it and the cold paths.
+struct GateCell {
+    soft: Option<Box<dyn Any + Send>>,
+    filter: FilterId,
 }
 
-impl<V> Pair<V> {
-    const NONE: Self = Pair {
-        instance: None,
-        filter: 0,
+const _: () = assert!(std::mem::size_of::<GateCell>() == 24);
+
+impl GateCell {
+    const EMPTY: Self = GateCell {
+        soft: None,
+        filter: FilterId(0),
     };
 }
 
-/// One row of the flow table, cache-line aligned. Line 0 is everything a
-/// probe and the gate walk's [`FlowTable::bound_mask`] read touch; a
-/// bound gate reads one more line — its pair. Soft state and the
+/// One row of the flow table, cache-line aligned, two lines for a
+/// handle-sized `V`. Line 0 is everything a probe and the gate walk's
+/// [`FlowTable::bound_mask`] read touch; a bound gate reads one more line
+/// — line 1, every gate's instance. Soft state, filter ids and the
 /// insertion sequence live in the table's columns (see [`FlowTable`]),
 /// not here.
 #[repr(C, align(64))]
@@ -175,11 +180,13 @@ pub struct FlowRecord<V> {
     /// once per packet, on the line the probe already loaded, and skips
     /// every gate whose bit is clear.
     bound: u8,
-    pairs: [Pair<V>; MAX_GATES],
+    /// The instance half of each gate's pair, 8 bytes for a handle-sized
+    /// `V`: all eight gates on one line.
+    instances: [Option<V>; MAX_GATES],
 }
 
-// Line 0 ends inside 64 bytes and the pairs start at 64 (`core::router`
-// pins the size for its handle type).
+// Line 0 ends inside 64 bytes and the instances start at 64
+// (`core::router` pins the size for its handle type).
 const _: () = {
     use std::mem::offset_of;
     type R = FlowRecord<u32>;
@@ -191,33 +198,47 @@ const _: () = {
     assert!(offset_of!(R, live) < 64);
     assert!(offset_of!(R, referenced) < 64);
     assert!(offset_of!(R, bound) < 64);
-    assert!(offset_of!(R, pairs) == 64);
+    assert!(offset_of!(R, instances) == 64);
+    assert!(std::mem::size_of::<R>() == 128);
 };
 
 impl<V> FlowRecord<V> {
-    /// The six-tuple identifying the flow.
-    pub fn key(&self) -> FlowKey {
-        self.key
-    }
-
-    /// The instance bound at `gate`.
-    pub fn instance(&self, gate: usize) -> Option<&V> {
-        self.pairs.get(gate)?.instance.as_ref()
-    }
-
-    /// The filter the binding at `gate` was derived from.
-    pub fn filter(&self, gate: usize) -> Option<FilterId> {
-        self.is_bound(gate)
-            .then(|| FilterId(self.pairs[gate].filter))
-    }
-
     fn is_bound(&self, gate: usize) -> bool {
         gate < MAX_GATES && self.bound & (1 << gate) != 0
     }
+}
+
+/// A live record read together with its gates' column cells: what
+/// [`FlowTable::record`] returns and [`FlowTable::invalidate_where`]
+/// tests.
+pub struct FlowView<'a, V> {
+    record: &'a FlowRecord<V>,
+    cells: &'a [Vec<GateCell>; MAX_GATES],
+    slot: usize,
+}
+
+impl<'a, V> FlowView<'a, V> {
+    /// The six-tuple identifying the flow.
+    pub fn key(&self) -> FlowKey {
+        self.record.key
+    }
+
+    /// The instance bound at `gate`.
+    pub fn instance(&self, gate: usize) -> Option<&'a V> {
+        self.record.instances.get(gate)?.as_ref()
+    }
+
+    /// The filter the binding at `gate` was derived from (the gate's
+    /// column cell).
+    pub fn filter(&self, gate: usize) -> Option<FilterId> {
+        self.record
+            .is_bound(gate)
+            .then(|| self.cells[gate][self.slot].filter)
+    }
 
     /// Every bound instance, in gate order (for bound-anywhere scans).
-    pub fn instances(&self) -> impl Iterator<Item = &V> {
-        self.pairs.iter().filter_map(|p| p.instance.as_ref())
+    pub fn instances(&self) -> impl Iterator<Item = &'a V> {
+        self.record.instances.iter().flatten()
     }
 }
 
@@ -347,11 +368,12 @@ pub struct FlowTable<V> {
     /// oldest-first). A column, not a record field: only an insert and the
     /// hand passing a referenced record touch it.
     seq: Vec<u64>,
-    /// Per-gate soft-state columns, indexed by slot. Column g is empty
-    /// until [`Self::enable_gate`] materialises it to `records.len()`: a
-    /// gate that never held a filter binds no instance, keeps no soft
-    /// state and costs no memory. Inline: a slot is one load away.
-    soft: [Vec<Option<Box<dyn Any + Send>>>; MAX_GATES],
+    /// Per-gate columns of [`GateCell`]s (soft state + filter id),
+    /// indexed by slot. Column g is empty until [`Self::enable_gate`]
+    /// materialises it to `records.len()`: a gate that never held a
+    /// filter binds no instance, keeps no soft state and costs no memory.
+    /// Inline: a cell is one load away.
+    cells: [Vec<GateCell>; MAX_GATES],
     free: Vec<u32>,
     cfg: FlowTableConfig,
     next_seq: u64,
@@ -390,7 +412,7 @@ impl<V> FlowTable<V> {
             migrate_pos: 0,
             records: Vec::new(),
             seq: Vec::new(),
-            soft: std::array::from_fn(|_| Vec::new()),
+            cells: std::array::from_fn(|_| Vec::new()),
             free: Vec::new(),
             cfg,
             next_seq: 0,
@@ -412,11 +434,11 @@ impl<V> FlowTable<V> {
             live: false,
             referenced: false,
             bound: 0,
-            pairs: [Pair::NONE; MAX_GATES],
+            instances: std::array::from_fn(|_| None),
         }));
         self.seq.resize(start + n, 0);
-        for col in self.soft.iter_mut().filter(|c| !c.is_empty()) {
-            col.resize_with(start + n, || None);
+        for col in self.cells.iter_mut().filter(|c| !c.is_empty()) {
+            col.resize_with(start + n, || GateCell::EMPTY);
         }
         // Reversed, so the slab fills in slot order: the hand then meets
         // never-hit flows in the order they arrived.
@@ -445,24 +467,24 @@ impl<V> FlowTable<V> {
     }
 
     /// Rough resident size, every slab: bucket arrays, hot records, `seq`,
-    /// each materialised soft-state column, free list. Used by the scale
-    /// bench's bounded-memory gate; excludes the soft state's own boxes.
+    /// each materialised gate column, free list. Used by the scale bench's
+    /// bounded-memory gate; excludes the soft state's own boxes.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
-        let soft_slots: usize = self.soft.iter().map(Vec::capacity).sum();
+        let cells: usize = self.cells.iter().map(Vec::capacity).sum();
         (self.buckets.capacity() + self.old_buckets.capacity()) * size_of::<u32>()
             + self.records.capacity() * size_of::<FlowRecord<V>>()
             + self.seq.capacity() * size_of::<u64>()
-            + soft_slots * size_of::<Option<Box<dyn Any + Send>>>()
+            + cells * size_of::<GateCell>()
             + self.free.capacity() * size_of::<u32>()
     }
 
-    /// Give `gate` its soft-state column (control path: the AIU calls
-    /// this when the gate's filter table gets a filter). Idempotent.
+    /// Give `gate` its column (control path: the AIU calls this when the
+    /// gate's filter table gets a filter). Idempotent.
     pub fn enable_gate(&mut self, gate: usize) {
         assert!(gate < self.cfg.gates, "no gate {gate}");
-        if self.soft[gate].is_empty() {
-            self.soft[gate].resize_with(self.records.len(), || None);
+        if self.cells[gate].is_empty() {
+            self.cells[gate].resize_with(self.records.len(), || GateCell::EMPTY);
         }
     }
 
@@ -572,11 +594,12 @@ impl<V> FlowTable<V> {
         // A no-op behind `Aiu::install_filter`; the safety net for a
         // caller of the raw table that never enabled the gate.
         self.enable_gate(gate);
-        let r = &mut self.records[fix.0 as usize];
+        let i = fix.0 as usize;
+        let r = &mut self.records[i];
         assert!(r.live, "bind on a free slot");
         r.bound |= 1 << gate;
-        let (instance, filter) = (Some(v), filter.0);
-        r.pairs[gate] = Pair { instance, filter };
+        r.instances[gate] = Some(v);
+        self.cells[gate][i].filter = filter;
     }
 
     /// The gates `fix` binds, one bit per gate ([`FlowRecord`]'s `bound`);
@@ -589,20 +612,26 @@ impl<V> FlowTable<V> {
         }
     }
 
-    /// Everything a gate's plugin call needs: the bound instance and the
-    /// filter it derives from — one pair, one line past the probe's — and
-    /// the column slot of its soft state. `None`, without leaving line 0,
-    /// when the record is gone or nothing is bound at `gate`.
+    /// Everything a gate's plugin call needs: the bound instance — line 1
+    /// of the record — and, by reference into the gate's column cell, the
+    /// filter it derives from and the flow's soft state; neither is loaded
+    /// here. `None`, without leaving line 0, when the record is gone or
+    /// nothing is bound at `gate`.
     #[inline]
-    pub fn binding_mut(&mut self, fix: FlowIndex, gate: usize) -> Option<BindingMut<'_, V>> {
+    pub fn gate_mut(&mut self, fix: FlowIndex, gate: usize) -> Option<GateMut<'_, V>> {
         let i = fix.0 as usize;
         let r = self.records.get(i)?;
         if !r.live || !r.is_bound(gate) {
             return None;
         }
-        let pair = &r.pairs[gate];
-        let soft = &mut self.soft[gate][i];
-        Some((pair.instance.as_ref()?, Some(FilterId(pair.filter)), soft))
+        let GateCell { soft, filter } = &mut self.cells[gate][i];
+        Some((r.instances[gate].as_ref()?, &*filter, soft))
+    }
+
+    /// [`Self::gate_mut`] with the filter id read out.
+    pub fn binding_mut(&mut self, fix: FlowIndex, gate: usize) -> Option<BindingMut<'_, V>> {
+        let (v, filter, soft) = self.gate_mut(fix, gate)?;
+        Some((v, Some(*filter), soft))
     }
 
     /// Allocation-free idle-expiry sweep ("if a cached flow remains idle
@@ -753,10 +782,10 @@ impl<V> FlowTable<V> {
         false
     }
 
-    /// Unlink `idx` and gather its key, pairs and soft-state column
-    /// slots into `out` (dropping what `out` held), leaving the slot
-    /// blank at every gate. Soft state exists only where an instance is
-    /// bound, so only those columns are touched; nothing is allocated.
+    /// Unlink `idx` and gather its key, instances and column cells into
+    /// `out` (dropping what `out` held), leaving the slot blank at every
+    /// gate. A cell holds anything only where an instance is bound, so
+    /// only those columns are touched; nothing is allocated.
     fn evict(&mut self, idx: u32, out: &mut EvictedFlow<V>) {
         self.unlink(idx);
         let i = idx as usize;
@@ -766,9 +795,8 @@ impl<V> FlowTable<V> {
         out.key = r.key;
         for g in 0..self.cfg.gates {
             let (filter, instance, soft) = if r.is_bound(g) {
-                let pair = std::mem::replace(&mut r.pairs[g], Pair::NONE);
-                let filter = Some(FilterId(pair.filter));
-                (filter, pair.instance, self.soft[g][i].take())
+                let cell = &mut self.cells[g][i];
+                (Some(cell.filter), r.instances[g].take(), cell.soft.take())
             } else {
                 (None, None, None)
             };
@@ -808,7 +836,7 @@ impl<V> FlowTable<V> {
     /// now classify differently and must be re-resolved on their next
     /// packet). Returns the evicted flows.
     pub fn invalidate_matching(&mut self, spec: &crate::filter::FilterSpec) -> Vec<EvictedFlow<V>> {
-        self.invalidate_where(|r| spec.matches(&r.key))
+        self.invalidate_where(|r| spec.matches(&r.key()))
     }
 
     /// Drop every cached flow derived from `filter` at `gate` (the AIU
@@ -826,21 +854,26 @@ impl<V> FlowTable<V> {
     /// no other.
     pub fn invalidate_where(
         &mut self,
-        mut pred: impl FnMut(&FlowRecord<V>) -> bool,
+        mut pred: impl FnMut(&FlowView<'_, V>) -> bool,
     ) -> Vec<EvictedFlow<V>> {
         let mut out = Vec::new();
         for i in 0..self.records.len() {
-            let r = &self.records[i];
-            if r.live && pred(r) {
+            if self.record(FlowIndex(i as u32)).is_some_and(|r| pred(&r)) {
                 out.extend(self.remove(FlowIndex(i as u32)));
             }
         }
         out
     }
 
-    /// Access a record by FIX.
-    pub fn record(&self, fix: FlowIndex) -> Option<&FlowRecord<V>> {
-        self.records.get(fix.0 as usize).filter(|r| r.live)
+    /// Access a live record, and its gates' cells, by FIX.
+    pub fn record(&self, fix: FlowIndex) -> Option<FlowView<'_, V>> {
+        let slot = fix.0 as usize;
+        let record = self.records.get(slot).filter(|r| r.live)?;
+        Some(FlowView {
+            record,
+            cells: &self.cells,
+            slot,
+        })
     }
 
     /// Statistics snapshot.
@@ -969,7 +1002,7 @@ mod tests {
         assert!(t.binding_mut(fix, 0).unwrap().2.is_none(), "stale state");
     }
 
-    /// Each slot of capacity costs 192 + 8 + 16 per *enabled* gate.
+    /// Each slot of capacity costs 128 + 8 + 24 per *enabled* gate.
     #[test]
     fn memory_is_every_slab_and_a_column_per_enabled_gate() {
         let mut t: FlowTable<u32> = FlowTable::new(FlowTableConfig {
@@ -979,16 +1012,16 @@ mod tests {
             ..small().cfg
         });
         let fixed = |t: &FlowTable<u32>| (64 + t.free.capacity()) * 4;
-        assert_eq!(t.approx_mem_bytes(), 16 * (192 + 8) + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 16 * (128 + 8) + fixed(&t));
         t.enable_gate(2);
-        assert_eq!(t.approx_mem_bytes(), 16 * 216 + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 16 * 160 + fixed(&t));
         // Growth extends the materialised column and no other.
         for i in 0..40 {
             insert(&mut t, key(i));
         }
-        let cols = |t: &FlowTable<u32>| t.soft.each_ref().map(Vec::len);
+        let cols = |t: &FlowTable<u32>| t.cells.each_ref().map(Vec::len);
         assert_eq!(cols(&t), [0, 0, 64, 0, 0, 0, 0, 0]);
-        assert_eq!(t.approx_mem_bytes(), 64 * 216 + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 64 * 160 + fixed(&t));
         // Enabling a gate under live records materialises exactly its
         // column, to the slab's length; a raw `bind` does the same.
         t.enable_gate(0);
@@ -998,7 +1031,7 @@ mod tests {
         for g in [1, 3, 4] {
             t.enable_gate(g);
         }
-        assert_eq!(t.approx_mem_bytes(), 64 * 296 + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 64 * 280 + fixed(&t));
     }
 
     #[test]

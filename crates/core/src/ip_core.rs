@@ -112,6 +112,9 @@ pub struct DataPathStats {
     pub plugin_calls: u64,
     /// Packets fragmented at egress.
     pub fragmented: u64,
+    /// Packets egress fragmentation added (k − 1 per packet cut into k):
+    /// conservation reads `received + fragments == forwarded + Σdrops`.
+    pub fragments: u64,
     /// Too-big drops (DF set or IPv6 over-MTU).
     pub dropped_too_big: u64,
     /// Plugin faults observed by the supervisor (panics and packet-budget

@@ -209,6 +209,9 @@ pub struct MetricsRegistry {
     pub forwarded: u64,
     /// Packets fragmented at egress.
     pub fragmented: u64,
+    /// Packets egress fragmentation added: a packet cut into k fragments
+    /// adds k − 1, each fragment being forwarded or dropped on its own.
+    pub fragments: u64,
     /// Plugin faults observed by the supervisor (panics and packet-budget
     /// overruns, across all instances).
     pub plugin_faults: u64,
@@ -344,6 +347,7 @@ impl MetricsRegistry {
         self.received += other.received;
         self.forwarded += other.forwarded;
         self.fragmented += other.fragmented;
+        self.fragments += other.fragments;
         self.plugin_faults += other.plugin_faults;
         self.plugin_quarantines += other.plugin_quarantines;
         self.plugin_restarts += other.plugin_restarts;
@@ -406,6 +410,7 @@ impl MetricsRegistry {
             dropped_queue: slot(DropReason::QueueFull),
             plugin_calls: self.gate_calls.iter().sum(),
             fragmented: self.fragmented,
+            fragments: self.fragments,
             dropped_too_big: slot(DropReason::TooBig),
             plugin_faults: self.plugin_faults,
             dropped_fault: per_gate(DropReason::PluginFault),

@@ -120,8 +120,9 @@ pub struct PacketCtx<'a> {
     /// The filter this flow's binding at the current gate derives from
     /// (plugins use it to look up per-filter configuration such as DRR
     /// weights — the paper's "opaque pointer … to plugin specific (hard)
-    /// state associated with installed filters").
-    pub filter: Option<rp_classifier::FilterId>,
+    /// state associated with installed filters"). A reference into the
+    /// gate's flow-table column, so only a plugin that reads it loads it.
+    pub filter: Option<&'a rp_classifier::FilterId>,
     /// The plugin's private per-flow soft state slot in the flow record
     /// (the second pointer of the paper's per-gate pointer pair). `Send`
     /// because flow records may live on a data-plane worker shard.

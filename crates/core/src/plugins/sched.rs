@@ -104,8 +104,11 @@ impl<D: Discipline> PluginInstance for SchedInstance<D> {
     /// offer it to the scheduler as flow `fix`.
     fn handle_packet(&mut self, mbuf: &mut Mbuf, ctx: &mut PacketCtx<'_>) -> PluginAction {
         let flow = ctx.fix.0;
-        if let Some(s) = ctx.filter.and_then(|f| self.settings.get(&f)) {
-            self.sched.apply(flow, *s);
+        // The filter id is loaded only when some filter has settings.
+        if !self.settings.is_empty() {
+            if let Some(s) = ctx.filter.and_then(|f| self.settings.get(f)) {
+                self.sched.apply(flow, *s);
+            }
         }
         let rx = mbuf.rx_if;
         let owned = std::mem::replace(mbuf, Mbuf::new(Vec::new(), rx));
@@ -644,7 +647,7 @@ mod tests {
             gate: Gate::Scheduling,
             now_ns: now,
             fix: FlowIndex(fix),
-            filter,
+            filter: filter.as_ref(),
             soft_state: soft,
             cost_ns: 0,
         };

@@ -19,10 +19,10 @@ use rp_packet::mbuf::{FlowIndex, IfIndex};
 use rp_packet::{Mbuf, MbufPool, PoolStats};
 use std::net::IpAddr;
 
-// `scale1m` holds a million of these, three cache lines each: a field
+// `scale1m` holds a million of these, two cache lines each: a field
 // that widens the record moves its `mem_mb` and the lines a cold hit
 // touches (`classifier::flow_table` pins which field sits on which).
-const _: () = assert!(std::mem::size_of::<FlowRecord<InstanceHandle>>() == 192);
+const _: () = assert!(std::mem::size_of::<FlowRecord<InstanceHandle>>() == 128);
 const _: () = assert!(std::mem::align_of::<FlowRecord<InstanceHandle>>() == 64);
 
 /// A network interface: egress queue plus bookkeeping. Reception is
@@ -126,6 +126,10 @@ pub struct Router {
     /// testbench ("the wire"). Every packet on `wires[i]` carries
     /// `tx_if == Some(i)`.
     wires: Vec<Vec<Mbuf>>,
+    /// The egress interface and the scheduler entries the packet last
+    /// [`receive`](Router::receive)d queued there: one per fragment.
+    /// [`Router::pump_queued`] pumps that many.
+    queued: (IfIndex, usize),
 }
 
 /// How a pre-routing gate ended a packet's walk.
@@ -183,6 +187,7 @@ impl Router {
             pool: MbufPool::default(),
             evict_scratch: Vec::new(),
             wires: (0..cfg.interfaces).map(|_| Vec::new()).collect(),
+            queued: (0, 0),
         }
     }
 
@@ -520,8 +525,9 @@ impl Router {
     }
 
     /// Call the instance the record `fix` binds at `gate`: fetch the
-    /// binding — instance handle, filter and soft-state slot in one access
-    /// — and charge the call against the policy's packet budget. `None` is
+    /// binding — the instance handle, and references to the filter and
+    /// soft-state slot, in one access that loads neither — and charge the
+    /// call against the policy's packet budget. `None` is
     /// the gate's default path: the binding is gone, or its handle no
     /// longer leads to a live instance.
     ///
@@ -530,7 +536,7 @@ impl Router {
     /// has returned.
     #[inline]
     fn call_gate(&mut self, mbuf: &mut Mbuf, gate: Gate, fix: FlowIndex) -> Option<PluginAction> {
-        let (&handle, filter, soft_state) = self.aiu.binding_mut(fix, gate.index())?;
+        let (&handle, filter, soft_state) = self.aiu.gate_mut(fix, gate.index())?;
         // A quarantined instance never sees another packet, even through a
         // stale cached binding; neither does a slot's next occupant.
         let inst = self.supervisor.live_mut(handle)?;
@@ -552,7 +558,7 @@ impl Router {
             gate,
             now_ns: self.now_ns,
             fix,
-            filter,
+            filter: Some(filter),
             soft_state,
             cost_ns: 0,
         };
@@ -754,6 +760,7 @@ impl Router {
 
     /// Process one received packet through the full data path.
     pub fn receive(&mut self, mut mbuf: Mbuf) -> Disposition {
+        self.queued.1 = 0;
         self.poll_restarts();
         self.metrics.note_rx(mbuf.rx_if, mbuf.len());
         mbuf.timestamp_ns = self.now_ns;
@@ -833,6 +840,7 @@ impl Router {
                 _ => return self.drop_pkt(mbuf, DropReason::TooBig),
             };
             self.metrics.fragmented += 1;
+            self.metrics.fragments += frags.len() as u64 - 1;
             let rx = mbuf.rx_if;
             let fix = mbuf.fix;
             let denied = mbuf.class_denied;
@@ -860,10 +868,9 @@ impl Router {
     /// Receive a burst — the one burst entry of the shard workers and the
     /// I/O plane. Drains `pkts` front to back through
     /// [`receive`](Router::receive), each packet in its own isolation
-    /// frames exactly as there, pumping the egress scheduler once after
-    /// every queuing disposition (the testbench's immediate retransmit;
-    /// DRR/WFQ output flows without a scheduler thread). Returns the
-    /// packets handled.
+    /// frames exactly as there, and after each pumps what it queued
+    /// ([`pump_queued`](Router::pump_queued)). Returns the packets
+    /// handled.
     ///
     /// `wall_now_ns` is the caller's current [`rp_packet::coarse_now_ns`]
     /// reading (read once per batch, not per packet);
@@ -892,11 +899,24 @@ impl Router {
                     continue;
                 }
             }
-            if let Disposition::Queued(iface) = self.receive(pkt) {
-                self.pump(iface, 1);
-            }
+            self.receive(pkt);
+            self.pump_queued();
         }
         n
+    }
+
+    /// Pump as many packets as the last [`receive`](Router::receive)d one
+    /// queued — one per fragment — from its egress interface's
+    /// schedulers, right after it and before the next: the testbench's
+    /// immediate retransmit (DRR/WFQ output flows without a scheduler
+    /// thread, packets leave in arrival order). With every queue empty
+    /// before the packet, none holds a packet after it unless a link
+    /// rate limits its class. Returns packets transmitted.
+    pub fn pump_queued(&mut self) -> usize {
+        match std::mem::take(&mut self.queued) {
+            (_, 0) => 0,
+            (iface, n) => self.pump(iface, n),
+        }
     }
 
     /// Scheduling gate + emission for a packet whose egress interface is
@@ -920,6 +940,7 @@ impl Router {
                     // empty shell (recycled as a no-op).
                     self.pool.recycle(mbuf);
                     self.metrics.forwarded += 1;
+                    self.queued = (tx_if, self.queued.1 + 1);
                     return Disposition::Queued(tx_if);
                 }
                 Ok(Ok(Some(PluginAction::Drop))) => {

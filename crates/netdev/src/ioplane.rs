@@ -400,8 +400,8 @@ impl<P: IoRouter> IoPlane<P> {
     ///   `device_rx == stats.received`;
     /// * every forwarded packet left through a device:
     ///   `forwarded == device_tx`;
-    /// * nothing is unaccounted:
-    ///   `device_rx == device_tx + Σdrops`.
+    /// * nothing is unaccounted, egress fragmentation's extra packets
+    ///   included: `device_rx + fragments == device_tx + Σdrops`.
     pub fn check_conservation(&mut self) {
         let stats = self.plane.cp_counter_rows().swap_remove(0).data();
         let led = self.ledger;
@@ -416,10 +416,11 @@ impl<P: IoRouter> IoPlane<P> {
             stats.forwarded, led.device_tx
         );
         assert_eq!(
-            led.device_rx,
+            led.device_rx + stats.fragments,
             led.device_tx + stats.dropped_total(),
-            "conservation: device_rx ({}) != device_tx ({}) + drops ({})",
+            "conservation: device_rx ({}) + fragments ({}) != device_tx ({}) + drops ({})",
             led.device_rx,
+            stats.fragments,
             led.device_tx,
             stats.dropped_total()
         );

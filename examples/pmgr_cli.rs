@@ -69,12 +69,18 @@ fn main() {
             }
             Some("pump") => {
                 let iface: u32 = toks.get(1).and_then(|t| t.parse().ok()).unwrap_or(1);
-                let n = router.pump(iface, 64);
-                let tx = router.take_tx(iface);
-                println!(
-                    "pumped {n} packets ({} bytes)",
-                    tx.iter().map(Mbuf::len).sum::<usize>()
-                );
+                // The interface's schedulers may serve other interfaces
+                // too: report every wire the pump put packets on.
+                if router.pump(iface, 64) == 0 {
+                    println!("pumped 0 packets");
+                }
+                for i in 0..router.interface_count() as u32 {
+                    let tx = router.take_tx(i);
+                    if !tx.is_empty() {
+                        let bytes: usize = tx.iter().map(Mbuf::len).sum();
+                        println!("if{i}: {} packets ({bytes} bytes)", tx.len());
+                    }
+                }
             }
             _ => match run_command(&mut router, &line) {
                 Ok(out) if out.is_empty() => {}

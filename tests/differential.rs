@@ -1,10 +1,11 @@
 //! One differential table. Every data-plane shape replays the same
 //! traffic and must do with it what one reference does: the paper's
 //! single-threaded `Router` on the paper-default flow table, fed cloned
-//! packets one at a time, its scheduler pumped after each `Queued`. A
-//! row names a shape (plane, flow table, how traffic reaches it); one
-//! checker compares the row with the reference of its traffic set, and
-//! asserts that the row's own mechanism engaged.
+//! packets one at a time, its scheduler pumped after each packet for as
+//! many entries as that packet queued. A row names a shape (plane, flow
+//! table, how traffic reaches it); one checker compares the row with the
+//! reference of its traffic set — every queue empty once the plane is
+//! flushed — and asserts that the row's own mechanism engaged.
 
 use router_plugins::classifier::flow_table::{FlowTableConfig, FlowTableStats};
 use router_plugins::core::dataplane::control::{ControlCmd, ShardAnswer};
@@ -30,11 +31,13 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::OnceLock;
 
 /// A traffic set: the pmgr script every plane runs first, the packets,
-/// and the packet before which `route 10.1.0.0/16 3` is applied.
+/// the packet before which `route 10.1.0.0/16 3` is applied, and every
+/// interface's MTU.
 struct Set {
     script: String,
     packets: Vec<Mbuf>,
     route_at: Option<usize>,
+    mtu: usize,
 }
 
 /// (src, dst, sport, dport, packets) of one flow.
@@ -88,6 +91,7 @@ fn v6_fates() -> Set {
         script: format!("{GATES}{drr}"),
         packets: stamped(flows, 128),
         route_at: None,
+        mtu: RouterConfig::default().mtu,
     }
 }
 
@@ -114,6 +118,32 @@ fn v4_churn() -> Set {
         script: format!("{GATES}route 10.0.0.0/8 1\nroute 10.64.0.0/10 2\n"),
         route_at: Some(packets.len() / 2),
         packets,
+        mtu: RouterConfig::default().mtu,
+    }
+}
+
+/// v4 fragments: 16 flows of 1 400-byte packets (DF clear) through one
+/// DRR serving interfaces 1 and 2, each packet cut into three fragments
+/// at MTU 600 — three queue entries to pump, not one.
+fn v4_frags() -> Set {
+    let v4 = |a, b, c, d| IpAddr::V4(Ipv4Addr::new(a, b, c, d));
+    let flows: Vec<Flow> = (0..16u8)
+        .map(|i| {
+            let (src, dst) = (v4(192, 0, 2, i + 1), v4(10, 1 + i % 2, 0, i + 1));
+            (src, dst, 5000 + u16::from(i), 80, 4 + usize::from(i % 3))
+        })
+        .collect();
+    let mut packets = stamped(flows, 1400 - 28);
+    for m in &mut packets {
+        m.data_mut()[6] &= !0x40;
+    }
+    let drr = "load drr\ncreate drr quantum=1500 limit=512\nattach 1 drr 0\nattach 2 drr 0\n\
+               bind sched drr 0 <*, *, UDP, *, *, *>\nroute 10.1.0.0/16 1\nroute 10.2.0.0/16 2\n";
+    Set {
+        script: format!("{GATES}{drr}"),
+        packets,
+        route_at: None,
+        mtu: 600,
     }
 }
 
@@ -125,7 +155,7 @@ fn route_event(plane: &mut impl ControlPlane) {
 /// buckets doubling up to 1 024, and a 192-record cap.
 const SCALE_RECORDS: usize = 192;
 
-fn config(scale: bool) -> RouterConfig {
+fn config(mtu: usize, scale: bool) -> RouterConfig {
     let paper = RouterConfig::default().flow_table;
     let flow_table = match scale {
         false => paper,
@@ -141,12 +171,13 @@ fn config(scale: bool) -> RouterConfig {
     RouterConfig {
         verify_checksums: false,
         flow_table,
+        mtu,
         ..RouterConfig::default()
     }
 }
 
 fn single(set: &Set, scale: bool) -> Router {
-    let mut r = Router::new(config(scale));
+    let mut r = Router::new(config(set.mtu, scale));
     register_builtin_factories(&mut r.loader);
     run_script(&mut r, &set.script).unwrap();
     r
@@ -157,7 +188,7 @@ fn parallel(set: &Set, scale: bool) -> ParallelRouter {
     register_builtin_factories(&mut template);
     let shape = ParallelRouterConfig {
         shards: 4,
-        router: config(scale),
+        router: config(set.mtu, scale),
         ingress_depth: 256,
         ..ParallelRouterConfig::default()
     };
@@ -197,19 +228,16 @@ fn observe(
     }
 }
 
-/// The reference loop: cloned packets, one `receive` each, `pump(i, 1)`
-/// after each `Queued`.
+/// The reference loop: cloned packets, one `receive` each, then a pump
+/// of what it queued.
 fn per_packet(mut r: Router, set: &Set) -> Observed {
     let mut dispositions = Vec::new();
     for (n, pkt) in set.packets.iter().enumerate() {
         if set.route_at == Some(n) {
             route_event(&mut r);
         }
-        let d = r.receive(pkt.clone());
-        if let Disposition::Queued(i) = d {
-            r.pump(i, 1);
-        }
-        dispositions.push(d);
+        dispositions.push(r.receive(pkt.clone()));
+        r.pump_queued();
     }
     let mut wire = Wire::new();
     for i in 0..r.interface_count() as IfIndex {
@@ -347,6 +375,7 @@ fn shaped<P: IoRouter>(plane: P, set: &Set, feed: Feed, engaged: fn(&mut P)) -> 
 enum Traffic {
     V6Fates,
     V4Churn,
+    V4Frags,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -408,9 +437,19 @@ fn check(row: &Row, want: &Observed, got: &Observed, packets: u64) {
     }
     let same = got.dispositions.is_none() || got.dispositions == want.dispositions;
     assert!(same, "{row:?}: dispositions");
+    for (name, o) in [("reference", want), ("row", got)] {
+        let depth = o.totals.queue_depth;
+        assert!(
+            depth.iter().all(|&q| q == 0),
+            "{row:?}: {name} queues {depth:?}"
+        );
+    }
+    let per_if = |o: &Observed| (o.totals.if_tx_packets, o.totals.if_tx_bytes);
+    assert_eq!(per_if(got), per_if(want), "{row:?}: per-interface egress");
     let d = got.totals.data_path();
     assert_eq!(d, want.totals.data_path(), "{row:?}: counters");
-    assert_eq!(d.received, d.forwarded + d.dropped_total(), "{row:?}");
+    let out = d.forwarded + d.dropped_total();
+    assert_eq!(d.received + d.fragments, out, "{row:?}");
     assert!(got.totals.fib_cache_hit > 0, "{row:?}: FIB cache never hit");
     let (gf, wf) = (got.totals.flows, want.totals.flows);
     if scale {
@@ -426,8 +465,10 @@ fn check(row: &Row, want: &Observed, got: &Observed, packets: u64) {
         assert_eq!(flows(gf), flows(wf), "{row:?}: flow cache");
     }
     if plane == Single && feed != PerPacket {
+        // One buffer per ingress packet and one per fragment cut.
         let m = &got.totals;
-        assert_eq!(m.mbuf_acquired, packets, "{row:?}: pool bypassed");
+        let buffers = packets + d.fragmented + d.fragments;
+        assert_eq!(m.mbuf_acquired, buffers, "{row:?}: pool bypassed");
         assert!(m.mbuf_recycled > 0, "{row:?}: nothing recycled");
     }
 }
@@ -437,9 +478,11 @@ fn check(row: &Row, want: &Observed, got: &Observed, packets: u64) {
 fn reference(traffic: Traffic) -> &'static (Set, Observed) {
     static V6: OnceLock<(Set, Observed)> = OnceLock::new();
     static V4: OnceLock<(Set, Observed)> = OnceLock::new();
+    static FRAGS: OnceLock<(Set, Observed)> = OnceLock::new();
     let (cell, set): (_, fn() -> Set) = match traffic {
         V6Fates => (&V6, v6_fates),
         V4Churn => (&V4, v4_churn),
+        V4Frags => (&FRAGS, v4_frags),
     };
     cell.get_or_init(|| {
         let set = set();
@@ -490,4 +533,12 @@ rows! {
     v6_single_pcap: Row(V6Fates, Single, false, Pcap),
     v6_parallel_loopback: Row(V6Fates, Parallel, false, Loopback),
     v6_parallel_pcap: Row(V6Fates, Parallel, false, Pcap),
+    /// A fragmented packet's every queue entry is pumped after it
+    v4_frags_single_driver64: Row(V4Frags, Single, false, Driver(64)),
+    v4_frags_parallel_driver1: Row(V4Frags, Parallel, false, Driver(1)),
+    v4_frags_parallel_driver8: Row(V4Frags, Parallel, false, Driver(8)),
+    v4_frags_parallel_driver64: Row(V4Frags, Parallel, false, Driver(64)),
+    v4_frags_single_loopback: Row(V4Frags, Single, false, Loopback),
+    v4_frags_parallel_loopback: Row(V4Frags, Parallel, false, Loopback),
+    v4_frags_parallel_pcap: Row(V4Frags, Parallel, false, Pcap),
 }

@@ -112,11 +112,24 @@ fn edge_router_full_stack() {
     ));
 
     // Premium + best-effort flows share the egress under 3:1 weights.
+    let (premium_out, besteff_out) = drr_share(&mut r, 600);
+    let ratio = f64::from(premium_out) / f64::from(besteff_out);
+    assert!((ratio - 3.0).abs() < 0.4, "premium:besteffort = {ratio}");
+
+    // Stats plugin saw the forwarded traffic but not the firewall drop's
+    // flow (dropped before the stats gate? firewall gate precedes stats —
+    // dropped packets never reach it).
+    let report = run_command(&mut r, "msg stats 0 report").unwrap();
+    assert!(report.contains("pkts"), "{report}");
+}
+
+/// Premium (sport 7000) and best-effort packets offered in pairs to a
+/// DRR that sends one packet per pair: returns what each flow sent.
+fn drr_share(r: &mut Router, rounds: usize) -> (u32, u32) {
     let premium = PacketSpec::udp(v6_host(1), v6_host(9), 7000, 9000, 1000).build();
     let besteff = PacketSpec::udp(v6_host(2), v6_host(9), 8000, 9000, 1000).build();
-    let mut premium_out = 0u32;
-    let mut besteff_out = 0u32;
-    for _ in 0..600 {
+    let (mut premium_out, mut besteff_out) = (0, 0);
+    for _ in 0..rounds {
         r.receive(Mbuf::new(premium.clone(), 0));
         r.receive(Mbuf::new(besteff.clone(), 0));
         r.pump(1, 1);
@@ -128,14 +141,40 @@ fn edge_router_full_stack() {
             }
         }
     }
+    (premium_out, besteff_out)
+}
+
+/// A DRR weight set after a flow has bound still reaches that flow: the
+/// weight is the filter's hard state, looked up through the binding's
+/// filter on the flow's later packets, not copied into the flow record
+/// when it bound.
+#[test]
+fn drr_weight_set_after_bind_reaches_the_bound_flow() {
+    let mut r = router(
+        "load drr\ncreate drr quantum=1500 limit=32\nattach 1 drr 0\n\
+         bind sched drr 0 <*, *, UDP, *, *, *>",
+    );
+    let out = run_command(&mut r, "bind sched drr 0 <2001:db8::1, *, UDP, 7000, *, *>").unwrap();
+    let fid: u64 = out.strip_prefix("filter ").unwrap().parse().unwrap();
+
+    // Both flows bind and share 1:1 while the premium filter has no
+    // weight.
+    let (premium_out, besteff_out) = drr_share(&mut r, 200);
+    let ratio = f64::from(premium_out) / f64::from(besteff_out);
+    assert!((ratio - 1.0).abs() < 0.1, "premium:besteffort = {ratio}");
+    assert_eq!(r.flow_stats().live, 2);
+    r.pump(1, usize::MAX);
+    r.take_tx(1);
+
+    run_command(
+        &mut r,
+        &format!("msg drr 0 setweight filter={fid} weight=3"),
+    )
+    .unwrap();
+    let (premium_out, besteff_out) = drr_share(&mut r, 600);
     let ratio = f64::from(premium_out) / f64::from(besteff_out);
     assert!((ratio - 3.0).abs() < 0.4, "premium:besteffort = {ratio}");
-
-    // Stats plugin saw the forwarded traffic but not the firewall drop's
-    // flow (dropped before the stats gate? firewall gate precedes stats —
-    // dropped packets never reach it).
-    let report = run_command(&mut r, "msg stats 0 report").unwrap();
-    assert!(report.contains("pkts"), "{report}");
+    assert_eq!(r.flow_stats().misses, 2, "the flows stayed bound");
 }
 
 /// Mini Table 3: the framework forwards the paper workload correctly in
