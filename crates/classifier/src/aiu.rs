@@ -21,10 +21,10 @@ use rp_packet::{FlowKey, Mbuf};
 /// `router-core`; the AIU just numbers them).
 pub type GateId = usize;
 
-/// A flow record's gate binding as a gate call takes it: the bound
-/// instance (the record's line 1), and in the gate's column cell the
-/// filter the binding was derived from — by reference, so a call that
-/// never asks for it never loads it — and the per-flow soft-state slot.
+/// A flow record's gate binding as a gate call takes it, all from the
+/// gate's column cell: the bound instance, the filter the binding was
+/// derived from — by reference, so a call that never asks for it never
+/// loads it — and the per-flow soft-state slot.
 pub type GateMut<'a, V> = (
     &'a V,
     &'a FilterId,
@@ -336,7 +336,7 @@ mod tests {
         }
     }
 
-    fn aiu3() -> Aiu<&'static str> {
+    fn aiu3<V: Clone>() -> Aiu<V> {
         Aiu::new(AiuConfig {
             gates: 3,
             flow_table: FlowTableConfig {
@@ -496,17 +496,19 @@ mod tests {
     }
 
     /// A gate's first filter, and no later one, buys its column: eight
-    /// 24-byte cells (soft state + filter id) here, under a live record.
+    /// 32-byte cells (instance, soft state, filter id) for a handle-sized
+    /// instance, under a live record.
     #[test]
     fn a_gates_first_filter_buys_its_soft_state_column() {
+        let handle = std::num::NonZeroU64::MIN;
         let mut aiu = aiu3();
         aiu.classify(&tuple(1));
         let base = aiu.flow_mem_bytes();
-        aiu.install_filter(1, FilterSpec::any(), "p").unwrap();
-        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 24);
+        aiu.install_filter(1, FilterSpec::any(), handle).unwrap();
+        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 32);
         let tcp = "*, *, TCP, *, *, *".parse().unwrap();
-        aiu.install_filter(1, tcp, "q").unwrap();
-        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 24);
+        aiu.install_filter(1, tcp, handle).unwrap();
+        assert_eq!(aiu.flow_mem_bytes(), base + 8 * 32);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The flow table (paper §5.2): a hash-indexed cache of fully specified
-//! flows. Each record stores, **per gate**, the bound plugin instance; the
-//! gate's column holds the rest of that gate's binding — an opaque
-//! per-flow soft-state slot (the DRR plugin keeps its per-flow queue
-//! pointer there) and the filter the binding derives from.
+//! flows. Each record is one cache line: the key, the probe's fields and
+//! a bit per bound gate. The gate's column holds that gate's whole
+//! binding — the bound plugin instance, an opaque per-flow soft-state
+//! slot (the DRR plugin keeps its per-flow queue pointer there) and the
+//! filter the binding derives from.
 //!
 //! Reproduced mechanics:
 //!
@@ -90,7 +91,7 @@ pub const MAX_GATES: usize = 8;
 const _: () = assert!(MAX_GATES <= 8);
 
 /// The bindings of a flow that has left the table, gathered from its
-/// record's instances and its gates' column cells for [`EvictedFlow`] — a
+/// gates' column cells for [`EvictedFlow`] — a
 /// transport type only: live records keep no `GateArray`.
 pub struct GateArray<V> {
     instances: [Option<V>; MAX_GATES],
@@ -134,33 +135,37 @@ impl<V> GateArray<V> {
     }
 }
 
-/// One flow's cell in a gate's column: the second pointer of the paper's
-/// pair — the flow's soft state — and the filter the binding derives
-/// from, a filter's hard state being reached through the filter, not the
-/// flow. The filter is the raw id while the gate's `bound` bit is set;
-/// read only by the plugin that asks for it and the cold paths.
-struct GateCell {
+/// One flow's cell in a gate's column: the paper's pair for that gate —
+/// the bound instance and the flow's soft state — and the filter the
+/// binding derives from, a filter's hard state being reached through the
+/// filter, not the flow. Read only while the gate's `bound` bit is set,
+/// so the filter is a raw id (filter 0 stays a filter); the plugin call
+/// reads the instance, the soft state and the filter only as far as the
+/// plugin asks for them.
+struct GateCell<V> {
+    instance: Option<V>,
     soft: Option<Box<dyn Any + Send>>,
     filter: FilterId,
 }
 
-const _: () = assert!(std::mem::size_of::<GateCell>() == 24);
+// Two cells per cache line for a handle-sized instance (`core::router`
+// pins its handle at 8 B).
+const _: () = assert!(std::mem::size_of::<GateCell<std::num::NonZeroU64>>() == 32);
 
-impl GateCell {
+impl<V> GateCell<V> {
     const EMPTY: Self = GateCell {
+        instance: None,
         soft: None,
         filter: FilterId(0),
     };
 }
 
-/// One row of the flow table, cache-line aligned, two lines for a
-/// handle-sized `V`. Line 0 is everything a probe and the gate walk's
-/// [`FlowTable::bound_mask`] read touch; a bound gate reads one more line
-/// — line 1, every gate's instance. Soft state, filter ids and the
-/// insertion sequence live in the table's columns (see [`FlowTable`]),
-/// not here.
+/// One row of the flow table: one cache line, everything a probe and the
+/// gate walk's [`FlowTable::bound_mask`] read touch. A bound gate reads
+/// its column cell besides; every gate's binding and the insertion
+/// sequence live in the table's columns (see [`FlowTable`]), not here.
 #[repr(C, align(64))]
-pub struct FlowRecord<V> {
+pub struct FlowRecord {
     /// Virtual time of the last lookup hit (for idle expiry).
     last_used: u64,
     /// The fully specified six-tuple identifying the flow.
@@ -180,29 +185,24 @@ pub struct FlowRecord<V> {
     /// once per packet, on the line the probe already loaded, and skips
     /// every gate whose bit is clear.
     bound: u8,
-    /// The instance half of each gate's pair, 8 bytes for a handle-sized
-    /// `V`: all eight gates on one line.
-    instances: [Option<V>; MAX_GATES],
 }
 
-// Line 0 ends inside 64 bytes and the instances start at 64
-// (`core::router` pins the size for its handle type).
+// Every field ends inside the one line (`core::router` pins the size
+// and alignment too).
 const _: () = {
     use std::mem::offset_of;
-    type R = FlowRecord<u32>;
-    assert!(offset_of!(R, last_used) + 8 <= 64);
+    type R = FlowRecord;
+    assert!(offset_of!(R, last_used) == 0);
     assert!(offset_of!(R, key) == 8);
-    assert!(offset_of!(R, key) + std::mem::size_of::<FlowKey>() <= 64);
-    assert!(offset_of!(R, next) + 4 <= 64);
+    assert!(offset_of!(R, next) == 8 + std::mem::size_of::<FlowKey>());
     assert!(offset_of!(R, hash) + 4 <= 64);
     assert!(offset_of!(R, live) < 64);
     assert!(offset_of!(R, referenced) < 64);
     assert!(offset_of!(R, bound) < 64);
-    assert!(offset_of!(R, instances) == 64);
-    assert!(std::mem::size_of::<R>() == 128);
+    assert!(std::mem::size_of::<R>() == 64);
 };
 
-impl<V> FlowRecord<V> {
+impl FlowRecord {
     fn is_bound(&self, gate: usize) -> bool {
         gate < MAX_GATES && self.bound & (1 << gate) != 0
     }
@@ -212,8 +212,8 @@ impl<V> FlowRecord<V> {
 /// [`FlowTable::record`] returns and [`FlowTable::invalidate_where`]
 /// tests.
 pub struct FlowView<'a, V> {
-    record: &'a FlowRecord<V>,
-    cells: &'a [Vec<GateCell>; MAX_GATES],
+    record: &'a FlowRecord,
+    cells: &'a [Vec<GateCell<V>>; MAX_GATES],
     slot: usize,
 }
 
@@ -223,22 +223,26 @@ impl<'a, V> FlowView<'a, V> {
         self.record.key
     }
 
-    /// The instance bound at `gate`.
-    pub fn instance(&self, gate: usize) -> Option<&'a V> {
-        self.record.instances.get(gate)?.as_ref()
-    }
-
-    /// The filter the binding at `gate` was derived from (the gate's
-    /// column cell).
-    pub fn filter(&self, gate: usize) -> Option<FilterId> {
+    /// The gate's column cell, if an instance is bound at `gate`.
+    fn cell(&self, gate: usize) -> Option<&'a GateCell<V>> {
         self.record
             .is_bound(gate)
-            .then(|| self.cells[gate][self.slot].filter)
+            .then(|| &self.cells[gate][self.slot])
+    }
+
+    /// The instance bound at `gate`.
+    pub fn instance(&self, gate: usize) -> Option<&'a V> {
+        self.cell(gate)?.instance.as_ref()
+    }
+
+    /// The filter the binding at `gate` was derived from.
+    pub fn filter(&self, gate: usize) -> Option<FilterId> {
+        Some(self.cell(gate)?.filter)
     }
 
     /// Every bound instance, in gate order (for bound-anywhere scans).
-    pub fn instances(&self) -> impl Iterator<Item = &'a V> {
-        self.record.instances.iter().flatten()
+    pub fn instances(&self) -> impl Iterator<Item = &'a V> + '_ {
+        (0..MAX_GATES).filter_map(|g| self.instance(g))
     }
 }
 
@@ -363,17 +367,17 @@ pub struct FlowTable<V> {
     old_buckets: Vec<u32>,
     /// Migration cursor into `old_buckets`.
     migrate_pos: usize,
-    records: Vec<FlowRecord<V>>,
+    records: Vec<FlowRecord>,
     /// Insertion sequence number per slot (breaks `last_used` ties
     /// oldest-first). A column, not a record field: only an insert and the
     /// hand passing a referenced record touch it.
     seq: Vec<u64>,
-    /// Per-gate columns of [`GateCell`]s (soft state + filter id),
-    /// indexed by slot. Column g is empty until [`Self::enable_gate`]
+    /// Per-gate columns of [`GateCell`]s (instance, soft state, filter
+    /// id), indexed by slot. Column g is empty until [`Self::enable_gate`]
     /// materialises it to `records.len()`: a gate that never held a
     /// filter binds no instance, keeps no soft state and costs no memory.
     /// Inline: a cell is one load away.
-    cells: [Vec<GateCell>; MAX_GATES],
+    cells: [Vec<GateCell<V>>; MAX_GATES],
     free: Vec<u32>,
     cfg: FlowTableConfig,
     next_seq: u64,
@@ -434,7 +438,6 @@ impl<V> FlowTable<V> {
             live: false,
             referenced: false,
             bound: 0,
-            instances: std::array::from_fn(|_| None),
         }));
         self.seq.resize(start + n, 0);
         for col in self.cells.iter_mut().filter(|c| !c.is_empty()) {
@@ -473,9 +476,9 @@ impl<V> FlowTable<V> {
         use std::mem::size_of;
         let cells: usize = self.cells.iter().map(Vec::capacity).sum();
         (self.buckets.capacity() + self.old_buckets.capacity()) * size_of::<u32>()
-            + self.records.capacity() * size_of::<FlowRecord<V>>()
+            + self.records.capacity() * size_of::<FlowRecord>()
             + self.seq.capacity() * size_of::<u64>()
-            + cells * size_of::<GateCell>()
+            + cells * size_of::<GateCell<V>>()
             + self.free.capacity() * size_of::<u32>()
     }
 
@@ -508,12 +511,7 @@ impl<V> FlowTable<V> {
     /// probe, so never a call. A record's cached hash, on the line the walk
     /// reads anyway, settles most mismatches before the key is compared.
     #[inline(always)]
-    fn chain_find(
-        heads: &[u32],
-        records: &[FlowRecord<V>],
-        key: &FlowKey,
-        hash: u32,
-    ) -> Option<u32> {
+    fn chain_find(heads: &[u32], records: &[FlowRecord], key: &FlowKey, hash: u32) -> Option<u32> {
         let mut cur = heads[(hash as usize) & (heads.len() - 1)];
         while cur != EMPTY {
             let r = &records[cur as usize];
@@ -598,8 +596,9 @@ impl<V> FlowTable<V> {
         let r = &mut self.records[i];
         assert!(r.live, "bind on a free slot");
         r.bound |= 1 << gate;
-        r.instances[gate] = Some(v);
-        self.cells[gate][i].filter = filter;
+        let cell = &mut self.cells[gate][i];
+        cell.instance = Some(v);
+        cell.filter = filter;
     }
 
     /// The gates `fix` binds, one bit per gate ([`FlowRecord`]'s `bound`);
@@ -612,11 +611,11 @@ impl<V> FlowTable<V> {
         }
     }
 
-    /// Everything a gate's plugin call needs: the bound instance — line 1
-    /// of the record — and, by reference into the gate's column cell, the
-    /// filter it derives from and the flow's soft state; neither is loaded
-    /// here. `None`, without leaving line 0, when the record is gone or
-    /// nothing is bound at `gate`.
+    /// Everything a gate's plugin call needs, from the gate's column cell:
+    /// the bound instance and, by reference, the filter it derives from
+    /// and the flow's soft state; neither is loaded here. `None`, without
+    /// leaving the record's line, when the record is gone or nothing is
+    /// bound at `gate`.
     #[inline]
     pub fn gate_mut(&mut self, fix: FlowIndex, gate: usize) -> Option<GateMut<'_, V>> {
         let i = fix.0 as usize;
@@ -624,8 +623,12 @@ impl<V> FlowTable<V> {
         if !r.live || !r.is_bound(gate) {
             return None;
         }
-        let GateCell { soft, filter } = &mut self.cells[gate][i];
-        Some((r.instances[gate].as_ref()?, &*filter, soft))
+        let GateCell {
+            instance,
+            soft,
+            filter,
+        } = &mut self.cells[gate][i];
+        Some((instance.as_ref()?, &*filter, soft))
     }
 
     /// [`Self::gate_mut`] with the filter id read out.
@@ -765,7 +768,7 @@ impl<V> FlowTable<V> {
         }
     }
 
-    fn unlink_from(heads: &mut [u32], records: &mut [FlowRecord<V>], b: usize, idx: u32) -> bool {
+    fn unlink_from(heads: &mut [u32], records: &mut [FlowRecord], b: usize, idx: u32) -> bool {
         let mut cur = heads[b];
         if cur == idx {
             heads[b] = records[idx as usize].next;
@@ -782,10 +785,10 @@ impl<V> FlowTable<V> {
         false
     }
 
-    /// Unlink `idx` and gather its key, instances and column cells into
-    /// `out` (dropping what `out` held), leaving the slot blank at every
-    /// gate. A cell holds anything only where an instance is bound, so
-    /// only those columns are touched; nothing is allocated.
+    /// Unlink `idx` and gather its key and column cells into `out`
+    /// (dropping what `out` held), leaving the slot blank at every gate.
+    /// A cell holds anything only where an instance is bound, so only
+    /// those columns are touched; nothing is allocated.
     fn evict(&mut self, idx: u32, out: &mut EvictedFlow<V>) {
         self.unlink(idx);
         let i = idx as usize;
@@ -796,7 +799,7 @@ impl<V> FlowTable<V> {
         for g in 0..self.cfg.gates {
             let (filter, instance, soft) = if r.is_bound(g) {
                 let cell = &mut self.cells[g][i];
-                (Some(cell.filter), r.instances[g].take(), cell.soft.take())
+                (Some(cell.filter), cell.instance.take(), cell.soft.take())
             } else {
                 (None, None, None)
             };
@@ -1002,7 +1005,48 @@ mod tests {
         assert!(t.binding_mut(fix, 0).unwrap().2.is_none(), "stale state");
     }
 
-    /// Each slot of capacity costs 128 + 8 + 24 per *enabled* gate.
+    /// A recycled slot hands its instance back with the evicted flow and
+    /// shows the next flow none: the cell keeps nothing from a gate its
+    /// new flow did not match.
+    #[test]
+    fn a_recycled_slot_shows_no_stale_instance() {
+        let mut t: FlowTable<u32> = FlowTable::new(FlowTableConfig {
+            initial_records: 1,
+            max_records: 1,
+            gates: 3,
+            ..small().cfg
+        });
+        let fix = insert(&mut t, key(1));
+        t.bind(fix, 2, 7, FilterId(4));
+        let mut parked = t.parked();
+        let Admit::New {
+            fix: again,
+            recycled,
+        } = t.lookup_or_insert(&key(2), key_hash(&key(2)), &mut parked)
+        else {
+            panic!("a full table recycles");
+        };
+        assert!(recycled && again == fix, "the one slot recycled");
+        let back: Vec<_> = parked
+            .gates
+            .drain()
+            .map(|b| (b.instance, b.filter))
+            .collect();
+        assert_eq!(
+            back,
+            [(None, None), (None, None), (Some(7), Some(FilterId(4)))]
+        );
+        let r = t.record(fix).unwrap();
+        assert_eq!((r.instance(2), r.filter(2)), (None, None));
+        assert_eq!(r.instances().count(), 0);
+        assert!(t.binding_mut(fix, 2).is_none());
+        t.bind(fix, 0, 8, FilterId(5));
+        let r = t.record(fix).unwrap();
+        assert_eq!(r.instances().collect::<Vec<_>>(), [&8]);
+        assert!(r.instance(2).is_none());
+    }
+
+    /// Each slot of capacity costs 64 + 8 + 32 per *enabled* gate.
     #[test]
     fn memory_is_every_slab_and_a_column_per_enabled_gate() {
         let mut t: FlowTable<u32> = FlowTable::new(FlowTableConfig {
@@ -1012,16 +1056,16 @@ mod tests {
             ..small().cfg
         });
         let fixed = |t: &FlowTable<u32>| (64 + t.free.capacity()) * 4;
-        assert_eq!(t.approx_mem_bytes(), 16 * (128 + 8) + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 16 * (64 + 8) + fixed(&t));
         t.enable_gate(2);
-        assert_eq!(t.approx_mem_bytes(), 16 * 160 + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 16 * 104 + fixed(&t));
         // Growth extends the materialised column and no other.
         for i in 0..40 {
             insert(&mut t, key(i));
         }
         let cols = |t: &FlowTable<u32>| t.cells.each_ref().map(Vec::len);
         assert_eq!(cols(&t), [0, 0, 64, 0, 0, 0, 0, 0]);
-        assert_eq!(t.approx_mem_bytes(), 64 * 160 + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 64 * 104 + fixed(&t));
         // Enabling a gate under live records materialises exactly its
         // column, to the slab's length; a raw `bind` does the same.
         t.enable_gate(0);
@@ -1031,7 +1075,7 @@ mod tests {
         for g in [1, 3, 4] {
             t.enable_gate(g);
         }
-        assert_eq!(t.approx_mem_bytes(), 64 * 280 + fixed(&t));
+        assert_eq!(t.approx_mem_bytes(), 64 * 264 + fixed(&t));
     }
 
     #[test]

@@ -19,11 +19,13 @@ use rp_packet::mbuf::{FlowIndex, IfIndex};
 use rp_packet::{Mbuf, MbufPool, PoolStats};
 use std::net::IpAddr;
 
-// `scale1m` holds a million of these, two cache lines each: a field
+// `scale1m` holds a million of these, one cache line each: a field
 // that widens the record moves its `mem_mb` and the lines a cold hit
-// touches (`classifier::flow_table` pins which field sits on which).
-const _: () = assert!(std::mem::size_of::<FlowRecord<InstanceHandle>>() == 128);
-const _: () = assert!(std::mem::align_of::<FlowRecord<InstanceHandle>>() == 64);
+// touches (`classifier::flow_table` pins each field inside the line). A
+// bound gate's column cell is 32 B for an 8-B handle.
+const _: () = assert!(std::mem::size_of::<FlowRecord>() == 64);
+const _: () = assert!(std::mem::align_of::<FlowRecord>() == 64);
+const _: () = assert!(std::mem::size_of::<Option<InstanceHandle>>() == 8);
 
 /// A network interface: egress queue plus bookkeeping. Reception is
 /// modelled by calling [`Router::receive`] with the interface id.
