@@ -92,6 +92,42 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// The one data-plane surface a driver feeds: bursts of ingress packets
+/// in, each interface's transmitted packets out, buffers through the
+/// plane's pool. [`Router`] and [`ParallelRouter`] implement it, so one
+/// driver loop (the device crate's `IoPlane`, the simulator's
+/// `Testbench::run`) serves either shape. Counters come through the
+/// [`ControlPlane`] every data plane already is.
+pub trait DataPlane: ControlPlane {
+    /// Take in a burst of ingress packets, draining `pkts`; its capacity
+    /// is reused (or swapped for a recycled carrier) across calls.
+    /// `wall_now_ns` is the caller's one [`coarse_now_ns`] reading for
+    /// the burst: a packet's sojourn is measured from its ingress stamp
+    /// to it. Returns the packets taken in.
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64;
+    /// Settle in-flight work. After it no scheduler holds a packet an
+    /// unlimited link could send, and every transmitted packet waits on
+    /// its interface's tx log.
+    fn flush(&mut self);
+    /// Append interface `iface`'s transmitted packets to `out`, keeping
+    /// both vectors' capacity.
+    fn take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>);
+    /// The plane's buffer pool, for drivers that acquire and recycle
+    /// backing buffers directly.
+    fn pool_mut(&mut self) -> &mut MbufPool;
+    /// Account `n` frames a device's receive side dropped before they
+    /// became IP packets (truncated or non-IP L2 frames). They count as
+    /// received and dropped, so `received == forwarded + Σdrops` extends
+    /// to the wire.
+    fn note_device_rx_drops(&mut self, n: u64);
+    /// Re-account `n` already-forwarded packets an egress device refused:
+    /// they land in the device-tx drop slot, which the `stats` view takes
+    /// back out of `forwarded`.
+    fn note_device_tx_drops(&mut self, n: u64);
+    /// Number of router interfaces.
+    fn interface_count(&self) -> usize;
+}
+
 // The whole design depends on Router moving into worker threads; fail at
 // compile time (not deep inside thread::spawn) if a !Send field sneaks in.
 const _: fn() = || {
@@ -198,10 +234,10 @@ struct Zombie {
 
 /// N flow-affine router shards behind the single-router interface.
 ///
-/// Packets enter through [`receive`](ParallelRouter::receive), control
-/// through [`ControlPlane`] (or [`control_map`](ParallelRouter::control_map)
-/// directly), and egress leaves through
-/// [`take_tx`](ParallelRouter::take_tx) after a
+/// Packets enter through [`receive_batch`](ParallelRouter::receive_batch)
+/// (or [`DataPlane::receive_burst`]), control through [`ControlPlane`]
+/// (or [`control_map`](ParallelRouter::control_map) directly), and egress
+/// leaves through [`take_tx`](ParallelRouter::take_tx) after a
 /// [`flush`](ParallelRouter::flush).
 pub struct ParallelRouter {
     cfg: ParallelRouterConfig,
@@ -628,30 +664,16 @@ impl ParallelRouter {
 
     // ---- data path ------------------------------------------------
 
-    /// Dispatch one ingress packet to its flow's shard — a one-packet
-    /// [`receive_batch`](ParallelRouter::receive_batch) on a recycled
-    /// carrier. Returns the shard index. A full FIFO back-pressures for
-    /// at most [`ParallelRouterConfig::overload_wait`], then the packet
-    /// is shed as a counted [`DropReason::ShardOverload`]; a dead,
-    /// stalled, or quarantined shard sheds immediately as
-    /// [`DropReason::ShardDown`].
-    pub fn receive(&mut self, mbuf: Mbuf) -> usize {
-        let s = self.shard_of(&mbuf);
-        self.watchdog(1);
-        let mut carrier = self.batch_carrier();
-        carrier.push(mbuf);
-        self.dispatch_batch(s, carrier);
-        s
-    }
-
     /// Dispatch a whole batch of ingress packets, grouping them by their
     /// flows' shards and sending **one** [`ShardMsg::Batch`] per shard
     /// touched — the ring push (and, on the worker side, the egress
     /// drain) is amortized over the batch while per-flow order is
     /// untouched (grouping is a stable partition and a flow maps to
-    /// exactly one shard). Overload and health semantics per shard group
-    /// match [`receive`](ParallelRouter::receive), with every packet of
-    /// a failed group counted shed. Consumes the carrier `Vec`; get a
+    /// exactly one shard). A full FIFO back-pressures for at most
+    /// [`ParallelRouterConfig::overload_wait`], then the shard's group is
+    /// shed as counted [`DropReason::ShardOverload`]; a dead, stalled or
+    /// quarantined shard sheds its group at once as
+    /// [`DropReason::ShardDown`]. Consumes the carrier `Vec`; get a
     /// recycled one from [`batch_carrier`](ParallelRouter::batch_carrier)
     /// to keep the steady state allocation-free. Returns the number of
     /// packets handed to shards (the rest were shed).
@@ -828,30 +850,6 @@ impl ParallelRouter {
         }
     }
 
-    /// The dispatcher's buffer pool, for device drivers that acquire and
-    /// recycle backing buffers directly (mirrors [`Router::pool_mut`]).
-    pub fn pool_mut(&mut self) -> &mut rp_packet::pool::MbufPool {
-        &mut self.pool
-    }
-
-    /// Account `n` frames a device's receive side dropped before they
-    /// became IP packets. Counted dispatcher-side exactly like an
-    /// overload shed (`shed_n`): received and
-    /// dropped in the same breath, so the merged
-    /// `received == forwarded + Σdrops` invariant extends to the wire.
-    pub fn note_device_rx_drops(&mut self, n: u64) {
-        self.local_metrics.received += n;
-        self.local_metrics.drops[drop_reason_index(DropReason::DeviceRx)] += n;
-    }
-
-    /// Re-account `n` already-forwarded packets whose egress device
-    /// refused to transmit them: they land in the device-tx drop slot,
-    /// which the [`stats`](ParallelRouter::stats) view takes back out of
-    /// the merged `forwarded`.
-    pub fn note_device_tx_drops(&mut self, n: u64) {
-        self.local_metrics.drops[drop_reason_index(DropReason::DeviceTx)] += n;
-    }
-
     // ---- control fan-out ------------------------------------------
 
     /// Run `f` on every serving shard (on the shard's own thread, in
@@ -973,9 +971,44 @@ impl ParallelRouter {
     pub fn shard_reports(&mut self) -> Vec<ShardReport> {
         self.control_map(|ctx| ctx.report())
     }
+}
 
-    /// Number of interfaces (identical on every shard).
-    pub fn interface_count(&self) -> usize {
+impl DataPlane for ParallelRouter {
+    /// Dispatch the burst through
+    /// [`receive_batch`](ParallelRouter::receive_batch), swapping it for
+    /// a recycled carrier first: the `Vec` the dispatcher consumes is one
+    /// a shard sent back, and the caller keeps a warm empty one. Returns
+    /// the packets handed to shards. `wall_now_ns` is not read: each
+    /// shard measures sojourn against its own reading at dequeue.
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, _wall_now_ns: u64) -> u64 {
+        let mut carrier = self.batch_carrier();
+        std::mem::swap(&mut carrier, pkts);
+        self.receive_batch(carrier) as u64
+    }
+
+    fn flush(&mut self) {
+        ParallelRouter::flush(self);
+    }
+
+    fn take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>) {
+        ParallelRouter::take_tx_into(self, iface, out);
+    }
+
+    fn pool_mut(&mut self) -> &mut MbufPool {
+        &mut self.pool
+    }
+
+    /// Counted dispatcher-side like an overload shed.
+    fn note_device_rx_drops(&mut self, n: u64) {
+        self.local_metrics.received += n;
+        self.local_metrics.drops[drop_reason_index(DropReason::DeviceRx)] += n;
+    }
+
+    fn note_device_tx_drops(&mut self, n: u64) {
+        self.local_metrics.drops[drop_reason_index(DropReason::DeviceTx)] += n;
+    }
+
+    fn interface_count(&self) -> usize {
         self.interfaces
     }
 }

@@ -14,6 +14,7 @@
 //! final `ShardFinal` accounting report so no counter is silently
 //! lost with the thread.
 
+use super::DataPlane;
 use crate::obs::{MetricsSnapshot, TraceCategory};
 use crate::router::Router;
 use crate::supervisor::run_isolated;

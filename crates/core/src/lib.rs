@@ -28,9 +28,9 @@
 //!   panic containment, health tracking (Healthy → Degraded →
 //!   Quarantined), and restart with capped exponential backoff in
 //!   simulated time.
-//! * [`dataplane`] — the sharded parallel data plane: N flow-affine
-//!   worker shards (each a complete single-threaded router) behind the
-//!   single control plane.
+//! * [`dataplane`] — the [`DataPlane`] trait a driver feeds, and the
+//!   sharded parallel data plane: N flow-affine worker shards (each a
+//!   complete single-threaded router) behind the single control plane.
 //! * [`obs`] — the always-on observability layer: a fixed-storage metrics
 //!   registry (counters + log-2 histograms, shard-private and merged on
 //!   read) and a bounded ring-buffer event tracer.
@@ -56,7 +56,8 @@ pub mod router;
 pub mod supervisor;
 
 pub use dataplane::{
-    CommandJournal, ControlCmd, ControlPlane, ParallelRouter, ParallelRouterConfig, ShardStatus,
+    CommandJournal, ControlCmd, ControlPlane, DataPlane, ParallelRouter, ParallelRouterConfig,
+    ShardStatus,
 };
 pub use gate::Gate;
 pub use message::{PluginMsg, PluginReply};

@@ -78,6 +78,11 @@ impl BestEffortRouter {
         std::mem::take(&mut self.tx_logs[iface as usize])
     }
 
+    /// Number of interfaces.
+    pub fn interface_count(&self) -> usize {
+        self.tx_logs.len()
+    }
+
     /// Statistics.
     pub fn stats(&self) -> DataPathStats {
         self.stats
@@ -189,6 +194,11 @@ impl AltqDrrRouter {
     /// Take transmitted packets.
     pub fn take_tx(&mut self, iface: IfIndex) -> Vec<Mbuf> {
         std::mem::take(&mut self.tx_logs[iface as usize])
+    }
+
+    /// Number of interfaces.
+    pub fn interface_count(&self) -> usize {
+        self.tx_logs.len()
     }
 
     /// Statistics.

@@ -2,6 +2,7 @@
 //! routing table + interfaces, with the gate-traversing data path of paper
 //! §3.2 and the Router Plugin Library control API of §3.1.
 
+use crate::dataplane::DataPlane;
 use crate::gate::{Gate, ALL_GATES, GATE_COUNT};
 use crate::ip_core::{
     dst_of, validate_and_age, DataPathStats, Disposition, DropReason, RouteEntry, RoutingTable,
@@ -71,7 +72,7 @@ pub struct RouterConfig {
     /// End-to-end latency deadline in wall-clock nanoseconds; `0`
     /// disables the check. When set, a packet whose coarse ingress
     /// stamp (see [`rp_packet::coarse_now_ns`]) is already older than
-    /// this at [`Router::receive_burst`] is shed as
+    /// this at [`DataPlane::receive_burst`] is shed as
     /// [`DropReason::DeadlineExceeded`] instead of forwarded late.
     pub max_sojourn_ns: u64,
 }
@@ -867,46 +868,6 @@ impl Router {
         self.dispatch_egress(mbuf, tx_if)
     }
 
-    /// Receive a burst — the one burst entry of the shard workers and the
-    /// I/O plane. Drains `pkts` front to back through
-    /// [`receive`](Router::receive), each packet in its own isolation
-    /// frames exactly as there, and after each pumps what it queued
-    /// ([`pump_queued`](Router::pump_queued)). Returns the packets
-    /// handled.
-    ///
-    /// `wall_now_ns` is the caller's current [`rp_packet::coarse_now_ns`]
-    /// reading (read once per batch, not per packet);
-    /// [`Mbuf::ingress_ns`] carries the packet's coarse ingress stamp from
-    /// the I/O plane or pool, and a packet without one is simply received.
-    /// The sojourn so far (ingress → shard dequeue) is recorded in the
-    /// per-router metrics histogram, and — when a `max_sojourn_ns`
-    /// deadline is configured — a packet already older than the deadline
-    /// is shed as [`DropReason::DeadlineExceeded`] instead of forwarded
-    /// late: under overload latency degrades into counted sheds, not
-    /// collapse.
-    pub fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64 {
-        let n = pkts.len() as u64;
-        for pkt in pkts.drain(..) {
-            if let Some(sojourn) = pkt
-                .ingress_ns()
-                .and_then(|stamp| wall_now_ns.checked_sub(stamp))
-            {
-                self.metrics.note_sojourn(sojourn);
-                if self.max_sojourn_ns != 0 && sojourn > self.max_sojourn_ns {
-                    // Count it received (it did arrive) then shed: the
-                    // conservation invariant `received == forwarded + Σdrops`
-                    // stays exact.
-                    self.metrics.note_rx(pkt.rx_if, pkt.len());
-                    self.drop_pkt(pkt, DropReason::DeadlineExceeded);
-                    continue;
-                }
-            }
-            self.receive(pkt);
-            self.pump_queued();
-        }
-        n
-    }
-
     /// Pump as many packets as the last [`receive`](Router::receive)d one
     /// queued — one per fragment — from its egress interface's
     /// schedulers, right after it and before the next: the testbench's
@@ -1074,7 +1035,7 @@ impl Router {
     /// Build an ingress mbuf backed by a pooled buffer (the device
     /// driver's receive-side allocation in the paper's architecture).
     /// No ingress stamp: [`Router::receive`] never reads one, and the
-    /// callers of [`Router::receive_burst`] stamp each batch with their
+    /// callers of [`DataPlane::receive_burst`] stamp each batch with their
     /// own single clock reading.
     pub fn mbuf_with(&mut self, bytes: &[u8], rx_if: IfIndex) -> Mbuf {
         self.pool.mbuf_from(bytes, rx_if)
@@ -1090,31 +1051,6 @@ impl Router {
     /// [`Router::metrics_snapshot`]). Cumulative since construction.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// The router's buffer pool, for device drivers that acquire and
-    /// recycle backing buffers directly (the I/O plane's egress drain
-    /// hands transmitted buffers straight back here).
-    pub fn pool_mut(&mut self) -> &mut rp_packet::pool::MbufPool {
-        &mut self.pool
-    }
-
-    /// Account `n` frames the receive side of a device dropped before
-    /// they became IP packets (truncated or non-IP L2 frames). They count
-    /// as received so the conservation invariant
-    /// `received == forwarded + Σdrops` extends to the wire.
-    pub fn note_device_rx_drops(&mut self, n: u64) {
-        self.metrics.received += n;
-        self.metrics.drops[obs::drop_reason_index(DropReason::DeviceRx)] += n;
-    }
-
-    /// Re-account `n` already-forwarded packets whose egress device
-    /// refused to transmit them: they land in the device-tx drop slot,
-    /// which the [`stats`](Router::stats) view takes back out of
-    /// `forwarded`, keeping `received == forwarded + Σdrops` exact from
-    /// wire to wire.
-    pub fn note_device_tx_drops(&mut self, n: u64) {
-        self.metrics.drops[obs::drop_reason_index(DropReason::DeviceTx)] += n;
     }
 
     /// Data-path statistics: the Table 3 view of the metrics registry.
@@ -1220,6 +1156,64 @@ impl Router {
             }
         }
         out
+    }
+}
+
+impl DataPlane for Router {
+    /// Drain `pkts` front to back through [`receive`](Router::receive),
+    /// each packet in its own isolation frames exactly as there, and
+    /// after each pump what it queued ([`pump_queued`](Router::pump_queued)),
+    /// so there is nothing left for [`flush`](DataPlane::flush) to do.
+    /// Returns the packets handled. A packet with an ingress stamp has its
+    /// sojourn (stamp → `wall_now_ns`) recorded in the metrics histogram,
+    /// and with a `max_sojourn_ns` deadline configured, one already older
+    /// than the deadline is shed as [`DropReason::DeadlineExceeded`]
+    /// instead of forwarded late: under overload latency degrades into
+    /// counted sheds, not collapse.
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64 {
+        let n = pkts.len() as u64;
+        for pkt in pkts.drain(..) {
+            if let Some(sojourn) = pkt
+                .ingress_ns()
+                .and_then(|stamp| wall_now_ns.checked_sub(stamp))
+            {
+                self.metrics.note_sojourn(sojourn);
+                if self.max_sojourn_ns != 0 && sojourn > self.max_sojourn_ns {
+                    // Count it received (it did arrive) then shed: the
+                    // conservation invariant `received == forwarded + Σdrops`
+                    // stays exact.
+                    self.metrics.note_rx(pkt.rx_if, pkt.len());
+                    self.drop_pkt(pkt, DropReason::DeadlineExceeded);
+                    continue;
+                }
+            }
+            self.receive(pkt);
+            self.pump_queued();
+        }
+        n
+    }
+
+    fn flush(&mut self) {}
+
+    fn take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>) {
+        Router::take_tx_into(self, iface, out);
+    }
+
+    fn pool_mut(&mut self) -> &mut MbufPool {
+        &mut self.pool
+    }
+
+    fn note_device_rx_drops(&mut self, n: u64) {
+        self.metrics.received += n;
+        self.metrics.drops[obs::drop_reason_index(DropReason::DeviceRx)] += n;
+    }
+
+    fn note_device_tx_drops(&mut self, n: u64) {
+        self.metrics.drops[obs::drop_reason_index(DropReason::DeviceTx)] += n;
+    }
+
+    fn interface_count(&self) -> usize {
+        Router::interface_count(self)
     }
 }
 

@@ -1,16 +1,17 @@
 //! The I/O plane: binds [`NetDev`] backends to router interfaces and
-//! drives traffic between the wire and the data plane.
+//! drives traffic between the wire and any [`DataPlane`], the single
+//! router or the parallel plane, through that trait alone.
 //!
 //! One [`poll`](IoPlane::poll) call is a full duty cycle:
 //!
 //! 1. **Ingress** — each device's `rx_batch` fills that device's
 //!    scratch batch with pooled mbufs (bytes copied straight from the
 //!    device's buffers into recycled pool buffers; zero fresh
-//!    allocations at steady state), which is then injected into the
-//!    data plane: `receive_burst` (per-packet receive + inline scheduler
-//!    pump) on the single router, `receive_batch` on the parallel router.
-//! 2. **Flush** — the parallel plane's completion-cursor wait + egress
-//!    settle (no-op on the single router).
+//!    allocations at steady state), which is then injected through
+//!    [`DataPlane::receive_burst`] with one clock reading per batch.
+//! 2. **Flush** — [`DataPlane::flush`]: the parallel plane's
+//!    completion-cursor wait + egress settle (no-op on the single
+//!    router, which pumps after every packet).
 //! 3. **Egress** — per interface, queued output is drained into the
 //!    device's transmit scratch (append-only, order preserving) and
 //!    handed to `tx_batch`, which recycles every buffer into the pool.
@@ -30,104 +31,13 @@ use crate::{NetDev, RxBatch};
 use router_core::dataplane::control::{
     ControlCmd, ControlPlane, DeviceRow, DeviceStats, ShardAnswer, ShardStatus,
 };
-use router_core::dataplane::ParallelRouter;
 use router_core::message::PluginReply;
 use router_core::obs::MetricsSnapshot;
 use router_core::plugin::PluginError;
 use router_core::router::Router;
+use router_core::DataPlane;
 use rp_packet::mbuf::IfIndex;
-use rp_packet::pool::MbufPool;
 use rp_packet::Mbuf;
-
-/// The data-plane surface the [`IoPlane`] needs, implemented by both
-/// [`Router`] (single-threaded) and [`ParallelRouter`] (sharded) so one
-/// driver serves either shape. Counters come through the
-/// [`ControlPlane`] every data plane already is.
-pub trait IoRouter: ControlPlane {
-    /// Inject a batch of ingress packets. Drains `batch`; its capacity
-    /// is reused (or swapped for a recycled carrier) across calls.
-    fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>);
-    /// Settle in-flight work so egress queues are complete (a wait on
-    /// the parallel plane, no-op on the single router).
-    fn io_flush(&mut self);
-    /// Append interface `iface`'s queued egress to `out`.
-    fn io_take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>);
-    /// The plane's mbuf pool, for recycling transmitted buffers.
-    fn io_pool(&mut self) -> &mut MbufPool;
-    /// Account `n` frames dropped at device receive (before the IP
-    /// core); extends `received == forwarded + Σdrops` to the wire.
-    fn io_note_device_rx_drops(&mut self, n: u64);
-    /// Re-account `n` forwarded packets refused by an egress device.
-    fn io_note_device_tx_drops(&mut self, n: u64);
-    /// Number of router interfaces.
-    fn io_interface_count(&self) -> usize;
-}
-
-impl IoRouter for Router {
-    fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
-        // One coarse wall-clock read covers the whole batch — sojourn
-        // resolution is the batch, cost is amortised across it.
-        self.receive_burst(batch, rp_packet::coarse_now_ns());
-    }
-
-    fn io_flush(&mut self) {}
-
-    fn io_take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>) {
-        self.take_tx_into(iface, out);
-    }
-
-    fn io_pool(&mut self) -> &mut MbufPool {
-        self.pool_mut()
-    }
-
-    fn io_note_device_rx_drops(&mut self, n: u64) {
-        self.note_device_rx_drops(n);
-    }
-
-    fn io_note_device_tx_drops(&mut self, n: u64) {
-        self.note_device_tx_drops(n);
-    }
-
-    fn io_interface_count(&self) -> usize {
-        self.interface_count()
-    }
-}
-
-impl IoRouter for ParallelRouter {
-    fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
-        // Swap the caller's filled batch for a recycled carrier, so the
-        // Vec the dispatcher consumes is one a shard sent back and the
-        // caller keeps a warm empty one — capacities circulate instead
-        // of being reallocated.
-        let mut carrier = self.batch_carrier();
-        std::mem::swap(&mut carrier, batch);
-        self.receive_batch(carrier);
-    }
-
-    fn io_flush(&mut self) {
-        self.flush();
-    }
-
-    fn io_take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>) {
-        self.take_tx_into(iface, out);
-    }
-
-    fn io_pool(&mut self) -> &mut MbufPool {
-        self.pool_mut()
-    }
-
-    fn io_note_device_rx_drops(&mut self, n: u64) {
-        self.note_device_rx_drops(n);
-    }
-
-    fn io_note_device_tx_drops(&mut self, n: u64) {
-        self.note_device_tx_drops(n);
-    }
-
-    fn io_interface_count(&self) -> usize {
-        self.interface_count()
-    }
-}
 
 /// Wire-level conservation counters kept by the [`IoPlane`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,9 +75,9 @@ struct BoundDev {
     rx_frames: u64,
 }
 
-/// Binds [`NetDev`]s to a data plane and pumps traffic (see module
-/// docs). `P` is either [`Router`] or [`ParallelRouter`].
-pub struct IoPlane<P: IoRouter> {
+/// Binds [`NetDev`]s to a [`DataPlane`] and pumps traffic (see module
+/// docs).
+pub struct IoPlane<P: DataPlane> {
     plane: P,
     devices: Vec<BoundDev>,
     ledger: IoLedger,
@@ -175,7 +85,7 @@ pub struct IoPlane<P: IoRouter> {
     supervision: Option<DeviceSupervisorConfig>,
 }
 
-impl<P: IoRouter> IoPlane<P> {
+impl<P: DataPlane> IoPlane<P> {
     /// Wrap a data plane. `rx_budget` caps frames pulled from each
     /// device per poll (back-pressure toward the wire).
     pub fn new(plane: P, rx_budget: usize) -> IoPlane<P> {
@@ -207,7 +117,7 @@ impl<P: IoRouter> IoPlane<P> {
     /// `iface` leave through the device.
     pub fn bind(&mut self, iface: IfIndex, dev: Box<dyn NetDev>) {
         assert!(
-            (iface as usize) < self.plane.io_interface_count(),
+            (iface as usize) < self.plane.interface_count(),
             "bind: interface {iface} out of range"
         );
         let last_stats = dev.stats();
@@ -242,7 +152,7 @@ impl<P: IoRouter> IoPlane<P> {
     /// device. Returns frames read off the wire this cycle.
     pub fn poll(&mut self) -> u64 {
         let polled = self.poll_rx();
-        self.plane.io_flush();
+        self.plane.flush();
         self.poll_tx();
         if self.supervision.is_some() {
             self.supervise_step();
@@ -256,7 +166,7 @@ impl<P: IoRouter> IoPlane<P> {
     /// attempted first, and on success the device is polled again this
     /// same cycle (on degraded probation).
     pub fn poll_rx(&mut self) -> u64 {
-        // The cycle's one clock reading: ingress stamps and reopen timers.
+        // The cycle's clock reading for ingress stamps and reopen timers.
         let wall = rp_packet::coarse_now_ns();
         let mut polled = 0;
         for bd in self.devices.iter_mut() {
@@ -275,7 +185,7 @@ impl<P: IoRouter> IoPlane<P> {
             let plane = &mut self.plane;
             let rx = &mut bd.rx_scratch;
             let r: RxBatch = bd.dev.rx_batch(budget, &mut |bytes| {
-                let mut m = plane.io_pool().mbuf_from(bytes, iface);
+                let mut m = plane.pool_mut().mbuf_from(bytes, iface);
                 m.stamp_ingress(wall);
                 rx.push(m);
             });
@@ -285,10 +195,11 @@ impl<P: IoRouter> IoPlane<P> {
             self.ledger.injected += r.delivered;
             if r.dropped > 0 {
                 self.ledger.decap_dropped += r.dropped;
-                plane.io_note_device_rx_drops(r.dropped);
+                plane.note_device_rx_drops(r.dropped);
             }
             if !bd.rx_scratch.is_empty() {
-                plane.io_inject_batch(&mut bd.rx_scratch);
+                // The batch's sojourn is measured against this reading.
+                plane.receive_burst(&mut bd.rx_scratch, rp_packet::coarse_now_ns());
             }
         }
         polled
@@ -302,30 +213,30 @@ impl<P: IoRouter> IoPlane<P> {
     /// delta) vs backpressure sheds (everything else).
     pub fn poll_tx(&mut self) {
         for bd in self.devices.iter_mut() {
-            self.plane.io_take_tx_into(bd.iface, &mut bd.tx_scratch);
+            self.plane.take_tx_into(bd.iface, &mut bd.tx_scratch);
             if bd.tx_scratch.is_empty() {
                 continue;
             }
             if bd.monitor.as_ref().is_some_and(|m| m.quarantined()) {
                 let n = bd.tx_scratch.len() as u64;
-                let pool = self.plane.io_pool();
+                let pool = self.plane.pool_mut();
                 for m in bd.tx_scratch.drain(..) {
                     pool.recycle(m);
                 }
                 self.ledger.tx_dropped += n;
-                self.plane.io_note_device_tx_drops(n);
+                self.plane.note_device_tx_drops(n);
                 continue;
             }
             let attempted = bd.tx_scratch.len() as u64;
             let errs_before = bd.dev.tx_errors();
-            let sent = bd.dev.tx_batch(&mut bd.tx_scratch, self.plane.io_pool());
+            let sent = bd.dev.tx_batch(&mut bd.tx_scratch, self.plane.pool_mut());
             self.ledger.device_tx += sent;
             let failed = attempted - sent;
             if failed > 0 {
                 let hard = (bd.dev.tx_errors() - errs_before).min(failed);
                 self.ledger.tx_errors += hard;
                 self.ledger.tx_dropped += failed - hard;
-                self.plane.io_note_device_tx_drops(failed);
+                self.plane.note_device_tx_drops(failed);
             }
         }
     }
@@ -429,7 +340,7 @@ impl<P: IoRouter> IoPlane<P> {
 
 /// The I/O plane re-exports its router's control plane — every command
 /// pmgr knows works unchanged — and supplies the live `devices` rows.
-impl<P: IoRouter> ControlPlane for IoPlane<P> {
+impl<P: DataPlane> ControlPlane for IoPlane<P> {
     fn cp_apply(&mut self, cmd: ControlCmd) -> Result<PluginReply, PluginError> {
         self.plane.cp_apply(cmd)
     }

@@ -45,7 +45,7 @@ pub mod tap;
 pub mod udp;
 
 pub use faulty::{FaultHandle, FaultProgram, FaultyDev};
-pub use ioplane::{IoLedger, IoPlane, IoRouter};
+pub use ioplane::{IoLedger, IoPlane};
 pub use supervisor::{DeviceMonitor, DeviceSupervisorConfig, PollSample};
 
 use router_core::dataplane::control::DeviceStats;

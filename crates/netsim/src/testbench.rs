@@ -6,7 +6,7 @@
 use crate::traffic::Workload;
 use router_core::ip_core::Disposition;
 use router_core::monolithic::{AltqDrrRouter, BestEffortRouter};
-use rp_netdev::IoRouter;
+use router_core::DataPlane;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
 
@@ -68,24 +68,24 @@ impl Testbench {
 
     /// Replay through a data plane `reps` times, the driver loop of a
     /// real port: ingress buffers come from the plane's pool, up to
-    /// `batch` packets are injected per call (the burst entry on a
-    /// `Router`, batched shard dispatch on a `ParallelRouter`), and
-    /// transmitted packets go back to the pool, after each burst and
-    /// after the [`io_flush`](IoRouter::io_flush) that ends a repetition.
-    /// `forwarded` counts what reached the wire. Once the pool is warm
+    /// `batch` packets go in per [`receive_burst`](DataPlane::receive_burst),
+    /// and transmitted packets go back to the pool, after each burst and
+    /// after the [`flush`](DataPlane::flush) that ends a repetition.
+    /// `forwarded` counts what reached the wire. The replayed packets
+    /// carry no ingress stamp, so no clock is read. Once the pool is warm
     /// the loop allocates nothing but its one scratch vector.
-    pub fn run<P: IoRouter>(&self, plane: &mut P, reps: usize, batch: usize) -> RunStats {
+    pub fn run<P: DataPlane>(&self, plane: &mut P, reps: usize, batch: usize) -> RunStats {
         let batch = batch.max(1);
         let mut burst = Vec::with_capacity(batch);
         let mut forwarded = 0;
         for _ in 0..reps {
             for chunk in self.packets.chunks(batch) {
-                let pool = plane.io_pool();
+                let pool = plane.pool_mut();
                 burst.extend(chunk.iter().map(|p| pool.mbuf_from(p.data(), p.rx_if)));
-                plane.io_inject_batch(&mut burst);
+                plane.receive_burst(&mut burst, 0);
                 forwarded += recycle_tx(plane, &mut burst);
             }
-            plane.io_flush();
+            plane.flush();
             forwarded += recycle_tx(plane, &mut burst);
         }
         let packets = (reps * self.packets.len()) as u64;
@@ -108,8 +108,8 @@ impl Testbench {
                     _ => stats.dropped += 1,
                 }
             }
-            for i in 0..4u32 {
-                let _ = router.take_tx(i % 4);
+            for i in 0..router.interface_count() {
+                router.take_tx(i as IfIndex);
             }
         }
         stats
@@ -132,8 +132,8 @@ impl Testbench {
                     _ => stats.dropped += 1,
                 }
             }
-            for i in 0..4u32 {
-                let _ = router.take_tx(i % 4);
+            for i in 0..router.interface_count() {
+                router.take_tx(i as IfIndex);
             }
         }
         stats
@@ -142,13 +142,13 @@ impl Testbench {
 
 /// Take every interface's transmitted packets into `scratch` and hand
 /// their buffers back to the plane's pool; returns how many there were.
-fn recycle_tx<P: IoRouter>(plane: &mut P, scratch: &mut Vec<Mbuf>) -> u64 {
-    for i in 0..plane.io_interface_count() {
-        plane.io_take_tx_into(i as IfIndex, scratch);
+fn recycle_tx<P: DataPlane>(plane: &mut P, scratch: &mut Vec<Mbuf>) -> u64 {
+    for i in 0..plane.interface_count() {
+        plane.take_tx_into(i as IfIndex, scratch);
     }
     let n = scratch.len() as u64;
     for m in scratch.drain(..) {
-        plane.io_pool().recycle(m);
+        plane.pool_mut().recycle(m);
     }
     n
 }
@@ -202,17 +202,22 @@ mod tests {
         assert_eq!((r.flow_stats().misses, r.flow_stats().hits), (3, 297));
     }
 
+    /// Every interface a baseline has is drained after a run, whatever
+    /// their number, with the route on the last one.
     #[test]
     fn baselines_forward_too() {
         let tb = Testbench::new(&Workload::paper_table3());
-        let mut be = BestEffortRouter::new(4, false);
-        be.add_route(v6_host(0), 32, 1);
-        let s = tb.run_best_effort(&mut be, 1);
-        assert_eq!(s.forwarded, 300);
+        for n in [2, 4, 6] {
+            let last = n as IfIndex - 1;
+            let mut be = BestEffortRouter::new(n, false);
+            be.add_route(v6_host(0), 32, last);
+            assert_eq!(tb.run_best_effort(&mut be, 1).forwarded, 300, "{n}");
+            assert!((0..=last).all(|i| be.take_tx(i).is_empty()), "{n}");
 
-        let mut altq = AltqDrrRouter::new(4, 64, 9180, false);
-        altq.add_route(v6_host(0), 32, 1);
-        let s = tb.run_altq(&mut altq, 1);
-        assert_eq!(s.forwarded, 300);
+            let mut altq = AltqDrrRouter::new(n, 64, 9180, false);
+            altq.add_route(v6_host(0), 32, last);
+            assert_eq!(tb.run_altq(&mut altq, 1).forwarded, 300, "{n}");
+            assert!((0..=last).all(|i| altq.take_tx(i).is_empty()), "{n}");
+        }
     }
 }

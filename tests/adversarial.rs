@@ -8,7 +8,7 @@ use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::supervisor::HealthState;
 use router_plugins::core::{
-    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+    ControlPlane, DataPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
 use router_plugins::netsim::traffic::{fragment_flood, v6_host, Workload};
 use router_plugins::packet::builder::PacketSpec;
@@ -164,7 +164,7 @@ fn syn_flood_degrades_attacker_not_established_flows_parallel() {
     let mut sent_established = 0usize;
     par.set_time_ns(0);
     for spec in &established {
-        par.receive(established_packet(spec));
+        par.receive_batch(vec![established_packet(spec)]);
         sent_established += 1;
     }
 
@@ -172,18 +172,18 @@ fn syn_flood_degrades_attacker_not_established_flows_parallel() {
     let mut now = 1_000_000u64;
     for (n, pkt) in flood.into_iter().enumerate() {
         now += 10_000;
-        par.receive(pkt);
+        par.receive_batch(vec![pkt]);
         if n % 200 == 199 {
             par.set_time_ns(now); // control barrier; also drains FIFOs
             for spec in &established {
-                par.receive(established_packet(spec));
+                par.receive_batch(vec![established_packet(spec)]);
                 sent_established += 1;
             }
         }
     }
     par.set_time_ns(now);
     for spec in &established {
-        par.receive(established_packet(spec));
+        par.receive_batch(vec![established_packet(spec)]);
         sent_established += 1;
     }
 
@@ -209,6 +209,13 @@ fn syn_flood_degrades_attacker_not_established_flows_parallel() {
     assert_eq!(stats.dropped_total(), 0, "nothing should drop in this rig");
 }
 
+/// Wave `wave` of the churn: 40 new one-packet flows.
+fn churn_wave(wave: u16) -> Vec<Mbuf> {
+    let host = |i: u16| v6_host(1000 + wave * 64 + i);
+    let spec = |i: u16| PacketSpec::udp(host(i), v6_host(200), 5000 + i, 80, 64);
+    (0..40).map(|i| Mbuf::new(spec(i).build(), 0)).collect()
+}
+
 /// Flow-record conservation at the router level, both planes: every
 /// successful insert is still accounted for by live + expired + recycled
 /// + inline-reclaimed records after heavy churn and an idle sweep.
@@ -227,18 +234,7 @@ fn flow_churn_accounting_is_conserved_on_both_planes() {
     let mut expired = 0u64;
     let mut now = 0u64;
     for wave in 0..6u16 {
-        for i in 0..40u16 {
-            let m = Mbuf::new(
-                PacketSpec::udp(
-                    v6_host(1000 + wave * 64 + i),
-                    v6_host(200),
-                    5000 + i,
-                    80,
-                    64,
-                )
-                .build(),
-                0,
-            );
+        for m in churn_wave(wave) {
             r.receive(m);
         }
         now += IDLE_NS + 1;
@@ -258,20 +254,7 @@ fn flow_churn_accounting_is_conserved_on_both_planes() {
     let mut expired = 0u64;
     let mut now = 0u64;
     for wave in 0..6u16 {
-        for i in 0..40u16 {
-            let m = Mbuf::new(
-                PacketSpec::udp(
-                    v6_host(1000 + wave * 64 + i),
-                    v6_host(200),
-                    5000 + i,
-                    80,
-                    64,
-                )
-                .build(),
-                0,
-            );
-            par.receive(m);
-        }
+        par.receive_batch(churn_wave(wave));
         now += IDLE_NS + 1;
         par.set_time_ns(now);
         expired += par.expire_idle_flows(IDLE_NS) as u64;
@@ -344,10 +327,10 @@ fn chaos_soak_conserves_with_flat_flow_table_occupancy() {
             if let Some(v) = victim.filter(|_| n == pkts.len() / 2) {
                 par.cp_shard_kill(v).unwrap();
             }
-            par.receive(p.clone());
+            par.receive_batch(vec![p.clone()]);
             offered += 1;
             if n % 100 == 99 {
-                par.receive(probe.clone());
+                par.receive_batch(vec![probe.clone()]);
                 offered += 1;
             }
             if n % 512 == 511 {

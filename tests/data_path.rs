@@ -767,9 +767,7 @@ fn v4_fragmentable(src: u32, dst: u32, ttl: u8, rx_if: u32) -> Mbuf {
 #[test]
 fn every_packet_leaves_on_the_interface_its_route_chose() {
     use router_plugins::core::loader::PluginLoader;
-    use router_plugins::core::{
-        ControlPlane, MetricsSnapshot, ParallelRouter, ParallelRouterConfig,
-    };
+    use router_plugins::core::{DataPlane, ParallelRouter, ParallelRouterConfig};
     const SCRIPT: &str = "load drr\ncreate drr quantum=1500 limit=256\n\
                           bind sched drr 0 <*, *, UDP, *, *, *>\n\
                           route 20.0.1.0/24 1\nroute 20.0.2.0/24 2";
@@ -780,7 +778,6 @@ fn every_packet_leaves_on_the_interface_its_route_chose() {
         mtu: 600,
         ..RouterConfig::default()
     };
-    let addr: IpAddr = "10.9.9.9".parse().unwrap();
     // Flows alternate between 20.0.1.0/24 and 20.0.2.0/24; every eighth
     // is followed by a packet arriving on interface 3 with one hop left.
     let traffic = || {
@@ -794,44 +791,38 @@ fn every_packet_leaves_on_the_interface_its_route_chose() {
         }
         pkts
     };
-    let check = |plane: &str, tx: Vec<Vec<Mbuf>>, m: MetricsSnapshot| {
-        for (i, log) in tx.iter().enumerate() {
+    // The whole run on either plane: set up, one burst, a forced unload,
+    // a flush, then each interface's log against the merged counters.
+    fn run<P: DataPlane>(name: &str, mut plane: P, mut traffic: Vec<Mbuf>) {
+        run_script(&mut plane, SCRIPT).unwrap();
+        plane.cp_set_interface_addr(3, "10.9.9.9".parse().unwrap());
+        plane.receive_burst(&mut traffic, 0);
+        run_command(&mut plane, "unload drr force").unwrap();
+        plane.flush();
+        let m = plane.cp_counter_rows().swap_remove(0).metrics;
+        let mut sent = Vec::new();
+        for i in 0..4 {
+            let mut log = Vec::new();
+            plane.take_tx_into(i, &mut log);
             let on: Vec<_> = log.iter().map(|p| p.tx_if).collect();
-            assert!(
-                on.iter().all(|t| *t == Some(i as u32)),
-                "{plane}: interface {i} sent {on:?}"
-            );
-            assert_eq!(m.if_tx_packets[i], log.len() as u64, "{plane}: if{i}");
+            assert_eq!(on, vec![Some(i); on.len()], "{name}: if{i}");
+            assert_eq!(m.if_tx_packets[i as usize], on.len() as u64, "{name}");
+            sent.push(on.len());
         }
-        let sent: Vec<usize> = tx.iter().map(Vec::len).collect();
         let half = (FLOWS / 2 * 3) as usize;
-        assert_eq!(sent, [0, half, half, EXPIRED as usize], "{plane}");
-    };
+        assert_eq!(sent, [0, half, half, EXPIRED as usize], "{name}");
+    }
 
     let mut r = Router::new(cfg.clone());
     register_builtin_factories(&mut r.loader);
-    run_script(&mut r, SCRIPT).unwrap();
-    r.cp_set_interface_addr(3, addr);
-    r.receive_burst(&mut traffic(), 0);
-    run_command(&mut r, "unload drr force").unwrap();
-    let tx = (0..4).map(|i| r.take_tx(i)).collect();
-    check("router", tx, r.metrics_snapshot());
+    run("router", r, traffic());
 
     let mut template = PluginLoader::new();
     register_builtin_factories(&mut template);
-    let mut pr = ParallelRouter::new(
-        ParallelRouterConfig {
-            shards: 2,
-            router: cfg,
-            ..ParallelRouterConfig::default()
-        },
-        &template,
-    );
-    run_script(&mut pr, SCRIPT).unwrap();
-    pr.cp_set_interface_addr(3, addr);
-    pr.receive_batch(traffic());
-    run_command(&mut pr, "unload drr force").unwrap();
-    pr.flush();
-    let tx = (0..4).map(|i| pr.take_tx(i)).collect();
-    check("2 shards", tx, pr.metrics_snapshot());
+    let two = ParallelRouterConfig {
+        shards: 2,
+        router: cfg,
+        ..ParallelRouterConfig::default()
+    };
+    run("2 shards", ParallelRouter::new(two, &template), traffic());
 }

@@ -9,7 +9,7 @@ use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::supervisor::HealthState;
 use router_plugins::core::{
-    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+    ControlPlane, DataPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
 use router_plugins::netdev::loopback::LoopbackDev;
 use router_plugins::netdev::udp::UdpDev;

@@ -16,11 +16,11 @@ use router_plugins::core::plugin::PluginError;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{
-    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+    ControlPlane, DataPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
 use router_plugins::netdev::loopback::LoopbackDev;
 use router_plugins::netdev::pcap::{PcapReplayDev, LINKTYPE_ETHERNET};
-use router_plugins::netdev::{IoPlane, IoRouter};
+use router_plugins::netdev::IoPlane;
 use router_plugins::netsim::testbench::Testbench;
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
@@ -253,7 +253,7 @@ struct Tap<P> {
     wire: Wire,
 }
 
-impl<P: IoRouter> ControlPlane for Tap<P> {
+impl<P: DataPlane> ControlPlane for Tap<P> {
     fn cp_apply(&mut self, cmd: ControlCmd) -> Result<PluginReply, PluginError> {
         self.plane.cp_apply(cmd)
     }
@@ -267,36 +267,36 @@ impl<P: IoRouter> ControlPlane for Tap<P> {
     }
 }
 
-impl<P: IoRouter> IoRouter for Tap<P> {
-    fn io_inject_batch(&mut self, batch: &mut Vec<Mbuf>) {
-        self.plane.io_inject_batch(batch);
+impl<P: DataPlane> DataPlane for Tap<P> {
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64 {
+        self.plane.receive_burst(pkts, wall_now_ns)
     }
 
-    fn io_flush(&mut self) {
-        self.plane.io_flush();
+    fn flush(&mut self) {
+        self.plane.flush();
     }
 
-    fn io_take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>) {
+    fn take_tx_into(&mut self, iface: IfIndex, out: &mut Vec<Mbuf>) {
         let start = out.len();
-        self.plane.io_take_tx_into(iface, out);
+        self.plane.take_tx_into(iface, out);
         let sent = out[start..].iter().map(|m| (iface, m.data().to_vec()));
         self.wire.extend(sent);
     }
 
-    fn io_pool(&mut self) -> &mut MbufPool {
-        self.plane.io_pool()
+    fn pool_mut(&mut self) -> &mut MbufPool {
+        self.plane.pool_mut()
     }
 
-    fn io_note_device_rx_drops(&mut self, n: u64) {
-        self.plane.io_note_device_rx_drops(n);
+    fn note_device_rx_drops(&mut self, n: u64) {
+        self.plane.note_device_rx_drops(n);
     }
 
-    fn io_note_device_tx_drops(&mut self, n: u64) {
-        self.plane.io_note_device_tx_drops(n);
+    fn note_device_tx_drops(&mut self, n: u64) {
+        self.plane.note_device_tx_drops(n);
     }
 
-    fn io_interface_count(&self) -> usize {
-        self.plane.io_interface_count()
+    fn interface_count(&self) -> usize {
+        self.plane.interface_count()
     }
 }
 
@@ -318,7 +318,7 @@ enum Feed {
 
 /// Run a plane on a driver or device feed; `engaged` then checks the
 /// plane's own mechanism.
-fn shaped<P: IoRouter>(plane: P, set: &Set, feed: Feed, engaged: fn(&mut P)) -> Observed {
+fn shaped<P: DataPlane>(plane: P, set: &Set, feed: Feed, engaged: fn(&mut P)) -> Observed {
     let packets = set.packets.len() as u64;
     if let Feed::Driver(batch) = feed {
         let mut tap = Tap {
@@ -347,7 +347,7 @@ fn shaped<P: IoRouter>(plane: P, set: &Set, feed: Feed, engaged: fn(&mut P)) -> 
         _ => 0,
     };
     let mut handles = Vec::new();
-    for i in first..io.plane().io_interface_count() as IfIndex {
+    for i in first..io.plane().interface_count() as IfIndex {
         let (dev, _peer) = LoopbackDev::pair(&format!("lo{i}"), &format!("peer{i}"), 4096);
         handles.push((i, dev.handle()));
         io.bind(i, Box::new(dev));

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
-use router_plugins::core::{ParallelRouter, ParallelRouterConfig, Router, RouterConfig};
+use router_plugins::core::{DataPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig};
 use router_plugins::netdev::loopback::LoopbackDev;
 use router_plugins::netdev::pcap::{PcapFile, PcapWriter, LINKTYPE_ETHERNET, LINKTYPE_RAW};
 use router_plugins::netdev::tap::TapDev;
@@ -252,29 +252,31 @@ proptest! {
             LoopbackDev::pair("in", "pi", 1024)
         };
         let (egress, _po) = LoopbackDev::pair("out", "po", 1024);
-        let in_handle = ingress.handle();
-
-        let offered = frames.len() as u64;
-        if parallel {
-            let mut plane = IoPlane::new(parallel_router(2), 32);
-            plane.bind(0, Box::new(ingress));
-            plane.bind(1, Box::new(egress));
-            for f in &frames {
-                prop_assert!(in_handle.inject(f));
-            }
-            plane.poll_until_quiet(3, 1000);
-            plane.check_conservation();
-            prop_assert_eq!(plane.ledger().device_rx, offered);
+        let read = if parallel {
+            conserve(parallel_router(2), ingress, egress, &frames)
         } else {
-            let mut plane = IoPlane::new(single_router(), 32);
-            plane.bind(0, Box::new(ingress));
-            plane.bind(1, Box::new(egress));
-            for f in &frames {
-                prop_assert!(in_handle.inject(f));
-            }
-            plane.poll_until_quiet(2, 1000);
-            plane.check_conservation();
-            prop_assert_eq!(plane.ledger().device_rx, offered);
-        }
+            conserve(single_router(), ingress, egress, &frames)
+        };
+        prop_assert_eq!(read, frames.len() as u64);
     }
+}
+
+/// Offer `frames` on `ingress` of a plane with `egress` on if1, poll it
+/// quiet, check wire conservation and return the frames read.
+fn conserve<P: DataPlane>(
+    plane: P,
+    ingress: LoopbackDev,
+    egress: LoopbackDev,
+    frames: &[Vec<u8>],
+) -> u64 {
+    let in_handle = ingress.handle();
+    let mut plane = IoPlane::new(plane, 32);
+    plane.bind(0, Box::new(ingress));
+    plane.bind(1, Box::new(egress));
+    for f in frames {
+        assert!(in_handle.inject(f));
+    }
+    plane.poll_until_quiet(3, 1000);
+    plane.check_conservation();
+    plane.ledger().device_rx
 }

@@ -100,7 +100,7 @@ fn fragments_share_one_flow_record() {
 fn fragments_land_on_one_shard() {
     let mut pr = parallel_router(4);
     for f in fragmented_udp() {
-        pr.receive(Mbuf::new(f, 0));
+        pr.receive_batch(vec![Mbuf::new(f, 0)]);
     }
     pr.flush();
     let rows = pr.cp_counter_rows();
@@ -151,7 +151,7 @@ fn metrics_json_on_parallel_router_has_shard_breakdown() {
     let mut pr = parallel_router(shards);
     for i in 0..32u8 {
         let buf = PacketSpec::udp(v4(1), v4(2), 6000 + u16::from(i), 80, 64).build();
-        pr.receive(Mbuf::new(buf, 0));
+        pr.receive_batch(vec![Mbuf::new(buf, 0)]);
     }
     pr.flush();
     let out = run_command(&mut pr, "metrics json").unwrap();
@@ -166,7 +166,7 @@ fn shard_registries_merge_into_total() {
     let mut pr = parallel_router(4);
     for i in 0..64u8 {
         let buf = PacketSpec::udp(v4(1), v4(2), 7000 + u16::from(i), 80, 64).build();
-        pr.receive(Mbuf::new(buf, 0));
+        pr.receive_batch(vec![Mbuf::new(buf, 0)]);
     }
     pr.flush();
     let rows = pr.cp_counter_rows();
@@ -226,10 +226,10 @@ fn shard_registries_merge_into_total() {
     let offer = |pr: &mut ParallelRouter, base: u16| {
         for i in 0..32u16 {
             let dst = if i % 8 == 0 { v4(3) } else { v4(2) };
-            pr.receive(Mbuf::new(
+            pr.receive_batch(vec![Mbuf::new(
                 PacketSpec::udp(v4(1), dst, base + i, 80, 64).build(),
                 0,
-            ));
+            )]);
         }
     };
     offer(&mut pr, 7200);
@@ -341,7 +341,7 @@ fn trace_dump_labels_shard_origin() {
     run_command(&mut pr, "trace on").unwrap();
     for i in 0..8u8 {
         let buf = PacketSpec::udp(v4(1), v4(2), 8000 + u16::from(i), 80, 64).build();
-        pr.receive(Mbuf::new(buf, 0));
+        pr.receive_batch(vec![Mbuf::new(buf, 0)]);
     }
     pr.flush();
     let out = run_command(&mut pr, "trace dump 64").unwrap();
@@ -358,7 +358,7 @@ fn trace_dump_labels_shard_origin() {
     let seq_before: Vec<String> = out.lines().map(str::to_string).collect();
     for i in 0..4u8 {
         let buf = PacketSpec::udp(v4(3), v4(2), 8100 + u16::from(i), 80, 64).build();
-        pr.receive(Mbuf::new(buf, 0));
+        pr.receive_batch(vec![Mbuf::new(buf, 0)]);
     }
     pr.flush();
     let after = run_command(&mut pr, "trace dump 64").unwrap();

@@ -100,9 +100,9 @@ fn dispatch_is_flow_affine_and_matches_cache_hash() {
     }
 }
 
-/// Placement is one pure function of the packet: what `receive` does is
-/// what `shard_of` says, which is the tuple hash — for every packet shape
-/// the dispatcher can be handed.
+/// Placement is one pure function of the packet: what `shard_of` says
+/// (the dispatcher's `shard_for_packet`) is the tuple hash — for every
+/// packet shape the dispatcher can be handed.
 #[test]
 fn receive_places_every_packet_shape_by_its_tuple_hash() {
     let non_first = fragment_flood(1, 2000, 576, 1).swap_remove(1);
@@ -123,11 +123,10 @@ fn receive_places_every_packet_shape_by_its_tuple_hash() {
         unparsable,
     ];
     for shards in [1usize, 2, 4, 8] {
-        let mut par = parallel(shards);
+        let par = parallel(shards);
         for m in &cases {
             let want = FlowKey::extract(m.data(), m.rx_if).map_or(0, |k| placement(&k, shards));
             assert_eq!(par.shard_of(m), want, "{shards} shards");
-            assert_eq!(par.receive(m.clone()), want, "{shards} shards");
         }
     }
 }
@@ -179,10 +178,10 @@ fn pmgr_stats_reports_per_shard_breakdown() {
     let mut pr = parallel(2);
     run_script(&mut pr, "route 2001:db8::/32 1").unwrap();
     for i in 0..40u16 {
-        pr.receive(Mbuf::new(
+        pr.receive_batch(vec![Mbuf::new(
             PacketSpec::udp(v6_host(i), v6_host(300), 2000 + i, 80, 64).build(),
             0,
-        ));
+        )]);
     }
     pr.flush();
     let out = run_command(&mut pr, "stats").unwrap();
@@ -236,10 +235,10 @@ fn divergent_per_shard_text_replies_are_labelled() {
     .unwrap();
     // One packet of a single flow lands on exactly one shard, so the two
     // shards' per-instance counters diverge.
-    pr.receive(Mbuf::new(
+    pr.receive_batch(vec![Mbuf::new(
         PacketSpec::udp(v6_host(1), v6_host(300), 1234, 80, 64).build(),
         0,
-    ));
+    )]);
     pr.flush();
     let out = run_command(&mut pr, "msg stats 0 report").unwrap();
     assert!(out.contains("[shard 0]"), "{out}");
@@ -251,10 +250,10 @@ fn shard_reports_cover_all_shards_and_account_packets() {
     let mut pr = parallel(4);
     run_script(&mut pr, "route 2001:db8::/32 1").unwrap();
     for i in 0..100u16 {
-        pr.receive(Mbuf::new(
+        pr.receive_batch(vec![Mbuf::new(
             PacketSpec::udp(v6_host(i), v6_host(301), 1000 + i, 80, 64).build(),
             0,
-        ));
+        )]);
     }
     pr.flush();
     let reports: Vec<ShardReport> = pr.shard_reports();

@@ -16,8 +16,8 @@ use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::supervisor::HealthState;
 use router_plugins::core::{
-    ControlCmd, ControlPlane, Gate, InstanceId, ParallelRouter, ParallelRouterConfig, PluginMsg,
-    Router, RouterConfig,
+    ControlCmd, ControlPlane, DataPlane, Gate, InstanceId, ParallelRouter, ParallelRouterConfig,
+    PluginMsg, Router, RouterConfig,
 };
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
@@ -100,7 +100,7 @@ fn killed_shard_restarts_and_rejoins_in_lockstep() {
 
     // Offer some traffic to both shards, fully retired before the fault.
     for i in 0..40u16 {
-        pr.receive(udp(200 + (i % 8), 4000 + i, 80));
+        pr.receive_batch(vec![udp(200 + (i % 8), 4000 + i, 80)]);
     }
     pr.flush();
     let before = pr.stats();
@@ -138,7 +138,7 @@ fn killed_shard_restarts_and_rejoins_in_lockstep() {
     // Traffic flows through both shards again, and the books balance:
     // everything offered is either on the wire or in a counted drop.
     for i in 0..40u16 {
-        pr.receive(udp(200 + (i % 8), 5000 + i, 80));
+        pr.receive_batch(vec![udp(200 + (i % 8), 5000 + i, 80)]);
     }
     pr.flush();
     let s = pr.stats();
@@ -171,7 +171,7 @@ fn shard_killed_mid_burst_loses_nothing_silently() {
         if i == OFFERED / 3 {
             pr.cp_shard_kill(0).unwrap();
         }
-        pr.receive(flows[i % flows.len()].clone());
+        pr.receive_batch(vec![flows[i % flows.len()].clone()]);
     }
     wait_for(&mut pr, 0, Duration::from_secs(5), "restarted", |s| {
         s.health != HealthState::Quarantined && s.restarts >= 1
@@ -267,7 +267,7 @@ fn restarted_shard_recompiles_its_fib_from_the_journal() {
                 80,
                 64,
             );
-            pr.receive(Mbuf::new(spec.build(), 0));
+            pr.receive_batch(vec![Mbuf::new(spec.build(), 0)]);
         }
         pr.flush();
         let mut out: Vec<(u32, Vec<u8>)> = (0..4)
@@ -519,7 +519,7 @@ fn wedged_shard_is_quarantined_by_the_watchdog_and_flush_returns() {
     // matches dport 7777, so the other shard never trips it).
     let trigger = udp(201, 6000, 7777);
     let victim = pr.shard_of(&trigger);
-    pr.receive(trigger);
+    pr.receive_batch(vec![trigger]);
     std::thread::sleep(Duration::from_millis(20)); // let the worker dequeue and wedge
 
     // This flush used to block forever on the wedged barrier. Now the
@@ -555,7 +555,7 @@ fn wedged_shard_is_quarantined_by_the_watchdog_and_flush_returns() {
     // disarm it before offering traffic to the same flow space.
     run_command(&mut pr, "msg chaos 0 set mode=none").unwrap();
     for i in 0..20u16 {
-        pr.receive(udp(201, 6100 + i, 80));
+        pr.receive_batch(vec![udp(201, 6100 + i, 80)]);
     }
     pr.flush();
     let s = pr.stats();
@@ -621,7 +621,7 @@ fn flush_does_not_wait_for_a_shard_wedged_under_it() {
     let trigger = udp(201, 6000, 7777);
     let victim = pr.shard_of(&trigger);
     let batch = batch_for(&pr, victim, IN_FLIGHT);
-    pr.receive(trigger);
+    pr.receive_batch(vec![trigger]);
     std::thread::sleep(Duration::from_millis(20)); // let the worker dequeue and wedge
     assert_eq!(pr.receive_batch(batch), IN_FLIGHT);
 
@@ -721,10 +721,10 @@ fn overload_shed_is_counted_in_stats_and_metrics() {
     // itself must not trip it); the FIFO fills; the rest of the burst
     // must shed immediately (zero overload_wait) and be counted per
     // packet.
-    pr.receive(udp(201, 7000, 7777));
+    pr.receive_batch(vec![udp(201, 7000, 7777)]);
     std::thread::sleep(Duration::from_millis(20)); // let the worker dequeue and wedge
     for i in 1..OFFERED {
-        pr.receive(udp(201, 7000 + i as u16, 80));
+        pr.receive_batch(vec![udp(201, 7000 + i as u16, 80)]);
     }
     let status = pr.cp_shard_status();
     assert_eq!(status[0].health, HealthState::Healthy, "{:?}", status[0]);

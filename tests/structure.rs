@@ -152,6 +152,29 @@ fn deleted_names_stay_deleted() {
     forbid("crates/packet/src/flow.rs", r"fn version\b");
     // A per-gate walk beside the one over the record's bound mask.
     forbid("crates/core/src/router.rs", r"fn gate\(");
+    // A device-side data-plane trait beside `DataPlane`.
+    forbid(
+        EVERYWHERE,
+        "IoRouter|io_inject_batch|io_flush|io_take_tx_into|io_pool|io_note_device_rx_drops|\
+         io_note_device_tx_drops|io_interface_count",
+    );
+}
+
+/// One data-plane trait: `DataPlane` is declared once and implemented in
+/// the crates by the two planes alone; the parallel plane has no
+/// one-packet entry, and the methods only a driver calls live in the
+/// trait impls alone, with no inherent twin.
+#[test]
+fn one_data_plane_trait() {
+    let decls = lines_where("crates/", |l| contains(l, "trait DataPlane"));
+    assert_eq!(decls.len(), 1, "trait DataPlane:\n{}", decls.join("\n"));
+    let impls = lines_where("crates/", |l| contains(l, "impl DataPlane for"));
+    let planes = impls.iter().map(|l| l.split(" for ").nth(1).unwrap_or(l));
+    assert!(planes.eq(["ParallelRouter {", "Router {"]), "{impls:#?}");
+    let twins = "pub fn receive_burst|pub fn pool_mut|pub fn note_device";
+    forbid("crates/core/src/router.rs", twins);
+    let parallel = format!("pub fn receive(|pub fn interface_count|{twins}");
+    forbid("crates/core/src/dataplane/mod.rs", &parallel);
 }
 
 /// Differential scaffolding exists once (`tests/differential.rs`): each
