@@ -103,8 +103,8 @@ pub trait DataPlane: ControlPlane {
     /// is reused (or swapped for a recycled carrier) across calls.
     /// `wall_now_ns` is the caller's one [`coarse_now_ns`] reading for
     /// the burst: a packet's sojourn is measured from its ingress stamp
-    /// to it. Returns the packets taken in.
-    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64;
+    /// to it.
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64);
     /// Settle in-flight work. After it no scheduler holds a packet an
     /// unlimited link could send, and every transmitted packet waits on
     /// its interface's tx log.
@@ -977,13 +977,13 @@ impl DataPlane for ParallelRouter {
     /// Dispatch the burst through
     /// [`receive_batch`](ParallelRouter::receive_batch), swapping it for
     /// a recycled carrier first: the `Vec` the dispatcher consumes is one
-    /// a shard sent back, and the caller keeps a warm empty one. Returns
-    /// the packets handed to shards. `wall_now_ns` is not read: each
-    /// shard measures sojourn against its own reading at dequeue.
-    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, _wall_now_ns: u64) -> u64 {
+    /// a shard sent back, and the caller keeps a warm empty one.
+    /// `wall_now_ns` is not read: each shard measures sojourn against its
+    /// own reading at dequeue.
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, _wall_now_ns: u64) {
         let mut carrier = self.batch_carrier();
         std::mem::swap(&mut carrier, pkts);
-        self.receive_batch(carrier) as u64
+        self.receive_batch(carrier);
     }
 
     fn flush(&mut self) {

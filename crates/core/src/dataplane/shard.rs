@@ -344,7 +344,8 @@ fn shard_loop(
                 // measure and busy time a sum, neither a per-packet
                 // stopwatch.
                 trace_batch(ctx, &pkts);
-                ctx.packets += ctx.router.receive_burst(&mut pkts, wall);
+                ctx.packets += pkts.len() as u64;
+                ctx.router.receive_burst(&mut pkts, wall);
                 ctx.busy_ns += rp_packet::coarse_now_ns().saturating_sub(wall);
                 shared.processed.store(ctx.packets, Ordering::Relaxed);
                 // The emptied carrier goes back holding the batch's

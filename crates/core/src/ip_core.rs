@@ -234,18 +234,20 @@ pub const FIB_CACHE_SLOTS: usize = 8192;
 /// **RIB and FIB.** Both families keep their routes in a PATRICIA trie (as
 /// in the BSD kernel the paper modifies) — the RIB, which `add`/`remove`
 /// edit. For IPv4, [`RoutingTable::optimize`] compiles the RIB into a
-/// DIR-24-8 direct-index FIB ([`rp_lpm::Dir24Table`]): from then on an
-/// uncached lookup is one indexed load (two past /24) instead of one
-/// dependent load per trie level, and every later `add`/`remove` repaints
-/// just the changed prefix's slot range so the FIB stays exact. A table
-/// that is never optimized — a test router with a handful of routes —
-/// walks the trie and never allocates the FIB's 32 MB. IPv6 always walks
-/// its trie.
+/// DIR-24-8 FIB whose first level is one run-compressed 128-B chunk per
+/// /16 ([`rp_lpm::Dir24Table`]): from then on an uncached lookup reads
+/// one chunk and a leaf in it (and one group slot past /24) instead of
+/// one dependent load per trie level, and every later `add`/`remove`
+/// repaints just the chunks the changed prefix overlaps so the FIB stays
+/// exact. A table that is never optimized — a test router with a handful
+/// of routes — walks the trie and never allocates the FIB's 8 MB. IPv6
+/// always walks its trie.
 ///
 /// **FIB cache.** Internet traffic is heavy-tailed — a few popular
 /// destinations dominate — so a tiny cache absorbs most lookups. It stays
 /// in front of the compiled FIB too: a hit is one load from a cache that
-/// fits in L2, where the 32 MB first level mostly misses to DRAM.
+/// fits in L2, a miss reads two lines of 8 MB of chunks that share the
+/// last-level cache with the flow table and the filter DAGs.
 ///
 /// The correctness hazard of FIB caching is the **hidden prefix**: a cached
 /// answer for address `a` embeds the best-matching prefix at fill time, so

@@ -1164,14 +1164,13 @@ impl DataPlane for Router {
     /// each packet in its own isolation frames exactly as there, and
     /// after each pump what it queued ([`pump_queued`](Router::pump_queued)),
     /// so there is nothing left for [`flush`](DataPlane::flush) to do.
-    /// Returns the packets handled. A packet with an ingress stamp has its
-    /// sojourn (stamp → `wall_now_ns`) recorded in the metrics histogram,
-    /// and with a `max_sojourn_ns` deadline configured, one already older
-    /// than the deadline is shed as [`DropReason::DeadlineExceeded`]
-    /// instead of forwarded late: under overload latency degrades into
-    /// counted sheds, not collapse.
-    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64 {
-        let n = pkts.len() as u64;
+    /// A packet with an ingress stamp has its sojourn (stamp →
+    /// `wall_now_ns`) recorded in the metrics histogram, and with a
+    /// `max_sojourn_ns` deadline configured, one already older than the
+    /// deadline is shed as [`DropReason::DeadlineExceeded`] instead of
+    /// forwarded late: under overload latency degrades into counted sheds,
+    /// not collapse.
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) {
         for pkt in pkts.drain(..) {
             if let Some(sojourn) = pkt
                 .ingress_ns()
@@ -1190,7 +1189,6 @@ impl DataPlane for Router {
             self.receive(pkt);
             self.pump_queued();
         }
-        n
     }
 
     fn flush(&mut self) {}

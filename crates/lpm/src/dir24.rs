@@ -1,38 +1,57 @@
-//! DIR-24-8: the IPv4 routing table split into a RIB and a compiled FIB.
+//! DIR-24-8 with a run-compressed first level: the IPv4 routing table
+//! split into a RIB and a compiled FIB.
 //!
 //! This is controlled prefix expansion (Srinivasan & Varghese,
 //! SIGMETRICS '98 — the scheme the paper cites as the state of the art)
-//! with the stride schedule 24-8 and leaf pushing, in the layout of Gupta,
-//! Lin & McKeown's DIR-24-8: one flat array of 2²⁴ two-byte slots indexed
-//! by the top 24 address bits, plus 256-slot *groups* allocated on demand
-//! for the /24 blocks that contain prefixes longer than /24. A slot is
-//! *no route*, an interned next-hop index, or a group index, so a lookup
-//! is one indexed load (two past /24) where the PATRICIA walk makes one
-//! dependent load per trie level — about 21 at 900 K prefixes.
+//! with the stride schedule 24-8 and leaf pushing, in the shape of Gupta,
+//! Lin & McKeown's DIR-24-8: one two-byte *slot* per /24, plus 256-slot
+//! *groups* allocated on demand for the /24 blocks that contain prefixes
+//! longer than /24. A slot is *no route*, an interned next-hop index, or
+//! a group index.
+//!
+//! **Chunks.** The 2²⁴ first-level slots are not stored flat (32 MB) but
+//! as 65 536 *chunks*, one per /16: a 128-byte, 128-byte-aligned object
+//! holding a 256-bit map with a bit set where a run of equal slots starts,
+//! and up to 48 *leaves*, the runs' slots in address order (Poptrie's leaf
+//! bitmap, Asai & Ohara, SIGCOMM '15). A lookup counts the set bits up to
+//! its /24 and reads that run's leaf: one object of two cache lines, plus
+//! one group slot past /24, where the PATRICIA walk makes one dependent
+//! load per trie level — about 21 at 900 K prefixes. A /16 holds few
+//! runs: the synthetic 900 K-prefix table has 1.2 M, at most 46 in one
+//! chunk, and the first level is 8 MB at any size. A chunk of more than
+//! 48 runs *spills*: it names a plain 256-slot block instead, so the
+//! table stays exact whatever it holds.
 //!
 //! **RIB and FIB.** A [`PatriciaTable`] stays the source of truth (the
 //! RIB): it answers `insert`/`remove`/`get`, and until [`Dir24Table::compile`]
 //! is called it answers `lookup` too, so a small table never allocates
-//! the 32 MB array. `compile` derives the FIB in one pre-order walk of the
-//! trie, painting each prefix over its slot range; ancestors are visited
-//! before their more-specifics, so the more-specifics overwrite. After
-//! that, every `insert`/`remove` repaints only the changed prefix's range:
-//! first the value that now covers it, then its more-specifics, in the
-//! same order.
+//! the first level. `compile` derives the FIB in one pre-order walk of
+//! the trie. Ancestors come before their more-specifics and addresses
+//! ascend, so the walk paints every prefix of /17 or longer into one open
+//! 256-slot canvas per /16, compresses it into its chunk when the walk
+//! leaves the /16, and fills the /16s that only shorter prefixes cover
+//! with one-run chunks. After that, every `insert`/`remove` repaints
+//! only the chunks the changed prefix overlaps, through the same canvas:
+//! first the value that now covers the prefix, then its more-specifics.
 //!
-//! Slots deliberately carry no prefix length (a third byte per slot is
-//! 16 MB): which prefix owns a slot is always re-derived from the RIB.
-//! The price is that a compiled lookup returns the value only, not the
-//! matched length — which is why this type does not implement
-//! [`LpmTable`].
+//! Slots deliberately carry no prefix length: which prefix owns a slot is
+//! always re-derived from the RIB. The price is that a compiled lookup
+//! returns the value only, not the matched length — which is why this
+//! type does not implement [`LpmTable`].
 
 use crate::hash::IntMap;
 use crate::patricia::PatriciaTable;
 use crate::table::{LpmTable, Prefix};
 use std::hash::Hash;
 
-/// Slots of the first-level array: one per /24.
-const TBL24_SLOTS: usize = 1 << 24;
+/// First-level chunks: one per /16.
+const CHUNKS: usize = 1 << 16;
+/// First-level slots in a chunk: one per /24 of its /16.
+const CHUNK_SLOTS: usize = 256;
+/// Runs a chunk stores inline; one with more spills.
+const LEAVES: usize = 48;
+/// The first leaf on a chunk's second cache line.
+const SECOND_LINE_LEAF: usize = (64 - std::mem::size_of::<[u64; 4]>()) / 2;
 /// Slots in a second-level group: one per address of a /24.
 const GROUP_SLOTS: usize = 256;
 /// Set in a first-level slot that holds a group index; any other non-zero
@@ -59,8 +78,182 @@ pub struct FibStats {
     pub repaints: u64,
 }
 
+/// One /16 of the first level, its 256 slots stored as runs. Bit `i` of
+/// `starts` is set where slot `i` begins a run, and run `k`'s slot is
+/// `leaves[k]` (leaves past the last run are zero). Slot 0 always begins
+/// a run, so a chunk with bit 0 clear has *spilled*: its slots are the
+/// spill block `leaves[0]`.
+#[derive(Clone, Copy)]
+#[repr(C, align(128))]
+struct Chunk {
+    starts: [u64; 4],
+    leaves: [u16; LEAVES],
+}
+
+const _: () = assert!(std::mem::size_of::<Chunk>() == 128);
+
+impl Chunk {
+    /// Every slot of the /16 set to `code`.
+    fn uniform(code: u16) -> Chunk {
+        let mut leaves = [0; LEAVES];
+        leaves[0] = code;
+        Chunk {
+            starts: [1, 0, 0, 0],
+            leaves,
+        }
+    }
+
+    fn spilled(block: usize) -> Chunk {
+        let mut chunk = Chunk::uniform(block as u16);
+        chunk.starts[0] = 0;
+        chunk
+    }
+
+    #[inline]
+    fn spill_block(&self) -> Option<usize> {
+        (self.starts[0] & 1 == 0).then_some(usize::from(self.leaves[0]))
+    }
+
+    /// The slots back out of a chunk that has not spilled.
+    fn expand(&self, slots: &mut [u16; CHUNK_SLOTS]) {
+        let mut runs = 0;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            runs += (self.starts[i / 64] >> (i % 64) & 1) as usize;
+            *slot = self.leaves[runs - 1];
+        }
+    }
+
+    /// The index in `leaves` of the run that holds slot `i`: the set bits
+    /// of `starts` up to `i`, less one. Branch-free, since `i` is random:
+    /// per-byte counts of the words below `i`'s, picked from their prefix
+    /// sums, plus those of its own word up to `i`, are summed by one
+    /// multiply (the x86_64 baseline has no `popcnt`, and `count_ones`
+    /// would multiply once a word). No byte sum passes 32 and the total
+    /// is at most [`LEAVES`], so the multiply's top byte is exact.
+    #[inline]
+    fn run_of(&self, i: usize) -> usize {
+        let (word, bit) = (i / 64, i % 64);
+        let [a, b, c, _] = self.starts.map(byte_ones);
+        let below = [0, a, a + b, a + b + c];
+        let bytes = below[word] + byte_ones(self.starts[word] << (63 - bit));
+        (bytes.wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize - 1
+    }
+}
+
+/// The groups that `slots` name.
+fn groups_in(slots: &[u16]) -> impl Iterator<Item = u16> + '_ {
+    slots
+        .iter()
+        .filter(|&&s| s & GROUP != 0)
+        .map(|&s| s & !GROUP)
+}
+
+/// The set bits of each byte of `x`, in that byte (SWAR).
+#[inline]
+fn byte_ones(x: u64) -> u64 {
+    let x = x - (x >> 1 & 0x5555_5555_5555_5555);
+    let x = (x & 0x3333_3333_3333_3333) + (x >> 2 & 0x3333_3333_3333_3333);
+    (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F
+}
+
+/// The 256 slots of a chunk being painted, and where a run may start:
+/// wherever a paint began or ended, besides the runs the chunk came with.
+/// Compressing checks those places only, not every slot.
+struct Slots {
+    codes: [u16; CHUNK_SLOTS],
+    edges: [u64; 4],
+}
+
+impl Slots {
+    /// Every slot set to `code`.
+    fn reset(&mut self, code: u16) {
+        self.codes.fill(code);
+        self.edges = [0; 4];
+    }
+
+    fn fill(&mut self, range: std::ops::Range<usize>, code: u16) {
+        self.mark(range.start);
+        self.mark(range.end);
+        self.codes[range].fill(code);
+    }
+
+    fn set(&mut self, i: usize, code: u16) {
+        self.fill(i..i + 1, code);
+    }
+
+    /// A run may start at slot `i`.
+    fn mark(&mut self, i: usize) {
+        if i < CHUNK_SLOTS {
+            self.edges[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// The runs, or `None` when there are more than [`LEAVES`].
+    fn compress(&self) -> Option<Chunk> {
+        let mut chunk = Chunk::uniform(self.codes[0]);
+        let mut runs = 1;
+        for (w, &edges) in self.edges.iter().enumerate() {
+            // Slot 0 starts the first run whatever the edges say.
+            let mut bits = edges & !u64::from(w == 0);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                if self.codes[i] != self.codes[i - 1] {
+                    if runs == LEAVES {
+                        return None;
+                    }
+                    chunk.starts[w] |= 1 << (i % 64);
+                    chunk.leaves[runs] = self.codes[i];
+                    runs += 1;
+                }
+                bits &= bits - 1;
+            }
+        }
+        Some(chunk)
+    }
+}
+
+/// A first-level painting in progress, ascending through the chunks.
+struct Canvas {
+    /// The chunk whose slots are being painted.
+    open: Option<usize>,
+    slots: Slots,
+    /// Chunks below this one are painted.
+    next: usize,
+    /// The code of each prefix of /16 or shorter still in force, outermost
+    /// first, with the chunk past its range.
+    covers: Vec<(u16, usize)>,
+}
+
+impl Canvas {
+    fn new(next: usize) -> Canvas {
+        Canvas {
+            open: None,
+            slots: Slots {
+                codes: [0; CHUNK_SLOTS],
+                edges: [0; 4],
+            },
+            next,
+            covers: Vec::new(),
+        }
+    }
+
+    /// The code the prefixes of /16 or shorter paint on `chunk`, and the
+    /// chunk past the range it holds on. Forgets the ones that end before
+    /// `chunk`, which must not be below an earlier call's.
+    fn cover(&mut self, chunk: usize) -> (u16, usize) {
+        while self.covers.last().is_some_and(|&(_, end)| end <= chunk) {
+            self.covers.pop();
+        }
+        self.covers.last().copied().unwrap_or((0, CHUNKS))
+    }
+}
+
 struct Fib<V> {
-    tbl24: Box<[u16; TBL24_SLOTS]>,
+    chunks: Box<[Chunk]>,
+    /// Spill block `b` is `spill[b * 256..][..256]`; all of it is freed
+    /// once no chunk spills.
+    spill: Vec<u16>,
+    free_spill: Vec<u16>,
     /// Group `g` is `tbl8[g * 256..][..256]`; slots hold zero or a
     /// next-hop code, never a group index.
     tbl8: Vec<u16>,
@@ -74,13 +267,12 @@ struct Fib<V> {
 }
 
 impl<V: Clone + Eq + Hash> Fib<V> {
-    /// An all-*no route* table with room for `groups` groups. The array
-    /// comes zeroed from the allocator, so pages no prefix is painted on
-    /// are never touched.
+    /// An all-*no route* table with room for `groups` groups.
     fn new(groups: usize) -> Self {
-        let tbl24: Box<[u16]> = vec![0u16; TBL24_SLOTS].into_boxed_slice();
         Fib {
-            tbl24: tbl24.try_into().expect("allocated with TBL24_SLOTS slots"),
+            chunks: vec![Chunk::uniform(0); CHUNKS].into_boxed_slice(),
+            spill: Vec::new(),
+            free_spill: Vec::new(),
             tbl8: Vec::with_capacity(groups.min(MAX_GROUPS) * GROUP_SLOTS),
             free_groups: Vec::new(),
             hops: Vec::new(),
@@ -92,7 +284,12 @@ impl<V: Clone + Eq + Hash> Fib<V> {
 
     #[inline]
     fn lookup(&self, addr: u32) -> Option<&V> {
-        let mut slot = self.tbl24[(addr >> 8) as usize];
+        let chunk = &self.chunks[(addr >> 16) as usize];
+        let i = (addr >> 8 & 0xFF) as usize;
+        let mut slot = match chunk.spill_block() {
+            None => chunk.leaves[chunk.run_of(i)],
+            Some(block) => self.spill[block * CHUNK_SLOTS + i],
+        };
         if slot & GROUP != 0 {
             let group = usize::from(slot & !GROUP);
             slot = self.tbl8[group * GROUP_SLOTS + (addr & 0xFF) as usize];
@@ -138,29 +335,106 @@ impl<V: Clone + Eq + Hash> Fib<V> {
         Some(group)
     }
 
-    /// Set every address `prefix` covers to `value`. Correct only when
-    /// everything more specific is painted afterwards.
-    fn paint(&mut self, prefix: Prefix<u32>, value: Option<&V>) {
+    /// Give back the groups chunk `c`'s slots hold.
+    fn free_chunk_groups(&mut self, c: usize) {
+        let chunk = &self.chunks[c];
+        let slots = match chunk.spill_block() {
+            Some(block) => &self.spill[block * CHUNK_SLOTS..][..CHUNK_SLOTS],
+            None => &chunk.leaves[..],
+        };
+        self.free_groups.extend(groups_in(slots));
+    }
+
+    /// Chunk `c`'s slots, into `slots`, with a run possible where one is.
+    fn read_chunk(&self, c: usize, slots: &mut Slots) {
+        let chunk = &self.chunks[c];
+        match chunk.spill_block() {
+            Some(block) => {
+                let spilled = &self.spill[block * CHUNK_SLOTS..][..CHUNK_SLOTS];
+                slots.codes.copy_from_slice(spilled);
+                slots.edges = [u64::MAX; 4];
+            }
+            None => {
+                chunk.expand(&mut slots.codes);
+                slots.edges = chunk.starts;
+            }
+        }
+    }
+
+    /// Store `slots` as chunk `c`: compressed, or else in the chunk's
+    /// spill block.
+    fn store(&mut self, c: usize, slots: &Slots) {
+        match slots.compress() {
+            Some(chunk) => self.put(c, chunk),
+            None => {
+                let block = match self.chunks[c].spill_block() {
+                    Some(block) => block,
+                    None => self.free_spill.pop().map_or_else(
+                        || {
+                            self.spill.resize(self.spill.len() + CHUNK_SLOTS, 0);
+                            self.spill.len() / CHUNK_SLOTS - 1
+                        },
+                        usize::from,
+                    ),
+                };
+                self.spill[block * CHUNK_SLOTS..][..CHUNK_SLOTS].copy_from_slice(&slots.codes);
+                self.chunks[c] = Chunk::spilled(block);
+            }
+        }
+    }
+
+    /// Replace chunk `c` by a compressed one, giving back its spill block.
+    fn put(&mut self, c: usize, chunk: Chunk) {
+        if let Some(block) = self.chunks[c].spill_block() {
+            self.free_spill.push(block as u16);
+            if self.free_spill.len() * CHUNK_SLOTS == self.spill.len() {
+                self.spill = Vec::new();
+                self.free_spill = Vec::new();
+            }
+        }
+        self.chunks[c] = chunk;
+    }
+
+    /// Paint `prefix` with `value` on the canvas. Prefixes come in
+    /// pre-order, ascending: the result is correct only when everything
+    /// more specific is painted afterwards.
+    fn paint(&mut self, canvas: &mut Canvas, prefix: Prefix<u32>, value: Option<&V>) {
         let Some(code) = self.code(value) else {
             self.exhausted = true;
             return;
         };
-        let first = (prefix.bits() >> 8) as usize;
+        let chunk = (prefix.bits() >> 16) as usize;
+        if canvas.open != Some(chunk) {
+            self.settle(canvas, chunk);
+            if prefix.len() <= 16 {
+                let end = chunk + (1 << (16 - prefix.len()));
+                canvas.covers.push((code, end));
+                return;
+            }
+            let (code, _) = canvas.cover(chunk);
+            canvas.slots.reset(code);
+            canvas.open = Some(chunk);
+            canvas.next = chunk + 1;
+        }
+        self.paint_slots(&mut canvas.slots, prefix, code);
+    }
+
+    /// Set every address a prefix of /17 or longer covers to `code`, on
+    /// its chunk's slots.
+    fn paint_slots(&mut self, slots: &mut Slots, prefix: Prefix<u32>, code: u16) {
+        let first = (prefix.bits() >> 8 & 0xFF) as usize;
         if prefix.len() <= 24 {
             let range = first..first + (1usize << (24 - prefix.len()));
             // A table without groups (any FIB with nothing past /24)
-            // skips the scan: a /8 alone is 65 536 slots.
+            // skips the scan.
             if self.live_groups() > 0 {
-                for &slot in &self.tbl24[range.clone()] {
-                    if slot & GROUP != 0 {
-                        self.free_groups.push(slot & !GROUP);
-                    }
-                }
+                self.free_groups
+                    .extend(groups_in(&slots.codes[range.clone()]));
             }
-            self.tbl24[range].fill(code);
+            slots.fill(range, code);
             return;
         }
-        let slot = self.tbl24[first];
+        let slot = slots.codes[first];
         let group = if slot & GROUP != 0 {
             usize::from(slot & !GROUP)
         } else {
@@ -170,36 +444,68 @@ impl<V: Clone + Eq + Hash> Fib<V> {
                 self.exhausted = true;
                 return;
             };
-            self.tbl24[first] = GROUP | group as u16;
+            slots.set(first, GROUP | group as u16);
             group
         };
         let start = group * GROUP_SLOTS + (prefix.bits() & 0xFF) as usize;
         self.tbl8[start..start + (1usize << (32 - prefix.len()))].fill(code);
     }
 
-    /// Bring the range of `prefix` back in line with `rib` after `prefix`
-    /// was inserted, replaced or removed there.
+    /// Store the open chunk, and paint each chunk from the canvas's next
+    /// up to `to` with the prefix that covers it whole.
+    fn settle(&mut self, canvas: &mut Canvas, to: usize) {
+        if let Some(c) = canvas.open.take() {
+            self.store(c, &canvas.slots);
+        }
+        while canvas.next < to {
+            let (code, end) = canvas.cover(canvas.next);
+            let (uniform, end) = (Chunk::uniform(code), end.min(to));
+            for c in canvas.next..end {
+                self.put(c, uniform);
+            }
+            canvas.next = end;
+        }
+    }
+
+    /// Bring the chunks `prefix` overlaps back in line with `rib` after
+    /// `prefix` was inserted, replaced or removed there.
     fn repaint(&mut self, rib: &PatriciaTable<u32, V>, prefix: Prefix<u32>) {
         self.repaints += 1;
+        let first = (prefix.bits() >> 16) as usize;
+        let (mut canvas, end) = if prefix.len() <= 16 {
+            let end = first + (1 << (16 - prefix.len()));
+            if self.live_groups() > 0 {
+                for c in first..end {
+                    self.free_chunk_groups(c);
+                }
+            }
+            (Canvas::new(first), end)
+        } else {
+            let mut canvas = Canvas::new(first + 1);
+            self.read_chunk(first, &mut canvas.slots);
+            canvas.open = Some(first);
+            (canvas, first + 1)
+        };
         let cover = rib.lookup_max_len(prefix.bits(), prefix.len());
-        self.paint(prefix, cover.map(|(v, _)| v));
-        rib.walk_covered(prefix, |p, v| self.paint(p, Some(v)));
+        self.paint(&mut canvas, prefix, cover.map(|(v, _)| v));
+        rib.walk_covered(prefix, |p, v| self.paint(&mut canvas, p, Some(v)));
         if prefix.len() > 24 {
-            self.collapse((prefix.bits() >> 8) as usize);
+            self.collapse(&mut canvas.slots, (prefix.bits() >> 8 & 0xFF) as usize);
         }
+        self.settle(&mut canvas, end);
     }
 
     /// Give a group back once its 256 slots agree (the last prefix longer
     /// than /24 left the block): one first-level slot says the same.
-    fn collapse(&mut self, first: usize) {
-        let slot = self.tbl24[first];
+    fn collapse(&mut self, slots: &mut Slots, i: usize) {
+        let slot = slots.codes[i];
         if slot & GROUP == 0 {
             return;
         }
         let group = &self.tbl8[usize::from(slot & !GROUP) * GROUP_SLOTS..][..GROUP_SLOTS];
         if group.iter().all(|&code| code == group[0]) {
-            self.tbl24[first] = group[0];
             self.free_groups.push(slot & !GROUP);
+            slots.set(i, group[0]);
         }
     }
 }
@@ -221,8 +527,8 @@ fn prefetch_read<T>(r: &T) {
 }
 
 /// IPv4 longest-prefix match: a PATRICIA RIB, and once
-/// [`compile`](Dir24Table::compile)d a DIR-24-8 FIB kept exact under every
-/// later update.
+/// [`compile`](Dir24Table::compile)d a chunked DIR-24-8 FIB kept exact under
+/// every later update.
 ///
 /// ```
 /// use rp_lpm::{Dir24Table, Prefix};
@@ -290,8 +596,9 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
         }
     }
 
-    /// The value of the longest stored prefix covering `addr`: one or two
-    /// indexed loads once compiled, the trie walk before.
+    /// The value of the longest stored prefix covering `addr`: one chunk
+    /// and a leaf in it, and one group slot past /24, once compiled; the
+    /// trie walk before.
     #[inline]
     pub fn lookup(&self, addr: u32) -> Option<&V> {
         match &self.fib {
@@ -301,11 +608,14 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
     }
 
     /// Hint that a [`lookup`](Self::lookup) of `addr` is coming: start loading
-    /// its first-level slot so work in between hides the miss. No-op if uncompiled.
+    /// both lines of its first-level chunk so work in between hides the
+    /// miss. No-op if uncompiled.
     #[inline]
     pub fn prefetch(&self, addr: u32) {
         if let Some(fib) = &self.fib {
-            prefetch_read(&fib.tbl24[(addr >> 8) as usize]);
+            let chunk = &fib.chunks[(addr >> 16) as usize];
+            prefetch_read(&chunk.starts);
+            prefetch_read(&chunk.leaves[SECOND_LINE_LEAF]);
         }
     }
 
@@ -320,12 +630,13 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
     }
 
     /// Compile the RIB into the FIB (again, if already compiled), and keep
-    /// it exact from here on. Allocates the 32 MB first level. Should the
+    /// it exact from here on. Allocates the 8 MB first level. Should the
     /// RIB hold more than 32 767 distinct values, or prefixes longer than
     /// /24 in more than 32 768 different /24 blocks, the table stays (or
     /// becomes) uncompiled and `lookup` walks the trie.
     pub fn compile(&mut self) {
         let mut fib = Fib::new(self.long_prefixes);
+        let mut canvas = Canvas::new(0);
         // The walk is a chain of cache misses that the processor overlaps
         // only while little else shares its reorder window, so it runs in
         // bursts with the painting in between: at 900 K prefixes that
@@ -335,13 +646,14 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
             burst.push((p, v));
             if burst.len() == WALK_BURST {
                 for (p, v) in burst.drain(..) {
-                    fib.paint(p, Some(v));
+                    fib.paint(&mut canvas, p, Some(v));
                 }
             }
         });
         for (p, v) in burst {
-            fib.paint(p, Some(v));
+            fib.paint(&mut canvas, p, Some(v));
         }
+        fib.settle(&mut canvas, CHUNKS);
         self.fib = (!fib.exhausted).then_some(fib);
     }
 
@@ -354,8 +666,8 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
             compiled: true,
             tbl8_groups: fib.live_groups(),
             next_hops: fib.hops.len(),
-            mem_bytes: std::mem::size_of_val(&*fib.tbl24)
-                + fib.tbl8.capacity() * std::mem::size_of::<u16>()
+            mem_bytes: std::mem::size_of_val(&*fib.chunks)
+                + (fib.spill.capacity() + fib.tbl8.capacity()) * std::mem::size_of::<u16>()
                 + fib.hops.capacity() * std::mem::size_of::<V>(),
             repaints: fib.repaints,
         }
@@ -410,7 +722,139 @@ mod tests {
         let s = t.stats();
         assert!(s.compiled);
         assert_eq!((s.tbl8_groups, s.next_hops, s.repaints), (0, 1, 0));
-        assert_eq!(s.mem_bytes >> 20, 32);
+        assert_eq!(s.mem_bytes >> 20, 8);
+    }
+
+    /// The compiled chunk that holds `addr`.
+    fn chunk_of<V>(t: &Dir24Table<V>, addr: u32) -> Chunk {
+        t.fib.as_ref().expect("compiled").chunks[(addr >> 16) as usize]
+    }
+
+    /// 10.10/16's 256 /24s, alternately `even` and `odd`.
+    const ALTERNATING: u32 = 0x0A0A_0000;
+
+    fn alternate(t: &mut Dir24Table<&'static str>) {
+        for i in 0..256u32 {
+            t.insert(p(ALTERNATING | i << 8, 24), ["even", "odd"][i as usize % 2]);
+        }
+    }
+
+    #[test]
+    fn a_chunk_of_256_runs_spills_to_a_block_and_stays_exact() {
+        let mut t = table();
+        alternate(&mut t);
+        let chunk = chunk_of(&t, ALTERNATING);
+        assert_eq!(chunk.spill_block(), Some(0));
+        assert_eq!(t.stats().mem_bytes, CHUNKS * 128 + CHUNK_SLOTS * 2 + 4 * 16);
+        for i in 0..256u32 {
+            let want = Some(["even", "odd"][i as usize % 2]);
+            check(&t, ALTERNATING | i << 8, want);
+            check(&t, ALTERNATING | i << 8 | 0xFF, want);
+        }
+        check(&t, ALTERNATING - 1, None);
+        check(&t, ALTERNATING + 0x1_0000, None);
+        // A prefix past /24 inside the spilled chunk takes a group there.
+        t.insert(p(ALTERNATING | 0x0180, 25), "half");
+        check(&t, ALTERNATING | 0x017F, Some("odd"));
+        check(&t, ALTERNATING | 0x0180, Some("half"));
+        check(&t, ALTERNATING | 0x0200, Some("even"));
+        assert_eq!(t.stats().tbl8_groups, 1);
+        // The same table compiled from scratch spills the same way.
+        let mut fresh = Dir24Table::new();
+        t.rib.walk_covered(Prefix::default_route(), |q, v| {
+            fresh.insert(q, *v);
+        });
+        fresh.compile();
+        assert!(chunk_of(&fresh, ALTERNATING).spill_block().is_some());
+        for a in (0..1 << 16).step_by(127) {
+            assert_eq!(fresh.lookup(ALTERNATING | a), t.lookup(ALTERNATING | a));
+        }
+    }
+
+    #[test]
+    fn removing_the_runs_again_leaves_one_run_and_the_base_memory() {
+        let mut t = Dir24Table::new();
+        t.insert(p(ALTERNATING, 16), "odd");
+        t.insert(p(0x0B0B_0000, 16), "even");
+        t.compile();
+        let base = t.stats().mem_bytes;
+        alternate(&mut t);
+        assert!(chunk_of(&t, ALTERNATING).spill_block().is_some());
+        assert_eq!(t.stats().mem_bytes, base + CHUNK_SLOTS * 2);
+        for i in 0..256u32 {
+            t.remove(p(ALTERNATING | i << 8, 24));
+        }
+        let chunk = chunk_of(&t, ALTERNATING);
+        let one_run = Chunk::uniform(1);
+        assert_eq!(
+            (chunk.starts, chunk.leaves),
+            (one_run.starts, one_run.leaves)
+        );
+        assert_eq!(t.stats().mem_bytes, base);
+        check(&t, ALTERNATING | 0x1234, Some("odd"));
+    }
+
+    #[test]
+    fn a_table_of_only_the_default_route() {
+        let everywhere = [0, 1, 0x0A0A_0A0A, 0x8000_0000, u32::MAX];
+        let mut compiled = Dir24Table::new();
+        compiled.insert(Prefix::default_route(), "default");
+        compiled.compile();
+        let mut repainted = table();
+        repainted.insert(Prefix::default_route(), "default");
+        for t in [&compiled, &repainted] {
+            for a in everywhere {
+                check(t, a, Some("default"));
+            }
+            let fib = t.fib.as_ref().unwrap();
+            assert!(fib
+                .chunks
+                .iter()
+                .all(|c| c.starts == [1, 0, 0, 0] && c.leaves[0] == 1));
+            let s = t.stats();
+            assert_eq!((s.tbl8_groups, s.next_hops), (0, 1));
+        }
+        repainted.remove(Prefix::default_route());
+        for a in everywhere {
+            check(&repainted, a, None);
+        }
+    }
+
+    #[test]
+    fn host_routes_at_both_ends_of_a_chunk() {
+        const FIRST: u32 = 0x0A0A_0000;
+        const LAST: u32 = 0x0A0A_FFFF;
+        let install = |t: &mut Dir24Table<&'static str>| {
+            t.insert(p(FIRST, 16), "chunk");
+            t.insert(p(FIRST, 32), "first");
+            t.insert(p(LAST, 32), "last");
+        };
+        let mut repainted = table();
+        install(&mut repainted);
+        let mut compiled = Dir24Table::new();
+        install(&mut compiled);
+        compiled.compile();
+        for t in [&repainted, &compiled] {
+            check(t, FIRST - 1, None);
+            check(t, FIRST, Some("first"));
+            check(t, FIRST + 1, Some("chunk"));
+            check(t, FIRST | 0xFF, Some("chunk"));
+            check(t, FIRST | 0x100, Some("chunk"));
+            check(t, LAST - 0x100, Some("chunk"));
+            check(t, LAST - 1, Some("chunk"));
+            check(t, LAST, Some("last"));
+            check(t, LAST + 1, None);
+            // Three runs: group, the /16, group.
+            let chunk = chunk_of(t, FIRST);
+            assert_eq!(chunk.starts, [0b11, 0, 0, 1 << 63]);
+            assert_eq!(t.stats().tbl8_groups, 2);
+        }
+        repainted.remove(p(FIRST, 32));
+        repainted.remove(p(LAST, 32));
+        check(&repainted, FIRST, Some("chunk"));
+        check(&repainted, LAST, Some("chunk"));
+        assert_eq!(chunk_of(&repainted, FIRST).starts, [1, 0, 0, 0]);
+        assert_eq!(repainted.stats().tbl8_groups, 0);
     }
 
     #[test]

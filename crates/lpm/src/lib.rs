@@ -14,9 +14,11 @@
 //! The third structure is what the paper cites as the state of the art,
 //! controlled prefix expansion (Srinivasan & Varghese, SIGMETRICS '98), in
 //! the one shape the router uses it: [`Dir24Table`], the IPv4 routing
-//! table as a PATRICIA RIB compiled into a 24-8, leaf-pushed, two-bytes-a-
-//! slot FIB whose lookup is one indexed load (two past /24) by
-//! construction. It returns values without matched lengths, so it stands
+//! table as a PATRICIA RIB compiled into a 24-8, leaf-pushed FIB whose
+//! first level stores each /16's 256 two-byte slots as runs in one 128-B
+//! chunk (a run-start bitmap and up to 48 leaves; 8 MB in all). A lookup
+//! reads one chunk and the leaf its popcount rank names, plus one group
+//! slot past /24. It returns values without matched lengths, so it stands
 //! beside the trait rather than behind it.
 
 // Not `forbid`: `dir24::prefetch_read` holds the one `allow` (CI counts it).

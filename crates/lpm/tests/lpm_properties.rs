@@ -2,7 +2,9 @@
 //! other (and with a naive reference) on longest-prefix-match semantics,
 //! under arbitrary insert/remove interleavings. The DIR-24-8 table is
 //! compiled part-way through the interleaving, so it is checked both as
-//! an incrementally maintained FIB and against a recompile from scratch.
+//! an incrementally maintained FIB and against a recompile from scratch;
+//! a second interleaving crowds three neighbouring first-level chunks and
+//! checks the table after every step.
 
 use proptest::prelude::*;
 use rp_lpm::{Bits, BsplTable, Dir24Table, LpmTable, PatriciaTable, Prefix};
@@ -59,6 +61,41 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (addr, len()).prop_map(|(a, l)| Op::Remove(a, l)),
         any::<u32>().prop_map(Op::Prefetch),
     ]
+}
+
+/// The first of three adjacent /16s, one first-level chunk each.
+const NEIGHBOURS: u32 = 0x0A09_0000;
+
+#[derive(Debug, Clone)]
+enum ChunkOp {
+    Compile,
+    Insert(u32, u8, u32),
+    /// The stored prefix at this index, modulo their number.
+    Remove(usize),
+    Prefetch(u32),
+}
+
+fn arb_chunk_op() -> impl Strategy<Value = ChunkOp> {
+    // Addresses in three neighbouring chunks. Lengths: now and then the
+    // default route (each repaints all 65 536 chunks), prefixes spanning
+    // several chunks (/14, /15), and mostly /24 and longer, so a chunk's
+    // runs grow past what it stores inline. Eight values, so neighbouring
+    // runs often merge.
+    let len = (0u8..40).prop_map(|x| match x {
+        0 => 0,
+        1..=19 => 13 + x,
+        _ => 24 + x % 9,
+    });
+    // One compile in twenty steps: each rebuilds all 65 536 chunks.
+    (0u8..20, 0u32..3 << 16, len, 0u32..8, any::<usize>()).prop_map(|(kind, a, l, v, i)| {
+        let a = NEIGHBOURS + a;
+        match kind {
+            0 => ChunkOp::Compile,
+            1..=11 => ChunkOp::Insert(a, l, v),
+            12..=16 => ChunkOp::Remove(i),
+            _ => ChunkOp::Prefetch(a),
+        }
+    })
 }
 
 proptest! {
@@ -122,6 +159,53 @@ proptest! {
         prop_assert_eq!(pat.len(), reference.entries.len());
         prop_assert_eq!(bspl.len(), reference.entries.len());
         prop_assert_eq!(dir.len(), reference.entries.len());
+    }
+
+    #[test]
+    fn a_chunk_and_its_neighbours_stay_exact(
+        ops in prop::collection::vec(arb_chunk_op(), 1..160),
+        probes in prop::collection::vec(0u32..3 << 16, 32..33),
+    ) {
+        let mut reference = Reference::new();
+        let mut dir = Dir24Table::new();
+        dir.compile();
+        let probes: Vec<u32> = probes.iter().map(|a| NEIGHBOURS + a).collect();
+        for op in ops {
+            let changed = match op {
+                ChunkOp::Compile => {
+                    dir.compile();
+                    None
+                }
+                ChunkOp::Insert(a, l, v) => {
+                    let p = Prefix::new(a, l);
+                    reference.insert(p, v);
+                    dir.insert(p, v);
+                    Some(p)
+                }
+                ChunkOp::Remove(i) if !reference.entries.is_empty() => {
+                    let (p, _) = reference.entries[i % reference.entries.len()];
+                    reference.remove(p);
+                    dir.remove(p);
+                    Some(p)
+                }
+                ChunkOp::Remove(_) => None,
+                ChunkOp::Prefetch(a) => {
+                    dir.prefetch(a);
+                    None
+                }
+            };
+            // The changed prefix's edges, every stored prefix's, and
+            // fixed probes across the three /16s.
+            let edges = reference.entries.iter().map(|(p, _)| *p).chain(changed).flat_map(|p| {
+                let last = p.bits() | !u32::MAX.mask(p.len());
+                [p.bits(), last, p.bits().wrapping_sub(1), last.wrapping_add(1)]
+            });
+            for addr in edges.chain(probes.iter().copied()) {
+                let want = reference.lookup(addr).map(|(v, _)| v);
+                prop_assert_eq!(dir.lookup(addr).copied(), want, "dir24 @ {:08x}", addr);
+            }
+            prop_assert_eq!(dir.len(), reference.entries.len());
+        }
     }
 
     #[test]

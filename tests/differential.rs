@@ -268,8 +268,8 @@ impl<P: DataPlane> ControlPlane for Tap<P> {
 }
 
 impl<P: DataPlane> DataPlane for Tap<P> {
-    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) -> u64 {
-        self.plane.receive_burst(pkts, wall_now_ns)
+    fn receive_burst(&mut self, pkts: &mut Vec<Mbuf>, wall_now_ns: u64) {
+        self.plane.receive_burst(pkts, wall_now_ns);
     }
 
     fn flush(&mut self) {

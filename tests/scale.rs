@@ -13,6 +13,7 @@ use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{ControlPlane, Router, RouterConfig};
 use router_plugins::lpm::Prefix;
+use router_plugins::netsim::traffic::synthetic_fib_v4;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::Mbuf;
 
@@ -157,6 +158,36 @@ fn compiled_fib_interns_more_than_one_byte_of_next_hops() {
     for i in 0..600u32 {
         let host = IpAddr::V4(Ipv4Addr::from(0x0A00_0000 | i << 8 | 9));
         assert_eq!(rt.lookup(host), Some(RouteEntry { tx_if: i }));
+    }
+}
+
+/// The compiled FIB of a 200 K-prefix table is 65 536 chunks of 128 B
+/// plus its groups and next hops, counted exactly, and under 10 MB: a
+/// flat 2²⁴-slot first level (32 MB) cannot pass. It answers as the trie
+/// it was compiled from.
+#[test]
+fn compiled_fib_fits_its_memory_budget() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rt = RoutingTable::with_cache(0);
+    for (net, len, tx_if) in synthetic_fib_v4(200_000, 4, 1) {
+        rt.add(net, len, RouteEntry { tx_if });
+    }
+    let mut rng = StdRng::seed_from_u64(1);
+    let addrs: Vec<IpAddr> = (0..100_000)
+        .map(|_| IpAddr::V4(Ipv4Addr::from(rng.gen::<u32>())))
+        .collect();
+    let trie: Vec<Option<RouteEntry>> = addrs.iter().map(|&a| rt.lookup(a)).collect();
+    rt.optimize();
+    let s = rt.fib_stats();
+    assert!(s.compiled);
+    assert_eq!((s.tbl8_groups, s.next_hops), (0, 4));
+    let chunks = 65_536 * 128;
+    let groups = s.tbl8_groups * 256 * std::mem::size_of::<u16>();
+    let hops = s.next_hops * std::mem::size_of::<RouteEntry>();
+    assert_eq!(s.mem_bytes, chunks + groups + hops);
+    assert!(s.mem_bytes <= 10 << 20, "{} bytes", s.mem_bytes);
+    for (&a, want) in addrs.iter().zip(trie) {
+        assert_eq!(rt.lookup(a), want, "@ {a}");
     }
 }
 
