@@ -216,7 +216,7 @@ pub struct RouteEntry {
 pub struct FibCacheStats {
     /// Cached lookups answered from the exact-match array.
     pub hits: u64,
-    /// Cached lookups that fell through to the full trie.
+    /// Cached lookups that fell through to the full table.
     pub misses: u64,
     /// Cache entries cleared because a route insert/withdraw covered
     /// their address (the hidden-prefix hazard).
@@ -231,17 +231,19 @@ pub const FIB_CACHE_SLOTS: usize = 8192;
 /// Dual-stack longest-prefix-match routing table, fronted by a small 2-way
 /// set-associative exact-match cache over *addresses* (not prefixes).
 ///
-/// **RIB and FIB.** Both families keep their routes in a PATRICIA trie (as
-/// in the BSD kernel the paper modifies) — the RIB, which `add`/`remove`
-/// edit. For IPv4, [`RoutingTable::optimize`] compiles the RIB into a
-/// DIR-24-8 FIB whose first level is one run-compressed 128-B chunk per
-/// /16 ([`rp_lpm::Dir24Table`]): from then on an uncached lookup reads
-/// one chunk and a leaf in it (and one group slot past /24) instead of
-/// one dependent load per trie level, and every later `add`/`remove`
-/// repaints just the chunks the changed prefix overlaps so the FIB stays
-/// exact. A table that is never optimized — a test router with a handful
-/// of routes — walks the trie and never allocates the FIB's 8 MB. IPv6
-/// always walks its trie.
+/// **RIB and FIB.** Both families keep their routes in a RIB, which
+/// `add`/`remove` edit: for IPv6 a PATRICIA trie (as in the BSD kernel the
+/// paper modifies), for IPv4 an [`rp_lpm::Rib`], a trie of the prefixes of
+/// /16 and shorter and one sorted list per /16 of the longer ones. For
+/// IPv4, [`RoutingTable::optimize`] compiles the RIB into a DIR-24-8 FIB
+/// whose first level is one run-compressed 128-B chunk per /16
+/// ([`rp_lpm::Dir24Table`]): from then on an uncached lookup reads one
+/// chunk and a leaf in it (and one group slot past /24) instead of
+/// searching the /16's list and then walking the short trie, and every
+/// later `add`/`remove` repaints just the chunks the changed prefix
+/// overlaps so the FIB stays exact. A table that is never optimized — a
+/// test router with a handful of routes — reads the RIB and never
+/// allocates the FIB's 8 MB. IPv6 always walks its trie.
 ///
 /// **FIB cache.** Internet traffic is heavy-tailed — a few popular
 /// destinations dominate — so a tiny cache absorbs most lookups. It stays

@@ -15,24 +15,30 @@
 //! and up to 48 *leaves*, the runs' slots in address order (Poptrie's leaf
 //! bitmap, Asai & Ohara, SIGCOMM '15). A lookup counts the set bits up to
 //! its /24 and reads that run's leaf: one object of two cache lines, plus
-//! one group slot past /24, where the PATRICIA walk makes one dependent
-//! load per trie level — about 21 at 900 K prefixes. A /16 holds few
-//! runs: the synthetic 900 K-prefix table has 1.2 M, at most 46 in one
-//! chunk, and the first level is 8 MB at any size. A chunk of more than
-//! 48 runs *spills*: it names a plain 256-slot block instead, so the
-//! table stays exact whatever it holds.
+//! one group slot past /24, where a PATRICIA walk of the whole table
+//! makes one dependent load per trie level — about 21 at 900 K prefixes.
+//! A /16 holds few runs: the synthetic 900 K-prefix table has 1.2 M, at
+//! most 46 in one chunk, and the first level is 8 MB at any size. A chunk
+//! of more than 48 runs *spills*: it names a plain 256-slot block instead,
+//! so the table stays exact whatever it holds.
 //!
-//! **RIB and FIB.** A [`PatriciaTable`] stays the source of truth (the
-//! RIB): it answers `insert`/`remove`/`get`, and until [`Dir24Table::compile`]
-//! is called it answers `lookup` too, so a small table never allocates
-//! the first level. `compile` derives the FIB in one pre-order walk of
-//! the trie. Ancestors come before their more-specifics and addresses
-//! ascend, so the walk paints every prefix of /17 or longer into one open
-//! 256-slot canvas per /16, compresses it into its chunk when the walk
-//! leaves the /16, and fills the /16s that only shorter prefixes cover
-//! with one-run chunks. After that, every `insert`/`remove` repaints
-//! only the chunks the changed prefix overlaps, through the same canvas:
-//! first the value that now covers the prefix, then its more-specifics.
+//! **RIB and FIB.** A [`Rib`] stays the source of truth: a PATRICIA trie
+//! for the prefixes of /16 and shorter, and one sorted list per /16 for
+//! the longer ones, split where the chunks are. It answers
+//! `insert`/`remove`/`get`, and until [`Dir24Table::compile`] is called
+//! it answers `lookup` too (a few binary searches in one list, then the
+//! short trie), so a small table never allocates the first level, and one
+//! of only /16s and shorter allocates no list headers either
+//! (`rib::tests::short_prefixes_alone_allocate_no_headers`). `compile`
+//! derives the FIB in one pre-order walk of the RIB, which yields a plain
+//! trie's sequence (`lpm_properties.rs` `the_split_rib_is_a_trie`).
+//! Ancestors come before their more-specifics and addresses ascend, so
+//! the walk paints every prefix of /17 or longer into one open 256-slot
+//! canvas per /16, compresses it into its chunk when the walk leaves the
+//! /16, and fills the /16s that only shorter prefixes cover with one-run
+//! chunks. After that, every `insert`/`remove` repaints only the chunks
+//! the changed prefix overlaps, through the same canvas: first the value
+//! that now covers the prefix, then its more-specifics.
 //!
 //! Slots deliberately carry no prefix length: which prefix owns a slot is
 //! always re-derived from the RIB. The price is that a compiled lookup
@@ -40,7 +46,7 @@
 //! type does not implement [`LpmTable`].
 
 use crate::hash::IntMap;
-use crate::patricia::PatriciaTable;
+use crate::rib::Rib;
 use crate::table::{LpmTable, Prefix};
 use std::hash::Hash;
 
@@ -60,19 +66,18 @@ const GROUP: u16 = 0x8000;
 /// Group indices and next-hop codes both fit in the 15 bits beside the tag.
 const MAX_GROUPS: usize = GROUP as usize;
 const MAX_HOPS: usize = GROUP as usize - 1;
-/// Prefixes a compile takes from the trie walk before it paints them.
-const WALK_BURST: usize = 1024;
 
 /// What the compiled FIB currently holds (all zero while uncompiled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FibStats {
-    /// `lookup` reads the direct-index table, not the trie.
+    /// `lookup` reads the direct-index table, not the RIB.
     pub compiled: bool,
     /// Second-level groups in use (/24 blocks holding longer prefixes).
     pub tbl8_groups: usize,
     /// Distinct values interned since the compile.
     pub next_hops: usize,
-    /// Heap bytes held by the FIB (the RIB is not counted).
+    /// Heap bytes held by the FIB (the RIB's are
+    /// [`Dir24Table::rib_mem_bytes`]).
     pub mem_bytes: usize,
     /// Incremental repaints (one per `insert`/`remove`) since the compile.
     pub repaints: u64,
@@ -469,7 +474,7 @@ impl<V: Clone + Eq + Hash> Fib<V> {
 
     /// Bring the chunks `prefix` overlaps back in line with `rib` after
     /// `prefix` was inserted, replaced or removed there.
-    fn repaint(&mut self, rib: &PatriciaTable<u32, V>, prefix: Prefix<u32>) {
+    fn repaint(&mut self, rib: &Rib<V>, prefix: Prefix<u32>) {
         self.repaints += 1;
         let first = (prefix.bits() >> 16) as usize;
         let (mut canvas, end) = if prefix.len() <= 16 {
@@ -526,7 +531,7 @@ fn prefetch_read<T>(r: &T) {
     }
 }
 
-/// IPv4 longest-prefix match: a PATRICIA RIB, and once
+/// IPv4 longest-prefix match: a [`Rib`] split at /16, and once
 /// [`compile`](Dir24Table::compile)d a chunked DIR-24-8 FIB kept exact under
 /// every later update.
 ///
@@ -542,7 +547,7 @@ fn prefetch_read<T>(r: &T) {
 /// assert_eq!(t.lookup(0x0B00_0000), None);
 /// ```
 pub struct Dir24Table<V> {
-    rib: PatriciaTable<u32, V>,
+    rib: Rib<V>,
     fib: Option<Fib<V>>,
     /// Stored prefixes longer than /24: an upper bound on the groups a
     /// compile needs, so it can size the second level in one allocation.
@@ -559,7 +564,7 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
     /// Empty, uncompiled table.
     pub fn new() -> Self {
         Dir24Table {
-            rib: PatriciaTable::new(),
+            rib: Rib::new(),
             fib: None,
             long_prefixes: 0,
         }
@@ -598,7 +603,7 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
 
     /// The value of the longest stored prefix covering `addr`: one chunk
     /// and a leaf in it, and one group slot past /24, once compiled; the
-    /// trie walk before.
+    /// RIB's own lookup before.
     #[inline]
     pub fn lookup(&self, addr: u32) -> Option<&V> {
         match &self.fib {
@@ -633,28 +638,22 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
     /// it exact from here on. Allocates the 8 MB first level. Should the
     /// RIB hold more than 32 767 distinct values, or prefixes longer than
     /// /24 in more than 32 768 different /24 blocks, the table stays (or
-    /// becomes) uncompiled and `lookup` walks the trie.
+    /// becomes) uncompiled and `lookup` reads the RIB.
     pub fn compile(&mut self) {
         let mut fib = Fib::new(self.long_prefixes);
         let mut canvas = Canvas::new(0);
-        // The walk is a chain of cache misses that the processor overlaps
-        // only while little else shares its reorder window, so it runs in
-        // bursts with the painting in between: at 900 K prefixes that
-        // halves the compile against painting from inside the walk.
-        let mut burst = Vec::with_capacity(WALK_BURST);
         self.rib.walk_covered(Prefix::default_route(), |p, v| {
-            burst.push((p, v));
-            if burst.len() == WALK_BURST {
-                for (p, v) in burst.drain(..) {
-                    fib.paint(&mut canvas, p, Some(v));
-                }
-            }
-        });
-        for (p, v) in burst {
             fib.paint(&mut canvas, p, Some(v));
-        }
+        });
         fib.settle(&mut canvas, CHUNKS);
         self.fib = (!fib.exhausted).then_some(fib);
+    }
+
+    /// Heap bytes the RIB holds: its list headers, each list's capacity
+    /// in entries and the short-prefix trie's arena (see [`Rib`]). The FIB
+    /// is counted apart, in [`FibStats::mem_bytes`].
+    pub fn rib_mem_bytes(&self) -> usize {
+        self.rib.mem_bytes()
     }
 
     /// FIB occupancy, for observability.
@@ -677,6 +676,7 @@ impl<V: Clone + Eq + Hash> Dir24Table<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patricia::PatriciaTable;
 
     fn p(bits: u32, len: u8) -> Prefix<u32> {
         Prefix::new(bits, len)

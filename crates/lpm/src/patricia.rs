@@ -182,6 +182,12 @@ impl<A: Bits, V> PatriciaTable<A, V> {
         self.free.clear();
     }
 
+    /// Heap bytes the node arena and its free list hold.
+    pub(crate) fn arena_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node<A, V>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+
     /// Longest-prefix match restricted to prefixes of length at most
     /// `max_len`. Used by the BSPL structure to precompute marker
     /// best-match values ("bmp" in Waldvogel et al.).

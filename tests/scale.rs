@@ -1,10 +1,13 @@
 //! The internet-scale state structures (E18) against their references:
 //! the hot-prefix FIB cache under a route-update interleave that would
 //! expose a stale entry (the hidden-prefix hazard), and the compiled
-//! FIB against the trie and the cache under arbitrary route updates.
+//! FIB against the trie and the cache under arbitrary route updates,
+//! and the memory both halves of the IPv4 table hold at 200 K prefixes.
 //! That the resizing, evicting flow table is invisible on both data
 //! planes is a row of `tests/differential.rs`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
@@ -12,10 +15,47 @@ use router_plugins::core::ip_core::{Disposition, FibStats, RouteEntry, RoutingTa
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{ControlPlane, Router, RouterConfig};
-use router_plugins::lpm::Prefix;
+use router_plugins::lpm::{Dir24Table, Prefix};
 use router_plugins::netsim::traffic::synthetic_fib_v4;
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::Mbuf;
+
+/// Pass-through allocator that keeps, per thread, the bytes that thread
+/// holds: what it allocated less what it freed, so tests running beside
+/// it do not count.
+struct HeldBytes;
+
+thread_local! {
+    static HELD: Cell<isize> = const { Cell::new(0) };
+}
+
+fn held() -> isize {
+    HELD.with(Cell::get)
+}
+
+fn hold(bytes: isize) {
+    HELD.with(|h| h.set(h.get() + bytes));
+}
+
+unsafe impl GlobalAlloc for HeldBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        hold(layout.size() as isize);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        hold(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: HeldBytes = HeldBytes;
 
 /// Route-update interleave exposing a stale FIB-cache entry. The cache
 /// answers by exact destination address, so a more-specific route inserted
@@ -191,6 +231,31 @@ fn compiled_fib_fits_its_memory_budget() {
     }
 }
 
+/// The RIB of a 200 K-prefix table counts exactly the heap it holds —
+/// its 65 536 list headers, each /16's list capacity in 8-byte entries,
+/// and the arena of the trie of /16s and shorter — and that is under
+/// 6 MiB. One PATRICIA arena of every prefix held 12.6 MB at this size.
+#[test]
+fn rib_fits_its_memory_budget() {
+    let routes = synthetic_fib_v4(200_000, 4, 1);
+    let before = held();
+    let mut t = Dir24Table::new();
+    for &(net, len, tx_if) in &routes {
+        let IpAddr::V4(net) = net else { unreachable!() };
+        t.insert(Prefix::new(u32::from(net), len), RouteEntry { tx_if });
+    }
+    let bytes = t.rib_mem_bytes();
+    assert_eq!(bytes as isize, held() - before);
+    assert!(bytes <= 6 << 20, "{bytes} bytes");
+    // The synthetic table's lengths are 8, 12, 16 and 19–24: most
+    // prefixes are in the lists, at 8 B an entry.
+    let long = routes.iter().filter(|&&(_, len, _)| len > 16).count();
+    assert!(
+        bytes >= 65_536 * 24 + long * 8,
+        "{bytes} bytes for {long} long prefixes"
+    );
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Add(u32, u8, u32),
@@ -200,7 +265,7 @@ enum Op {
 /// Few networks and the lengths around both DIR-24-8 boundaries,
 /// so updates hit stored prefixes: withdrawals of a covering
 /// prefix and re-adds with another entry are the common case.
-/// Lengths under 8 are rare (each repaints up to 2²⁴ slots).
+/// Lengths under 8 are rare (each repaints up to 2¹⁶ chunks).
 fn arb_op() -> impl Strategy<Value = Op> {
     let bits = || {
         (0u32..4, 0u32..4, 0usize..4)
