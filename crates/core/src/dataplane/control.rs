@@ -487,8 +487,8 @@ impl ControlPlane for Router {
 
 /// One shard's answer to a control fan-out. `Down` and `Unresponsive`
 /// are the partial-reply cases: the command could not be delivered
-/// (shard dead/quarantined) or its reply never came back within the
-/// fan-out timeout (shard wedged mid-message).
+/// (shard dead/quarantined), or the shard stopped serving (died, or the
+/// watchdog abandoned it wedged mid-message) before running it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardAnswer<R> {
     /// The shard ran the command and replied.
@@ -496,7 +496,8 @@ pub enum ShardAnswer<R> {
     /// The shard was not serving — the command was never delivered. The
     /// journal rebuild replays it when the shard returns.
     Down,
-    /// Delivered but no reply within the timeout (stalled shard).
+    /// Delivered, but the shard stopped serving before its completion
+    /// cursor passed the command.
     Unresponsive,
 }
 

@@ -20,13 +20,14 @@
 //! filter ids stay in lockstep and an operator-visible id means the same
 //! logical object everywhere.
 //!
-//! Egress is re-serialized on one carrier loop: a shard sends each batch's
-//! carrier back on one return channel holding everything the batch
-//! transmitted, and the dispatcher pushes each packet into the bucket of
-//! its `tx_if`, then keeps the emptied carrier for the next batch. Since a
-//! flow is pinned to one shard, each shard emits in processing order and
-//! the partition is stable, per-flow order on the wire matches the
-//! single-threaded router exactly.
+//! Egress is re-serialized on one carrier loop: a shard pushes each
+//! batch's carrier, holding everything the batch transmitted, on its
+//! return ring (an `rp_ring`, like its ingress FIFO and the fan-out's
+//! one-slot reply rings: one transport), and the dispatcher pushes each
+//! packet into the bucket of its `tx_if`, then keeps the emptied carrier
+//! for the next batch. Since a flow is pinned to one shard, each shard
+//! emits in processing order and the partition is stable, per-flow order
+//! on the wire matches the single-threaded router exactly.
 //!
 //! # Shard supervision
 //!
@@ -42,9 +43,9 @@
 //!   timestamp); the dispatcher's watchdog classifies a worker stuck
 //!   inside one message longer than
 //!   [`ParallelRouterConfig::stall_timeout`] as stalled, abandons that
-//!   incarnation, and every control fan-out / flush wait carries a
-//!   timeout with per-shard partial replies (`[shard i] unresponsive`)
-//!   instead of blocking forever.
+//!   incarnation. Control fan-out and flush wait in one loop that looks
+//!   at the laggards every slice, so a fan-out yields per-shard partial
+//!   replies (`[shard i] unresponsive`) instead of blocking forever.
 //! * **Rebuild** — every state-mutating control command is recorded in a
 //!   [`CommandJournal`]; a quarantined shard is restarted (the same
 //!   [`Backoff`] the router's [`FaultPolicy`](crate::supervisor::FaultPolicy) gives plugin instances,
@@ -82,7 +83,6 @@ use crate::plugin::PluginError;
 use crate::router::{Router, RouterConfig};
 use crate::supervisor::{duration_ns, Backoff, HealthState};
 use control::merge_replies;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::{coarse_now_ns, Mbuf, MbufPool, PoolStats};
@@ -153,7 +153,7 @@ pub struct ParallelRouterConfig {
     pub shards: usize,
     /// Per-shard router configuration (interfaces, gates, flow table…).
     /// Its [`FaultPolicy`](crate::supervisor::FaultPolicy) also governs
-    /// shard restarts (`restart`, `max_restarts`, the backoff): plugin
+    /// shard restarts (`max_restarts`, the backoff): plugin
     /// restarts fall due on the router's simulated `now_ns`, shard and
     /// device restarts on `coarse_now_ns()` — same unit, same [`Backoff`].
     pub router: RouterConfig,
@@ -187,7 +187,7 @@ impl Default for ParallelRouterConfig {
 /// to cooperate.
 struct ShardSlot {
     tx: ShardSender,
-    join: Option<JoinHandle<ShardFinal>>,
+    worker: Option<Worker>,
     shared: Arc<ShardShared>,
     health: HealthState,
     /// Completed restarts of this shard index.
@@ -202,8 +202,8 @@ struct ShardSlot {
     last_fault: Option<String>,
     /// Packets dispatched to the *current* incarnation.
     sent: u64,
-    /// Messages the current incarnation's FIFO accepted (`flush` waits
-    /// for the worker's completion cursor to reach this).
+    /// Messages the current incarnation's FIFO accepted (`flush` and the
+    /// fan-out wait for the worker's completion cursor to reach this).
     accepted: u64,
     shed_overload: u64,
     shed_down: u64,
@@ -222,13 +222,21 @@ impl ShardSlot {
     }
 }
 
+/// One running incarnation of a shard: its thread and the dispatcher's
+/// end of its return ring.
+struct Worker {
+    join: JoinHandle<ShardFinal>,
+    returns: rp_ring::Consumer<Vec<Mbuf>>,
+}
+
 /// An abandoned incarnation whose thread hasn't exited yet (stalled, or
-/// still draining). Harvested for its final accounting report when it
-/// does; `sent` is the packet count dispatched to it, against which
+/// still draining). It keeps its return ring, so its late egress is still
+/// delivered, once; harvested for its final accounting report when it
+/// exits. `sent` is the packet count dispatched to it, against which
 /// queue loss is computed.
 struct Zombie {
     shard: usize,
-    join: JoinHandle<ShardFinal>,
+    worker: Worker,
     sent: u64,
 }
 
@@ -252,20 +260,13 @@ pub struct ParallelRouter {
     /// Replayable record of every state-mutating control command.
     journal: CommandJournal,
     interfaces: usize,
-    /// The return half of the carrier loop: after each message a shard
-    /// sends one carrier holding what it transmitted — a
-    /// [`ShardMsg::Batch`]'s own emptied carrier, so the steady state
-    /// moves one carrier each way per batch and allocates nothing. The
-    /// `tx` half is kept so the channel never disconnects while shards
-    /// are live (they hold clones), and as the source for rebuilt shards'
-    /// senders.
-    back_tx: Sender<Vec<Mbuf>>,
-    back_rx: Receiver<Vec<Mbuf>>,
-    /// Where `flush` parks while a shard's completion cursor lags; every
-    /// shard rings it after moving its cursor.
+    /// Where `flush` and the fan-out park while a shard's completion
+    /// cursor lags; every shard rings it after moving its cursor.
     flush_bell: Arc<rp_ring::Doorbell>,
-    /// Emptied carriers ready for reuse (the returned carriers plus the
-    /// caller-supplied input vectors of past `receive_batch` calls).
+    /// Emptied carriers ready for reuse: the carriers shards returned (a
+    /// [`ShardMsg::Batch`]'s own, so the steady state moves one carrier
+    /// each way per batch and allocates nothing) plus the caller-supplied
+    /// input vectors of past `receive_batch` calls.
     spare_batches: Vec<Vec<Mbuf>>,
     /// One bucket per shard, reused across `receive_batch` calls to
     /// group a mixed batch by destination shard without allocating.
@@ -291,7 +292,6 @@ impl ParallelRouter {
     /// moved onto its worker thread.
     pub fn new(cfg: ParallelRouterConfig, template: &PluginLoader) -> Self {
         let shards = cfg.shards.max(1);
-        let (back_tx, back_rx) = unbounded();
         let interfaces = cfg.router.interfaces;
         let mut pr = ParallelRouter {
             stall_timeout_ns: duration_ns(cfg.stall_timeout),
@@ -301,8 +301,6 @@ impl ParallelRouter {
             zombies: Vec::new(),
             journal: CommandJournal::default(),
             interfaces,
-            back_tx,
-            back_rx,
             flush_bell: Arc::default(),
             spare_batches: Vec::new(),
             group_scratch: (0..shards).map(|_| Vec::new()).collect(),
@@ -337,16 +335,16 @@ impl ParallelRouter {
             busy_ns: 0,
             packets: 0,
         };
-        let (tx, rx) = shard_fifo(self.cfg.ingress_depth.max(1));
+        let (tx, rx, returns) = shard_fifo(self.cfg.ingress_depth.max(1));
         let shared = Arc::new(ShardShared::new(Arc::clone(&self.flush_bell)));
-        let back = self.back_tx.clone();
         let worker_shared = Arc::clone(&shared);
-        let join = std::thread::Builder::new()
+        let worker = std::thread::Builder::new()
             .name(format!("rp-shard-{index}"))
-            .spawn(move || run_shard(ctx, rx, back, worker_shared))
-            .ok();
+            .spawn(move || run_shard(ctx, rx, worker_shared))
+            .ok()
+            .map(|join| Worker { join, returns });
         let policy = &self.cfg.router.fault_policy;
-        let spawn_failed = join.is_none();
+        let spawn_failed = worker.is_none();
         let mut last_fault = None;
         if spawn_failed {
             last_fault = Some("worker thread spawn failed".to_string());
@@ -359,7 +357,7 @@ impl ParallelRouter {
         }
         ShardSlot {
             tx,
-            join,
+            worker,
             shared,
             health: if spawn_failed {
                 HealthState::Quarantined
@@ -430,16 +428,29 @@ impl ParallelRouter {
         }
     }
 
+    /// Join an exited incarnation, take in the carriers left on its
+    /// return ring, and fold its final report in. `Ok` holds the panic the
+    /// loop died to, if any; `Err` means the thread died outside the loop's
+    /// panic isolation and left no report.
+    fn retire(&mut self, shard: usize, mut w: Worker, sent: u64) -> Result<Option<String>, ()> {
+        let end = w.join.join();
+        while let Ok(carrier) = w.returns.try_pop() {
+            self.unload(carrier);
+        }
+        let mut f = end.map_err(drop)?;
+        let panic = f.panic.take();
+        self.absorb_final(shard, sent, f);
+        Ok(panic)
+    }
+
     /// Collect final reports from abandoned incarnations whose threads
     /// have since exited (e.g. a wedge that released).
     fn harvest_zombies(&mut self) {
         let mut i = 0;
         while i < self.zombies.len() {
-            if self.zombies[i].join.is_finished() {
+            if self.zombies[i].worker.join.is_finished() {
                 let z = self.zombies.swap_remove(i);
-                if let Ok(f) = z.join.join() {
-                    self.absorb_final(z.shard, z.sent, f);
-                }
+                let _ = self.retire(z.shard, z.worker, z.sent);
             } else {
                 i += 1;
             }
@@ -453,7 +464,7 @@ impl ParallelRouter {
         let slot = &mut self.slots[shard];
         slot.health = HealthState::Quarantined;
         slot.last_fault = Some(why);
-        if !policy.restart || slot.restarts >= policy.max_restarts {
+        if slot.restarts >= policy.max_restarts {
             slot.gave_up = true;
             slot.restart_at = None;
         } else {
@@ -461,24 +472,32 @@ impl ParallelRouter {
         }
     }
 
+    /// Flag the current incarnation abandoned, so it exits at its next
+    /// message boundary instead of racing a replacement, and park it as a
+    /// zombie for later harvest.
+    fn bury(&mut self, shard: usize) {
+        self.drain_shard(shard);
+        let slot = &mut self.slots[shard];
+        slot.shared.mark_abandoned();
+        let sent = std::mem::take(&mut slot.sent);
+        if let Some(worker) = slot.worker.take() {
+            self.zombies.push(Zombie {
+                shard,
+                worker,
+                sent,
+            });
+        }
+    }
+
     /// Give up on the current incarnation without waiting for its thread:
-    /// flag it abandoned (so it exits at the next message boundary),
-    /// disconnect its FIFO, and park the join handle for later harvest.
+    /// bury it and disconnect its FIFO.
     fn abandon(&mut self, shard: usize, why: String, now: u64) {
-        self.slots[shard].shared.mark_abandoned();
         // Replacing (and dropping) our sender disconnects the worker's
         // recv — the producer's drop also rings the doorbell — so an
         // *idle* abandoned worker exits immediately; a wedged one exits
         // when whatever wedged it returns.
         self.slots[shard].tx = ShardSender::dead();
-        if let Some(join) = self.slots[shard].join.take() {
-            self.zombies.push(Zombie {
-                shard,
-                join,
-                sent: self.slots[shard].sent,
-            });
-        }
-        self.slots[shard].sent = 0;
+        self.bury(shard);
         self.note_fault(shard, why, now);
     }
 
@@ -486,28 +505,15 @@ impl ParallelRouter {
     /// if stalled, rebuild it if its restart is due.
     fn check_shard(&mut self, shard: usize, now: u64) {
         self.harvest_zombies();
-        if self.slots[shard]
-            .join
-            .as_ref()
-            .is_some_and(|j| j.is_finished())
-        {
+        let slot = &mut self.slots[shard];
+        if let Some(worker) = slot.worker.take_if(|w| w.join.is_finished()) {
             // The worker exited on its own: a panic escaped into the
             // shard loop (or the loop ended unexpectedly).
-            let sent = self.slots[shard].sent;
-            self.slots[shard].sent = 0;
-            let why = match self.slots[shard].join.take() {
-                Some(join) => match join.join() {
-                    Ok(f) => {
-                        let why = match &f.panic {
-                            Some(msg) => format!("worker panicked: {msg}"),
-                            None => "worker exited unexpectedly".to_string(),
-                        };
-                        self.absorb_final(shard, sent, f);
-                        why
-                    }
-                    Err(_) => "worker thread aborted".to_string(),
-                },
-                None => return,
+            let sent = std::mem::take(&mut slot.sent);
+            let why = match self.retire(shard, worker, sent) {
+                Ok(Some(msg)) => format!("worker panicked: {msg}"),
+                Ok(None) => "worker exited unexpectedly".to_string(),
+                Err(()) => "worker thread aborted".to_string(),
             };
             self.note_fault(shard, why, now);
             return;
@@ -546,15 +552,7 @@ impl ParallelRouter {
     /// Replace a quarantined shard with a fresh incarnation rebuilt from
     /// the command journal.
     fn rebuild_shard(&mut self, shard: usize, now: u64) {
-        // Make sure the previous incarnation can't race the replacement.
-        self.slots[shard].shared.mark_abandoned();
-        if let Some(join) = self.slots[shard].join.take() {
-            self.zombies.push(Zombie {
-                shard,
-                join,
-                sent: self.slots[shard].sent,
-            });
-        }
+        self.bury(shard);
         let prior = &self.slots[shard];
         let (restarts, backoff, last_fault) =
             (prior.restarts, prior.backoff, prior.last_fault.clone());
@@ -588,7 +586,9 @@ impl ParallelRouter {
     }
 
     /// Put one message — packets or control — on shard `s`'s FIFO; the
-    /// one send loop of the plane. A full FIFO back-pressures
+    /// one send loop of the plane. It first empties the shard's return
+    /// ring, the rule that keeps that ring from filling
+    /// ([`shard::shard_fifo`]). A full FIFO back-pressures
     /// for at most `patience_ns` ([`ParallelRouterConfig::overload_wait`]
     /// for packets; twice the stall timeout for control, which takes its
     /// FIFO place behind packets but must never wedge the dispatcher
@@ -598,6 +598,7 @@ impl ParallelRouter {
     /// recycled and counted shed ([`DropReason::ShardDown`] /
     /// [`DropReason::ShardOverload`]).
     fn send(&mut self, s: usize, mut msg: ShardMsg, packets: u64, patience_ns: u64) -> bool {
+        self.drain_shard(s);
         if !self.slots[s].serving() {
             // A due restart can bring it back right now.
             self.check_shard(s, coarse_now_ns());
@@ -683,7 +684,6 @@ impl ParallelRouter {
             return 0;
         }
         self.watchdog(pkts.len() as u64);
-        self.drain_egress();
         let n = self.slots.len();
         if n == 1 {
             // Single shard: the input carrier is already the batch.
@@ -756,13 +756,10 @@ impl ParallelRouter {
     /// that dies or stalls mid-flush is quarantined by the watchdog and
     /// skipped instead of blocking the control plane forever.
     ///
-    /// "Fully processed" is read off each shard's completion cursor: a
-    /// shard that has caught up with the messages its FIFO accepted costs
-    /// one `Acquire` load (no message, no wake, no allocation), and since
-    /// it sent each message's egress carrier before moving the cursor,
-    /// they are on the return channel. While a cursor lags the dispatcher
-    /// parks on the doorbell the shards ring, in `WAIT_SLICE` slices
-    /// with a watchdog look at the laggards between them.
+    /// "Fully processed" is read off each shard's completion cursor (the
+    /// wait the control fan-out shares): since a shard pushed each
+    /// message's egress carrier before moving the cursor, they are on its
+    /// return ring.
     ///
     /// The settle phase makes `flush()` followed by
     /// [`stats`](ParallelRouter::stats) a conserving read: a worker that
@@ -773,26 +770,15 @@ impl ParallelRouter {
     /// and its counters stay deferred until it finally exits.
     pub fn flush(&mut self) {
         self.poll_shard_health();
-        while self.slots.iter().any(ShardSlot::lagging) {
-            let slots = &self.slots;
-            self.flush_bell
-                .park(|| !slots.iter().any(ShardSlot::lagging), WAIT_SLICE);
-            // Keep waiting for live shards (they may simply have deep
-            // FIFOs); the ones the watchdog takes out stop lagging.
-            let now = coarse_now_ns();
-            for s in 0..self.slots.len() {
-                if self.slots[s].lagging() {
-                    self.check_shard(s, now);
-                }
-            }
-        }
+        self.await_cursors();
         let mut now = coarse_now_ns();
         let deadline = now.saturating_add(self.control_patience_ns());
         loop {
             self.check_shards(now);
             let unresolved = !self.zombies.is_empty()
                 || self.slots.iter().any(|s| {
-                    s.restart_at.is_some() || s.join.as_ref().is_some_and(|j| j.is_finished())
+                    s.restart_at.is_some()
+                        || s.worker.as_ref().is_some_and(|w| w.join.is_finished())
                 });
             if !unresolved || now >= deadline {
                 break;
@@ -803,28 +789,68 @@ impl ParallelRouter {
         self.drain_egress();
     }
 
-    /// Close the carrier loop: move every returned carrier's packets into
-    /// the buckets of their `tx_if` (a stable partition, so per-flow order
-    /// is the shard's emission order) and keep the emptied carriers for
-    /// later batches. A carrier that never held anything (a control
-    /// message's) is dropped: reusing it would allocate.
-    fn drain_egress(&mut self) {
-        while let Ok(mut carrier) = self.back_rx.try_recv() {
-            for m in carrier.drain(..) {
-                let bucket = m.tx_if.and_then(|i| self.pending.get_mut(i as usize));
-                debug_assert!(bucket.is_some(), "a shard sent a packet with no egress");
-                match bucket {
-                    Some(bucket) => bucket.push(m),
-                    // No device can send it: counted as one refused.
-                    None => {
-                        self.pool.recycle(m);
-                        self.note_device_tx_drops(1);
-                    }
+    /// Block until no serving shard's completion cursor lags the messages
+    /// its FIFO accepted: the one wait of `flush` and the control fan-out.
+    /// A shard that has caught up costs one `Acquire` load (no message, no
+    /// wake, no allocation). While a cursor lags the dispatcher parks on
+    /// the doorbell the shards ring, in `WAIT_SLICE` slices with a
+    /// watchdog look at the laggards between them; the ones it takes out
+    /// (dead, stalled) stop lagging, and live ones are waited for however
+    /// deep their FIFOs.
+    fn await_cursors(&mut self) {
+        while self.slots.iter().any(ShardSlot::lagging) {
+            let slots = &self.slots;
+            self.flush_bell
+                .park(|| !slots.iter().any(ShardSlot::lagging), WAIT_SLICE);
+            let now = coarse_now_ns();
+            for s in 0..self.slots.len() {
+                if self.slots[s].lagging() {
+                    self.check_shard(s, now);
                 }
             }
-            if carrier.capacity() > 0 {
-                self.spare_batches.push(carrier);
+        }
+    }
+
+    /// Take in every carrier the shards have returned. (An abandoned
+    /// incarnation's ring is emptied when it is buried, and what it sends
+    /// after that is taken in when it is harvested.)
+    fn drain_egress(&mut self) {
+        for s in 0..self.slots.len() {
+            self.drain_shard(s);
+        }
+    }
+
+    /// Take in every carrier on shard `s`'s return ring.
+    fn drain_shard(&mut self, s: usize) {
+        while let Some(carrier) = self.slots[s]
+            .worker
+            .as_mut()
+            .and_then(|w| w.returns.try_pop().ok())
+        {
+            self.unload(carrier);
+        }
+    }
+
+    /// Close the carrier loop for one returned carrier: move its packets
+    /// into the buckets of their `tx_if` (a stable partition, so per-flow
+    /// order is the shard's emission order) and keep the emptied carrier
+    /// for later batches. A carrier that never held anything (a control
+    /// message's) is dropped: reusing it would allocate.
+    fn unload(&mut self, mut carrier: Vec<Mbuf>) {
+        for m in carrier.drain(..) {
+            let bucket = m.tx_if.and_then(|i| self.pending.get_mut(i as usize));
+            debug_assert!(bucket.is_some(), "a shard sent a packet with no egress");
+            match bucket {
+                Some(bucket) => bucket.push(m),
+                // No device can send it: counted as one refused.
+                None => {
+                    self.pool.recycle(m);
+                    self.note_device_tx_drops(1);
+                }
             }
+        }
+        if carrier.capacity() > 0 {
+            self.spare_batches.push(carrier);
         }
     }
 
@@ -854,8 +880,10 @@ impl ParallelRouter {
 
     /// Run `f` on every serving shard (on the shard's own thread, in
     /// FIFO order with that shard's packets) and collect per-shard
-    /// answers. Replies are awaited with a watchdog-supervised timeout:
-    /// a shard that dies or stalls mid-command yields `Down` /
+    /// answers. Each shard answers on a one-slot ring of its own, read
+    /// after [`await_cursors`](Self::await_cursors): a shard that never
+    /// took the command is `Down`, and one that took it but stopped
+    /// serving before its cursor passed it (died, stalled) is
     /// `Unresponsive` instead of wedging the control plane.
     fn fanout<R, F>(&mut self, f: F) -> Vec<(usize, ShardAnswer<R>)>
     where
@@ -866,56 +894,25 @@ impl ParallelRouter {
         // command through the fan-out (it is not yet in the journal).
         self.poll_shard_health();
         let f = Arc::new(f);
-        let (tx, rx) = unbounded();
         let patience_ns = self.control_patience_ns();
-        let n = self.slots.len();
-        let mut answers: Vec<Option<ShardAnswer<R>>> = (0..n).map(|_| None).collect();
-        let mut outstanding: Vec<usize> = Vec::new();
-        for (s, answer) in answers.iter_mut().enumerate() {
+        let mut replies = Vec::with_capacity(self.slots.len());
+        for s in 0..self.slots.len() {
             let f = Arc::clone(&f);
-            let tx = tx.clone();
+            let (mut reply, rx) = rp_ring::spsc(1);
             let cmd: ControlFn = Box::new(move |ctx: &mut ShardCtx| {
-                let index = ctx.index;
-                let r = f(ctx);
-                let _ = tx.send((index, r));
+                let _ = reply.try_push(f(ctx));
             });
-            if self.send(s, ShardMsg::Control(cmd), 0, patience_ns) {
-                outstanding.push(s);
-            } else {
-                *answer = Some(ShardAnswer::Down);
-            }
+            let accepted = self.send(s, ShardMsg::Control(cmd), 0, patience_ns);
+            replies.push(accepted.then_some(rx));
         }
-        drop(tx);
-        while !outstanding.is_empty() {
-            match rx.recv_timeout(WAIT_SLICE) {
-                Ok((i, r)) => {
-                    answers[i] = Some(ShardAnswer::Ok(r));
-                    outstanding.retain(|&x| x != i);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let now = coarse_now_ns();
-                    for s in outstanding.clone() {
-                        self.check_shard(s, now);
-                        if !self.slots[s].serving() {
-                            answers[s] = Some(ShardAnswer::Unresponsive);
-                            outstanding.retain(|&x| x != s);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let now = coarse_now_ns();
-                    for s in outstanding.drain(..) {
-                        self.check_shard(s, now);
-                        answers[s] = Some(ShardAnswer::Down);
-                    }
-                }
-            }
-        }
-        answers
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (i, a.unwrap_or(ShardAnswer::Down)))
-            .collect()
+        self.await_cursors();
+        let answer = |rx: Option<rp_ring::Consumer<R>>| match rx {
+            None => ShardAnswer::Down,
+            Some(mut rx) => rx
+                .try_pop()
+                .map_or(ShardAnswer::Unresponsive, ShardAnswer::Ok),
+        };
+        replies.into_iter().map(answer).enumerate().collect()
     }
 
     /// Run `f` on every serving shard and collect the successful results
@@ -1022,8 +1019,8 @@ impl Drop for ParallelRouter {
             // boundary.
             slot.shared.mark_abandoned();
             slot.tx = ShardSender::dead();
-            if let Some(j) = slot.join.take() {
-                joins.push(j);
+            if let Some(w) = slot.worker.take() {
+                joins.push(w.join);
             }
         }
         // Join what exits promptly; a thread still wedged in a plugin
@@ -1100,7 +1097,7 @@ impl ControlPlane for ParallelRouter {
         }
         let now = coarse_now_ns();
         self.check_shard(shard, now);
-        if self.slots[shard].join.is_some() {
+        if self.slots[shard].worker.is_some() {
             self.abandon(shard, "operator restart".to_string(), now);
         }
         // Operator intervention overrides an exhausted restart budget and

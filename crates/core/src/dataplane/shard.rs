@@ -18,17 +18,17 @@ use super::DataPlane;
 use crate::obs::{MetricsSnapshot, TraceCategory};
 use crate::router::Router;
 use crate::supervisor::run_isolated;
-use crossbeam_channel::Sender;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
+use rp_ring::{Consumer, Producer, PushError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// A control command executed on the shard thread with full access to the
-/// shard's state. Results travel back through whatever channel the
-/// closure captured.
+/// shard's state. Results travel back through whatever ring the closure
+/// captured.
 pub type ControlFn = Box<dyn FnOnce(&mut ShardCtx) + Send>;
 
 /// Everything a shard thread owns.
@@ -95,11 +95,12 @@ fn recv_wait_profile() -> (u32, u32) {
 
 /// The dispatcher's sending half of one shard's ingress FIFO: an SPSC
 /// ring ([`rp_ring`]) with a doorbell for idle parking — no lock and no
-/// syscall on the steady-state packet path.
-pub(crate) struct ShardSender(rp_ring::Producer<ShardMsg>);
+/// syscall on the steady-state packet path. Each push follows a drain of
+/// the shard's return ring, which bounds that ring ([`shard_fifo`]).
+pub(crate) struct ShardSender(Producer<ShardMsg>);
 
 impl ShardSender {
-    pub(crate) fn try_send(&mut self, msg: ShardMsg) -> Result<(), rp_ring::PushError<ShardMsg>> {
+    pub(crate) fn try_send(&mut self, msg: ShardMsg) -> Result<(), PushError<ShardMsg>> {
         self.0.try_push(msg)
     }
 
@@ -112,20 +113,29 @@ impl ShardSender {
     }
 }
 
-/// The worker's receiving half, paired with [`ShardSender`]. Drains the
-/// ring in runs of [`RECV_RUN`] into a local deque (one consumer-cursor
-/// release-store per run) and waits with spin→yield→doorbell-park
-/// adaptivity.
+/// The worker's end, paired with [`ShardSender`]. Drains the ingress ring
+/// in runs of [`RECV_RUN`] into a local deque (one consumer-cursor
+/// release-store per run), waits with spin→yield→doorbell-park
+/// adaptivity, and pushes each message's egress carrier on the return
+/// ring.
 pub(crate) struct ShardReceiver {
-    rx: rp_ring::Consumer<ShardMsg>,
+    rx: Consumer<ShardMsg>,
     pending: VecDeque<ShardMsg>,
+    back: Producer<Vec<Mbuf>>,
 }
 
-/// One shard's ingress FIFO, `depth` messages deep.
-pub(crate) fn shard_fifo(depth: usize) -> (ShardSender, ShardReceiver) {
+/// One shard's rings: ingress `depth` messages deep, and the return ring
+/// for its egress carriers, which never fills. The dispatcher empties it
+/// before each push to the ingress ring; until the next push the shard
+/// can send back one carrier per message in its ingress ring (at most the
+/// ingress capacity, the one just pushed included), in its local run (at
+/// most [`RECV_RUN`]) and in its hand, plus the exit drain's: ingress
+/// capacity + `RECV_RUN` + 2.
+pub(crate) fn shard_fifo(depth: usize) -> (ShardSender, ShardReceiver, Consumer<Vec<Mbuf>>) {
     let (p, rx) = rp_ring::spsc(depth);
+    let (back, returns) = rp_ring::spsc(rx.capacity() + RECV_RUN + 2);
     let pending = VecDeque::new();
-    (ShardSender(p), ShardReceiver { rx, pending })
+    (ShardSender(p), ShardReceiver { rx, pending, back }, returns)
 }
 
 impl ShardReceiver {
@@ -152,21 +162,21 @@ impl ShardReceiver {
             }
         }
     }
-}
 
-/// Move everything the router transmitted into `carrier`, one tx log
-/// after another, and send it to the dispatcher: one channel operation
-/// per message, however many interfaces transmitted. Each packet carries
-/// its egress interface and a flow leaves through one interface in
-/// emission order, so the dispatcher's stable partition by `tx_if`
-/// restores per-flow order.
-fn send_egress(router: &mut Router, mut carrier: Vec<Mbuf>, back: &Sender<Vec<Mbuf>>) {
-    for i in 0..router.interface_count() {
-        router.take_tx_into(i as IfIndex, &mut carrier);
+    /// Move everything the router transmitted into `carrier` and push it
+    /// on the return ring: one ring operation per message, however many
+    /// interfaces transmitted. Each packet carries its egress interface
+    /// and a flow leaves through one interface in emission order, so the
+    /// dispatcher's stable partition by `tx_if` restores per-flow order.
+    /// The ring is sized so this push never finds it full ([`shard_fifo`]);
+    /// it finds it disconnected only once the plane is dropped.
+    fn send_egress(&mut self, router: &mut Router, mut carrier: Vec<Mbuf>) {
+        for i in 0..router.interface_count() {
+            router.take_tx_into(i as IfIndex, &mut carrier);
+        }
+        let full = matches!(self.back.try_push(carrier), Err(PushError::Full(_)));
+        debug_assert!(!full, "return ring full");
     }
-    // A dropped receiver means the dispatcher is gone; the shard is about
-    // to exit anyway.
-    let _ = back.send(carrier);
 }
 
 /// Per-shard work snapshot. The shard router's counters are its
@@ -230,11 +240,13 @@ pub(crate) struct ShardShared {
     /// in flight if the worker dies; loss is read off its final report).
     processed: AtomicU64,
     /// Messages fully handled — the completion cursor. Stored `Release`
-    /// after the message's egress carrier was sent, read `Acquire` by
-    /// `flush`: caught up means that egress is on the return channel.
+    /// after the message's egress carrier (and a control command's reply)
+    /// was pushed, read `Acquire` by `flush` and the fan-out: caught up
+    /// means that egress is on the return ring.
     completed: AtomicU64,
     /// The dispatcher's doorbell, rung after every cursor move (a fence
-    /// and a flag load unless the dispatcher is parked in `flush`).
+    /// and a flag load unless the dispatcher is parked in `flush` or a
+    /// fan-out).
     bell: Arc<rp_ring::Doorbell>,
     /// Set by the dispatcher when it gives up on this incarnation; the
     /// loop exits at the next message boundary instead of racing its
@@ -309,12 +321,7 @@ fn trace_batch(ctx: &mut ShardCtx, pkts: &[Mbuf]) {
 /// a panic that escapes here (control closures run unprotected — packet
 /// gates are already isolated per-call by the plugin supervisor) kills
 /// only this shard.
-fn shard_loop(
-    ctx: &mut ShardCtx,
-    rx: &mut ShardReceiver,
-    back: &Sender<Vec<Mbuf>>,
-    shared: &ShardShared,
-) {
+fn shard_loop(ctx: &mut ShardCtx, rx: &mut ShardReceiver, shared: &ShardShared) {
     let mut completed = 0u64;
     loop {
         if shared.is_abandoned() {
@@ -350,14 +357,14 @@ fn shard_loop(
                 shared.processed.store(ctx.packets, Ordering::Relaxed);
                 // The emptied carrier goes back holding the batch's
                 // egress: one pass over the tx logs per batch.
-                send_egress(&mut ctx.router, pkts, back);
+                rx.send_egress(&mut ctx.router, pkts);
             }
             ShardMsg::Control(f) => {
                 f(ctx);
                 // Control actions can emit too (force-unload drains
                 // scheduler backlogs to the wire), in a carrier of their
                 // own.
-                send_egress(&mut ctx.router, Vec::new(), back);
+                rx.send_egress(&mut ctx.router, Vec::new());
             }
         }
         completed += 1;
@@ -372,15 +379,14 @@ fn shard_loop(
 pub(crate) fn run_shard(
     mut ctx: ShardCtx,
     mut rx: ShardReceiver,
-    back: Sender<Vec<Mbuf>>,
     shared: Arc<ShardShared>,
 ) -> ShardFinal {
-    let panic = run_isolated(|| shard_loop(&mut ctx, &mut rx, &back, &shared)).err();
+    let panic = run_isolated(|| shard_loop(&mut ctx, &mut rx, &shared)).err();
     shared.beat_idle();
     // Flush whatever already reached the tx logs, then snapshot. Both run
     // isolated too: after a panic the router may be torn mid-call and a
     // second panic here must not take down the final accounting.
-    let _ = run_isolated(|| send_egress(&mut ctx.router, Vec::new(), &back));
+    let _ = run_isolated(|| rx.send_egress(&mut ctx.router, Vec::new()));
     let (metrics, stranded) = run_isolated(|| {
         let m = ctx.router.metrics_snapshot();
         let stranded: u64 = m.queue_depth.iter().sum();

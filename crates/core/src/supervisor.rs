@@ -108,13 +108,12 @@ pub struct FaultPolicy {
     /// Per-call packet budget in netsim clock units (ns); a call charging
     /// more cost than this counts as a fault. `0` disables the budget.
     pub packet_budget_ns: u64,
-    /// Restart quarantined instances automatically.
-    pub restart: bool,
     /// Initial restart backoff (simulated ns).
     pub restart_backoff_ns: u64,
     /// Backoff cap: doubling stops here.
     pub restart_backoff_cap_ns: u64,
-    /// Give up after this many restarts of one instance.
+    /// Give up after this many restarts of one instance (`0`: never
+    /// restart).
     pub max_restarts: u32,
 }
 
@@ -124,7 +123,6 @@ impl Default for FaultPolicy {
             degrade_after: 1,
             quarantine_after: 3,
             packet_budget_ns: 0,
-            restart: true,
             restart_backoff_ns: 1_000_000,      // 1 ms simulated
             restart_backoff_cap_ns: 64_000_000, // 64 ms simulated
             max_restarts: 4,
@@ -422,11 +420,8 @@ impl Supervisor {
     }
 
     /// Schedule a restart for a quarantined instance. Returns the
-    /// simulated deadline, or `None` when policy forbids it.
+    /// simulated deadline, or `None` once `max_restarts` is spent.
     pub fn schedule_restart(&mut self, h: InstanceHandle, now_ns: u64) -> Option<u64> {
-        if !self.policy.restart {
-            return None;
-        }
         let max_restarts = self.policy.max_restarts;
         let s = self.record_mut(h)?;
         if s.restarts >= max_restarts {

@@ -736,18 +736,22 @@ mod tests {
         // Hold the doorbell's mutex: a ring that notified (or so much as
         // locked) would block behind it.
         let held = bell.lock.lock().unwrap();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let done = Arc::new(AtomicBool::new(false));
         let ringer = {
-            let bell = Arc::clone(&bell);
+            let (bell, done) = (Arc::clone(&bell), Arc::clone(&done));
             std::thread::spawn(move || {
                 bell.ring();
-                let _ = done_tx.send(());
+                done.store(true, Ordering::Release);
             })
         };
-        let rung = done_rx.recv_timeout(Duration::from_secs(5));
+        let t0 = std::time::Instant::now();
+        while !done.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let rung = done.load(Ordering::Acquire);
         drop(held);
         ringer.join().unwrap();
-        assert!(rung.is_ok(), "ring() took the lock with nobody parked");
+        assert!(rung, "ring() took the lock with nobody parked");
         assert!(!bell.parked.load(Ordering::Relaxed));
     }
 

@@ -8,13 +8,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use router_plugins::classifier::flow_table::key_hash;
 use router_plugins::core::dataplane::{shard_for_packet, ShardReport};
+use router_plugins::core::ip_core::Disposition;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
 use router_plugins::core::{ControlPlane, ParallelRouter, ParallelRouterConfig, RouterConfig};
 use router_plugins::netsim::traffic::{fragment_flood, v4_host, v6_host};
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{FlowKey, FlowTuple, Mbuf};
-use std::net::IpAddr;
+use std::collections::HashSet;
+use std::net::{IpAddr, Ipv6Addr};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Shard balance: the dispatch hash must spread random five-tuples evenly
@@ -346,4 +349,126 @@ fn flush_after_a_control_command_sees_what_the_command_emitted() {
     );
     pr.flush();
     assert_eq!(pr.take_tx(1).len(), 2 * BACKLOG);
+}
+
+// ---------------------------------------------------------------------
+// The return ring's bound: egress carriers never outrun the drains
+// ---------------------------------------------------------------------
+
+/// A UDP packet to `2001:db8:<net>::1` (routed out of interface `net`),
+/// told apart from every other by its source port.
+fn tagged(net: u16, tag: u16, dport: u16) -> Mbuf {
+    let dst = IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, net, 0, 0, 0, 0, 1));
+    Mbuf::new(PacketSpec::udp(v6_host(1), dst, tag, dport, 64).build(), 0)
+}
+
+/// At the shallowest ingress FIFOs, with no `take_tx` until the end, a
+/// control command after every batch (every fiftieth cycle of them
+/// reloads a DRR, backlogs it on every shard and force-unloads it, so
+/// control messages carry egress too): every packet leaves exactly once,
+/// on its own interface, and the counters conserve. A return ring that
+/// filled would trip the shard's `debug_assert!` or lose a carrier.
+#[test]
+fn return_rings_carry_every_carrier_at_the_shallowest_ingress_depths() {
+    const ROUNDS: u16 = 2_000;
+    const PER_BATCH: u16 = 4;
+    const CYCLE: u16 = 50;
+    const BACKLOG: u16 = 4;
+    for depth in [1usize, 2] {
+        let mut template = router_plugins::core::loader::PluginLoader::new();
+        register_builtin_factories(&mut template);
+        let cfg = ParallelRouterConfig {
+            shards: 2,
+            router: RouterConfig {
+                verify_checksums: false,
+                ..RouterConfig::default()
+            },
+            ingress_depth: depth,
+            // Back-pressure, never a shed: every packet must get through.
+            overload_wait: Duration::from_secs(10),
+            ..ParallelRouterConfig::default()
+        };
+        let mut pr = ParallelRouter::new(cfg, &template);
+        run_script(
+            &mut pr,
+            "route 2001:db8:1::/48 1\nroute 2001:db8:2::/48 2\nroute 2001:db8:3::/48 3",
+        )
+        .unwrap();
+        let mut expected = HashSet::new();
+        let mut drr = String::new();
+        for round in 0..ROUNDS {
+            let batch: Vec<Mbuf> = (0..PER_BATCH)
+                .map(|k| {
+                    let tag = round * PER_BATCH + k;
+                    expected.insert((1 + tag % 3, tag));
+                    tagged(1 + tag % 3, tag, 80)
+                })
+                .collect();
+            assert_eq!(pr.receive_batch(batch), PER_BATCH as usize);
+            let cycle = round / CYCLE;
+            match round % CYCLE {
+                0 => assert_eq!(run_command(&mut pr, "load drr").unwrap(), "loaded drr"),
+                1 => {
+                    let out = run_command(&mut pr, "create drr quantum=1500 limit=64").unwrap();
+                    drr = out.rsplit(' ').next().unwrap().to_string();
+                }
+                2 => {
+                    run_command(&mut pr, &format!("attach 1 drr {drr}")).unwrap();
+                }
+                3 => {
+                    let bind = format!("bind sched drr {drr} <*, *, UDP, *, 7000, *>");
+                    run_command(&mut pr, &bind).unwrap();
+                }
+                4 => {
+                    // `receive` alone queues without the pump.
+                    let queued = pr.control_map(move |ctx| {
+                        (0..BACKLOG)
+                            .filter(|&j| {
+                                let tag = 10_000 + ((cycle * 2 + ctx.index as u16) * BACKLOG + j);
+                                let pkt = tagged(1, tag, 7000);
+                                ctx.router.receive(pkt) == Disposition::Queued(1)
+                            })
+                            .count()
+                    });
+                    assert_eq!(queued, vec![BACKLOG as usize; 2]);
+                    for shard in 0..2 {
+                        for j in 0..BACKLOG {
+                            expected.insert((1, 10_000 + (cycle * 2 + shard) * BACKLOG + j));
+                        }
+                    }
+                }
+                5 => {
+                    let out = run_command(&mut pr, "unload drr force").unwrap();
+                    assert_eq!(out, "force-unloaded drr");
+                }
+                r if r % 2 == 0 => assert_eq!(pr.shard_reports().len(), 2),
+                _ => assert_eq!(pr.expire_idle_flows(u64::MAX), 0),
+            }
+        }
+        pr.flush();
+        let mut seen = HashSet::new();
+        for iface in 0..4u16 {
+            for m in pr.take_tx(iface as u32) {
+                assert_eq!(m.tx_if, Some(iface as u32), "depth {depth}");
+                let key = FlowKey::extract(m.data(), m.rx_if).unwrap().tuple();
+                let IpAddr::V6(dst) = key.dst else {
+                    panic!("{key:?}")
+                };
+                assert_eq!(dst.segments()[2], iface, "depth {depth}: {key:?}");
+                assert!(
+                    seen.insert((iface, key.sport)),
+                    "depth {depth}: twice {key:?}"
+                );
+            }
+        }
+        assert_eq!(seen, expected, "depth {depth}");
+        let s = pr.stats();
+        assert_eq!(
+            s.received + s.fragments,
+            s.forwarded + s.dropped_total(),
+            "{s:?}"
+        );
+        assert_eq!(s.dropped_total(), 0, "depth {depth}: {s:?}");
+        assert_eq!(s.forwarded, expected.len() as u64, "depth {depth}");
+    }
 }

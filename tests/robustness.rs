@@ -313,7 +313,7 @@ fn stalling_instance_exceeds_budget_and_quarantines() {
         verify_checksums: false,
         fault_policy: FaultPolicy {
             packet_budget_ns: 10_000,
-            restart: false,
+            max_restarts: 0,
             ..FaultPolicy::default()
         },
         ..RouterConfig::default()
@@ -352,7 +352,7 @@ fn quarantine_mid_walk_stops_the_instances_run() {
         verify_checksums: false,
         fault_policy: FaultPolicy {
             packet_budget_ns: 10_000,
-            restart: false,
+            max_restarts: 0,
             ..FaultPolicy::default()
         },
         ..RouterConfig::default()

@@ -21,7 +21,7 @@ use router_plugins::core::{
 };
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
-use router_plugins::packet::Mbuf;
+use router_plugins::packet::{FlowKey, Mbuf};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -203,7 +203,7 @@ fn commands_issued_while_a_shard_is_down_reach_it_through_the_journal() {
     // Restarts disabled: the killed shard stays down until the operator
     // intervenes, so commands demonstrably land while it cannot hear them.
     let mut pr = parallel(2, |c| {
-        c.router.fault_policy.restart = false;
+        c.router.fault_policy.max_restarts = 0;
     });
     run_script(&mut pr, "load firewall\ncreate firewall").unwrap();
 
@@ -659,6 +659,55 @@ fn flush_does_not_wait_for_a_shard_wedged_under_it() {
     assert_eq!(s.received, s.forwarded + s.dropped_total());
 }
 
+/// A fan-out queued behind a wedge gets `unresponsive` from that shard.
+/// The abandoned incarnation keeps its own return ring: what it sends
+/// after the watchdog gave up on it, and after its replacement took over
+/// the shard index, still reaches the wire once and is counted once.
+#[test]
+fn an_abandoned_incarnations_late_egress_leaves_once() {
+    let _guard = wedge_guard();
+    let mut pr = parallel(2, |c| c.stall_timeout = Duration::from_millis(100));
+    run_script(
+        &mut pr,
+        "load chaos\n\
+         create chaos mode=wedge\n\
+         bind stats chaos 0 <*, *, UDP, *, 7777, *>\n\
+         route 2001:db8::/32 1",
+    )
+    .unwrap();
+    let trigger = udp(201, 6000, 7777);
+    let victim = pr.shard_of(&trigger);
+    pr.receive_batch(vec![trigger]);
+    let out = run_command(&mut pr, "msg chaos 0 status").unwrap();
+    let other = 1 - victim;
+    assert!(out.contains(&format!("[shard {other}] ")), "{out}");
+    assert!(
+        out.contains(&format!("[shard {victim}] unresponsive")),
+        "{out}"
+    );
+    wait_for(
+        &mut pr,
+        victim,
+        Duration::from_secs(5),
+        "rebuilt behind the wedged incarnation",
+        |s| s.health == HealthState::Degraded && s.restarts >= 1,
+    );
+    assert!(pr.take_tx(1).is_empty(), "the trigger left while wedged");
+
+    release_wedges();
+    pr.flush();
+    let dports = |out: Vec<Mbuf>| -> Vec<u16> {
+        let key = |m: &Mbuf| FlowKey::extract(m.data(), m.rx_if).unwrap();
+        out.iter().map(|m| key(m).tuple().dport).collect()
+    };
+    assert_eq!(dports(pr.take_tx(1)), [7777]);
+    pr.flush();
+    assert_eq!(dports(pr.take_tx(1)), [] as [u16; 0]);
+    let s = pr.stats();
+    assert_eq!((s.received, s.forwarded), (1, 1), "{s:?}");
+    assert_eq!(s.dropped_total(), 0, "{s:?}");
+}
+
 // ---------------------------------------------------------------------
 // Satellite regression: control fan-out over a pre-killed shard
 // ---------------------------------------------------------------------
@@ -666,7 +715,7 @@ fn flush_does_not_wait_for_a_shard_wedged_under_it() {
 #[test]
 fn control_map_and_flush_survive_a_dead_shard() {
     let mut pr = parallel(2, |c| {
-        c.router.fault_policy.restart = false;
+        c.router.fault_policy.max_restarts = 0;
     });
     run_script(&mut pr, "load stats\ncreate stats").unwrap();
 

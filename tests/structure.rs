@@ -1,10 +1,11 @@
 //! Structural guards over the source tree: the plugin and dispatch paths
 //! hold no lock, names that simplifications deleted stay deleted, each
 //! "one of" (backoff doubling, victim routine, counter ledger, test
-//! scaffolding, flow type on the data path) stays one, `unsafe` stays
-//! where it is counted, and probe counts stay off shared counters. Every
-//! file under `crates`, `tests`, `src` and `examples` is read as text,
-//! the way `grep -r` would; a failure names the offending `file:line`.
+//! scaffolding, flow type on the data path, dispatch transport) stays
+//! one, `unsafe` stays where it is counted, and probe counts stay off
+//! shared counters. Every file under `crates`, `tests`, `src` and
+//! `examples` is read as text, the way `grep -r` would; a failure names
+//! the offending `file:line`.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -158,6 +159,15 @@ fn deleted_names_stay_deleted() {
         "IoRouter|io_inject_batch|io_flush|io_take_tx_into|io_pool|io_note_device_rx_drops|\
          io_note_device_tx_drops|io_interface_count",
     );
+    // A restart switch beside `max_restarts: 0`.
+    forbid("crates/core/src/supervisor.rs", "pub restart: bool");
+}
+
+/// One transport crosses the shard boundary, `rp_ring`: no channel is
+/// built, named or waited on anywhere in the tree.
+#[test]
+fn one_dispatch_transport() {
+    forbid(EVERYWHERE, "crossbeam_channel|unbounded(|recv_timeout");
 }
 
 /// One data-plane trait: `DataPlane` is declared once and implemented in
